@@ -16,15 +16,39 @@
 //!   each producing a minimal counterexample ([`Violation`]);
 //! * [`fuzz`] / [`FuzzCase`] — a seeded schedule fuzzer with greedy
 //!   shrinking to a re-runnable one-line reproducer.
+//!
+//! # What a check costs
+//!
+//! [`Recorder::check`] on a clean run is one pass over the retained
+//! commit history plus one pass over the final snapshots:
+//!
+//! | oracle | cost | note |
+//! |---|---|---|
+//! | serializability + version chains | O(records) | one walk in commit order; the record order is the witness (proof in the `history` module docs) |
+//! | …when the walk cannot prove it | O(E log E) | the full dependency graph (sorted version indexes + CSR edges), built only then; decides every violation |
+//! | convergence | O(objects × nodes) | one hash probe per snapshot entry |
+//! | delusion | O(writes + written objects × nodes × log objects) | snapshots are in object order and probed by binary search |
+//! | acceptance, atomicity, decision durability | O(records kept) | one probe each |
+//!
+//! Every structure is bounded by the recorder's ring caps
+//! ([`DEFAULT_HISTORY_CAP`] commits), so a check never costs more than
+//! a few milliseconds however long the run was. The direct,
+//! map-per-question formulations of the same oracles live in the
+//! test-only `reference` module; property tests hold the shipped code
+//! to them verdict for verdict.
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod equivalence;
 mod fuzz;
 mod history;
 mod oracle;
+#[cfg(test)]
+mod reference;
 
 pub use fuzz::{fuzz, FuzzCase, FuzzFailure, FuzzOutcome};
-pub use history::{DepEdge, DepKind, Detailed, History, TxnRecord, Verdict};
+pub use history::{DepEdge, DepKind, Detailed, History, RecordRef, TxnRecord};
 pub use oracle::{
     check_acked_durability, check_atomicity, check_decision_durability, check_leader_safety,
     check_store_convergence, snapshot, CheckReport, CriterionKind, Recorder, Scheme, Violation,

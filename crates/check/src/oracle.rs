@@ -19,11 +19,12 @@
 //! lowest diverging object, the first delusive write — not booleans.
 
 use crate::history::{DepEdge, Detailed, History, TxnRecord};
+use repl_storage::hash::FastMap;
 use repl_storage::{
     ApplyOutcome, NodeId, ObjectId, ObjectStore, Timestamp, TxnId, Value, Versioned,
 };
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
@@ -140,10 +141,10 @@ struct AcceptanceRecord {
 
 /// One replica-apply event at a node.
 #[derive(Debug, Clone, Copy)]
-struct ApplyEvent {
-    object: ObjectId,
-    new_ts: Timestamp,
-    outcome: ApplyOutcome,
+pub(crate) struct ApplyEvent {
+    pub(crate) object: ObjectId,
+    pub(crate) new_ts: Timestamp,
+    pub(crate) outcome: ApplyOutcome,
 }
 
 /// Per-node trace: counters plus a capped ring of *conflict-ignored*
@@ -152,11 +153,11 @@ struct ApplyEvent {
 /// counted — no oracle consumes them, and ringing every apply would
 /// dominate `--check` wall-clock on large sweeps.
 #[derive(Debug, Default)]
-struct NodeTrace {
+pub(crate) struct NodeTrace {
     commits: u64,
     applies: u64,
     dropped: u64,
-    events: VecDeque<ApplyEvent>,
+    pub(crate) events: VecDeque<ApplyEvent>,
 }
 
 /// Cap on the origin commit history the recorder retains.
@@ -167,6 +168,11 @@ const NODE_EVENT_CAP: usize = 8_192;
 const ACCEPTANCE_CAP: usize = 16_384;
 /// Cap on retained cross-shard commit records.
 const CROSS_COMMIT_CAP: usize = 16_384;
+
+/// A store's `(object, version)` pairs in ascending object order — the
+/// order [`ObjectStore::iter`] yields, and what lets the convergence
+/// and delusion oracles look an object up by binary search.
+pub(crate) type Snapshot = Vec<(ObjectId, Versioned)>;
 
 /// One client-visible cross-shard commit: which node coordinated it,
 /// which shard-owner nodes must eventually apply it, and whether a
@@ -189,10 +195,11 @@ struct OracleState {
     acceptances_dropped: u64,
     cross_commits: VecDeque<CrossCommitRecord>,
     cross_commits_dropped: u64,
-    shard_applies: HashMap<TxnId, Vec<NodeId>>,
-    durable_decisions: HashMap<TxnId, Vec<NodeId>>,
-    finals: Vec<(NodeId, Vec<(ObjectId, Versioned)>)>,
-    master_final: Option<Vec<(ObjectId, Versioned)>>,
+    // Probed per transaction, never iterated.
+    shard_applies: FastMap<TxnId, Vec<NodeId>>,
+    durable_decisions: FastMap<TxnId, Vec<NodeId>>,
+    finals: Vec<(NodeId, Snapshot)>,
+    master_final: Option<Snapshot>,
     expect_divergence: bool,
 }
 
@@ -217,8 +224,8 @@ impl Recorder {
                 acceptances_dropped: 0,
                 cross_commits: VecDeque::new(),
                 cross_commits_dropped: 0,
-                shard_applies: HashMap::new(),
-                durable_decisions: HashMap::new(),
+                shard_applies: FastMap::default(),
+                durable_decisions: FastMap::default(),
                 finals: Vec::new(),
                 master_final: None,
                 expect_divergence: false,
@@ -407,10 +414,23 @@ impl Recorder {
         let mut violations = Vec::new();
 
         if state.scheme.promises_serializability() {
-            if let Detailed::NotSerializable { cycle } = state.origin.check_detailed() {
+            let (verdict, chain_break) = state.origin.audit();
+            if let Detailed::NotSerializable { cycle } = verdict {
                 violations.push(Violation::NotSerializable { cycle });
             }
-            check_version_chains(&state.origin, &mut violations);
+            // Origin commits must form a linear version chain per
+            // object: each write's `old` version is exactly the
+            // previous committed `new` version (anchored at
+            // `Timestamp::ZERO`, the initial state, when the history is
+            // complete). First break only — the minimal counterexample.
+            if let Some(b) = chain_break {
+                violations.push(Violation::VersionChainBreak {
+                    object: b.object,
+                    txn: b.txn,
+                    expected_old: b.expected_old,
+                    found_old: b.found_old,
+                });
+            }
         }
 
         if state.scheme == Scheme::TwoTier {
@@ -430,7 +450,7 @@ impl Recorder {
                 }
             }
             if state.scheme == Scheme::LazyGroup {
-                check_delusion(&state, &mut violations);
+                violations.extend(find_delusion(&state.origin, &state.finals, &state.nodes));
             }
         }
 
@@ -470,40 +490,18 @@ impl Recorder {
 
 /// Snapshot a store as `(object, version)` pairs, in object order.
 pub fn snapshot(store: &ObjectStore) -> Vec<(ObjectId, Versioned)> {
-    store.iter().map(|(id, v)| (id, v.clone())).collect()
+    let snap: Snapshot = store.iter().map(|(id, v)| (id, v.clone())).collect();
+    assert!(
+        snap.windows(2).all(|w| w[0].0 < w[1].0),
+        "ObjectStore::iter must ascend by object id"
+    );
+    snap
 }
 
-/// Origin commits must form a linear version chain per object: each
-/// write's `old` version is exactly the previous committed `new`
-/// version (anchored at [`Timestamp::ZERO`], the initial state, when
-/// the history is complete). Reports the first break only — the
-/// minimal counterexample.
-fn check_version_chains(origin: &History, violations: &mut Vec<Violation>) {
-    let truncated = origin.dropped() > 0;
-    let mut last_new: HashMap<ObjectId, Timestamp> = HashMap::new();
-    for r in origin.records() {
-        for &(obj, old, new) in &r.writes {
-            let expected = match last_new.get(&obj) {
-                Some(&prev) => Some(prev),
-                // With an evicted prefix the first retained write may
-                // legitimately chain off an unseen version.
-                None if truncated => None,
-                None => Some(Timestamp::ZERO),
-            };
-            if let Some(expected) = expected {
-                if old != expected {
-                    violations.push(Violation::VersionChainBreak {
-                        object: obj,
-                        txn: r.txn,
-                        expected_old: expected,
-                        found_old: old,
-                    });
-                    return;
-                }
-            }
-            last_new.insert(obj, new);
-        }
-    }
+/// `snap`'s version of `obj`, if the node holds it.
+fn lookup(snap: &[(ObjectId, Versioned)], obj: ObjectId) -> Option<&Versioned> {
+    let at = snap.binary_search_by_key(&obj, |(o, _)| *o).ok()?;
+    Some(&snap[at].1)
 }
 
 /// Re-derive every two-tier acceptance decision; the engine's answer
@@ -529,12 +527,14 @@ fn check_acceptances(acceptances: &VecDeque<AcceptanceRecord>, violations: &mut 
 /// shards): every object is judged across the nodes that actually hold
 /// it, seeded from the reference snapshot, so two replicas of a shard
 /// the reference does not host are still compared against each other.
-fn find_divergence(
+pub(crate) fn find_divergence(
     ref_node: Option<NodeId>,
     ref_snap: &[(ObjectId, Versioned)],
-    finals: &[(NodeId, Vec<(ObjectId, Versioned)>)],
+    finals: &[(NodeId, Snapshot)],
 ) -> Option<Violation> {
-    let mut consensus: HashMap<ObjectId, &Versioned> =
+    // First holder's version of each object, in reference-then-node
+    // order; only probed, so its order never reaches the output.
+    let mut consensus: FastMap<ObjectId, &Versioned> =
         ref_snap.iter().map(|(obj, v)| (*obj, v)).collect();
     let mut worst: Option<ObjectId> = None;
     for (node, snap) in finals {
@@ -542,25 +542,17 @@ fn find_divergence(
             continue;
         }
         for (obj, sv) in snap {
-            match consensus.entry(*obj) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(sv);
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    if *e.get() != sv && worst.is_none_or(|w| *obj < w) {
-                        worst = Some(*obj);
-                    }
-                }
+            let agreed = *consensus.entry(*obj).or_insert(sv);
+            if agreed != sv && worst.is_none_or(|w| *obj < w) {
+                worst = Some(*obj);
             }
         }
     }
     let obj = worst?;
-    let mut states: Vec<(NodeId, Timestamp, Value)> = Vec::new();
-    for (node, snap) in finals {
-        if let Some((_, v)) = snap.iter().find(|(o, _)| *o == obj) {
-            states.push((*node, v.ts, v.value.clone()));
-        }
-    }
+    let states = finals
+        .iter()
+        .filter_map(|(node, snap)| lookup(snap, obj).map(|v| (*node, v.ts, v.value.clone())))
+        .collect();
     Some(Violation::Divergence {
         object: obj,
         reference: ref_node,
@@ -574,10 +566,14 @@ fn find_divergence(
 /// version of that object in the history. (A node being *ahead* of the
 /// retained history is not delusion: crash-orphaned or evicted writes
 /// can legitimately appear that way.)
-fn check_delusion(state: &OracleState, violations: &mut Vec<Violation>) {
-    let mut newest: HashMap<ObjectId, Timestamp> = HashMap::new();
-    for r in state.origin.records() {
-        for &(obj, _old, new) in &r.writes {
+pub(crate) fn find_delusion(
+    origin: &History,
+    finals: &[(NodeId, Snapshot)],
+    nodes: &[NodeTrace],
+) -> Option<Violation> {
+    let mut newest: FastMap<ObjectId, Timestamp> = FastMap::default();
+    for r in origin.records() {
+        for &(obj, _old, new) in r.writes {
             let e = newest.entry(obj).or_insert(new);
             if new > *e {
                 *e = new;
@@ -585,32 +581,40 @@ fn check_delusion(state: &OracleState, violations: &mut Vec<Violation>) {
         }
     }
     // Deterministic minimal counterexample: lowest object id first.
-    let mut objects: Vec<(&ObjectId, &Timestamp)> = newest.iter().collect();
+    let mut objects: Vec<(ObjectId, Timestamp)> = newest.into_iter().collect();
     objects.sort_unstable();
-    for (&obj, &committed_ts) in objects {
-        for (node, snap) in &state.finals {
-            let Some((_, v)) = snap.iter().find(|(o, _)| *o == obj) else {
+    for (obj, committed_ts) in objects {
+        for (node, snap) in finals {
+            let Some(v) = lookup(snap, obj) else {
                 continue;
             };
             if v.ts < committed_ts {
-                let dropped_at_apply = state.nodes.get(node.0 as usize).is_some_and(|t| {
-                    t.events.iter().rev().any(|ev| {
-                        ev.object == obj
-                            && ev.new_ts == committed_ts
-                            && ev.outcome == ApplyOutcome::ConflictIgnored
-                    })
-                });
-                violations.push(Violation::DelusiveWrite {
+                return Some(Violation::DelusiveWrite {
                     object: obj,
                     node: *node,
                     committed_ts,
                     node_ts: v.ts,
-                    dropped_at_apply,
+                    dropped_at_apply: dropped_at_apply(nodes, *node, obj, committed_ts),
                 });
-                return;
             }
         }
     }
+    None
+}
+
+/// Whether `node`'s trace shows the write `object@ts` arriving and
+/// being discarded by reconciliation.
+pub(crate) fn dropped_at_apply(
+    nodes: &[NodeTrace],
+    node: NodeId,
+    object: ObjectId,
+    ts: Timestamp,
+) -> bool {
+    nodes.get(node.0 as usize).is_some_and(|t| {
+        t.events.iter().rev().any(|ev| {
+            ev.object == object && ev.new_ts == ts && ev.outcome == ApplyOutcome::ConflictIgnored
+        })
+    })
 }
 
 /// One oracle violation, carrying its minimal counterexample.
@@ -852,9 +856,25 @@ impl CheckReport {
                 self.commits
             )
         } else if self.truncated() {
+            // Name each ring that overflowed: they bound different
+            // oracles (serializability vs atomicity).
+            let mut rings = Vec::new();
+            if self.history_dropped > 0 {
+                rings.push(format!(
+                    "{} of {} commits evicted from the history ring",
+                    self.history_dropped, self.commits
+                ));
+            }
+            if self.cross_commits_dropped > 0 {
+                rings.push(format!(
+                    "{} cross-shard commits evicted from the atomicity ring",
+                    self.cross_commits_dropped
+                ));
+            }
             format!(
-                "{}: clean but TRUNCATED ({} of {} commits evicted) — inconclusive",
-                self.scheme, self.history_dropped, self.commits
+                "{}: clean but TRUNCATED ({}) — inconclusive",
+                self.scheme,
+                rings.join("; ")
             )
         } else {
             format!("{}: clean ({} commits checked)", self.scheme, self.commits)
@@ -866,8 +886,7 @@ impl CheckReport {
 /// threaded cluster, which has no recorder threading). Returns the
 /// minimal diverging object, if any.
 pub fn check_store_convergence(stores: &[(NodeId, ObjectStore)]) -> Option<Violation> {
-    let finals: Vec<(NodeId, Vec<(ObjectId, Versioned)>)> =
-        stores.iter().map(|(n, s)| (*n, snapshot(s))).collect();
+    let finals: Vec<(NodeId, Snapshot)> = stores.iter().map(|(n, s)| (*n, snapshot(s))).collect();
     let (ref_node, ref_snap) = finals.first().map(|(n, s)| (*n, s))?;
     find_divergence(Some(ref_node), ref_snap, &finals)
 }
@@ -1208,6 +1227,27 @@ mod tests {
         assert!(report.truncated());
         assert_eq!(report.commits, DEFAULT_HISTORY_CAP + 10);
         assert!(report.summary().contains("TRUNCATED"));
+    }
+
+    #[test]
+    fn atomicity_only_truncation_names_the_ring_that_overflowed() {
+        let r = Recorder::new(Scheme::Eager);
+        let extra = 5;
+        for i in 0..(CROSS_COMMIT_CAP as u64 + extra) {
+            r.cross_commit(TxnId(i), NodeId(0), vec![NodeId(0)], false);
+            r.shard_apply(TxnId(i), NodeId(0));
+        }
+        let report = r.check();
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert!(report.truncated());
+        assert_eq!(report.history_dropped, 0);
+        assert_eq!(report.cross_commits_dropped, extra);
+        let summary = report.summary();
+        assert!(
+            summary.contains("TRUNCATED (5 cross-shard commits evicted from the atomicity ring)"),
+            "{summary}"
+        );
+        assert!(!summary.contains("history ring"), "{summary}");
     }
 
     #[test]

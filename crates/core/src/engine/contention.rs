@@ -292,11 +292,12 @@ pub struct ContentionSim {
     granted_scratch: Vec<(TxnId, ObjectId)>,
     /// Optional correctness recorder (off ⇒ every hook is a no-op).
     recorder: Recorder,
-    /// Current committed version per object, for the recorder. The
-    /// contention engine has no object store, so versions are minted
-    /// here: reads capture the version at lock *grant* (under strict
-    /// 2PL it cannot change before commit), commits mint successors.
-    versions: FastMap<ObjectId, Timestamp>,
+    /// Current committed version per object (indexed by object id), for
+    /// the recorder; empty while it is off. The contention engine has
+    /// no object store, so versions are minted here: reads capture the
+    /// version at lock *grant* (under strict 2PL it cannot change
+    /// before commit), commits mint successors.
+    versions: Vec<Timestamp>,
     /// Version-minting counter (unique, monotone across the run).
     version_counter: u64,
 }
@@ -350,7 +351,7 @@ impl ContentionSim {
             run_label: "contention".to_owned(),
             granted_scratch: Vec::new(),
             recorder: Recorder::off(),
-            versions: FastMap::default(),
+            versions: Vec::new(),
             version_counter: 0,
             cfg,
         };
@@ -399,6 +400,9 @@ impl ContentionSim {
 
     /// Attach a correctness recorder; the oracle sees every commit.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
+        if recorder.is_on() {
+            self.versions = vec![Timestamp::ZERO; self.cfg.db_size as usize];
+        }
         self.recorder = recorder;
         self
     }
@@ -777,7 +781,7 @@ impl ContentionSim {
         for &(obj, seen) in &reads {
             self.version_counter += 1;
             let new = Timestamp::new(self.version_counter, NodeId(0));
-            self.versions.insert(obj, new);
+            self.versions[obj.0 as usize] = new;
             writes.push((obj, seen, new));
         }
         self.recorder.commit(
@@ -811,7 +815,7 @@ impl ContentionSim {
         if !self.recorder.is_on() {
             return;
         }
-        let seen = self.versions.get(&obj).copied().unwrap_or(Timestamp::ZERO);
+        let seen = self.versions[obj.0 as usize];
         self.active
             .get_mut(&id)
             .expect("stepping txn must be active")

@@ -18,9 +18,8 @@
 use crate::config::SimConfig;
 use crate::metrics::{Metrics, Report, M_PROPAGATION_LAG, M_RECONCILIATION_DELAY, M_RETRIES};
 use crate::op::{Op, Operation};
-use crate::serializability::{History, TxnRecord};
 use crate::txn::{Criterion, TxnSpec};
-use repl_check::{CriterionKind, Recorder};
+use repl_check::{CriterionKind, Recorder, TxnRecord};
 use repl_net::{DisconnectSchedule, Network, PeriodModel, SendOutcome};
 use repl_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use repl_storage::{
@@ -135,7 +134,7 @@ struct BaseTxn {
     next: usize,
     buffered: Vec<(ObjectId, Value)>,
     /// `(object, master version observed)` per first access — feeds
-    /// the serializability checker.
+    /// the serializability oracle. Empty unless a recorder is on.
     reads: Vec<(ObjectId, Timestamp)>,
     started: SimTime,
     /// When this transaction last blocked on a master lock (cleared on
@@ -211,12 +210,10 @@ pub struct TwoTierSim {
     refresh_memo: Vec<Option<RefreshPayload>>,
     /// Scratch for the workload sampler's distinct-object draw.
     sample_scratch: Vec<u64>,
-    /// Committed base transactions' read/write footprints — §7 property
-    /// 2 ("base transactions execute with single-copy serializability")
-    /// is *verified*, not assumed: see [`TwoTierSim::run_full`].
-    history: History,
     /// Optional oracle recorder mirroring commits, acceptance
-    /// decisions, refresh applies, and final stores.
+    /// decisions, refresh applies, and final stores. With it on, §7
+    /// property 2 ("base transactions execute with single-copy
+    /// serializability") is *verified*, not assumed.
     recorder: Recorder,
     /// `Some` when the run uses a partial shard layout: replica stores
     /// hold only hosted objects, refresh fan-out filters per
@@ -354,7 +351,6 @@ impl TwoTierSim {
             refresh_scratch: Vec::new(),
             refresh_memo: Vec::new(),
             sample_scratch: Vec::new(),
-            history: History::new(),
             recorder: Recorder::off(),
             shard,
             hosted_counts,
@@ -410,15 +406,7 @@ impl TwoTierSim {
     /// Run, then reconnect every mobile node, finish every sync
     /// session, and deliver all refreshes so the whole system converges
     /// to the base state. Returns `(report, master, replicas)`.
-    pub fn run_with_state(self) -> (Report, ObjectStore, Vec<ObjectStore>) {
-        let (report, master, replicas, _) = self.run_full();
-        (report, master, replicas)
-    }
-
-    /// Like [`TwoTierSim::run_with_state`], additionally returning the
-    /// committed base transactions' execution [`History`] so callers
-    /// can verify single-copy serializability.
-    pub fn run_full(mut self) -> (Report, ObjectStore, Vec<ObjectStore>, History) {
+    pub fn run_with_state(mut self) -> (Report, ObjectStore, Vec<ObjectStore>) {
         let horizon = self.cfg.sim.horizon;
         self.tracer.emit(|| {
             Event::system(
@@ -466,7 +454,7 @@ impl TwoTierSim {
                 self.recorder.final_store(NodeId(i as u32), store);
             }
         }
-        (report, self.master, replicas, self.history)
+        (report, self.master, replicas)
     }
 
     fn dispatch(&mut self, ev: Ev, arrivals_enabled: bool) {
@@ -805,7 +793,9 @@ impl TwoTierSim {
             Some((_, v)) => v.clone(),
             None => {
                 let versioned = self.master.get(op.object);
-                txn.reads.push((op.object, versioned.ts));
+                if self.recorder.is_on() {
+                    txn.reads.push((op.object, versioned.ts));
+                }
                 versioned.value.clone()
             }
         };
@@ -819,7 +809,7 @@ impl TwoTierSim {
     }
 
     fn finish_base(&mut self, id: TxnId) {
-        let txn = self
+        let mut txn = self
             .base_txns
             .remove(id)
             .expect("finishing unknown base txn");
@@ -851,33 +841,30 @@ impl TwoTierSim {
         }
         if accepted {
             // Install the buffered writes as the new master state and
-            // propagate lazy-master refreshes. Record the footprint
-            // (reads + version transitions) for the serializability
-            // checker.
+            // propagate lazy-master refreshes. With a recorder on, hand
+            // it the footprint (reads + version transitions) for the
+            // serializability oracle.
+            let recording = self.recorder.is_on();
             let mut updates = Vec::with_capacity(txn.buffered.len());
-            let mut writes = Vec::with_capacity(txn.buffered.len());
+            let mut writes = Vec::with_capacity(if recording { txn.buffered.len() } else { 0 });
             for (obj, value) in &txn.buffered {
-                let old_ts = self.master.get(*obj).ts;
                 let ts = self.master_clock.tick();
-                self.master.set(*obj, value.clone(), ts);
+                let old = self.master.replace(*obj, value.clone(), ts);
                 updates.push((*obj, value.clone(), ts));
-                writes.push((*obj, old_ts, ts));
+                if recording {
+                    writes.push((*obj, old.ts, ts));
+                }
             }
-            if self.recorder.is_on() {
+            if recording {
                 self.recorder.commit(
                     txn.origin,
                     TxnRecord {
                         txn: id,
-                        reads: txn.reads.clone(),
-                        writes: writes.clone(),
+                        reads: std::mem::take(&mut txn.reads),
+                        writes,
                     },
                 );
             }
-            self.history.record(TxnRecord {
-                txn: id,
-                reads: txn.reads.clone(),
-                writes,
-            });
             if self.measuring() {
                 self.metrics.committed.incr();
                 self.metrics
@@ -1313,28 +1300,25 @@ mod tests {
 
     #[test]
     fn base_execution_is_single_copy_serializable() {
-        use crate::serializability::Verdict;
-        // High contention to make the check non-trivial.
+        use repl_check::Scheme;
+        // High contention to make the check non-trivial; short enough
+        // that the recorder's history ring keeps every commit.
         let cfg = base_cfg(
             6.0,
             2,
             80.0,
             12.0,
-            120,
+            100,
             8,
             TwoTierWorkload::Commutative { max_amount: 20 },
         );
-        let (report, _, _, history) = TwoTierSim::new(cfg).run_full();
+        let rec = Recorder::new(Scheme::TwoTier);
+        let report = TwoTierSim::new(cfg).with_recorder(rec.clone()).run();
         assert!(report.committed > 100, "need a meaningful history");
-        assert!(history.len() as u64 >= report.committed);
-        match history.check() {
-            Verdict::Serializable { witness } => {
-                assert_eq!(witness.len(), history.len());
-            }
-            Verdict::NotSerializable { cycle_members } => {
-                panic!("base execution not serializable: cycle {cycle_members:?}");
-            }
-        }
+        assert!(rec.commits() as u64 >= report.committed);
+        let check = rec.check();
+        assert!(check.is_clean(), "{:?}", check.violations);
+        assert!(!check.truncated(), "{}", check.summary());
     }
 
     #[test]

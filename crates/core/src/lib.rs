@@ -42,7 +42,6 @@ pub mod metrics;
 pub mod op;
 pub mod quorum;
 pub mod reconcile;
-pub mod serializability;
 pub mod txn;
 
 pub use config::{DeadlockPolicy, SimConfig};

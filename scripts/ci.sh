@@ -268,4 +268,20 @@ say "scaleout oracle smoke: --check on the sharded sweep must stay clean"
 }
 echo "ok: sharded sweep clean through the oracles"
 
+say "benchmark smoke: all four workloads, every operation correct"
+# Also what keeps the standalone benchmark/ workspace compiling against
+# the crates' public API. Smoke numbers mean nothing; only ok_frac does.
+bench_out="$(mktemp)"
+trap 'rm -f "$out" "$metrics_out" "$par_out" "$par_metrics" "$chaos_a" "$chaos_b" "$proto_out" "$check_out" "$fo_a" "$fo_b" "$fo_metrics_a" "$fo_metrics_b" "$shard_out" "$sc_a" "$sc_b" "$bench_out"' EXIT
+benchmark/run.sh --smoke >"$bench_out"
+grep '^{' "$bench_out" | /usr/bin/jq -es '
+    length == 4
+    and all(.[]; .correct and .failed == 0 and .metrics.ok_frac.value == 1)
+' >/dev/null || {
+    echo "benchmark smoke: a workload is missing, incorrect or has ok_frac < 1" >&2
+    grep -E '^==|ok_frac' "$bench_out" >&2
+    exit 1
+}
+echo "ok: benchmark smoke ran 4 workloads, ok_frac 1 on each"
+
 say "all CI gates passed"
