@@ -125,5 +125,36 @@ fn bench_engines(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_engines);
+/// The contention family at the repo benchmark's sizes. A 30 s run is
+/// ~1 200 transactions and mostly construction; these are 384 k
+/// transactions each, so per-transaction state that grows with the
+/// transactions ever started — or a hash and a `malloc` per
+/// transaction — shows here and nowhere in `engines_30s_sim`.
+fn bench_steady_state(c: &mut Criterion) {
+    let mut g = c.benchmark_group("engines_steady_state");
+    g.sample_size(10);
+
+    g.bench_function("single_node_2400s", |b| {
+        // `dense-full`'s first operation.
+        b.iter(|| {
+            let p = Params::new(2000.0, 8.0, 20.0, 4.0, 0.01);
+            let c = SimConfig::from_params(&p, 2400, 42);
+            black_box(ContentionSim::new(c, ContentionProfile::single_node(&c)).run())
+        });
+    });
+    g.bench_function("eager_sharded_600s", |b| {
+        // `sharded-scaleout`'s first operation: owner-order commits
+        // over 64 nodes, rf 3, a tenth of the transactions cross-shard.
+        b.iter(|| {
+            let p = Params::new(20_000.0, 64.0, 10.0, 4.0, 0.01);
+            let c = SimConfig::from_params(&p, 600, 42)
+                .with_shards(64, 3)
+                .with_cross_shard(0.10);
+            black_box(EagerSim::new(c, ReplicaDiscipline::Serial, Ownership::Group).run())
+        });
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_engines, bench_steady_state);
 criterion_main!(benches);

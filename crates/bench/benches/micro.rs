@@ -26,8 +26,8 @@ fn bench_lock_manager(c: &mut Criterion) {
     });
     g.bench_function("release_all_into_recycled", |b| {
         // Same workload as acquire_release_uncontended but with the
-        // caller-owned grant buffer and the held-Vec free list doing
-        // the recycling — the steady-state engine release path.
+        // caller-owned grant buffer — the steady-state engine release
+        // path.
         b.iter_batched(
             LockManager::new,
             |mut lm| {
@@ -38,6 +38,28 @@ fn bench_lock_manager(c: &mut Criterion) {
                         lm.acquire(txn, ObjectId(i * 4 + j));
                     }
                     lm.release_all_into(txn, &mut granted);
+                }
+                lm
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    g.bench_function("monotone_ids_100k", |b| {
+        // The contention engine's id scheme: a counter that never
+        // reuses an id, 64 transactions alive at a time. The tables
+        // must stay a 64-wide ring; indexed by the id they would grow,
+        // and allocate a held list, once per transaction.
+        b.iter_batched(
+            LockManager::new,
+            |mut lm| {
+                let mut granted = Vec::new();
+                for i in 0..100_000u64 {
+                    if i >= 64 {
+                        lm.release_all_into(TxnId(i - 64), &mut granted);
+                    }
+                    for j in 0..4u64 {
+                        lm.acquire(TxnId(i), ObjectId((i % 64) * 4 + j));
+                    }
                 }
                 lm
             },

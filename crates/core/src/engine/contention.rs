@@ -30,9 +30,9 @@ use repl_sim::{EventQueue, Sampler, SimDuration, SimRng, SimTime};
 use repl_storage::hash::FastMap;
 use repl_storage::{
     Acquire, DecisionLog, DecisionState, LockManager, NodeId, ObjectId, ShardMap, Timestamp, TxnId,
+    TxnTable,
 };
 use repl_telemetry::{AbortReason, Event, EventKind, Profiler, TraceHandle};
-use std::collections::HashMap;
 
 /// Per-scheme knobs on top of the shared [`SimConfig`].
 #[derive(Debug, Clone, Copy)]
@@ -165,8 +165,10 @@ impl ProtoMsg {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ActiveTxn {
+    /// The objects to lock, in order. Drawn from and returned to
+    /// [`ContentionSim::objects_pool`].
     objects: Vec<ObjectId>,
     /// Index of the action to perform next.
     next: usize,
@@ -272,7 +274,12 @@ pub struct ContentionSim {
     profile: ContentionProfile,
     queue: EventQueue<Ev>,
     locks: LockManager,
-    active: HashMap<TxnId, ActiveTxn>,
+    /// In-flight transactions. Ids are minted monotonically and never
+    /// reused — `TxnId` order is observable here (crash aborts, recovery
+    /// replay and the durability audit sort by it, traces print it) —
+    /// so the live ids form a sliding window and the table is a ring as
+    /// wide as that window.
+    active: TxnTable<ActiveTxn>,
     arrival_rngs: Vec<SimRng>,
     object_rng: SimRng,
     sampler: Sampler,
@@ -290,6 +297,12 @@ pub struct ContentionSim {
     run_label: String,
     /// Recycled buffer for lock-release promotions (commit/abort path).
     granted_scratch: Vec<(TxnId, ObjectId)>,
+    /// Recycled `ActiveTxn::objects` vectors: transactions start and
+    /// finish at the arrival rate, so reusing them keeps arrival
+    /// allocation-free at steady state.
+    objects_pool: Vec<Vec<ObjectId>>,
+    /// Scratch for the sampler's distinct-object draw.
+    sample_scratch: Vec<u64>,
     /// Optional correctness recorder (off ⇒ every hook is a no-op).
     recorder: Recorder,
     /// Current committed version per object (indexed by object id), for
@@ -334,7 +347,7 @@ impl ContentionSim {
                 lm.reserve_objects(cfg.db_size as usize);
                 lm
             },
-            active: HashMap::new(),
+            active: TxnTable::new(),
             arrival_rngs,
             object_rng: SimRng::stream(cfg.seed, "objects"),
             sampler: Sampler::new(cfg.access, cfg.db_size),
@@ -350,6 +363,8 @@ impl ContentionSim {
             profiler: Profiler::off(),
             run_label: "contention".to_owned(),
             granted_scratch: Vec::new(),
+            objects_pool: Vec::new(),
+            sample_scratch: Vec::new(),
             recorder: Recorder::off(),
             versions: Vec::new(),
             version_counter: 0,
@@ -433,6 +448,12 @@ impl ContentionSim {
     /// Run to the configured horizon and report the measured rates over
     /// the post-warm-up window.
     pub fn run(mut self) -> Report {
+        self.run_to_horizon()
+    }
+
+    /// [`ContentionSim::run`] by reference, so tests can inspect what
+    /// the run left behind.
+    fn run_to_horizon(&mut self) -> Report {
         let horizon = self.cfg.horizon;
         self.tracer.emit(|| {
             Event::system(
@@ -546,6 +567,7 @@ impl ContentionSim {
         let id = TxnId(self.next_txn);
         self.next_txn += 1;
         let (objects, coord_msgs, owners) = self.sample_objects(node);
+        let first = objects.first().copied();
         self.active.insert(
             id,
             ActiveTxn {
@@ -562,7 +584,7 @@ impl ContentionSim {
         );
         self.tracer
             .emit(|| Event::new(self.queue.now(), node, id, EventKind::TxnBegin));
-        self.try_step(id);
+        self.try_step(id, node, first);
     }
 
     /// Draw a transaction's object set at `node`, returning the objects
@@ -580,62 +602,67 @@ impl ContentionSim {
     /// inversion alone. Each remote owner costs a prepare and a commit
     /// message.
     fn sample_objects(&mut self, node: NodeId) -> (Vec<ObjectId>, u64, Vec<NodeId>) {
-        let Some(ctx) = &self.shard else {
-            let objects = self
-                .sampler
-                .sample_distinct(&mut self.object_rng, self.cfg.actions)
-                .into_iter()
-                .map(ObjectId)
-                .collect();
-            return (objects, 0, Vec::new());
-        };
-        let cross = self.object_rng.chance(self.cfg.cross_shard);
-        match &ctx.samplers[node.0 as usize] {
-            Some(local) if !cross => {
-                let objects = local
-                    .sample_distinct(&mut self.object_rng, self.cfg.actions)
-                    .into_iter()
-                    .map(|i| ctx.map.nth_hosted(node, i))
-                    .collect();
-                (objects, 0, Vec::new())
+        let mut scratch = std::mem::take(&mut self.sample_scratch);
+        let mut objects = self.objects_pool.pop().unwrap_or_default();
+        debug_assert!(objects.is_empty(), "pooled vectors are returned empty");
+        let (k, rng) = (self.cfg.actions, &mut self.object_rng);
+        let mut coord_msgs = 0;
+        let mut owner_list = Vec::new();
+        match &self.shard {
+            None => {
+                self.sampler.sample_distinct_into(rng, k, &mut scratch);
+                objects.extend(scratch.iter().copied().map(ObjectId));
             }
-            _ => {
-                let mut objects: Vec<ObjectId> = self
-                    .sampler
-                    .sample_distinct(&mut self.object_rng, self.cfg.actions)
-                    .into_iter()
-                    .map(ObjectId)
-                    .collect();
-                objects.sort_unstable_by_key(|o| (ctx.map.owner(ctx.map.shard_of(*o)).0, o.0));
-                let mut owners = 0u64;
-                let mut owner_list = Vec::new();
-                let track_owners = self.proto.is_some();
-                let mut prev = None;
-                for o in &objects {
-                    let owner = ctx.map.owner(ctx.map.shard_of(*o));
-                    if prev != Some(owner) {
-                        owners += 1;
-                        if track_owners {
-                            owner_list.push(owner);
+            Some(ctx) => {
+                let cross = rng.chance(self.cfg.cross_shard);
+                match &ctx.samplers[node.0 as usize] {
+                    Some(local) if !cross => {
+                        local.sample_distinct_into(rng, k, &mut scratch);
+                        objects.extend(scratch.iter().map(|&i| ctx.map.nth_hosted(node, i)));
+                    }
+                    _ => {
+                        self.sampler.sample_distinct_into(rng, k, &mut scratch);
+                        objects.extend(scratch.iter().copied().map(ObjectId));
+                        objects
+                            .sort_unstable_by_key(|o| (ctx.map.owner(ctx.map.shard_of(*o)).0, o.0));
+                        let mut owners = 0u64;
+                        let track_owners = self.proto.is_some();
+                        let mut prev = None;
+                        for o in &objects {
+                            let owner = ctx.map.owner(ctx.map.shard_of(*o));
+                            if prev != Some(owner) {
+                                owners += 1;
+                                if track_owners {
+                                    owner_list.push(owner);
+                                }
+                                prev = Some(owner);
+                            }
                         }
-                        prev = Some(owner);
+                        coord_msgs = 2 * owners.saturating_sub(1);
                     }
                 }
-                (objects, 2 * owners.saturating_sub(1), owner_list)
             }
         }
+        self.sample_scratch = scratch;
+        (objects, coord_msgs, owner_list)
     }
 
-    /// Attempt the transaction's next action: acquire the lock, then
-    /// either work, wait, or die.
-    fn try_step(&mut self, id: TxnId) {
-        let txn = &self.active[&id];
-        if txn.next >= txn.objects.len() {
+    /// Hand a finished transaction's object vector back to the pool.
+    fn recycle_objects(&mut self, mut objects: Vec<ObjectId>) {
+        objects.clear();
+        self.objects_pool.push(objects);
+    }
+
+    /// Attempt the next action of transaction `id` (running at `node`):
+    /// acquire the lock on `next`, then either work, wait, or die.
+    /// `None` means every action is done and the transaction commits.
+    /// The caller has the transaction's entry in hand and reads both
+    /// off it, so the step itself needs no lookup.
+    fn try_step(&mut self, id: TxnId, node: NodeId, next: Option<ObjectId>) {
+        let Some(obj) = next else {
             self.commit(id);
             return;
-        }
-        let obj = txn.objects[txn.next];
-        let node = txn.node;
+        };
         match self.locks.acquire(id, obj) {
             Acquire::Granted => {
                 // The action/message counters model an abstract replica
@@ -668,7 +695,7 @@ impl ContentionSim {
                     )
                 });
                 self.active
-                    .get_mut(&id)
+                    .get_mut(id)
                     .expect("waiting txn must be active")
                     .wait_started = Some(self.queue.now());
             }
@@ -705,15 +732,17 @@ impl ContentionSim {
     fn on_step_done(&mut self, id: TxnId) {
         // A crash can abort the transaction while its StepDone is in
         // flight; the orphan event is simply dropped.
-        let Some(txn) = self.active.get_mut(&id) else {
+        let Some(txn) = self.active.get_mut(id) else {
             return;
         };
         txn.next += 1;
-        self.try_step(id);
+        let (node, next) = (txn.node, txn.objects.get(txn.next).copied());
+        self.try_step(id, node, next);
     }
 
     fn commit(&mut self, id: TxnId) {
-        let engaged = self.proto.is_some() && self.active[&id].owners.len() >= 2;
+        let engaged =
+            self.proto.is_some() && self.active.get(id).is_some_and(|t| t.owners.len() >= 2);
         if !engaged {
             // Single-owner (or unsharded) transactions skip the commit
             // protocol entirely: no coordinator, no messages — the
@@ -730,7 +759,7 @@ impl ContentionSim {
     /// The pre-protocol commit path (also used for protocol runs'
     /// single-owner transactions, which provably skip the protocol).
     fn plain_commit(&mut self, id: TxnId) {
-        let txn = self.active.remove(&id).expect("committing unknown txn");
+        let txn = self.active.remove(id).expect("committing unknown txn");
         if self.measuring() {
             self.metrics.committed.incr();
             self.metrics.messages.add(txn.coord_msgs);
@@ -742,6 +771,7 @@ impl ContentionSim {
         if self.recorder.is_on() {
             self.record_commit(id, txn.node, txn.reads);
         }
+        self.recycle_objects(txn.objects);
         self.release_and_resume(id);
     }
 
@@ -752,7 +782,7 @@ impl ContentionSim {
     fn finish_commit_local(&mut self, id: TxnId, fenced: bool) {
         let txn = self
             .active
-            .remove(&id)
+            .remove(id)
             .expect("locally committing unknown txn");
         if self.measuring() {
             self.metrics.committed.incr();
@@ -769,6 +799,7 @@ impl ContentionSim {
                 self.recorder.shard_apply(id, txn.node);
             }
         }
+        self.recycle_objects(txn.objects);
         self.release_and_resume(id);
     }
 
@@ -795,7 +826,9 @@ impl ContentionSim {
     }
 
     fn abort(&mut self, id: TxnId) {
-        self.active.remove(&id);
+        if let Some(txn) = self.active.remove(id) {
+            self.recycle_objects(txn.objects);
+        }
         self.release_and_resume(id);
     }
 
@@ -817,7 +850,7 @@ impl ContentionSim {
         }
         let seen = self.versions[obj.0 as usize];
         self.active
-            .get_mut(&id)
+            .get_mut(id)
             .expect("stepping txn must be active")
             .reads
             .push((obj, seen));
@@ -831,7 +864,7 @@ impl ContentionSim {
             // A crash point firing earlier in this loop (via the o2pl
             // piggyback path) may have aborted a later waiter; its
             // grant died with it.
-            let Some(t) = self.active.get_mut(&waiter) else {
+            let Some(t) = self.active.get_mut(waiter) else {
                 continue;
             };
             if let Some(since) = t.wait_started.take() {
@@ -925,13 +958,13 @@ impl ContentionSim {
         }
         self.tracer
             .emit(|| Event::system(self.queue.now(), node, EventKind::NodeCrash));
-        // Abort the node's in-flight transactions (sorted: HashMap
-        // iteration order must never reach the event queue).
+        // Abort the node's in-flight transactions (sorted: the table's
+        // entry order must never reach the event queue).
         let mut victims: Vec<TxnId> = self
             .active
             .iter()
             .filter(|(_, t)| t.node == node)
-            .map(|(t, _)| *t)
+            .map(|(t, _)| t)
             .collect();
         victims.sort_unstable();
         for id in victims {
@@ -1123,7 +1156,7 @@ impl ContentionSim {
     /// `Apply` per remote owner. No votes, no durable decision, no
     /// acks — a drop or a crash in the window partial-commits.
     fn commit_owner_order(&mut self, id: TxnId) {
-        let node = self.active[&id].node;
+        let node = self.active.get(id).expect("committing unknown txn").node;
         if self.crash_fires(CrashKind::CoordPrePrepare) {
             self.crash_at_point(node);
             return;
@@ -1132,7 +1165,12 @@ impl ContentionSim {
             self.crash_at_point(node);
             return;
         }
-        let owners = self.active[&id].owners.clone();
+        let owners = self
+            .active
+            .get(id)
+            .expect("committing unknown txn")
+            .owners
+            .clone();
         self.finish_commit_local(id, false);
         if self.crash_fires(CrashKind::CoordPostDecisionLog) {
             // Committed locally, Applies never sent: guaranteed
@@ -1161,7 +1199,7 @@ impl ContentionSim {
     /// votes, send `Prepare` to whoever still owes one.
     fn begin_commit_protocol(&mut self, id: TxnId) {
         let (node, owners, piggy) = {
-            let t = &self.active[&id];
+            let t = self.active.get(id).expect("committing unknown txn");
             (t.node, t.owners.clone(), t.piggy.clone())
         };
         if self.crash_fires(CrashKind::CoordPrePrepare) {
@@ -1248,7 +1286,7 @@ impl ContentionSim {
                 }
             }
             Decision::Abort => {
-                if self.active.contains_key(&id) {
+                if self.active.contains(id) {
                     let measuring = self.measuring();
                     if measuring {
                         self.metrics.incr_dist(crate::metrics::M_ABORTS);
@@ -1420,7 +1458,7 @@ impl ContentionSim {
             );
             return;
         }
-        let deciding = self.active.contains_key(&txn)
+        let deciding = self.active.contains(txn)
             || self
                 .proto
                 .as_ref()
@@ -1532,7 +1570,7 @@ impl ContentionSim {
             return;
         }
         let Some(shard) = &self.shard else { return };
-        let Some(t) = self.active.get(&id) else {
+        let Some(t) = self.active.get(id) else {
             return;
         };
         if t.owners.len() < 2 {
@@ -1562,7 +1600,7 @@ impl ContentionSim {
             ctx.retransmit
         };
         self.active
-            .get_mut(&id)
+            .get_mut(id)
             .expect("checked above")
             .piggy
             .push(owner);
@@ -1706,6 +1744,42 @@ mod tests {
         assert!((r.duration_secs - 50.0).abs() < 1e-9);
         // Rate still ≈ TPS even though only half the run is measured.
         assert!((r.commit_rate - 10.0).abs() < 2.0);
+    }
+
+    #[test]
+    fn footprint_follows_the_live_population_not_the_horizon() {
+        // The benchmark's `dense-full` single-node case: 8 × 20 TPS on
+        // 2000 objects, ~48 k transactions at 300 s and ~384 k at
+        // 2400 s, a handful of them alive at any moment.
+        let footprint = |horizon: u64| {
+            let p = Params::new(2000.0, 8.0, 20.0, 4.0, 0.01);
+            let cfg = SimConfig::from_params(&p, horizon, 42);
+            let mut sim = ContentionSim::new(cfg, ContentionProfile::single_node(&cfg));
+            let report = sim.run_to_horizon();
+            (
+                report.committed,
+                sim.active.capacity(),
+                sim.locks.txn_table_capacity(),
+                sim.objects_pool.len(),
+            )
+        };
+        let (short_commits, short_active, short_locks, short_pool) = footprint(300);
+        let (long_commits, long_active, long_locks, long_pool) = footprint(2400);
+        assert!(long_commits > 7 * short_commits);
+        // Eight times the transactions, the same tables. The widest
+        // live window of a longer run can be a little wider (an extreme
+        // value creeps up with the sample size), which is worth at most
+        // one doubling — never the 8× of a table that tracks ids.
+        assert!(
+            long_active <= 2 * short_active,
+            "{short_active} → {long_active}"
+        );
+        assert!(
+            long_locks <= 2 * short_locks,
+            "{short_locks} → {long_locks}"
+        );
+        assert!(long_pool <= 2 * short_pool, "{short_pool} → {long_pool}");
+        assert!(long_active <= 128 && long_locks <= 256 && long_pool <= 64);
     }
 
     // ---- cross-shard commit protocol -----------------------------

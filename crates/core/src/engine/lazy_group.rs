@@ -1773,6 +1773,10 @@ mod tests {
             report.replica_commits > 0,
             "partial replication still fans out"
         );
+        #[allow(
+            clippy::disallowed_types,
+            reason = "test-only cross-store comparison, not an engine path"
+        )]
         let mut seen: std::collections::HashMap<ObjectId, (usize, Timestamp, Value)> =
             std::collections::HashMap::new();
         for (i, store) in stores.iter().enumerate() {

@@ -12,6 +12,10 @@
 //! output: iteration order differs from SipHash maps, and the
 //! harness promises byte-identical output across runs.
 
+#[allow(
+    clippy::disallowed_types,
+    reason = "the one place the std map is named: `FastMap` swaps its hasher"
+)]
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -73,6 +77,10 @@ pub type FastState = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` keyed by the fast hasher. Never iterate one of these
 /// for output — order is not the SipHash order the baselines froze.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the alias itself; SipHash is what it replaces"
+)]
 pub type FastMap<K, V> = HashMap<K, V, FastState>;
 
 #[cfg(test)]

@@ -11,13 +11,14 @@
 //! * [`lock`] — strict exclusive two-phase locking with FIFO queues and
 //!   immediate waits-for deadlock detection (§3's "locking detects
 //!   potential anomalies and converts them to waits or deadlocks"),
-//! * [`mvcc`] — the multi-version committed-read store the model's
-//!   "no read locks" assumption rests on,
 //! * [`shard`] — the sharded-keyspace layout ([`ShardMap`]): object→
 //!   shard assignment and shard→replica-set placement for partial
 //!   replication,
 //! * [`slab`] — generational slab arenas that mint dense [`TxnId`]s, so
 //!   engines index in-flight transactions instead of hashing them,
+//! * [`table`] — the direct-mapped, live-bounded [`TxnTable`] for
+//!   per-transaction state under *any* id scheme (the lock manager's
+//!   tables, the contention engine's in-flight set),
 //! * [`wal`] — the per-node commit log replayed "in sequential commit
 //!   order" by lazy replication (§5),
 //! * [`tentative`] — the mobile node's dual master/tentative versions
@@ -29,22 +30,22 @@
 pub mod div;
 pub mod hash;
 pub mod lock;
-pub mod mvcc;
 pub mod object;
 pub mod shard;
 pub mod slab;
 pub mod store;
+pub mod table;
 pub mod tentative;
 pub mod version_vector;
 pub mod wal;
 
 pub use div::FastDivMod;
 pub use lock::{Acquire, DeadlockMode, LockManager, Mutation, TxnId};
-pub use mvcc::MvccStore;
 pub use object::{LamportClock, NodeId, ObjectId, Timestamp, Value, Versioned};
 pub use shard::ShardMap;
 pub use slab::TxnSlab;
 pub use store::{ApplyOutcome, ObjectStore};
+pub use table::TxnTable;
 pub use tentative::TentativeStore;
 pub use version_vector::{Causality, VersionVector};
 pub use wal::{CommitLog, CommitRecord, DecisionLog, DecisionState, Lsn, UpdateRecord};

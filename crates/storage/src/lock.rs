@@ -10,6 +10,7 @@
 
 use crate::hash::FastMap;
 use crate::object::ObjectId;
+use crate::table::TxnTable;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
@@ -139,28 +140,30 @@ struct WalkScratch {
     parent: Vec<(TxnId, TxnId)>,
 }
 
-/// Per-transaction state for one arena tag, indexed by slab slot.
+/// Per-transaction state for one arena tag.
 ///
-/// Transaction ids are minted by `TxnSlab` as `| tag(8) | gen(24) |
-/// slot(32) |` with slots reused densely, so per-transaction lookups
-/// (held locks, blocked-on object) index a flat array by `(tag, slot)`
-/// instead of hashing the full id — the second-hottest map traffic in a
-/// run after the holder table itself. Each entry records the owning
-/// [`TxnId`] (including its generation): a stale id whose slot was
-/// recycled compares unequal and reads as absent, exactly like a hash
-/// map miss, which the timeout drivers rely on when validating that a
-/// scheduled lock timeout still refers to the same wait.
+/// Both tables are [`TxnTable`]s: direct-mapped by the id's low bits,
+/// so a per-transaction lookup (held locks, blocked-on object) is one
+/// indexed load and an owner compare instead of a hash — the
+/// second-hottest map traffic in a run after the holder table itself —
+/// and as wide as the live population whatever the id scheme (slab
+/// slots, a monotone counter, hand-rolled test ids). The owner compare
+/// covers the full [`TxnId`], generation included: a stale id whose
+/// entry was recycled reads as absent, exactly like a hash map miss,
+/// which the timeout drivers rely on when validating that a scheduled
+/// lock timeout still refers to the same wait.
+///
+/// One pair per tag because arenas with different tags reuse the same
+/// slot numbers (lazy-group's roots and replicas), and two live ids
+/// equal in their low 32 bits cannot share a table.
 #[derive(Debug, Default)]
 struct TagTable {
-    /// `held[slot]` — the owner and the locks it holds; owner is
-    /// [`FREE`] when the slot has no live lock-holding transaction.
-    /// The `Vec` stays in place across slot reuse, so its capacity is
-    /// recycled for the next generation without a spare pool.
-    held: Vec<(TxnId, Vec<ObjectId>)>,
-    /// `waiting[slot]` — the owner and the single object it is blocked
-    /// on; owner is [`FREE`] when the slot's transaction is not
-    /// blocked.
-    waiting: Vec<(TxnId, ObjectId)>,
+    /// The locks each live lock-holding transaction holds. A release
+    /// leaves the emptied `Vec` in its entry, so whichever transaction
+    /// claims the entry next inherits the capacity.
+    held: TxnTable<Vec<ObjectId>>,
+    /// The single object each blocked transaction is blocked on.
+    waiting: TxnTable<ObjectId>,
 }
 
 /// Strict exclusive locking with FIFO wait queues and pluggable
@@ -185,9 +188,14 @@ pub struct LockManager {
     queues: FastMap<ObjectId, VecDeque<TxnId>>,
     /// Number of currently held locks (telemetry).
     locked: usize,
-    /// Dense per-transaction state (held locks, blocked-on object),
-    /// indexed by arena tag then slab slot — see [`TagTable`].
+    /// Per-transaction state (held locks, blocked-on object), one
+    /// [`TagTable`] per arena tag.
     txns: Vec<TagTable>,
+    /// An empty buffer between releases. [`Self::release_all_into`]
+    /// trades it for the releasing transaction's held list, so the
+    /// entry keeps a buffer for its next owner while the loop is free
+    /// to grow and re-home the table under it.
+    release_scratch: Vec<ObjectId>,
     /// Number of currently blocked transactions.
     blocked: usize,
     /// The waits-for cycle behind the most recent [`Acquire::Deadlock`]
@@ -256,45 +264,33 @@ impl LockManager {
         (txn.0 >> 56) as usize
     }
 
-    /// The slab slot of `txn` (low 32 bits of the id).
+    /// The tables of `txn`'s arena tag, created on first use.
     #[inline]
-    fn slot_of(txn: TxnId) -> usize {
-        txn.0 as u32 as usize
+    fn tag_table(&mut self, txn: TxnId) -> &mut TagTable {
+        let tag = Self::tag_of(txn);
+        if tag >= self.txns.len() {
+            self.txns.resize_with(tag + 1, TagTable::default);
+        }
+        &mut self.txns[tag]
     }
 
     /// The object `txn` is blocked on, or `None` — including when the
-    /// slot was recycled by a newer generation (owner id mismatch).
+    /// entry was recycled by a newer generation (owner id mismatch).
     #[inline]
     fn wait_entry(&self, txn: TxnId) -> Option<ObjectId> {
-        let table = self.txns.get(Self::tag_of(txn))?;
-        let &(owner, obj) = table.waiting.get(Self::slot_of(txn))?;
-        (owner == txn).then_some(obj)
+        self.txns.get(Self::tag_of(txn))?.waiting.get(txn).copied()
     }
 
     /// Record that `txn` is blocked on `obj`.
     fn set_waiting(&mut self, txn: TxnId, obj: ObjectId) {
-        let (tag, slot) = (Self::tag_of(txn), Self::slot_of(txn));
-        if tag >= self.txns.len() {
-            self.txns.resize_with(tag + 1, TagTable::default);
-        }
-        let waiting = &mut self.txns[tag].waiting;
-        if slot >= waiting.len() {
-            waiting.resize(slot + 1, (FREE, ObjectId(0)));
-        }
-        waiting[slot] = (txn, obj);
+        self.tag_table(txn).waiting.insert(txn, obj);
         self.blocked += 1;
     }
 
     /// Clear `txn`'s blocked-on record, returning the object it was
     /// waiting on (no-op `None` if it was not blocked).
     fn clear_waiting(&mut self, txn: TxnId) -> Option<ObjectId> {
-        let table = self.txns.get_mut(Self::tag_of(txn))?;
-        let entry = table.waiting.get_mut(Self::slot_of(txn))?;
-        if entry.0 != txn {
-            return None;
-        }
-        let obj = entry.1;
-        entry.0 = FREE;
+        let obj = self.txns.get_mut(Self::tag_of(txn))?.waiting.remove(txn)?;
         self.blocked -= 1;
         Some(obj)
     }
@@ -313,11 +309,17 @@ impl LockManager {
     }
 
     /// Pre-size the dense holder tables for object ids `0..n`, so a
-    /// run over a known database size never regrows them mid-stream.
+    /// run over a known database size never reallocates them
+    /// mid-stream. Only capacity is reserved; [`Self::acquire`] fills
+    /// entries in as ids are first locked. A constructor therefore does
+    /// not write (and page in) a table per node up front — 10 MB for a
+    /// 64-node lazy-group run over 20 000 objects — which made set-up
+    /// time depend on whether the allocator still had that memory
+    /// resident from the previous engine.
     pub fn reserve_objects(&mut self, n: usize) {
-        if n > self.holders.len() {
-            self.grow(n - 1);
-        }
+        self.holders.reserve(n.saturating_sub(self.holders.len()));
+        self.waitbits
+            .reserve((n / 64 + 1).saturating_sub(self.waitbits.len()));
     }
 
     /// Whether `txn` currently holds the lock on `obj`.
@@ -385,28 +387,16 @@ impl LockManager {
         Acquire::Waiting
     }
 
-    /// Append `obj` to `txn`'s held list, claiming the slot's entry on
-    /// first acquisition. A slot recycled by the slab reuses the old
-    /// generation's vector capacity (every release empties it first).
+    /// Append `obj` to `txn`'s held list, claiming an entry on first
+    /// acquisition. The entry's previous owner left its (emptied) list
+    /// behind, so the new owner inherits the capacity.
     fn record_held(&mut self, txn: TxnId, obj: ObjectId) {
-        let (tag, slot) = (Self::tag_of(txn), Self::slot_of(txn));
-        if tag >= self.txns.len() {
-            self.txns.resize_with(tag + 1, TagTable::default);
-        }
-        let held = &mut self.txns[tag].held;
-        if slot >= held.len() {
-            held.resize_with(slot + 1, || (FREE, Vec::new()));
-        }
-        let entry = &mut held[slot];
-        if entry.0 != txn {
-            debug_assert!(
-                entry.0 == FREE || entry.1.is_empty(),
-                "slot recycled while the previous generation held locks"
-            );
-            entry.0 = txn;
-            entry.1.clear();
-        }
-        entry.1.push(obj);
+        let (list, fresh) = self.tag_table(txn).held.claim(txn);
+        debug_assert!(
+            !fresh || list.is_empty(),
+            "a release empties the list it leaves"
+        );
+        list.push(obj);
     }
 
     /// Would suspending `txn` behind `obj` close a waits-for cycle?
@@ -510,20 +500,22 @@ impl LockManager {
     /// `granted` and fills it with the promoted `(transaction, object)`
     /// pairs. Engines pass a recycled scratch buffer so the
     /// commit/abort path allocates nothing; the released transaction's
-    /// held-lock vector returns to the spare pool for the next txn.
+    /// entry keeps a held-lock buffer for whichever transaction claims
+    /// it next.
     pub fn release_all_into(&mut self, txn: TxnId, granted: &mut Vec<(TxnId, ObjectId)>) {
         granted.clear();
-        let (tag, slot) = (Self::tag_of(txn), Self::slot_of(txn));
-        let Some(entry) = self.txns.get_mut(tag).and_then(|t| t.held.get_mut(slot)) else {
+        let Some(list) = self
+            .txns
+            .get_mut(Self::tag_of(txn))
+            .and_then(|t| t.held.vacate(txn))
+        else {
             return;
         };
-        if entry.0 != txn {
-            return;
-        }
-        entry.0 = FREE;
-        // Detach the held list so the loop can borrow `self` freely;
-        // its capacity is handed back to the slot afterwards.
-        let mut objs = std::mem::take(&mut entry.1);
+        // Promoting a waiter records its new lock, which may grow and
+        // re-home the table: leave the entry the (empty) scratch buffer
+        // now and walk the detached list, so nothing has to be handed
+        // back to an entry that may have moved.
+        let mut objs = std::mem::replace(list, std::mem::take(&mut self.release_scratch));
         for obj in objs.drain(..) {
             let o = obj.0 as usize;
             // A ghost grant (mutation) records a held lock the ghost
@@ -548,7 +540,7 @@ impl LockManager {
             self.record_held(next, obj);
             granted.push((next, obj));
         }
-        self.txns[tag].held[slot].1 = objs;
+        self.release_scratch = objs;
     }
 
     /// Remove `txn` from the wait queue it sits in (used when an
@@ -570,9 +562,19 @@ impl LockManager {
     pub fn held_by(&self, txn: TxnId) -> &[ObjectId] {
         self.txns
             .get(Self::tag_of(txn))
-            .and_then(|t| t.held.get(Self::slot_of(txn)))
-            .filter(|entry| entry.0 == txn)
-            .map_or(&[], |entry| entry.1.as_slice())
+            .and_then(|t| t.held.get(txn))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Entries allocated across every per-transaction table: the
+    /// footprint that must follow the live population, not the ids
+    /// ever seen (regression tests only).
+    #[doc(hidden)]
+    pub fn txn_table_capacity(&self) -> usize {
+        self.txns
+            .iter()
+            .map(|t| t.held.capacity() + t.waiting.capacity())
+            .sum()
     }
 }
 

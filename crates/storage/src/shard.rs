@@ -97,6 +97,10 @@ impl ShardMap {
         let mut fanout_base = Vec::with_capacity(nodes as usize + 1);
         let mut fanout_sigs = Vec::new();
         let mut sig_scratch = vec![0u64; words];
+        #[allow(
+            clippy::disallowed_types,
+            reason = "construction-time dedup keyed by a whole signature; never on an engine path"
+        )]
         let mut seen: std::collections::HashMap<Vec<u64>, u32> = std::collections::HashMap::new();
         fanout_base.push(0);
         for origin in 0..nodes as usize {

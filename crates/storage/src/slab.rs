@@ -5,9 +5,10 @@
 //! lock grant). A `HashMap<TxnId, _>` pays a hash per touch; this slab
 //! instead *derives* the [`TxnId`] from the slot it occupies, so a
 //! lookup is two array indexes and a generation compare. Freed slots go
-//! on a free list and are recycled — like the lock manager's
-//! `spare_held` pool — so a long run's arena stays as small as its peak
-//! concurrency, not its total transaction count.
+//! on a free list and are recycled, so a long run's arena stays as
+//! small as its peak concurrency, not its total transaction count.
+//! (Engines whose ids must stay monotone keep their in-flight set in a
+//! [`TxnTable`](crate::TxnTable) instead.)
 //!
 //! Id layout (64 bits):
 //!

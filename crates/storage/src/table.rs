@@ -1,0 +1,314 @@
+//! A direct-mapped per-transaction table keyed by the full [`TxnId`].
+//!
+//! [`TxnSlab`](crate::TxnSlab) gives an engine dense, recycled ids, so a
+//! flat array indexed by slot is all its side tables need. Not every id
+//! scheme is like that: the contention engine mints `TxnId(0), TxnId(1),
+//! …` and never reuses one, because `TxnId` order is observable there
+//! (crash aborts, recovery replay and the durability audit all sort by
+//! id). An array indexed by such an id grows with every transaction ever
+//! started. This table serves both schemes with one rule:
+//!
+//! * **Direct-mapped.** An id lives at entry `low 32 bits & (capacity −
+//!   1)`; capacity is a power of two. A lookup is one mask, one load and
+//!   one compare — no hashing.
+//! * **Owner-checked.** Every entry records the full id of its owner, so
+//!   a stale generation or a foreign id that lands on the entry compares
+//!   unequal and reads as absent, exactly like a map miss.
+//! * **Live-bounded.** Only when two *live* ids land on one entry does
+//!   the table double (until they separate) and re-home its live
+//!   entries. Slab ids (dense slots) therefore see a flat slot array
+//!   that stops growing at peak concurrency; monotone ids see a ring as
+//!   wide as the span between the oldest and the newest live id. Memory
+//!   follows the live population, never the number of ids ever seen.
+//!
+//! Two live ids equal in all 32 low bits cannot be separated by
+//! doubling; claiming the second one panics. Keep arenas whose slot
+//! numbers overlap (different slab tags) in separate tables, as
+//! [`LockManager`](crate::LockManager) does.
+//!
+//! An entry's value outlives its owner: [`TxnTable::vacate`] leaves it
+//! in place and [`TxnTable::claim`] hands it to the next owner, so
+//! heap buffers inside `T` are recycled without a free list.
+
+use crate::lock::TxnId;
+
+/// Owner of an entry nobody has claimed. Never a real id: a slab would
+/// need tag 255, the maximal generation and the maximal slot at once,
+/// and a counter would need 2⁶⁴ − 1 transactions.
+const VACANT: TxnId = TxnId(u64::MAX);
+
+#[derive(Debug)]
+struct Entry<T> {
+    owner: TxnId,
+    val: T,
+}
+
+/// Direct-mapped, owner-checked, live-bounded map from [`TxnId`] to `T`
+/// (see the module docs).
+#[derive(Debug)]
+pub struct TxnTable<T> {
+    /// Empty or a power of two long.
+    entries: Vec<Entry<T>>,
+    live: usize,
+}
+
+impl<T> Default for TxnTable<T> {
+    fn default() -> Self {
+        TxnTable {
+            entries: Vec::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<T: Default> TxnTable<T> {
+    /// An empty table; allocates nothing until the first claim.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of live ids.
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Whether no id is live.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Number of entries allocated — the table's footprint. Tracks the
+    /// widest live population seen, not the ids ever claimed.
+    pub fn capacity(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The entry `id` maps to. Index 0 of an empty table is out of
+    /// range, so lookups there miss without a separate emptiness test.
+    #[inline]
+    fn index(&self, id: TxnId) -> usize {
+        id.0 as u32 as usize & self.entries.len().wrapping_sub(1)
+    }
+
+    /// Whether `id` is live here.
+    #[inline]
+    pub fn contains(&self, id: TxnId) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// The value of the live id `id`.
+    #[inline]
+    pub fn get(&self, id: TxnId) -> Option<&T> {
+        let e = self.entries.get(self.index(id))?;
+        (e.owner == id).then_some(&e.val)
+    }
+
+    /// Mutable access to the value of the live id `id`.
+    #[inline]
+    pub fn get_mut(&mut self, id: TxnId) -> Option<&mut T> {
+        let i = self.index(id);
+        let e = self.entries.get_mut(i)?;
+        (e.owner == id).then_some(&mut e.val)
+    }
+
+    /// The value of `id`, making `id` live if it is not. The flag is
+    /// `true` when this call made it live; the value is then whatever
+    /// the entry's previous owner left behind (`T::default()` on a
+    /// never-used entry) and the caller resets it, keeping its buffers.
+    ///
+    /// # Panics
+    /// If another live id agrees with `id` in all 32 low bits.
+    #[inline]
+    pub fn claim(&mut self, id: TxnId) -> (&mut T, bool) {
+        debug_assert!(id != VACANT, "the vacant sentinel cannot own an entry");
+        let mut i = self.index(id);
+        let fresh = match self.entries.get(i) {
+            Some(e) if e.owner == id => false,
+            Some(e) if e.owner == VACANT => true,
+            resident => {
+                self.grow(id, resident.map(|e| e.owner));
+                i = self.index(id);
+                true
+            }
+        };
+        let e = &mut self.entries[i];
+        if fresh {
+            e.owner = id;
+            self.live += 1;
+        }
+        (&mut e.val, fresh)
+    }
+
+    /// Make `id` live with value `val`, returning the value it replaces
+    /// if `id` was live already.
+    pub fn insert(&mut self, id: TxnId, val: T) -> Option<T> {
+        let (slot, fresh) = self.claim(id);
+        let old = std::mem::replace(slot, val);
+        (!fresh).then_some(old)
+    }
+
+    /// End `id`'s life but leave its value in the entry for the next
+    /// owner to recycle; returns it so the caller can drain or empty
+    /// it. `None`, and nothing changes, if `id` was not live.
+    #[inline]
+    pub fn vacate(&mut self, id: TxnId) -> Option<&mut T> {
+        let i = self.index(id);
+        let e = self.entries.get_mut(i)?;
+        if e.owner != id {
+            return None;
+        }
+        e.owner = VACANT;
+        self.live -= 1;
+        Some(&mut e.val)
+    }
+
+    /// End `id`'s life and move its value out.
+    #[inline]
+    pub fn remove(&mut self, id: TxnId) -> Option<T> {
+        self.vacate(id).map(std::mem::take)
+    }
+
+    /// The live `(id, value)` pairs in entry order. That order depends
+    /// on the capacity the table happened to reach: sort before letting
+    /// it influence anything observable.
+    pub fn iter(&self) -> impl Iterator<Item = (TxnId, &T)> {
+        self.entries
+            .iter()
+            .filter(|e| e.owner != VACANT)
+            .map(|e| (e.owner, &e.val))
+    }
+
+    /// Make room for `id`, whose entry is held by the live id
+    /// `resident` (`None`: the table is still empty): widen until the
+    /// two separate and re-home every live entry. Live ids were
+    /// pairwise distinct under the narrower mask, so they stay distinct
+    /// under the wider one, and only `resident` shared `id`'s old
+    /// entry, so one resize always suffices.
+    #[cold]
+    fn grow(&mut self, id: TxnId, resident: Option<TxnId>) {
+        const INITIAL: usize = 8;
+        let capacity = match resident {
+            None => INITIAL,
+            Some(other) => {
+                let differ = (id.0 ^ other.0) as u32;
+                assert!(
+                    differ != 0,
+                    "TxnTable: live ids {other} and {id} agree in all 32 low bits; \
+                     no capacity separates them (keep overlapping arenas in separate tables)"
+                );
+                // Bit `k` is the lowest that differs: any mask covering
+                // bits `0..=k` separates the two.
+                1usize << (differ.trailing_zeros() + 1)
+            }
+        };
+        let old = std::mem::take(&mut self.entries);
+        self.entries.resize_with(capacity, || Entry {
+            owner: VACANT,
+            val: T::default(),
+        });
+        for e in old {
+            if e.owner != VACANT {
+                let i = self.index(e.owner);
+                debug_assert!(self.entries[i].owner == VACANT);
+                self.entries[i] = e;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn insert_get_remove_roundtrip() {
+        let mut t = TxnTable::new();
+        assert_eq!(t.capacity(), 0);
+        assert_eq!(t.get(TxnId(3)), None);
+        assert_eq!(t.insert(TxnId(3), "a"), None);
+        assert_eq!(t.insert(TxnId(4), "b"), None);
+        assert_eq!(t.insert(TxnId(3), "c"), Some("a"));
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.get(TxnId(3)), Some(&"c"));
+        *t.get_mut(TxnId(4)).unwrap() = "d";
+        assert_eq!(t.remove(TxnId(4)), Some("d"));
+        assert_eq!(t.remove(TxnId(4)), None);
+        assert!(!t.contains(TxnId(4)));
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn monotone_ids_form_a_ring_as_wide_as_the_live_window() {
+        let mut t = TxnTable::new();
+        const LIVE: u64 = 48;
+        for id in 0..1_000_000u64 {
+            t.insert(TxnId(id), id);
+            if id >= LIVE {
+                assert_eq!(t.remove(TxnId(id - LIVE)), Some(id - LIVE));
+            }
+        }
+        assert_eq!(t.len(), LIVE as usize);
+        assert_eq!(t.capacity(), 64, "width follows the window, not the ids");
+    }
+
+    #[test]
+    fn stale_generation_on_the_same_entry_reads_absent() {
+        let mut t = TxnTable::new();
+        let (old, new) = (TxnId(5), TxnId((1 << 32) | 5));
+        t.insert(old, 1);
+        assert_eq!(t.remove(old), Some(1));
+        t.insert(new, 2);
+        assert_eq!(t.get(old), None);
+        assert_eq!(t.vacate(old), None);
+        assert_eq!(t.get(new), Some(&2));
+        assert_eq!(t.capacity(), 8, "a recycled slot needs no growth");
+    }
+
+    #[test]
+    fn live_clash_doubles_until_the_ids_separate() {
+        let mut t = TxnTable::new();
+        t.insert(TxnId(1), "straggler");
+        // 1 and 1 + 64 first differ in bit 6: capacity 128 separates.
+        t.insert(TxnId(65), "newcomer");
+        assert_eq!(t.capacity(), 128);
+        assert_eq!(t.get(TxnId(1)), Some(&"straggler"));
+        assert_eq!(t.get(TxnId(65)), Some(&"newcomer"));
+        assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn vacated_value_is_recycled_by_the_next_claimant() {
+        let mut t: TxnTable<Vec<u32>> = TxnTable::new();
+        let (v, fresh) = t.claim(TxnId(2));
+        assert!(fresh && v.is_empty());
+        v.extend([1, 2, 3]);
+        let ptr = v.as_ptr();
+        assert!(!t.claim(TxnId(2)).1, "claiming a live id is a lookup");
+        t.vacate(TxnId(2)).unwrap().clear();
+        // Id 10 maps to the same entry of the 8-wide table.
+        let (v, fresh) = t.claim(TxnId(10));
+        assert!(fresh);
+        assert!(v.is_empty() && v.capacity() >= 3);
+        assert_eq!(v.as_ptr(), ptr, "the buffer stayed with the entry");
+    }
+
+    #[test]
+    fn iteration_yields_exactly_the_live_pairs() {
+        let mut t = TxnTable::new();
+        for id in [9u64, 2, 17, 4] {
+            t.insert(TxnId(id), id * 10);
+        }
+        t.remove(TxnId(2));
+        let mut seen: Vec<(TxnId, u64)> = t.iter().map(|(id, v)| (id, *v)).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![(TxnId(4), 40), (TxnId(9), 90), (TxnId(17), 170)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "agree in all 32 low bits")]
+    fn inseparable_live_ids_panic_instead_of_looping() {
+        let mut t = TxnTable::new();
+        t.insert(TxnId(7), ());
+        t.insert(TxnId((1 << 56) | 7), ());
+    }
+}

@@ -7,9 +7,9 @@
 //! since they will soon be refreshed from the masters" — that is
 //! [`TentativeStore::discard_tentative`].
 
+use crate::hash::FastMap;
 use crate::object::{ObjectId, Timestamp, Value, Versioned};
 use crate::store::ObjectStore;
-use std::collections::HashMap;
 
 /// Dual-version object storage for a mobile node.
 #[derive(Debug)]
@@ -19,8 +19,10 @@ pub struct TentativeStore {
     master: ObjectStore,
     /// Tentative overlays: objects updated by local tentative
     /// transactions since the last synchronization. Sparse — most of
-    /// the database is untouched during a disconnect window.
-    tentative: HashMap<ObjectId, Versioned>,
+    /// the database is untouched during a disconnect window. Probed on
+    /// every mobile read and never iterated, so the fast hasher is
+    /// safe here.
+    tentative: FastMap<ObjectId, Versioned>,
 }
 
 impl TentativeStore {
@@ -34,7 +36,7 @@ impl TentativeStore {
     pub fn from_master(master: ObjectStore) -> Self {
         TentativeStore {
             master,
-            tentative: HashMap::new(),
+            tentative: FastMap::default(),
         }
     }
 
@@ -122,6 +124,29 @@ mod tests {
         assert_eq!(s.tentative_count(), 0);
         assert_eq!(s.read(ObjectId(0)).value, Value::Int(10));
         assert!(!s.is_tentative(ObjectId(3)));
+    }
+
+    #[test]
+    fn discarding_a_large_overlay_falls_through_to_the_master() {
+        const N: u64 = 10_000;
+        let mut s = TentativeStore::new(N);
+        for i in 0..N {
+            s.master_mut().set(ObjectId(i), Value::Int(i as i64), ts(1));
+            s.write_tentative(ObjectId(i), Value::Int(-1), ts(2));
+        }
+        assert_eq!(s.tentative_count(), N as usize);
+        assert!((0..N).all(|i| s.read(ObjectId(i)).value == Value::Int(-1)));
+        s.discard_tentative();
+        assert_eq!(s.tentative_count(), 0);
+        for i in 0..N {
+            assert!(!s.is_tentative(ObjectId(i)));
+            assert_eq!(s.read(ObjectId(i)), s.read_master(ObjectId(i)));
+            assert_eq!(s.read(ObjectId(i)).value, Value::Int(i as i64));
+        }
+        // The emptied overlay takes new tentative versions as before.
+        s.write_tentative(ObjectId(7), Value::Int(70), ts(3));
+        assert_eq!(s.read(ObjectId(7)).value, Value::Int(70));
+        assert_eq!(s.tentative_count(), 1);
     }
 
     #[test]

@@ -4,7 +4,73 @@
 
 use proptest::prelude::*;
 use repl_storage::{Acquire, DeadlockMode, LockManager, ObjectId, TxnId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
+
+/// How the walk's sixteen logical transactions get their `TxnId`s.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum IdFamily {
+    /// The logical index itself, reused by every incarnation.
+    Reused,
+    /// A counter: every incarnation gets a fresh, larger id (the
+    /// contention engine's scheme).
+    Monotone,
+    /// Monotone, and logical transaction 0 never commits: its id stays
+    /// live while the others churn, so the live window — and the lock
+    /// manager's tables — keep widening.
+    Straggler,
+}
+
+/// Logical transaction → the `TxnId` of its current incarnation.
+struct Ids {
+    family: IdFamily,
+    next: u64,
+    current: [Option<TxnId>; 16],
+}
+
+impl Ids {
+    fn new(family: IdFamily) -> Self {
+        Ids {
+            family,
+            next: 0,
+            current: [None; 16],
+        }
+    }
+
+    fn of(&mut self, t: u64) -> TxnId {
+        let (family, next) = (self.family, &mut self.next);
+        *self.current[t as usize].get_or_insert_with(|| {
+            if family == IdFamily::Reused {
+                return TxnId(t);
+            }
+            *next += 1;
+            TxnId(*next - 1)
+        })
+    }
+
+    /// The incarnation released its locks; the next use is a new one.
+    fn retire(&mut self, t: u64) {
+        self.current[t as usize] = None;
+    }
+
+    fn logical(&self, id: TxnId) -> u64 {
+        self.current
+            .iter()
+            .position(|c| *c == Some(id))
+            .expect("grant for a transaction that is not live") as u64
+    }
+
+    fn never_commits(&self, t: u64) -> bool {
+        self.family == IdFamily::Straggler && t == 0
+    }
+}
+
+fn arb_family() -> impl Strategy<Value = IdFamily> {
+    prop_oneof![
+        Just(IdFamily::Reused),
+        Just(IdFamily::Monotone),
+        Just(IdFamily::Straggler),
+    ]
+}
 
 /// One step of the random walk.
 #[derive(Debug, Clone)]
@@ -26,9 +92,9 @@ fn arb_step() -> impl Strategy<Value = Step> {
 #[derive(Default)]
 struct Mirror {
     /// Objects we believe each live transaction holds.
-    held: HashMap<u64, HashSet<u64>>,
+    held: BTreeMap<u64, HashSet<u64>>,
     /// Transactions currently blocked (and on which object).
-    blocked: HashMap<u64, u64>,
+    blocked: BTreeMap<u64, u64>,
 }
 
 impl Mirror {
@@ -126,26 +192,32 @@ proptest! {
     }
 
     /// Equivalence of the two release paths: `release_all` (fresh Vec
-    /// per call) and `release_all_into` (caller-owned buffer + held-Vec
-    /// free list) must produce identical acquire outcomes, identical
-    /// grant *orders*, and identical counters on every interleaving, in
-    /// both deadlock modes. Guards the allocation pass against any
-    /// behavioral drift.
+    /// per call) and `release_all_into` (caller-owned buffer) must
+    /// produce identical acquire outcomes, identical grant *orders*,
+    /// and identical counters on every interleaving, in both deadlock
+    /// modes and for every id family — reused ids, monotone ids, and
+    /// monotone ids behind a long-lived straggler, where promotions
+    /// keep growing and re-homing the per-transaction tables. Guards
+    /// the allocation pass against any behavioral drift.
     #[test]
     fn release_paths_are_equivalent(
         steps in prop::collection::vec(arb_step(), 1..300),
         timeout_mode in (0u8..2).prop_map(|v| v == 1),
+        family in arb_family(),
     ) {
         let mode = if timeout_mode { DeadlockMode::TimeoutOnly } else { DeadlockMode::Detect };
         let mut a = LockManager::with_mode(mode);
         let mut b = LockManager::with_mode(mode);
         let mut buf = Vec::new();
+        let mut ids = Ids::new(family);
+        // Blocked *logical* transactions.
         let mut blocked: HashSet<u64> = HashSet::new();
 
-        let mut drive = |a: &mut LockManager, b: &mut LockManager, t: u64| -> Vec<(TxnId, ObjectId)> {
-            let grants = a.release_all(TxnId(t));
-            b.release_all_into(TxnId(t), &mut buf);
+        let mut drive = |a: &mut LockManager, b: &mut LockManager, t: TxnId| -> Vec<(TxnId, ObjectId)> {
+            let grants = a.release_all(t);
+            b.release_all_into(t, &mut buf);
             assert_eq!(grants, buf, "grant order diverged releasing {t}");
+            assert!(a.held_by(t).is_empty() && b.held_by(t).is_empty());
             grants
         };
 
@@ -155,22 +227,28 @@ proptest! {
                     if blocked.contains(&t) {
                         continue;
                     }
-                    let ra = a.acquire(TxnId(t), ObjectId(o));
-                    let rb = b.acquire(TxnId(t), ObjectId(o));
-                    prop_assert_eq!(ra, rb, "acquire({}, {}) diverged", t, o);
+                    let id = ids.of(t);
+                    let ra = a.acquire(id, ObjectId(o));
+                    let rb = b.acquire(id, ObjectId(o));
+                    prop_assert_eq!(ra, rb, "acquire({}, {}) diverged", id, o);
                     match ra {
                         Acquire::Granted => {}
                         Acquire::Waiting => {
                             blocked.insert(t);
                         }
                         Acquire::Deadlock => {
-                            for (w, _) in drive(&mut a, &mut b, t) {
-                                blocked.remove(&w.0);
+                            ids.retire(t);
+                            for (w, _) in drive(&mut a, &mut b, id) {
+                                blocked.remove(&ids.logical(w));
                             }
                         }
                     }
                 }
                 Step::Commit(t) => {
+                    if ids.never_commits(t) {
+                        continue;
+                    }
+                    let id = ids.of(t);
                     if blocked.contains(&t) {
                         // Timeout mode resolves a stuck waiter the way
                         // the engines do: cancel the wait, then release
@@ -178,20 +256,108 @@ proptest! {
                         if mode != DeadlockMode::TimeoutOnly {
                             continue;
                         }
-                        a.cancel_wait(TxnId(t));
-                        b.cancel_wait(TxnId(t));
+                        a.cancel_wait(id);
+                        b.cancel_wait(id);
                         blocked.remove(&t);
                     }
-                    for (w, _) in drive(&mut a, &mut b, t) {
-                        blocked.remove(&w.0);
+                    ids.retire(t);
+                    for (w, _) in drive(&mut a, &mut b, id) {
+                        blocked.remove(&ids.logical(w));
                     }
                 }
             }
             prop_assert_eq!(a.cycle_checks(), b.cycle_checks());
             prop_assert_eq!(a.locked_objects(), b.locked_objects());
             prop_assert_eq!(a.blocked_transactions(), b.blocked_transactions());
+            prop_assert_eq!(a.txn_table_capacity(), b.txn_table_capacity());
+            for t in 0..16 {
+                if let Some(id) = ids.current[t] {
+                    prop_assert_eq!(a.held_by(id), b.held_by(id));
+                    prop_assert_eq!(a.waiting_on(id), b.waiting_on(id));
+                }
+            }
         }
     }
+}
+
+/// A promotion inside `release_all_into` records the waiter's new lock,
+/// and that can widen and re-home the held table while the releasing
+/// transaction's list is detached. Ids are chosen against the table's
+/// initial width of 8: waiter 10 lands on live holder 2's entry (forcing
+/// the resize mid-loop) and waiter 9 on the releasing transaction's own,
+/// just-vacated one.
+#[test]
+fn promotion_that_grows_the_table_mid_release() {
+    let (releasing, bystander, clashing, reusing) = (TxnId(1), TxnId(2), TxnId(10), TxnId(9));
+    let (o1, o2, o3) = (ObjectId(1), ObjectId(2), ObjectId(3));
+    let run = |into: bool| {
+        let mut lm = LockManager::new();
+        assert_eq!(lm.acquire(releasing, o1), Acquire::Granted);
+        assert_eq!(lm.acquire(releasing, o2), Acquire::Granted);
+        assert_eq!(lm.acquire(bystander, o3), Acquire::Granted);
+        assert_eq!(lm.acquire(clashing, o1), Acquire::Waiting);
+        assert_eq!(lm.acquire(reusing, o2), Acquire::Waiting);
+        let before = lm.txn_table_capacity();
+        let granted = if into {
+            let mut buf = vec![(TxnId(77), ObjectId(77))];
+            lm.release_all_into(releasing, &mut buf);
+            buf
+        } else {
+            lm.release_all(releasing)
+        };
+        assert_eq!(granted, vec![(clashing, o1), (reusing, o2)]);
+        assert!(
+            lm.txn_table_capacity() > before,
+            "the fixture no longer forces a resize inside the release loop"
+        );
+        assert!(lm.held_by(releasing).is_empty());
+        assert_eq!(lm.held_by(clashing), &[o1]);
+        assert_eq!(lm.held_by(reusing), &[o2]);
+        assert_eq!(lm.held_by(bystander), &[o3], "re-homed entry lost its list");
+        assert_eq!(lm.blocked_transactions(), 0);
+        // The tables still work after the move: a further incarnation
+        // on the releasing transaction's old entry takes and frees locks.
+        let again = TxnId(17);
+        assert_eq!(lm.acquire(again, o2), Acquire::Waiting);
+        assert_eq!(lm.release_all(reusing), vec![(again, o2)]);
+        for t in [clashing, bystander, again] {
+            assert!(lm.release_all(t).is_empty());
+        }
+        assert_eq!(lm.locked_objects(), 0);
+        lm.txn_table_capacity()
+    };
+    assert_eq!(run(false), run(true));
+}
+
+/// The per-transaction tables follow the live population, not the ids
+/// ever seen: a million monotone ids, four locks each, at most 64 alive
+/// at once, must fit in a few hundred entries. (Indexed by the id, as
+/// the tables once were, this is two million-entry arrays.)
+#[test]
+fn monotone_ids_leave_a_footprint_bounded_by_the_live_population() {
+    const LIVE: u64 = 64;
+    const TXNS: u64 = 1_000_000;
+    let mut lm = LockManager::new();
+    let objects = |t: u64| (0..4).map(move |k| ObjectId((t % LIVE) * 4 + k));
+    let mut granted = Vec::new();
+    for t in 0..TXNS {
+        if t >= LIVE {
+            let old = TxnId(t - LIVE);
+            assert_eq!(lm.held_by(old).len(), 4);
+            lm.release_all_into(old, &mut granted);
+            assert!(granted.is_empty() && lm.held_by(old).is_empty());
+        }
+        for o in objects(t) {
+            assert_eq!(lm.acquire(TxnId(t), o), Acquire::Granted);
+        }
+    }
+    assert_eq!(lm.locked_objects(), (LIVE * 4) as usize);
+    // One held table and (never touched here) one waiting table.
+    assert!(
+        lm.txn_table_capacity() <= 4 * LIVE as usize,
+        "{} table entries for {LIVE} live transactions",
+        lm.txn_table_capacity()
+    );
 }
 
 /// The PR 2 ghost-lock regression as a fixed equivalence fixture: in

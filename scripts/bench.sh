@@ -45,10 +45,14 @@ else
     # The smoke gate tracks only the ms-scale engine benches: the
     # ns-scale micro benches jitter past any useful threshold on a
     # shared box, while a genuine hot-path regression in an engine
-    # shows up here as well.
+    # shows up here as well. The micro suite still runs first, as it
+    # does when the baseline is taken: the sub-millisecond engine
+    # benches at the head of a cold process read 1.5-1.8x slow on this
+    # sandbox (the first ~100 ms after idle), which is the gate's
+    # whole margin.
     echo "== criterion smoke: engines regression gate =="
     CRIT_LOG="$(mktemp)"
-    cargo bench -p repl-bench --bench engines 2>&1 | tee "$CRIT_LOG"
+    cargo bench -p repl-bench --bench micro --bench engines 2>&1 | tee "$CRIT_LOG"
 fi
 
 # The NullTracer guard already runs in `cargo test --workspace`; here
@@ -149,7 +153,10 @@ if smoke:
     # baseline regeneration are reported but not gated.
     baseline = json.loads(pathlib.Path("BENCH_harness.json").read_text())
     base_crit = baseline.get("criterion_median_ns", {})
-    tracked = sorted(n for n in criterion if n.startswith("engines_30s_sim/"))
+    tracked = sorted(
+        n for n in criterion
+        if n.startswith(("engines_30s_sim/", "engines_steady_state/"))
+    )
     assert tracked, "smoke criterion run produced no engine medians"
     failures = []
     for name in tracked:
