@@ -1,0 +1,392 @@
+//! Byte-identity goldens for every engine.
+//!
+//! Each golden file pins, per scenario, a digest of the `Report` JSON
+//! (headline counts in clear beside it), a digest of the full
+//! `JsonlSink` trace stream, every final store digest (for the engines
+//! that have stores) and, for recorded runs, the oracle's
+//! `CheckReport::summary()`. The trace prints every `TxnId` and every
+//! event in queue order, so the files pin what no other golden does:
+//! the id *values*, the `(time, seq)` tie-breaks of the event queue,
+//! the order a crash aborts its victims in and the order recovery
+//! replays in. A run that diverges from them changed observable
+//! behaviour, not just speed.
+//!
+//! * `goldens/contention_family.txt` — single-node, eager
+//!   serial/parallel, lazy-master (every profile of `ContentionSim`);
+//!   generated before the engine's per-transaction state moved off
+//!   `HashMap` (`REGEN_CONTENTION_GOLDENS=1 cargo test -q --test
+//!   engine_goldens`).
+//! * `goldens/lazy_group_two_tier.txt` — lazy-group and two-tier;
+//!   generated while each engine still had its own event loop, before
+//!   the simulation kernel (`REGEN_KERNEL_GOLDENS=1 cargo test -q
+//!   --test engine_goldens`).
+
+use dangers_of_replication::check::{Recorder, Scheme};
+use dangers_of_replication::core::{
+    CommitProto, ContentionProfile, ContentionSim, CrashKind, CrashPoint, DeadlockPolicy,
+    LazyGroupSim, Mobility, Report, SimConfig, TwoTierConfig, TwoTierSim, TwoTierWorkload,
+};
+use dangers_of_replication::model::Params;
+use dangers_of_replication::net::FaultPlan;
+use dangers_of_replication::sim::SimDuration;
+use dangers_of_replication::telemetry::{JsonlSink, TraceHandle};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// FNV-1a: cheap, dependency-free, sensitive to every byte.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+const ENGINES: [(&str, Scheme); 4] = [
+    ("single_node", Scheme::Contention),
+    ("eager_serial", Scheme::Eager),
+    ("eager_parallel", Scheme::Eager),
+    ("lazy_master", Scheme::LazyMaster),
+];
+
+fn profile(engine: &str, cfg: &SimConfig) -> ContentionProfile {
+    match engine {
+        "single_node" => ContentionProfile::single_node(cfg),
+        "eager_serial" => ContentionProfile::eager_serial(cfg),
+        "eager_parallel" => ContentionProfile::eager_parallel(cfg),
+        "lazy_master" => ContentionProfile::lazy_master(cfg),
+        other => panic!("unknown engine {other}"),
+    }
+}
+
+/// Contended enough that waits, deadlocks and (sharded) multi-owner
+/// commits all occur within the horizon.
+fn base_cfg(seed: u64) -> SimConfig {
+    let p = Params::new(400.0, 6.0, 15.0, 4.0, 0.01);
+    SimConfig::from_params(&p, 40, seed).with_warmup(2)
+}
+
+/// An in-memory JSONL trace sink an engine run can share.
+type TraceSink = Rc<RefCell<JsonlSink<Vec<u8>>>>;
+
+fn trace_sink() -> TraceSink {
+    Rc::new(RefCell::new(JsonlSink::from_writer(Vec::<u8>::new())))
+}
+
+fn recorder(scheme: Scheme, recorded: bool) -> Recorder {
+    if recorded {
+        Recorder::new(scheme)
+    } else {
+        Recorder::off()
+    }
+}
+
+/// Render one finished scenario's golden line. `stores` is empty for
+/// the engines that have none.
+fn golden_line(
+    name: &str,
+    report: &Report,
+    sink: TraceSink,
+    stores: &[u64],
+    recorder: &Recorder,
+) -> String {
+    let Ok(sink) = Rc::try_unwrap(sink) else {
+        panic!("engine kept a trace handle past run end");
+    };
+    let sink = sink.into_inner();
+    let lines = sink.lines_written();
+    let trace = sink.into_inner();
+    let check = if recorder.is_on() {
+        recorder.check().summary()
+    } else {
+        "-".to_owned()
+    };
+    let stores = if stores.is_empty() {
+        String::new()
+    } else {
+        let digests: Vec<String> = stores.iter().map(|d| format!("{d:016x}")).collect();
+        format!(" stores={}", digests.join(","))
+    };
+    let json = serde_json::to_string(report).expect("reports always serialize");
+    format!(
+        "{name} committed={} deadlocks={} waits={} messages={} crashes={} report={:016x} \
+         trace_lines={lines} trace={:016x}{stores} check=[{check}]",
+        report.committed,
+        report.deadlocks,
+        report.waits,
+        report.messages,
+        report.node_crashes,
+        fnv1a(json.as_bytes()),
+        fnv1a(&trace),
+    )
+}
+
+/// Run one contention-family scenario with a JSONL tracer (and
+/// optionally a recorder) attached and render its golden line.
+fn scenario(
+    name: &str,
+    engine: (&str, Scheme),
+    cfg: SimConfig,
+    faults: Option<&str>,
+    recorded: bool,
+) -> String {
+    let sink = trace_sink();
+    let recorder = recorder(engine.1, recorded);
+    let mut sim = ContentionSim::new(cfg, profile(engine.0, &cfg))
+        .with_run_label(engine.0)
+        .with_tracer(TraceHandle::shared(&sink))
+        .with_recorder(recorder.clone());
+    if let Some(spec) = faults {
+        sim = sim.with_faults(FaultPlan::parse(spec, cfg.seed).expect("fault spec parses"));
+    }
+    let report = sim.run();
+    golden_line(name, &report, sink, &[], &recorder)
+}
+
+const CHAOS: &str = "drop=0.10; dup=0.05; retransmit=0.25; crash=2:12..17; crash=4:20..23";
+
+fn golden_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for (i, engine) in ENGINES.iter().enumerate() {
+        let seed = 42 + i as u64;
+        // Unsharded: the pre-protocol fast path, with and without the
+        // recorder's read capture.
+        for recorded in [false, true] {
+            lines.push(scenario(
+                &format!("{}/unsharded/quiet/rec={recorded}/seed={seed}", engine.0),
+                *engine,
+                base_cfg(seed),
+                None,
+                recorded,
+            ));
+        }
+        // A fault plan on an unsharded run must stay a no-op.
+        lines.push(scenario(
+            &format!("{}/unsharded/chaos/rec=true/seed={seed}", engine.0),
+            *engine,
+            base_cfg(seed),
+            Some(CHAOS),
+            true,
+        ));
+        for proto in CommitProto::ALL {
+            let sharded = base_cfg(seed)
+                .with_shards(6, 2)
+                .with_cross_shard(0.4)
+                .with_commit_proto(proto);
+            let tag = |what: &str, recorded: bool| {
+                format!(
+                    "{}/shards=6,rf=2,cross=0.4/{}/{what}/rec={recorded}/seed={seed}",
+                    engine.0,
+                    proto.name()
+                )
+            };
+            lines.push(scenario(
+                &tag("quiet", false),
+                *engine,
+                sharded,
+                None,
+                false,
+            ));
+            lines.push(scenario(&tag("quiet", true), *engine, sharded, None, true));
+            lines.push(scenario(
+                &tag("chaos", true),
+                *engine,
+                sharded,
+                Some(CHAOS),
+                true,
+            ));
+            for (k, kind) in CrashKind::ALL.into_iter().enumerate() {
+                let crashing = sharded.with_crash_point(CrashPoint {
+                    kind,
+                    nth: (k % 3) as u32,
+                    down_secs: 2 + (k % 3) as u64,
+                });
+                // Half the crash-point runs also carry message chaos,
+                // so recovery replays over a lossy fabric too.
+                let faults = (k % 2 == 1).then_some("drop=0.10; dup=0.05; retransmit=0.25");
+                lines.push(scenario(
+                    &tag(&format!("crashpoint={}", kind.name()), true),
+                    *engine,
+                    crashing,
+                    faults,
+                    true,
+                ));
+            }
+        }
+    }
+    lines
+}
+
+/// Compare `lines` with the golden file `file`, or rewrite it when
+/// the environment variable `regen` is set.
+fn check_goldens(file: &str, regen: &str, lines: &[String]) {
+    let path = format!("{}/tests/goldens/{file}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os(regen).is_some() {
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|_| panic!("goldens missing — run with {regen}=1 to create them"));
+    let golden: Vec<&str> = golden.lines().collect();
+    assert_eq!(
+        golden.len(),
+        lines.len(),
+        "{file} covers a different scenario grid"
+    );
+    for (got, want) in lines.iter().zip(&golden) {
+        assert_eq!(got, *want, "run diverged from its golden in {file}");
+    }
+}
+
+#[test]
+fn contention_family_matches_goldens() {
+    check_goldens(
+        "contention_family.txt",
+        "REGEN_CONTENTION_GOLDENS",
+        &golden_lines(),
+    );
+}
+
+// ---- lazy-group and two-tier ---------------------------------------
+
+/// Message chaos on every link, one partition window and two crash
+/// windows, all inside the horizon.
+const LAZY_CHAOS: &str = "drop=0.10; dup=0.05; delay=0.05:0.5; retransmit=0.25; \
+                          part=6..10:0,1; crash=2:12..17; crash=4:20..23";
+
+fn lazy_group_lines() -> Vec<String> {
+    let mobilities = [
+        ("connected", Mobility::Connected),
+        (
+            "cycling",
+            Mobility::Cycling {
+                connected: SimDuration::from_secs(8),
+                disconnected: SimDuration::from_secs(4),
+            },
+        ),
+    ];
+    let policies = [
+        ("detection", DeadlockPolicy::Detection),
+        (
+            "timeout",
+            DeadlockPolicy::Timeout {
+                wait: SimDuration::from_millis(500),
+            },
+        ),
+    ];
+    let mut lines = Vec::new();
+    let mut seed = 100;
+    for (mobility_name, mobility) in mobilities {
+        for (policy_name, policy) in policies {
+            for batch in [1, 8] {
+                for sharded in [false, true] {
+                    for faults in [None, Some(LAZY_CHAOS)] {
+                        seed += 1;
+                        for recorded in [false, true] {
+                            let p = Params::new(250.0, 6.0, 15.0, 4.0, 0.01);
+                            let mut cfg = SimConfig::from_params(&p, 30, seed)
+                                .with_warmup(2)
+                                .with_deadlock(policy)
+                                .with_propagation_batch(batch);
+                            if sharded {
+                                cfg = cfg.with_shards(8, 3).with_cross_shard(0.1);
+                            }
+                            let layout = if sharded {
+                                "shards=8,rf=3,cross=0.1"
+                            } else {
+                                "unsharded"
+                            };
+                            let chaos = if faults.is_some() { "chaos" } else { "quiet" };
+                            let name = format!(
+                                "lazy_group/{mobility_name}/{policy_name}/batch={batch}/\
+                                 {layout}/{chaos}/rec={recorded}/seed={seed}"
+                            );
+                            let sink = trace_sink();
+                            let recorder = recorder(Scheme::LazyGroup, recorded);
+                            let mut sim = LazyGroupSim::new(cfg, mobility)
+                                .with_run_label("lazy_group")
+                                .with_tracer(TraceHandle::shared(&sink))
+                                .with_recorder(recorder.clone());
+                            if let Some(spec) = faults {
+                                sim = sim.with_faults(
+                                    FaultPlan::parse(spec, seed).expect("fault spec parses"),
+                                );
+                            }
+                            let (report, stores) = sim.run_with_state();
+                            let digests: Vec<u64> = stores.iter().map(|s| s.digest()).collect();
+                            lines.push(golden_line(&name, &report, sink, &digests, &recorder));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    lines
+}
+
+fn two_tier_lines() -> Vec<String> {
+    let workloads = [
+        (
+            "commutative",
+            TwoTierWorkload::Commutative { max_amount: 10 },
+        ),
+        (
+            "exact_match",
+            TwoTierWorkload::ExactMatch { max_amount: 20 },
+        ),
+    ];
+    let mut lines = Vec::new();
+    let mut seed = 200;
+    for (workload_name, workload) in workloads {
+        for batch in [1, 8] {
+            for sharded in [false, true] {
+                seed += 1;
+                for recorded in [false, true] {
+                    let p = Params::new(120.0, 6.0, 12.0, 4.0, 0.01);
+                    let mut sim = SimConfig::from_params(&p, 40, seed)
+                        .with_warmup(2)
+                        .with_propagation_batch(batch);
+                    if sharded {
+                        sim = sim.with_shards(8, 3).with_cross_shard(0.1);
+                    }
+                    let cfg = TwoTierConfig {
+                        sim,
+                        base_nodes: 2,
+                        mobile_owned: 0,
+                        connected: SimDuration::from_secs(8),
+                        disconnected: SimDuration::from_secs(12),
+                        workload,
+                        initial_value: 10_000,
+                    };
+                    let layout = if sharded {
+                        "shards=8,rf=3,cross=0.1"
+                    } else {
+                        "unsharded"
+                    };
+                    let name = format!(
+                        "two_tier/{workload_name}/batch={batch}/{layout}/rec={recorded}/seed={seed}"
+                    );
+                    let sink = trace_sink();
+                    let recorder = recorder(Scheme::TwoTier, recorded);
+                    let (report, master, replicas) = TwoTierSim::new(cfg)
+                        .with_run_label("two_tier")
+                        .with_tracer(TraceHandle::shared(&sink))
+                        .with_recorder(recorder.clone())
+                        .run_with_state();
+                    let mut digests = vec![master.digest()];
+                    digests.extend(replicas.iter().map(|s| s.digest()));
+                    lines.push(golden_line(&name, &report, sink, &digests, &recorder));
+                }
+            }
+        }
+    }
+    lines
+}
+
+#[test]
+fn lazy_group_and_two_tier_match_goldens() {
+    let mut lines = lazy_group_lines();
+    lines.extend(two_tier_lines());
+    check_goldens("lazy_group_two_tier.txt", "REGEN_KERNEL_GOLDENS", &lines);
+}
