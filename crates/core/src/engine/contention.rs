@@ -23,16 +23,18 @@
 
 use crate::config::SimConfig;
 use crate::engine::commit::{CommitProto, CoordState, Coordinator, CrashKind, Decision};
-use crate::metrics::{Metrics, Report, M_INDOUBT_WAIT};
-use repl_check::{Recorder, TxnRecord};
+use crate::engine::kernel::{self, Faulty, Kernel, Protocol, Sim};
+use crate::metrics::{M_ABORTS, M_INDOUBT_WAIT};
+use repl_check::{Scheme, TxnRecord};
 use repl_net::{FaultInjector, FaultPlan, Network, SendOutcome};
-use repl_sim::{EventQueue, Sampler, SimDuration, SimRng, SimTime};
+use repl_sim::{Sampler, SimDuration, SimRng, SimTime};
 use repl_storage::hash::FastMap;
 use repl_storage::{
     Acquire, DecisionLog, DecisionState, LockManager, NodeId, ObjectId, ShardMap, Timestamp, TxnId,
     TxnTable,
 };
-use repl_telemetry::{AbortReason, Event, EventKind, Profiler, TraceHandle};
+use repl_telemetry::{AbortReason, Event, EventKind};
+use std::marker::PhantomData;
 
 /// Per-scheme knobs on top of the shared [`SimConfig`].
 #[derive(Debug, Clone, Copy)]
@@ -97,30 +99,26 @@ impl ContentionProfile {
     }
 }
 
+/// The contention protocol's private events. (Commit-protocol messages
+/// travel as the kernel's `Deliver`.)
+#[doc(hidden)]
 #[derive(Debug)]
-enum Ev {
-    /// A new user transaction arrives at a node.
-    Arrive(NodeId),
+pub enum Ev {
     /// The current action's service time finished for a transaction.
     StepDone(TxnId),
-    /// A commit-protocol message reaches its destination.
-    ProtoDeliver { to: NodeId, msg: ProtoMsg },
     /// Coordinator retransmit tick: resend whatever round is missing.
     ProtoTimer(TxnId),
     /// In-doubt participant tick: re-ask the coordinator for the
     /// decision.
     InDoubtTimer(TxnId, NodeId),
-    /// Scheduled node crash (fault-plan window).
-    Crash(NodeId),
-    /// Scheduled node restart with durable-log recovery.
-    Restart(NodeId),
 }
 
 /// The cross-shard commit protocol's wire vocabulary. Every variant
 /// carries its sender, so a parked message can be re-parked and a
 /// handler never needs out-of-band context.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProtoMsg {
+pub enum ProtoMsg {
     /// Coordinator → participant: vote on `txn`.
     Prepare { txn: TxnId, coord: NodeId },
     /// Participant → coordinator: this shard's vote.
@@ -168,7 +166,7 @@ impl ProtoMsg {
 #[derive(Debug, Default)]
 struct ActiveTxn {
     /// The objects to lock, in order. Drawn from and returned to
-    /// [`ContentionSim::objects_pool`].
+    /// [`Contention::objects_pool`].
     objects: Vec<ObjectId>,
     /// Index of the action to perform next.
     next: usize,
@@ -230,16 +228,12 @@ struct ProtoCtx {
     pending: FastMap<TxnId, PendingCoord>,
     /// Volatile in-doubt participants: `(node, since)` per transaction.
     indoubt: FastMap<TxnId, Vec<(NodeId, SimTime)>>,
-    crashed: Vec<bool>,
     /// Times each crash-point transition has been reached, by
     /// [`CrashKind`] index in `CrashKind::ALL` order.
     crash_counts: [u32; 6],
     crash_point: Option<crate::engine::commit::CrashPoint>,
     /// Retransmit period for the Prepare/Decision/DecisionReq timers.
     retransmit: SimDuration,
-    /// Post-horizon drain: no faults, no arrivals, no measurements —
-    /// just protocol resolution.
-    draining: bool,
 }
 
 impl ProtoCtx {
@@ -251,11 +245,9 @@ impl ProtoCtx {
             logs: (0..n).map(|_| DecisionLog::new()).collect(),
             pending: FastMap::default(),
             indoubt: FastMap::default(),
-            crashed: vec![false; n],
             crash_counts: [0; 6],
             crash_point: cfg.crash_point,
             retransmit: SimDuration::from_millis(250),
-            draining: false,
         }
     }
 }
@@ -267,12 +259,35 @@ fn kind_index(k: CrashKind) -> usize {
         .expect("CrashKind::ALL is exhaustive")
 }
 
-/// The contention simulator.
+/// What tells the public parameterisations of [`Contention`] apart.
+pub trait Flavor {
+    /// The default run label.
+    const LABEL: &'static str;
+    /// The oracle family that judges a recorded run.
+    const SCHEME: Scheme;
+}
+
+/// The plain flavor of [`Contention`]: the caller supplies the
+/// [`ContentionProfile`].
 #[derive(Debug)]
-pub struct ContentionSim {
-    cfg: SimConfig,
+pub struct Plain;
+
+impl Flavor for Plain {
+    const LABEL: &'static str = "contention";
+    const SCHEME: Scheme = Scheme::Contention;
+}
+
+/// The contention simulator.
+pub type ContentionSim = Sim<Contention<Plain>>;
+
+type K<S> = Kernel<Contention<S>>;
+
+/// The contention protocol's state. [`ContentionSim`], `EagerSim` and
+/// `LazyMasterSim` are this protocol under different profiles; the
+/// [`Flavor`] `S` tells them apart, so each has its own constructor.
+#[derive(Debug)]
+pub struct Contention<S = Plain> {
     profile: ContentionProfile,
-    queue: EventQueue<Ev>,
     locks: LockManager,
     /// In-flight transactions. Ids are minted monotonically and never
     /// reused — `TxnId` order is observable here (crash aborts, recovery
@@ -280,7 +295,6 @@ pub struct ContentionSim {
     /// so the live ids form a sliding window and the table is a ring as
     /// wide as that window.
     active: TxnTable<ActiveTxn>,
-    arrival_rngs: Vec<SimRng>,
     object_rng: SimRng,
     sampler: Sampler,
     /// `Some` when the run uses a partial shard layout (`None` keeps
@@ -290,11 +304,6 @@ pub struct ContentionSim {
     /// the pre-protocol fast path (see [`ProtoCtx`]).
     proto: Option<ProtoCtx>,
     next_txn: u64,
-    metrics: Metrics,
-    measure_from: SimTime,
-    tracer: TraceHandle,
-    profiler: Profiler,
-    run_label: String,
     /// Recycled buffer for lock-release promotions (commit/abort path).
     granted_scratch: Vec<(TxnId, ObjectId)>,
     /// Recycled `ActiveTxn::objects` vectors: transactions start and
@@ -303,32 +312,27 @@ pub struct ContentionSim {
     objects_pool: Vec<Vec<ObjectId>>,
     /// Scratch for the sampler's distinct-object draw.
     sample_scratch: Vec<u64>,
-    /// Optional correctness recorder (off ⇒ every hook is a no-op).
-    recorder: Recorder,
     /// Current committed version per object (indexed by object id), for
-    /// the recorder; empty while it is off. The contention engine has
-    /// no object store, so versions are minted here: reads capture the
-    /// version at lock *grant* (under strict 2PL it cannot change
-    /// before commit), commits mint successors.
+    /// the recorder; empty until the first recorded read. The contention
+    /// engine has no object store, so versions are minted here: reads
+    /// capture the version at lock *grant* (under strict 2PL it cannot
+    /// change before commit), commits mint successors.
     versions: Vec<Timestamp>,
     /// Version-minting counter (unique, monotone across the run).
     version_counter: u64,
+    scheme: PhantomData<S>,
 }
 
 impl ContentionSim {
     /// Build a simulator; arrivals for each node are pre-seeded.
     pub fn new(cfg: SimConfig, profile: ContentionProfile) -> Self {
-        let mut queue = EventQueue::new();
-        // Step events — one fixed service time apart — dominate the
-        // event traffic; give them the queue's O(1) FIFO lane.
-        queue.set_fifo_lane(cfg.action_time);
-        let mut arrival_rngs = Vec::with_capacity(cfg.nodes as usize);
-        for node in 0..cfg.nodes {
-            let mut rng = SimRng::stream_node(cfg.seed, "arrivals-", u64::from(node));
-            let first = SimDuration::from_secs_f64(rng.exp(1.0 / cfg.tps));
-            queue.schedule_at(SimTime::ZERO + first, Ev::Arrive(NodeId(node)));
-            arrival_rngs.push(rng);
-        }
+        Self::with_profile(cfg, profile)
+    }
+}
+
+impl<S: Flavor> Sim<Contention<S>> {
+    /// Build the contention protocol under `profile`.
+    pub(super) fn with_profile(cfg: SimConfig, profile: ContentionProfile) -> Self {
         let shard = cfg.shard_map().map(|map| {
             let samplers = (0..cfg.nodes)
                 .map(|n| {
@@ -339,234 +343,76 @@ impl ContentionSim {
                 .collect();
             ShardCtx { map, samplers }
         });
-        let mut sim = ContentionSim {
+        let mut p = Contention {
             profile,
-            queue,
             locks: {
                 let mut lm = LockManager::new();
                 lm.reserve_objects(cfg.db_size as usize);
                 lm
             },
             active: TxnTable::new(),
-            arrival_rngs,
             object_rng: SimRng::stream(cfg.seed, "objects"),
             sampler: Sampler::new(cfg.access, cfg.db_size),
             shard,
             proto: None,
             next_txn: 0,
-            metrics: Metrics {
-                lean: cfg.lean_metrics,
-                ..Metrics::new()
-            },
-            measure_from: cfg.warmup,
-            tracer: TraceHandle::off(),
-            profiler: Profiler::off(),
-            run_label: "contention".to_owned(),
             granted_scratch: Vec::new(),
             objects_pool: Vec::new(),
             sample_scratch: Vec::new(),
-            recorder: Recorder::off(),
             versions: Vec::new(),
             version_counter: 0,
-            cfg,
+            scheme: PhantomData,
         };
-        if sim.cfg.commit_proto != CommitProto::OwnerOrder || sim.cfg.crash_point.is_some() {
-            sim.ensure_proto();
+        if cfg.commit_proto != CommitProto::OwnerOrder || cfg.crash_point.is_some() {
+            p.ensure_proto(&cfg);
         }
-        sim
-    }
-
-    /// Build the protocol context if the run is sharded (single-shard
-    /// keyspaces have no cross-shard commits to protect).
-    fn ensure_proto(&mut self) {
-        if self.proto.is_none() && self.shard.is_some() {
-            self.proto = Some(ProtoCtx::new(&self.cfg));
+        Sim {
+            k: Kernel::new(cfg, "arrivals-", S::LABEL),
+            p,
         }
     }
+}
 
-    /// Attach a fault plan (builder-style; call before
-    /// [`ContentionSim::run`]). Message chaos perturbs the commit
-    /// protocol's fabric; crash windows become scheduled events. On an
-    /// unsharded run there is no cross-shard traffic to perturb and
-    /// the plan is a no-op. Partition windows are not modeled by this
-    /// engine (the lazy-group engine owns that scenario).
-    #[must_use]
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.ensure_proto();
+impl<S: Flavor> Faulty for Contention<S> {
+    /// Message chaos perturbs the commit protocol's fabric; crash
+    /// windows become scheduled events. On an unsharded run there is no
+    /// cross-shard traffic to perturb and the plan is a no-op. Partition
+    /// windows are not modeled by this engine (the lazy-group engine
+    /// owns that scenario).
+    fn attach_faults(&mut self, k: &mut K<S>, plan: FaultPlan) {
+        self.ensure_proto(&k.cfg);
         let Some(ctx) = &mut self.proto else {
-            return self;
+            return;
         };
         if plan.has_message_chaos() {
-            ctx.net = Network::new(self.cfg.nodes as usize, self.cfg.latency, self.cfg.seed)
+            ctx.net = Network::new(k.cfg.nodes as usize, k.cfg.latency, k.cfg.seed)
                 .with_faults(FaultInjector::new(&plan));
         }
-        // Windows naming nodes this run doesn't have are vacuous — a
-        // plan written for a larger cluster still runs.
-        for c in &plan.crashes {
-            if c.node.0 >= self.cfg.nodes {
-                continue;
-            }
-            self.queue.schedule_at(c.at, Ev::Crash(c.node));
-            self.queue.schedule_at(c.restart, Ev::Restart(c.node));
-        }
+        k.schedule_crash_windows(&plan);
         ctx.retransmit = plan.retransmit;
-        self
     }
+}
 
-    /// Attach a correctness recorder; the oracle sees every commit.
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        if recorder.is_on() {
-            self.versions = vec![Timestamp::ZERO; self.cfg.db_size as usize];
-        }
-        self.recorder = recorder;
-        self
-    }
+impl<S: Flavor> Protocol for Contention<S> {
+    type Ev = Ev;
+    type Msg = ProtoMsg;
+    type State = ();
+    const SCHEME: Scheme = S::SCHEME;
 
-    /// Attach a tracer; events flow from simulated time zero (warm-up
-    /// included — that is the point of stationarity checks).
-    pub fn with_tracer(mut self, tracer: TraceHandle) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Attach a wall-clock profiler around the event-loop phases.
-    pub fn with_profiler(mut self, profiler: Profiler) -> Self {
-        self.profiler = profiler;
-        self
-    }
-
-    /// Label this run's trace (`RunStart` marker, series table header).
-    pub fn with_run_label(mut self, label: impl Into<String>) -> Self {
-        self.run_label = label.into();
-        self
-    }
-
-    fn measuring(&self) -> bool {
-        self.queue.now() >= self.measure_from && self.proto.as_ref().is_none_or(|c| !c.draining)
-    }
-
-    /// Run to the configured horizon and report the measured rates over
-    /// the post-warm-up window.
-    pub fn run(mut self) -> Report {
-        self.run_to_horizon()
-    }
-
-    /// [`ContentionSim::run`] by reference, so tests can inspect what
-    /// the run left behind.
-    fn run_to_horizon(&mut self) -> Report {
-        let horizon = self.cfg.horizon;
-        self.tracer.emit(|| {
-            Event::system(
-                SimTime::ZERO,
-                NodeId(0),
-                EventKind::RunStart {
-                    label: self.run_label.clone(),
-                },
-            )
-        });
-        let profiler = self.profiler.clone();
-        while let Some((_, ev)) = self.queue.pop_until(horizon) {
-            match ev {
-                Ev::Arrive(node) => {
-                    let t = profiler.start();
-                    self.on_arrive(node);
-                    profiler.stop("contention/arrive", t);
-                }
-                Ev::StepDone(txn) => {
-                    let t = profiler.start();
-                    self.on_step_done(txn);
-                    profiler.stop("contention/step", t);
-                }
-                Ev::ProtoDeliver { to, msg } => self.handle_proto(to, msg),
-                Ev::ProtoTimer(txn) => self.on_proto_timer(txn),
-                Ev::InDoubtTimer(txn, node) => self.on_indoubt_timer(txn, node),
-                Ev::Crash(node) => self.crash_node(node),
-                Ev::Restart(node) => self.restart_node(node),
-            }
-        }
-        self.drain_protocol(horizon);
-        self.tracer.run_end(horizon);
-        self.tracer.flush();
-        self.metrics.report(self.measure_from, horizon)
-    }
-
-    /// Post-horizon protocol drain (no-op without a protocol context):
-    /// clear fault injection, restart every crashed node so recovery
-    /// runs, then let the remaining protocol traffic resolve. Nothing
-    /// in here is measured; the recorder hooks stay live so the
-    /// oracles judge the *settled* state. Ends with the durability
-    /// audit the lost-decision oracle consumes.
-    fn drain_protocol(&mut self, horizon: SimTime) {
-        {
-            let Some(ctx) = &mut self.proto else { return };
-            ctx.draining = true;
-            ctx.net.clear_faults();
-        }
-        let crashed: Vec<NodeId> = {
-            let ctx = self.proto.as_ref().expect("checked above");
-            (0..ctx.crashed.len() as u32)
-                .map(NodeId)
-                .filter(|n| ctx.crashed[n.0 as usize])
-                .collect()
-        };
-        for n in crashed {
-            self.restart_node(n);
-        }
-        let drain_end = horizon + SimDuration::from_secs(300);
-        while let Some((_, ev)) = self.queue.pop_until(drain_end) {
-            match ev {
-                // No new work and no new failures during the drain.
-                Ev::Arrive(_) | Ev::Crash(_) => {}
-                Ev::StepDone(txn) => self.on_step_done(txn),
-                Ev::ProtoDeliver { to, msg } => self.handle_proto(to, msg),
-                Ev::ProtoTimer(txn) => self.on_proto_timer(txn),
-                Ev::InDoubtTimer(txn, node) => self.on_indoubt_timer(txn, node),
-                Ev::Restart(node) => self.restart_node(node),
-            }
-        }
-        // Durability audit: report every durable commit decision to the
-        // oracle (sorted — FastMap iteration order must never drive
-        // observable behavior).
-        if self.recorder.is_on() {
-            let ctx = self.proto.as_ref().expect("checked above");
-            for (n, log) in ctx.logs.iter().enumerate() {
-                let mut durable: Vec<TxnId> = log
-                    .entries()
-                    .filter(|(_, st)| {
-                        matches!(
-                            st,
-                            DecisionState::Decided { commit: true, .. } | DecisionState::Done
-                        )
-                    })
-                    .map(|(t, _)| t)
-                    .collect();
-                durable.sort_unstable();
-                for t in durable {
-                    self.recorder.decision_durable(t, NodeId(n as u32));
-                }
-            }
+    /// Arrivals and steps are timed in the live phase; the commit
+    /// protocol's traffic, the crash machinery and the drain are not.
+    fn phase(ev: &kernel::Event<Self>, live: bool) -> Option<&'static str> {
+        match ev {
+            kernel::Event::Arrive(_) if live => Some("contention/arrive"),
+            kernel::Event::Proto(Ev::StepDone(_)) if live => Some("contention/step"),
+            _ => None,
         }
     }
 
-    fn on_arrive(&mut self, node: NodeId) {
-        // Schedule the node's next arrival (Poisson process).
-        let gap =
-            SimDuration::from_secs_f64(self.arrival_rngs[node.0 as usize].exp(1.0 / self.cfg.tps));
-        self.queue.schedule_after(gap, Ev::Arrive(node));
-
-        // A crashed node accepts no new transactions (its clients see
-        // it down); arrivals resume with the node.
-        if self
-            .proto
-            .as_ref()
-            .is_some_and(|c| c.crashed[node.0 as usize])
-        {
-            return;
-        }
-
+    fn arrive(&mut self, k: &mut K<S>, node: NodeId) {
         let id = TxnId(self.next_txn);
         self.next_txn += 1;
-        let (objects, coord_msgs, owners) = self.sample_objects(node);
+        let (objects, coord_msgs, owners) = self.sample_objects(&k.cfg, node);
         let first = objects.first().copied();
         self.active.insert(
             id,
@@ -574,7 +420,7 @@ impl ContentionSim {
                 objects,
                 next: 0,
                 node,
-                started: self.queue.now(),
+                started: k.now(),
                 wait_started: None,
                 reads: Vec::new(),
                 coord_msgs,
@@ -582,9 +428,217 @@ impl ContentionSim {
                 piggy: Vec::new(),
             },
         );
-        self.tracer
-            .emit(|| Event::new(self.queue.now(), node, id, EventKind::TxnBegin));
-        self.try_step(id, node, first);
+        k.tracer
+            .emit(|| Event::new(k.now(), node, id, EventKind::TxnBegin));
+        self.try_step(k, id, node, first);
+    }
+
+    fn on_event(&mut self, k: &mut K<S>, ev: Ev) {
+        match ev {
+            Ev::StepDone(txn) => self.on_step_done(k, txn),
+            Ev::ProtoTimer(txn) => self.on_proto_timer(k, txn),
+            Ev::InDoubtTimer(txn, node) => self.on_indoubt_timer(k, txn, node),
+        }
+    }
+
+    /// Deliver one protocol message. A crashed destination re-parks it
+    /// (it arrives with the node's recovery).
+    fn deliver(&mut self, k: &mut K<S>, to: NodeId, msg: ProtoMsg) {
+        if k.is_down(to) {
+            let ctx = self
+                .proto
+                .as_mut()
+                .expect("protocol message without context");
+            ctx.net.park(msg.sender(), to, msg);
+            return;
+        }
+        k.tracer.emit(|| {
+            Event::new(
+                k.now(),
+                to,
+                msg.txn(),
+                EventKind::MsgDelivered { from: msg.sender() },
+            )
+        });
+        match msg {
+            ProtoMsg::Prepare { txn, coord } => self.on_prepare(k, to, txn, coord),
+            ProtoMsg::Vote { txn, node, yes } => self.on_vote(k, to, txn, node, yes),
+            ProtoMsg::Decision { txn, coord, commit } => {
+                self.on_decision_msg(k, to, txn, coord, commit)
+            }
+            ProtoMsg::Ack { txn, node } => self.on_ack(to, txn, node),
+            ProtoMsg::DecisionReq { txn, node } => self.on_decision_req(k, to, txn, node),
+            ProtoMsg::Apply { txn, .. } => self.on_apply(k, to, txn),
+        }
+    }
+
+    /// Fail-stop: volatile coordinator and in-doubt state is lost, the
+    /// node leaves the network (in-flight traffic to it parks), and
+    /// every transaction it was running aborts. Durable decision logs
+    /// survive.
+    fn node_down(&mut self, k: &mut K<S>, node: NodeId) {
+        {
+            let Some(ctx) = &mut self.proto else { return };
+            if k.is_down(node) {
+                return;
+            }
+            ctx.net.disconnect(node);
+            // Volatile protocol state at the node evaporates.
+            let mut lost: Vec<TxnId> = ctx
+                .pending
+                .iter()
+                .filter(|(_, p)| p.node == node)
+                .map(|(t, _)| *t)
+                .collect();
+            lost.sort_unstable();
+            for t in lost {
+                ctx.pending.remove(&t);
+            }
+            for list in ctx.indoubt.values_mut() {
+                list.retain(|(n, _)| *n != node);
+            }
+        }
+        k.crash(node);
+        // Abort the node's in-flight transactions (sorted: the table's
+        // entry order must never reach the event queue).
+        let mut victims: Vec<TxnId> = self
+            .active
+            .iter()
+            .filter(|(_, t)| t.node == node)
+            .map(|(t, _)| t)
+            .collect();
+        victims.sort_unstable();
+        for id in victims {
+            k.tracer.emit(|| {
+                Event::new(
+                    k.now(),
+                    node,
+                    id,
+                    EventKind::TxnAbort {
+                        reason: AbortReason::Disconnect,
+                    },
+                )
+            });
+            self.abort(k, id);
+        }
+    }
+
+    /// Restart after a crash: replay the durable decision log. A
+    /// coordinator-side commit record re-hydrates a [`Coordinator`] and
+    /// re-distributes the decision; a prepared record re-enters the
+    /// in-doubt state and asks its coordinator. Parked messages then
+    /// replay — except owner-order `Apply`s, which have no durable redo
+    /// (precisely the anomaly the atomicity oracle catches).
+    fn node_up(&mut self, k: &mut K<S>, node: NodeId) {
+        let (parked, records, retransmit) = {
+            let Some(ctx) = &mut self.proto else { return };
+            if !k.is_down(node) {
+                return;
+            }
+            // Crash recovery is rare: collecting the drain here keeps
+            // the borrow on `ctx` short (the replay below re-enters
+            // `self` methods per message).
+            let parked: Vec<ProtoMsg> = ctx.net.reconnect(node).collect();
+            let mut records: Vec<(TxnId, DecisionState)> = ctx.logs[node.0 as usize]
+                .entries()
+                .map(|(t, st)| (t, st.clone()))
+                .collect();
+            records.sort_unstable_by_key(|(t, _)| *t);
+            (parked, records, ctx.retransmit)
+        };
+        k.restart(node, parked.len() as u64);
+        for (txn, st) in records {
+            match st {
+                DecisionState::Decided {
+                    commit: true,
+                    participants,
+                } if !participants.is_empty() => {
+                    // Durable coordinator commit record: finish the
+                    // decision distribution the crash interrupted.
+                    let coord = Coordinator::recovered(participants.clone(), Decision::Commit);
+                    let ctx = self.proto.as_mut().expect("checked above");
+                    ctx.pending.insert(txn, PendingCoord { coord, node });
+                    for p in participants {
+                        self.proto_send(
+                            k,
+                            node,
+                            p,
+                            ProtoMsg::Decision {
+                                txn,
+                                coord: node,
+                                commit: true,
+                            },
+                        );
+                    }
+                    k.schedule_after(retransmit, Ev::ProtoTimer(txn));
+                }
+                DecisionState::Prepared { coord } => {
+                    // Still in doubt: blocked until the coordinator
+                    // answers (presumed abort if it knows nothing).
+                    let now = k.now();
+                    let ctx = self.proto.as_mut().expect("checked above");
+                    ctx.indoubt.entry(txn).or_default().push((node, now));
+                    self.proto_send(k, node, coord, ProtoMsg::DecisionReq { txn, node });
+                    k.schedule_after(retransmit, Ev::InDoubtTimer(txn, node));
+                }
+                _ => {}
+            }
+        }
+        for msg in parked {
+            if matches!(msg, ProtoMsg::Apply { .. }) {
+                // Fire-and-forget: an Apply parked at a crashed node is
+                // lost for good under owner-order.
+                continue;
+            }
+            self.deliver(k, node, msg);
+        }
+    }
+
+    /// Post-horizon protocol drain (nothing to settle without a
+    /// protocol context): clear fault injection, restart every crashed
+    /// node so recovery runs, then let the remaining protocol traffic
+    /// resolve.
+    fn begin_drain(&mut self, k: &mut K<S>) -> Option<SimTime> {
+        self.proto.as_mut()?.net.clear_faults();
+        for node in k.down_nodes() {
+            self.node_up(k, node);
+        }
+        Some(k.cfg.horizon + SimDuration::from_secs(300))
+    }
+
+    /// Durability audit: report every durable commit decision to the
+    /// lost-decision oracle (sorted — `FastMap` iteration order must
+    /// never drive observable behavior).
+    fn finish(self, k: &mut K<S>) {
+        let Some(ctx) = self.proto.as_ref().filter(|_| k.recorder.is_on()) else {
+            return;
+        };
+        for (n, log) in ctx.logs.iter().enumerate() {
+            let mut durable: Vec<TxnId> = log
+                .entries()
+                .filter(|(_, st)| {
+                    matches!(
+                        st,
+                        DecisionState::Decided { commit: true, .. } | DecisionState::Done
+                    )
+                })
+                .map(|(t, _)| t)
+                .collect();
+            durable.sort_unstable();
+            for t in durable {
+                k.recorder.decision_durable(t, NodeId(n as u32));
+            }
+        }
+    }
+}
+
+impl<S: Flavor> Contention<S> {
+    /// Build the protocol context if the run is sharded (single-shard
+    /// keyspaces have no cross-shard commits to protect).
+    fn ensure_proto(&mut self, cfg: &SimConfig) {
+        if self.proto.is_none() && self.shard.is_some() {
+            self.proto = Some(ProtoCtx::new(cfg));
+        }
     }
 
     /// Draw a transaction's object set at `node`, returning the objects
@@ -601,11 +655,15 @@ impl ContentionSim {
     /// cross-shard transactions from deadlocking on lock-order
     /// inversion alone. Each remote owner costs a prepare and a commit
     /// message.
-    fn sample_objects(&mut self, node: NodeId) -> (Vec<ObjectId>, u64, Vec<NodeId>) {
+    fn sample_objects(
+        &mut self,
+        cfg: &SimConfig,
+        node: NodeId,
+    ) -> (Vec<ObjectId>, u64, Vec<NodeId>) {
         let mut scratch = std::mem::take(&mut self.sample_scratch);
         let mut objects = self.objects_pool.pop().unwrap_or_default();
         debug_assert!(objects.is_empty(), "pooled vectors are returned empty");
-        let (k, rng) = (self.cfg.actions, &mut self.object_rng);
+        let (k, rng) = (cfg.actions, &mut self.object_rng);
         let mut coord_msgs = 0;
         let mut owner_list = Vec::new();
         match &self.shard {
@@ -614,7 +672,7 @@ impl ContentionSim {
                 objects.extend(scratch.iter().copied().map(ObjectId));
             }
             Some(ctx) => {
-                let cross = rng.chance(self.cfg.cross_shard);
+                let cross = rng.chance(cfg.cross_shard);
                 match &ctx.samplers[node.0 as usize] {
                     Some(local) if !cross => {
                         local.sample_distinct_into(rng, k, &mut scratch);
@@ -658,78 +716,43 @@ impl ContentionSim {
     /// `None` means every action is done and the transaction commits.
     /// The caller has the transaction's entry in hand and reads both
     /// off it, so the step itself needs no lookup.
-    fn try_step(&mut self, id: TxnId, node: NodeId, next: Option<ObjectId>) {
+    fn try_step(&mut self, k: &mut K<S>, id: TxnId, node: NodeId, next: Option<ObjectId>) {
         let Some(obj) = next else {
-            self.commit(id);
+            self.commit(k, id);
             return;
         };
         match self.locks.acquire(id, obj) {
-            Acquire::Granted => {
-                // The action/message counters model an abstract replica
-                // fan-out with no per-destination identity, so no
-                // per-message events here; the concrete engines
-                // (lazy-group, two-tier) emit MsgSent with real targets.
-                if self.measuring() {
-                    self.metrics.actions.add(self.profile.updates_per_action);
-                    self.metrics.messages.add(self.profile.messages_per_action);
-                }
-                self.record_read(id, obj);
-                self.queue
-                    .schedule_after(self.profile.work_per_action, Ev::StepDone(id));
-                self.o2pl_piggy(id);
-            }
+            Acquire::Granted => self.start_action(k, id, obj),
             Acquire::Waiting => {
-                if self.measuring() {
-                    self.metrics.waits.incr();
-                }
-                self.tracer.emit(|| {
-                    Event::new(
-                        self.queue.now(),
-                        node,
-                        id,
-                        EventKind::LockWait {
-                            object: obj,
-                            holder: self.locks.holder_of(obj).unwrap_or_default(),
-                            waiter: id,
-                        },
-                    )
-                });
+                let since = k.lock_wait(&self.locks, node, id, obj);
                 self.active
                     .get_mut(id)
                     .expect("waiting txn must be active")
-                    .wait_started = Some(self.queue.now());
+                    .wait_started = Some(since);
             }
             Acquire::Deadlock => {
-                if self.measuring() {
-                    self.metrics.deadlocks.incr();
-                    self.metrics.incr_dist(crate::metrics::M_ABORTS);
-                }
-                self.tracer.emit(|| {
-                    Event::new(
-                        self.queue.now(),
-                        node,
-                        id,
-                        EventKind::DeadlockDetected {
-                            cycle: self.locks.last_deadlock_cycle().to_vec(),
-                        },
-                    )
-                });
-                self.tracer.emit(|| {
-                    Event::new(
-                        self.queue.now(),
-                        node,
-                        id,
-                        EventKind::TxnAbort {
-                            reason: AbortReason::Deadlock,
-                        },
-                    )
-                });
-                self.abort(id);
+                k.deadlock(&self.locks, node, id, M_ABORTS, true);
+                self.abort(k, id);
             }
         }
     }
 
-    fn on_step_done(&mut self, id: TxnId) {
+    /// `id` holds the lock on `obj`: the action's service time starts
+    /// now. The action/message counters model an abstract replica
+    /// fan-out with no per-destination identity, so no per-message
+    /// events here; the concrete engines (lazy-group, two-tier) emit
+    /// MsgSent with real targets.
+    fn start_action(&mut self, k: &mut K<S>, id: TxnId, obj: ObjectId) {
+        if k.measuring() {
+            k.metrics.actions.add(self.profile.updates_per_action);
+            k.metrics.messages.add(self.profile.messages_per_action);
+        }
+        self.record_read(k, id, obj);
+        k.schedule_after(self.profile.work_per_action, Ev::StepDone(id));
+        self.o2pl_piggy(k, id);
+    }
+
+    fn on_step_done(&mut self, k: &mut K<S>, id: TxnId) {
         // A crash can abort the transaction while its StepDone is in
         // flight; the orphan event is simply dropped.
         let Some(txn) = self.active.get_mut(id) else {
@@ -737,74 +760,78 @@ impl ContentionSim {
         };
         txn.next += 1;
         let (node, next) = (txn.node, txn.objects.get(txn.next).copied());
-        self.try_step(id, node, next);
+        self.try_step(k, id, node, next);
     }
 
-    fn commit(&mut self, id: TxnId) {
+    fn commit(&mut self, k: &mut K<S>, id: TxnId) {
         let engaged =
             self.proto.is_some() && self.active.get(id).is_some_and(|t| t.owners.len() >= 2);
         if !engaged {
             // Single-owner (or unsharded) transactions skip the commit
             // protocol entirely: no coordinator, no messages — the
             // original commit path, byte for byte.
-            self.plain_commit(id);
+            self.plain_commit(k, id);
             return;
         }
         match self.proto.as_ref().expect("engaged implies proto").proto {
-            CommitProto::OwnerOrder => self.commit_owner_order(id),
-            CommitProto::TwoPc | CommitProto::O2pl => self.begin_commit_protocol(id),
+            CommitProto::OwnerOrder => self.commit_owner_order(k, id),
+            CommitProto::TwoPc | CommitProto::O2pl => self.begin_commit_protocol(k, id),
         }
     }
 
     /// The pre-protocol commit path (also used for protocol runs'
     /// single-owner transactions, which provably skip the protocol).
-    fn plain_commit(&mut self, id: TxnId) {
+    fn plain_commit(&mut self, k: &mut K<S>, id: TxnId) {
         let txn = self.active.remove(id).expect("committing unknown txn");
-        if self.measuring() {
-            self.metrics.committed.incr();
-            self.metrics.messages.add(txn.coord_msgs);
-            self.metrics
-                .record_latency(self.queue.now().since(txn.started));
+        if k.measuring() {
+            k.metrics.committed.incr();
+            k.metrics.messages.add(txn.coord_msgs);
+            k.metrics.record_latency(k.now().since(txn.started));
         }
-        self.tracer
-            .emit(|| Event::new(self.queue.now(), txn.node, id, EventKind::TxnCommit));
-        if self.recorder.is_on() {
-            self.record_commit(id, txn.node, txn.reads);
+        k.tracer
+            .emit(|| Event::new(k.now(), txn.node, id, EventKind::TxnCommit));
+        if k.recorder.is_on() {
+            self.record_commit(k, id, txn.node, txn.reads);
         }
         self.recycle_objects(txn.objects);
-        self.release_and_resume(id);
+        self.release_and_resume(k, id);
     }
 
     /// The client-visible local commit of a protocol-engaged
     /// transaction: metrics, trace, oracle records (including the
     /// cross-shard commit obligation), lock release. Messages are
     /// counted at send time, not here.
-    fn finish_commit_local(&mut self, id: TxnId, fenced: bool) {
+    fn finish_commit_local(&mut self, k: &mut K<S>, id: TxnId, fenced: bool) {
         let txn = self
             .active
             .remove(id)
             .expect("locally committing unknown txn");
-        if self.measuring() {
-            self.metrics.committed.incr();
-            self.metrics
-                .record_latency(self.queue.now().since(txn.started));
+        if k.measuring() {
+            k.metrics.committed.incr();
+            k.metrics.record_latency(k.now().since(txn.started));
         }
-        self.tracer
-            .emit(|| Event::new(self.queue.now(), txn.node, id, EventKind::TxnCommit));
-        if self.recorder.is_on() {
-            self.record_commit(id, txn.node, txn.reads);
-            self.recorder
+        k.tracer
+            .emit(|| Event::new(k.now(), txn.node, id, EventKind::TxnCommit));
+        if k.recorder.is_on() {
+            self.record_commit(k, id, txn.node, txn.reads);
+            k.recorder
                 .cross_commit(id, txn.node, txn.owners.clone(), fenced);
             if txn.owners.contains(&txn.node) {
-                self.recorder.shard_apply(id, txn.node);
+                k.recorder.shard_apply(id, txn.node);
             }
         }
         self.recycle_objects(txn.objects);
-        self.release_and_resume(id);
+        self.release_and_resume(k, id);
     }
 
     /// Mint successor versions and hand the commit to the oracle.
-    fn record_commit(&mut self, id: TxnId, node: NodeId, reads: Vec<(ObjectId, Timestamp)>) {
+    fn record_commit(
+        &mut self,
+        k: &mut K<S>,
+        id: TxnId,
+        node: NodeId,
+        reads: Vec<(ObjectId, Timestamp)>,
+    ) {
         // Every locked object is read and updated (the model's
         // actions are updates): mint the successor versions now,
         // in commit order.
@@ -815,7 +842,7 @@ impl ContentionSim {
             self.versions[obj.0 as usize] = new;
             writes.push((obj, seen, new));
         }
-        self.recorder.commit(
+        k.recorder.commit(
             node,
             TxnRecord {
                 txn: id,
@@ -825,28 +852,31 @@ impl ContentionSim {
         );
     }
 
-    fn abort(&mut self, id: TxnId) {
+    fn abort(&mut self, k: &mut K<S>, id: TxnId) {
         if let Some(txn) = self.active.remove(id) {
             self.recycle_objects(txn.objects);
         }
-        self.release_and_resume(id);
+        self.release_and_resume(k, id);
     }
 
     /// Release `id`'s locks into the recycled scratch buffer and resume
     /// the promoted waiters — no allocation on the commit/abort path.
-    fn release_and_resume(&mut self, id: TxnId) {
+    fn release_and_resume(&mut self, k: &mut K<S>, id: TxnId) {
         let mut granted = std::mem::take(&mut self.granted_scratch);
         self.locks.release_all_into(id, &mut granted);
-        self.resume_granted(&granted);
+        self.resume_granted(k, &granted);
         self.granted_scratch = granted;
     }
 
     /// The version a transaction observes when a lock is granted. Under
     /// strict two-phase locking nothing can change the object before
     /// the holder commits, so grant-time capture equals read-time.
-    fn record_read(&mut self, id: TxnId, obj: ObjectId) {
-        if !self.recorder.is_on() {
+    fn record_read(&mut self, k: &mut K<S>, id: TxnId, obj: ObjectId) {
+        if !k.recorder.is_on() {
             return;
+        }
+        if self.versions.is_empty() {
+            self.versions = vec![Timestamp::ZERO; k.cfg.db_size as usize];
         }
         let seen = self.versions[obj.0 as usize];
         self.active
@@ -857,35 +887,17 @@ impl ContentionSim {
     }
 
     /// Waiters promoted by a release start their service time now.
-    fn resume_granted(&mut self, granted: &[(TxnId, ObjectId)]) {
-        let measuring = self.measuring();
+    fn resume_granted(&mut self, k: &mut K<S>, granted: &[(TxnId, ObjectId)]) {
         for &(waiter, obj) in granted {
-            let now = self.queue.now();
             // A crash point firing earlier in this loop (via the o2pl
             // piggyback path) may have aborted a later waiter; its
             // grant died with it.
             let Some(t) = self.active.get_mut(waiter) else {
                 continue;
             };
-            if let Some(since) = t.wait_started.take() {
-                if measuring {
-                    self.metrics.record_wait(now.since(since));
-                }
-            }
-            if measuring {
-                self.metrics.actions.add(self.profile.updates_per_action);
-                self.metrics.messages.add(self.profile.messages_per_action);
-            }
-            self.record_read(waiter, obj);
-            self.queue
-                .schedule_after(self.profile.work_per_action, Ev::StepDone(waiter));
-            self.o2pl_piggy(waiter);
+            k.lock_granted(&mut t.wait_started);
+            self.start_action(k, waiter, obj);
         }
-    }
-
-    /// The config this simulator runs under.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
     }
 
     // ---- cross-shard commit protocol ---------------------------------
@@ -894,11 +906,11 @@ impl ContentionSim {
     /// the `nth` time the run reaches that transition. Counts every
     /// reach (the fuzz campaign aims `nth` at any occurrence); never
     /// fires during the post-horizon drain.
-    fn crash_fires(&mut self, kind: CrashKind) -> bool {
+    fn crash_fires(&mut self, k: &mut K<S>, kind: CrashKind) -> bool {
         let Some(ctx) = &mut self.proto else {
             return false;
         };
-        if ctx.draining {
+        if !k.is_live() {
             return false;
         }
         let Some(cp) = ctx.crash_point else {
@@ -914,255 +926,54 @@ impl ContentionSim {
     }
 
     /// Crash `node` at an injected crash point and schedule its restart.
-    fn crash_at_point(&mut self, node: NodeId) {
+    fn crash_at_point(&mut self, k: &mut K<S>, node: NodeId) {
         let down = self
             .proto
             .as_ref()
             .and_then(|c| c.crash_point)
             .map_or(5, |cp| cp.down_secs);
-        self.crash_node(node);
-        self.queue
-            .schedule_after(SimDuration::from_secs(down), Ev::Restart(node));
-    }
-
-    /// Fail-stop: volatile coordinator and in-doubt state is lost, the
-    /// node leaves the network (in-flight traffic to it parks), and
-    /// every transaction it was running aborts. Durable decision logs
-    /// survive.
-    fn crash_node(&mut self, node: NodeId) {
-        let measuring = self.measuring();
-        {
-            let Some(ctx) = &mut self.proto else { return };
-            if ctx.crashed[node.0 as usize] {
-                return;
-            }
-            ctx.crashed[node.0 as usize] = true;
-            ctx.net.disconnect(node);
-            // Volatile protocol state at the node evaporates.
-            let mut lost: Vec<TxnId> = ctx
-                .pending
-                .iter()
-                .filter(|(_, p)| p.node == node)
-                .map(|(t, _)| *t)
-                .collect();
-            lost.sort_unstable();
-            for t in lost {
-                ctx.pending.remove(&t);
-            }
-            for list in ctx.indoubt.values_mut() {
-                list.retain(|(n, _)| *n != node);
-            }
-        }
-        if measuring {
-            self.metrics.node_crashes.incr();
-        }
-        self.tracer
-            .emit(|| Event::system(self.queue.now(), node, EventKind::NodeCrash));
-        // Abort the node's in-flight transactions (sorted: the table's
-        // entry order must never reach the event queue).
-        let mut victims: Vec<TxnId> = self
-            .active
-            .iter()
-            .filter(|(_, t)| t.node == node)
-            .map(|(t, _)| t)
-            .collect();
-        victims.sort_unstable();
-        for id in victims {
-            self.tracer.emit(|| {
-                Event::new(
-                    self.queue.now(),
-                    node,
-                    id,
-                    EventKind::TxnAbort {
-                        reason: AbortReason::Disconnect,
-                    },
-                )
-            });
-            self.abort(id);
-        }
-    }
-
-    /// Restart after a crash: replay the durable decision log. A
-    /// coordinator-side commit record re-hydrates a [`Coordinator`] and
-    /// re-distributes the decision; a prepared record re-enters the
-    /// in-doubt state and asks its coordinator. Parked messages then
-    /// replay — except owner-order `Apply`s, which have no durable redo
-    /// (precisely the anomaly the atomicity oracle catches).
-    fn restart_node(&mut self, node: NodeId) {
-        let (parked, records, retransmit) = {
-            let Some(ctx) = &mut self.proto else { return };
-            if !ctx.crashed[node.0 as usize] {
-                return;
-            }
-            ctx.crashed[node.0 as usize] = false;
-            // Crash recovery is rare: collecting the drain here keeps
-            // the borrow on `ctx` short (the replay below re-enters
-            // `self` methods per message).
-            let parked: Vec<ProtoMsg> = ctx.net.reconnect(node).collect();
-            let mut records: Vec<(TxnId, DecisionState)> = ctx.logs[node.0 as usize]
-                .entries()
-                .map(|(t, st)| (t, st.clone()))
-                .collect();
-            records.sort_unstable_by_key(|(t, _)| *t);
-            (parked, records, ctx.retransmit)
-        };
-        self.tracer
-            .emit(|| Event::system(self.queue.now(), node, EventKind::NodeRestart));
-        self.tracer.emit(|| {
-            Event::system(
-                self.queue.now(),
-                node,
-                EventKind::RecoveryReplay {
-                    messages: parked.len() as u64,
-                },
-            )
-        });
-        for (txn, st) in records {
-            match st {
-                DecisionState::Decided {
-                    commit: true,
-                    participants,
-                } if !participants.is_empty() => {
-                    // Durable coordinator commit record: finish the
-                    // decision distribution the crash interrupted.
-                    let coord = Coordinator::recovered(participants.clone(), Decision::Commit);
-                    let ctx = self.proto.as_mut().expect("checked above");
-                    ctx.pending.insert(txn, PendingCoord { coord, node });
-                    for p in participants {
-                        self.proto_send(
-                            node,
-                            p,
-                            ProtoMsg::Decision {
-                                txn,
-                                coord: node,
-                                commit: true,
-                            },
-                        );
-                    }
-                    self.queue.schedule_after(retransmit, Ev::ProtoTimer(txn));
-                }
-                DecisionState::Prepared { coord } => {
-                    // Still in doubt: blocked until the coordinator
-                    // answers (presumed abort if it knows nothing).
-                    let now = self.queue.now();
-                    let ctx = self.proto.as_mut().expect("checked above");
-                    ctx.indoubt.entry(txn).or_default().push((node, now));
-                    self.proto_send(node, coord, ProtoMsg::DecisionReq { txn, node });
-                    self.queue
-                        .schedule_after(retransmit, Ev::InDoubtTimer(txn, node));
-                }
-                _ => {}
-            }
-        }
-        for msg in parked {
-            if matches!(msg, ProtoMsg::Apply { .. }) {
-                // Fire-and-forget: an Apply parked at a crashed node is
-                // lost for good under owner-order.
-                continue;
-            }
-            self.handle_proto(node, msg);
-        }
+        self.node_down(k, node);
+        k.schedule_restart(SimDuration::from_secs(down), node);
     }
 
     /// Put one protocol message on the wire and schedule its fate.
     /// Drops are *not* retransmitted here — the round timers own
     /// recovery (and owner-order `Apply` loss is the anomaly).
-    fn proto_send(&mut self, from: NodeId, to: NodeId, msg: ProtoMsg) {
-        let measuring = self.measuring();
-        let outcome = {
-            let ctx = self
-                .proto
-                .as_mut()
-                .expect("proto_send without protocol context");
-            ctx.net.send(from, to, msg)
-        };
-        if measuring {
-            self.metrics.messages.incr();
+    fn proto_send(&mut self, k: &mut K<S>, from: NodeId, to: NodeId, msg: ProtoMsg) {
+        let ctx = self
+            .proto
+            .as_mut()
+            .expect("proto_send without protocol context");
+        let outcome = ctx.net.send(from, to, msg);
+        if k.measuring() {
+            k.metrics.messages.incr();
         }
-        self.tracer
-            .emit(|| Event::new(self.queue.now(), from, msg.txn(), EventKind::MsgSent { to }));
+        k.tracer
+            .emit(|| Event::new(k.now(), from, msg.txn(), EventKind::MsgSent { to }));
         match outcome {
-            SendOutcome::Deliver { delay } => {
-                self.queue
-                    .schedule_after(delay, Ev::ProtoDeliver { to, msg });
-            }
+            SendOutcome::Deliver { delay } => k.deliver_after(delay, to, msg),
             SendOutcome::Duplicated { delays } => {
-                if measuring {
-                    self.metrics.messages_duplicated.incr();
-                }
-                self.tracer.emit(|| {
-                    Event::new(
-                        self.queue.now(),
-                        from,
-                        msg.txn(),
-                        EventKind::MsgDuplicated { to },
-                    )
-                });
+                k.message_duplicated(from, msg.txn(), to);
                 for d in delays {
-                    self.queue.schedule_after(d, Ev::ProtoDeliver { to, msg });
+                    k.deliver_after(d, to, msg);
                 }
             }
-            SendOutcome::Dropped => {
-                if measuring {
-                    self.metrics.messages_dropped.incr();
-                }
-                self.tracer.emit(|| {
-                    Event::new(
-                        self.queue.now(),
-                        from,
-                        msg.txn(),
-                        EventKind::MsgDropped { to },
-                    )
-                });
-            }
+            SendOutcome::Dropped => k.message_dropped(from, msg.txn(), to),
             SendOutcome::Held | SendOutcome::SenderOffline(_) => {}
-        }
-    }
-
-    /// Deliver one protocol message. A crashed destination re-parks it
-    /// (it arrives with the node's recovery).
-    fn handle_proto(&mut self, to: NodeId, msg: ProtoMsg) {
-        {
-            let ctx = self
-                .proto
-                .as_mut()
-                .expect("protocol message without context");
-            if ctx.crashed[to.0 as usize] {
-                ctx.net.park(msg.sender(), to, msg);
-                return;
-            }
-        }
-        self.tracer.emit(|| {
-            Event::new(
-                self.queue.now(),
-                to,
-                msg.txn(),
-                EventKind::MsgDelivered { from: msg.sender() },
-            )
-        });
-        match msg {
-            ProtoMsg::Prepare { txn, coord } => self.on_prepare(to, txn, coord),
-            ProtoMsg::Vote { txn, node, yes } => self.on_vote(to, txn, node, yes),
-            ProtoMsg::Decision { txn, coord, commit } => {
-                self.on_decision_msg(to, txn, coord, commit)
-            }
-            ProtoMsg::Ack { txn, node } => self.on_ack(to, txn, node),
-            ProtoMsg::DecisionReq { txn, node } => self.on_decision_req(to, txn, node),
-            ProtoMsg::Apply { txn, .. } => self.on_apply(to, txn),
         }
     }
 
     /// Owner-order commit: commit locally, then fire-and-forget one
     /// `Apply` per remote owner. No votes, no durable decision, no
     /// acks — a drop or a crash in the window partial-commits.
-    fn commit_owner_order(&mut self, id: TxnId) {
+    fn commit_owner_order(&mut self, k: &mut K<S>, id: TxnId) {
         let node = self.active.get(id).expect("committing unknown txn").node;
-        if self.crash_fires(CrashKind::CoordPrePrepare) {
-            self.crash_at_point(node);
+        if self.crash_fires(k, CrashKind::CoordPrePrepare) {
+            self.crash_at_point(k, node);
             return;
         }
-        if self.crash_fires(CrashKind::CoordPreDecisionLog) {
-            self.crash_at_point(node);
+        if self.crash_fires(k, CrashKind::CoordPreDecisionLog) {
+            self.crash_at_point(k, node);
             return;
         }
         let owners = self
@@ -1171,16 +982,17 @@ impl ContentionSim {
             .expect("committing unknown txn")
             .owners
             .clone();
-        self.finish_commit_local(id, false);
-        if self.crash_fires(CrashKind::CoordPostDecisionLog) {
+        self.finish_commit_local(k, id, false);
+        if self.crash_fires(k, CrashKind::CoordPostDecisionLog) {
             // Committed locally, Applies never sent: guaranteed
             // partial commit.
-            self.crash_at_point(node);
+            self.crash_at_point(k, node);
             return;
         }
         for o in owners {
             if o != node {
                 self.proto_send(
+                    k,
                     node,
                     o,
                     ProtoMsg::Apply {
@@ -1190,20 +1002,20 @@ impl ContentionSim {
                 );
             }
         }
-        if self.crash_fires(CrashKind::CoordPostPrepare) {
-            self.crash_at_point(node);
+        if self.crash_fires(k, CrashKind::CoordPostPrepare) {
+            self.crash_at_point(k, node);
         }
     }
 
     /// 2PC / O2PL commit: build the coordinator, seed any piggybacked
     /// votes, send `Prepare` to whoever still owes one.
-    fn begin_commit_protocol(&mut self, id: TxnId) {
+    fn begin_commit_protocol(&mut self, k: &mut K<S>, id: TxnId) {
         let (node, owners, piggy) = {
             let t = self.active.get(id).expect("committing unknown txn");
             (t.node, t.owners.clone(), t.piggy.clone())
         };
-        if self.crash_fires(CrashKind::CoordPrePrepare) {
-            self.crash_at_point(node);
+        if self.crash_fires(k, CrashKind::CoordPrePrepare) {
+            self.crash_at_point(k, node);
             return;
         }
         let participants: Vec<NodeId> = owners.iter().copied().filter(|o| *o != node).collect();
@@ -1222,14 +1034,15 @@ impl ContentionSim {
             ctx.retransmit
         };
         // Exactly one timer chain per coordinator, armed here.
-        self.queue.schedule_after(retransmit, Ev::ProtoTimer(id));
+        k.schedule_after(retransmit, Ev::ProtoTimer(id));
         if let Some(d) = decision {
             // O2PL with every vote piggybacked: no Prepare round at all.
-            self.on_decision(id, d);
+            self.on_decision(k, id, d);
             return;
         }
         for p in unvoted {
             self.proto_send(
+                k,
                 node,
                 p,
                 ProtoMsg::Prepare {
@@ -1238,15 +1051,15 @@ impl ContentionSim {
                 },
             );
         }
-        if self.crash_fires(CrashKind::CoordPostPrepare) {
-            self.crash_at_point(node);
+        if self.crash_fires(k, CrashKind::CoordPostPrepare) {
+            self.crash_at_point(k, node);
         }
     }
 
     /// The coordinator's decision became final: log it durably (commit
     /// only — presumed abort logs nothing), commit or abort locally,
     /// distribute it.
-    fn on_decision(&mut self, id: TxnId, d: Decision) {
+    fn on_decision(&mut self, k: &mut K<S>, id: TxnId, d: Decision) {
         let (node, participants) = {
             let ctx = self.proto.as_mut().expect("decision without context");
             let Some(p) = ctx.pending.get(&id) else {
@@ -1256,25 +1069,26 @@ impl ContentionSim {
         };
         match d {
             Decision::Commit => {
-                if self.crash_fires(CrashKind::CoordPreDecisionLog) {
+                if self.crash_fires(k, CrashKind::CoordPreDecisionLog) {
                     // Decided but not logged: the crash sweep aborts the
                     // transaction and recovery presumes abort —
                     // consistent on every shard.
-                    self.crash_at_point(node);
+                    self.crash_at_point(k, node);
                     return;
                 }
                 {
                     let ctx = self.proto.as_mut().expect("decision without context");
                     ctx.logs[node.0 as usize].log_decision(id, true, participants.clone());
                 }
-                self.finish_commit_local(id, true);
-                if self.crash_fires(CrashKind::CoordPostDecisionLog) {
+                self.finish_commit_local(k, id, true);
+                if self.crash_fires(k, CrashKind::CoordPostDecisionLog) {
                     // Logged but not distributed: recovery resends.
-                    self.crash_at_point(node);
+                    self.crash_at_point(k, node);
                     return;
                 }
                 for p in participants {
                     self.proto_send(
+                        k,
                         node,
                         p,
                         ProtoMsg::Decision {
@@ -1287,13 +1101,13 @@ impl ContentionSim {
             }
             Decision::Abort => {
                 if self.active.contains(id) {
-                    let measuring = self.measuring();
+                    let measuring = k.measuring();
                     if measuring {
-                        self.metrics.incr_dist(crate::metrics::M_ABORTS);
+                        k.metrics.incr_dist(crate::metrics::M_ABORTS);
                     }
-                    self.tracer.emit(|| {
+                    k.tracer.emit(|| {
                         Event::new(
-                            self.queue.now(),
+                            k.now(),
                             node,
                             id,
                             EventKind::TxnAbort {
@@ -1301,10 +1115,11 @@ impl ContentionSim {
                             },
                         )
                     });
-                    self.abort(id);
+                    self.abort(k, id);
                 }
                 for p in participants {
                     self.proto_send(
+                        k,
                         node,
                         p,
                         ProtoMsg::Decision {
@@ -1320,12 +1135,12 @@ impl ContentionSim {
 
     /// Participant receives `Prepare`: force-log the prepared record,
     /// vote yes, enter the in-doubt state until the decision arrives.
-    fn on_prepare(&mut self, n: NodeId, txn: TxnId, coord: NodeId) {
-        if self.crash_fires(CrashKind::PartPreVote) {
-            self.crash_at_point(n);
+    fn on_prepare(&mut self, k: &mut K<S>, n: NodeId, txn: TxnId, coord: NodeId) {
+        if self.crash_fires(k, CrashKind::PartPreVote) {
+            self.crash_at_point(k, n);
             return;
         }
-        let now = self.queue.now();
+        let now = k.now();
         let (fresh, retransmit) = {
             let ctx = self.proto.as_mut().expect("prepare without context");
             if matches!(
@@ -1344,6 +1159,7 @@ impl ContentionSim {
             (fresh, ctx.retransmit)
         };
         self.proto_send(
+            k,
             n,
             coord,
             ProtoMsg::Vote {
@@ -1353,16 +1169,15 @@ impl ContentionSim {
             },
         );
         if fresh {
-            self.queue
-                .schedule_after(retransmit, Ev::InDoubtTimer(txn, n));
+            k.schedule_after(retransmit, Ev::InDoubtTimer(txn, n));
         }
-        if self.crash_fires(CrashKind::PartPostVote) {
-            self.crash_at_point(n);
+        if self.crash_fires(k, CrashKind::PartPostVote) {
+            self.crash_at_point(k, n);
         }
     }
 
     /// Coordinator receives a vote.
-    fn on_vote(&mut self, n: NodeId, txn: TxnId, from: NodeId, yes: bool) {
+    fn on_vote(&mut self, k: &mut K<S>, n: NodeId, txn: TxnId, from: NodeId, yes: bool) {
         let decision = {
             let Some(ctx) = &mut self.proto else { return };
             let Some(p) = ctx.pending.get_mut(&txn) else {
@@ -1374,15 +1189,22 @@ impl ContentionSim {
             p.coord.vote(from, yes)
         };
         if let Some(d) = decision {
-            self.on_decision(txn, d);
+            self.on_decision(k, txn, d);
         }
     }
 
     /// Participant receives the decision: log it durably (first time
     /// only), resolve the in-doubt wait, apply, ack. Duplicates re-ack
     /// without re-logging or re-applying.
-    fn on_decision_msg(&mut self, n: NodeId, txn: TxnId, coord: NodeId, commit: bool) {
-        let now = self.queue.now();
+    fn on_decision_msg(
+        &mut self,
+        k: &mut K<S>,
+        n: NodeId,
+        txn: TxnId,
+        coord: NodeId,
+        commit: bool,
+    ) {
+        let now = k.now();
         let (dup, wait) = {
             let ctx = self.proto.as_mut().expect("decision without context");
             let dup = matches!(
@@ -1405,14 +1227,14 @@ impl ContentionSim {
             (dup, wait)
         };
         if let Some(w) = wait {
-            if self.measuring() {
-                self.metrics.record_dist(M_INDOUBT_WAIT, w);
+            if k.measuring() {
+                k.metrics.record_dist(M_INDOUBT_WAIT, w);
             }
         }
         if !dup && commit {
-            self.recorder.shard_apply(txn, n);
+            k.recorder.shard_apply(txn, n);
         }
-        self.proto_send(n, coord, ProtoMsg::Ack { txn, node: n });
+        self.proto_send(k, n, coord, ProtoMsg::Ack { txn, node: n });
     }
 
     /// Coordinator receives an ack; on the last one the entry is marked
@@ -1437,7 +1259,7 @@ impl ContentionSim {
     /// with no durable decision and no live coordinator state, the
     /// answer is abort. A still-deciding transaction stays silent (the
     /// participant re-asks).
-    fn on_decision_req(&mut self, n: NodeId, txn: TxnId, from: NodeId) {
+    fn on_decision_req(&mut self, k: &mut K<S>, n: NodeId, txn: TxnId, from: NodeId) {
         let durable = {
             let Some(ctx) = &self.proto else { return };
             match ctx.logs[n.0 as usize].state(txn) {
@@ -1448,6 +1270,7 @@ impl ContentionSim {
         };
         if let Some(commit) = durable {
             self.proto_send(
+                k,
                 n,
                 from,
                 ProtoMsg::Decision {
@@ -1467,6 +1290,7 @@ impl ContentionSim {
             return;
         }
         self.proto_send(
+            k,
             n,
             from,
             ProtoMsg::Decision {
@@ -1480,25 +1304,25 @@ impl ContentionSim {
     /// Owner-order participant receives an `Apply`: record the shard
     /// apply for the atomicity oracle. (Reuses the participant crash
     /// points so the fuzz campaign exercises this edge too.)
-    fn on_apply(&mut self, n: NodeId, txn: TxnId) {
-        if self.crash_fires(CrashKind::PartPreVote) {
-            self.crash_at_point(n);
+    fn on_apply(&mut self, k: &mut K<S>, n: NodeId, txn: TxnId) {
+        if self.crash_fires(k, CrashKind::PartPreVote) {
+            self.crash_at_point(k, n);
             return;
         }
-        self.recorder.shard_apply(txn, n);
-        if self.crash_fires(CrashKind::PartPostVote) {
-            self.crash_at_point(n);
+        k.recorder.shard_apply(txn, n);
+        if self.crash_fires(k, CrashKind::PartPostVote) {
+            self.crash_at_point(k, n);
         }
     }
 
     /// Coordinator retransmit tick: resend whatever round is stalled.
-    fn on_proto_timer(&mut self, id: TxnId) {
+    fn on_proto_timer(&mut self, k: &mut K<S>, id: TxnId) {
         let (node, retransmit, targets, round) = {
             let Some(ctx) = &self.proto else { return };
             let Some(p) = ctx.pending.get(&id) else {
                 return;
             };
-            if ctx.crashed[p.node.0 as usize] {
+            if k.is_down(p.node) {
                 return;
             }
             let (targets, round) = match p.coord.state() {
@@ -1511,6 +1335,7 @@ impl ContentionSim {
         for t in targets {
             match round {
                 None => self.proto_send(
+                    k,
                     node,
                     t,
                     ProtoMsg::Prepare {
@@ -1519,6 +1344,7 @@ impl ContentionSim {
                     },
                 ),
                 Some(commit) => self.proto_send(
+                    k,
                     node,
                     t,
                     ProtoMsg::Decision {
@@ -1529,14 +1355,14 @@ impl ContentionSim {
                 ),
             }
         }
-        self.queue.schedule_after(retransmit, Ev::ProtoTimer(id));
+        k.schedule_after(retransmit, Ev::ProtoTimer(id));
     }
 
     /// In-doubt participant tick: still no decision — ask again.
-    fn on_indoubt_timer(&mut self, txn: TxnId, n: NodeId) {
+    fn on_indoubt_timer(&mut self, k: &mut K<S>, txn: TxnId, n: NodeId) {
         let (coord, retransmit) = {
             let Some(ctx) = &self.proto else { return };
-            if ctx.crashed[n.0 as usize] {
+            if k.is_down(n) {
                 // Recovery re-arms its own timer.
                 return;
             }
@@ -1552,16 +1378,15 @@ impl ContentionSim {
             };
             (*coord, ctx.retransmit)
         };
-        self.proto_send(n, coord, ProtoMsg::DecisionReq { txn, node: n });
-        self.queue
-            .schedule_after(retransmit, Ev::InDoubtTimer(txn, n));
+        self.proto_send(k, n, coord, ProtoMsg::DecisionReq { txn, node: n });
+        k.schedule_after(retransmit, Ev::InDoubtTimer(txn, n));
     }
 
     /// O2PL: when a lock grant is the transaction's *last* action at a
     /// remote owner, piggyback the prepare on it — the owner force-logs
     /// and its yes-vote is in hand before commit, shrinking the
     /// prepare round to the owners that still owe one (usually none).
-    fn o2pl_piggy(&mut self, id: TxnId) {
+    fn o2pl_piggy(&mut self, k: &mut K<S>, id: TxnId) {
         if !self
             .proto
             .as_ref()
@@ -1588,11 +1413,11 @@ impl ContentionSim {
             return;
         }
         let node = t.node;
-        if self.crash_fires(CrashKind::PartPreVote) {
-            self.crash_at_point(owner);
+        if self.crash_fires(k, CrashKind::PartPreVote) {
+            self.crash_at_point(k, owner);
             return;
         }
-        let now = self.queue.now();
+        let now = k.now();
         let retransmit = {
             let ctx = self.proto.as_mut().expect("checked above");
             ctx.logs[owner.0 as usize].log_prepared(id, node);
@@ -1604,10 +1429,9 @@ impl ContentionSim {
             .expect("checked above")
             .piggy
             .push(owner);
-        self.queue
-            .schedule_after(retransmit, Ev::InDoubtTimer(id, owner));
-        if self.crash_fires(CrashKind::PartPostVote) {
-            self.crash_at_point(owner);
+        k.schedule_after(retransmit, Ev::InDoubtTimer(id, owner));
+        if self.crash_fires(k, CrashKind::PartPostVote) {
+            self.crash_at_point(k, owner);
         }
     }
 }
@@ -1615,6 +1439,8 @@ impl ContentionSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Report;
+    use repl_check::Recorder;
     use repl_model::Params;
 
     fn run_single(db: f64, tps: f64, actions: f64, horizon: u64, seed: u64) -> Report {
@@ -1755,12 +1581,12 @@ mod tests {
             let p = Params::new(2000.0, 8.0, 20.0, 4.0, 0.01);
             let cfg = SimConfig::from_params(&p, horizon, 42);
             let mut sim = ContentionSim::new(cfg, ContentionProfile::single_node(&cfg));
-            let report = sim.run_to_horizon();
+            let report = sim.run_phases();
             (
                 report.committed,
-                sim.active.capacity(),
-                sim.locks.txn_table_capacity(),
-                sim.objects_pool.len(),
+                sim.p.active.capacity(),
+                sim.p.locks.txn_table_capacity(),
+                sim.p.objects_pool.len(),
             )
         };
         let (short_commits, short_active, short_locks, short_pool) = footprint(300);

@@ -6,14 +6,14 @@
 //! replicas exist, but the *work* of an action is multiplied by the
 //! replica count (serial replica updates, the paper's primary model).
 //! These engines are thin parameterizations of the shared
-//! [`ContentionSim`]; ownership (group vs. master) changes the message
+//! [`Contention`] protocol; ownership (group vs. master) changes the message
 //! pattern but not the contention behaviour — exactly the simplification
 //! equation (12) makes ("it does not distinguish between Master and
 //! Group").
 
 use crate::config::SimConfig;
-use crate::engine::contention::{ContentionProfile, ContentionSim};
-use crate::metrics::Report;
+use crate::engine::contention::{Contention, ContentionProfile, Flavor};
+use crate::engine::kernel::Sim;
 
 /// Replica-update execution discipline (the paper's footnote 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,11 +41,17 @@ pub enum Ownership {
     Master,
 }
 
-/// Eager replication simulator.
+/// The eager flavor of [`Contention`].
 #[derive(Debug)]
-pub struct EagerSim {
-    inner: ContentionSim,
+pub struct Eager;
+
+impl Flavor for Eager {
+    const LABEL: &'static str = "eager";
+    const SCHEME: repl_check::Scheme = repl_check::Scheme::Eager;
 }
+
+/// Eager replication simulator.
+pub type EagerSim = Sim<Contention<Eager>>;
 
 impl EagerSim {
     /// Build an eager run.
@@ -60,47 +66,7 @@ impl EagerSim {
             // refresh). Full replication: exactly the paper's N.
             profile.messages_per_action = u64::from(cfg.effective_rf());
         }
-        EagerSim {
-            inner: ContentionSim::new(cfg, profile).with_run_label("eager"),
-        }
-    }
-
-    /// Attach a fault plan perturbing the cross-shard commit protocol
-    /// (see [`ContentionSim::with_faults`]).
-    #[must_use]
-    pub fn with_faults(mut self, plan: repl_net::FaultPlan) -> Self {
-        self.inner = self.inner.with_faults(plan);
-        self
-    }
-
-    /// Attach a tracer (see [`ContentionSim::with_tracer`]).
-    pub fn with_tracer(mut self, tracer: repl_telemetry::TraceHandle) -> Self {
-        self.inner = self.inner.with_tracer(tracer);
-        self
-    }
-
-    /// Attach a wall-clock profiler.
-    pub fn with_profiler(mut self, profiler: repl_telemetry::Profiler) -> Self {
-        self.inner = self.inner.with_profiler(profiler);
-        self
-    }
-
-    /// Label this run's trace.
-    pub fn with_run_label(mut self, label: impl Into<String>) -> Self {
-        self.inner = self.inner.with_run_label(label);
-        self
-    }
-
-    /// Attach a correctness recorder (see
-    /// [`ContentionSim::with_recorder`]).
-    pub fn with_recorder(mut self, recorder: repl_check::Recorder) -> Self {
-        self.inner = self.inner.with_recorder(recorder);
-        self
-    }
-
-    /// Run to the horizon.
-    pub fn run(self) -> Report {
-        self.inner.run()
+        Self::with_profile(cfg, profile)
     }
 }
 

@@ -1,0 +1,849 @@
+//! The simulation kernel: one event loop for every replication scheme.
+//!
+//! The paper's schemes differ only in *protocol* — who locks what, who
+//! ships which update when. Everything else is the same *world*, and
+//! lives here exactly once:
+//!
+//! * the clock and the [`EventQueue`];
+//! * the Poisson arrival process of every node;
+//! * connectivity schedules, fault-plan partition and crash windows,
+//!   and the per-node `crashed` flags;
+//! * the run phases: `RunStart` → live loop to the horizon → report
+//!   freeze (with the `staleness_n<i>` gauges) → convergence drain with
+//!   arrivals and new faults suppressed → `run_end`/flush → final state;
+//! * the instrumentation bundle (tracer, profiler, recorder, metrics,
+//!   measuring window, run label) and its builders;
+//! * the shared helpers: lock-wait/deadlock accounting and same-delay
+//!   delivery batching.
+//!
+//! A scheme is a [`Protocol`]: its state plus the hooks the kernel
+//! calls. Dispatch is static — [`Sim`] is generic over the protocol,
+//! and the queued [`Event`] is one flat enum per scheme (no `dyn`, no
+//! boxed events), so the loop monomorphises to what each engine's
+//! hand-written loop used to be.
+//!
+//! The `Network` stays with the protocol: the schemes' send semantics
+//! differ (per-transaction commit messages, watermark resend, refresh
+//! broadcast from a virtual base), and a kernel-owned fabric would have
+//! to branch on its caller.
+//!
+//! # Scheduling order
+//!
+//! Same-instant events pop in scheduling order, so the order in which
+//! the world is seeded is observable. It is fixed: arrivals (node
+//! order) in `Kernel::new`, then connectivity schedules (node order)
+//! in `Kernel::schedule_connectivity`, then — when a fault plan is
+//! attached — partition windows (`start`, `heal` per window) and crash
+//! windows (`crash`, `restart` per window).
+
+use crate::config::{DeadlockPolicy, SimConfig};
+use crate::metrics::{Metrics, Report, M_PROPAGATION_LAG};
+use repl_check::{Recorder, Scheme};
+use repl_net::{DisconnectSchedule, FaultPlan, PeriodModel};
+use repl_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use repl_storage::{LockManager, NodeId, ObjectId, TxnId};
+use repl_telemetry::{AbortReason, Event as Trace, EventKind, Gauge, Profiler, TraceHandle};
+use std::ops::Range;
+
+/// One queued event: the world's vocabulary plus the scheme's own.
+pub enum Event<P: Protocol> {
+    /// A new user transaction arrives at a node.
+    Arrive(NodeId),
+    /// A node's link goes up or down (mobility schedule).
+    Connectivity {
+        /// The node whose link changes.
+        node: NodeId,
+        /// The new link state.
+        connected: bool,
+    },
+    /// A scheduled bipartition begins; the payload is side A.
+    PartitionStart(Box<[NodeId]>),
+    /// The active bipartition heals.
+    PartitionHeal,
+    /// A node crashes, losing volatile state.
+    Crash(NodeId),
+    /// A crashed node restarts and recovers from durable state.
+    Restart(NodeId),
+    /// A message reaches its destination.
+    Deliver {
+        /// Destination node.
+        to: NodeId,
+        /// The message.
+        msg: P::Msg,
+    },
+    /// A coalesced burst of arrivals on one channel: sent at the same
+    /// instant with the same latency draw, so one event preserves both
+    /// timing and per-channel order.
+    DeliverBatch {
+        /// Destination node.
+        to: NodeId,
+        /// The messages, in send order.
+        msgs: Box<[P::Msg]>,
+    },
+    /// A scheme-private event (step completion, retry, timer).
+    Proto(P::Ev),
+}
+
+/// A replication scheme: its state, and the hooks the kernel calls.
+///
+/// Hooks with a default body belong to world events a scheme may never
+/// schedule (it has no mobility, models no partitions, takes no fault
+/// plan); reaching one is a bug, so the defaults panic.
+pub trait Protocol: Sized {
+    /// Scheme-private events.
+    type Ev;
+    /// The wire message [`Event::Deliver`] carries.
+    type Msg;
+    /// What a finished run hands back beside the [`Report`].
+    type State;
+    /// The oracle family that judges a recorded run of this scheme.
+    const SCHEME: Scheme;
+
+    /// The profiler phase `ev` is timed under (`None`: untimed). `live`
+    /// is false during the post-horizon drain.
+    fn phase(ev: &Event<Self>, live: bool) -> Option<&'static str>;
+
+    /// The event that fires when a lock wait outlives
+    /// [`DeadlockPolicy::Timeout`]; `None` for schemes that only detect.
+    fn lock_timeout(_txn: TxnId, _node: NodeId, _obj: ObjectId) -> Option<Self::Ev> {
+        None
+    }
+
+    /// A user transaction arrives at `node` (live phase, node up).
+    fn arrive(&mut self, k: &mut Kernel<Self>, node: NodeId);
+    /// A scheme-private event fires.
+    fn on_event(&mut self, k: &mut Kernel<Self>, ev: Self::Ev);
+    /// A message reaches `to`. The network is the protocol's, so a dead
+    /// destination is its to handle (park for recovery).
+    fn deliver(&mut self, k: &mut Kernel<Self>, to: NodeId, msg: Self::Msg);
+    /// `node`'s link changed (already traced).
+    fn link_change(&mut self, _k: &mut Kernel<Self>, _node: NodeId, _connected: bool) {
+        unreachable!("this protocol schedules no connectivity")
+    }
+    /// A bipartition begins (live phase only, already traced).
+    fn partition_start(&mut self, _k: &mut Kernel<Self>, _side_a: &[NodeId]) {
+        unreachable!("this protocol schedules no partitions")
+    }
+    /// The bipartition's heal time arrived (it may already be healed).
+    fn partition_heal(&mut self, _k: &mut Kernel<Self>) {
+        unreachable!("this protocol schedules no partitions")
+    }
+    /// `node` crashes (live phase only). Marks it down.
+    fn node_down(&mut self, _k: &mut Kernel<Self>, _node: NodeId) {
+        unreachable!("this protocol schedules no crashes")
+    }
+    /// `node`, currently down, restarts. Marks it up.
+    fn node_up(&mut self, _k: &mut Kernel<Self>, _node: NodeId) {
+        unreachable!("this protocol schedules no crashes")
+    }
+    /// The measured window just closed; the report freezes next. Bank
+    /// whatever the scheme counts outside [`Metrics`].
+    fn window_closed(&mut self, _k: &mut Kernel<Self>) {}
+    /// Enter the drain: lift faults, restart and reconnect everyone.
+    /// Returns how far to drain (`None`: nothing to settle).
+    fn begin_drain(&mut self, k: &mut Kernel<Self>) -> Option<SimTime>;
+    /// The run is over: hand final state to the recorder and the caller.
+    fn finish(self, k: &mut Kernel<Self>) -> Self::State;
+}
+
+/// A [`Protocol`] that has filled the fault hooks, so a [`FaultPlan`]
+/// can be attached. [`Sim::with_faults`] exists only for these.
+pub trait Faulty: Protocol {
+    /// Install `plan`: message chaos on the protocol's network, and
+    /// whichever windows the scheme models through
+    /// `Kernel::schedule_partition_windows` /
+    /// `Kernel::schedule_crash_windows`.
+    fn attach_faults(&mut self, k: &mut Kernel<Self>, plan: FaultPlan);
+}
+
+/// The world a protocol runs in. Hooks receive it by `&mut`.
+pub struct Kernel<P: Protocol> {
+    /// The run's configuration.
+    pub(super) cfg: SimConfig,
+    queue: EventQueue<Event<P>>,
+    arrival_rngs: Vec<SimRng>,
+    /// Per-node crash flags: a crashed node accepts no arrivals until
+    /// it restarts.
+    crashed: Vec<bool>,
+    /// False once the post-horizon drain has begun.
+    live: bool,
+    /// The run's counters, frozen into the [`Report`] at the horizon.
+    pub(super) metrics: Metrics,
+    /// Trace sink; events flow from simulated time zero.
+    pub(super) tracer: TraceHandle,
+    profiler: Profiler,
+    /// Correctness recorder (off ⇒ every hook is a no-op).
+    pub(super) recorder: Recorder,
+    run_label: String,
+    /// Per-replica staleness: the propagation lag of every update each
+    /// node applied, joined to the report as `staleness_n<i>` gauges
+    /// when the window closes — drain-phase applies never pollute it.
+    staleness: Vec<Gauge>,
+    /// Same-delay deliveries accumulating for one destination.
+    pending: Vec<P::Msg>,
+    pending_delay: SimDuration,
+}
+
+impl<P: Protocol> Kernel<P> {
+    /// A world for `cfg` with every node's first arrival seeded from
+    /// the `arrival_stream` RNG family.
+    pub(super) fn new(cfg: SimConfig, arrival_stream: &str, run_label: &str) -> Self {
+        let n = cfg.nodes as usize;
+        let mut queue = EventQueue::new();
+        // Step events — one fixed service time apart — dominate the
+        // event traffic; give them the queue's O(1) FIFO lane.
+        queue.set_fifo_lane(cfg.action_time);
+        let mut arrival_rngs = Vec::with_capacity(n);
+        for node in 0..cfg.nodes {
+            let mut rng = SimRng::stream_node(cfg.seed, arrival_stream, u64::from(node));
+            let first = SimDuration::from_secs_f64(rng.exp(1.0 / cfg.tps));
+            queue.schedule_at(SimTime::ZERO + first, Event::Arrive(NodeId(node)));
+            arrival_rngs.push(rng);
+        }
+        Kernel {
+            cfg,
+            queue,
+            arrival_rngs,
+            crashed: vec![false; n],
+            live: true,
+            metrics: Metrics {
+                lean: cfg.lean_metrics,
+                ..Metrics::new()
+            },
+            tracer: TraceHandle::off(),
+            profiler: Profiler::off(),
+            recorder: Recorder::off(),
+            run_label: run_label.to_owned(),
+            staleness: vec![Gauge::default(); n],
+            pending: Vec::new(),
+            pending_delay: SimDuration::ZERO,
+        }
+    }
+
+    /// Give every node in `nodes` a staggered exponential
+    /// connect/disconnect cycle up to the horizon.
+    pub(super) fn schedule_connectivity(
+        &mut self,
+        nodes: Range<u32>,
+        connected: SimDuration,
+        disconnected: SimDuration,
+    ) {
+        for node in nodes {
+            let mut sched = DisconnectSchedule::new(
+                NodeId(node),
+                connected,
+                disconnected,
+                PeriodModel::Exponential,
+                self.cfg.seed,
+            );
+            for ev in sched.events_until(self.cfg.horizon) {
+                let (node, connected) = (ev.node, ev.connected);
+                self.queue
+                    .schedule_at(ev.at, Event::Connectivity { node, connected });
+            }
+        }
+    }
+
+    /// Turn `plan`'s partition windows into events. Windows naming
+    /// nodes this run does not have are vacuous — filter them out
+    /// rather than index out of bounds later, so a plan written for a
+    /// larger cluster (a fuzzer shrinking the node count, a hand-edited
+    /// `CHECK_CASE`) still runs.
+    pub(super) fn schedule_partition_windows(&mut self, plan: &FaultPlan) {
+        for w in &plan.partitions {
+            let side_a: Box<[NodeId]> = w
+                .side_a
+                .iter()
+                .copied()
+                .filter(|n| n.0 < self.cfg.nodes)
+                .collect();
+            if side_a.is_empty() {
+                continue;
+            }
+            self.queue
+                .schedule_at(w.start, Event::PartitionStart(side_a));
+            self.queue.schedule_at(w.heal, Event::PartitionHeal);
+        }
+    }
+
+    /// Turn `plan`'s crash windows into events (same vacuous-node
+    /// filter as `Kernel::schedule_partition_windows`).
+    pub(super) fn schedule_crash_windows(&mut self, plan: &FaultPlan) {
+        for c in plan.crashes.iter().filter(|c| c.node.0 < self.cfg.nodes) {
+            self.queue.schedule_at(c.at, Event::Crash(c.node));
+            self.queue.schedule_at(c.restart, Event::Restart(c.node));
+        }
+    }
+
+    /// The current simulated time.
+    #[inline]
+    pub(super) fn now(&self) -> SimTime {
+        self.queue.now()
+    }
+
+    /// Whether counters are being collected: past the warm-up, before
+    /// the drain.
+    #[inline]
+    pub(super) fn measuring(&self) -> bool {
+        self.live && self.queue.now() >= self.cfg.warmup
+    }
+
+    /// False once the post-horizon drain has begun.
+    pub(super) fn is_live(&self) -> bool {
+        self.live
+    }
+
+    /// Whether `node` is crashed.
+    #[inline]
+    pub(super) fn is_down(&self, node: NodeId) -> bool {
+        self.crashed[node.0 as usize]
+    }
+
+    /// `node` fails: mark it down, count and trace the crash.
+    pub(super) fn crash(&mut self, node: NodeId) {
+        self.crashed[node.0 as usize] = true;
+        if self.measuring() {
+            self.metrics.node_crashes.incr();
+        }
+        self.tracer
+            .emit(|| Trace::system(self.now(), node, EventKind::NodeCrash));
+    }
+
+    /// `node` recovers, about to replay `messages` parked for it: mark
+    /// it up and trace the restart.
+    pub(super) fn restart(&mut self, node: NodeId, messages: u64) {
+        self.crashed[node.0 as usize] = false;
+        self.tracer
+            .emit(|| Trace::system(self.now(), node, EventKind::NodeRestart));
+        self.tracer.emit(|| {
+            let kind = EventKind::RecoveryReplay { messages };
+            Trace::system(self.now(), node, kind)
+        });
+    }
+
+    /// Every crashed node, in node order.
+    pub(super) fn down_nodes(&self) -> Vec<NodeId> {
+        (0..self.cfg.nodes)
+            .map(NodeId)
+            .filter(|n| self.is_down(*n))
+            .collect()
+    }
+
+    /// Schedule a scheme-private event `delay` from now.
+    #[inline]
+    pub(super) fn schedule_after(&mut self, delay: SimDuration, ev: P::Ev) {
+        self.queue.schedule_after(delay, Event::Proto(ev));
+    }
+
+    /// Schedule `node`'s restart `delay` from now (crash points).
+    pub(super) fn schedule_restart(&mut self, delay: SimDuration, node: NodeId) {
+        self.queue.schedule_after(delay, Event::Restart(node));
+    }
+
+    /// Deliver `msg` to `to` after `delay`, as its own event.
+    pub(super) fn deliver_after(&mut self, delay: SimDuration, to: NodeId, msg: P::Msg) {
+        self.queue.schedule_after(delay, Event::Deliver { to, msg });
+    }
+
+    /// Deliver a burst of released messages at the current instant, in
+    /// iterator order.
+    pub(super) fn deliver_now(&mut self, msgs: impl IntoIterator<Item = (NodeId, P::Msg)>) {
+        self.queue.schedule_batch_after(
+            SimDuration::ZERO,
+            msgs.into_iter().map(|(to, msg)| Event::Deliver { to, msg }),
+        );
+    }
+
+    /// Queue `msg` for `to` behind the deliveries already pending on
+    /// this channel. Consecutive same-delay deliveries coalesce into
+    /// one event of up to `propagation_batch` messages; a delay change
+    /// flushes first, so per-channel arrival order is the send order.
+    /// The sender must `Kernel::flush_deliveries` before it schedules
+    /// anything else for `to` and when it is done with the channel.
+    pub(super) fn coalesce_delivery(&mut self, to: NodeId, delay: SimDuration, msg: P::Msg) {
+        if self.pending_delay != delay {
+            self.flush_deliveries(to);
+        }
+        self.pending_delay = delay;
+        self.pending.push(msg);
+        if self.pending.len() >= self.cfg.propagation_batch.max(1) {
+            self.flush_deliveries(to);
+        }
+    }
+
+    /// Schedule the accumulated same-delay deliveries for `to`: a lone
+    /// message as a plain [`Event::Deliver`] (the batch = 1 path stays
+    /// allocation-free), a chunk as one [`Event::DeliverBatch`].
+    pub(super) fn flush_deliveries(&mut self, to: NodeId) {
+        let delay = self.pending_delay;
+        match self.pending.len() {
+            0 => {}
+            1 => {
+                let msg = self.pending.pop().expect("non-empty pending");
+                self.deliver_after(delay, to, msg);
+            }
+            _ => {
+                let msgs = self.pending.drain(..).collect();
+                self.queue
+                    .schedule_after(delay, Event::DeliverBatch { to, msgs });
+            }
+        }
+    }
+
+    /// The fault injector duplicated a message `from` → `to` sent on
+    /// behalf of `txn` (default: none): count and trace it.
+    pub(super) fn message_duplicated(&mut self, from: NodeId, txn: TxnId, to: NodeId) {
+        if self.measuring() {
+            self.metrics.messages_duplicated.incr();
+        }
+        self.tracer
+            .emit(|| Trace::new(self.now(), from, txn, EventKind::MsgDuplicated { to }));
+    }
+
+    /// The fault injector lost a message `from` → `to` in flight: count
+    /// and trace it. Recovery is the sender's business.
+    pub(super) fn message_dropped(&mut self, from: NodeId, txn: TxnId, to: NodeId) {
+        if self.measuring() {
+            self.metrics.messages_dropped.incr();
+        }
+        self.tracer
+            .emit(|| Trace::new(self.now(), from, txn, EventKind::MsgDropped { to }));
+    }
+
+    /// A lock request by `id` at `node` blocked on `obj`: count the
+    /// wait, trace it with the current holder, and arm the lock-wait
+    /// timer if the run resolves deadlocks by timeout. Returns the
+    /// instant the wait began, for `Kernel::lock_granted`.
+    pub(super) fn lock_wait(
+        &mut self,
+        locks: &LockManager,
+        node: NodeId,
+        id: TxnId,
+        obj: ObjectId,
+    ) -> SimTime {
+        if self.measuring() {
+            self.metrics.waits.incr();
+        }
+        self.tracer.emit(|| {
+            let kind = EventKind::LockWait {
+                object: obj,
+                holder: locks.holder_of(obj).unwrap_or_default(),
+                waiter: id,
+            };
+            Trace::new(self.now(), node, id, kind)
+        });
+        if let DeadlockPolicy::Timeout { wait } = self.cfg.deadlock {
+            if let Some(ev) = P::lock_timeout(id, node, obj) {
+                self.schedule_after(wait, ev);
+            }
+        }
+        self.now()
+    }
+
+    /// A blocked request was granted: fold the time since `wait_started`
+    /// into the wait-time distribution.
+    #[inline]
+    pub(super) fn lock_granted(&mut self, wait_started: &mut Option<SimTime>) {
+        if let Some(since) = wait_started.take() {
+            if self.measuring() {
+                self.metrics.record_wait(self.now().since(since));
+            }
+        }
+    }
+
+    /// `id`'s lock request at `node` closed a waits-for cycle: count the
+    /// deadlock under the `outcome` counter ([`crate::M_ABORTS`] or
+    /// [`crate::M_RETRIES`]) and trace the cycle, followed by the abort
+    /// when the scheme aborts (rather than silently re-runs) the victim.
+    pub(super) fn deadlock(
+        &mut self,
+        locks: &LockManager,
+        node: NodeId,
+        id: TxnId,
+        outcome: &str,
+        aborts: bool,
+    ) {
+        if self.measuring() {
+            self.metrics.deadlocks.incr();
+            self.metrics.incr_dist(outcome);
+        }
+        self.tracer.emit(|| {
+            let cycle = locks.last_deadlock_cycle().to_vec();
+            Trace::new(self.now(), node, id, EventKind::DeadlockDetected { cycle })
+        });
+        if aborts {
+            let reason = AbortReason::Deadlock;
+            self.tracer
+                .emit(|| Trace::new(self.now(), node, id, EventKind::TxnAbort { reason }));
+        }
+    }
+
+    /// An update sent `lag` ago was just applied at `node` (call while
+    /// `Kernel::measuring`): feeds the propagation-lag distribution
+    /// and the node's staleness gauge.
+    pub(super) fn record_propagation_lag(&mut self, node: NodeId, lag: SimDuration) {
+        self.metrics.record_dist(M_PROPAGATION_LAG, lag);
+        if !self.cfg.lean_metrics {
+            self.staleness[node.0 as usize].observe(lag.0);
+        }
+    }
+
+    /// Freeze the measured window into the report.
+    fn freeze_report(&self) -> Report {
+        let mut report = self.metrics.report(self.cfg.warmup, self.cfg.horizon);
+        for (i, g) in self.staleness.iter().enumerate() {
+            if g.count > 0 {
+                report.dists.gauges.insert(format!("staleness_n{i}"), *g);
+            }
+        }
+        report
+    }
+}
+
+/// A protocol in its world: the one simulator type. The five engines
+/// are aliases of it.
+pub struct Sim<P: Protocol> {
+    pub(super) k: Kernel<P>,
+    pub(super) p: P,
+}
+
+impl<P: Protocol> Sim<P> {
+    /// Attach a tracer; events flow from simulated time zero (warm-up
+    /// included — that is the point of stationarity checks).
+    #[must_use]
+    pub fn with_tracer(mut self, tracer: TraceHandle) -> Self {
+        self.k.tracer = tracer;
+        self
+    }
+
+    /// Attach a wall-clock profiler around the event-loop phases.
+    #[must_use]
+    pub fn with_profiler(mut self, profiler: Profiler) -> Self {
+        self.k.profiler = profiler;
+        self
+    }
+
+    /// Label this run's trace (`RunStart` marker, series table header).
+    #[must_use]
+    pub fn with_run_label(mut self, label: impl Into<String>) -> Self {
+        self.k.run_label = label.into();
+        self
+    }
+
+    /// Attach a correctness recorder: commits, replica applies,
+    /// acceptance verdicts and final stores flow to the oracles.
+    #[must_use]
+    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
+        self.k.recorder = recorder;
+        self
+    }
+
+    /// Run to the configured horizon, settle, and report the measured
+    /// rates over the post-warm-up window.
+    pub fn run(self) -> Report {
+        self.run_to_state().0
+    }
+
+    /// Like [`Sim::run`], returning the protocol's final state (after
+    /// the convergence drain) alongside the report. The engines that
+    /// have state worth inspecting publish it as `run_with_state`.
+    pub(super) fn run_to_state(mut self) -> (Report, P::State) {
+        let report = self.run_phases();
+        (report, self.p.finish(&mut self.k))
+    }
+
+    /// Every phase up to, not including, [`Protocol::finish`] — by
+    /// reference, so tests can inspect what the run left behind.
+    pub(super) fn run_phases(&mut self) -> Report {
+        let Sim { k, p } = self;
+        let horizon = k.cfg.horizon;
+        k.tracer.emit(|| {
+            let label = k.run_label.clone();
+            Trace::system(SimTime::ZERO, NodeId(0), EventKind::RunStart { label })
+        });
+        while let Some((_, ev)) = k.queue.pop_until(horizon) {
+            Self::dispatch(k, p, ev);
+        }
+        p.window_closed(k);
+        let report = k.freeze_report();
+        // Drain phase: no new arrivals, no new faults, nothing measured
+        // — pending fault events left in the queue are ignored. The
+        // recorder stays live so the oracles judge the settled state.
+        k.live = false;
+        if let Some(until) = p.begin_drain(k) {
+            while let Some((_, ev)) = k.queue.pop_until(until) {
+                Self::dispatch(k, p, ev);
+            }
+        }
+        k.tracer.run_end(horizon);
+        k.tracer.flush();
+        report
+    }
+
+    fn dispatch(k: &mut Kernel<P>, p: &mut P, ev: Event<P>) {
+        let live = k.live;
+        let started = k.profiler.start();
+        let phase = started.and_then(|_| P::phase(&ev, live));
+        match ev {
+            Event::Arrive(node) => {
+                if live {
+                    // The arrival process keeps ticking through a
+                    // crash so the stream stays deterministic; a dead
+                    // node just has no terminals to take the work.
+                    let rng = &mut k.arrival_rngs[node.0 as usize];
+                    let gap = SimDuration::from_secs_f64(rng.exp(1.0 / k.cfg.tps));
+                    k.queue.schedule_after(gap, Event::Arrive(node));
+                    if !k.is_down(node) {
+                        p.arrive(k, node);
+                    }
+                }
+            }
+            Event::Proto(ev) => p.on_event(k, ev),
+            Event::Deliver { to, msg } => p.deliver(k, to, msg),
+            Event::DeliverBatch { to, msgs } => {
+                for msg in msgs.into_vec() {
+                    p.deliver(k, to, msg);
+                }
+            }
+            Event::Connectivity { node, connected } => {
+                k.tracer.emit(|| {
+                    let kind = if connected {
+                        EventKind::Reconnect
+                    } else {
+                        EventKind::Disconnect
+                    };
+                    Trace::system(k.now(), node, kind)
+                });
+                p.link_change(k, node, connected);
+            }
+            Event::PartitionStart(side_a) => {
+                if live {
+                    k.tracer.emit(|| {
+                        let first = side_a.first().copied().unwrap_or_default();
+                        let side_a = side_a.to_vec();
+                        Trace::system(k.now(), first, EventKind::PartitionStart { side_a })
+                    });
+                    p.partition_start(k, &side_a);
+                }
+            }
+            Event::PartitionHeal => p.partition_heal(k),
+            Event::Crash(node) => {
+                if live {
+                    p.node_down(k, node);
+                }
+            }
+            Event::Restart(node) => {
+                if k.is_down(node) {
+                    p.node_up(k, node);
+                }
+            }
+        }
+        if let Some(phase) = phase {
+            k.profiler.stop(phase, started);
+        }
+    }
+}
+
+impl<P: Faulty> Sim<P> {
+    /// Attach a fault plan (call before [`Sim::run`]). Faults never fire
+    /// during the post-horizon drain, so whatever a protocol guarantees
+    /// about its settled state survives arbitrary plans.
+    ///
+    /// Only for protocols that have filled the fault hooks:
+    ///
+    /// ```
+    /// # use repl_core::LazyGroupSim;
+    /// # use repl_net::FaultPlan;
+    /// fn chaos(sim: LazyGroupSim, plan: FaultPlan) -> LazyGroupSim {
+    ///     sim.with_faults(plan)
+    /// }
+    /// ```
+    ///
+    /// The two-tier protocol has not, so this does not compile:
+    ///
+    /// ```compile_fail
+    /// # use repl_core::TwoTierSim;
+    /// # use repl_net::FaultPlan;
+    /// fn chaos(sim: TwoTierSim, plan: FaultPlan) -> TwoTierSim {
+    ///     sim.with_faults(plan)
+    /// }
+    /// ```
+    #[must_use]
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.p.attach_faults(&mut self.k, plan);
+        self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{contention::Contention, lazy_group::LazyGroup, two_tier::TwoTier};
+    use repl_model::Params;
+
+    /// Event size is the calendar queue's memory traffic. These are the
+    /// sizes of the three private `Ev` enums the kernel replaced.
+    #[test]
+    fn queued_events_are_no_larger_than_the_hand_rolled_enums() {
+        assert!(std::mem::size_of::<Event<Contention>>() <= 24);
+        assert!(std::mem::size_of::<Event<LazyGroup>>() <= 48);
+        assert!(std::mem::size_of::<Event<TwoTier>>() <= 32);
+    }
+
+    /// A protocol that does nothing but log which hooks ran, when.
+    #[derive(Default)]
+    struct Probe {
+        log: Vec<String>,
+    }
+
+    impl Probe {
+        fn note(&mut self, k: &Kernel<Self>, what: &str) {
+            let phase = if k.is_live() { "live" } else { "drain" };
+            self.log.push(format!("{phase} {what}"));
+        }
+    }
+
+    impl Protocol for Probe {
+        type Ev = &'static str;
+        type Msg = u8;
+        type State = Vec<String>;
+        const SCHEME: Scheme = Scheme::Contention;
+
+        fn phase(_: &Event<Self>, _: bool) -> Option<&'static str> {
+            Some("probe/event")
+        }
+        fn arrive(&mut self, k: &mut Kernel<Self>, node: NodeId) {
+            self.note(k, &format!("arrive n{}", node.0));
+        }
+        fn on_event(&mut self, k: &mut Kernel<Self>, ev: &'static str) {
+            self.note(k, ev);
+        }
+        fn deliver(&mut self, k: &mut Kernel<Self>, to: NodeId, msg: u8) {
+            self.note(k, &format!("deliver {msg} to n{}", to.0));
+        }
+        fn partition_start(&mut self, k: &mut Kernel<Self>, side_a: &[NodeId]) {
+            self.note(k, &format!("partition {side_a:?}"));
+        }
+        fn partition_heal(&mut self, k: &mut Kernel<Self>) {
+            self.note(k, "heal");
+        }
+        fn node_down(&mut self, k: &mut Kernel<Self>, node: NodeId) {
+            k.crash(node);
+            self.note(k, &format!("down n{}", node.0));
+        }
+        fn node_up(&mut self, k: &mut Kernel<Self>, node: NodeId) {
+            k.restart(node, 0);
+            self.note(k, &format!("up n{}", node.0));
+        }
+        fn window_closed(&mut self, k: &mut Kernel<Self>) {
+            self.note(k, "window closed");
+        }
+        fn begin_drain(&mut self, k: &mut Kernel<Self>) -> Option<SimTime> {
+            self.note(k, "begin drain");
+            for node in k.down_nodes() {
+                self.node_up(k, node);
+            }
+            Some(SimTime(u64::MAX))
+        }
+        fn finish(self, _: &mut Kernel<Self>) -> Vec<String> {
+            self.log
+        }
+    }
+
+    impl Faulty for Probe {
+        fn attach_faults(&mut self, k: &mut Kernel<Self>, plan: FaultPlan) {
+            k.schedule_partition_windows(&plan);
+            k.schedule_crash_windows(&plan);
+        }
+    }
+
+    fn probe(horizon: u64) -> Sim<Probe> {
+        // 2 nodes, 1 TPS each: a handful of arrivals per run.
+        let p = Params::new(100.0, 2.0, 1.0, 4.0, 0.01);
+        let cfg = SimConfig::from_params(&p, horizon, 7);
+        Sim {
+            k: Kernel::new(cfg, "probe-arrivals-", "probe"),
+            p: Probe::default(),
+        }
+    }
+
+    #[test]
+    fn phases_run_in_order_and_the_drain_suppresses_arrivals_and_new_faults() {
+        // Node 0 crashes inside the horizon and would restart after it;
+        // node 1's crash and the second partition lie past the horizon;
+        // node 9 and an all-foreign partition do not exist in this run.
+        let plan = FaultPlan::parse(
+            "part=2..4:0; part=3..5:7,8; part=12..14:1; \
+             crash=0:6..15; crash=1:11..13; crash=9:1..2",
+            7,
+        )
+        .unwrap();
+        let mut sim = probe(10).with_faults(plan);
+        sim.k.schedule_after(SimDuration::from_secs(12), "timer");
+        sim.k
+            .coalesce_delivery(NodeId(1), SimDuration::from_secs(11), 42);
+        sim.k.flush_deliveries(NodeId(1));
+        let (report, log) = sim.run_to_state();
+        assert_eq!(report.node_crashes, 1);
+
+        let at = |what: &str| {
+            log.iter()
+                .position(|l| l == what)
+                .unwrap_or_else(|| panic!("{what:?} missing from {log:#?}"))
+        };
+        // Live: partition, heal, crash — in time order, arrivals around them.
+        assert!(at("live partition [NodeId(0)]") < at("live heal"));
+        assert!(at("live heal") < at("live down n0"));
+        assert!(log.iter().any(|l| l == "live arrive n1"));
+        // No arrival reaches the crashed node while it is down.
+        assert!(!log[at("live down n0")..]
+            .iter()
+            .any(|l| l.ends_with("arrive n0")));
+        // The window closes before the drain begins; the drain restarts
+        // the crashed node itself, then settles what was in flight.
+        assert!(at("live down n0") < at("live window closed"));
+        assert!(at("live window closed") < at("drain begin drain"));
+        assert_eq!(at("drain begin drain") + 1, at("drain up n0"));
+        assert!(at("drain up n0") < at("drain deliver 42 to n1"));
+        assert!(at("drain deliver 42 to n1") < at("drain timer"));
+        // Suppressed in the drain: arrivals, new partitions, new
+        // crashes. The stale heal still fires (healing is always safe);
+        // the restart of an already-restarted node does not.
+        assert!(!log.iter().any(|l| l.starts_with("drain arrive")));
+        assert!(!log.iter().any(|l| l.starts_with("drain partition")));
+        assert!(!log.iter().any(|l| l.starts_with("drain down")));
+        assert_eq!(log.iter().filter(|l| l.ends_with("up n0")).count(), 1);
+        assert!(log.iter().any(|l| l == "drain heal"));
+        // Windows naming nodes this run does not have never fire.
+        assert!(!log
+            .iter()
+            .any(|l| l.contains("n9") || l.contains("NodeId(7)")));
+    }
+
+    #[test]
+    fn same_delay_deliveries_coalesce_up_to_the_batch_size() {
+        let mut sim = probe(5);
+        sim.k.cfg.propagation_batch = 2;
+        let d = SimDuration::from_millis(1);
+        for msg in 0..3 {
+            sim.k.coalesce_delivery(NodeId(0), d, msg);
+        }
+        // A different delay flushes what is pending first.
+        sim.k
+            .coalesce_delivery(NodeId(0), SimDuration::from_millis(2), 3);
+        sim.k.flush_deliveries(NodeId(0));
+        // [0, 1] as one batch, then 2 and 3 alone: three events.
+        assert_eq!(sim.k.queue.len(), 2 + 3);
+        let (_, log) = sim.run_to_state();
+        let delivered: Vec<&String> = log.iter().filter(|l| l.contains("deliver")).collect();
+        assert_eq!(
+            delivered,
+            [
+                "live deliver 0 to n0",
+                "live deliver 1 to n0",
+                "live deliver 2 to n0",
+                "live deliver 3 to n0"
+            ]
+        );
+    }
+}

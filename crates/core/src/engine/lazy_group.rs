@@ -17,17 +17,16 @@
 //! windows is the regime of equations (15)–(18).
 
 use crate::config::{DeadlockPolicy, SimConfig};
-use crate::metrics::{Metrics, Report, M_ABORTS, M_PROPAGATION_LAG, M_RETRIES};
-use repl_check::{Recorder, TxnRecord};
-use repl_net::{
-    DisconnectSchedule, FaultInjector, FaultPlan, LatencyModel, Network, PeriodModel, SendFate,
-};
-use repl_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use crate::engine::kernel::{self, Faulty, Kernel, Protocol, Sim};
+use crate::metrics::{Report, M_ABORTS, M_RETRIES};
+use repl_check::{Scheme, TxnRecord};
+use repl_net::{FaultInjector, FaultPlan, Network, SendFate};
+use repl_sim::{SimDuration, SimRng, SimTime};
 use repl_storage::{
     Acquire, ApplyOutcome, CommitLog, DeadlockMode, LamportClock, LockManager, Lsn, NodeId,
     ObjectId, ObjectStore, ShardMap, Timestamp, TxnId, TxnSlab, UpdateRecord, Value,
 };
-use repl_telemetry::{AbortReason, Event, EventKind, Gauge, Profiler, TraceHandle};
+use repl_telemetry::{AbortReason, Event, EventKind};
 
 /// Arena tags: root and replica transactions live in separate slabs
 /// sharing one id space, so a granted lock's [`TxnId`] routes straight
@@ -72,10 +71,15 @@ pub enum Mobility {
 /// destination (plus per-delivery copies for duplicated messages), so
 /// the payload is reference-counted instead of deep-cloned per message.
 /// The engine is single-threaded — `Rc` is deliberate.
+#[doc(hidden)]
 #[derive(Debug, Clone)]
-struct ReplicaMsg {
+pub struct ReplicaMsg {
     /// Originating node (stamps `MsgDelivered` trace events).
     from: NodeId,
+    /// A local resubmission after a deadlock or timeout abort, not an
+    /// arrival off the wire: delivered like any other copy, but no
+    /// `MsgDelivered` is traced for it. Cleared on delivery.
+    retry: bool,
     /// Send time at the origin — the replica commit measures
     /// propagation lag (send → apply) against it. Parked, retried, and
     /// duplicated copies keep the original stamp, so the lag includes
@@ -109,34 +113,16 @@ fn full_mask(len: usize) -> u64 {
     }
 }
 
+/// The lazy-group protocol's private events. (Replica updates —
+/// first deliveries and resubmissions alike — travel as the kernel's
+/// `Deliver`.)
+#[doc(hidden)]
 #[derive(Debug)]
-enum Ev {
-    /// New root transaction at a node.
-    Arrive(NodeId),
+pub enum Ev {
     /// A root transaction finished one action's service time.
     RootStep(TxnId),
     /// A replica transaction finished one action's service time.
     ReplicaStep(TxnId),
-    /// Message arrival.
-    Deliver { to: NodeId, msg: ReplicaMsg },
-    /// A coalesced burst of message arrivals on one channel
-    /// (`propagation_batch` > 1): the messages were sent at the same
-    /// instant with the same latency draw, so delivering them as one
-    /// event preserves both timing and per-channel order while paying
-    /// one event-queue entry instead of one per message.
-    DeliverBatch { to: NodeId, msgs: Vec<ReplicaMsg> },
-    /// Connectivity change for a node.
-    Connectivity { node: NodeId, connected: bool },
-    /// Retry a deadlocked replica transaction.
-    ReplicaRetry { to: NodeId, msg: ReplicaMsg },
-    /// A scheduled bipartition begins.
-    PartitionStart { side_a: Vec<NodeId> },
-    /// The active bipartition heals.
-    PartitionHeal,
-    /// A node crashes, losing volatile state.
-    Crash(NodeId),
-    /// A crashed node restarts and recovers from durable state.
-    Restart(NodeId),
     /// Retry propagation from a node after a dropped message.
     Resend(NodeId),
     /// A cross-shard transaction's sub-transaction for one remote
@@ -211,28 +197,23 @@ struct NodeState {
 const MAX_CONCURRENT_REPLICA_TXNS: usize = 8;
 
 /// The lazy-group simulator.
-pub struct LazyGroupSim {
-    cfg: SimConfig,
-    mobility: Mobility,
+pub type LazyGroupSim = Sim<LazyGroup>;
+
+type K = Kernel<LazyGroup>;
+
+/// The lazy-group protocol's state.
+pub struct LazyGroup {
     resolution: ResolutionMode,
-    faults: Option<FaultPlan>,
-    /// Per-node crash flags: a crashed node accepts no work until its
-    /// scheduled restart.
-    crashed: Vec<bool>,
-    queue: EventQueue<Ev>,
+    /// How long a sender waits before re-running propagation after a
+    /// dropped message (the fault plan's, once one is attached).
+    retransmit: SimDuration,
     nodes: Vec<NodeState>,
     network: Network<ReplicaMsg>,
     roots: TxnSlab<RootTxn>,
     replicas: TxnSlab<ReplicaTxn>,
-    arrival_rngs: Vec<SimRng>,
     object_rng: SimRng,
     value_rng: SimRng,
     retry_rng: SimRng,
-    metrics: Metrics,
-    measure_from: SimTime,
-    tracer: TraceHandle,
-    profiler: Profiler,
-    run_label: String,
     /// Recycled buffer for lock-release promotions (commit/abort path).
     granted_scratch: Vec<(TxnId, ObjectId)>,
     /// Recycled `RootTxn` buffers: object lists, update lists (refilled
@@ -244,21 +225,11 @@ pub struct LazyGroupSim {
     undo_pool: Vec<Vec<(ObjectId, Value, Timestamp)>>,
     /// Scratch for the workload sampler's distinct-object draw.
     sample_scratch: Vec<u64>,
-    /// Recycled buffer for the propagation flush: consecutive same-delay
-    /// deliveries accumulate here before being scheduled.
-    deliver_scratch: Vec<ReplicaMsg>,
     /// Sharded propagation memo, one slot per fan-out signature group
     /// of the origin currently propagating: the last record's hosted-
     /// update mask for that group, reused by every group member at the
-    /// same watermark. Reset per [`LazyGroupSim::propagate`] call.
+    /// same watermark. Reset per [`LazyGroup::propagate`] call.
     group_memo: Vec<Option<(Lsn, u64)>>,
-    /// Optional correctness recorder (off ⇒ every hook is a no-op).
-    recorder: Recorder,
-    /// Per-replica staleness: the propagation lag of every update each
-    /// node applied, folded into the report's distributions (as
-    /// `staleness_n<i>` gauges) right after the measured window closes
-    /// — drain-phase applies never pollute it.
-    staleness: Vec<Gauge>,
     /// `Some` when the run uses a partial shard layout: stores hold
     /// only hosted objects, propagation filters per destination, and
     /// cross-shard transactions split into per-owner forwarded roots.
@@ -270,43 +241,16 @@ pub struct LazyGroupSim {
 
 impl LazyGroupSim {
     /// Build the simulator. With `Mobility::Cycling`, every node gets a
-    /// staggered fixed-period connect/disconnect schedule.
+    /// staggered connect/disconnect schedule.
     pub fn new(cfg: SimConfig, mobility: Mobility) -> Self {
         let n = cfg.nodes as usize;
-        let mut queue = EventQueue::new();
-        // Step events — one fixed service time apart — dominate the
-        // event traffic; give them the queue's O(1) FIFO lane.
-        queue.set_fifo_lane(cfg.action_time);
-        let mut arrival_rngs = Vec::with_capacity(n);
-        for node in 0..cfg.nodes {
-            let mut rng = SimRng::stream_node(cfg.seed, "lg-arrivals-", u64::from(node));
-            let first = SimDuration::from_secs_f64(rng.exp(1.0 / cfg.tps));
-            queue.schedule_at(SimTime::ZERO + first, Ev::Arrive(NodeId(node)));
-            arrival_rngs.push(rng);
-        }
+        let mut k = Kernel::new(cfg, "lg-arrivals-", "lazy-group");
         if let Mobility::Cycling {
             connected,
             disconnected,
         } = mobility
         {
-            for node in 0..cfg.nodes {
-                let mut sched = DisconnectSchedule::new(
-                    NodeId(node),
-                    connected,
-                    disconnected,
-                    PeriodModel::Exponential,
-                    cfg.seed,
-                );
-                for ev in sched.events_until(cfg.horizon) {
-                    queue.schedule_at(
-                        ev.at,
-                        Ev::Connectivity {
-                            node: ev.node,
-                            connected: ev.connected,
-                        },
-                    );
-                }
-            }
+            k.schedule_connectivity(0..cfg.nodes, connected, disconnected);
         }
         let shard = cfg.shard_map();
         let hosted_counts: Vec<u64> = match &shard {
@@ -321,369 +265,165 @@ impl LazyGroupSim {
                     Some(map) => ObjectStore::sharded(cfg.db_size, map, NodeId(i)),
                     None => ObjectStore::new(cfg.db_size),
                 },
-                locks: Self::lock_manager(&cfg),
+                locks: LazyGroup::lock_manager(&cfg),
                 clock: LamportClock::new(NodeId(i)),
                 log: CommitLog::new(),
-                sent_upto: vec![Lsn(0); cfg.nodes as usize],
+                sent_upto: vec![Lsn(0); n],
                 backlog: std::collections::VecDeque::new(),
                 active_replicas: 0,
             })
             .collect();
-        LazyGroupSim {
-            mobility,
+        let p = LazyGroup {
             resolution: ResolutionMode::TimePriority,
-            faults: None,
-            crashed: vec![false; n],
-            queue,
+            retransmit: SimDuration::from_millis(100),
             nodes,
             network: Network::new(n, cfg.latency, cfg.seed),
             roots: TxnSlab::new(ROOT_ARENA),
             replicas: TxnSlab::new(REPLICA_ARENA),
-            arrival_rngs,
             object_rng: SimRng::stream(cfg.seed, "lg-objects"),
             value_rng: SimRng::stream(cfg.seed, "lg-values"),
             retry_rng: SimRng::stream(cfg.seed, "lg-retry"),
-            metrics: Metrics {
-                lean: cfg.lean_metrics,
-                ..Metrics::new()
-            },
-            measure_from: cfg.warmup,
-            tracer: TraceHandle::off(),
-            profiler: Profiler::off(),
-            run_label: "lazy-group".to_owned(),
             granted_scratch: Vec::new(),
-            deliver_scratch: Vec::new(),
             group_memo: Vec::new(),
             objects_pool: Vec::new(),
             update_pool: Vec::new(),
             undo_pool: Vec::new(),
             sample_scratch: Vec::new(),
-            recorder: Recorder::off(),
-            staleness: vec![Gauge::default(); n],
             shard,
             hosted_counts,
-            cfg,
-        }
-    }
-
-    /// Attach a correctness recorder: root commits, replica applies,
-    /// and final stores all flow to the convergence/delusion oracles.
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// A lock manager honoring the configured deadlock policy, sized
-    /// for the configured database.
-    fn lock_manager(cfg: &SimConfig) -> LockManager {
-        let mut lm = match cfg.deadlock {
-            DeadlockPolicy::Detection => LockManager::new(),
-            DeadlockPolicy::Timeout { .. } => LockManager::with_mode(DeadlockMode::TimeoutOnly),
         };
-        lm.reserve_objects(cfg.db_size as usize);
-        lm
-    }
-
-    /// Attach a fault plan (builder-style; call before
-    /// [`LazyGroupSim::run`]). Message chaos perturbs every live link;
-    /// partition and crash windows become scheduled events. Faults
-    /// never fire during the post-horizon convergence drain, so the
-    /// convergence guarantee survives arbitrary plans.
-    #[must_use]
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        if plan.has_message_chaos() {
-            self.network = Network::new(self.cfg.nodes as usize, self.cfg.latency, self.cfg.seed)
-                .with_faults(FaultInjector::new(&plan));
-        }
-        // Windows naming nodes this run doesn't have are vacuous —
-        // filter them out rather than index out of bounds later, so a
-        // plan written for a larger cluster (a fuzzer shrinking the
-        // node count, a hand-edited CHECK_CASE) still runs.
-        for w in &plan.partitions {
-            let side_a: Vec<NodeId> = w
-                .side_a
-                .iter()
-                .copied()
-                .filter(|n| n.0 < self.cfg.nodes)
-                .collect();
-            if side_a.is_empty() {
-                continue;
-            }
-            self.queue
-                .schedule_at(w.start, Ev::PartitionStart { side_a });
-            self.queue.schedule_at(w.heal, Ev::PartitionHeal);
-        }
-        for c in &plan.crashes {
-            if c.node.0 >= self.cfg.nodes {
-                continue;
-            }
-            self.queue.schedule_at(c.at, Ev::Crash(c.node));
-            self.queue.schedule_at(c.restart, Ev::Restart(c.node));
-        }
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Attach a tracer; events flow from simulated time zero.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: TraceHandle) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Attach a wall-clock profiler around the event-loop phases.
-    #[must_use]
-    pub fn with_profiler(mut self, profiler: Profiler) -> Self {
-        self.profiler = profiler;
-        self
-    }
-
-    /// Label this run's trace (`RunStart` marker, series table header).
-    #[must_use]
-    pub fn with_run_label(mut self, label: impl Into<String>) -> Self {
-        self.run_label = label.into();
-        self
-    }
-
-    fn measuring(&self) -> bool {
-        self.queue.now() >= self.measure_from
+        Sim { k, p }
     }
 
     /// Select how dangerous updates are resolved (builder-style; call
-    /// before [`LazyGroupSim::run`]).
+    /// before [`Sim::run`]).
     #[must_use]
     pub fn with_resolution(mut self, resolution: ResolutionMode) -> Self {
-        self.resolution = resolution;
+        self.p.resolution = resolution;
         self
     }
 
-    /// Run to the horizon, then reconnect everyone and drain all
-    /// pending replication so the replicas converge. Returns the
-    /// measured report; use [`LazyGroupSim::run_with_state`] to also
-    /// inspect the final stores.
-    pub fn run(self) -> Report {
-        self.run_with_state().0
+    /// Like [`Sim::run`], returning the final per-node stores (after
+    /// the convergence drain) alongside the report.
+    pub fn run_with_state(self) -> (Report, Vec<ObjectStore>) {
+        self.run_to_state()
+    }
+}
+
+impl Faulty for LazyGroup {
+    /// Message chaos perturbs every live link; partition and crash
+    /// windows become scheduled events.
+    fn attach_faults(&mut self, k: &mut K, plan: FaultPlan) {
+        if plan.has_message_chaos() {
+            self.network = Network::new(k.cfg.nodes as usize, k.cfg.latency, k.cfg.seed)
+                .with_faults(FaultInjector::new(&plan));
+        }
+        k.schedule_partition_windows(&plan);
+        k.schedule_crash_windows(&plan);
+        self.retransmit = plan.retransmit;
+    }
+}
+
+impl Protocol for LazyGroup {
+    type Ev = Ev;
+    type Msg = ReplicaMsg;
+    /// The final per-node stores, after the convergence drain.
+    type State = Vec<ObjectStore>;
+    const SCHEME: Scheme = Scheme::LazyGroup;
+
+    fn phase(ev: &kernel::Event<Self>, _live: bool) -> Option<&'static str> {
+        use kernel::Event as W;
+        Some(match ev {
+            W::Arrive(_) => "lazy-group/arrive",
+            W::Deliver { .. } | W::DeliverBatch { .. } => "lazy-group/deliver",
+            W::Connectivity { .. } => "lazy-group/connectivity",
+            W::PartitionStart(_) | W::PartitionHeal => "lazy-group/partition",
+            W::Crash(_) | W::Restart(_) => "lazy-group/crash",
+            W::Proto(Ev::RootStep(_)) => "lazy-group/root-step",
+            W::Proto(Ev::ReplicaStep(_)) => "lazy-group/replica-step",
+            W::Proto(Ev::Resend(_)) => "lazy-group/resend",
+            W::Proto(Ev::ForwardRoot { .. }) => "lazy-group/forward-root",
+            W::Proto(Ev::LockTimeout { .. }) => "lazy-group/lock-timeout",
+        })
     }
 
-    /// Like [`LazyGroupSim::run`], returning the final per-node stores
-    /// (after the convergence drain) alongside the report.
-    pub fn run_with_state(mut self) -> (Report, Vec<ObjectStore>) {
-        let horizon = self.cfg.horizon;
-        if self.resolution == ResolutionMode::Manual {
-            // Manual mode deliberately drops dangerous updates (§1.2's
-            // system delusion, by design) — the convergence and
-            // delusion oracles would fire on every run, so tell the
-            // recorder this divergence is the experiment.
-            self.recorder.expect_divergence();
-        }
-        self.tracer.emit(|| {
-            Event::system(
-                SimTime::ZERO,
-                NodeId(0),
-                EventKind::RunStart {
-                    label: self.run_label.clone(),
-                },
-            )
-        });
-        while let Some((_, ev)) = self.queue.pop_until(horizon) {
-            self.dispatch(ev, true);
-        }
-        for node in &self.nodes {
-            self.metrics.cycle_checks.add(node.locks.cycle_checks());
-        }
-        let mut report = self.metrics.report(self.measure_from, horizon);
-        // Per-replica staleness gauges join the distributions here —
-        // after the measured window, before the convergence drain.
-        if !self.cfg.lean_metrics {
-            for (i, g) in self.staleness.iter().enumerate() {
-                if g.count > 0 {
-                    report.dists.gauges.insert(format!("staleness_n{i}"), *g);
-                }
-            }
-        }
-        let report = report;
-        // Drain phase: no new arrivals and no new faults — the injector
-        // is removed, the partition heals, crashed nodes restart and
-        // recover, everyone reconnects, and every queued replica update
-        // is delivered and applied. Pending fault events left in the
-        // queue are ignored by `dispatch` in this phase.
-        self.network.clear_faults();
-        self.heal_partition();
-        for node in 0..self.cfg.nodes {
-            if self.crashed[node as usize] {
-                self.restart_node(NodeId(node));
-            }
-        }
-        for node in 0..self.cfg.nodes {
-            self.reconnect(NodeId(node));
-        }
-        while let Some((_, ev)) = self.queue.pop() {
-            self.dispatch(ev, false);
-        }
-        self.tracer.run_end(horizon);
-        self.tracer.flush();
-        if self.recorder.is_on() {
-            for (i, node) in self.nodes.iter().enumerate() {
-                self.recorder.final_store(NodeId(i as u32), &node.store);
-            }
-        }
-        let stores = self.nodes.into_iter().map(|n| n.store).collect();
-        (report, stores)
+    fn lock_timeout(txn: TxnId, node: NodeId, obj: ObjectId) -> Option<Ev> {
+        Some(Ev::LockTimeout { txn, node, obj })
     }
 
-    /// Dispatch one event. `live` is false during the post-horizon
-    /// convergence drain, where new arrivals and new fault events are
-    /// ignored (the drain must terminate with converged replicas no
-    /// matter what the fault plan still has scheduled).
-    fn dispatch(&mut self, ev: Ev, live: bool) {
-        let profiler = self.profiler.clone();
-        let t = profiler.start();
+    fn arrive(&mut self, k: &mut K, node: NodeId) {
+        if self.shard.is_some() {
+            self.on_arrive_sharded(k, node);
+            return;
+        }
+        let mut scratch = std::mem::take(&mut self.sample_scratch);
+        self.object_rng
+            .sample_distinct_into(k.cfg.db_size, k.cfg.actions, &mut scratch);
+        let mut objects = self.objects_pool.pop().unwrap_or_default();
+        objects.clear();
+        objects.extend(scratch.iter().copied().map(ObjectId));
+        self.sample_scratch = scratch;
+        self.begin_root(k, node, objects);
+    }
+
+    fn on_event(&mut self, k: &mut K, ev: Ev) {
         match ev {
-            Ev::Arrive(node) => {
-                if live {
-                    self.on_arrive(node);
-                }
-                profiler.stop("lazy-group/arrive", t);
-            }
-            Ev::RootStep(txn) => {
-                self.on_root_step(txn);
-                profiler.stop("lazy-group/root-step", t);
-            }
-            Ev::ReplicaStep(txn) => {
-                self.on_replica_step(txn);
-                profiler.stop("lazy-group/replica-step", t);
-            }
-            Ev::Deliver { to, msg } => {
-                if self.crashed[to.0 as usize] {
-                    // Arrived at a dead node: back into the mail, to be
-                    // redelivered by recovery at restart.
-                    self.network.park(msg.from, to, msg);
-                    profiler.stop("lazy-group/deliver", t);
-                    return;
-                }
-                self.tracer.emit(|| {
-                    Event::system(
-                        self.queue.now(),
-                        to,
-                        EventKind::MsgDelivered { from: msg.from },
-                    )
-                });
-                self.start_replica_txn(to, msg);
-                profiler.stop("lazy-group/deliver", t);
-            }
-            Ev::DeliverBatch { to, msgs } => {
-                for msg in msgs {
-                    if self.crashed[to.0 as usize] {
-                        self.network.park(msg.from, to, msg);
-                        continue;
-                    }
-                    self.tracer.emit(|| {
-                        Event::system(
-                            self.queue.now(),
-                            to,
-                            EventKind::MsgDelivered { from: msg.from },
-                        )
-                    });
-                    self.start_replica_txn(to, msg);
-                }
-                profiler.stop("lazy-group/deliver", t);
-            }
-            Ev::ReplicaRetry { to, msg } => {
-                if self.crashed[to.0 as usize] {
-                    self.network.park(msg.from, to, msg);
-                } else {
-                    self.start_replica_txn(to, msg);
-                }
-                profiler.stop("lazy-group/deliver", t);
-            }
-            Ev::Connectivity { node, connected } => {
-                self.tracer.emit(|| {
-                    let kind = if connected {
-                        EventKind::Reconnect
-                    } else {
-                        EventKind::Disconnect
-                    };
-                    Event::system(self.queue.now(), node, kind)
-                });
-                if connected {
-                    self.reconnect(node);
-                } else {
-                    self.network.disconnect(node);
-                }
-                profiler.stop("lazy-group/connectivity", t);
-            }
-            Ev::PartitionStart { side_a } => {
-                if live {
-                    self.tracer.emit(|| {
-                        Event::system(
-                            self.queue.now(),
-                            side_a.first().copied().unwrap_or_default(),
-                            EventKind::PartitionStart {
-                                side_a: side_a.clone(),
-                            },
-                        )
-                    });
-                    self.network.partition(&side_a);
-                }
-                profiler.stop("lazy-group/partition", t);
-            }
-            Ev::PartitionHeal => {
-                self.heal_partition();
-                profiler.stop("lazy-group/partition", t);
-            }
-            Ev::Crash(node) => {
-                if live {
-                    self.crash_node(node);
-                }
-                profiler.stop("lazy-group/crash", t);
-            }
-            Ev::Restart(node) => {
-                if self.crashed[node.0 as usize] {
-                    self.restart_node(node);
-                }
-                profiler.stop("lazy-group/crash", t);
-            }
+            Ev::RootStep(txn) => self.on_root_step(k, txn),
+            Ev::ReplicaStep(txn) => self.on_replica_step(k, txn),
             Ev::Resend(node) => {
-                if !self.crashed[node.0 as usize] {
-                    self.propagate(node);
+                if !k.is_down(node) {
+                    self.propagate(k, node);
                 }
-                profiler.stop("lazy-group/resend", t);
             }
             Ev::ForwardRoot { to, objects } => {
                 // A forwarded sub-transaction dies if its shard owner is
                 // down (nothing committed yet, so nothing to undo), and
                 // no new roots start during the convergence drain.
-                if live && !self.crashed[to.0 as usize] {
-                    self.begin_root(to, objects);
+                if k.is_live() && !k.is_down(to) {
+                    self.begin_root(k, to, objects);
                 }
-                profiler.stop("lazy-group/forward-root", t);
             }
-            Ev::LockTimeout { txn, node, obj } => {
-                self.on_lock_timeout(txn, node, obj);
-                profiler.stop("lazy-group/lock-timeout", t);
-            }
+            Ev::LockTimeout { txn, node, obj } => self.on_lock_timeout(k, txn, node, obj),
         }
+    }
+
+    fn deliver(&mut self, k: &mut K, to: NodeId, mut msg: ReplicaMsg) {
+        let retry = std::mem::take(&mut msg.retry);
+        if k.is_down(to) {
+            // Arrived at a dead node: back into the mail, to be
+            // redelivered by recovery at restart.
+            self.network.park(msg.from, to, msg);
+            return;
+        }
+        if !retry {
+            let from = msg.from;
+            k.tracer
+                .emit(|| Event::system(k.now(), to, EventKind::MsgDelivered { from }));
+        }
+        self.start_replica_txn(k, to, msg);
+    }
+
+    fn link_change(&mut self, k: &mut K, node: NodeId, connected: bool) {
+        if connected {
+            self.reconnect(k, node);
+        } else {
+            self.network.disconnect(node);
+        }
+    }
+
+    fn partition_start(&mut self, _k: &mut K, side_a: &[NodeId]) {
+        self.network.partition(side_a);
     }
 
     /// Heal the active bipartition (if any) and deliver everything that
     /// was parked at the boundary.
-    fn heal_partition(&mut self) {
+    fn partition_heal(&mut self, k: &mut K) {
         if !self.network.has_partition() {
             return;
         }
-        self.tracer.emit(|| {
-            Event::system(
-                self.queue.now(),
-                NodeId::default(),
-                EventKind::PartitionHeal,
-            )
-        });
-        let drained = self.network.heal_partition();
-        self.queue.schedule_batch_after(
-            SimDuration::ZERO,
-            drained.into_iter().map(|(to, msg)| Ev::Deliver { to, msg }),
-        );
+        k.tracer
+            .emit(|| Event::system(k.now(), NodeId::default(), EventKind::PartitionHeal));
+        k.deliver_now(self.network.heal_partition());
     }
 
     /// Crash `node`: volatile state (lock table, in-flight transactions,
@@ -691,21 +431,16 @@ impl LazyGroupSim {
     /// log, replication watermarks) survives. In-flight replica updates
     /// go back into the mail — lazy propagation is at-least-once and the
     /// timestamp test makes re-application idempotent.
-    fn crash_node(&mut self, node: NodeId) {
-        self.crashed[node.0 as usize] = true;
+    fn node_down(&mut self, k: &mut K, node: NodeId) {
+        k.crash(node);
         self.network.disconnect(node);
-        if self.measuring() {
-            self.metrics.node_crashes.incr();
-        }
-        self.tracer
-            .emit(|| Event::system(self.queue.now(), node, EventKind::NodeCrash));
         // The lock table dies with the node; bank its search count
         // before it goes.
         let locks = std::mem::replace(
             &mut self.nodes[node.0 as usize].locks,
-            Self::lock_manager(&self.cfg),
+            Self::lock_manager(&k.cfg),
         );
-        self.metrics.cycle_checks.add(locks.cycle_checks());
+        k.metrics.cycle_checks.add(locks.cycle_checks());
         // In-flight root transactions at the node die, and recovery
         // undoes their uncommitted store writes (the WAL-style undo
         // pass). Skipping the undo leaves dirty versions with fresh
@@ -721,9 +456,9 @@ impl LazyGroupSim {
             .map(|(id, _)| id)
             .collect();
         for id in dead_roots {
-            self.tracer.emit(|| {
+            k.tracer.emit(|| {
                 Event::new(
-                    self.queue.now(),
+                    k.now(),
                     node,
                     id,
                     EventKind::TxnAbort {
@@ -731,9 +466,7 @@ impl LazyGroupSim {
                     },
                 )
             });
-            let txn = self.roots.remove(id).expect("crashing root txn");
-            self.rollback_root(&txn);
-            self.recycle_root(txn);
+            self.abort_root(id);
         }
         // In-flight and backlogged replica updates return to the mail.
         let dead_replicas: Vec<TxnId> = self
@@ -755,59 +488,88 @@ impl LazyGroupSim {
 
     /// Restart `node`: redeliver everything parked for it (the recovery
     /// replay) and resume propagation from its durable watermarks.
-    fn restart_node(&mut self, node: NodeId) {
-        self.crashed[node.0 as usize] = false;
-        self.tracer
-            .emit(|| Event::system(self.queue.now(), node, EventKind::NodeRestart));
+    fn node_up(&mut self, k: &mut K, node: NodeId) {
         let inbound = self.network.reconnect(node);
-        self.tracer.emit(|| {
-            Event::system(
-                self.queue.now(),
-                node,
-                EventKind::RecoveryReplay {
-                    messages: inbound.len() as u64,
-                },
-            )
-        });
-        self.queue.schedule_batch_after(
-            SimDuration::ZERO,
-            inbound.into_iter().map(|msg| Ev::Deliver { to: node, msg }),
-        );
-        self.propagate(node);
+        k.restart(node, inbound.len() as u64);
+        k.deliver_now(inbound.map(|msg| (node, msg)));
+        self.propagate(k, node);
+    }
+
+    fn window_closed(&mut self, k: &mut K) {
+        if self.resolution == ResolutionMode::Manual {
+            // Manual mode deliberately drops dangerous updates (§1.2's
+            // system delusion, by design) — the convergence and
+            // delusion oracles would fire on every run, so tell the
+            // recorder this divergence is the experiment.
+            k.recorder.expect_divergence();
+        }
+        for node in &self.nodes {
+            k.metrics.cycle_checks.add(node.locks.cycle_checks());
+        }
+    }
+
+    /// The injector is removed, the partition heals, crashed nodes
+    /// restart and recover, everyone reconnects, and every queued
+    /// replica update is delivered and applied — the replicas converge
+    /// whatever the fault plan still had scheduled.
+    fn begin_drain(&mut self, k: &mut K) -> Option<SimTime> {
+        self.network.clear_faults();
+        self.partition_heal(k);
+        for node in k.down_nodes() {
+            self.node_up(k, node);
+        }
+        for node in 0..k.cfg.nodes {
+            self.reconnect(k, NodeId(node));
+        }
+        Some(SimTime(u64::MAX))
+    }
+
+    fn finish(self, k: &mut K) -> Vec<ObjectStore> {
+        if k.recorder.is_on() {
+            for (i, node) in self.nodes.iter().enumerate() {
+                k.recorder.final_store(NodeId(i as u32), &node.store);
+            }
+        }
+        self.nodes.into_iter().map(|n| n.store).collect()
+    }
+}
+
+impl LazyGroup {
+    /// A lock manager honoring the configured deadlock policy, sized
+    /// for the configured database.
+    fn lock_manager(cfg: &SimConfig) -> LockManager {
+        let mut lm = match cfg.deadlock {
+            DeadlockPolicy::Detection => LockManager::new(),
+            DeadlockPolicy::Timeout { .. } => LockManager::with_mode(DeadlockMode::TimeoutOnly),
+        };
+        lm.reserve_objects(cfg.db_size as usize);
+        lm
     }
 
     /// A lock-wait timeout fired. It may be stale — the transaction may
     /// have been granted, committed, died in a crash, or aborted since
     /// the timer was armed — so it only acts if the transaction is still
     /// blocked on the same object.
-    fn on_lock_timeout(&mut self, id: TxnId, node: NodeId, obj: ObjectId) {
-        if self.crashed[node.0 as usize]
-            || self.nodes[node.0 as usize].locks.waiting_on(id) != Some(obj)
-        {
+    fn on_lock_timeout(&mut self, k: &mut K, id: TxnId, node: NodeId, obj: ObjectId) {
+        if k.is_down(node) || self.nodes[node.0 as usize].locks.waiting_on(id) != Some(obj) {
             return;
         }
-        if self.measuring() {
-            self.metrics.deadlocks.incr();
-            self.metrics.lock_timeouts.incr();
+        if k.measuring() {
+            k.metrics.deadlocks.incr();
+            k.metrics.lock_timeouts.incr();
             // Timeout resolution aborts a root for good but merely
             // resubmits a replica update — count the right one.
             if self.roots.contains(id) {
-                self.metrics.incr_dist(M_ABORTS);
+                k.metrics.incr_dist(M_ABORTS);
             } else {
-                self.metrics.incr_dist(M_RETRIES);
+                k.metrics.incr_dist(M_RETRIES);
             }
         }
-        self.tracer.emit(|| {
+        k.tracer
+            .emit(|| Event::new(k.now(), node, id, EventKind::LockTimeout { object: obj }));
+        k.tracer.emit(|| {
             Event::new(
-                self.queue.now(),
-                node,
-                id,
-                EventKind::LockTimeout { object: obj },
-            )
-        });
-        self.tracer.emit(|| {
-            Event::new(
-                self.queue.now(),
+                k.now(),
                 node,
                 id,
                 EventKind::TxnAbort {
@@ -819,60 +581,34 @@ impl LazyGroupSim {
         // locks, and a queued ghost would be granted the contested
         // object later and hold it forever.
         self.nodes[node.0 as usize].locks.cancel_wait(id);
-        if let Some(txn) = self.roots.remove(id) {
-            self.rollback_root(&txn);
-            self.recycle_root(txn);
-            self.release_and_resume(node, id);
+        if self.roots.contains(id) {
+            self.abort_root(id);
+            self.release_and_resume(k, node, id);
         } else if let Some(txn) = self.replicas.remove(id) {
             // Replica updates are resubmitted after a timeout abort,
             // exactly as after a detected deadlock (§5).
-            self.release_replica_slot(node);
-            self.release_and_resume(node, id);
-            let backoff = self
-                .cfg
-                .action_time
-                .saturating_mul(1 + self.retry_rng.gen_range(8));
-            self.queue.schedule_after(
-                backoff,
-                Ev::ReplicaRetry {
-                    to: txn.node,
-                    msg: txn.msg,
-                },
-            );
-            self.drain_backlog(node);
+            self.resubmit_replica(k, id, txn);
         }
     }
 
-    /// Arm the lock-wait timer for a transaction that just blocked, if
-    /// the run resolves deadlocks by timeout.
-    fn arm_lock_timeout(&mut self, id: TxnId, node: NodeId, obj: ObjectId) {
-        if let DeadlockPolicy::Timeout { wait } = self.cfg.deadlock {
-            self.queue
-                .schedule_after(wait, Ev::LockTimeout { txn: id, node, obj });
-        }
-    }
-
-    fn on_arrive(&mut self, node: NodeId) {
-        let gap =
-            SimDuration::from_secs_f64(self.arrival_rngs[node.0 as usize].exp(1.0 / self.cfg.tps));
-        self.queue.schedule_after(gap, Ev::Arrive(node));
-        if self.crashed[node.0 as usize] {
-            // No terminals at a dead node; the arrival process itself
-            // keeps ticking so the stream stays deterministic.
-            return;
-        }
-        if self.shard.is_some() {
-            self.on_arrive_sharded(node);
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.sample_scratch);
-        self.object_rng
-            .sample_distinct_into(self.cfg.db_size, self.cfg.actions, &mut scratch);
-        let mut objects = self.objects_pool.pop().unwrap_or_default();
-        objects.clear();
-        objects.extend(scratch.iter().copied().map(ObjectId));
-        self.sample_scratch = scratch;
-        self.begin_root(node, objects);
+    /// An aborted replica transaction frees its apply slot and locks,
+    /// and its update is redelivered after a randomized backoff — a
+    /// deterministic delay would let two retrying transactions
+    /// re-collide in lockstep forever.
+    fn resubmit_replica(&mut self, k: &mut K, id: TxnId, txn: ReplicaTxn) {
+        let node = txn.node;
+        self.release_replica_slot(node);
+        self.release_and_resume(k, node, id);
+        let backoff = k
+            .cfg
+            .action_time
+            .saturating_mul(1 + self.retry_rng.gen_range(8));
+        let msg = ReplicaMsg {
+            retry: true,
+            ..txn.msg
+        };
+        k.deliver_after(backoff, node, msg);
+        self.drain_backlog(k, node);
     }
 
     /// Sharded arrival: most transactions draw their objects from the
@@ -885,9 +621,9 @@ impl LazyGroupSim {
     /// split sub-transactions commit independently (no distributed
     /// atomic commit) — exactly the paper's lazy "anytime, anyhow"
     /// regime, where the serializability oracle judges the outcome.
-    fn on_arrive_sharded(&mut self, node: NodeId) {
+    fn on_arrive_sharded(&mut self, k: &mut K, node: NodeId) {
         let map = self.shard.as_ref().expect("sharded arrival without map");
-        let cross = self.object_rng.chance(self.cfg.cross_shard);
+        let cross = self.object_rng.chance(k.cfg.cross_shard);
         let hosted = self.hosted_counts[node.0 as usize];
         let mut scratch = std::mem::take(&mut self.sample_scratch);
         let mut objects = self.objects_pool.pop().unwrap_or_default();
@@ -896,17 +632,17 @@ impl LazyGroupSim {
         // rare and small (`actions` objects total), so a linear-scan
         // Vec beats a hash map here.
         let mut forwards: Vec<(NodeId, Vec<ObjectId>)> = Vec::new();
-        if !cross && hosted >= self.cfg.actions as u64 {
+        if !cross && hosted >= k.cfg.actions as u64 {
             // Single-shard-group txn: sample distinct positions in the
             // hosted index space and map them to object ids.
             self.object_rng
-                .sample_distinct_into(hosted, self.cfg.actions, &mut scratch);
+                .sample_distinct_into(hosted, k.cfg.actions, &mut scratch);
             objects.extend(scratch.iter().map(|&i| map.nth_hosted(node, i)));
         } else {
             // Whole-keyspace draw (also the fallback when the node
             // hosts fewer objects than one transaction touches).
             self.object_rng
-                .sample_distinct_into(self.cfg.db_size, self.cfg.actions, &mut scratch);
+                .sample_distinct_into(k.cfg.db_size, k.cfg.actions, &mut scratch);
             for &raw in scratch.iter() {
                 let obj = ObjectId(raw);
                 if map.hosts_object(node, obj) {
@@ -925,16 +661,16 @@ impl LazyGroupSim {
             objects.clear();
             self.objects_pool.push(objects);
         } else {
-            self.begin_root(node, objects);
+            self.begin_root(k, node, objects);
         }
         for (owner, group) in forwards {
             // Forwarding is one message to the shard owner; the root it
             // spawns there does the usual replica fan-out on commit.
-            if self.measuring() {
-                self.metrics.messages.incr();
+            if k.measuring() {
+                k.metrics.messages.incr();
             }
             let delay = self.network.sample_delay();
-            self.queue.schedule_after(
+            k.schedule_after(
                 delay,
                 Ev::ForwardRoot {
                     to: owner,
@@ -945,135 +681,82 @@ impl LazyGroupSim {
     }
 
     /// Insert and start a root transaction over `objects` at `node`.
-    fn begin_root(&mut self, node: NodeId, objects: Vec<ObjectId>) {
+    fn begin_root(&mut self, k: &mut K, node: NodeId, objects: Vec<ObjectId>) {
         let id = self.roots.insert(RootTxn {
             node,
             objects,
             next: 0,
-            started: self.queue.now(),
+            started: k.now(),
             wait_started: None,
             updates: self
                 .update_pool
                 .pop()
-                .unwrap_or_else(|| Vec::with_capacity(self.cfg.actions)),
+                .unwrap_or_else(|| Vec::with_capacity(k.cfg.actions)),
             undo: self
                 .undo_pool
                 .pop()
-                .unwrap_or_else(|| Vec::with_capacity(self.cfg.actions)),
+                .unwrap_or_else(|| Vec::with_capacity(k.cfg.actions)),
         });
-        self.tracer
-            .emit(|| Event::new(self.queue.now(), node, id, EventKind::TxnBegin));
-        self.try_root_step(id);
+        k.tracer
+            .emit(|| Event::new(k.now(), node, id, EventKind::TxnBegin));
+        self.try_root_step(k, id);
     }
 
-    fn try_root_step(&mut self, id: TxnId) {
+    fn try_root_step(&mut self, k: &mut K, id: TxnId) {
         let txn = self.roots.get(id).expect("stepping unknown root");
         if txn.next >= txn.objects.len() {
-            self.commit_root(id);
+            self.commit_root(k, id);
             return;
         }
         let (node, obj) = (txn.node, txn.objects[txn.next]);
         match self.nodes[node.0 as usize].locks.acquire(id, obj) {
             Acquire::Granted => {
-                self.queue
-                    .schedule_after(self.cfg.action_time, Ev::RootStep(id));
+                k.schedule_after(k.cfg.action_time, Ev::RootStep(id));
             }
             Acquire::Waiting => {
-                if self.measuring() {
-                    self.metrics.waits.incr();
-                }
+                let since = k.lock_wait(&self.nodes[node.0 as usize].locks, node, id, obj);
                 self.roots
                     .get_mut(id)
                     .expect("waiting root must be active")
-                    .wait_started = Some(self.queue.now());
-                self.emit_lock_wait(node, id, obj);
-                self.arm_lock_timeout(id, node, obj);
+                    .wait_started = Some(since);
             }
             Acquire::Deadlock => {
-                if self.measuring() {
-                    self.metrics.deadlocks.incr();
-                    self.metrics.incr_dist(M_ABORTS);
-                }
-                self.emit_deadlock(node, id, AbortReason::Deadlock);
-                let txn = self.roots.remove(id).expect("aborting unknown root");
-                self.rollback_root(&txn);
-                self.recycle_root(txn);
-                self.release_and_resume(node, id);
+                k.deadlock(&self.nodes[node.0 as usize].locks, node, id, M_ABORTS, true);
+                self.abort_root(id);
+                self.release_and_resume(k, node, id);
             }
         }
     }
 
-    /// Undo an aborted root transaction's store writes by restoring the
-    /// pre-images, newest first. Sound because the transaction still
-    /// holds exclusive locks on everything it wrote: no other
-    /// transaction can have read or overwritten the dirty versions.
-    /// Must run *before* the locks are released.
-    fn rollback_root(&mut self, txn: &RootTxn) {
-        let store = &mut self.nodes[txn.node.0 as usize].store;
-        for (obj, value, ts) in txn.undo.iter().rev() {
-            store.set(*obj, value.clone(), *ts);
-        }
-    }
-
-    /// Return an aborted root transaction's buffers to the recycling
-    /// pools. (Commits recycle `objects`/`undo` directly; their
-    /// `updates` move into the commit log and come back through
-    /// [`CommitLog::truncate_until_recycling`].)
-    fn recycle_root(&mut self, txn: RootTxn) {
+    /// Abort root transaction `id`: undo its store writes by restoring
+    /// the pre-images, newest first, and return its buffers to the
+    /// recycling pools. Sound because the transaction still holds
+    /// exclusive locks on everything it wrote: no other transaction can
+    /// have read or overwritten the dirty versions. Must run *before*
+    /// the locks are released. (Commits recycle `objects`/`undo`
+    /// directly; their `updates` move into the commit log and come back
+    /// through [`CommitLog::truncate_until_recycling`].)
+    fn abort_root(&mut self, id: TxnId) {
         let RootTxn {
+            node,
             mut objects,
             mut updates,
             mut undo,
             ..
-        } = txn;
+        } = self.roots.remove(id).expect("aborting unknown root");
+        let store = &mut self.nodes[node.0 as usize].store;
+        for (obj, value, ts) in undo.drain(..).rev() {
+            store.set(obj, value, ts);
+        }
         objects.clear();
         updates.clear();
-        undo.clear();
         self.objects_pool.push(objects);
         self.update_pool.push(updates);
         self.undo_pool.push(undo);
     }
 
-    /// Trace a lock wait at `node` (no-op when tracing is off).
-    fn emit_lock_wait(&self, node: NodeId, id: TxnId, obj: ObjectId) {
-        self.tracer.emit(|| {
-            Event::new(
-                self.queue.now(),
-                node,
-                id,
-                EventKind::LockWait {
-                    object: obj,
-                    holder: self.nodes[node.0 as usize]
-                        .locks
-                        .holder_of(obj)
-                        .unwrap_or_default(),
-                    waiter: id,
-                },
-            )
-        });
-    }
-
-    /// Trace a detected deadlock cycle plus the consequent abort.
-    fn emit_deadlock(&self, node: NodeId, id: TxnId, reason: AbortReason) {
-        self.tracer.emit(|| {
-            Event::new(
-                self.queue.now(),
-                node,
-                id,
-                EventKind::DeadlockDetected {
-                    cycle: self.nodes[node.0 as usize]
-                        .locks
-                        .last_deadlock_cycle()
-                        .to_vec(),
-                },
-            )
-        });
-        self.tracer
-            .emit(|| Event::new(self.queue.now(), node, id, EventKind::TxnAbort { reason }));
-    }
-
     /// One root action's service time elapsed: perform the write.
-    fn on_root_step(&mut self, id: TxnId) {
+    fn on_root_step(&mut self, k: &mut K, id: TxnId) {
         let value = Value::Int(self.value_rng.next_u64() as i64);
         // A crash or timeout abort may have killed the transaction
         // while this step event was in flight.
@@ -1095,26 +778,25 @@ impl LazyGroupSim {
             value,
         });
         txn.next += 1;
-        if self.measuring() {
-            self.metrics.actions.incr();
+        if k.measuring() {
+            k.metrics.actions.incr();
         }
-        self.try_root_step(id);
+        self.try_root_step(k, id);
     }
 
-    fn commit_root(&mut self, id: TxnId) {
+    fn commit_root(&mut self, k: &mut K, id: TxnId) {
         let txn = self.roots.remove(id).expect("committing unknown root");
         let node = txn.node;
-        if self.measuring() {
-            self.metrics.committed.incr();
-            self.metrics
-                .record_latency(self.queue.now().since(txn.started));
+        if k.measuring() {
+            k.metrics.committed.incr();
+            k.metrics.record_latency(k.now().since(txn.started));
         }
-        self.tracer
-            .emit(|| Event::new(self.queue.now(), node, id, EventKind::TxnCommit));
-        self.release_and_resume(node, id);
-        if self.recorder.is_on() {
+        k.tracer
+            .emit(|| Event::new(k.now(), node, id, EventKind::TxnCommit));
+        self.release_and_resume(k, node, id);
+        if k.recorder.is_on() {
             // A root transaction reads the version it overwrites.
-            self.recorder.commit(
+            k.recorder.commit(
                 node,
                 TxnRecord {
                     txn: id,
@@ -1141,27 +823,24 @@ impl LazyGroupSim {
         self.objects_pool.push(objects);
         self.undo_pool.push(undo);
         self.nodes[node.0 as usize].log.append(id, updates);
-        self.propagate(node);
+        self.propagate(k, node);
     }
 
     /// Ship every commit past each destination's watermark. A
     /// disconnected origin ships nothing — its log keeps accumulating
     /// and the watermarks catch up at reconnect ("when first connected,
     /// a mobile node sends … deferred replica updates").
-    fn propagate(&mut self, origin: NodeId) {
+    fn propagate(&mut self, k: &mut K, origin: NodeId) {
         if !self.network.is_connected(origin) {
             return;
         }
-        let batch = self.cfg.propagation_batch.max(1);
-        // Consecutive same-delay deliveries on one channel accumulate
-        // here and flush as one scheduled event (up to `batch` records).
+        // Consecutive same-delay deliveries on one channel coalesce in
+        // the kernel (up to `propagation_batch` records per event).
         // Coalescing happens strictly at flush time — the network still
         // sees one send per record (same fault fates, same latency
         // draws, same message counters as batch=1), and a delay change
         // or non-delivery outcome flushes first, so per-channel arrival
         // order is exactly the per-txn order.
-        let mut pending = std::mem::take(&mut self.deliver_scratch);
-        let mut pending_delay = SimDuration::ZERO;
         // Destinations usually share a watermark (they all drift only
         // under disconnects), so each record's payload is re-shipped to
         // every destination back to back — memoize the last one and
@@ -1174,7 +853,7 @@ impl LazyGroupSim {
             self.group_memo.clear();
             self.group_memo.resize(map.fanout_groups(origin), None);
         }
-        for dest in 0..self.cfg.nodes {
+        for dest in 0..k.cfg.nodes {
             let dest = NodeId(dest);
             if dest == origin {
                 continue;
@@ -1193,7 +872,6 @@ impl LazyGroupSim {
                     }
                 },
             };
-            debug_assert!(pending.is_empty());
             loop {
                 let state = &self.nodes[origin.0 as usize];
                 let from = state.sent_upto[dest.0 as usize];
@@ -1262,12 +940,12 @@ impl LazyGroupSim {
                         }
                     },
                 };
-                if self.measuring() {
-                    self.metrics.messages.incr();
+                if k.measuring() {
+                    k.metrics.messages.incr();
                 }
-                self.tracer.emit(|| {
+                k.tracer.emit(|| {
                     Event::system(
-                        self.queue.now(),
+                        k.now(),
                         origin,
                         EventKind::ReplicaSend {
                             to: dest,
@@ -1278,50 +956,28 @@ impl LazyGroupSim {
                 // Fate first, message after: only the fates that keep a
                 // message pay its construction (and the payload's
                 // refcount bump).
+                let sent_at = k.now();
+                let msg = |updates| ReplicaMsg {
+                    from: origin,
+                    retry: false,
+                    sent_at,
+                    updates,
+                    mask,
+                };
                 match self.network.send_fate(origin, dest) {
                     SendFate::Deliver { delay } => {
-                        if !pending.is_empty() && pending_delay != delay {
-                            self.flush_deliveries(dest, pending_delay, &mut pending);
-                        }
-                        pending_delay = delay;
-                        pending.push(ReplicaMsg {
-                            from: origin,
-                            sent_at: self.queue.now(),
-                            updates,
-                            mask,
-                        });
-                        if pending.len() >= batch {
-                            self.flush_deliveries(dest, delay, &mut pending);
-                        }
+                        let msg = msg(updates);
+                        k.coalesce_delivery(dest, delay, msg);
                     }
                     SendFate::Duplicated { delays } => {
                         // Flush first: the duplicate's copies must land
                         // behind everything already pending on this
                         // channel, as they would with per-txn events.
-                        self.flush_deliveries(dest, pending_delay, &mut pending);
-                        if self.measuring() {
-                            self.metrics.messages_duplicated.incr();
-                        }
-                        self.tracer.emit(|| {
-                            Event::system(
-                                self.queue.now(),
-                                origin,
-                                EventKind::MsgDuplicated { to: dest },
-                            )
-                        });
+                        k.flush_deliveries(dest);
+                        k.message_duplicated(origin, TxnId::default(), dest);
                         for delay in delays {
-                            self.queue.schedule_after(
-                                delay,
-                                Ev::Deliver {
-                                    to: dest,
-                                    msg: ReplicaMsg {
-                                        from: origin,
-                                        sent_at: self.queue.now(),
-                                        updates: updates.clone(),
-                                        mask,
-                                    },
-                                },
-                            );
+                            let msg = msg(updates.clone());
+                            k.deliver_after(delay, dest, msg);
                         }
                     }
                     SendFate::Dropped => {
@@ -1330,51 +986,27 @@ impl LazyGroupSim {
                         // propagation from the same record, so delivery
                         // is at-least-once and the timestamp test makes
                         // re-application idempotent.
-                        self.flush_deliveries(dest, pending_delay, &mut pending);
-                        if self.measuring() {
-                            self.metrics.messages_dropped.incr();
-                        }
-                        self.tracer.emit(|| {
-                            Event::system(
-                                self.queue.now(),
-                                origin,
-                                EventKind::MsgDropped { to: dest },
-                            )
-                        });
-                        let retransmit = self
-                            .faults
-                            .as_ref()
-                            .map_or(SimDuration::from_millis(100), |p| p.retransmit);
-                        self.queue.schedule_after(retransmit, Ev::Resend(origin));
+                        k.flush_deliveries(dest);
+                        k.message_dropped(origin, TxnId::default(), dest);
+                        k.schedule_after(self.retransmit, Ev::Resend(origin));
                         break;
                     }
                     SendFate::Held => {
                         // Park it for the unreachable destination; it
                         // still counts as shipped.
-                        self.network.park(
-                            origin,
-                            dest,
-                            ReplicaMsg {
-                                from: origin,
-                                sent_at: self.queue.now(),
-                                updates,
-                                mask,
-                            },
-                        );
+                        self.network.park(origin, dest, msg(updates));
                     }
                     SendFate::SenderOffline => {
                         // Raced a disconnect: retry from the same
                         // watermark at the next reconnect.
-                        self.flush_deliveries(dest, pending_delay, &mut pending);
-                        self.deliver_scratch = pending;
+                        k.flush_deliveries(dest);
                         return;
                     }
                 }
                 self.nodes[origin.0 as usize].sent_upto[dest.0 as usize] = Lsn(from.0 + 1);
             }
-            self.flush_deliveries(dest, pending_delay, &mut pending);
+            k.flush_deliveries(dest);
         }
-        self.deliver_scratch = pending;
         // Garbage-collect the fully shipped prefix: records below every
         // destination's watermark will never be requested again.
         let state = &mut self.nodes[origin.0 as usize];
@@ -1386,34 +1018,12 @@ impl LazyGroupSim {
         }
     }
 
-    /// Schedule the accumulated same-delay deliveries for `to`: a lone
-    /// record ships as a plain [`Ev::Deliver`] (the batch=1 path stays
-    /// allocation-free), a chunk as one [`Ev::DeliverBatch`].
-    fn flush_deliveries(&mut self, to: NodeId, delay: SimDuration, pending: &mut Vec<ReplicaMsg>) {
-        match pending.len() {
-            0 => {}
-            1 => {
-                let msg = pending.pop().expect("non-empty pending");
-                self.queue.schedule_after(delay, Ev::Deliver { to, msg });
-            }
-            _ => {
-                let msgs = std::mem::take(pending);
-                self.queue
-                    .schedule_after(delay, Ev::DeliverBatch { to, msgs });
-            }
-        }
+    fn reconnect(&mut self, k: &mut K, node: NodeId) {
+        k.deliver_now(self.network.reconnect(node).map(|msg| (node, msg)));
+        self.propagate(k, node);
     }
 
-    fn reconnect(&mut self, node: NodeId) {
-        let inbound = self.network.reconnect(node);
-        self.queue.schedule_batch_after(
-            SimDuration::ZERO,
-            inbound.into_iter().map(|msg| Ev::Deliver { to: node, msg }),
-        );
-        self.propagate(node);
-    }
-
-    fn start_replica_txn(&mut self, to: NodeId, msg: ReplicaMsg) {
+    fn start_replica_txn(&mut self, k: &mut K, to: NodeId, msg: ReplicaMsg) {
         {
             let state = &mut self.nodes[to.0 as usize];
             if state.active_replicas >= MAX_CONCURRENT_REPLICA_TXNS {
@@ -1429,12 +1039,12 @@ impl LazyGroupSim {
             wait_started: None,
             conflicted: false,
         });
-        self.tracer
-            .emit(|| Event::new(self.queue.now(), to, id, EventKind::TxnBegin));
-        self.try_replica_step(id);
+        k.tracer
+            .emit(|| Event::new(k.now(), to, id, EventKind::TxnBegin));
+        self.try_replica_step(k, id);
     }
 
-    fn try_replica_step(&mut self, id: TxnId) {
+    fn try_replica_step(&mut self, k: &mut K, id: TxnId) {
         let txn = self.replicas.get_mut(id).expect("stepping unknown replica");
         // Skip entries the fan-out mask excludes: this destination's
         // signature group does not host them.
@@ -1442,57 +1052,38 @@ impl LazyGroupSim {
             txn.next += 1;
         }
         if txn.next >= txn.msg.updates.len() {
-            self.commit_replica(id);
+            self.commit_replica(k, id);
             return;
         }
         let (node, obj) = (txn.node, txn.msg.updates[txn.next].object);
         match self.nodes[node.0 as usize].locks.acquire(id, obj) {
             Acquire::Granted => {
-                self.queue
-                    .schedule_after(self.cfg.action_time, Ev::ReplicaStep(id));
+                k.schedule_after(k.cfg.action_time, Ev::ReplicaStep(id));
             }
             Acquire::Waiting => {
-                if self.measuring() {
-                    self.metrics.waits.incr();
-                }
+                let since = k.lock_wait(&self.nodes[node.0 as usize].locks, node, id, obj);
                 self.replicas
                     .get_mut(id)
                     .expect("waiting replica must be active")
-                    .wait_started = Some(self.queue.now());
-                self.emit_lock_wait(node, id, obj);
-                self.arm_lock_timeout(id, node, obj);
+                    .wait_started = Some(since);
             }
             Acquire::Deadlock => {
                 // Replica updates are resubmitted on deadlock (§5) —
-                // back off one action time and retry from scratch.
-                if self.measuring() {
-                    self.metrics.deadlocks.incr();
-                    self.metrics.incr_dist(M_RETRIES);
-                }
-                self.emit_deadlock(node, id, AbortReason::Deadlock);
-                let txn = self.replicas.remove(id).expect("replica vanished");
-                self.release_replica_slot(node);
-                self.release_and_resume(node, id);
-                // Randomized backoff: a deterministic delay would let
-                // two retrying transactions re-collide in lockstep
-                // forever.
-                let backoff = self
-                    .cfg
-                    .action_time
-                    .saturating_mul(1 + self.retry_rng.gen_range(8));
-                self.queue.schedule_after(
-                    backoff,
-                    Ev::ReplicaRetry {
-                        to: txn.node,
-                        msg: txn.msg,
-                    },
+                // back off and retry from scratch.
+                k.deadlock(
+                    &self.nodes[node.0 as usize].locks,
+                    node,
+                    id,
+                    M_RETRIES,
+                    true,
                 );
-                self.drain_backlog(node);
+                let txn = self.replicas.remove(id).expect("replica vanished");
+                self.resubmit_replica(k, id, txn);
             }
         }
     }
 
-    fn on_replica_step(&mut self, id: TxnId) {
+    fn on_replica_step(&mut self, k: &mut K, id: TxnId) {
         // A crash or timeout abort may have killed the transaction
         // while this step event was in flight.
         let Some(txn) = self.replicas.get_mut(id) else {
@@ -1526,22 +1117,22 @@ impl LazyGroupSim {
                 }
             }
         };
-        self.recorder.replica_apply(node, object, new_ts, outcome);
+        k.recorder.replica_apply(node, object, new_ts, outcome);
         match outcome {
             ApplyOutcome::Applied => {}
             ApplyOutcome::Duplicate => {
-                if self.queue.now() >= self.measure_from {
-                    self.metrics.stale_updates.incr();
+                if k.measuring() {
+                    k.metrics.stale_updates.incr();
                 }
-                self.tracer
-                    .emit(|| Event::new(self.queue.now(), node, id, EventKind::StaleSkip));
+                k.tracer
+                    .emit(|| Event::new(k.now(), node, id, EventKind::StaleSkip));
             }
             ApplyOutcome::ConflictApplied | ApplyOutcome::ConflictIgnored => {
                 // Dangerous update (the paper's Figure 4 test failed);
                 // count the reconciliation.
-                self.tracer.emit(|| {
+                k.tracer.emit(|| {
                     Event::new(
-                        self.queue.now(),
+                        k.now(),
                         node,
                         id,
                         EventKind::DangerousUpdate { object: u.object },
@@ -1550,33 +1141,29 @@ impl LazyGroupSim {
                 self.replicas.get_mut(id).expect("replica txn").conflicted = true;
             }
         }
-        self.try_replica_step(id);
+        self.try_replica_step(k, id);
     }
 
-    fn commit_replica(&mut self, id: TxnId) {
+    fn commit_replica(&mut self, k: &mut K, id: TxnId) {
         let txn = self.replicas.remove(id).expect("unknown replica commit");
-        if self.queue.now() >= self.measure_from {
-            self.metrics.replica_commits.incr();
+        if k.measuring() {
+            k.metrics.replica_commits.incr();
             if txn.conflicted {
-                self.metrics.reconciliations.incr();
+                k.metrics.reconciliations.incr();
             }
             // Send → apply delta: how stale this replica's view was
             // when the update finally landed.
-            let lag = self.queue.now().since(txn.msg.sent_at);
-            self.metrics.record_dist(M_PROPAGATION_LAG, lag);
-            if !self.cfg.lean_metrics {
-                self.staleness[txn.node.0 as usize].observe(lag.0);
-            }
+            k.record_propagation_lag(txn.node, k.now().since(txn.msg.sent_at));
         }
-        self.tracer
-            .emit(|| Event::new(self.queue.now(), txn.node, id, EventKind::ReplicaApply));
+        k.tracer
+            .emit(|| Event::new(k.now(), txn.node, id, EventKind::ReplicaApply));
         if txn.conflicted {
-            self.tracer
-                .emit(|| Event::new(self.queue.now(), txn.node, id, EventKind::Reconcile));
+            k.tracer
+                .emit(|| Event::new(k.now(), txn.node, id, EventKind::Reconcile));
         }
         self.release_replica_slot(txn.node);
-        self.release_and_resume(txn.node, id);
-        self.drain_backlog(txn.node);
+        self.release_and_resume(k, txn.node, id);
+        self.drain_backlog(k, txn.node);
     }
 
     /// Free an apply slot at `node`.
@@ -1588,67 +1175,40 @@ impl LazyGroupSim {
 
     /// Start the next backlogged replica transaction at `node`, if any
     /// slot is free.
-    fn drain_backlog(&mut self, node: NodeId) {
+    fn drain_backlog(&mut self, k: &mut K, node: NodeId) {
         while self.nodes[node.0 as usize].active_replicas < MAX_CONCURRENT_REPLICA_TXNS {
             let Some(msg) = self.nodes[node.0 as usize].backlog.pop_front() else {
                 return;
             };
-            self.start_replica_txn(node, msg);
+            self.start_replica_txn(k, node, msg);
         }
     }
 
     /// Release `id`'s locks at `node` into the recycled scratch buffer
     /// and resume the promoted waiters — no allocation on this path.
-    fn release_and_resume(&mut self, node: NodeId, id: TxnId) {
+    fn release_and_resume(&mut self, k: &mut K, node: NodeId, id: TxnId) {
         let mut granted = std::mem::take(&mut self.granted_scratch);
         self.nodes[node.0 as usize]
             .locks
             .release_all_into(id, &mut granted);
-        self.resume_waiters(node, &granted);
+        self.resume_waiters(k, &granted);
         self.granted_scratch = granted;
     }
 
-    /// Resume transactions whose lock was just granted at `node`. The
-    /// arena tag in each id routes it without probing both slabs.
-    fn resume_waiters(&mut self, _node: NodeId, granted: &[(TxnId, ObjectId)]) {
-        let now = self.queue.now();
+    /// Resume transactions whose lock was just granted. The arena tag
+    /// in each id routes it without probing both slabs.
+    fn resume_waiters(&mut self, k: &mut K, granted: &[(TxnId, ObjectId)]) {
         for &(waiter, _obj) in granted {
             if self.roots.owns(waiter) {
                 if let Some(txn) = self.roots.get_mut(waiter) {
-                    if let Some(since) = txn.wait_started.take() {
-                        if now >= self.measure_from {
-                            self.metrics.record_wait(now.since(since));
-                        }
-                    }
-                    self.queue
-                        .schedule_after(self.cfg.action_time, Ev::RootStep(waiter));
+                    k.lock_granted(&mut txn.wait_started);
+                    k.schedule_after(k.cfg.action_time, Ev::RootStep(waiter));
                 }
             } else if let Some(txn) = self.replicas.get_mut(waiter) {
-                if let Some(since) = txn.wait_started.take() {
-                    if now >= self.measure_from {
-                        self.metrics.record_wait(now.since(since));
-                    }
-                }
-                self.queue
-                    .schedule_after(self.cfg.action_time, Ev::ReplicaStep(waiter));
+                k.lock_granted(&mut txn.wait_started);
+                k.schedule_after(k.cfg.action_time, Ev::ReplicaStep(waiter));
             }
         }
-    }
-
-    /// The configuration of this run.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// The mobility mode of this run.
-    pub fn mobility(&self) -> &Mobility {
-        &self.mobility
-    }
-
-    /// Override the network latency model after construction (ablation
-    /// studies; must be called before [`LazyGroupSim::run`]).
-    pub fn set_latency(&mut self, latency: LatencyModel) {
-        self.network = Network::new(self.cfg.nodes as usize, latency, self.cfg.seed);
     }
 }
 

@@ -11,14 +11,20 @@
 //! accounts for their messages without simulating their locks.
 
 use crate::config::SimConfig;
-use crate::engine::contention::{ContentionProfile, ContentionSim};
-use crate::metrics::Report;
+use crate::engine::contention::{Contention, ContentionProfile, Flavor};
+use crate::engine::kernel::Sim;
+
+/// The lazy-master flavor of [`Contention`].
+#[derive(Debug)]
+pub struct LazyMaster;
+
+impl Flavor for LazyMaster {
+    const LABEL: &'static str = "lazy-master";
+    const SCHEME: repl_check::Scheme = repl_check::Scheme::LazyMaster;
+}
 
 /// Lazy-master simulator.
-#[derive(Debug)]
-pub struct LazyMasterSim {
-    inner: ContentionSim,
-}
+pub type LazyMasterSim = Sim<Contention<LazyMaster>>;
 
 impl LazyMasterSim {
     /// Build a lazy-master run: master transactions take `Action_Time`
@@ -27,47 +33,7 @@ impl LazyMasterSim {
     /// refresh messages per action.
     pub fn new(cfg: SimConfig) -> Self {
         let profile = ContentionProfile::lazy_master(&cfg);
-        LazyMasterSim {
-            inner: ContentionSim::new(cfg, profile).with_run_label("lazy-master"),
-        }
-    }
-
-    /// Attach a fault plan perturbing the cross-shard commit protocol
-    /// (see [`ContentionSim::with_faults`]).
-    #[must_use]
-    pub fn with_faults(mut self, plan: repl_net::FaultPlan) -> Self {
-        self.inner = self.inner.with_faults(plan);
-        self
-    }
-
-    /// Attach a tracer (see [`ContentionSim::with_tracer`]).
-    pub fn with_tracer(mut self, tracer: repl_telemetry::TraceHandle) -> Self {
-        self.inner = self.inner.with_tracer(tracer);
-        self
-    }
-
-    /// Attach a wall-clock profiler.
-    pub fn with_profiler(mut self, profiler: repl_telemetry::Profiler) -> Self {
-        self.inner = self.inner.with_profiler(profiler);
-        self
-    }
-
-    /// Label this run's trace.
-    pub fn with_run_label(mut self, label: impl Into<String>) -> Self {
-        self.inner = self.inner.with_run_label(label);
-        self
-    }
-
-    /// Attach a correctness recorder (see
-    /// [`ContentionSim::with_recorder`]).
-    pub fn with_recorder(mut self, recorder: repl_check::Recorder) -> Self {
-        self.inner = self.inner.with_recorder(recorder);
-        self
-    }
-
-    /// Run to the horizon.
-    pub fn run(self) -> Report {
-        self.inner.run()
+        Self::with_profile(cfg, profile)
     }
 }
 

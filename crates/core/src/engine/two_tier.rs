@@ -16,17 +16,18 @@
 //!   reconciliation, and they are *zero when transactions commute*.
 
 use crate::config::SimConfig;
-use crate::metrics::{Metrics, Report, M_PROPAGATION_LAG, M_RECONCILIATION_DELAY, M_RETRIES};
+use crate::engine::kernel::{self, Kernel, Protocol, Sim};
+use crate::metrics::{Report, M_RECONCILIATION_DELAY, M_RETRIES};
 use crate::op::{Op, Operation};
 use crate::txn::{Criterion, TxnSpec};
-use repl_check::{CriterionKind, Recorder, TxnRecord};
-use repl_net::{DisconnectSchedule, Network, PeriodModel, SendOutcome};
-use repl_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use repl_check::{CriterionKind, Scheme, TxnRecord};
+use repl_net::{Network, SendOutcome};
+use repl_sim::{SimDuration, SimRng, SimTime};
 use repl_storage::{
     Acquire, ApplyOutcome, LamportClock, LockManager, NodeId, ObjectId, ObjectStore, ShardMap,
     TentativeStore, Timestamp, TxnId, TxnSlab, Value,
 };
-use repl_telemetry::{Event, EventKind, Gauge, Profiler, TraceHandle};
+use repl_telemetry::{Event, EventKind};
 use std::collections::VecDeque;
 
 /// Transaction-design regimes for the two-tier workload.
@@ -98,8 +99,9 @@ type RefreshPayload = std::rc::Rc<[(ObjectId, Value, Timestamp)]>;
 /// `updates` is shared: one commit fans out to every replica, so the
 /// payload is reference-counted — `msg.clone()` in the broadcast loop
 /// bumps a refcount instead of deep-copying the update list.
+#[doc(hidden)]
 #[derive(Debug, Clone)]
-struct RefreshMsg {
+pub struct RefreshMsg {
     updates: RefreshPayload,
     /// When the base broadcast this refresh. Held and duplicated copies
     /// keep the original stamp, so apply-time lag includes the time a
@@ -145,32 +147,24 @@ struct BaseTxn {
     session: Option<NodeId>,
 }
 
+/// The two-tier protocol's private events.
+#[doc(hidden)]
 #[derive(Debug)]
-enum Ev {
-    Arrive(NodeId),
+pub enum Ev {
+    /// A base transaction finished one action's service time.
     BaseStep(TxnId),
+    /// A deadlocked base transaction re-runs from scratch.
     BaseRetry(TxnId),
-    Deliver {
-        to: NodeId,
-        msg: RefreshMsg,
-    },
-    /// A coalesced chunk of refreshes for one destination
-    /// (`propagation_batch` > 1). Applied per message on delivery, so
-    /// counters and traces match the unbatched schedule exactly.
-    DeliverBatch {
-        to: NodeId,
-        msgs: Vec<RefreshMsg>,
-    },
-    Connectivity {
-        node: NodeId,
-        connected: bool,
-    },
 }
 
 /// The two-tier simulator.
-pub struct TwoTierSim {
+pub type TwoTierSim = Sim<TwoTier>;
+
+type K = Kernel<TwoTier>;
+
+/// The two-tier protocol's state.
+pub struct TwoTier {
     cfg: TwoTierConfig,
-    queue: EventQueue<Ev>,
     /// The base system state: union of all master copies.
     master: ObjectStore,
     master_locks: LockManager,
@@ -186,35 +180,21 @@ pub struct TwoTierSim {
     /// dispatch indexes a dense slot instead of hashing a `TxnId`.
     base_txns: TxnSlab<BaseTxn>,
     network: Network<RefreshMsg>,
-    arrival_rngs: Vec<SimRng>,
     object_rng: SimRng,
     value_rng: SimRng,
     retry_rng: SimRng,
     clocks: Vec<LamportClock>,
-    metrics: Metrics,
-    measure_from: SimTime,
-    /// Per-node refresh staleness (apply-time lag) gauges, folded into
-    /// the report's named distributions after the measured window.
-    staleness: Vec<Gauge>,
-    tracer: TraceHandle,
-    profiler: Profiler,
-    run_label: String,
     /// Recycled buffer for lock-release promotions (commit/abort path).
     granted_scratch: Vec<(TxnId, ObjectId)>,
-    /// Recycled chunk buffer for batched refresh fan-out.
+    /// Recycled staging buffer for the refreshes a reconnect releases.
     refresh_scratch: Vec<RefreshMsg>,
     /// Sharded refresh memo, one slot per master fan-out signature
     /// group: the refresh payload filtered for that group, shared
     /// (refcounted) by every group member. Reset per
-    /// [`TwoTierSim::broadcast_refresh`] call.
+    /// [`TwoTier::broadcast_refresh`] call.
     refresh_memo: Vec<Option<RefreshPayload>>,
     /// Scratch for the workload sampler's distinct-object draw.
     sample_scratch: Vec<u64>,
-    /// Optional oracle recorder mirroring commits, acceptance
-    /// decisions, refresh applies, and final stores. With it on, §7
-    /// property 2 ("base transactions execute with single-copy
-    /// serializability") is *verified*, not assumed.
-    recorder: Recorder,
     /// `Some` when the run uses a partial shard layout: replica stores
     /// hold only hosted objects, refresh fan-out filters per
     /// destination, and nodes sample their hosted subset. The master
@@ -254,36 +234,9 @@ impl TwoTierSim {
         );
         let sim = cfg.sim;
         let n = sim.nodes as usize;
-        let mut queue = EventQueue::new();
-        // Step events — one fixed service time apart — dominate the
-        // event traffic; give them the queue's O(1) FIFO lane.
-        queue.set_fifo_lane(sim.action_time);
-        let mut arrival_rngs = Vec::with_capacity(n);
-        for node in 0..sim.nodes {
-            let mut rng = SimRng::stream_node(sim.seed, "tt-arrivals-", u64::from(node));
-            let first = SimDuration::from_secs_f64(rng.exp(1.0 / sim.tps));
-            queue.schedule_at(SimTime::ZERO + first, Ev::Arrive(NodeId(node)));
-            arrival_rngs.push(rng);
-        }
+        let mut k = Kernel::new(sim, "tt-arrivals-", "two-tier");
         // Mobile disconnect schedules (staggered exponential periods).
-        for node in cfg.base_nodes..sim.nodes {
-            let mut sched = DisconnectSchedule::new(
-                NodeId(node),
-                cfg.connected,
-                cfg.disconnected,
-                PeriodModel::Exponential,
-                sim.seed,
-            );
-            for ev in sched.events_until(sim.horizon) {
-                queue.schedule_at(
-                    ev.at,
-                    Ev::Connectivity {
-                        node: ev.node,
-                        connected: ev.connected,
-                    },
-                );
-            }
-        }
+        k.schedule_connectivity(cfg.base_nodes..sim.nodes, cfg.connected, cfg.disconnected);
         let mut master = ObjectStore::new(sim.db_size);
         for i in 0..sim.db_size {
             master.set(ObjectId(i), Value::Int(cfg.initial_value), Timestamp::ZERO);
@@ -317,8 +270,7 @@ impl TwoTierSim {
                 t
             })
             .collect();
-        TwoTierSim {
-            queue,
+        let p = TwoTier {
             master,
             master_locks: {
                 let mut lm = LockManager::new();
@@ -331,115 +283,97 @@ impl TwoTierSim {
             in_session: vec![false; n],
             base_txns: TxnSlab::new(0),
             network: Network::new(n, sim.latency, sim.seed),
-            arrival_rngs,
             object_rng: SimRng::stream(sim.seed, "tt-objects"),
             value_rng: SimRng::stream(sim.seed, "tt-values"),
             retry_rng: SimRng::stream(sim.seed, "tt-retry"),
             clocks: (0..n)
                 .map(|i| LamportClock::new(NodeId(i as u32)))
                 .collect(),
-            metrics: Metrics {
-                lean: sim.lean_metrics,
-                ..Metrics::new()
-            },
-            measure_from: sim.warmup,
-            staleness: vec![Gauge::default(); n],
-            tracer: TraceHandle::off(),
-            profiler: Profiler::off(),
-            run_label: "two-tier".to_owned(),
             granted_scratch: Vec::new(),
             refresh_scratch: Vec::new(),
             refresh_memo: Vec::new(),
             sample_scratch: Vec::new(),
-            recorder: Recorder::off(),
             shard,
             hosted_counts,
             cfg,
-        }
-    }
-
-    /// Attach a tracer; events flow from simulated time zero.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: TraceHandle) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Attach a wall-clock profiler around the event-loop phases.
-    #[must_use]
-    pub fn with_profiler(mut self, profiler: Profiler) -> Self {
-        self.profiler = profiler;
-        self
-    }
-
-    /// Label this run's trace (`RunStart` marker, series table header).
-    #[must_use]
-    pub fn with_run_label(mut self, label: impl Into<String>) -> Self {
-        self.run_label = label.into();
-        self
-    }
-
-    /// Attach a correctness recorder (see [`repl_check::Recorder`]):
-    /// mirrors committed base transactions, acceptance decisions,
-    /// replica refresh applies, and the final stores into the oracle
-    /// layer.
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    fn is_mobile(&self, node: NodeId) -> bool {
-        node.0 >= self.cfg.base_nodes
-    }
-
-    fn measuring(&self) -> bool {
-        self.queue.now() >= self.measure_from
-    }
-
-    /// Run to the horizon and return the report; use
-    /// [`TwoTierSim::run_with_state`] to inspect the converged state.
-    pub fn run(self) -> Report {
-        self.run_with_state().0
+        };
+        Sim { k, p }
     }
 
     /// Run, then reconnect every mobile node, finish every sync
     /// session, and deliver all refreshes so the whole system converges
     /// to the base state. Returns `(report, master, replicas)`.
-    pub fn run_with_state(mut self) -> (Report, ObjectStore, Vec<ObjectStore>) {
-        let horizon = self.cfg.sim.horizon;
-        self.tracer.emit(|| {
-            Event::system(
-                SimTime::ZERO,
-                NodeId(0),
-                EventKind::RunStart {
-                    label: self.run_label.clone(),
-                },
-            )
-        });
-        while let Some((_, ev)) = self.queue.pop_until(horizon) {
-            self.dispatch(ev, true);
+    pub fn run_with_state(self) -> (Report, ObjectStore, Vec<ObjectStore>) {
+        let (report, (master, replicas)) = self.run_to_state();
+        (report, master, replicas)
+    }
+}
+
+impl Protocol for TwoTier {
+    type Ev = Ev;
+    type Msg = RefreshMsg;
+    /// `(master, replicas)`: the base state and every node's replica,
+    /// converged to it.
+    type State = (ObjectStore, Vec<ObjectStore>);
+    const SCHEME: Scheme = Scheme::TwoTier;
+
+    fn phase(ev: &kernel::Event<Self>, _live: bool) -> Option<&'static str> {
+        use kernel::Event as W;
+        match ev {
+            W::Arrive(_) => Some("two-tier/arrive"),
+            W::Proto(_) => Some("two-tier/base-step"),
+            W::Deliver { .. } | W::DeliverBatch { .. } => Some("two-tier/deliver"),
+            W::Connectivity { .. } => Some("two-tier/connectivity"),
+            // No fault plan reaches this protocol.
+            W::PartitionStart(_) | W::PartitionHeal | W::Crash(_) | W::Restart(_) => None,
         }
-        // Freeze the report (and the per-replica staleness gauges)
-        // before the convergence drain below so post-horizon syncs do
-        // not pollute the measured distributions.
-        let mut report = self.metrics.report(self.measure_from, horizon);
-        if !self.cfg.sim.lean_metrics {
-            for (i, g) in self.staleness.iter().enumerate() {
-                if g.count > 0 {
-                    report.dists.gauges.insert(format!("staleness_n{i}"), *g);
-                }
-            }
+    }
+
+    fn arrive(&mut self, k: &mut K, node: NodeId) {
+        let spec = self.gen_spec(node);
+        if self.is_mobile(node) && !self.network.is_connected(node) {
+            self.commit_tentative(k, node, spec);
+        } else {
+            // Connected node (base or mobile): run directly as a base
+            // transaction — connected two-tier "operates much like a
+            // lazy-master system".
+            self.start_base_txn(k, node, spec, None, None, None);
         }
-        let report = report;
+    }
+
+    fn on_event(&mut self, k: &mut K, ev: Ev) {
+        match ev {
+            Ev::BaseStep(id) => self.on_base_step(k, id),
+            Ev::BaseRetry(id) => self.try_base_step(k, id),
+        }
+    }
+
+    fn deliver(&mut self, k: &mut K, to: NodeId, msg: RefreshMsg) {
+        let from = NodeId(0);
+        k.tracer
+            .emit(|| Event::system(k.now(), to, EventKind::MsgDelivered { from }));
+        self.apply_refresh(k, to, msg);
+    }
+
+    fn link_change(&mut self, k: &mut K, node: NodeId, connected: bool) {
+        if connected {
+            self.on_reconnect(k, node);
+        } else {
+            self.network.disconnect(node);
+        }
+    }
+
+    /// Reconnect every mobile node, finish every sync session, and
+    /// deliver all refreshes so the whole system converges to the base
+    /// state.
+    fn begin_drain(&mut self, k: &mut K) -> Option<SimTime> {
         for node in self.cfg.base_nodes..self.cfg.sim.nodes {
-            self.on_reconnect(NodeId(node));
+            self.on_reconnect(k, NodeId(node));
         }
-        while let Some((_, ev)) = self.queue.pop() {
-            self.dispatch(ev, false);
-        }
-        self.tracer.run_end(horizon);
-        self.tracer.flush();
+        Some(SimTime(u64::MAX))
+    }
+
+    fn finish(self, k: &mut K) -> (ObjectStore, Vec<ObjectStore>) {
         let replicas: Vec<ObjectStore> = self
             .replicas
             .into_iter()
@@ -448,74 +382,19 @@ impl TwoTierSim {
                 t.master().clone()
             })
             .collect();
-        if self.recorder.is_on() {
-            self.recorder.final_master(&self.master);
+        if k.recorder.is_on() {
+            k.recorder.final_master(&self.master);
             for (i, store) in replicas.iter().enumerate() {
-                self.recorder.final_store(NodeId(i as u32), store);
+                k.recorder.final_store(NodeId(i as u32), store);
             }
         }
-        (report, self.master, replicas)
+        (self.master, replicas)
     }
+}
 
-    fn dispatch(&mut self, ev: Ev, arrivals_enabled: bool) {
-        let profiler = self.profiler.clone();
-        let t = profiler.start();
-        match ev {
-            Ev::Arrive(node) => {
-                if arrivals_enabled {
-                    self.on_arrive(node);
-                }
-                profiler.stop("two-tier/arrive", t);
-            }
-            Ev::BaseStep(id) => {
-                self.on_base_step(id);
-                profiler.stop("two-tier/base-step", t);
-            }
-            Ev::BaseRetry(id) => {
-                self.try_base_step(id);
-                profiler.stop("two-tier/base-step", t);
-            }
-            Ev::Deliver { to, msg } => {
-                self.tracer.emit(|| {
-                    Event::system(
-                        self.queue.now(),
-                        to,
-                        EventKind::MsgDelivered { from: NodeId(0) },
-                    )
-                });
-                self.apply_refresh(to, msg);
-                profiler.stop("two-tier/deliver", t);
-            }
-            Ev::DeliverBatch { to, msgs } => {
-                for msg in msgs {
-                    self.tracer.emit(|| {
-                        Event::system(
-                            self.queue.now(),
-                            to,
-                            EventKind::MsgDelivered { from: NodeId(0) },
-                        )
-                    });
-                    self.apply_refresh(to, msg);
-                }
-                profiler.stop("two-tier/deliver", t);
-            }
-            Ev::Connectivity { node, connected } => {
-                self.tracer.emit(|| {
-                    let kind = if connected {
-                        EventKind::Reconnect
-                    } else {
-                        EventKind::Disconnect
-                    };
-                    Event::system(self.queue.now(), node, kind)
-                });
-                if connected {
-                    self.on_reconnect(node);
-                } else {
-                    self.network.disconnect(node);
-                }
-                profiler.stop("two-tier/connectivity", t);
-            }
-        }
+impl TwoTier {
+    fn is_mobile(&self, node: NodeId) -> bool {
+        node.0 >= self.cfg.base_nodes
     }
 
     // ------------------------------------------------------------------
@@ -638,30 +517,9 @@ impl TwoTierSim {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Arrivals
-    // ------------------------------------------------------------------
-
-    fn on_arrive(&mut self, node: NodeId) {
-        let gap = SimDuration::from_secs_f64(
-            self.arrival_rngs[node.0 as usize].exp(1.0 / self.cfg.sim.tps),
-        );
-        self.queue.schedule_after(gap, Ev::Arrive(node));
-
-        let spec = self.gen_spec(node);
-        if self.is_mobile(node) && !self.network.is_connected(node) {
-            self.commit_tentative(node, spec);
-        } else {
-            // Connected node (base or mobile): run directly as a base
-            // transaction — connected two-tier "operates much like a
-            // lazy-master system".
-            self.start_base_txn(node, spec, None, None, None);
-        }
-    }
-
     /// Execute a tentative transaction locally and log it for later
     /// base re-execution.
-    fn commit_tentative(&mut self, node: NodeId, spec: TxnSpec) {
+    fn commit_tentative(&mut self, k: &mut K, node: NodeId, spec: TxnSpec) {
         let idx = node.0 as usize;
         let mut results = Vec::with_capacity(spec.ops.len());
         for op in &spec.ops {
@@ -671,16 +529,16 @@ impl TwoTierSim {
             self.replicas[idx].write_tentative(op.object, new.clone(), ts);
             results.push((op.object, new));
         }
-        if self.measuring() {
-            self.metrics.tentative_commits.incr();
-            self.metrics.actions.add(spec.ops.len() as u64);
+        if k.measuring() {
+            k.metrics.tentative_commits.incr();
+            k.metrics.actions.add(spec.ops.len() as u64);
         }
-        self.tracer
-            .emit(|| Event::system(self.queue.now(), node, EventKind::TentativeCommit));
+        k.tracer
+            .emit(|| Event::system(k.now(), node, EventKind::TentativeCommit));
         self.pending[idx].push_back(Pending {
             spec,
             tentative_results: results,
-            committed_at: self.queue.now(),
+            committed_at: k.now(),
         });
     }
 
@@ -690,6 +548,7 @@ impl TwoTierSim {
 
     fn start_base_txn(
         &mut self,
+        k: &mut K,
         origin: NodeId,
         spec: TxnSpec,
         tentative_results: Option<Vec<(ObjectId, Value)>>,
@@ -704,75 +563,46 @@ impl TwoTierSim {
             next: 0,
             buffered: Vec::new(),
             reads: Vec::new(),
-            started: self.queue.now(),
+            started: k.now(),
             wait_started: None,
             session,
         });
-        self.tracer
-            .emit(|| Event::new(self.queue.now(), origin, id, EventKind::TxnBegin));
-        self.try_base_step(id);
+        k.tracer
+            .emit(|| Event::new(k.now(), origin, id, EventKind::TxnBegin));
+        self.try_base_step(k, id);
     }
 
-    fn try_base_step(&mut self, id: TxnId) {
+    fn try_base_step(&mut self, k: &mut K, id: TxnId) {
         let txn = self.base_txns.get(id).expect("stepping unknown base txn");
         if txn.next >= txn.spec.ops.len() {
-            self.finish_base(id);
+            self.finish_base(k, id);
             return;
         }
         let obj = txn.spec.ops[txn.next].object;
         let origin = txn.origin;
         match self.master_locks.acquire(id, obj) {
             Acquire::Granted => {
-                self.queue
-                    .schedule_after(self.cfg.sim.action_time, Ev::BaseStep(id));
+                k.schedule_after(self.cfg.sim.action_time, Ev::BaseStep(id));
             }
             Acquire::Waiting => {
-                if self.measuring() {
-                    self.metrics.waits.incr();
-                }
-                self.tracer.emit(|| {
-                    Event::new(
-                        self.queue.now(),
-                        origin,
-                        id,
-                        EventKind::LockWait {
-                            object: obj,
-                            holder: self.master_locks.holder_of(obj).unwrap_or_default(),
-                            waiter: id,
-                        },
-                    )
-                });
+                let since = k.lock_wait(&self.master_locks, origin, id, obj);
                 self.base_txns
                     .get_mut(id)
                     .expect("waiting base txn must be active")
-                    .wait_started = Some(self.queue.now());
+                    .wait_started = Some(since);
             }
             Acquire::Deadlock => {
                 // Base transactions are "resubmitted and reprocessed
                 // until they succeed" (§7) — a deadlock is detected but
-                // the transaction retries, so no TxnAbort follows.
-                if self.measuring() {
-                    self.metrics.deadlocks.incr();
-                    // Base transactions never abort — each deadlock is
-                    // a scheduled re-execution.
-                    self.metrics.incr_dist(M_RETRIES);
-                }
-                self.tracer.emit(|| {
-                    Event::new(
-                        self.queue.now(),
-                        origin,
-                        id,
-                        EventKind::DeadlockDetected {
-                            cycle: self.master_locks.last_deadlock_cycle().to_vec(),
-                        },
-                    )
-                });
+                // the transaction retries: each one counts as a
+                // scheduled re-execution, and no TxnAbort follows.
+                k.deadlock(&self.master_locks, origin, id, M_RETRIES, false);
                 let txn = self.base_txns.get_mut(id).expect("base txn");
                 txn.next = 0;
                 txn.buffered.clear();
                 txn.reads.clear();
                 txn.wait_started = None;
-                self.release_and_resume(id);
+                self.release_and_resume(k, id);
                 // Randomized backoff — see the lazy-group engine: a
                 // fixed delay can livelock two retrying transactions.
                 let backoff = self
@@ -780,12 +610,12 @@ impl TwoTierSim {
                     .sim
                     .action_time
                     .saturating_mul(1 + self.retry_rng.gen_range(8));
-                self.queue.schedule_after(backoff, Ev::BaseRetry(id));
+                k.schedule_after(backoff, Ev::BaseRetry(id));
             }
         }
     }
 
-    fn on_base_step(&mut self, id: TxnId) {
+    fn on_base_step(&mut self, k: &mut K, id: TxnId) {
         let txn = self.base_txns.get_mut(id).expect("base step for dead txn");
         let op = txn.spec.ops[txn.next].clone();
         // Read own buffered write if present, else the master copy.
@@ -793,7 +623,7 @@ impl TwoTierSim {
             Some((_, v)) => v.clone(),
             None => {
                 let versioned = self.master.get(op.object);
-                if self.recorder.is_on() {
+                if k.recorder.is_on() {
                     txn.reads.push((op.object, versioned.ts));
                 }
                 versioned.value.clone()
@@ -802,13 +632,13 @@ impl TwoTierSim {
         let new = op.op.apply(&current);
         txn.buffered.push((op.object, new));
         txn.next += 1;
-        if self.queue.now() >= self.measure_from {
-            self.metrics.actions.incr();
+        if k.measuring() {
+            k.metrics.actions.incr();
         }
-        self.try_base_step(id);
+        self.try_base_step(k, id);
     }
 
-    fn finish_base(&mut self, id: TxnId) {
+    fn finish_base(&mut self, k: &mut K, id: TxnId) {
         let mut txn = self
             .base_txns
             .remove(id)
@@ -819,19 +649,19 @@ impl TwoTierSim {
         };
         // Reconciliation delay: tentative commit at the mobile → base
         // verdict, whichever way the verdict goes.
-        if self.measuring() {
+        if k.measuring() {
             if let Some(t0) = txn.tentative_at {
-                self.metrics
-                    .record_dist(M_RECONCILIATION_DELAY, self.queue.now().since(t0));
+                k.metrics
+                    .record_dist(M_RECONCILIATION_DELAY, k.now().since(t0));
             }
         }
-        if self.recorder.is_on() {
+        if k.recorder.is_on() {
             let tentative = txn
                 .tentative_results
                 .as_deref()
                 .unwrap_or(&txn.buffered)
                 .to_vec();
-            self.recorder.acceptance(
+            k.recorder.acceptance(
                 id,
                 criterion_kind(&txn.spec.criterion),
                 txn.buffered.clone(),
@@ -844,7 +674,7 @@ impl TwoTierSim {
             // propagate lazy-master refreshes. With a recorder on, hand
             // it the footprint (reads + version transitions) for the
             // serializability oracle.
-            let recording = self.recorder.is_on();
+            let recording = k.recorder.is_on();
             let mut updates = Vec::with_capacity(txn.buffered.len());
             let mut writes = Vec::with_capacity(if recording { txn.buffered.len() } else { 0 });
             for (obj, value) in &txn.buffered {
@@ -856,7 +686,7 @@ impl TwoTierSim {
                 }
             }
             if recording {
-                self.recorder.commit(
+                k.recorder.commit(
                     txn.origin,
                     TxnRecord {
                         txn: id,
@@ -865,76 +695,60 @@ impl TwoTierSim {
                     },
                 );
             }
-            if self.measuring() {
-                self.metrics.committed.incr();
-                self.metrics
-                    .record_latency(self.queue.now().since(txn.started));
+            if k.measuring() {
+                k.metrics.committed.incr();
+                k.metrics.record_latency(k.now().since(txn.started));
                 if txn.tentative_results.is_some() {
-                    self.metrics.tentative_accepted.incr();
+                    k.metrics.tentative_accepted.incr();
                 }
             }
-            self.tracer
-                .emit(|| Event::new(self.queue.now(), txn.origin, id, EventKind::TxnCommit));
+            k.tracer
+                .emit(|| Event::new(k.now(), txn.origin, id, EventKind::TxnCommit));
             if txn.tentative_results.is_some() {
-                self.tracer.emit(|| {
-                    Event::new(
-                        self.queue.now(),
-                        txn.origin,
-                        id,
-                        EventKind::TentativeAccepted,
-                    )
-                });
+                k.tracer
+                    .emit(|| Event::new(k.now(), txn.origin, id, EventKind::TentativeAccepted));
             }
-            self.broadcast_refresh(RefreshMsg {
-                updates: updates.into(),
-                sent_at: self.queue.now(),
-            });
+            self.broadcast_refresh(
+                k,
+                RefreshMsg {
+                    updates: updates.into(),
+                    sent_at: k.now(),
+                },
+            );
         } else {
-            if self.measuring() {
-                self.metrics.reconciliations.incr();
+            if k.measuring() {
+                k.metrics.reconciliations.incr();
                 if txn.tentative_results.is_some() {
-                    self.metrics.tentative_rejected.incr();
+                    k.metrics.tentative_rejected.incr();
                 }
             }
-            self.tracer
-                .emit(|| Event::new(self.queue.now(), txn.origin, id, EventKind::Reconcile));
+            k.tracer
+                .emit(|| Event::new(k.now(), txn.origin, id, EventKind::Reconcile));
             if txn.tentative_results.is_some() {
-                self.tracer.emit(|| {
-                    Event::new(
-                        self.queue.now(),
-                        txn.origin,
-                        id,
-                        EventKind::TentativeRejected,
-                    )
-                });
+                k.tracer
+                    .emit(|| Event::new(k.now(), txn.origin, id, EventKind::TentativeRejected));
             }
         }
-        self.release_and_resume(id);
+        self.release_and_resume(k, id);
         if let Some(mobile) = txn.session {
-            self.advance_session(mobile);
+            self.advance_session(k, mobile);
         }
     }
 
     /// Release `id`'s master locks into the recycled scratch buffer and
     /// resume the promoted waiters — no allocation on this path.
-    fn release_and_resume(&mut self, id: TxnId) {
+    fn release_and_resume(&mut self, k: &mut K, id: TxnId) {
         let mut granted = std::mem::take(&mut self.granted_scratch);
         self.master_locks.release_all_into(id, &mut granted);
-        self.resume_waiters(&granted);
+        self.resume_waiters(k, &granted);
         self.granted_scratch = granted;
     }
 
-    fn resume_waiters(&mut self, granted: &[(TxnId, ObjectId)]) {
-        let now = self.queue.now();
+    fn resume_waiters(&mut self, k: &mut K, granted: &[(TxnId, ObjectId)]) {
         for &(waiter, _obj) in granted {
             if let Some(txn) = self.base_txns.get_mut(waiter) {
-                if let Some(since) = txn.wait_started.take() {
-                    if now >= self.measure_from {
-                        self.metrics.record_wait(now.since(since));
-                    }
-                }
-                self.queue
-                    .schedule_after(self.cfg.sim.action_time, Ev::BaseStep(waiter));
+                k.lock_granted(&mut txn.wait_started);
+                k.schedule_after(self.cfg.sim.action_time, Ev::BaseStep(waiter));
             }
         }
     }
@@ -943,16 +757,11 @@ impl TwoTierSim {
     // Replica refresh propagation (standard lazy-master)
     // ------------------------------------------------------------------
 
-    fn broadcast_refresh(&mut self, msg: RefreshMsg) {
+    fn broadcast_refresh(&mut self, k: &mut K, msg: RefreshMsg) {
         // Master commits originate "at the base"; model the fan-out
-        // from a virtual base sender that is always connected. Same-delay
-        // refreshes for one destination coalesce into chunks of up to
-        // `propagation_batch` (the connected flow ships one refresh per
-        // commit, so batch=1 and batch>1 schedule identically here; the
-        // chunk path carries duplicate bursts).
-        let batch = self.cfg.sim.propagation_batch.max(1);
-        let mut pending = std::mem::take(&mut self.refresh_scratch);
-        let mut pending_delay = SimDuration::ZERO;
+        // from a virtual base sender that is always connected. One
+        // commit ships one refresh per destination, so there is nothing
+        // for `propagation_batch` to coalesce here.
         // The base hosts every shard, so destinations group by their
         // entire hosted set: filter the refresh once per distinct
         // signature and share the payload across the group.
@@ -993,37 +802,19 @@ impl TwoTierSim {
                     }
                 }
             };
-            if self.measuring() {
-                self.metrics.messages.incr();
+            if k.measuring() {
+                k.metrics.messages.incr();
             }
-            self.tracer.emit(|| {
-                Event::system(self.queue.now(), NodeId(0), EventKind::MsgSent { to: dest })
-            });
+            k.tracer
+                .emit(|| Event::system(k.now(), NodeId(0), EventKind::MsgSent { to: dest }));
             // Base nodes are always connected; send from base node 0.
             match self.network.send(NodeId(0), dest, msg.clone()) {
-                SendOutcome::Deliver { delay } => {
-                    if !pending.is_empty() && pending_delay != delay {
-                        self.flush_refreshes(dest, pending_delay, &mut pending);
-                    }
-                    pending_delay = delay;
-                    pending.push(msg.clone());
-                    if pending.len() >= batch {
-                        self.flush_refreshes(dest, pending_delay, &mut pending);
-                    }
-                }
+                SendOutcome::Deliver { delay } => k.deliver_after(delay, dest, msg),
                 SendOutcome::Duplicated { delays } => {
                     // Refreshes are last-writer-wins; a duplicate is
-                    // absorbed by the timestamp comparison. Flush first
-                    // so the original precedes its echoes in the queue.
-                    self.flush_refreshes(dest, pending_delay, &mut pending);
+                    // absorbed by the timestamp comparison.
                     for delay in delays {
-                        self.queue.schedule_after(
-                            delay,
-                            Ev::Deliver {
-                                to: dest,
-                                msg: msg.clone(),
-                            },
-                        );
+                        k.deliver_after(delay, dest, msg.clone());
                     }
                 }
                 SendOutcome::Dropped => {
@@ -1034,30 +825,10 @@ impl TwoTierSim {
                 SendOutcome::Held => {}
                 SendOutcome::SenderOffline(_) => unreachable!("base node 0 never disconnects"),
             }
-            self.flush_refreshes(dest, pending_delay, &mut pending);
-        }
-        self.refresh_scratch = pending;
-    }
-
-    /// Schedule the accumulated same-delay refreshes for `to`: a lone
-    /// message ships as a plain [`Ev::Deliver`] (the batch=1 path stays
-    /// allocation-free), a chunk as one [`Ev::DeliverBatch`].
-    fn flush_refreshes(&mut self, to: NodeId, delay: SimDuration, pending: &mut Vec<RefreshMsg>) {
-        match pending.len() {
-            0 => {}
-            1 => {
-                let msg = pending.pop().expect("non-empty pending");
-                self.queue.schedule_after(delay, Ev::Deliver { to, msg });
-            }
-            _ => {
-                let msgs = std::mem::take(pending);
-                self.queue
-                    .schedule_after(delay, Ev::DeliverBatch { to, msgs });
-            }
         }
     }
 
-    fn apply_refresh(&mut self, to: NodeId, msg: RefreshMsg) {
+    fn apply_refresh(&mut self, k: &mut K, to: NodeId, msg: RefreshMsg) {
         let store = self.replicas[to.0 as usize].master_mut();
         let mut applied = false;
         for &(obj, ref value, ts) in msg.updates.iter() {
@@ -1068,28 +839,24 @@ impl TwoTierSim {
             } else {
                 ApplyOutcome::Duplicate
             };
-            self.recorder.replica_apply(to, obj, ts, outcome);
+            k.recorder.replica_apply(to, obj, ts, outcome);
         }
-        if applied && self.queue.now() >= self.measure_from {
-            self.metrics.replica_commits.incr();
+        if applied && k.measuring() {
+            k.metrics.replica_commits.incr();
             // Propagation lag of fresh data: broadcast → apply. Held
             // refreshes carry the original send stamp, so disconnection
             // time is included — the replica's true staleness.
-            let lag = self.queue.now().since(msg.sent_at);
-            self.metrics.record_dist(M_PROPAGATION_LAG, lag);
-            if !self.cfg.sim.lean_metrics {
-                self.staleness[to.0 as usize].observe(lag.0);
-            }
-        } else if !applied && self.queue.now() >= self.measure_from {
-            self.metrics.stale_updates.incr();
+            k.record_propagation_lag(to, k.now().since(msg.sent_at));
+        } else if !applied && k.measuring() {
+            k.metrics.stale_updates.incr();
         }
-        self.tracer.emit(|| {
+        k.tracer.emit(|| {
             let kind = if applied {
                 EventKind::ReplicaApply
             } else {
                 EventKind::StaleSkip
             };
-            Event::system(self.queue.now(), to, kind)
+            Event::system(k.now(), to, kind)
         });
     }
 
@@ -1097,7 +864,7 @@ impl TwoTierSim {
     // Mobile reconnect synchronization (§7's five steps)
     // ------------------------------------------------------------------
 
-    fn on_reconnect(&mut self, node: NodeId) {
+    fn on_reconnect(&mut self, k: &mut K, node: NodeId) {
         // Step 1: discard tentative versions.
         self.replicas[node.0 as usize].discard_tentative();
         // Step 2/4: receive deferred replica refreshes. The drain
@@ -1107,50 +874,46 @@ impl TwoTierSim {
         let mut held = std::mem::take(&mut self.refresh_scratch);
         held.extend(self.network.reconnect(node));
         for msg in held.drain(..) {
-            self.apply_refresh(node, msg);
+            self.apply_refresh(k, node, msg);
         }
         self.refresh_scratch = held;
         // Step 3/5: re-execute tentative transactions in commit order.
-        self.maybe_start_session(node);
+        self.maybe_start_session(k, node);
     }
 
     /// Begin a sync session for `node` unless one is already draining
     /// its queue — tentative transactions must be re-executed strictly
     /// in commit order, one at a time.
-    fn maybe_start_session(&mut self, node: NodeId) {
+    fn maybe_start_session(&mut self, k: &mut K, node: NodeId) {
         if !self.in_session[node.0 as usize] {
-            self.advance_session(node);
+            self.advance_session(k, node);
         }
     }
 
     /// Start the next queued tentative re-execution for `node`, or mark
     /// the session finished if the queue is empty.
-    fn advance_session(&mut self, node: NodeId) {
+    fn advance_session(&mut self, k: &mut K, node: NodeId) {
         let idx = node.0 as usize;
         let Some(pending) = self.pending[idx].pop_front() else {
             self.in_session[idx] = false;
             return;
         };
         self.in_session[idx] = true;
-        if self.measuring() {
+        if k.measuring() {
             // The tentative transaction and its inputs travel to the
             // host base node.
-            self.metrics.messages.incr();
+            k.metrics.messages.incr();
         }
-        self.tracer
-            .emit(|| Event::system(self.queue.now(), node, EventKind::MsgSent { to: NodeId(0) }));
+        k.tracer
+            .emit(|| Event::system(k.now(), node, EventKind::MsgSent { to: NodeId(0) }));
         self.start_base_txn(
+            k,
             node,
             pending.spec,
             Some(pending.tentative_results),
             Some(pending.committed_at),
             Some(node),
         );
-    }
-
-    /// The configuration of this run.
-    pub fn config(&self) -> &TwoTierConfig {
-        &self.cfg
     }
 }
 
@@ -1300,7 +1063,7 @@ mod tests {
 
     #[test]
     fn base_execution_is_single_copy_serializable() {
-        use repl_check::Scheme;
+        use repl_check::{Recorder, Scheme};
         // High contention to make the check non-trivial; short enough
         // that the recorder's history ring keeps every commit.
         let cfg = base_cfg(

@@ -3,7 +3,7 @@
 use crate::par::run_points;
 use crate::table::{fmt_ratio, fmt_val, Table};
 use crate::{Instrument, RunOpts};
-use repl_core::{LazyGroupSim, LazyMasterSim, Mobility, SimConfig};
+use repl_core::{LazyGroupSim, LazyMasterSim, Mobility};
 use repl_model::{eager, lazy, Point};
 use repl_net::LatencyModel;
 use repl_sim::SimDuration;
@@ -35,10 +35,7 @@ pub fn e08(opts: &RunOpts) -> Table {
         let p = base.with_nodes(n);
         let predicted = lazy::group_reconciliation_rate(&p);
         let horizon = opts.adaptive_horizon(predicted.min(1.0), 50.0, 200, 5_000);
-        let cfg = SimConfig::from_params(&p, horizon, opts.seed)
-            .with_warmup(5)
-            .with_propagation_batch(opts.batch)
-            .with_shards(opts.shards, opts.rf);
+        let cfg = opts.sim_config(&p, horizon).with_warmup(5);
         LazyGroupSim::new(cfg, Mobility::Connected)
             .instrument(opts, format!("e8 nodes={n}"))
             .run()
@@ -91,10 +88,7 @@ pub fn e09(opts: &RunOpts) -> Table {
     let reports = run_points(opts, sweep.clone(), |opts, &d| {
         let p = base.with_disconnected_time(d);
         let horizon = opts.horizon(2_400).max(8 * d as u64);
-        let cfg = SimConfig::from_params(&p, horizon, opts.seed)
-            .with_warmup(5)
-            .with_propagation_batch(opts.batch)
-            .with_shards(opts.shards, opts.rf);
+        let cfg = opts.sim_config(&p, horizon).with_warmup(5);
         let mobility = Mobility::Cycling {
             connected: SimDuration::from_secs_f64(d / 2.0),
             disconnected: SimDuration::from_secs_f64(d),
@@ -143,10 +137,7 @@ pub fn e09_nodes(opts: &RunOpts) -> Table {
     let reports = run_points(opts, sweep.clone(), |opts, &n| {
         let p = base.with_nodes(n);
         let horizon = opts.horizon(600);
-        let cfg = SimConfig::from_params(&p, horizon, opts.seed)
-            .with_warmup(5)
-            .with_propagation_batch(opts.batch)
-            .with_shards(opts.shards, opts.rf);
+        let cfg = opts.sim_config(&p, horizon).with_warmup(5);
         let mobility = Mobility::Cycling {
             connected: SimDuration::from_secs(10),
             disconnected: SimDuration::from_secs_f64(p.disconnected_time),
@@ -198,10 +189,7 @@ pub fn e10(opts: &RunOpts) -> Table {
         let p = base.with_nodes(n);
         let predicted = lazy::master_deadlock_rate(&p);
         let horizon = opts.adaptive_horizon(predicted, 40.0, 200, 20_000);
-        let cfg = SimConfig::from_params(&p, horizon, opts.seed)
-            .with_warmup(5)
-            .with_propagation_batch(opts.batch)
-            .with_shards(opts.shards, opts.rf);
+        let cfg = opts.sim_config(&p, horizon).with_warmup(5);
         LazyMasterSim::new(cfg)
             .instrument(opts, format!("e10 nodes={n}"))
             .run()
@@ -245,10 +233,9 @@ pub fn ablate_latency(opts: &RunOpts) -> Table {
     let sweep = vec![0u64, 10, 50, 200, 1000];
     let reports = run_points(opts, sweep.clone(), |opts, &delay_ms| {
         let horizon = opts.horizon(600);
-        let cfg = SimConfig::from_params(&p, horizon, opts.seed)
+        let cfg = opts
+            .sim_config(&p, horizon)
             .with_warmup(5)
-            .with_propagation_batch(opts.batch)
-            .with_shards(opts.shards, opts.rf)
             .with_latency(LatencyModel::Fixed(SimDuration::from_millis(delay_ms)));
         LazyGroupSim::new(cfg, Mobility::Connected)
             .instrument(opts, format!("ablate-latency delay={delay_ms}ms"))

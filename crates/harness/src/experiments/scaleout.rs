@@ -96,9 +96,10 @@ pub fn scaleout(opts: &RunOpts) -> Table {
             .with_db_size(f64::from(nodes * DB_PER_NODE))
             .with_nodes(f64::from(nodes))
             .with_tps(10.0);
-        let cfg = SimConfig::from_params(&p, horizon, opts.seed)
+        // The sweep sets its own layout, whatever `--shards/--rf` say.
+        let cfg = opts
+            .sim_config(&p, horizon)
             .with_warmup(5)
-            .with_propagation_batch(opts.batch)
             .with_shards(nodes, rf)
             .with_cross_shard(CROSS_SHARD);
         let label = if rf == 0 {

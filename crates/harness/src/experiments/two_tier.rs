@@ -3,7 +3,7 @@
 use crate::par::run_points;
 use crate::table::{fmt_ratio, fmt_val, Table};
 use crate::{Instrument, RunOpts};
-use repl_core::{SimConfig, TwoTierConfig, TwoTierSim, TwoTierWorkload};
+use repl_core::{TwoTierConfig, TwoTierSim, TwoTierWorkload};
 use repl_model::{lazy, Params};
 use repl_sim::SimDuration;
 
@@ -16,10 +16,7 @@ fn config(
     opts: &RunOpts,
 ) -> TwoTierConfig {
     TwoTierConfig {
-        sim: SimConfig::from_params(p, horizon, opts.seed)
-            .with_warmup(5)
-            .with_propagation_batch(opts.batch)
-            .with_shards(opts.shards, opts.rf),
+        sim: opts.sim_config(p, horizon).with_warmup(5),
         base_nodes,
         mobile_owned: 0,
         connected: SimDuration::from_secs(10),

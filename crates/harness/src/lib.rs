@@ -32,6 +32,7 @@ pub mod table;
 
 pub use table::{fmt_ms, fmt_ratio, fmt_val, Table};
 
+use repl_core::engine::kernel::{Protocol, Sim};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -157,8 +158,9 @@ pub struct RunOpts {
     /// run serially (recorders are `Rc`-based, like tracers).
     pub check: CheckSession,
     /// Replica-propagation batch size (`--batch N`); 1 preserves the
-    /// per-transaction fan-out. Only the lazy-group and two-tier
-    /// engines batch; all reports are batch-size invariant (see
+    /// per-transaction fan-out. Only the lazy-group engine has bursts
+    /// to batch (two-tier ships one refresh per commit per
+    /// destination); all reports are batch-size invariant (see
     /// `SimConfig::propagation_batch`).
     pub batch: usize,
     /// Mergeable-metrics session (`--metrics FILE`); off by default.
@@ -200,7 +202,7 @@ impl Default for RunOpts {
 
 /// Simulation engines that accept telemetry instrumentation.
 ///
-/// Implemented by every engine the experiments construct, so a runner
+/// Implemented for every engine (they are all one [`Sim`]), so a runner
 /// can attach the CLI-selected tracer, profiler, and a per-run label
 /// in one call: `EagerSim::new(..).instrument(opts, "e6 nodes=4")`.
 pub trait Instrument: Sized {
@@ -210,34 +212,36 @@ pub trait Instrument: Sized {
     fn instrument(self, opts: &RunOpts, label: impl Into<String>) -> Self;
 }
 
-macro_rules! impl_instrument {
-    ($($sim:ty => $scheme:expr),* $(,)?) => {$(
-        impl Instrument for $sim {
-            fn instrument(self, opts: &RunOpts, label: impl Into<String>) -> Self {
-                let label = label.into();
-                let sim = self
-                    .with_tracer(opts.tracer.clone())
-                    .with_profiler(opts.profiler.clone());
-                let sim = if opts.check.is_on() {
-                    sim.with_recorder(opts.check.recorder($scheme, &label))
-                } else {
-                    sim
-                };
-                sim.with_run_label(label)
-            }
-        }
-    )*};
+impl<P: Protocol> Instrument for Sim<P> {
+    fn instrument(self, opts: &RunOpts, label: impl Into<String>) -> Self {
+        let label = label.into();
+        let sim = self
+            .with_tracer(opts.tracer.clone())
+            .with_profiler(opts.profiler.clone());
+        let sim = if opts.check.is_on() {
+            sim.with_recorder(opts.check.recorder(P::SCHEME, &label))
+        } else {
+            sim
+        };
+        sim.with_run_label(label)
+    }
 }
 
-impl_instrument!(
-    repl_core::ContentionSim => repl_check::Scheme::Contention,
-    repl_core::EagerSim => repl_check::Scheme::Eager,
-    repl_core::LazyGroupSim => repl_check::Scheme::LazyGroup,
-    repl_core::LazyMasterSim => repl_check::Scheme::LazyMaster,
-    repl_core::TwoTierSim => repl_check::Scheme::TwoTier,
-);
-
 impl RunOpts {
+    /// The engine configuration for one sweep point: `params` over
+    /// `horizon_secs`, under this run's `--seed`, `--batch` and
+    /// `--shards/--rf`. Experiments that honour those flags start here
+    /// and add what is theirs (warm-up, deadlock policy, latency, …).
+    pub fn sim_config(
+        &self,
+        params: &repl_model::Params,
+        horizon_secs: u64,
+    ) -> repl_core::SimConfig {
+        repl_core::SimConfig::from_params(params, horizon_secs, self.seed)
+            .with_propagation_batch(self.batch)
+            .with_shards(self.shards, self.rf)
+    }
+
     /// Pick a horizon long enough to expect `target_events` at the
     /// model-predicted `rate`, clamped to `[min_secs, max_secs]`
     /// (both divided by 10 in quick mode).

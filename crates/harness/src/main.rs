@@ -82,6 +82,22 @@ fn print_series(out: &mut impl Write, agg: &SeriesAggregator) -> std::io::Result
 }
 
 fn main() -> ExitCode {
+    match run() {
+        Ok(code) => code,
+        // The reader went away (`harness all | head`): nobody is left to
+        // print for, which is a clean early exit, not a failure.
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Parse the command line and run the selected experiments. `Err` is a
+/// failed write to stdout; everything else is reported and folded into
+/// the exit code.
+fn run() -> std::io::Result<ExitCode> {
     // The library default is serial; the CLI defaults to every core
     // (or HARNESS_JOBS) since output is jobs-count invariant.
     let mut opts = RunOpts {
@@ -102,63 +118,63 @@ fn main() -> ExitCode {
             "--seed" => {
                 let Some(v) = args.next().and_then(|s| s.parse().ok()) else {
                     eprintln!("--seed needs an integer");
-                    return usage();
+                    return Ok(usage());
                 };
                 opts.seed = v;
             }
             "--jobs" => {
                 let Some(v) = args.next().and_then(|s| s.parse().ok()).filter(|v| *v >= 1) else {
                     eprintln!("--jobs needs a positive integer");
-                    return usage();
+                    return Ok(usage());
                 };
                 opts.jobs = v;
             }
             "--trace" => {
                 let Some(p) = args.next() else {
                     eprintln!("--trace needs a file path");
-                    return usage();
+                    return Ok(usage());
                 };
                 trace_path = Some(p);
             }
             "--series" => {
                 let Some(v) = args.next().and_then(|s| s.parse().ok()).filter(|v| *v > 0) else {
                     eprintln!("--series needs a positive bucket width in seconds");
-                    return usage();
+                    return Ok(usage());
                 };
                 series_secs = Some(v);
             }
             "--faults" => {
                 let Some(s) = args.next() else {
                     eprintln!("--faults needs a fault spec");
-                    return usage();
+                    return Ok(usage());
                 };
                 fault_spec = Some(s);
             }
             "--batch" => {
                 let Some(v) = args.next().and_then(|s| s.parse().ok()).filter(|v| *v >= 1) else {
                     eprintln!("--batch needs a positive integer");
-                    return usage();
+                    return Ok(usage());
                 };
                 opts.batch = v;
             }
             "--shards" => {
                 let Some(v) = args.next().and_then(|s| s.parse().ok()).filter(|v| *v >= 1) else {
                     eprintln!("--shards needs a positive integer");
-                    return usage();
+                    return Ok(usage());
                 };
                 opts.shards = v;
             }
             "--rf" => {
                 let Some(v) = args.next().and_then(|s| s.parse().ok()).filter(|v| *v >= 1) else {
                     eprintln!("--rf needs a positive integer");
-                    return usage();
+                    return Ok(usage());
                 };
                 opts.rf = v;
             }
             "--commit-proto" => {
                 let Some(p) = args.next().and_then(|s| repl_core::CommitProto::parse(&s)) else {
                     eprintln!("--commit-proto needs one of: owner-order, 2pc, o2pl");
-                    return usage();
+                    return Ok(usage());
                 };
                 opts.commit_proto = p;
             }
@@ -167,21 +183,21 @@ fn main() -> ExitCode {
             "--metrics" => {
                 let Some(p) = args.next() else {
                     eprintln!("--metrics needs a file path");
-                    return usage();
+                    return Ok(usage());
                 };
                 metrics_path = Some(p);
                 opts.metrics = repl_harness::MetricsSession::enabled();
             }
-            "-h" | "--help" => return usage(),
+            "-h" | "--help" => return Ok(usage()),
             other if other.starts_with('-') => {
                 eprintln!("unknown flag `{other}`");
-                return usage();
+                return Ok(usage());
             }
             other => names.push(other.to_owned()),
         }
     }
     if names.is_empty() {
-        return usage();
+        return Ok(usage());
     }
     // Parsed after the arg loop so `--seed` wins regardless of order.
     if let Some(spec) = &fault_spec {
@@ -193,7 +209,7 @@ fn main() -> ExitCode {
                 // letting them silently never fire.
                 if let Err(e) = plan.validate_nodes(experiments::chaos::CHAOS_NODES) {
                     eprintln!("--faults: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
                 // `crash=baseN` windows index the failover experiment's
                 // base replica group, a separate (and smaller) id space.
@@ -201,13 +217,13 @@ fn main() -> ExitCode {
                     plan.validate_base_nodes(experiments::failover::BASE_REPLICAS as u32)
                 {
                     eprintln!("--faults: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
                 opts.faults = Some(plan);
             }
             Err(e) => {
                 eprintln!("--faults: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
@@ -227,7 +243,7 @@ fn main() -> ExitCode {
             }
             Err(e) => {
                 eprintln!("--trace: cannot create {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
@@ -238,10 +254,10 @@ fn main() -> ExitCode {
     let mut out = std::io::BufWriter::new(stdout.lock());
     if names.iter().any(|n| n == "list") {
         for e in experiments::ALL {
-            writeln!(out, "{:16} {}", e.name, e.about).expect("write to stdout");
+            writeln!(out, "{:16} {}", e.name, e.about)?;
         }
-        out.flush().expect("flush stdout");
-        return ExitCode::SUCCESS;
+        out.flush()?;
+        return Ok(ExitCode::SUCCESS);
     }
     let selected: Vec<&Experiment> = if names.iter().any(|n| n == "all") {
         experiments::ALL.iter().collect()
@@ -252,7 +268,7 @@ fn main() -> ExitCode {
                 Some(e) => v.push(e),
                 None => {
                     eprintln!("unknown experiment `{n}`");
-                    return usage();
+                    return Ok(usage());
                 }
             }
         }
@@ -292,17 +308,17 @@ fn main() -> ExitCode {
         total_violations += table.violations.len();
         if json {
             match serde_json::to_string_pretty(&table) {
-                Ok(s) => writeln!(out, "{s}").expect("write to stdout"),
+                Ok(s) => writeln!(out, "{s}")?,
                 Err(err) => {
                     eprintln!("cannot serialize table {}: {err}", table.id);
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         } else {
-            writeln!(out, "{}", table.render()).expect("write to stdout");
+            writeln!(out, "{}", table.render())?;
         }
         // Flush per experiment so long sweeps still stream progress.
-        out.flush().expect("flush stdout");
+        out.flush()?;
     }
     opts.tracer.flush();
     if let Some(path) = &metrics_path {
@@ -312,22 +328,22 @@ fn main() -> ExitCode {
             .expect("--metrics enabled the session");
         if let Err(e) = std::fs::write(path, json) {
             eprintln!("--metrics: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
     if let Some(agg) = &series {
-        print_series(&mut out, &agg.borrow()).expect("write to stdout");
+        print_series(&mut out, &agg.borrow())?;
     }
     if opts.profiler.is_enabled() {
-        writeln!(out, "profile (wall-clock per engine phase):").expect("write to stdout");
+        writeln!(out, "profile (wall-clock per engine phase):")?;
         for line in opts.profiler.report_lines() {
-            writeln!(out, "  {line}").expect("write to stdout");
+            writeln!(out, "  {line}")?;
         }
     }
-    out.flush().expect("flush stdout");
+    out.flush()?;
     if total_violations > 0 {
         eprintln!("correctness oracles found {total_violations} violation(s)");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

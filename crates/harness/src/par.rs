@@ -45,17 +45,36 @@ struct WorkerOpts {
     batch: usize,
     shards: u32,
     rf: u32,
+    commit_proto: repl_core::CommitProto,
 }
 
 impl WorkerOpts {
     fn snapshot(opts: &RunOpts) -> Self {
+        // Destructured without `..` on purpose: a field added to
+        // `RunOpts` must be carried to the workers or consciously left
+        // behind here, or this stops compiling.
+        let RunOpts {
+            quick,
+            seed,
+            tracer: _,
+            profiler: _,
+            faults,
+            jobs: _,
+            check: _,
+            batch,
+            metrics: _,
+            shards,
+            rf,
+            commit_proto,
+        } = opts;
         WorkerOpts {
-            quick: opts.quick,
-            seed: opts.seed,
-            faults: opts.faults.clone(),
-            batch: opts.batch,
-            shards: opts.shards,
-            rf: opts.rf,
+            quick: *quick,
+            seed: *seed,
+            faults: faults.clone(),
+            batch: *batch,
+            shards: *shards,
+            rf: *rf,
+            commit_proto: *commit_proto,
         }
     }
 
@@ -67,6 +86,7 @@ impl WorkerOpts {
             batch: self.batch,
             shards: self.shards,
             rf: self.rf,
+            commit_proto: self.commit_proto,
             // Workers run exactly one point at a time; nested sweeps
             // (none exist today) would stay serial rather than
             // oversubscribe.
@@ -80,12 +100,12 @@ impl WorkerOpts {
 /// worker threads, and return the results **in point order**.
 ///
 /// Each worker invokes `f` with a private `RunOpts` carrying the same
-/// `quick`/`seed`/`faults`/`batch`/`shards`/`rf` values as `opts`, so a
-/// point's simulation is bit-identical whether it ran serially or on a
-/// worker. Falls back to
-/// the plain in-order serial loop (with `opts` itself, tracer and all)
-/// when `opts.jobs <= 1`, when a tracer, profiler, or check session is
-/// attached, or when there is at most one point.
+/// `quick`/`seed`/`faults`/`batch`/`shards`/`rf`/`commit_proto` values
+/// as `opts`, so a point's simulation is bit-identical whether it ran
+/// serially or on a worker. Falls back to the plain in-order serial
+/// loop (with `opts` itself, tracer and all) when `opts.jobs <= 1`,
+/// when a tracer, profiler, or check session is attached, or when there
+/// is at most one point.
 pub fn run_points<P, R, F>(opts: &RunOpts, points: Vec<P>, f: F) -> Vec<R>
 where
     P: Send + Sync,
@@ -193,6 +213,7 @@ mod tests {
         o.batch = 4;
         o.shards = 16;
         o.rf = 3;
+        o.commit_proto = repl_core::CommitProto::TwoPc;
         let got = run_points(&o, vec![(); 4], |local, ()| {
             (
                 local.quick,
@@ -202,9 +223,11 @@ mod tests {
                 local.batch,
                 local.shards,
                 local.rf,
+                local.commit_proto,
             )
         });
-        assert!(got.iter().all(|&g| g == (true, 99, true, 1, 4, 16, 3)));
+        let want = (true, 99, true, 1, 4, 16, 3, repl_core::CommitProto::TwoPc);
+        assert!(got.iter().all(|&g| g == want));
     }
 
     #[test]

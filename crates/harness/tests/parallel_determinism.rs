@@ -71,6 +71,42 @@ fn unknown_flag_is_an_error() {
     );
 }
 
+/// `harness ... | head -1`: the reader closes the pipe after one line.
+/// The remaining writes fail with `BrokenPipe`, which must end the run
+/// quietly and successfully — not with a panic.
+#[test]
+fn closed_stdout_pipe_is_a_clean_early_exit() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    // Several experiments, so there is output left to write after the
+    // reader has gone.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_harness"))
+        .args(["--quick", "--seed", "77", "e14", "e3", "e1", "e14", "e3"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("harness binary runs");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("one line of output");
+    assert!(!first.is_empty(), "harness printed nothing");
+    drop(stdout);
+    let status = child.wait().expect("harness exits");
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("stderr is text");
+    assert!(
+        !stderr.contains("panicked"),
+        "closed pipe made the harness panic: {stderr}"
+    );
+    assert!(stderr.is_empty(), "unexpected stderr: {stderr}");
+    assert!(status.success(), "closed pipe is not a failure: {status:?}");
+}
+
 /// Library-level contract: parallel `run_points` returns the same
 /// results in the same order as the serial fallback, including
 /// per-point seed derivation.

@@ -116,8 +116,8 @@ pub struct EventQueue<E> {
     /// lane-vs-wheel comparison on every pop costs one load instead of
     /// an occupancy-bitmap scan. Kept exact by `place` (a smaller key
     /// lowers it) and invalidated to [`WheelMin::DIRTY`] by wheel pops
-    /// and migrations; `wheel_peek_key` recomputes on demand. `Cell`
-    /// because `peek_time` refreshes it through `&self`.
+    /// and migrations; `wheel_peek_key` recomputes on demand, through
+    /// `&self` — hence the `Cell`.
     wheel_min: Cell<WheelMin>,
 }
 
@@ -341,19 +341,18 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, event);
     }
 
-    /// Schedule a burst of events at the absolute time `at`. Events
-    /// keep their iterator order at the shared instant (each gets the
-    /// next tie-break sequence number), exactly as if
-    /// [`EventQueue::schedule_at`] had been called per event — and
+    /// Schedule a burst of events `delay` after the current time.
+    /// Events keep their iterator order at the shared instant (each
+    /// gets the next tie-break sequence number), exactly as if
+    /// [`EventQueue::schedule_after`] had been called per event — and
     /// after the first insert the rest of the burst hits the sorted
     /// bucket's push-back fast path.
-    pub fn schedule_batch_at(&mut self, at: SimTime, events: impl IntoIterator<Item = E>) {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at} < {}",
-            self.now
-        );
-        let time = at.max(self.now);
+    pub fn schedule_batch_after(
+        &mut self,
+        delay: SimDuration,
+        events: impl IntoIterator<Item = E>,
+    ) {
+        let time = self.now + delay;
         for event in events {
             debug_assert!(self.seq != u64::MAX, "event sequence counter overflow");
             let seq = self.seq;
@@ -361,16 +360,6 @@ impl<E> EventQueue<E> {
             self.scheduled += 1;
             self.place(Entry { time, seq, event });
         }
-    }
-
-    /// Schedule a burst of events `delay` after the current time; see
-    /// [`EventQueue::schedule_batch_at`].
-    pub fn schedule_batch_after(
-        &mut self,
-        delay: SimDuration,
-        events: impl IntoIterator<Item = E>,
-    ) {
-        self.schedule_batch_at(self.now + delay, events);
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
@@ -510,30 +499,6 @@ impl<E> EventQueue<E> {
             .set(key.map_or(WheelMin::EMPTY, |k| WheelMin(k.0, k.1)));
         key
     }
-
-    /// Timestamp of the next event, if any. Engines use this with
-    /// [`EventQueue::pop_if_at`] to drain every event at one instant
-    /// without popping and re-pushing the first event of the next.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let wheel = self.wheel_peek_key();
-        let lane = self.lane.front().map(Entry::key);
-        match (wheel, lane) {
-            (Some(w), Some(l)) => Some(w.min(l).0),
-            (Some(w), None) => Some(w.0),
-            (None, Some(l)) => Some(l.0),
-            (None, None) => None,
-        }
-    }
-
-    /// Pop the next event only if it is scheduled exactly at `at` —
-    /// the same-instant drain: `while let Some(e) = q.pop_if_at(now)`
-    /// consumes a flush's whole burst without touching later events.
-    pub fn pop_if_at(&mut self, at: SimTime) -> Option<E> {
-        match self.peek_time() {
-            Some(t) if t == at => self.pop().map(|(_, e)| e),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -597,7 +562,7 @@ mod tests {
     fn batch_schedule_preserves_order_and_counters() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime(5), 100);
-        q.schedule_batch_at(SimTime(5), [101, 102, 103]);
+        q.schedule_batch_after(SimDuration(5), [101, 102, 103]);
         q.schedule_batch_after(SimDuration(5), [104]);
         assert_eq!(q.total_scheduled(), 5);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
@@ -608,24 +573,9 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop() {
         let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule_batch_at(SimTime(1), std::iter::empty());
+        q.schedule_batch_after(SimDuration(1), std::iter::empty());
         assert!(q.is_empty());
         assert_eq!(q.total_scheduled(), 0);
-    }
-
-    #[test]
-    fn pop_if_at_drains_one_instant_only() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime(10), "a");
-        q.schedule_at(SimTime(10), "b");
-        q.schedule_at(SimTime(20), "later");
-        let (t, first) = q.pop().unwrap();
-        assert_eq!((t, first), (SimTime(10), "a"));
-        assert_eq!(q.pop_if_at(SimTime(10)), Some("b"));
-        // The event at 20 stays put and the clock has not advanced.
-        assert_eq!(q.pop_if_at(SimTime(10)), None);
-        assert_eq!(q.now(), SimTime(10));
-        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -636,7 +586,6 @@ mod tests {
         q.schedule_at(SimTime(2), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.total_scheduled(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime(1)));
     }
 
     // -- calendar-specific coverage: the wheel must behave exactly
@@ -677,17 +626,6 @@ mod tests {
         assert_eq!(q.pop(), Some((far, "sentinel")));
     }
 
-    /// `peek_time` sees the overflow minimum when the wheel is empty.
-    #[test]
-    fn peek_reaches_into_overflow() {
-        let mut q = EventQueue::new();
-        let far = SimTime(123_456_789);
-        q.schedule_at(far, ());
-        assert_eq!(q.peek_time(), Some(far));
-        assert_eq!(q.pop_if_at(far), Some(()));
-        assert!(q.is_empty());
-    }
-
     /// Lane events interleave with wheel and overflow events in exact
     /// `(time, seq)` order, including ties at one instant.
     #[test]
@@ -699,7 +637,6 @@ mod tests {
         q.schedule_at(SimTime(50), "wheel-early"); // t=50
         q.schedule_after(SimDuration(100), "lane-b"); // t=100 seq=3
         q.schedule_at(SimTime(10_000_000), "overflow"); // far future
-        assert_eq!(q.peek_time(), Some(SimTime(50)));
         assert_eq!(q.pop().map(|(_, e)| e), Some("wheel-early"));
         assert_eq!(q.pop().map(|(_, e)| e), Some("lane-a"));
         assert_eq!(q.pop().map(|(_, e)| e), Some("wheel-tie"));
@@ -767,9 +704,10 @@ mod tests {
                 }
                 5 => {
                     let n = rng.next_u64() % 5;
-                    let at = q.now() + SimDuration(rng.next_u64() % 2_000_000);
+                    let delay = SimDuration(rng.next_u64() % 2_000_000);
+                    let at = q.now() + delay;
                     let ids: Vec<u32> = (0..n).map(|i| next_id + i as u32).collect();
-                    q.schedule_batch_at(at, ids.iter().copied());
+                    q.schedule_batch_after(delay, ids.iter().copied());
                     for id in ids {
                         reference.push((at, seq, id));
                         seq += 1;

@@ -14,16 +14,41 @@ cargo fmt --all -- --check
 say "cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+say "one loop: queue, event loop and instrumentation builders live in engine/kernel.rs only"
+# The five engines are protocols over one simulation kernel. A second
+# `EventQueue`, `pop_until` loop, FIFO-lane registration or builder set
+# in engine code means a loop has been forked off again. Test modules
+# (below each file's `#[cfg(test)]`) are exempt.
+for pat in 'EventQueue::new' '\.pop_until(' 'set_fifo_lane' \
+    'fn with_tracer' 'fn with_profiler' 'fn with_run_label' 'fn with_recorder'; do
+    for f in crates/core/src/engine/*.rs; do
+        hits="$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -c -- "$pat" || true)"
+        if [ "$(basename "$f")" = kernel.rs ]; then
+            [ "$hits" -ge 1 ] || {
+                echo "engine/kernel.rs no longer has \`$pat\`" >&2
+                exit 1
+            }
+        elif [ "$hits" -ne 0 ]; then
+            echo "$f has \`$pat\` ($hits); it belongs in engine/kernel.rs only" >&2
+            exit 1
+        fi
+    done
+done
+echo "ok: one EventQueue, one pop_until loop, one builder set"
+
 say "cargo build --release"
 cargo build --release --workspace
 
 say "cargo test"
 cargo test -q --workspace
 
+# Every gate's scratch file lives in one directory, removed on exit.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
 say "harness smoke: --quick --json all"
-out="$(mktemp)"
-metrics_out="$(mktemp)"
-trap 'rm -f "$out" "$metrics_out"' EXIT
+out="$tmp/out"
+metrics_out="$tmp/metrics_out"
 ./target/release/harness --quick --json --metrics "$metrics_out" all >"$out"
 
 say "validating harness JSON"
@@ -51,9 +76,8 @@ print(f"ok: {len(tables)} JSON tables, all titled and non-empty")
 EOF
 
 say "parallel smoke: --jobs 2 must be byte-identical to serial"
-par_out="$(mktemp)"
-par_metrics="$(mktemp)"
-trap 'rm -f "$out" "$metrics_out" "$par_out" "$par_metrics"' EXIT
+par_out="$tmp/par_out"
+par_metrics="$tmp/par_metrics"
 ./target/release/harness --quick --json --jobs 2 --metrics "$par_metrics" all >"$par_out"
 cmp "$out" "$par_out" || {
     echo "--jobs 2 output differs from the serial run" >&2
@@ -80,9 +104,8 @@ say "bench smoke: scripts/bench.sh --smoke"
 scripts/bench.sh --smoke
 
 say "chaos smoke: fixed seed, twice (determinism + schema)"
-chaos_a="$(mktemp)"
-chaos_b="$(mktemp)"
-trap 'rm -f "$out" "$metrics_out" "$par_out" "$par_metrics" "$chaos_a" "$chaos_b"' EXIT
+chaos_a="$tmp/chaos_a"
+chaos_b="$tmp/chaos_b"
 ./target/release/harness --quick --json --seed 41 chaos >"$chaos_a"
 ./target/release/harness --quick --json --seed 41 chaos >"$chaos_b"
 cmp "$chaos_a" "$chaos_b" || {
@@ -109,8 +132,7 @@ print("ok: chaos smoke deterministic, converged, policies use disjoint mechanism
 EOF
 
 say "commit-proto gates: owner-order identity, 2PC chaos clean through the oracles"
-proto_out="$(mktemp)"
-trap 'rm -f "$out" "$metrics_out" "$par_out" "$par_metrics" "$chaos_a" "$chaos_b" "$proto_out"' EXIT
+proto_out="$tmp/proto_out"
 # owner-order is the default: selecting it explicitly must change nothing.
 ./target/release/harness --quick --json --seed 41 --commit-proto owner-order chaos >"$proto_out"
 cmp "$chaos_a" "$proto_out" || {
@@ -132,8 +154,7 @@ cmp "$chaos_a" "$proto_out" || {
 echo "ok: owner-order byte-identical to default, 2PC chaos run violation-free"
 
 say "oracle smoke: --check on a real experiment must stay clean"
-check_out="$(mktemp)"
-trap 'rm -f "$out" "$metrics_out" "$par_out" "$par_metrics" "$chaos_a" "$chaos_b" "$proto_out" "$check_out"' EXIT
+check_out="$tmp/check_out"
 ./target/release/harness --quick --json --seed 41 --check e11 >"$check_out"
 python3 - "$check_out" <<'EOF'
 import json, sys
@@ -163,11 +184,10 @@ grep -q "CHECK_CASE" "$check_out" || {
 echo "ok: injected bug caught, shrunk repro line emitted"
 
 say "failover smoke: fixed seed (determinism, metrics schema, zero violations)"
-fo_a="$(mktemp)"
-fo_b="$(mktemp)"
-fo_metrics_a="$(mktemp)"
-fo_metrics_b="$(mktemp)"
-trap 'rm -f "$out" "$metrics_out" "$par_out" "$par_metrics" "$chaos_a" "$chaos_b" "$proto_out" "$check_out" "$fo_a" "$fo_b" "$fo_metrics_a" "$fo_metrics_b"' EXIT
+fo_a="$tmp/fo_a"
+fo_b="$tmp/fo_b"
+fo_metrics_a="$tmp/fo_metrics_a"
+fo_metrics_b="$tmp/fo_metrics_b"
 ./target/release/harness --quick --json --seed 41 --metrics "$fo_metrics_a" failover >"$fo_a"
 ./target/release/harness --quick --json --seed 41 --jobs 2 --metrics "$fo_metrics_b" failover >"$fo_b"
 cmp "$fo_a" "$fo_b" || {
@@ -206,8 +226,7 @@ print(f"ok: failover deterministic, {elections} elections, all rows safe")
 EOF
 
 say "sharding identity: --shards 7 (full rf) must be byte-identical across all experiments"
-shard_out="$(mktemp)"
-trap 'rm -f "$out" "$metrics_out" "$par_out" "$par_metrics" "$chaos_a" "$chaos_b" "$proto_out" "$check_out" "$fo_a" "$fo_b" "$fo_metrics_a" "$fo_metrics_b" "$shard_out"' EXIT
+shard_out="$tmp/shard_out"
 ./target/release/harness --quick --json --shards 7 all >"$shard_out"
 cmp "$out" "$shard_out" || {
     echo "--shards 7 at full replication changed experiment output" >&2
@@ -225,9 +244,8 @@ cmp "$out" "$shard_out" || {
 echo "ok: full-rf sharded runs (implicit and explicit rf) byte-identical to unsharded"
 
 say "scaleout smoke: fixed seed (determinism across --jobs, schema, sublinear fan-out)"
-sc_a="$(mktemp)"
-sc_b="$(mktemp)"
-trap 'rm -f "$out" "$metrics_out" "$par_out" "$par_metrics" "$chaos_a" "$chaos_b" "$proto_out" "$check_out" "$fo_a" "$fo_b" "$fo_metrics_a" "$fo_metrics_b" "$shard_out" "$sc_a" "$sc_b"' EXIT
+sc_a="$tmp/sc_a"
+sc_b="$tmp/sc_b"
 ./target/release/harness --quick --json --seed 41 scaleout >"$sc_a"
 ./target/release/harness --quick --json --seed 41 --jobs 2 scaleout >"$sc_b"
 cmp "$sc_a" "$sc_b" || {
@@ -271,8 +289,7 @@ echo "ok: sharded sweep clean through the oracles"
 say "benchmark smoke: all four workloads, every operation correct"
 # Also what keeps the standalone benchmark/ workspace compiling against
 # the crates' public API. Smoke numbers mean nothing; only ok_frac does.
-bench_out="$(mktemp)"
-trap 'rm -f "$out" "$metrics_out" "$par_out" "$par_metrics" "$chaos_a" "$chaos_b" "$proto_out" "$check_out" "$fo_a" "$fo_b" "$fo_metrics_a" "$fo_metrics_b" "$shard_out" "$sc_a" "$sc_b" "$bench_out"' EXIT
+bench_out="$tmp/bench_out"
 benchmark/run.sh --smoke >"$bench_out"
 grep '^{' "$bench_out" | /usr/bin/jq -es '
     length == 4
