@@ -16,6 +16,20 @@ fn cfg(seed: u64) -> SimConfig {
     SimConfig::from_params(&p, 30, seed)
 }
 
+/// The two-tier setting every bench here uses: 2 base nodes, mobiles
+/// cycling 8 s connected / 12 s disconnected, commutative workload.
+fn two_tier(sim: SimConfig) -> TwoTierConfig {
+    TwoTierConfig {
+        sim,
+        base_nodes: 2,
+        mobile_owned: 0,
+        connected: SimDuration::from_secs(8),
+        disconnected: SimDuration::from_secs(12),
+        workload: TwoTierWorkload::Commutative { max_amount: 10 },
+        initial_value: 10_000,
+    }
+}
+
 fn bench_engines(c: &mut Criterion) {
     let mut g = c.benchmark_group("engines_30s_sim");
     g.sample_size(10);
@@ -68,8 +82,8 @@ fn bench_engines(c: &mut Criterion) {
     g.bench_function("eager_sharded", |b| {
         // Eager replication over the same partial layout as
         // lazy_group_sharded: serial replica writes against sharded
-        // stores, so the signature-grouped destination selection is on
-        // the synchronous commit path instead of the refresh path.
+        // stores, so the replica-set destination selection is on the
+        // synchronous commit path instead of the refresh path.
         b.iter(|| {
             let p = Params::new(500.0, 8.0, 10.0, 4.0, 0.01);
             let c = SimConfig::from_params(&p, 30, 18)
@@ -89,47 +103,36 @@ fn bench_engines(c: &mut Criterion) {
     });
     g.bench_function("two_tier", |b| {
         b.iter(|| {
-            let tt = TwoTierConfig {
-                sim: cfg(7),
-                base_nodes: 2,
-                mobile_owned: 0,
-                connected: SimDuration::from_secs(8),
-                disconnected: SimDuration::from_secs(12),
-                workload: TwoTierWorkload::Commutative { max_amount: 10 },
-                initial_value: 10_000,
-            };
+            let tt = two_tier(cfg(7));
             black_box(TwoTierSim::new(tt).run())
         });
     });
     g.bench_function("two_tier_sharded", |b| {
-        // Two-tier over a partial layout: the base broadcast groups
-        // mobiles by host signature (`host_group`), so the master
-        // fan-out filter runs once per distinct hosted set.
+        // Two-tier over a partial layout: the base walks each update's
+        // replica set, so a commit reaches only the nodes hosting what
+        // it wrote. At 8 nodes / rf 3 that is most of them; the
+        // `two_tier_sharded_64n_160s` bench below is where fan-out cost
+        // following `rf` instead of `Nodes` shows.
         b.iter(|| {
             let p = Params::new(500.0, 8.0, 10.0, 4.0, 0.01);
             let sim = SimConfig::from_params(&p, 30, 19)
                 .with_shards(8, 3)
                 .with_cross_shard(0.10);
-            let tt = TwoTierConfig {
-                sim,
-                base_nodes: 2,
-                mobile_owned: 0,
-                connected: SimDuration::from_secs(8),
-                disconnected: SimDuration::from_secs(12),
-                workload: TwoTierWorkload::Commutative { max_amount: 10 },
-                initial_value: 10_000,
-            };
+            let tt = two_tier(sim);
             black_box(TwoTierSim::new(tt).run())
         });
     });
     g.finish();
 }
 
-/// The contention family at the repo benchmark's sizes. A 30 s run is
-/// ~1 200 transactions and mostly construction; these are 384 k
+/// Operations of the repo benchmark at its sizes. A 30 s run is ~1 200
+/// transactions and mostly construction; these are 100 k to 384 k
 /// transactions each, so per-transaction state that grows with the
 /// transactions ever started — or a hash and a `malloc` per
-/// transaction — shows here and nowhere in `engines_30s_sim`.
+/// transaction — shows here and nowhere in `engines_30s_sim`. The
+/// sharded ones run 64 nodes at rf 3, where per-commit work that
+/// follows `Nodes` instead of `rf` shows; at the 8 nodes / 8 shards of
+/// `engines_30s_sim`, `Nodes` ≈ `rf` and it cannot.
 fn bench_steady_state(c: &mut Criterion) {
     let mut g = c.benchmark_group("engines_steady_state");
     g.sample_size(10);
@@ -142,15 +145,32 @@ fn bench_steady_state(c: &mut Criterion) {
             black_box(ContentionSim::new(c, ContentionProfile::single_node(&c)).run())
         });
     });
+    // `sharded-scaleout`'s layout: 64 nodes, rf 3, a tenth of the
+    // transactions cross-shard.
+    let sharded_64n = |horizon| {
+        let p = Params::new(20_000.0, 64.0, 10.0, 4.0, 0.01);
+        SimConfig::from_params(&p, horizon, 42)
+            .with_shards(64, 3)
+            .with_cross_shard(0.10)
+    };
     g.bench_function("eager_sharded_600s", |b| {
-        // `sharded-scaleout`'s first operation: owner-order commits
-        // over 64 nodes, rf 3, a tenth of the transactions cross-shard.
+        // `sharded-scaleout`'s first operation: owner-order commits.
         b.iter(|| {
-            let p = Params::new(20_000.0, 64.0, 10.0, 4.0, 0.01);
-            let c = SimConfig::from_params(&p, 600, 42)
-                .with_shards(64, 3)
-                .with_cross_shard(0.10);
+            let c = sharded_64n(600);
             black_box(EagerSim::new(c, ReplicaDiscipline::Serial, Ownership::Group).run())
+        });
+    });
+    g.bench_function("lazy_group_sharded_64n_300s", |b| {
+        // `sharded-scaleout`'s fourth operation: 64 partial stores and
+        // packed lock tables, per-peer propagation.
+        b.iter(|| black_box(LazyGroupSim::new(sharded_64n(300), Mobility::Connected).run()));
+    });
+    g.bench_function("two_tier_sharded_64n_160s", |b| {
+        // `sharded-scaleout`'s last operation: the base fans each
+        // commit out to the replica sets of what it wrote.
+        b.iter(|| {
+            let tt = two_tier(sharded_64n(160));
+            black_box(TwoTierSim::new(tt).run())
         });
     });
     g.finish();

@@ -45,6 +45,28 @@ use repl_storage::{LockManager, NodeId, ObjectId, TxnId};
 use repl_telemetry::{AbortReason, Event as Trace, EventKind, Gauge, Profiler, TraceHandle};
 use std::ops::Range;
 
+/// Does a fan-out `mask` select entry `i` of a shared update list? A
+/// sharded sender ships one reference-counted list to every
+/// destination and marks, per destination, the entries it hosts, so no
+/// filtered copy is materialised. Indices past the mask width are
+/// always selected: senders pre-filter any list wider than 64 entries
+/// (and send `u64::MAX`), so the overflow tail is hosted by
+/// construction.
+#[inline]
+pub(super) fn applies(mask: u64, i: usize) -> bool {
+    i >= 64 || mask & (1u64 << i) != 0
+}
+
+/// The mask selecting every entry of a `len`-wide update list.
+#[inline]
+pub(super) fn full_mask(len: usize) -> u64 {
+    if len >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << len) - 1
+    }
+}
+
 /// One queued event: the world's vocabulary plus the scheme's own.
 pub enum Event<P: Protocol> {
     /// A new user transaction arrives at a node.
@@ -681,13 +703,15 @@ mod tests {
     use crate::engine::{contention::Contention, lazy_group::LazyGroup, two_tier::TwoTier};
     use repl_model::Params;
 
-    /// Event size is the calendar queue's memory traffic. These are the
-    /// sizes of the three private `Ev` enums the kernel replaced.
+    /// Event size is the calendar queue's memory traffic. The first two
+    /// are the sizes of the private `Ev` enums the kernel replaced;
+    /// two-tier's refresh message is two words, which keeps its event
+    /// as small as a step.
     #[test]
     fn queued_events_are_no_larger_than_the_hand_rolled_enums() {
         assert!(std::mem::size_of::<Event<Contention>>() <= 24);
         assert!(std::mem::size_of::<Event<LazyGroup>>() <= 48);
-        assert!(std::mem::size_of::<Event<TwoTier>>() <= 32);
+        assert!(std::mem::size_of::<Event<TwoTier>>() <= 24);
     }
 
     /// A protocol that does nothing but log which hooks ran, when.

@@ -17,7 +17,7 @@
 //! windows is the regime of equations (15)–(18).
 
 use crate::config::{DeadlockPolicy, SimConfig};
-use crate::engine::kernel::{self, Faulty, Kernel, Protocol, Sim};
+use crate::engine::kernel::{self, applies, full_mask, Faulty, Kernel, Protocol, Sim};
 use crate::metrics::{Report, M_ABORTS, M_RETRIES};
 use repl_check::{Scheme, TxnRecord};
 use repl_net::{FaultInjector, FaultPlan, Network, SendFate};
@@ -95,24 +95,6 @@ pub struct ReplicaMsg {
     mask: u64,
 }
 
-/// Does `mask` select update `i`? Indices past the mask width are
-/// always selected: senders pre-filter any record wider than 64
-/// updates, so the overflow tail is hosted by construction.
-#[inline]
-fn applies(mask: u64, i: usize) -> bool {
-    i >= 64 || mask & (1u64 << i) != 0
-}
-
-/// The mask selecting every entry of a `len`-wide record.
-#[inline]
-fn full_mask(len: usize) -> u64 {
-    if len >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << len) - 1
-    }
-}
-
 /// The lazy-group protocol's private events. (Replica updates —
 /// first deliveries and resubmissions alike — travel as the kernel's
 /// `Deliver`.)
@@ -177,11 +159,14 @@ struct NodeState {
     locks: LockManager,
     clock: LamportClock,
     /// This node's commit log. Lazy propagation replays it "in
-    /// sequential commit order" (§5): each destination has a watermark
-    /// of the last commit already shipped to it.
+    /// sequential commit order" (§5): each peer has a watermark of the
+    /// last commit already shipped to it.
     log: CommitLog,
-    /// Per-destination replication watermark into `log`.
-    sent_upto: Vec<Lsn>,
+    /// The nodes this one ever has replica traffic for, ascending —
+    /// every other node, or under a partial layout the ones co-hosting
+    /// a shard with it, so propagation and log GC cost follows `rf`,
+    /// not `Nodes` — each with its replication watermark into `log`.
+    peers: Vec<(NodeId, Lsn)>,
     /// Replica updates waiting for an apply slot (see
     /// [`MAX_CONCURRENT_REPLICA_TXNS`]).
     backlog: std::collections::VecDeque<ReplicaMsg>,
@@ -225,11 +210,6 @@ pub struct LazyGroup {
     undo_pool: Vec<Vec<(ObjectId, Value, Timestamp)>>,
     /// Scratch for the workload sampler's distinct-object draw.
     sample_scratch: Vec<u64>,
-    /// Sharded propagation memo, one slot per fan-out signature group
-    /// of the origin currently propagating: the last record's hosted-
-    /// update mask for that group, reused by every group member at the
-    /// same watermark. Reset per [`LazyGroup::propagate`] call.
-    group_memo: Vec<Option<(Lsn, u64)>>,
     /// `Some` when the run uses a partial shard layout: stores hold
     /// only hosted objects, propagation filters per destination, and
     /// cross-shard transactions split into per-owner forwarded roots.
@@ -243,7 +223,6 @@ impl LazyGroupSim {
     /// Build the simulator. With `Mobility::Cycling`, every node gets a
     /// staggered connect/disconnect schedule.
     pub fn new(cfg: SimConfig, mobility: Mobility) -> Self {
-        let n = cfg.nodes as usize;
         let mut k = Kernel::new(cfg, "lg-arrivals-", "lazy-group");
         if let Mobility::Cycling {
             connected,
@@ -265,10 +244,15 @@ impl LazyGroupSim {
                     Some(map) => ObjectStore::sharded(cfg.db_size, map, NodeId(i)),
                     None => ObjectStore::new(cfg.db_size),
                 },
-                locks: LazyGroup::lock_manager(&cfg),
+                locks: LazyGroup::lock_manager(&cfg, shard.as_ref(), NodeId(i)),
                 clock: LamportClock::new(NodeId(i)),
                 log: CommitLog::new(),
-                sent_upto: vec![Lsn(0); n],
+                peers: (0..cfg.nodes)
+                    .map(NodeId)
+                    .filter(|&peer| peer != NodeId(i))
+                    .filter(|&peer| shard.as_ref().is_none_or(|m| m.shares_any(NodeId(i), peer)))
+                    .map(|peer| (peer, Lsn(0)))
+                    .collect(),
                 backlog: std::collections::VecDeque::new(),
                 active_replicas: 0,
             })
@@ -277,14 +261,13 @@ impl LazyGroupSim {
             resolution: ResolutionMode::TimePriority,
             retransmit: SimDuration::from_millis(100),
             nodes,
-            network: Network::new(n, cfg.latency, cfg.seed),
+            network: Network::new(cfg.nodes as usize, cfg.latency, cfg.seed),
             roots: TxnSlab::new(ROOT_ARENA),
             replicas: TxnSlab::new(REPLICA_ARENA),
             object_rng: SimRng::stream(cfg.seed, "lg-objects"),
             value_rng: SimRng::stream(cfg.seed, "lg-values"),
             retry_rng: SimRng::stream(cfg.seed, "lg-retry"),
             granted_scratch: Vec::new(),
-            group_memo: Vec::new(),
             objects_pool: Vec::new(),
             update_pool: Vec::new(),
             undo_pool: Vec::new(),
@@ -438,7 +421,7 @@ impl Protocol for LazyGroup {
         // before it goes.
         let locks = std::mem::replace(
             &mut self.nodes[node.0 as usize].locks,
-            Self::lock_manager(&k.cfg),
+            Self::lock_manager(&k.cfg, self.shard.as_ref(), node),
         );
         k.metrics.cycle_checks.add(locks.cycle_checks());
         // In-flight root transactions at the node die, and recovery
@@ -535,13 +518,14 @@ impl Protocol for LazyGroup {
 }
 
 impl LazyGroup {
-    /// A lock manager honoring the configured deadlock policy, sized
-    /// for the configured database.
-    fn lock_manager(cfg: &SimConfig) -> LockManager {
-        let mut lm = match cfg.deadlock {
-            DeadlockPolicy::Detection => LockManager::new(),
-            DeadlockPolicy::Timeout { .. } => LockManager::with_mode(DeadlockMode::TimeoutOnly),
+    /// `node`'s lock manager: honoring the configured deadlock policy,
+    /// packed like the node's store, sized for the configured database.
+    fn lock_manager(cfg: &SimConfig, shard: Option<&ShardMap>, node: NodeId) -> LockManager {
+        let mode = match cfg.deadlock {
+            DeadlockPolicy::Detection => DeadlockMode::Detect,
+            DeadlockPolicy::Timeout { .. } => DeadlockMode::TimeoutOnly,
         };
+        let mut lm = LockManager::with_mode(mode).with_layout(shard.and_then(|m| m.layout(node)));
         lm.reserve_objects(cfg.db_size as usize);
         lm
     }
@@ -846,99 +830,59 @@ impl LazyGroup {
         // every destination back to back — memoize the last one and
         // bump its refcount instead of re-allocating per destination.
         let mut last_payload: Option<(Lsn, std::rc::Rc<[UpdateRecord]>)> = None;
-        // Sharded runs filter once per distinct shard-set signature,
-        // not once per destination: arm one memo slot per fan-out
-        // group of this origin.
-        if let Some(map) = &self.shard {
-            self.group_memo.clear();
-            self.group_memo.resize(map.fanout_groups(origin), None);
-        }
-        for dest in 0..k.cfg.nodes {
-            let dest = NodeId(dest);
-            if dest == origin {
-                continue;
-            }
-            let group = match &self.shard {
-                None => 0,
-                // Nodes sharing no shard never exchange replica
-                // updates: point the watermark at the head so this dead
-                // channel never holds back log GC.
-                Some(map) => match map.fanout_group(origin, dest) {
-                    Some(g) => g,
-                    None => {
-                        let head = self.nodes[origin.0 as usize].log.head();
-                        self.nodes[origin.0 as usize].sent_upto[dest.0 as usize] = head;
-                        continue;
-                    }
-                },
-            };
+        for peer in 0..self.nodes[origin.0 as usize].peers.len() {
+            let dest = self.nodes[origin.0 as usize].peers[peer].0;
             loop {
                 let state = &self.nodes[origin.0 as usize];
-                let from = state.sent_upto[dest.0 as usize];
+                let from = state.peers[peer].1;
                 let Some(record) = state.log.get(from) else {
                     break;
                 };
-                // One allocation per record (shared across destinations
-                // via the memo); every delivery copy below just bumps
-                // the refcount. Sharded runs ship the same full payload
-                // with a per-signature-group mask selecting the hosted
-                // subset — computed once per group and reused by every
-                // member at the same watermark — and a record with
-                // nothing for this destination's group just advances
-                // the watermark. Only records wider than the mask are
-                // ever filtered into a fresh copy.
+                // Sharded runs ship the same full payload to every peer
+                // with a mask selecting the updates that peer hosts,
+                // and a record with nothing for it just advances the
+                // watermark.
                 let wide = record.updates.len() > 64;
-                let mask = match (&self.shard, wide) {
-                    (None, _) | (Some(_), true) => full_mask(record.updates.len()),
-                    (Some(map), false) => {
-                        let mask = match &self.group_memo[group as usize] {
-                            Some((lsn, m)) if *lsn == from => *m,
-                            _ => {
-                                let mut m = 0u64;
-                                for (i, u) in record.updates.iter().enumerate() {
-                                    if map.fanout_group_hosts(origin, group, u.object) {
-                                        m |= 1u64 << i;
-                                    }
-                                }
-                                self.group_memo[group as usize] = Some((from, m));
-                                m
+                let mask = match &self.shard {
+                    None => full_mask(record.updates.len()),
+                    Some(map) => {
+                        let hosted = |u: &UpdateRecord| map.hosts_object(dest, u.object);
+                        let mut updates = record.updates.iter();
+                        if wide {
+                            // Pre-filtered below: all of it or nothing.
+                            if updates.any(hosted) {
+                                u64::MAX
+                            } else {
+                                0
                             }
-                        };
-                        if mask == 0 {
-                            self.nodes[origin.0 as usize].sent_upto[dest.0 as usize] =
-                                Lsn(from.0 + 1);
-                            continue;
+                        } else {
+                            updates
+                                .enumerate()
+                                .fold(0, |m, (i, u)| m | u64::from(hosted(u)) << i)
                         }
-                        mask
                     }
                 };
-                let updates: std::rc::Rc<[UpdateRecord]> = match (&self.shard, wide) {
-                    (Some(map), true) => {
-                        // Overflow-wide record: the mask cannot address
-                        // every entry, so fall back to a per-group
-                        // filtered copy (`applies` selects the whole
-                        // pre-filtered payload via `u64::MAX`).
-                        let rc: std::rc::Rc<[UpdateRecord]> = record
-                            .updates
-                            .iter()
-                            .filter(|u| map.fanout_group_hosts(origin, group, u.object))
-                            .cloned()
-                            .collect();
-                        if rc.is_empty() {
-                            self.nodes[origin.0 as usize].sent_upto[dest.0 as usize] =
-                                Lsn(from.0 + 1);
-                            continue;
-                        }
+                if mask == 0 && self.shard.is_some() {
+                    self.nodes[origin.0 as usize].peers[peer].1 = Lsn(from.0 + 1);
+                    continue;
+                }
+                // One allocation per record (shared across destinations
+                // via the memo); every delivery copy below just bumps
+                // the refcount. Only records wider than the mask are
+                // ever filtered into a fresh copy (`applies` selects
+                // the whole pre-filtered payload via `u64::MAX`).
+                let updates: std::rc::Rc<[UpdateRecord]> = match (&self.shard, &last_payload) {
+                    (Some(map), _) if wide => {
+                        let hosted = record.updates.iter();
+                        let hosted = hosted.filter(|u| map.hosts_object(dest, u.object));
+                        hosted.cloned().collect()
+                    }
+                    (_, Some((lsn, rc))) if *lsn == from => rc.clone(),
+                    _ => {
+                        let rc: std::rc::Rc<[UpdateRecord]> = record.updates.as_slice().into();
+                        last_payload = Some((from, rc.clone()));
                         rc
                     }
-                    _ => match &last_payload {
-                        Some((lsn, rc)) if *lsn == from => rc.clone(),
-                        _ => {
-                            let rc: std::rc::Rc<[UpdateRecord]> = record.updates.as_slice().into();
-                            last_payload = Some((from, rc.clone()));
-                            rc
-                        }
-                    },
                 };
                 if k.measuring() {
                     k.metrics.messages.incr();
@@ -1003,19 +947,17 @@ impl LazyGroup {
                         return;
                     }
                 }
-                self.nodes[origin.0 as usize].sent_upto[dest.0 as usize] = Lsn(from.0 + 1);
+                self.nodes[origin.0 as usize].peers[peer].1 = Lsn(from.0 + 1);
             }
             k.flush_deliveries(dest);
         }
         // Garbage-collect the fully shipped prefix: records below every
-        // destination's watermark will never be requested again.
+        // peer's watermark will never be requested again.
         let state = &mut self.nodes[origin.0 as usize];
-        state.sent_upto[origin.0 as usize] = state.log.head();
-        if let Some(min) = state.sent_upto.iter().min().copied() {
-            state
-                .log
-                .truncate_until_recycling(min, &mut self.update_pool);
-        }
+        let shipped = state.peers.iter().map(|&(_, upto)| upto).min();
+        state
+            .log
+            .truncate_until_recycling(shipped.unwrap_or(state.log.head()), &mut self.update_pool);
     }
 
     fn reconnect(&mut self, k: &mut K, node: NodeId) {
@@ -1319,20 +1261,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_replicas_converge_per_shard() {
-        // Partial replication: nodes host different subsets, so whole-
-        // store digests differ by construction — convergence means every
-        // pair of replicas agrees on every object they both host.
-        let c = cfg(6.0, 480.0, 10.0, 60, 11)
-            .with_shards(6, 2)
-            .with_cross_shard(0.3);
-        let (report, stores) = LazyGroupSim::new(c, Mobility::Connected).run_with_state();
-        assert!(report.committed > 0);
-        assert!(
-            report.replica_commits > 0,
-            "partial replication still fans out"
-        );
+    /// Partial replication: nodes host different subsets, so whole-store
+    /// digests differ by construction — convergence means every pair of
+    /// replicas agrees on every object they both host.
+    fn assert_cohosts_agree(stores: &[ObjectStore]) {
         #[allow(
             clippy::disallowed_types,
             reason = "test-only cross-store comparison, not an engine path"
@@ -1356,6 +1288,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn sharded_replicas_converge_per_shard() {
+        let c = cfg(6.0, 480.0, 10.0, 60, 11)
+            .with_shards(6, 2)
+            .with_cross_shard(0.3);
+        let (report, stores) = LazyGroupSim::new(c, Mobility::Connected).run_with_state();
+        assert!(report.committed > 0);
+        assert!(
+            report.replica_commits > 0,
+            "partial replication still fans out"
+        );
+        assert_cohosts_agree(&stores);
         // rf = 2 means every object lives at exactly two stores.
         let total: usize = stores.iter().map(|s| s.iter().count()).sum();
         assert_eq!(total as u64, c.db_size * 2);
@@ -1369,6 +1315,38 @@ mod tests {
         let a = LazyGroupSim::new(c, Mobility::Connected).run();
         let b = LazyGroupSim::new(c, Mobility::Connected).run();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn records_wider_than_the_mask_converge_per_shard() {
+        // 70 updates per commit overflow the 64-bit fan-out mask: the
+        // sender falls back to a pre-filtered copy per destination.
+        let p = Params::new(4000.0, 6.0, 0.5, 70.0, 0.01);
+        let c = SimConfig::from_params(&p, 60, 19)
+            .with_shards(6, 2)
+            .with_cross_shard(0.3);
+        let (report, stores) = LazyGroupSim::new(c, Mobility::Connected).run_with_state();
+        assert!(report.replica_commits > 0, "nothing propagated");
+        assert_cohosts_agree(&stores);
+    }
+
+    #[test]
+    fn lock_tables_are_packed_to_the_hosted_subset() {
+        // 64 nodes, rf 3: each node hosts 3/64 of the database, and its
+        // holder table is that wide — indexed by global object id, the
+        // 64 tables together were 64 × DB entries.
+        const DB: u64 = 20_000;
+        let c = cfg(64.0, DB as f64, 10.0, 20, 23)
+            .with_shards(64, 3)
+            .with_cross_shard(0.10);
+        let mut sim = LazyGroupSim::new(c, Mobility::Connected);
+        let report = sim.run_phases();
+        assert!(report.committed > 5_000, "too short to touch the tables");
+        let holders: usize = (sim.p.nodes.iter())
+            .map(|n| n.locks.holder_table_len())
+            .sum();
+        assert!(holders > DB as usize, "tables barely used: {holders}");
+        assert!(holders <= 3 * DB as usize, "{holders} holder entries");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   reconciliation, and they are *zero when transactions commute*.
 
 use crate::config::SimConfig;
-use crate::engine::kernel::{self, Kernel, Protocol, Sim};
+use crate::engine::kernel::{self, applies, full_mask, Kernel, Protocol, Sim};
 use crate::metrics::{Report, M_RECONCILIATION_DELAY, M_RETRIES};
 use crate::op::{Op, Operation};
 use crate::txn::{Criterion, TxnSpec};
@@ -88,26 +88,30 @@ impl TwoTierConfig {
     }
 }
 
-/// A shared refresh payload: the committed update list one base
-/// commit fans out, reference-counted across every recipient. The
-/// engine is single-threaded — `Rc` is deliberate.
-type RefreshPayload = std::rc::Rc<[(ObjectId, Value, Timestamp)]>;
-
-/// Replica refresh message: committed master updates streamed to
-/// replicas (standard lazy-master propagation).
-///
-/// `updates` is shared: one commit fans out to every replica, so the
-/// payload is reference-counted — `msg.clone()` in the broadcast loop
-/// bumps a refcount instead of deep-copying the update list.
-#[doc(hidden)]
-#[derive(Debug, Clone)]
-pub struct RefreshMsg {
-    updates: RefreshPayload,
+/// What one base commit fans out: its committed update list, shared
+/// (reference-counted) by every recipient's message. The engine is
+/// single-threaded — `Rc` is deliberate.
+#[derive(Debug)]
+struct Refresh {
     /// When the base broadcast this refresh. Held and duplicated copies
-    /// keep the original stamp, so apply-time lag includes the time a
+    /// share the original stamp, so apply-time lag includes the time a
     /// mobile spent disconnected — the staleness the paper's two-tier
     /// replicas actually see.
     sent_at: SimTime,
+    updates: Vec<(ObjectId, Value, Timestamp)>,
+}
+
+/// Replica refresh message: committed master updates streamed to
+/// replicas (standard lazy-master propagation). Two words, so a queued
+/// delivery stays as small as a step event.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct RefreshMsg {
+    refresh: std::rc::Rc<Refresh>,
+    /// Which of the refresh's updates this destination applies (see
+    /// [`applies`]): the ones it hosts under a partial layout, every
+    /// one otherwise.
+    mask: u64,
 }
 
 /// A tentative transaction awaiting base re-execution.
@@ -188,13 +192,13 @@ pub struct TwoTier {
     granted_scratch: Vec<(TxnId, ObjectId)>,
     /// Recycled staging buffer for the refreshes a reconnect releases.
     refresh_scratch: Vec<RefreshMsg>,
-    /// Sharded refresh memo, one slot per master fan-out signature
-    /// group: the refresh payload filtered for that group, shared
-    /// (refcounted) by every group member. Reset per
-    /// [`TwoTier::broadcast_refresh`] call.
-    refresh_memo: Vec<Option<RefreshPayload>>,
-    /// Scratch for the workload sampler's distinct-object draw.
+    /// Recycled `(destination, update mask)` list of the sharded
+    /// refresh fan-out.
+    dest_scratch: Vec<(NodeId, u64)>,
+    /// Scratch for the workload sampler's distinct-object draw, and the
+    /// recycled object list it is mapped into.
     sample_scratch: Vec<u64>,
+    objects_scratch: Vec<ObjectId>,
     /// `Some` when the run uses a partial shard layout: replica stores
     /// hold only hosted objects, refresh fan-out filters per
     /// destination, and nodes sample their hosted subset. The master
@@ -291,8 +295,9 @@ impl TwoTierSim {
                 .collect(),
             granted_scratch: Vec::new(),
             refresh_scratch: Vec::new(),
-            refresh_memo: Vec::new(),
+            dest_scratch: Vec::new(),
             sample_scratch: Vec::new(),
+            objects_scratch: Vec::new(),
             shard,
             hosted_counts,
             cfg,
@@ -401,12 +406,15 @@ impl TwoTier {
     // Workload generation
     // ------------------------------------------------------------------
 
-    /// Objects a node may touch, respecting the scope rule: base nodes
-    /// use base-mastered objects; mobile nodes use base-mastered plus
-    /// their own mobile-mastered slice.
-    fn pick_objects(&mut self, node: NodeId) -> Vec<ObjectId> {
+    /// Fill `objects` with what a transaction at `node` touches,
+    /// respecting the scope rule: base nodes use base-mastered objects;
+    /// mobile nodes use base-mastered plus their own mobile-mastered
+    /// slice.
+    fn pick_objects(&mut self, node: NodeId, objects: &mut Vec<ObjectId>) {
+        objects.clear();
         let base_owned = self.cfg.base_owned();
         let actions = self.cfg.sim.actions;
+        let mobile = self.is_mobile(node);
         let mut scratch = std::mem::take(&mut self.sample_scratch);
         if let Some(map) = &self.shard {
             // Sharded workload: a node works against its hosted subset.
@@ -416,51 +424,41 @@ impl TwoTier {
             // scope there). Mobile nodes never draw outside their
             // hosted shards — a tentative write needs a local replica
             // slot to land in.
-            let mobile = self.is_mobile(node);
             let cross = !mobile && self.object_rng.chance(self.cfg.sim.cross_shard);
             let hosted = self.hosted_counts[node.0 as usize];
-            let objects = if cross || (!mobile && hosted < actions as u64) {
+            if cross || (!mobile && hosted < actions as u64) {
                 self.object_rng
                     .sample_distinct_into(self.cfg.sim.db_size, actions, &mut scratch);
-                scratch.iter().copied().map(ObjectId).collect()
-            } else if hosted == 0 {
-                // Degenerate placement (fewer shards than nodes): a
-                // mobile hosting nothing issues no work.
-                Vec::new()
-            } else {
+                objects.extend(scratch.iter().copied().map(ObjectId));
+            } else if hosted > 0 {
                 // A mobile hosting fewer objects than one transaction
-                // touches just runs a shorter transaction.
+                // touches just runs a shorter transaction (and under a
+                // degenerate placement, fewer shards than nodes, one
+                // hosting nothing issues no work).
                 let k = actions.min(hosted as usize);
                 self.object_rng
                     .sample_distinct_into(hosted, k, &mut scratch);
-                scratch.iter().map(|&i| map.nth_hosted(node, i)).collect()
-            };
-            self.sample_scratch = scratch;
-            return objects;
-        }
-        let objects = if self.is_mobile(node) && self.cfg.mobile_owned > 0 {
+                objects.extend(scratch.iter().map(|&i| map.nth_hosted(node, i)));
+            }
+        } else if mobile && self.cfg.mobile_owned > 0 {
             let mobile_index = u64::from(node.0 - self.cfg.base_nodes);
             let own_start = base_owned + mobile_index * self.cfg.mobile_owned;
             let virtual_size = base_owned + self.cfg.mobile_owned;
             self.object_rng
                 .sample_distinct_into(virtual_size, actions, &mut scratch);
-            scratch
-                .iter()
-                .map(|&v| {
-                    if v < base_owned {
-                        ObjectId(v)
-                    } else {
-                        ObjectId(own_start + (v - base_owned))
-                    }
-                })
-                .collect()
+            objects.extend(scratch.iter().map(|&v| {
+                if v < base_owned {
+                    ObjectId(v)
+                } else {
+                    ObjectId(own_start + (v - base_owned))
+                }
+            }));
         } else {
             self.object_rng
                 .sample_distinct_into(base_owned.max(1), actions, &mut scratch);
-            scratch.iter().copied().map(ObjectId).collect()
-        };
+            objects.extend(scratch.iter().copied().map(ObjectId));
+        }
         self.sample_scratch = scratch;
-        objects
     }
 
     /// Build a transaction spec for `node`. For the commutative
@@ -468,25 +466,23 @@ impl TwoTier {
     /// node currently *believes* in (`local view`) — you do not write a
     /// check your own checkbook says you cannot afford.
     fn gen_spec(&mut self, node: NodeId) -> TxnSpec {
-        let objects = self.pick_objects(node);
-        match self.cfg.workload {
+        let mut objects = std::mem::take(&mut self.objects_scratch);
+        self.pick_objects(node, &mut objects);
+        let mut ops = Vec::with_capacity(objects.len());
+        let criterion = match self.cfg.workload {
             TwoTierWorkload::ExactMatch { max_amount } => {
-                let ops = objects
-                    .into_iter()
-                    .map(|o| {
-                        let amt = 1 + self.value_rng.gen_range(max_amount.max(1) as u64) as i64;
-                        if self.value_rng.chance(0.5) {
-                            Operation::new(o, Op::Add(amt))
-                        } else {
-                            Operation::new(o, Op::Debit(amt))
-                        }
-                    })
-                    .collect();
-                TxnSpec::new(ops).with_criterion(Criterion::ExactMatch)
+                for &o in &objects {
+                    let amt = 1 + self.value_rng.gen_range(max_amount.max(1) as u64) as i64;
+                    let credit = self.value_rng.chance(0.5);
+                    ops.push(Operation::new(
+                        o,
+                        if credit { Op::Add(amt) } else { Op::Debit(amt) },
+                    ));
+                }
+                Criterion::ExactMatch
             }
             TwoTierWorkload::Commutative { max_amount } => {
-                let mut ops = Vec::with_capacity(objects.len());
-                for o in objects {
+                for &o in &objects {
                     // A base node's cross-shard draw may touch objects
                     // its partial replica does not host; its view is
                     // then the master copy (base nodes sit next to it).
@@ -512,9 +508,11 @@ impl TwoTier {
                         ops.push(Operation::new(o, Op::Debit(amt.min(view))));
                     }
                 }
-                TxnSpec::new(ops).with_criterion(Criterion::NonNegative)
+                Criterion::NonNegative
             }
-        }
+        };
+        self.objects_scratch = objects;
+        TxnSpec::new(ops).with_criterion(criterion)
     }
 
     /// Execute a tentative transaction locally and log it for later
@@ -557,11 +555,11 @@ impl TwoTier {
     ) {
         let id = self.base_txns.insert(BaseTxn {
             origin,
+            buffered: Vec::with_capacity(spec.ops.len()),
             spec,
             tentative_results,
             tentative_at,
             next: 0,
-            buffered: Vec::new(),
             reads: Vec::new(),
             started: k.now(),
             wait_started: None,
@@ -617,7 +615,7 @@ impl TwoTier {
 
     fn on_base_step(&mut self, k: &mut K, id: TxnId) {
         let txn = self.base_txns.get_mut(id).expect("base step for dead txn");
-        let op = txn.spec.ops[txn.next].clone();
+        let op = &txn.spec.ops[txn.next];
         // Read own buffered write if present, else the master copy.
         let current = match txn.buffered.iter().rev().find(|(o, _)| *o == op.object) {
             Some((_, v)) => v.clone(),
@@ -708,13 +706,7 @@ impl TwoTier {
                 k.tracer
                     .emit(|| Event::new(k.now(), txn.origin, id, EventKind::TentativeAccepted));
             }
-            self.broadcast_refresh(
-                k,
-                RefreshMsg {
-                    updates: updates.into(),
-                    sent_at: k.now(),
-                },
-            );
+            self.broadcast_refresh(k, updates);
         } else {
             if k.measuring() {
                 k.metrics.reconciliations.incr();
@@ -757,81 +749,81 @@ impl TwoTier {
     // Replica refresh propagation (standard lazy-master)
     // ------------------------------------------------------------------
 
-    fn broadcast_refresh(&mut self, k: &mut K, msg: RefreshMsg) {
+    fn broadcast_refresh(&mut self, k: &mut K, updates: Vec<(ObjectId, Value, Timestamp)>) {
         // Master commits originate "at the base"; model the fan-out
         // from a virtual base sender that is always connected. One
         // commit ships one refresh per destination, so there is nothing
         // for `propagation_batch` to coalesce here.
-        // The base hosts every shard, so destinations group by their
-        // entire hosted set: filter the refresh once per distinct
-        // signature and share the payload across the group.
-        if let Some(map) = &self.shard {
-            self.refresh_memo.clear();
-            self.refresh_memo.resize(map.host_groups(), None);
-        }
-        for dest in 0..self.cfg.sim.nodes {
-            let dest = NodeId(dest);
-            // Partial replication: each destination receives only the
-            // updates it hosts; a commit touching none of its shards
-            // sends nothing at all.
-            let msg = match &self.shard {
-                None => msg.clone(),
-                Some(map) => {
-                    let Some(group) = map.host_group(dest) else {
-                        continue;
-                    };
-                    let updates = match &self.refresh_memo[group as usize] {
-                        Some(rc) => rc.clone(),
-                        None => {
-                            let rc: RefreshPayload = msg
-                                .updates
-                                .iter()
-                                .filter(|(obj, _, _)| map.host_group_hosts(group, *obj))
-                                .cloned()
-                                .collect();
-                            self.refresh_memo[group as usize] = Some(rc.clone());
-                            rc
-                        }
-                    };
-                    if updates.is_empty() {
-                        continue;
-                    }
-                    RefreshMsg {
-                        updates,
-                        sent_at: msg.sent_at,
-                    }
+        let sent_at = k.now();
+        let refresh = std::rc::Rc::new(Refresh { sent_at, updates });
+        let Some(map) = &self.shard else {
+            let mask = full_mask(refresh.updates.len());
+            for dest in 0..self.cfg.sim.nodes {
+                let refresh = refresh.clone();
+                let msg = RefreshMsg { refresh, mask };
+                Self::send_refresh(&mut self.network, k, NodeId(dest), msg);
+            }
+            return;
+        };
+        // Partial replication: each destination receives only the
+        // updates it hosts, and a commit touching none of its shards
+        // sends it nothing at all. Destinations ascend: the latency
+        // stream is drawn per send.
+        let mut dests = std::mem::take(&mut self.dest_scratch);
+        map.fanout_masks(refresh.updates.iter().map(|&(obj, _, _)| obj), &mut dests);
+        for (dest, mask) in dests.drain(..) {
+            let msg = if refresh.updates.len() > 64 {
+                // Wider than the mask: send a pre-filtered copy.
+                let hosted = refresh.updates.iter();
+                let hosted = hosted.filter(|(obj, _, _)| map.hosts_object(dest, *obj));
+                let updates = hosted.cloned().collect();
+                RefreshMsg {
+                    refresh: std::rc::Rc::new(Refresh { sent_at, updates }),
+                    mask: u64::MAX,
                 }
+            } else {
+                let refresh = refresh.clone();
+                RefreshMsg { refresh, mask }
             };
-            if k.measuring() {
-                k.metrics.messages.incr();
-            }
-            k.tracer
-                .emit(|| Event::system(k.now(), NodeId(0), EventKind::MsgSent { to: dest }));
-            // Base nodes are always connected; send from base node 0.
-            match self.network.send(NodeId(0), dest, msg.clone()) {
-                SendOutcome::Deliver { delay } => k.deliver_after(delay, dest, msg),
-                SendOutcome::Duplicated { delays } => {
-                    // Refreshes are last-writer-wins; a duplicate is
-                    // absorbed by the timestamp comparison.
-                    for delay in delays {
-                        k.deliver_after(delay, dest, msg.clone());
-                    }
+            Self::send_refresh(&mut self.network, k, dest, msg);
+        }
+        self.dest_scratch = dests;
+    }
+
+    /// Send one refresh from the virtual base sender (base node 0,
+    /// always connected) to `dest`.
+    fn send_refresh(network: &mut Network<RefreshMsg>, k: &mut K, dest: NodeId, msg: RefreshMsg) {
+        if k.measuring() {
+            k.metrics.messages.incr();
+        }
+        k.tracer
+            .emit(|| Event::system(k.now(), NodeId(0), EventKind::MsgSent { to: dest }));
+        match network.send(NodeId(0), dest, msg.clone()) {
+            SendOutcome::Deliver { delay } => k.deliver_after(delay, dest, msg),
+            SendOutcome::Duplicated { delays } => {
+                // Refreshes are last-writer-wins; a duplicate is
+                // absorbed by the timestamp comparison.
+                for delay in delays {
+                    k.deliver_after(delay, dest, msg.clone());
                 }
-                SendOutcome::Dropped => {
-                    // This engine attaches no fault injector; a dropped
-                    // refresh would be resent by the next one anyway
-                    // (LWW refreshes carry absolute values, not deltas).
-                }
-                SendOutcome::Held => {}
-                SendOutcome::SenderOffline(_) => unreachable!("base node 0 never disconnects"),
             }
+            SendOutcome::Dropped => {
+                // This engine attaches no fault injector; a dropped
+                // refresh would be resent by the next one anyway
+                // (LWW refreshes carry absolute values, not deltas).
+            }
+            SendOutcome::Held => {}
+            SendOutcome::SenderOffline(_) => unreachable!("base node 0 never disconnects"),
         }
     }
 
     fn apply_refresh(&mut self, k: &mut K, to: NodeId, msg: RefreshMsg) {
         let store = self.replicas[to.0 as usize].master_mut();
         let mut applied = false;
-        for &(obj, ref value, ts) in msg.updates.iter() {
+        for (i, &(obj, ref value, ts)) in msg.refresh.updates.iter().enumerate() {
+            if !applies(msg.mask, i) {
+                continue;
+            }
             let fresh = store.apply_lww(obj, ts, value.clone());
             applied |= fresh;
             let outcome = if fresh {
@@ -846,7 +838,7 @@ impl TwoTier {
             // Propagation lag of fresh data: broadcast → apply. Held
             // refreshes carry the original send stamp, so disconnection
             // time is included — the replica's true staleness.
-            k.record_propagation_lag(to, k.now().since(msg.sent_at));
+            k.record_propagation_lag(to, k.now().since(msg.refresh.sent_at));
         } else if !applied && k.measuring() {
             k.metrics.stale_updates.incr();
         }
@@ -1118,6 +1110,31 @@ mod tests {
             TwoTierWorkload::Commutative { max_amount: 10 },
         );
         cfg.sim = cfg.sim.with_shards(6, 2).with_cross_shard(0.2);
+        assert_replicas_match_master(cfg);
+    }
+
+    #[test]
+    fn refreshes_wider_than_the_mask_reach_every_hosting_replica() {
+        // 70 updates per commit overflow the 64-bit fan-out mask: the
+        // base falls back to a pre-filtered copy per destination. (A
+        // database this large keeps 0.7 s transactions from colliding:
+        // base transactions retry deadlocks until they succeed, and
+        // long ones that keep re-colliding never do.)
+        let mut cfg = base_cfg(
+            6.0,
+            2,
+            200_000.0,
+            0.3,
+            120,
+            9,
+            TwoTierWorkload::Commutative { max_amount: 10 },
+        );
+        cfg.sim.actions = 70;
+        cfg.sim = cfg.sim.with_shards(6, 2).with_cross_shard(0.2);
+        assert_replicas_match_master(cfg);
+    }
+
+    fn assert_replicas_match_master(cfg: TwoTierConfig) {
         let (report, master, replicas) = TwoTierSim::new(cfg).run_with_state();
         assert!(report.committed > 0);
         let mut hosted_total = 0usize;

@@ -42,7 +42,7 @@ pub mod wal;
 pub use div::FastDivMod;
 pub use lock::{Acquire, DeadlockMode, LockManager, Mutation, TxnId};
 pub use object::{LamportClock, NodeId, ObjectId, Timestamp, Value, Versioned};
-pub use shard::ShardMap;
+pub use shard::{ShardLayout, ShardMap};
 pub use slab::TxnSlab;
 pub use store::{ApplyOutcome, ObjectStore};
 pub use table::TxnTable;

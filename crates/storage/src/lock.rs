@@ -10,6 +10,7 @@
 
 use crate::hash::FastMap;
 use crate::object::ObjectId;
+use crate::shard::ShardLayout;
 use crate::table::TxnTable;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -172,17 +173,25 @@ struct TagTable {
 /// ([`DeadlockMode::TimeoutOnly`]).
 #[derive(Debug, Default)]
 pub struct LockManager {
-    /// Dense holder table indexed by `ObjectId`: [`FREE`] or the
-    /// holding transaction. Object ids are minted densely from
+    /// Dense holder table indexed by the object's slot: [`FREE`] or
+    /// the holding transaction. Object ids are minted densely from
     /// `0..db_size` everywhere in this codebase, so a flat array turns
     /// the per-action acquire/release — the hottest storage operation
     /// in a run — into one indexed load and store, no hashing. Grown
-    /// on demand to the largest id ever locked.
+    /// on demand to the largest slot ever locked.
     holders: Vec<TxnId>,
     /// One bit per holder slot: set iff the object has a wait queue in
     /// `queues`. Lets the uncontended release path skip the queue map
     /// entirely.
     waitbits: Vec<u64>,
+    /// `Some` for the lock table of a node that hosts part of a sharded
+    /// keyspace: the table is packed to the hosted subset exactly as
+    /// [`ObjectStore::sharded`](crate::ObjectStore::sharded) packs its
+    /// slots, and locking an unhosted id panics. `None` is the
+    /// identity: id is slot. Only `holders` and `waitbits` are indexed
+    /// by slot; every queue, held list, wait record and public method
+    /// speaks real [`ObjectId`]s.
+    layout: Option<ShardLayout>,
     /// FIFO wait queues, present only for objects with waiters
     /// (contention is the rare case; the map stays tiny).
     queues: FastMap<ObjectId, VecDeque<TxnId>>,
@@ -234,6 +243,16 @@ impl LockManager {
             mutation: Mutation::from_env(),
             ..Self::default()
         }
+    }
+
+    /// Pack the holder table to the objects `layout` hosts (`None`
+    /// keeps the identity). Call before the first
+    /// [`LockManager::acquire`].
+    #[must_use]
+    pub fn with_layout(mut self, layout: Option<&ShardLayout>) -> Self {
+        debug_assert!(self.holders.is_empty(), "layout set on a table in use");
+        self.layout = layout.cloned();
+        self
     }
 
     /// The configured deadlock resolution mode.
@@ -295,28 +314,45 @@ impl LockManager {
         Some(obj)
     }
 
-    /// The holder slot for `obj`, or [`FREE`] if never locked.
+    /// The index of `obj` in the slot-indexed tables. Panics on an id
+    /// the layout does not host (protocol paths only lock hosted
+    /// objects at a node).
     #[inline]
-    fn holder(&self, obj: ObjectId) -> TxnId {
-        self.holders.get(obj.0 as usize).copied().unwrap_or(FREE)
+    fn slot(&self, obj: ObjectId) -> usize {
+        match &self.layout {
+            None => obj.0 as usize,
+            Some(l) => l
+                .slot(obj)
+                .unwrap_or_else(|| panic!("object {} is not hosted at this lock table", obj.0)),
+        }
     }
 
-    /// Grow the dense tables to cover object index `o`.
+    /// The holder of `obj`, or [`FREE`] if never locked.
+    #[inline]
+    fn holder(&self, obj: ObjectId) -> TxnId {
+        self.holders.get(self.slot(obj)).copied().unwrap_or(FREE)
+    }
+
+    /// Grow the dense tables to cover slot `o`.
     #[cold]
     fn grow(&mut self, o: usize) {
         self.holders.resize(o + 1, FREE);
         self.waitbits.resize(o / 64 + 1, 0);
     }
 
-    /// Pre-size the dense holder tables for object ids `0..n`, so a
-    /// run over a known database size never reallocates them
-    /// mid-stream. Only capacity is reserved; [`Self::acquire`] fills
-    /// entries in as ids are first locked. A constructor therefore does
-    /// not write (and page in) a table per node up front — 10 MB for a
-    /// 64-node lazy-group run over 20 000 objects — which made set-up
-    /// time depend on whether the allocator still had that memory
-    /// resident from the previous engine.
+    /// Pre-size the dense holder tables for object ids `0..n` (the
+    /// hosted ones among them, under a layout), so a run over a known
+    /// database size never reallocates them mid-stream. Only capacity
+    /// is reserved; [`Self::acquire`] fills entries in as ids are first
+    /// locked. A constructor therefore does not write (and page in) a
+    /// table per node up front, which made set-up time depend on
+    /// whether the allocator still had that memory resident from the
+    /// previous engine.
     pub fn reserve_objects(&mut self, n: usize) {
+        let n = match &self.layout {
+            None => n,
+            Some(l) => l.slots(n as u64) as usize,
+        };
         self.holders.reserve(n.saturating_sub(self.holders.len()));
         self.waitbits
             .reserve((n / 64 + 1).saturating_sub(self.waitbits.len()));
@@ -350,7 +386,7 @@ impl LockManager {
             !self.is_waiting(txn),
             "{txn} requested a lock while already blocked"
         );
-        let o = obj.0 as usize;
+        let o = self.slot(obj);
         if o >= self.holders.len() {
             self.grow(o);
         }
@@ -517,7 +553,7 @@ impl LockManager {
         // back to an entry that may have moved.
         let mut objs = std::mem::replace(list, std::mem::take(&mut self.release_scratch));
         for obj in objs.drain(..) {
-            let o = obj.0 as usize;
+            let o = self.slot(obj);
             // A ghost grant (mutation) records a held lock the ghost
             // never really took — skip anything `txn` does not hold.
             if self.holders[o] != txn {
@@ -551,7 +587,7 @@ impl LockManager {
                 q.retain(|&w| w != txn);
                 if q.is_empty() {
                     self.queues.remove(&obj);
-                    let o = obj.0 as usize;
+                    let o = self.slot(obj);
                     self.waitbits[o / 64] &= !(1u64 << (o % 64));
                 }
             }
@@ -564,6 +600,14 @@ impl LockManager {
             .get(Self::tag_of(txn))
             .and_then(|t| t.held.get(txn))
             .map_or(&[], Vec::as_slice)
+    }
+
+    /// Length of the holder table: the footprint that must follow the
+    /// objects the node hosts, not the database (regression tests
+    /// only).
+    #[doc(hidden)]
+    pub fn holder_table_len(&self) -> usize {
+        self.holders.len()
     }
 
     /// Entries allocated across every per-transaction table: the

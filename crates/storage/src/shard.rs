@@ -12,7 +12,72 @@
 //! to the unsharded code path (the established `--jobs`/`--batch`
 //! invariance pattern).
 
+use crate::div::FastDivMod;
 use crate::object::{NodeId, ObjectId};
+
+/// One node's slice of a [`ShardMap`]: the closed-form mapping between
+/// the object ids the node hosts and the dense slots `0, 1, 2, …` its
+/// per-node tables ([`ObjectStore`](crate::ObjectStore) slots,
+/// [`LockManager`](crate::LockManager) holders) are packed into, so
+/// those tables are as wide as the hosted subset, not the database.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardLayout {
+    /// Total shard count `k` (objects in shard `id % k`), as a
+    /// strength-reduced divider — every packed access divides by it, so
+    /// the hardware divide is paid once at construction.
+    shards: FastDivMod,
+    /// Hosted width divider (`hosted.len()`; 1 for a node hosting
+    /// nothing, whose slots are never consulted), for the slot→id
+    /// inverse.
+    width: FastDivMod,
+    /// This node's hosted shards, sorted ascending.
+    hosted: Vec<u32>,
+    /// `rank[s]` = index of shard `s` in `hosted`, `u32::MAX` if the
+    /// node does not host `s`.
+    rank: Vec<u32>,
+}
+
+impl ShardLayout {
+    fn new(shards: u32, hosted: Vec<u32>) -> Self {
+        let mut rank = vec![u32::MAX; shards as usize];
+        for (r, &s) in hosted.iter().enumerate() {
+            rank[s as usize] = r as u32;
+        }
+        ShardLayout {
+            shards: FastDivMod::new(u64::from(shards)),
+            width: FastDivMod::new(hosted.len().max(1) as u64),
+            hosted,
+            rank,
+        }
+    }
+
+    /// The packed slot for `id`, or `None` when the shard isn't hosted.
+    /// Hosted objects ascending by id enumerate slots `0, 1, 2, …`
+    /// (row-major over `(id / k, rank(id % k))`), so the mapping needs
+    /// no per-object table.
+    #[inline]
+    pub(crate) fn slot(&self, id: ObjectId) -> Option<usize> {
+        let (row, s) = self.shards.div_rem(id.0);
+        let r = self.rank[s as usize];
+        (r != u32::MAX).then(|| row as usize * self.hosted.len() + r as usize)
+    }
+
+    /// The object id packed into `slot` (inverse of
+    /// [`ShardLayout::slot`]).
+    #[inline]
+    pub(crate) fn object_of(&self, slot: u64) -> ObjectId {
+        let (row, r) = self.width.div_rem(slot);
+        ObjectId(row * self.shards.divisor() + u64::from(self.hosted[r as usize]))
+    }
+
+    /// How many slots the ids `0..db_size` occupy: the hosted objects
+    /// of a `db_size`-object database.
+    pub(crate) fn slots(&self, db_size: u64) -> u64 {
+        let (full_rows, tail) = self.shards.div_rem(db_size);
+        let tail_hosted = self.hosted.iter().take_while(|&&s| u64::from(s) < tail);
+        full_rows * self.hosted.len() as u64 + tail_hosted.count() as u64
+    }
+}
 
 /// Deterministic shard layout: `shard_of(o) = o mod shards`, and shard
 /// `s` is replicated at nodes `{(s + i) mod nodes : i < rf}` (sorted).
@@ -25,40 +90,23 @@ pub struct ShardMap {
     rf: u32,
     /// Per-shard replica sets, each sorted ascending.
     replica_sets: Vec<Vec<NodeId>>,
-    /// Per-node sorted list of hosted shards.
-    hosted: Vec<Vec<u32>>,
+    /// Per-node hosted shards and id↔slot packing.
+    layouts: Vec<ShardLayout>,
     /// Per-node shard membership bitset (`shards` bits each), for O(1)
     /// `hosts` and O(words) `shares_any`.
     bits: Vec<Vec<u64>>,
-    /// `rank[node * shards + s]` = index of `s` in `hosted[node]`, or
-    /// `u32::MAX` when the node does not host `s`.
-    rank: Vec<u32>,
-    /// Fan-out signature groups (see [`ShardMap::fanout_group`]):
-    /// `fanout_group[origin * nodes + dest]` = the dest's group id
-    /// within `origin`'s fan-out, or `u32::MAX` when the pair shares
-    /// no shard (or `dest == origin`).
-    fanout_group: Vec<u32>,
     /// Per-origin offsets into `fanout_sigs`, in *groups* (length
     /// `nodes + 1`): origin `o` owns group signatures
     /// `fanout_base[o]..fanout_base[o + 1]`.
     fanout_base: Vec<u32>,
-    /// Group signature bitsets, `words_per_sig` words each: the shard
-    /// intersection every member of the group shares with the origin.
+    /// Fan-out signature bitsets (see [`ShardMap::fanout_groups`]),
+    /// `words_per_sig` words each: a distinct shard intersection some
+    /// destination shares with the origin.
     fanout_sigs: Vec<u64>,
-    /// Master fan-out groups (see [`ShardMap::host_group`]):
-    /// `host_group[dest]` = group id keyed by the dest's *entire*
-    /// hosted set — the signature when the sender hosts every shard —
-    /// or `u32::MAX` for a node hosting nothing.
-    host_group: Vec<u32>,
-    /// Signature bitsets for the master fan-out groups.
-    host_sigs: Vec<u64>,
     words_per_sig: usize,
     /// Strength-reduced divider for `shards` — `shard_of` runs on
     /// every filter test and sampler draw.
-    shard_div: crate::div::FastDivMod,
-    /// Per-node divider by `hosted[n].len()` (1 for nodes hosting
-    /// nothing, whose mapping is never consulted), for `nth_hosted`.
-    hosted_div: Vec<crate::div::FastDivMod>,
+    shard_div: FastDivMod,
 }
 
 impl ShardMap {
@@ -83,88 +131,44 @@ impl ShardMap {
             }
             replica_sets.push(set);
         }
-        let mut rank = vec![u32::MAX; nodes as usize * shards as usize];
-        for (n, shards_of_n) in hosted.iter().enumerate() {
-            for (r, &s) in shards_of_n.iter().enumerate() {
-                rank[n * shards as usize + s as usize] = r as u32;
-            }
-        }
-        // Precompute the fan-out signature groups. Membership never
-        // changes during a run, so this happens exactly once; engines
-        // then filter each propagated record once per *distinct
-        // signature* instead of once per destination.
-        let mut fanout_group = vec![u32::MAX; nodes as usize * nodes as usize];
+        // Precompute each origin's distinct fan-out signatures: the
+        // shard intersections it shares with its destinations, in
+        // ascending-destination discovery order, so group ids are
+        // deterministic. Membership never changes during a run, so
+        // this happens exactly once.
         let mut fanout_base = Vec::with_capacity(nodes as usize + 1);
         let mut fanout_sigs = Vec::new();
         let mut sig_scratch = vec![0u64; words];
-        #[allow(
-            clippy::disallowed_types,
-            reason = "construction-time dedup keyed by a whole signature; never on an engine path"
-        )]
-        let mut seen: std::collections::HashMap<Vec<u64>, u32> = std::collections::HashMap::new();
+        // Construction-time dedup keyed by a whole signature; never on
+        // an engine path.
+        let mut seen: std::collections::HashSet<Vec<u64>> = std::collections::HashSet::new();
         fanout_base.push(0);
         for origin in 0..nodes as usize {
             seen.clear();
-            let base_groups = fanout_sigs.len() / words;
-            for dest in 0..nodes as usize {
-                if dest == origin {
-                    continue;
-                }
-                let mut any = 0u64;
+            for dest in (0..nodes as usize).filter(|&d| d != origin) {
                 for (w, (&x, &y)) in bits[origin].iter().zip(&bits[dest]).enumerate() {
                     sig_scratch[w] = x & y;
-                    any |= x & y;
                 }
-                if any == 0 {
-                    continue;
-                }
-                // Group ids are assigned in ascending-destination
-                // discovery order, so they are deterministic.
-                let next = (fanout_sigs.len() / words - base_groups) as u32;
-                let id = *seen.entry(sig_scratch.clone()).or_insert_with(|| {
+                if sig_scratch.iter().any(|&w| w != 0) && seen.insert(sig_scratch.clone()) {
                     fanout_sigs.extend_from_slice(&sig_scratch);
-                    next
-                });
-                fanout_group[origin * nodes as usize + dest] = id;
+                }
             }
             fanout_base.push((fanout_sigs.len() / words) as u32);
         }
-        // Master fan-out: the sender hosts everything, so a dest's
-        // signature is its entire hosted set.
-        let mut host_group = vec![u32::MAX; nodes as usize];
-        let mut host_sigs = Vec::new();
-        seen.clear();
-        for dest in 0..nodes as usize {
-            if bits[dest].iter().all(|&w| w == 0) {
-                continue;
-            }
-            let next = (host_sigs.len() / words) as u32;
-            host_group[dest] = *seen.entry(bits[dest].clone()).or_insert_with(|| {
-                host_sigs.extend_from_slice(&bits[dest]);
-                next
-            });
-        }
-        let shard_div = crate::div::FastDivMod::new(u64::from(shards));
-        let hosted_div = hosted
-            .iter()
-            .map(|h| crate::div::FastDivMod::new(h.len().max(1) as u64))
-            .collect();
         ShardMap {
             shards,
             nodes,
             rf,
             replica_sets,
-            hosted,
+            layouts: hosted
+                .into_iter()
+                .map(|h| ShardLayout::new(shards, h))
+                .collect(),
             bits,
-            rank,
-            fanout_group,
             fanout_base,
             fanout_sigs,
-            host_group,
-            host_sigs,
             words_per_sig: words,
-            shard_div,
-            hosted_div,
+            shard_div: FastDivMod::new(u64::from(shards)),
         }
     }
 
@@ -222,7 +226,14 @@ impl ShardMap {
 
     /// The shards `node` hosts, sorted ascending.
     pub fn hosted_shards(&self, node: NodeId) -> &[u32] {
-        &self.hosted[node.0 as usize]
+        &self.layouts[node.0 as usize].hosted
+    }
+
+    /// `node`'s id↔slot packing for its per-node tables, or `None` under
+    /// full replication, where every node hosts every object and the
+    /// identity (id is slot) already is the packing.
+    pub fn layout(&self, node: NodeId) -> Option<&ShardLayout> {
+        (!self.is_full()).then(|| &self.layouts[node.0 as usize])
     }
 
     /// Whether two nodes co-host at least one shard (i.e. `a` ever has
@@ -235,25 +246,38 @@ impl ShardMap {
             .any(|(x, y)| x & y != 0)
     }
 
-    /// Fan-out signature group of `dest` within `origin`'s
-    /// propagation, or `None` when the pair shares no shard (including
-    /// `dest == origin`) and the channel carries no replica traffic.
-    ///
-    /// Two destinations are in the same group exactly when they host
-    /// the *same intersection* of the origin's shards, so a record
-    /// filtered for one member is the record for every member. Group
-    /// ids are dense (`0..fanout_groups(origin)`) and assigned in
-    /// ascending destination order — deterministic, like everything
-    /// else in the layout.
-    #[inline]
-    pub fn fanout_group(&self, origin: NodeId, dest: NodeId) -> Option<u32> {
-        let g = self.fanout_group[origin.0 as usize * self.nodes as usize + dest.0 as usize];
-        (g != u32::MAX).then_some(g)
+    /// The fan-out of one update list from a sender hosting every shard
+    /// (the two-tier base): fills `dests` with each destination hosting
+    /// any of `objects`, ascending, and the mask of the entries it
+    /// hosts (bit `i` ⇒ the `i`-th object; an entry past the mask's 64
+    /// bits lists its destinations but sets no bit). Walks each
+    /// object's replica set, so the work follows `rf`, not `nodes`.
+    pub fn fanout_masks(
+        &self,
+        objects: impl Iterator<Item = ObjectId>,
+        dests: &mut Vec<(NodeId, u64)>,
+    ) {
+        dests.clear();
+        for (i, object) in objects.enumerate() {
+            let bit = if i < 64 { 1u64 << i } else { 0 };
+            for &replica in self.replicas(self.shard_of(object)) {
+                match dests.iter_mut().find(|(dest, _)| *dest == replica) {
+                    Some((_, mask)) => *mask |= bit,
+                    None => dests.push((replica, bit)),
+                }
+            }
+        }
+        dests.sort_unstable_by_key(|&(dest, _)| dest);
     }
 
-    /// Number of distinct fan-out signature groups for `origin` — the
-    /// number of filter passes a propagation actually pays, versus
-    /// `nodes - 1` destinations.
+    /// Number of distinct fan-out signature groups for `origin`: two
+    /// destinations are in the same group exactly when they host the
+    /// *same intersection* of the origin's shards. Group ids are dense
+    /// (`0..fanout_groups(origin)`) and assigned in ascending
+    /// destination order. Round-robin placement gives nearly every
+    /// destination its own signature, so no engine filters by group;
+    /// the count and [`ShardMap::fanout_group_hosts`] remain as the
+    /// layout statistic the repo benchmark reports.
     #[inline]
     pub fn fanout_groups(&self, origin: NodeId) -> usize {
         (self.fanout_base[origin.0 as usize + 1] - self.fanout_base[origin.0 as usize]) as usize
@@ -262,9 +286,7 @@ impl ShardMap {
     /// Whether `origin`'s fan-out group `group` hosts `object` — the
     /// grouped equivalent of [`ShardMap::hosts_object`] for every
     /// destination in the group, *provided the origin hosts the
-    /// object* (true for everything in an origin's replication log:
-    /// cross-shard writes to foreign shards are forwarded to their
-    /// owners, never logged locally).
+    /// object*.
     #[inline]
     pub fn fanout_group_hosts(&self, origin: NodeId, group: u32, object: ObjectId) -> bool {
         let s = self.shard_of(object);
@@ -272,44 +294,9 @@ impl ShardMap {
         self.fanout_sigs[base + (s / 64) as usize] & (1u64 << (s % 64)) != 0
     }
 
-    /// Master fan-out signature group of `dest`: the grouping when the
-    /// sender hosts *every* shard (the two-tier base), so a dest's
-    /// signature is its entire hosted set. `None` for a node hosting
-    /// nothing.
-    #[inline]
-    pub fn host_group(&self, dest: NodeId) -> Option<u32> {
-        let g = self.host_group[dest.0 as usize];
-        (g != u32::MAX).then_some(g)
-    }
-
-    /// Number of distinct master fan-out groups.
-    #[inline]
-    pub fn host_groups(&self) -> usize {
-        self.host_sigs.len() / self.words_per_sig
-    }
-
-    /// Whether every destination in master fan-out group `group` hosts
-    /// `object` — the grouped equivalent of [`ShardMap::hosts_object`].
-    #[inline]
-    pub fn host_group_hosts(&self, group: u32, object: ObjectId) -> bool {
-        let s = self.shard_of(object);
-        let base = group as usize * self.words_per_sig;
-        self.host_sigs[base + (s / 64) as usize] & (1u64 << (s % 64)) != 0
-    }
-
-    /// Index of `shard` within `hosted_shards(node)`, if hosted.
-    #[inline]
-    pub fn rank(&self, node: NodeId, shard: u32) -> Option<u32> {
-        let r = self.rank[node.0 as usize * self.shards as usize + shard as usize];
-        (r != u32::MAX).then_some(r)
-    }
-
     /// How many of the `db_size` objects `node` hosts.
     pub fn hosted_objects(&self, node: NodeId, db_size: u64) -> u64 {
-        let (full_rows, tail) = self.shard_div.div_rem(db_size);
-        let h = &self.hosted[node.0 as usize];
-        let tail_hosted = h.iter().take_while(|&&s| u64::from(s) < tail).count() as u64;
-        full_rows * h.len() as u64 + tail_hosted
+        self.layouts[node.0 as usize].slots(db_size)
     }
 
     /// The `i`-th (ascending by id) object hosted at `node`, for
@@ -318,9 +305,7 @@ impl ShardMap {
     /// the node's hosted subset.
     #[inline]
     pub fn nth_hosted(&self, node: NodeId, i: u64) -> ObjectId {
-        let h = &self.hosted[node.0 as usize];
-        let (row, r) = self.hosted_div[node.0 as usize].div_rem(i);
-        ObjectId(row * u64::from(self.shards) + u64::from(h[r as usize]))
+        self.layouts[node.0 as usize].object_of(i)
     }
 }
 
@@ -410,97 +395,62 @@ mod tests {
     }
 
     #[test]
-    fn fanout_groups_agree_with_per_destination_filter() {
+    fn fanout_groups_are_the_distinct_per_destination_filters() {
         for (shards, nodes, rf) in [(8, 8, 3), (5, 7, 2), (16, 4, 3), (3, 9, 1), (8, 8, 8)] {
             let m = ShardMap::new(shards, nodes, rf);
-            for o in 0..nodes {
-                let origin = NodeId(o);
-                let mut max_group = None;
-                for d in 0..nodes {
-                    let dest = NodeId(d);
-                    let group = m.fanout_group(origin, dest);
-                    assert_eq!(
-                        group.is_some(),
-                        d != o && m.shares_any(origin, dest),
-                        "{shards}/{nodes}/{rf} origin {o} dest {d}"
-                    );
-                    let Some(g) = group else { continue };
-                    max_group = max_group.max(Some(g));
-                    // The group signature must answer exactly like the
-                    // per-destination filter for every origin-hosted
-                    // object (the only objects an origin ever ships).
-                    for obj in (0..64).map(ObjectId) {
-                        if !m.hosts_object(origin, obj) {
-                            continue;
-                        }
-                        assert_eq!(
-                            m.fanout_group_hosts(origin, g, obj),
-                            m.hosts_object(dest, obj),
-                            "{shards}/{nodes}/{rf} origin {o} dest {d} obj {obj:?}"
-                        );
+            for origin in (0..nodes).map(NodeId) {
+                // What each group / each destination accepts of the
+                // objects the origin hosts (the only ones it ships).
+                let shipped: Vec<ObjectId> = (0..64)
+                    .map(ObjectId)
+                    .filter(|&o| m.hosts_object(origin, o))
+                    .collect();
+                let groups: Vec<Vec<bool>> = (0..m.fanout_groups(origin) as u32)
+                    .map(|g| {
+                        let accepts = |&o| m.fanout_group_hosts(origin, g, o);
+                        shipped.iter().map(accepts).collect()
+                    })
+                    .collect();
+                let mut reference: Vec<Vec<bool>> = Vec::new();
+                for dest in (0..nodes).map(NodeId) {
+                    if dest == origin || !m.shares_any(origin, dest) {
+                        continue;
+                    }
+                    let filter = shipped.iter().map(|&o| m.hosts_object(dest, o)).collect();
+                    if !reference.contains(&filter) {
+                        reference.push(filter);
                     }
                 }
-                // Ids are dense: 0..fanout_groups(origin).
-                let groups = m.fanout_groups(origin);
-                assert_eq!(
-                    groups,
-                    max_group.map_or(0, |g| g as usize + 1),
-                    "origin {o}"
-                );
+                // Same filters, in ascending-destination discovery order.
+                assert_eq!(groups, reference, "{shards}/{nodes}/{rf} origin {origin:?}");
             }
         }
     }
 
     #[test]
-    fn host_groups_agree_with_hosted_sets() {
-        for (shards, nodes, rf) in [(8, 8, 3), (5, 7, 2), (8, 20, 2)] {
-            let m = ShardMap::new(shards, nodes, rf);
-            for d in 0..nodes {
-                let dest = NodeId(d);
-                match m.host_group(dest) {
-                    None => assert!(m.hosted_shards(dest).is_empty(), "node {d}"),
-                    Some(g) => {
-                        assert!((g as usize) < m.host_groups());
-                        for obj in (0..64).map(ObjectId) {
-                            assert_eq!(
-                                m.host_group_hosts(g, obj),
-                                m.hosts_object(dest, obj),
-                                "{shards}/{nodes}/{rf} dest {d} obj {obj:?}"
-                            );
-                        }
-                    }
-                }
-            }
-            // Nodes with identical hosted sets share a group; distinct
-            // sets get distinct groups.
-            for a in 0..nodes {
-                for b in 0..nodes {
-                    let (ga, gb) = (m.host_group(NodeId(a)), m.host_group(NodeId(b)));
-                    if ga.is_some() || gb.is_some() {
-                        assert_eq!(
-                            ga == gb,
-                            m.hosted_shards(NodeId(a)) == m.hosted_shards(NodeId(b)),
-                            "nodes {a}/{b}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rank_indexes_hosted_shards() {
+    fn layout_packs_hosted_ids_into_dense_slots() {
         let m = ShardMap::new(6, 4, 2);
-        for n in 0..4 {
-            let node = NodeId(n);
-            for (r, &s) in m.hosted_shards(node).iter().enumerate() {
-                assert_eq!(m.rank(node, s), Some(r as u32));
-            }
-            for s in 0..6 {
-                if !m.hosts(node, s) {
-                    assert_eq!(m.rank(node, s), None);
+        let db = 45u64; // deliberately not a multiple of shards
+        for node in (0..4).map(NodeId) {
+            let layout = m.layout(node).expect("partial layout");
+            let mut next = 0usize;
+            for id in (0..db).map(ObjectId) {
+                match layout.slot(id) {
+                    Some(slot) => {
+                        assert!(m.hosts_object(node, id));
+                        assert_eq!(slot, next, "slots ascend with hosted ids");
+                        assert_eq!(layout.object_of(slot as u64), id);
+                        next += 1;
+                    }
+                    None => assert!(!m.hosts_object(node, id)),
                 }
             }
+            assert_eq!(layout.slots(db), next as u64);
         }
+    }
+
+    #[test]
+    fn full_replication_has_no_layout() {
+        assert_eq!(ShardMap::new(6, 3, 0).layout(NodeId(1)), None);
     }
 }

@@ -6,7 +6,7 @@
 //! work scale with the replication factor instead of the database.
 
 use crate::object::{ObjectId, Timestamp, Value, Versioned};
-use crate::shard::ShardMap;
+use crate::shard::{ShardLayout, ShardMap};
 
 /// Outcome of applying a timestamped replica update (Figure 4 of the
 /// paper): safe, duplicate, or dangerous.
@@ -69,43 +69,6 @@ pub struct ObjectStore {
     layout: Option<ShardLayout>,
 }
 
-/// The per-node slice of a [`ShardMap`] a partial store needs to map
-/// object ids to its packed slots.
-#[derive(Debug, Clone)]
-struct ShardLayout {
-    /// Total shard count `k` (objects in shard `id % k`), as a
-    /// strength-reduced divider — every sharded `get`/`set` divides by
-    /// it, so the hardware divide is paid once at construction.
-    shards: crate::div::FastDivMod,
-    /// Hosted width divider (`hosted.len()`), for the slot→id inverse.
-    width: crate::div::FastDivMod,
-    /// This node's hosted shards, sorted ascending.
-    hosted: Vec<u32>,
-    /// `rank[s]` = index of shard `s` in `hosted`, `u32::MAX` if the
-    /// node does not host `s`.
-    rank: Vec<u32>,
-}
-
-impl ShardLayout {
-    /// The packed slot for `id`, or `None` when the shard isn't hosted.
-    /// Hosted objects ascending by id enumerate slots `0, 1, 2, …`
-    /// (row-major over `(id / k, rank(id % k))`), so the mapping needs
-    /// no per-object table.
-    #[inline]
-    fn slot(&self, id: ObjectId) -> Option<usize> {
-        let (row, s) = self.shards.div_rem(id.0);
-        let r = self.rank[s as usize];
-        (r != u32::MAX).then(|| row as usize * self.hosted.len() + r as usize)
-    }
-
-    /// The object id stored in `slot` (inverse of [`ShardLayout::slot`]).
-    #[inline]
-    fn object_of(&self, slot: usize) -> ObjectId {
-        let (row, r) = self.width.div_rem(slot as u64);
-        ObjectId(row * self.shards.divisor() + u64::from(self.hosted[r as usize]))
-    }
-}
-
 /// A well-mixed 64-bit hash of one slot's `(index, value, timestamp)`.
 /// Folding the index in means two stores that hold the same versions in
 /// *different slots* digest differently; combining slot hashes with a
@@ -153,27 +116,14 @@ impl ObjectStore {
     /// object identically and a full-replication sharded store digests
     /// exactly like [`ObjectStore::new`].
     pub fn sharded(db_size: u64, map: &ShardMap, node: crate::object::NodeId) -> Self {
-        if map.is_full() {
+        let Some(layout) = map.layout(node) else {
             return ObjectStore::new(db_size);
-        }
-        let shards = map.shards();
-        let hosted = map.hosted_shards(node).to_vec();
-        let layout = ShardLayout {
-            shards: crate::div::FastDivMod::new(u64::from(shards)),
-            // A node hosting nothing has no slots, so the inverse is
-            // never consulted; 1 keeps construction total.
-            width: crate::div::FastDivMod::new(hosted.len().max(1) as u64),
-            hosted,
-            rank: (0..shards)
-                .map(|s| map.rank(node, s).unwrap_or(u32::MAX))
-                .collect(),
         };
-        let count = map.hosted_objects(node, db_size) as usize;
         ObjectStore {
-            objects: vec![Versioned::initial(); count],
+            objects: vec![Versioned::initial(); layout.slots(db_size) as usize],
             digest: std::cell::Cell::new(0),
             digest_dirty: std::cell::Cell::new(true),
-            layout: Some(layout),
+            layout: Some(layout.clone()),
         }
     }
 
@@ -183,7 +133,7 @@ impl ObjectStore {
     fn hash_key(&self, slot: usize) -> usize {
         match &self.layout {
             None => slot,
-            Some(l) => l.object_of(slot).0 as usize,
+            Some(l) => l.object_of(slot as u64).0 as usize,
         }
     }
 

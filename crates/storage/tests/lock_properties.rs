@@ -3,7 +3,7 @@
 //! stays consistent and everything is released at the end.
 
 use proptest::prelude::*;
-use repl_storage::{Acquire, DeadlockMode, LockManager, ObjectId, TxnId};
+use repl_storage::{Acquire, DeadlockMode, LockManager, NodeId, ObjectId, ShardMap, TxnId};
 use std::collections::{BTreeMap, HashSet};
 
 /// How the walk's sixteen logical transactions get their `TxnId`s.
@@ -205,15 +205,60 @@ proptest! {
         timeout_mode in (0u8..2).prop_map(|v| v == 1),
         family in arb_family(),
     ) {
-        let mode = if timeout_mode { DeadlockMode::TimeoutOnly } else { DeadlockMode::Detect };
-        let mut a = LockManager::with_mode(mode);
-        let mut b = LockManager::with_mode(mode);
-        let mut buf = Vec::new();
-        let mut ids = Ids::new(family);
-        // Blocked *logical* transactions.
-        let mut blocked: HashSet<u64> = HashSet::new();
+        equivalence_walk(steps, timeout_mode, family, None)?;
+    }
 
-        let mut drive = |a: &mut LockManager, b: &mut LockManager, t: TxnId| -> Vec<(TxnId, ObjectId)> {
+    /// A manager packed to one node's hosted subset is the identity
+    /// manager on hosted ids: same walk, same checks, plus a holder
+    /// table no longer than the node's hosted-object count — on random
+    /// partial layouts (`shards` below, at and above `nodes`).
+    #[test]
+    fn packed_table_is_equivalent_to_identity(
+        steps in prop::collection::vec(arb_step(), 1..300),
+        timeout_mode in (0u8..2).prop_map(|v| v == 1),
+        family in arb_family(),
+        layout in (1u32..12, 2u32..12, 0u32..12, 0u32..12),
+    ) {
+        let (shards, nodes, rf_raw, shard_raw) = layout;
+        let map = ShardMap::new(shards, nodes, 1 + rf_raw % (nodes - 1));
+        let node = map.replicas(shard_raw % shards)[0];
+        equivalence_walk(steps, timeout_mode, family, Some((&map, node)))?;
+    }
+}
+
+/// Drive two managers through the same walk — `a` the identity table
+/// released with `release_all`, `b` released with `release_all_into`
+/// and, given `packed`, built with that node's layout, the walk's eight
+/// objects then being spread over the ids the node hosts — and check
+/// they are indistinguishable through every public method.
+fn equivalence_walk(
+    steps: Vec<Step>,
+    timeout_mode: bool,
+    family: IdFamily,
+    packed: Option<(&ShardMap, NodeId)>,
+) -> Result<(), TestCaseError> {
+    const DB: u64 = 1000;
+    let mode = if timeout_mode {
+        DeadlockMode::TimeoutOnly
+    } else {
+        DeadlockMode::Detect
+    };
+    let hosted = packed.map_or(DB, |(map, node)| map.hosted_objects(node, DB));
+    let object = |o: u64| match packed {
+        None => ObjectId(o),
+        Some((map, node)) => map.nth_hosted(node, o * 131 % hosted),
+    };
+    let mut a = LockManager::with_mode(mode);
+    let mut b =
+        LockManager::with_mode(mode).with_layout(packed.and_then(|(map, node)| map.layout(node)));
+    b.reserve_objects(DB as usize);
+    let mut buf = Vec::new();
+    let mut ids = Ids::new(family);
+    // Blocked *logical* transactions.
+    let mut blocked: HashSet<u64> = HashSet::new();
+
+    let mut drive =
+        |a: &mut LockManager, b: &mut LockManager, t: TxnId| -> Vec<(TxnId, ObjectId)> {
             let grants = a.release_all(t);
             b.release_all_into(t, &mut buf);
             assert_eq!(grants, buf, "grant order diverged releasing {t}");
@@ -221,63 +266,82 @@ proptest! {
             grants
         };
 
-        for step in steps {
-            match step {
-                Step::Request(t, o) => {
-                    if blocked.contains(&t) {
-                        continue;
-                    }
-                    let id = ids.of(t);
-                    let ra = a.acquire(id, ObjectId(o));
-                    let rb = b.acquire(id, ObjectId(o));
-                    prop_assert_eq!(ra, rb, "acquire({}, {}) diverged", id, o);
-                    match ra {
-                        Acquire::Granted => {}
-                        Acquire::Waiting => {
-                            blocked.insert(t);
-                        }
-                        Acquire::Deadlock => {
-                            ids.retire(t);
-                            for (w, _) in drive(&mut a, &mut b, id) {
-                                blocked.remove(&ids.logical(w));
-                            }
-                        }
-                    }
+    for step in steps {
+        match step {
+            Step::Request(t, o) => {
+                if blocked.contains(&t) {
+                    continue;
                 }
-                Step::Commit(t) => {
-                    if ids.never_commits(t) {
-                        continue;
+                let id = ids.of(t);
+                let ra = a.acquire(id, object(o));
+                let rb = b.acquire(id, object(o));
+                prop_assert_eq!(ra, rb, "acquire({}, {}) diverged", id, o);
+                match ra {
+                    Acquire::Granted => {}
+                    Acquire::Waiting => {
+                        blocked.insert(t);
                     }
-                    let id = ids.of(t);
-                    if blocked.contains(&t) {
-                        // Timeout mode resolves a stuck waiter the way
-                        // the engines do: cancel the wait, then release
-                        // — the PR 2 ghost-lock sequence.
-                        if mode != DeadlockMode::TimeoutOnly {
-                            continue;
+                    Acquire::Deadlock => {
+                        prop_assert_eq!(a.last_deadlock_cycle(), b.last_deadlock_cycle());
+                        ids.retire(t);
+                        for (w, _) in drive(&mut a, &mut b, id) {
+                            blocked.remove(&ids.logical(w));
                         }
-                        a.cancel_wait(id);
-                        b.cancel_wait(id);
-                        blocked.remove(&t);
-                    }
-                    ids.retire(t);
-                    for (w, _) in drive(&mut a, &mut b, id) {
-                        blocked.remove(&ids.logical(w));
                     }
                 }
             }
-            prop_assert_eq!(a.cycle_checks(), b.cycle_checks());
-            prop_assert_eq!(a.locked_objects(), b.locked_objects());
-            prop_assert_eq!(a.blocked_transactions(), b.blocked_transactions());
-            prop_assert_eq!(a.txn_table_capacity(), b.txn_table_capacity());
-            for t in 0..16 {
-                if let Some(id) = ids.current[t] {
-                    prop_assert_eq!(a.held_by(id), b.held_by(id));
-                    prop_assert_eq!(a.waiting_on(id), b.waiting_on(id));
+            Step::Commit(t) => {
+                if ids.never_commits(t) {
+                    continue;
+                }
+                let id = ids.of(t);
+                if blocked.contains(&t) {
+                    // Timeout mode resolves a stuck waiter the way
+                    // the engines do: cancel the wait, then release
+                    // — the PR 2 ghost-lock sequence.
+                    if mode != DeadlockMode::TimeoutOnly {
+                        continue;
+                    }
+                    a.cancel_wait(id);
+                    b.cancel_wait(id);
+                    blocked.remove(&t);
+                }
+                ids.retire(t);
+                for (w, _) in drive(&mut a, &mut b, id) {
+                    blocked.remove(&ids.logical(w));
                 }
             }
         }
+        prop_assert_eq!(a.cycle_checks(), b.cycle_checks());
+        prop_assert_eq!(a.locked_objects(), b.locked_objects());
+        prop_assert_eq!(a.blocked_transactions(), b.blocked_transactions());
+        prop_assert_eq!(a.txn_table_capacity(), b.txn_table_capacity());
+        for t in 0..16 {
+            if let Some(id) = ids.current[t] {
+                prop_assert_eq!(a.held_by(id), b.held_by(id));
+                prop_assert_eq!(a.waiting_on(id), b.waiting_on(id));
+            }
+        }
+        for o in (0..8).map(object) {
+            prop_assert_eq!(a.holder_of(o), b.holder_of(o));
+        }
+        prop_assert!(
+            b.holder_table_len() <= hosted as usize,
+            "{} holder entries for {hosted} hosted objects",
+            b.holder_table_len()
+        );
     }
+    Ok(())
+}
+
+/// A packed table covers the node's hosted ids only.
+#[test]
+#[should_panic(expected = "not hosted")]
+fn packed_table_panics_on_an_unhosted_id() {
+    let map = ShardMap::new(4, 4, 1);
+    // Node 0 hosts only shard 0; object 1 is shard 1.
+    let mut lm = LockManager::new().with_layout(map.layout(NodeId(0)));
+    lm.acquire(TxnId(1), ObjectId(1));
 }
 
 /// A promotion inside `release_all_into` records the waiter's new lock,

@@ -1,18 +1,19 @@
-//! Fan-out behavior is pinned: the signature-grouped propagation path
-//! must be provably an optimization, not a behavior change.
+//! Fan-out behavior is pinned: the sharded propagation paths must be
+//! provably an optimization, not a behavior change.
 //!
 //! Two legs:
 //!
 //! 1. **Goldens.** `goldens/fanout_sharded.txt` pins a digest of the
 //!    full `Report` plus every final store digest for a grid of
 //!    *partial* shard layouts across all engines. The file was
-//!    generated from the pre-signature per-destination filter
+//!    generated from the plain per-destination filter
 //!    (`REGEN_FANOUT_GOLDENS=1 cargo test -q --test
-//!    fanout_determinism`), so any run that diverges from it changed
-//!    observable behavior, not just speed.
-//! 2. **Property test** (below, `signature_groups_match_reference`):
-//!    for random `ShardMap`s, filtering once per distinct shard-set
-//!    signature must equal the per-destination reference filter.
+//!    fanout_determinism`), before any fan-out optimisation, so any
+//!    run that diverges from it changed observable behavior, not just
+//!    speed.
+//! 2. **Property test** (below, `replica_set_walk_matches_reference`):
+//!    for random `ShardMap`s, the shard→replica-set fan-out walk must
+//!    equal the per-destination reference filter.
 
 use dangers_of_replication::core::{
     EagerSim, LazyGroupSim, LazyMasterSim, Mobility, Ownership, ReplicaDiscipline, Report,
@@ -121,7 +122,7 @@ const GOLDEN_PATH: &str = concat!(
 );
 
 /// Sharded runs for every engine must match the goldens captured
-/// before the signature-grouped fan-out landed.
+/// before any fan-out optimisation landed.
 #[test]
 fn sharded_runs_match_pre_signature_goldens() {
     let lines = golden_lines();
@@ -143,61 +144,48 @@ fn sharded_runs_match_pre_signature_goldens() {
     }
 }
 
-mod signature_properties {
-    use dangers_of_replication::storage::{NodeId, ShardMap};
+mod fanout_properties {
+    use dangers_of_replication::storage::{NodeId, ObjectId, ShardMap};
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Leg 2: filtering once per distinct shard-set signature must
-        /// agree with the per-destination reference filter — for every
-        /// destination, on random layouts, for objects drawn from the
-        /// origin-hosted set (the only records an origin ever logs).
+        /// Leg 2: the shard→replica-set walk the two-tier base fans a
+        /// commit out with must select, for every destination, exactly
+        /// the updates the per-destination reference filter
+        /// (`hosts_object`, which lazy-group's per-peer mask evaluates
+        /// directly) selects, and visit the destinations in ascending
+        /// order — on random layouts (`shards` below, at and above
+        /// `nodes`; rf 1 through rf = nodes; nodes hosting nothing) and
+        /// random update lists, each extended by four updates to one
+        /// shard.
         #[test]
-        fn signature_groups_match_reference(
+        fn replica_set_walk_matches_reference(
             shards in 1u32..24,
             nodes in 2u32..24,
-            rf_raw in 1u32..6,
-            origin_raw in 0u32..24,
-            db_size in 1u64..5000,
-            pick in 0u64..5000,
+            rf_raw in 1u32..24,
+            random in proptest::collection::vec(0u64..5000, 0..9),
+            same_shard in 0u64..5000,
         ) {
-            let rf = rf_raw.min(nodes);
-            let origin = NodeId(origin_raw % nodes);
-            let map = ShardMap::new(shards, nodes, rf);
-            let hosted = map.hosted_objects(origin, db_size);
-            if hosted == 0 {
-                // Origin hosts nothing under this layout: no log, no
-                // fan-out — vacuously consistent.
-                return Ok(());
-            }
-            let object = map.nth_hosted(origin, pick % hosted);
-            prop_assert!(map.hosts_object(origin, object));
-            for dest in (0..nodes).map(NodeId) {
-                // Replica fan-out from `origin`.
-                let reference = dest != origin
-                    && map.shares_any(origin, dest)
-                    && map.hosts_object(dest, object);
-                let grouped = map
-                    .fanout_group(origin, dest)
-                    .is_some_and(|g| map.fanout_group_hosts(origin, g, object));
-                prop_assert_eq!(
-                    grouped, reference,
-                    "fanout {:?}->{:?} obj {:?} (shards={} nodes={} rf={})",
-                    origin, dest, object, shards, nodes, rf
-                );
-                // Master fan-out (a base sender hosting every shard).
-                let master = map
-                    .host_group(dest)
-                    .is_some_and(|g| map.host_group_hosts(g, object));
-                prop_assert_eq!(
-                    master,
-                    map.hosts_object(dest, object),
-                    "host-group {:?} obj {:?} (shards={} nodes={} rf={})",
-                    dest, object, shards, nodes, rf
-                );
-            }
+            let map = ShardMap::new(shards, nodes, rf_raw.min(nodes));
+            let shard = same_shard % u64::from(shards);
+            let mut objects = random;
+            objects.extend((0..4).map(|row| shard + row * u64::from(shards)));
+            let mut walked = vec![(NodeId(u32::MAX), 0)]; // stale: must be cleared
+            map.fanout_masks(objects.iter().copied().map(ObjectId), &mut walked);
+            let reference: Vec<(NodeId, u64)> = (0..nodes)
+                .map(NodeId)
+                .map(|dest| {
+                    let hosted = |(i, &obj)| u64::from(map.hosts_object(dest, ObjectId(obj))) << i;
+                    (dest, objects.iter().enumerate().map(hosted).sum())
+                })
+                .filter(|&(_, mask)| mask != 0)
+                .collect();
+            prop_assert_eq!(
+                walked, reference,
+                "objects {:?} (shards={} nodes={} rf={})", &objects, shards, nodes, map.rf()
+            );
         }
     }
 }
