@@ -117,3 +117,58 @@ fn fuzz_crash_elect_catch_up_keeps_oracles_green() {
         group.shutdown();
     }
 }
+
+/// The text `harness --json [--quick] --seed S [--faults F] --metrics M
+/// failover` prints and exports: the pretty table, then the registry.
+fn failover_golden_section(seed: u64, quick: bool, faults: Option<&str>) -> String {
+    use dangers_of_replication::harness::{
+        experiments::failover::failover, MetricsSession, RunOpts,
+    };
+    use dangers_of_replication::net::FaultPlan;
+    let opts = RunOpts {
+        quick,
+        seed,
+        faults: faults.map(|f| FaultPlan::parse(f, seed).expect("valid fault spec")),
+        metrics: MetricsSession::enabled(),
+        ..RunOpts::default()
+    };
+    let table = serde_json::to_string_pretty(&failover(&opts)).expect("tables serialize");
+    let metrics = opts.metrics.to_json().expect("session enabled");
+    let horizon = if quick { "quick" } else { "full" };
+    let faults = faults.unwrap_or("-");
+    format!("## seed={seed} horizon={horizon} faults={faults}\n{table}\n{metrics}\n")
+}
+
+/// Byte-identity golden for the failover experiment: table and metrics
+/// export for three seeds at both horizons, plus an explicit `--faults`
+/// schedule. Generated while `BaseGroup` still ran one thread per
+/// replica (`REGEN_FAILOVER_GOLDENS=1 cargo test -q --test failover`),
+/// so it pins every observable of the threaded base tier.
+#[test]
+fn failover_experiment_matches_goldens() {
+    const FAULTS: &str = "crash=base0:3..9;crash=base1:20..30";
+    let mut got = String::new();
+    for seed in [41, 42, 7] {
+        for quick in [true, false] {
+            got.push_str(&failover_golden_section(seed, quick, None));
+        }
+    }
+    for quick in [true, false] {
+        got.push_str(&failover_golden_section(41, quick, Some(FAULTS)));
+    }
+    let path = format!("{}/tests/goldens/failover.txt", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("REGEN_FAILOVER_GOLDENS").is_some() {
+        std::fs::write(&path, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .expect("goldens missing — run with REGEN_FAILOVER_GOLDENS=1 to create them");
+    for (got, want) in got.split("## ").zip(want.split("## ")) {
+        assert_eq!(got, want, "failover run diverged from its golden");
+    }
+    assert_eq!(
+        got.len(),
+        want.len(),
+        "failover.txt covers a different grid"
+    );
+}
