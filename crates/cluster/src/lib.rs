@@ -31,7 +31,6 @@
 
 #![warn(missing_docs)]
 
-pub mod election;
 pub mod two_tier;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};

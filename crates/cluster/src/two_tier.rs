@@ -5,7 +5,9 @@
 //! * [`BaseServer`] — one thread owning the master database. It
 //!   executes base transactions under the lazy-master discipline,
 //!   applies acceptance criteria, and streams its commit log to
-//!   reconnecting clients.
+//!   reconnecting clients. The protocol is [`repl_core::base_tier`]'s
+//!   `Replica`; this module adds the thread, the channel and the
+//!   timeouts.
 //! * [`MobileNode`] — a disconnected client holding (master, tentative)
 //!   dual versions. It executes tentative transactions locally, logs
 //!   their input parameters, and re-submits them in commit order on
@@ -28,90 +30,39 @@
 //! assert_eq!(base.snapshot().get(ObjectId(0)).value, Value::Int(70));
 //! base.shutdown();
 //! ```
+//!
+//! A mobile syncs against the replicated [`BaseGroup`] the same way,
+//! and its retry loop rides out a failover:
+//!
+//! ```
+//! use repl_cluster::two_tier::{BaseGroup, MobileNode};
+//! use repl_core::{Criterion, Op, Operation, TxnSpec};
+//! use repl_storage::{NodeId, ObjectId, Value};
+//!
+//! let group = BaseGroup::spawn(3, 4, 100);
+//! let mut mobile = MobileNode::new(NodeId(100), 4, 100);
+//! mobile.execute_tentative(
+//!     TxnSpec::new(vec![Operation::new(ObjectId(0), Op::Debit(30))])
+//!         .with_criterion(Criterion::NonNegative),
+//! );
+//! group.try_crash(0); // kill the primary
+//! let outcome = mobile.sync_with_retry(&group, 8).expect("failover");
+//! assert_eq!(outcome.accepted, 1);
+//! assert_eq!(group.epoch(), 2); // a new leader took over
+//! group.shutdown();
+//! ```
 
-use crate::election::{self, Candidate, ElectionOutcome, Epoch, Tally, VoteReply, VoteRequest};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use repl_core::base_tier::Replica;
+pub use repl_core::base_tier::{BaseGroup, DedupId, Pending, SyncReply, SyncTarget, TxnOutcome};
 use repl_core::TxnSpec;
 use repl_sim::{SimRng, SimTime};
 use repl_storage::{
-    CommitRecord, LamportClock, Lsn, NodeId, ObjectId, ObjectStore, TentativeStore, Timestamp,
-    TxnId, Value,
+    LamportClock, Lsn, NodeId, ObjectId, ObjectStore, TentativeStore, Timestamp, Value,
 };
-use repl_telemetry::{AbortReason, Event, EventKind, RunMetrics, SyncTraceHandle};
-use std::cell::RefCell;
-use std::collections::HashMap;
+use repl_telemetry::{Event, EventKind, SyncTraceHandle};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Globally unique identity of one tentative transaction, assigned at
-/// its originating mobile node. The base remembers the outcome of every
-/// id it has executed, so a re-submitted transaction (the mobile
-/// retried because a crash ate the reply) returns its recorded fate
-/// instead of executing twice — sync is exactly-once even over an
-/// at-least-once retry loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DedupId {
-    /// The originating mobile node.
-    pub node: NodeId,
-    /// That node's tentative-transaction sequence number.
-    pub seq: u64,
-}
-
-/// A tentative transaction awaiting base re-execution: the §7
-/// "input parameters" capture plus the tentative outputs the acceptance
-/// criterion compares against.
-#[derive(Debug, Clone)]
-pub struct Pending {
-    /// Unique identity for at-most-once base execution.
-    pub dedup: DedupId,
-    /// The transaction's specification (ops + criterion).
-    pub spec: TxnSpec,
-    /// The outputs the tentative execution produced.
-    pub tentative_results: Vec<(ObjectId, Value)>,
-}
-
-/// Outcome of one re-executed tentative transaction.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TxnOutcome {
-    /// The base execution passed the acceptance criterion; these are
-    /// the (durable) base outputs.
-    Accepted(Vec<(ObjectId, Value)>),
-    /// The acceptance criterion failed; the diagnostic explains why
-    /// ("the originating node and person … are informed it failed and
-    /// why it failed").
-    Rejected {
-        /// Human-readable failure diagnostic.
-        reason: String,
-    },
-}
-
-/// Reply to a [`MobileNode::sync`] — the wire-level answer a
-/// [`SyncTarget`] returns for one sync round-trip.
-#[derive(Debug)]
-pub struct SyncReply {
-    /// One outcome per submitted [`Pending`], in submission order.
-    pub outcomes: Vec<TxnOutcome>,
-    /// Commit records newer than the mobile's watermark (the deferred
-    /// replica refresh).
-    pub refresh: Vec<CommitRecord>,
-    /// The base commit-log head after this sync; the mobile's next
-    /// watermark.
-    pub head: Lsn,
-    /// Replication sequence number covering this sync's base commits
-    /// (0 when the target is an unreplicated [`BaseServer`] or the
-    /// sync committed nothing). [`BaseGroup`] records it as an
-    /// acknowledged write for the lost-commit oracle.
-    pub repl_seq: u64,
-}
-
-/// Anything a [`MobileNode`] can sync against: the single
-/// [`BaseServer`] or the replicated [`BaseGroup`].
-pub trait SyncTarget {
-    /// One sync round-trip. `None` when the base tier did not answer
-    /// (crashed, down, or degraded below quorum) — the caller should
-    /// retry; [`DedupId`]s make the retry exactly-once.
-    fn try_sync(&self, pendings: Vec<Pending>, from: Lsn, timeout: Duration) -> Option<SyncReply>;
-}
 
 enum BaseMsg {
     Execute {
@@ -133,104 +84,68 @@ enum BaseMsg {
         count: u32,
     },
     /// Crash the base: the thread exits, volatile state (master, clock)
-    /// is lost, durable state (commit log, dedup map) survives in the
-    /// remnant.
+    /// is lost, durable state (commit log, dedup map) survives.
     Crash,
     Shutdown,
 }
 
-/// Durable base state handed back by a crash, consumed by a restart.
-struct BaseRemnant {
-    inbox: Receiver<BaseMsg>,
-    log: repl_storage::CommitLog,
-    seen: HashMap<DedupId, TxnOutcome>,
-    next_txn: u64,
-    tracer: SyncTraceHandle,
-    tick: u64,
-}
-
+/// The base thread's state. A crash hands it back to the handle with
+/// the replica down; the inbox doubles as the durable request queue, so
+/// requests sent while crashed are served after the restart.
 struct BaseThread {
-    master: ObjectStore,
-    clock: LamportClock,
-    log: repl_storage::CommitLog,
-    /// Durable outcome of every dedup id ever executed. Consulted
-    /// before re-executing a resubmitted tentative transaction.
-    seen: HashMap<DedupId, TxnOutcome>,
+    replica: Replica,
     /// Pending injected reply-crashes (see
     /// [`BaseMsg::InjectReplyCrashes`]).
     drop_replies: u32,
     inbox: Receiver<BaseMsg>,
-    next_txn: u64,
     tracer: SyncTraceHandle,
-    // The base thread has no simulated clock; events carry a logical
-    // tick, one per executed base transaction.
-    tick: u64,
 }
 
 impl BaseThread {
-    fn run(mut self) -> Option<BaseRemnant> {
+    fn spawn(self) -> JoinHandle<Option<BaseThread>> {
+        std::thread::Builder::new()
+            .name("two-tier-base".to_owned())
+            .spawn(move || self.run())
+            .expect("failed to spawn base thread")
+    }
+
+    fn run(mut self) -> Option<BaseThread> {
         while let Ok(msg) = self.inbox.recv() {
             match msg {
                 BaseMsg::Execute { spec, reply } => {
-                    let outcome = self.execute(&spec, None);
-                    let _ = reply.send(outcome);
+                    let _ = reply.send(self.replica.execute(&spec, None));
                 }
                 BaseMsg::Sync {
                     pendings,
                     from,
                     reply,
                 } => {
-                    let outcomes = pendings
-                        .iter()
-                        .map(|p| match self.seen.get(&p.dedup) {
-                            // Already executed in a previous (possibly
-                            // reply-crashed) sync: return the recorded
-                            // fate, do not run it again.
-                            Some(outcome) => outcome.clone(),
-                            None => {
-                                let outcome = self.execute(&p.spec, Some(&p.tentative_results));
-                                self.seen.insert(p.dedup, outcome.clone());
-                                outcome
-                            }
-                        })
-                        .collect();
-                    let refresh = self.log.since(from).to_vec();
+                    let (outcomes, _) = self.replica.sync(&pendings);
                     if self.drop_replies > 0 {
                         // Crash after commit, before reply: the work is
                         // durable but the client never hears back.
                         self.drop_replies -= 1;
-                        let now = SimTime(self.tick);
-                        self.tracer
-                            .emit(|| Event::system(now, NodeId(0), EventKind::NodeCrash));
-                        drop(reply);
+                        self.replica.emit(EventKind::NodeCrash);
                         continue;
                     }
+                    let log = self.replica.log();
                     let _ = reply.send(SyncReply {
                         outcomes,
-                        refresh,
-                        head: self.log.head(),
+                        refresh: log.since(from).to_vec(),
+                        head: log.head(),
                         repl_seq: 0,
                     });
                 }
                 BaseMsg::Snapshot { reply } => {
-                    let _ = reply.send(self.master.clone());
+                    let master = self.replica.master().expect("a running base is live");
+                    let _ = reply.send(master.clone());
                 }
                 BaseMsg::InjectReplyCrashes { count } => {
                     self.drop_replies += count;
                 }
                 BaseMsg::Crash => {
-                    let now = SimTime(self.tick);
-                    self.tracer
-                        .emit(|| Event::system(now, NodeId(0), EventKind::NodeCrash));
-                    self.tracer.flush();
-                    return Some(BaseRemnant {
-                        inbox: self.inbox,
-                        log: self.log,
-                        seen: self.seen,
-                        next_txn: self.next_txn,
-                        tracer: self.tracer,
-                        tick: self.tick,
-                    });
+                    self.replica.crash();
+                    return Some(self);
                 }
                 BaseMsg::Shutdown => break,
             }
@@ -238,107 +153,14 @@ impl BaseThread {
         self.tracer.flush();
         None
     }
-
-    /// Execute one base transaction: buffer the writes, judge them with
-    /// the acceptance criterion, install on success.
-    fn execute(
-        &mut self,
-        spec: &TxnSpec,
-        tentative: Option<&Vec<(ObjectId, Value)>>,
-    ) -> TxnOutcome {
-        self.tick += 1;
-        run_base_txn(
-            NodeId(0),
-            &mut self.master,
-            &mut self.clock,
-            &mut self.log,
-            &mut self.next_txn,
-            &self.tracer,
-            SimTime(self.tick),
-            spec,
-            tentative,
-        )
-    }
-}
-
-/// Execute one base transaction against a (`master`, `clock`, `log`)
-/// triple: buffer the writes, judge them with the acceptance criterion,
-/// install on success. Shared by the single [`BaseServer`] thread and
-/// every [`BaseGroup`] replica, so a failover cannot change the
-/// acceptance semantics.
-#[allow(clippy::too_many_arguments)]
-fn run_base_txn(
-    node: NodeId,
-    master: &mut ObjectStore,
-    clock: &mut LamportClock,
-    log: &mut repl_storage::CommitLog,
-    next_txn: &mut u64,
-    tracer: &SyncTraceHandle,
-    now: SimTime,
-    spec: &TxnSpec,
-    tentative: Option<&Vec<(ObjectId, Value)>>,
-) -> TxnOutcome {
-    let mut buffered: Vec<(ObjectId, Value)> = Vec::with_capacity(spec.ops.len());
-    for op in &spec.ops {
-        let current = buffered
-            .iter()
-            .rev()
-            .find(|(o, _)| *o == op.object)
-            .map(|(_, v)| v.clone())
-            .unwrap_or_else(|| master.get(op.object).value.clone());
-        buffered.push((op.object, op.op.apply(&current)));
-    }
-    let accepted = match tentative {
-        Some(t) => spec.criterion.accepts(&buffered, t),
-        None => spec.criterion.accepts(&buffered, &buffered),
-    };
-    if !accepted {
-        // The tentative fate (TentativeRejected) is emitted at the
-        // originating mobile node, which knows its own identity;
-        // the base records only that this incarnation died.
-        tracer.emit(|| {
-            Event::system(
-                now,
-                node,
-                EventKind::TxnAbort {
-                    reason: AbortReason::Conflict,
-                },
-            )
-        });
-        return TxnOutcome::Rejected {
-            reason: format!(
-                "acceptance criterion {:?} failed for outputs {:?}",
-                spec.criterion, buffered
-            ),
-        };
-    }
-    *next_txn += 1;
-    let txn = TxnId(*next_txn);
-    tracer.emit(|| Event::new(now, node, txn, EventKind::TxnCommit));
-    let mut updates = Vec::with_capacity(buffered.len());
-    for (obj, value) in &buffered {
-        let old_ts = master.get(*obj).ts;
-        let new_ts = clock.tick();
-        master.set(*obj, value.clone(), new_ts);
-        updates.push(repl_storage::UpdateRecord {
-            txn,
-            object: *obj,
-            old_ts,
-            new_ts,
-            value: value.clone(),
-        });
-    }
-    log.append(txn, updates);
-    TxnOutcome::Accepted(buffered)
 }
 
 /// Handle to the base-node thread.
 pub struct BaseServer {
     sender: Sender<BaseMsg>,
-    handle: Option<JoinHandle<Option<BaseRemnant>>>,
-    remnant: Option<BaseRemnant>,
-    db_size: u64,
-    initial_value: i64,
+    handle: Option<JoinHandle<Option<BaseThread>>>,
+    /// The crashed base's state, consumed by a restart.
+    remnant: Option<BaseThread>,
 }
 
 impl BaseServer {
@@ -352,31 +174,16 @@ impl BaseServer {
     /// events through `tracer` as it commits and rejects transactions.
     pub fn spawn_traced(db_size: u64, initial_value: i64, tracer: SyncTraceHandle) -> Self {
         let (tx, rx) = unbounded();
-        let mut master = ObjectStore::new(db_size);
-        for i in 0..db_size {
-            master.set(ObjectId(i), Value::Int(initial_value), Timestamp::ZERO);
-        }
         let thread = BaseThread {
-            master,
-            clock: LamportClock::new(NodeId(0)),
-            log: repl_storage::CommitLog::new(),
-            seen: HashMap::new(),
+            replica: Replica::new(NodeId(0), db_size, initial_value, tracer.clone()),
             drop_replies: 0,
             inbox: rx,
-            next_txn: 0,
             tracer,
-            tick: 0,
         };
-        let handle = std::thread::Builder::new()
-            .name("two-tier-base".to_owned())
-            .spawn(move || thread.run())
-            .expect("failed to spawn base thread");
         BaseServer {
             sender: tx,
-            handle: Some(handle),
+            handle: Some(thread.spawn()),
             remnant: None,
-            db_size,
-            initial_value,
         }
     }
 
@@ -404,11 +211,10 @@ impl BaseServer {
     /// when the base is already down, so overlapping fault-plan crash
     /// windows degrade to nothing instead of aborting the run.
     pub fn try_crash(&mut self) -> bool {
-        if self.remnant.is_some() || self.handle.is_none() {
+        let Some(handle) = self.handle.take() else {
             return false;
-        }
+        };
         self.sender.send(BaseMsg::Crash).expect("base thread gone");
-        let handle = self.handle.take().expect("crashed base has no thread");
         let remnant = handle.join().expect("base thread panicked");
         self.remnant = Some(remnant.expect("crash must yield a remnant"));
         true
@@ -428,49 +234,11 @@ impl BaseServer {
     /// Non-panicking [`BaseServer::restart`]: `None` (a no-op) when the
     /// base is not crashed.
     pub fn try_restart(&mut self) -> Option<u64> {
-        let remnant = self.remnant.take()?;
-        let mut master = ObjectStore::new(self.db_size);
-        for i in 0..self.db_size {
-            master.set(ObjectId(i), Value::Int(self.initial_value), Timestamp::ZERO);
-        }
-        let mut clock = LamportClock::new(NodeId(0));
-        let mut replayed = 0;
-        for record in remnant.log.since(Lsn(0)) {
-            replayed += 1;
-            for u in &record.updates {
-                clock.observe(u.new_ts);
-                master.set(u.object, u.value.clone(), u.new_ts);
-            }
-        }
-        let now = SimTime(remnant.tick);
-        remnant.tracer.emit(|| {
-            Event::system(
-                now,
-                NodeId(0),
-                EventKind::RecoveryReplay { messages: replayed },
-            )
-        });
-        remnant
-            .tracer
-            .emit(|| Event::system(now, NodeId(0), EventKind::NodeRestart));
-        let thread = BaseThread {
-            master,
-            clock,
-            log: remnant.log,
-            seen: remnant.seen,
-            drop_replies: 0,
-            inbox: remnant.inbox,
-            next_txn: remnant.next_txn,
-            tracer: remnant.tracer,
-            tick: remnant.tick,
-        };
-        self.handle = Some(
-            std::thread::Builder::new()
-                .name("two-tier-base".to_owned())
-                .spawn(move || thread.run())
-                .expect("failed to respawn base thread"),
-        );
-        Some(replayed)
+        let mut thread = self.remnant.take()?;
+        let replayed = thread.replica.restart();
+        thread.drop_replies = 0;
+        self.handle = Some(thread.spawn());
+        replayed
     }
 
     /// Whether the base is currently crashed.
@@ -799,1071 +567,6 @@ impl MobileNode {
         }
         self.watermark = reply.head;
         Some(outcome)
-    }
-}
-
-// ─────────────────────── replicated base tier ───────────────────────
-
-/// Generous reply deadline for round-trips to a replica the handle
-/// believes is live. In-process replicas answer in microseconds; a
-/// dead one is detected by its dropped reply sender (disconnect), not
-/// by this deadline, so the timeout never decides an outcome in a
-/// healthy run.
-const LIVE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// One replication shipment, primary → backups: the commit records one
-/// sync (or direct execute) produced, plus the [`DedupId`] outcomes it
-/// decided, stamped with the shipping primary's epoch. Backups fence
-/// stale epochs and skip records at or below their log head, so
-/// redelivery — queued appends replayed after a restart — is harmless.
-#[derive(Debug, Clone)]
-struct ReplBatch {
-    epoch: Epoch,
-    records: Vec<CommitRecord>,
-    outcomes: Vec<(DedupId, TxnOutcome)>,
-}
-
-/// A replica's answer to a status probe: its electable state plus the
-/// cumulative fence counter.
-#[derive(Debug, Clone, Copy)]
-struct ReplicaStatus {
-    epoch: Epoch,
-    head: u64,
-    fenced: u64,
-}
-
-enum GroupMsg {
-    Sync {
-        pendings: Vec<Pending>,
-        from: Lsn,
-        reply: Sender<SyncReply>,
-    },
-    Execute {
-        spec: TxnSpec,
-        /// The outcome plus the replicated-log head after it, so the
-        /// handle can record the acknowledged write.
-        reply: Sender<(TxnOutcome, u64)>,
-    },
-    Append {
-        batch: ReplBatch,
-    },
-    Status {
-        reply: Sender<ReplicaStatus>,
-    },
-    RequestVote {
-        req: VoteRequest,
-        reply: Sender<VoteReply>,
-    },
-    BecomePrimary {
-        epoch: Epoch,
-        reply: Sender<u64>,
-    },
-    /// Anti-entropy log transfer: absorb `records`/`outcomes` under
-    /// `epoch`, reply with the log head afterwards.
-    CatchUp {
-        epoch: Epoch,
-        records: Vec<CommitRecord>,
-        outcomes: Vec<(DedupId, TxnOutcome)>,
-        reply: Sender<u64>,
-    },
-    FetchLog {
-        from: Lsn,
-        #[allow(clippy::type_complexity)]
-        reply: Sender<(Vec<CommitRecord>, Vec<(DedupId, TxnOutcome)>)>,
-    },
-    Read {
-        obj: ObjectId,
-        reply: Sender<Value>,
-    },
-    Snapshot {
-        reply: Sender<ObjectStore>,
-    },
-    /// Make the next committing sync commit and replicate durably, then
-    /// crash before the reply leaves — the failover analogue of
-    /// [`BaseMsg::InjectReplyCrashes`].
-    InjectCommitCrash,
-    Crash,
-    Shutdown,
-}
-
-/// Durable replica state handed back by a crash, consumed by a restart.
-/// The inbox doubles as the durable message queue: appends shipped to a
-/// down replica wait here and replay on restart.
-struct ReplicaRemnant {
-    inbox: Receiver<GroupMsg>,
-    log: repl_storage::CommitLog,
-    seen: HashMap<DedupId, TxnOutcome>,
-    epoch: Epoch,
-    next_txn: u64,
-    fenced: u64,
-    tick: u64,
-}
-
-struct ReplicaThread {
-    node: NodeId,
-    is_primary: bool,
-    epoch: Epoch,
-    master: ObjectStore,
-    clock: LamportClock,
-    log: repl_storage::CommitLog,
-    seen: HashMap<DedupId, TxnOutcome>,
-    fenced: u64,
-    /// All replicas' senders, own slot `None`.
-    peers: Vec<Option<Sender<GroupMsg>>>,
-    inbox: Receiver<GroupMsg>,
-    next_txn: u64,
-    commit_crashes: u32,
-    tracer: SyncTraceHandle,
-    tick: u64,
-}
-
-impl ReplicaThread {
-    fn run(mut self) -> Option<ReplicaRemnant> {
-        while let Ok(msg) = self.inbox.recv() {
-            match msg {
-                GroupMsg::Sync {
-                    pendings,
-                    from,
-                    reply,
-                } => {
-                    if !self.is_primary {
-                        // A sync routed before a deposition reached us;
-                        // dropping the reply makes the mobile retry
-                        // (and the retry is exactly-once by dedup id).
-                        drop(reply);
-                        continue;
-                    }
-                    let start = self.log.head();
-                    let mut outcomes = Vec::with_capacity(pendings.len());
-                    let mut decided = Vec::new();
-                    for p in &pendings {
-                        match self.seen.get(&p.dedup) {
-                            // Executed in a previous reign or a
-                            // reply-crashed sync: return the recorded
-                            // fate — exactly-once across failover.
-                            Some(o) => outcomes.push(o.clone()),
-                            None => {
-                                let o = self.execute(&p.spec, Some(&p.tentative_results));
-                                self.seen.insert(p.dedup, o.clone());
-                                decided.push((p.dedup, o.clone()));
-                                outcomes.push(o);
-                            }
-                        }
-                    }
-                    self.ship(start, decided);
-                    let refresh = self.log.since(from).to_vec();
-                    let head = self.log.head();
-                    if self.commit_crashes > 0 {
-                        // Commit and replication are durable; die
-                        // before the reply leaves.
-                        self.commit_crashes -= 1;
-                        let (node, now) = (self.node, SimTime(self.tick));
-                        self.tracer
-                            .emit(|| Event::system(now, node, EventKind::NodeCrash));
-                        self.tracer.flush();
-                        drop(reply);
-                        return Some(self.into_remnant());
-                    }
-                    let _ = reply.send(SyncReply {
-                        outcomes,
-                        refresh,
-                        head,
-                        repl_seq: head.0,
-                    });
-                }
-                GroupMsg::Execute { spec, reply } => {
-                    if !self.is_primary {
-                        drop(reply);
-                        continue;
-                    }
-                    let start = self.log.head();
-                    let outcome = self.execute(&spec, None);
-                    self.ship(start, Vec::new());
-                    let _ = reply.send((outcome, self.log.head().0));
-                }
-                GroupMsg::Append { batch } => {
-                    self.absorb(batch);
-                }
-                GroupMsg::Status { reply } => {
-                    let _ = reply.send(ReplicaStatus {
-                        epoch: self.epoch,
-                        head: self.log.head().0,
-                        fenced: self.fenced,
-                    });
-                }
-                GroupMsg::RequestVote { req, reply } => {
-                    let granted = election::grant_vote(self.epoch, self.log.head().0, &req);
-                    if granted {
-                        self.epoch = req.epoch;
-                    }
-                    let _ = reply.send(VoteReply {
-                        from: self.node,
-                        granted,
-                        epoch: self.epoch,
-                    });
-                }
-                GroupMsg::BecomePrimary { epoch, reply } => {
-                    self.epoch = self.epoch.max(epoch);
-                    self.is_primary = true;
-                    let _ = reply.send(self.log.head().0);
-                }
-                GroupMsg::CatchUp {
-                    epoch,
-                    records,
-                    outcomes,
-                    reply,
-                } => {
-                    let before = self.log.head().0;
-                    self.absorb(ReplBatch {
-                        epoch,
-                        records,
-                        outcomes,
-                    });
-                    let applied = self.log.head().0 - before;
-                    self.tick += 1;
-                    let (node, now, e) = (self.node, SimTime(self.tick), self.epoch.0);
-                    self.tracer.emit(|| {
-                        Event::system(
-                            now,
-                            node,
-                            EventKind::CatchUpComplete {
-                                epoch: e,
-                                records: applied,
-                            },
-                        )
-                    });
-                    let _ = reply.send(self.log.head().0);
-                }
-                GroupMsg::FetchLog { from, reply } => {
-                    let records = self.log.since(from).to_vec();
-                    let outcomes = self.seen.iter().map(|(d, o)| (*d, o.clone())).collect();
-                    let _ = reply.send((records, outcomes));
-                }
-                GroupMsg::Read { obj, reply } => {
-                    let _ = reply.send(self.master.get(obj).value.clone());
-                }
-                GroupMsg::Snapshot { reply } => {
-                    let _ = reply.send(self.master.clone());
-                }
-                GroupMsg::InjectCommitCrash => {
-                    self.commit_crashes += 1;
-                }
-                GroupMsg::Crash => {
-                    let (node, now) = (self.node, SimTime(self.tick));
-                    self.tracer
-                        .emit(|| Event::system(now, node, EventKind::NodeCrash));
-                    self.tracer.flush();
-                    return Some(self.into_remnant());
-                }
-                GroupMsg::Shutdown => break,
-            }
-        }
-        self.tracer.flush();
-        None
-    }
-
-    fn execute(
-        &mut self,
-        spec: &TxnSpec,
-        tentative: Option<&Vec<(ObjectId, Value)>>,
-    ) -> TxnOutcome {
-        self.tick += 1;
-        run_base_txn(
-            self.node,
-            &mut self.master,
-            &mut self.clock,
-            &mut self.log,
-            &mut self.next_txn,
-            &self.tracer,
-            SimTime(self.tick),
-            spec,
-            tentative,
-        )
-    }
-
-    /// Ship everything committed since `start` (plus the dedup
-    /// outcomes decided alongside) to every peer. Sends to a crashed
-    /// peer queue in its durable inbox and replay on restart.
-    fn ship(&mut self, start: Lsn, decided: Vec<(DedupId, TxnOutcome)>) {
-        let records = self.log.since(start).to_vec();
-        if records.is_empty() && decided.is_empty() {
-            return;
-        }
-        let batch = ReplBatch {
-            epoch: self.epoch,
-            records,
-            outcomes: decided,
-        };
-        let (node, now, lsn) = (self.node, SimTime(self.tick), self.log.head());
-        for (i, peer) in self.peers.iter().enumerate() {
-            if let Some(tx) = peer {
-                let to = NodeId(i as u32);
-                self.tracer
-                    .emit(|| Event::system(now, node, EventKind::ReplicaSend { to, lsn }));
-                let _ = tx.send(GroupMsg::Append {
-                    batch: batch.clone(),
-                });
-            }
-        }
-    }
-
-    /// Absorb a replication batch: fence it if its epoch is stale,
-    /// otherwise adopt the epoch and apply the records this replica
-    /// does not yet hold (log append + master install + clock advance).
-    fn absorb(&mut self, batch: ReplBatch) {
-        if batch.epoch < self.epoch {
-            self.fenced += 1;
-            self.tick += 1;
-            let (node, now) = (self.node, SimTime(self.tick));
-            let (stale, current) = (batch.epoch.0, self.epoch.0);
-            self.tracer
-                .emit(|| Event::system(now, node, EventKind::EpochFenced { stale, current }));
-            return;
-        }
-        self.epoch = batch.epoch;
-        for record in batch.records {
-            if record.lsn < self.log.head() {
-                continue; // already replicated
-            }
-            for u in &record.updates {
-                self.clock.observe(u.new_ts);
-                self.master.apply_lww(u.object, u.new_ts, u.value.clone());
-            }
-            self.next_txn = self.next_txn.max(record.txn.0);
-            self.log.append(record.txn, record.updates);
-        }
-        for (dedup, outcome) in batch.outcomes {
-            self.seen.entry(dedup).or_insert(outcome);
-        }
-    }
-
-    fn into_remnant(self) -> ReplicaRemnant {
-        ReplicaRemnant {
-            inbox: self.inbox,
-            log: self.log,
-            seen: self.seen,
-            epoch: self.epoch,
-            next_txn: self.next_txn,
-            fenced: self.fenced,
-            tick: self.tick,
-        }
-    }
-}
-
-struct GroupInner {
-    senders: Vec<Sender<GroupMsg>>,
-    handles: Vec<Option<JoinHandle<Option<ReplicaRemnant>>>>,
-    remnants: Vec<Option<ReplicaRemnant>>,
-    /// Index of the current primary, `None` while leaderless.
-    primary: Option<usize>,
-    /// The group's epoch as the handle last installed it.
-    epoch: Epoch,
-    /// Driver-advanced logical clock ([`BaseGroup::advance_to`]);
-    /// unavailability windows are measured in these ticks, so the
-    /// metrics are a function of the schedule, not of wall time.
-    now: u64,
-    /// Tick at which the current leaderless interval began.
-    down_since: Option<u64>,
-    /// Every `(epoch, leader)` installation, for the leader-safety
-    /// oracle.
-    leadership: Vec<(u64, NodeId)>,
-    /// Every `(repl_seq, epoch)` acknowledged to a client, for the
-    /// lost-commit oracle.
-    acked: Vec<(u64, u64)>,
-    elections: u64,
-    metrics: RunMetrics,
-    tracer: SyncTraceHandle,
-    db_size: u64,
-    initial_value: i64,
-}
-
-impl GroupInner {
-    fn live(&self, idx: usize) -> bool {
-        self.handles[idx].is_some()
-    }
-
-    /// Join any replica thread that exited on its own (a commit-crash)
-    /// and keep its remnant, demoting it from the primary slot.
-    fn reap(&mut self) {
-        for i in 0..self.handles.len() {
-            if self.handles[i].as_ref().is_some_and(|h| h.is_finished()) {
-                self.collect(i);
-            }
-        }
-    }
-
-    /// Join replica `idx` (blocking until its thread exits) and keep
-    /// its remnant. Starts the unavailability clock if it was primary.
-    fn collect(&mut self, idx: usize) {
-        if let Some(h) = self.handles[idx].take() {
-            let remnant = h.join().expect("replica thread panicked");
-            self.remnants[idx] = Some(remnant.expect("dead replica must yield a remnant"));
-            if self.primary == Some(idx) {
-                self.primary = None;
-                self.down_since.get_or_insert(self.now);
-            }
-        }
-    }
-
-    fn status(&self, idx: usize) -> Option<ReplicaStatus> {
-        let (tx, rx) = unbounded();
-        self.senders[idx]
-            .send(GroupMsg::Status { reply: tx })
-            .ok()?;
-        rx.recv_timeout(LIVE_TIMEOUT).ok()
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn fetch_log(
-        &self,
-        idx: usize,
-        from: Lsn,
-    ) -> Option<(Vec<CommitRecord>, Vec<(DedupId, TxnOutcome)>)> {
-        let (tx, rx) = unbounded();
-        self.senders[idx]
-            .send(GroupMsg::FetchLog { from, reply: tx })
-            .ok()?;
-        rx.recv_timeout(LIVE_TIMEOUT).ok()
-    }
-
-    /// Return the current primary, electing one first if the old one is
-    /// dead. `Err` carries the degraded outcome (no electable quorum).
-    fn ensure_primary(&mut self) -> Result<usize, ElectionOutcome> {
-        self.reap();
-        if let Some(p) = self.primary {
-            return Ok(p);
-        }
-        match self.elect() {
-            ElectionOutcome::Elected { .. } => Ok(self.primary.expect("just elected")),
-            outcome @ ElectionOutcome::NoQuorum { .. } => Err(outcome),
-        }
-    }
-
-    /// Run a deterministic election among the live replicas: gather
-    /// statuses, nominate with [`pick_candidate`]
-    /// (longest-log-then-lowest-id), and hold vote rounds until the
-    /// nominee reaches a majority of the full group. On success the
-    /// winner is installed, lagging survivors are caught up by
-    /// anti-entropy log transfer, and the failover metrics are
-    /// recorded.
-    ///
-    /// [`pick_candidate`]: crate::election::pick_candidate
-    fn elect(&mut self) -> ElectionOutcome {
-        let n = self.senders.len();
-        let need = election::quorum(n);
-        let mut survivors: Vec<(usize, Candidate)> = Vec::new();
-        for i in 0..n {
-            if !self.live(i) {
-                continue;
-            }
-            if let Some(s) = self.status(i) {
-                survivors.push((
-                    i,
-                    Candidate {
-                        node: NodeId(i as u32),
-                        epoch: s.epoch,
-                        head: s.head,
-                    },
-                ));
-            }
-        }
-        if survivors.len() < need {
-            return ElectionOutcome::NoQuorum {
-                live: survivors.len(),
-                need,
-            };
-        }
-        let cands: Vec<Candidate> = survivors.iter().map(|(_, c)| *c).collect();
-        let cand = election::pick_candidate(&cands).expect("survivors checked non-empty");
-        let max_seen = cands.iter().map(|c| c.epoch).max().unwrap_or(self.epoch);
-        let mut floor = self.epoch.max(max_seen);
-        let mut rounds = 0u32;
-        loop {
-            rounds += 1;
-            let proposed = Epoch(floor.0 + 1);
-            let req = VoteRequest {
-                epoch: proposed,
-                candidate: cand.node,
-                head: cand.head,
-            };
-            let mut tally = Tally::new(n);
-            for (i, _) in &survivors {
-                let (tx, rx) = unbounded();
-                if self.senders[*i]
-                    .send(GroupMsg::RequestVote { req, reply: tx })
-                    .is_err()
-                {
-                    continue;
-                }
-                if let Ok(reply) = rx.recv_timeout(LIVE_TIMEOUT) {
-                    tally.record(reply);
-                }
-            }
-            if tally.elected() {
-                return self.install(cand, proposed, rounds, &survivors);
-            }
-            floor = floor.max(tally.max_epoch);
-            if rounds >= 4 {
-                // Cannot happen with the sequential handle (the first
-                // round always succeeds), but bound the loop anyway.
-                return ElectionOutcome::NoQuorum {
-                    live: tally.granted(),
-                    need,
-                };
-            }
-        }
-    }
-
-    fn install(
-        &mut self,
-        cand: Candidate,
-        epoch: Epoch,
-        rounds: u32,
-        survivors: &[(usize, Candidate)],
-    ) -> ElectionOutcome {
-        let leader_idx = cand.node.0 as usize;
-        let (tx, rx) = unbounded();
-        self.senders[leader_idx]
-            .send(GroupMsg::BecomePrimary { epoch, reply: tx })
-            .expect("leader channel open");
-        let head = rx
-            .recv_timeout(LIVE_TIMEOUT)
-            .expect("elected leader must answer");
-        self.epoch = epoch;
-        self.primary = Some(leader_idx);
-        self.leadership.push((epoch.0, cand.node));
-        self.elections += 1;
-        let (now, e, leader) = (SimTime(self.now), epoch.0, cand.node);
-        self.tracer
-            .emit(|| Event::system(now, leader, EventKind::LeaderElected { epoch: e, leader }));
-        // Anti-entropy: bring lagging survivors up to the new leader's
-        // log, so a follow-up failover can promote any of them without
-        // losing acknowledged commits.
-        for (i, c) in survivors {
-            if *i == leader_idx || c.head >= head {
-                continue;
-            }
-            if let Some((records, outcomes)) = self.fetch_log(leader_idx, Lsn(c.head)) {
-                let (tx, rx) = unbounded();
-                if self.senders[*i]
-                    .send(GroupMsg::CatchUp {
-                        epoch,
-                        records,
-                        outcomes,
-                        reply: tx,
-                    })
-                    .is_ok()
-                {
-                    let _ = rx.recv_timeout(LIVE_TIMEOUT);
-                }
-            }
-        }
-        let down = self
-            .now
-            .saturating_sub(self.down_since.take().unwrap_or(self.now));
-        self.metrics.record_value("failover_unavailability", down);
-        self.metrics
-            .record_value("election_rounds", u64::from(rounds));
-        ElectionOutcome::Elected {
-            leader: cand.node,
-            epoch,
-            rounds,
-        }
-    }
-
-    fn shutdown_all(&mut self) {
-        for i in 0..self.senders.len() {
-            let _ = self.senders[i].send(GroupMsg::Shutdown);
-            if let Some(h) = self.handles[i].take() {
-                let _ = h.join();
-            }
-            self.remnants[i] = None;
-        }
-    }
-}
-
-/// The replicated base tier: `n` replica threads, one primary at a
-/// time. The primary executes base transactions and ships its commit
-/// log to the backups with its epoch attached; backups fence
-/// stale-epoch batches. When the primary dies the handle runs a
-/// deterministic election ([`crate::election`]) among the survivors —
-/// longest replicated log wins, node id breaks ties — and the winner
-/// completes anti-entropy catch-up of the laggards before the group
-/// accepts writes again. Below an electable quorum the group degrades
-/// to [`BaseGroup::stale_read`] and unanswered (queued-for-retry)
-/// syncs instead of panicking.
-///
-/// Mobiles are oblivious to all of this: [`BaseGroup`] implements
-/// [`SyncTarget`], and the [`DedupId`] outcomes replicate alongside
-/// the commit records, so a sync retried across a failover gets its
-/// recorded fate from the *new* primary instead of executing twice.
-///
-/// ```
-/// use repl_cluster::two_tier::{BaseGroup, MobileNode};
-/// use repl_core::{Criterion, Op, Operation, TxnSpec};
-/// use repl_storage::{NodeId, ObjectId, Value};
-///
-/// let group = BaseGroup::spawn(3, 4, 100);
-/// let mut mobile = MobileNode::new(NodeId(100), 4, 100);
-/// mobile.execute_tentative(
-///     TxnSpec::new(vec![Operation::new(ObjectId(0), Op::Debit(30))])
-///         .with_criterion(Criterion::NonNegative),
-/// );
-/// group.try_crash(0); // kill the primary
-/// let outcome = mobile.sync_with_retry(&group, 8).expect("failover");
-/// assert_eq!(outcome.accepted, 1);
-/// assert_eq!(group.epoch(), 2); // a new leader took over
-/// group.shutdown();
-/// ```
-pub struct BaseGroup {
-    inner: RefCell<GroupInner>,
-}
-
-impl BaseGroup {
-    /// Spawn a group of `replicas` base replicas over a
-    /// `db_size`-object master database initialized to
-    /// `initial_value`. Replica 0 starts as the primary of epoch 1.
-    ///
-    /// # Panics
-    /// If `replicas` is zero or a thread cannot be spawned.
-    pub fn spawn(replicas: usize, db_size: u64, initial_value: i64) -> Self {
-        BaseGroup::spawn_traced(replicas, db_size, initial_value, SyncTraceHandle::off())
-    }
-
-    /// Like [`BaseGroup::spawn`], with telemetry: replicas and the
-    /// group control plane emit commit, replication, election, fence,
-    /// and catch-up events through `tracer`. Replica `i` reports as
-    /// `NodeId(i)`; give mobiles ids outside `0..replicas`.
-    pub fn spawn_traced(
-        replicas: usize,
-        db_size: u64,
-        initial_value: i64,
-        tracer: SyncTraceHandle,
-    ) -> Self {
-        assert!(replicas > 0, "base group needs at least one replica");
-        let channels: Vec<(Sender<GroupMsg>, Receiver<GroupMsg>)> =
-            (0..replicas).map(|_| unbounded()).collect();
-        let senders: Vec<Sender<GroupMsg>> = channels.iter().map(|(s, _)| s.clone()).collect();
-        let mut handles = Vec::with_capacity(replicas);
-        for (i, (_, rx)) in channels.into_iter().enumerate() {
-            let mut master = ObjectStore::new(db_size);
-            for o in 0..db_size {
-                master.set(ObjectId(o), Value::Int(initial_value), Timestamp::ZERO);
-            }
-            let peers = senders
-                .iter()
-                .enumerate()
-                .map(|(j, s)| (j != i).then(|| s.clone()))
-                .collect();
-            let thread = ReplicaThread {
-                node: NodeId(i as u32),
-                is_primary: i == 0,
-                epoch: Epoch(1),
-                master,
-                clock: LamportClock::new(NodeId(i as u32)),
-                log: repl_storage::CommitLog::new(),
-                seen: HashMap::new(),
-                fenced: 0,
-                peers,
-                inbox: rx,
-                next_txn: 0,
-                commit_crashes: 0,
-                tracer: tracer.clone(),
-                tick: 0,
-            };
-            handles.push(Some(
-                std::thread::Builder::new()
-                    .name(format!("base-replica-{i}"))
-                    .spawn(move || thread.run())
-                    .expect("failed to spawn base replica"),
-            ));
-        }
-        tracer.emit(|| {
-            Event::system(
-                SimTime(0),
-                NodeId(0),
-                EventKind::LeaderElected {
-                    epoch: 1,
-                    leader: NodeId(0),
-                },
-            )
-        });
-        BaseGroup {
-            inner: RefCell::new(GroupInner {
-                senders,
-                handles,
-                remnants: (0..replicas).map(|_| None).collect(),
-                primary: Some(0),
-                epoch: Epoch(1),
-                now: 0,
-                down_since: None,
-                leadership: vec![(1, NodeId(0))],
-                acked: Vec::new(),
-                elections: 0,
-                metrics: RunMetrics::new(),
-                tracer,
-                db_size,
-                initial_value,
-            }),
-        }
-    }
-
-    /// Advance the group's logical clock to `tick` (monotonic; earlier
-    /// values are ignored). Unavailability windows are measured on
-    /// this clock, so the driver that schedules crashes also defines
-    /// the timescale — metrics come out identical run over run.
-    pub fn advance_to(&self, tick: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.now = inner.now.max(tick);
-    }
-
-    /// Number of replicas in the group (live or crashed).
-    pub fn replicas(&self) -> usize {
-        self.inner.borrow().senders.len()
-    }
-
-    /// Crash replica `idx` (see [`BaseGroup::try_crash`]).
-    ///
-    /// # Panics
-    /// If the replica is already crashed.
-    pub fn crash(&self, idx: usize) {
-        assert!(self.try_crash(idx), "replica {idx} already crashed");
-    }
-
-    /// Crash replica `idx`: its thread exits, losing the master store
-    /// and clock; the replicated log, dedup map, epoch, and queued
-    /// inbox survive in the remnant. Returns `false` (a no-op) when
-    /// the replica is already down, so overlapping fault-plan crash
-    /// windows degrade to nothing instead of aborting the run. If the
-    /// primary died, the next sync or execute triggers an election.
-    pub fn try_crash(&self, idx: usize) -> bool {
-        let mut inner = self.inner.borrow_mut();
-        inner.reap();
-        if inner.remnants[idx].is_some() || inner.handles[idx].is_none() {
-            return false;
-        }
-        inner.senders[idx]
-            .send(GroupMsg::Crash)
-            .expect("replica channel open");
-        inner.collect(idx);
-        true
-    }
-
-    /// Restart a crashed replica (see [`BaseGroup::try_restart`]).
-    ///
-    /// # Panics
-    /// If the replica is not crashed.
-    pub fn restart(&self, idx: usize) -> u64 {
-        self.try_restart(idx).expect("restarting a live replica")
-    }
-
-    /// Restart a crashed replica: rebuild the master database by
-    /// replaying the durable replicated log, rejoin as a *backup* at
-    /// the handle's current epoch — queued appends from a deposed
-    /// primary replay beneath that epoch and get fenced rather than
-    /// resurrecting a stale reign — and complete anti-entropy catch-up
-    /// from the current primary, if one exists. Returns the number of
-    /// replayed log records, or `None` (a no-op) if the replica is not
-    /// crashed. A restarted replica never resumes primaryship by
-    /// itself; it must win an election.
-    pub fn try_restart(&self, idx: usize) -> Option<u64> {
-        let mut inner = self.inner.borrow_mut();
-        inner.reap();
-        let remnant = inner.remnants[idx].take()?;
-        let node = NodeId(idx as u32);
-        let mut master = ObjectStore::new(inner.db_size);
-        for o in 0..inner.db_size {
-            master.set(
-                ObjectId(o),
-                Value::Int(inner.initial_value),
-                Timestamp::ZERO,
-            );
-        }
-        let mut clock = LamportClock::new(node);
-        let mut replayed = 0;
-        for record in remnant.log.since(Lsn(0)) {
-            replayed += 1;
-            for u in &record.updates {
-                clock.observe(u.new_ts);
-                master.set(u.object, u.value.clone(), u.new_ts);
-            }
-        }
-        let now = SimTime(remnant.tick);
-        inner
-            .tracer
-            .emit(|| Event::system(now, node, EventKind::RecoveryReplay { messages: replayed }));
-        inner
-            .tracer
-            .emit(|| Event::system(now, node, EventKind::NodeRestart));
-        let peers = inner
-            .senders
-            .iter()
-            .enumerate()
-            .map(|(j, s)| (j != idx).then(|| s.clone()))
-            .collect();
-        let thread = ReplicaThread {
-            node,
-            is_primary: false,
-            epoch: inner.epoch.max(remnant.epoch),
-            master,
-            clock,
-            log: remnant.log,
-            seen: remnant.seen,
-            fenced: remnant.fenced,
-            peers,
-            inbox: remnant.inbox,
-            next_txn: remnant.next_txn,
-            commit_crashes: 0,
-            tracer: inner.tracer.clone(),
-            tick: remnant.tick,
-        };
-        inner.handles[idx] = Some(
-            std::thread::Builder::new()
-                .name(format!("base-replica-{idx}"))
-                .spawn(move || thread.run())
-                .expect("failed to respawn base replica"),
-        );
-        // Anti-entropy from the current primary. The status probe also
-        // acts as a barrier: the rejoiner answers it only after
-        // replaying (or fencing) every append queued while it was down.
-        if let Some(p) = inner.primary.filter(|p| *p != idx) {
-            if let (Some(mine), Some(theirs)) = (inner.status(idx), inner.status(p)) {
-                if mine.head < theirs.head {
-                    if let Some((records, outcomes)) = inner.fetch_log(p, Lsn(mine.head)) {
-                        let epoch = inner.epoch;
-                        let (tx, rx) = unbounded();
-                        if inner.senders[idx]
-                            .send(GroupMsg::CatchUp {
-                                epoch,
-                                records,
-                                outcomes,
-                                reply: tx,
-                            })
-                            .is_ok()
-                        {
-                            let _ = rx.recv_timeout(LIVE_TIMEOUT);
-                        }
-                    }
-                }
-            }
-        }
-        Some(replayed)
-    }
-
-    /// Whether replica `idx` is currently crashed.
-    pub fn is_crashed(&self, idx: usize) -> bool {
-        let mut inner = self.inner.borrow_mut();
-        inner.reap();
-        inner.handles[idx].is_none()
-    }
-
-    /// Whether enough replicas are live to elect (or keep) a primary.
-    pub fn has_quorum(&self) -> bool {
-        let mut inner = self.inner.borrow_mut();
-        inner.reap();
-        let live = (0..inner.senders.len()).filter(|i| inner.live(*i)).count();
-        live >= election::quorum(inner.senders.len())
-    }
-
-    /// Execute a transaction at the primary (a connected client),
-    /// electing one first if necessary. `None` when the group is below
-    /// quorum or the primary died mid-request (retry after a restart).
-    pub fn execute(&self, spec: TxnSpec) -> Option<TxnOutcome> {
-        let mut inner = self.inner.borrow_mut();
-        let p = inner.ensure_primary().ok()?;
-        let (tx, rx) = unbounded();
-        inner.senders[p]
-            .send(GroupMsg::Execute { spec, reply: tx })
-            .ok()?;
-        match rx.recv_timeout(LIVE_TIMEOUT) {
-            Ok((outcome, seq)) => {
-                if seq > 0 {
-                    let e = inner.epoch.0;
-                    inner.acked.push((seq, e));
-                }
-                Some(outcome)
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                inner.collect(p);
-                None
-            }
-            Err(RecvTimeoutError::Timeout) => None,
-        }
-    }
-
-    /// Snapshot the primary's master database. `None` when no primary
-    /// is electable.
-    pub fn snapshot(&self) -> Option<ObjectStore> {
-        let mut inner = self.inner.borrow_mut();
-        let p = inner.ensure_primary().ok()?;
-        let (tx, rx) = unbounded();
-        inner.senders[p]
-            .send(GroupMsg::Snapshot { reply: tx })
-            .ok()?;
-        rx.recv_timeout(LIVE_TIMEOUT).ok()
-    }
-
-    /// Read `obj` from any live replica — primary first, else the
-    /// lowest-numbered live backup. This is the degraded-mode path: it
-    /// works below quorum (possibly stale) and returns `None` only
-    /// when every replica is down.
-    pub fn stale_read(&self, obj: ObjectId) -> Option<Value> {
-        let mut inner = self.inner.borrow_mut();
-        inner.reap();
-        let n = inner.senders.len();
-        let order = inner.primary.into_iter().chain(0..n);
-        for idx in order {
-            if !inner.live(idx) {
-                continue;
-            }
-            let (tx, rx) = unbounded();
-            if inner.senders[idx]
-                .send(GroupMsg::Read { obj, reply: tx })
-                .is_err()
-            {
-                continue;
-            }
-            if let Ok(v) = rx.recv_timeout(LIVE_TIMEOUT) {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    /// Make the primary's next committing sync commit and replicate,
-    /// then crash before replying — the mid-`try_sync` failover
-    /// scenario. Returns `false` below quorum.
-    pub fn inject_commit_crash(&self) -> bool {
-        let mut inner = self.inner.borrow_mut();
-        let Ok(p) = inner.ensure_primary() else {
-            return false;
-        };
-        inner.senders[p].send(GroupMsg::InjectCommitCrash).is_ok()
-    }
-
-    /// The group's current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.inner.borrow().epoch.0
-    }
-
-    /// The current primary, if one is installed (stale until the next
-    /// request discovers a crash).
-    pub fn primary(&self) -> Option<NodeId> {
-        let mut inner = self.inner.borrow_mut();
-        inner.reap();
-        inner.primary.map(|i| NodeId(i as u32))
-    }
-
-    /// Completed elections (leadership changes after the initial
-    /// primary).
-    pub fn elections(&self) -> u64 {
-        self.inner.borrow().elections
-    }
-
-    /// Every `(epoch, leader)` installation so far, in order.
-    pub fn leadership(&self) -> Vec<(u64, NodeId)> {
-        self.inner.borrow().leadership.clone()
-    }
-
-    /// Acknowledged writes so far, as `(repl_seq, epoch)` pairs.
-    pub fn acked(&self) -> Vec<(u64, u64)> {
-        self.inner.borrow().acked.clone()
-    }
-
-    /// Total stale-epoch messages fenced across all replicas (live and
-    /// crashed).
-    pub fn fenced(&self) -> u64 {
-        let mut inner = self.inner.borrow_mut();
-        inner.reap();
-        let n = inner.senders.len();
-        let mut total = 0;
-        for i in 0..n {
-            if let Some(r) = &inner.remnants[i] {
-                total += r.fenced;
-            } else if inner.live(i) {
-                if let Some(s) = inner.status(i) {
-                    total += s.fenced;
-                }
-            }
-        }
-        total
-    }
-
-    /// The failover metrics collected so far: the
-    /// `failover_unavailability` and `election_rounds` histograms (in
-    /// driver ticks and vote rounds respectively).
-    pub fn metrics(&self) -> RunMetrics {
-        self.inner.borrow().metrics.clone()
-    }
-
-    /// Run the failover oracles: at-most-one-primary-per-epoch over
-    /// the whole leadership history, and no-acknowledged-commit-lost
-    /// against the current primary's log. Empty means the run was
-    /// clean. Durability is vacuously clean while the group is below
-    /// quorum (nothing new was elected, so nothing can have been
-    /// lost yet).
-    pub fn verify(&self) -> Vec<repl_check::Violation> {
-        let mut inner = self.inner.borrow_mut();
-        let mut out = Vec::new();
-        if let Some(v) = repl_check::check_leader_safety(&inner.leadership) {
-            out.push(v);
-        }
-        if let Ok(p) = inner.ensure_primary() {
-            if let Some(s) = inner.status(p) {
-                if let Some(v) = repl_check::check_acked_durability(&inner.acked, s.head) {
-                    out.push(v);
-                }
-            }
-        }
-        out
-    }
-
-    /// Shut every replica down.
-    pub fn shutdown(self) {
-        self.inner.borrow_mut().shutdown_all();
-    }
-}
-
-impl SyncTarget for BaseGroup {
-    /// One sync round-trip against the group's primary, electing one
-    /// first if the old primary is dead. `None` when the group is
-    /// below quorum (degraded: the mobile keeps its tentative queue)
-    /// or the primary died mid-sync — the retry is exactly-once by
-    /// [`DedupId`], even when a different replica answers it.
-    fn try_sync(&self, pendings: Vec<Pending>, from: Lsn, timeout: Duration) -> Option<SyncReply> {
-        let mut inner = self.inner.borrow_mut();
-        let p = inner.ensure_primary().ok()?;
-        let (tx, rx) = unbounded();
-        inner.senders[p]
-            .send(GroupMsg::Sync {
-                pendings,
-                from,
-                reply: tx,
-            })
-            .ok()?;
-        match rx.recv_timeout(timeout) {
-            Ok(reply) => {
-                if reply.repl_seq > 0 {
-                    let e = inner.epoch.0;
-                    inner.acked.push((reply.repl_seq, e));
-                }
-                Some(reply)
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                // The primary died mid-sync (commit-crash): its reply
-                // sender dropped on thread exit. Collect the corpse so
-                // the next attempt elects a successor.
-                inner.collect(p);
-                None
-            }
-            Err(RecvTimeoutError::Timeout) => None,
-        }
-    }
-}
-
-impl Drop for BaseGroup {
-    fn drop(&mut self) {
-        self.inner.borrow_mut().shutdown_all();
     }
 }
 

@@ -1,8 +1,8 @@
 //! Deterministic leader election for the replicated base tier — a
-//! small Raft-style vote round specialized to the two-tier runtime.
+//! small Raft-style vote round specialized to the two-tier base.
 //!
-//! The base group's control plane (the [`BaseGroup`] handle) plays the
-//! role of the election network: it gathers each survivor's
+//! The base group's control plane ([`BaseGroup`]) plays the role of
+//! the election network: it gathers each survivor's
 //! [`Candidate`] status, nominates the winner with [`pick_candidate`]
 //! (highest replicated LSN wins, lowest node id breaks ties — the most
 //! caught-up replica loses no acknowledged commits), and runs a vote
@@ -16,7 +16,7 @@
 //! function of the survivors' states alone — the same crash schedule
 //! elects the same leaders in every run.
 //!
-//! [`BaseGroup`]: crate::two_tier::BaseGroup
+//! [`BaseGroup`]: crate::base_tier::BaseGroup
 
 use repl_storage::NodeId;
 use std::fmt;

@@ -8,7 +8,9 @@
 //!   [`engine`],
 //! * the paper's proposed **two-tier replication** scheme
 //!   ([`engine::two_tier`]), with tentative transactions, acceptance
-//!   criteria and reconnect synchronization,
+//!   criteria and reconnect synchronization, and its base tier as a
+//!   transport-free state machine with epoch-fenced failover
+//!   ([`base_tier`], [`election`]),
 //! * the §6 convergence machinery: commutative operation design
 //!   ([`op`]), reconciliation rules ([`reconcile`]) and the
 //!   Notes/Access-style convergent stores ([`convergent`]),
@@ -35,8 +37,10 @@
 
 #![warn(missing_docs)]
 
+pub mod base_tier;
 pub mod config;
 pub mod convergent;
+pub mod election;
 pub mod engine;
 pub mod metrics;
 pub mod op;

@@ -72,10 +72,11 @@ fn drive(
     windows: &[CrashWindow],
     capture: bool,
 ) -> PointResult {
-    // The CLI tracer is single-threaded; the group's threads need the
-    // Sync sibling. Capture into a ring here and forward on the main
-    // thread after the sweep — purely observational, so captured and
-    // uncaptured runs produce identical tables.
+    // The CLI tracer is `Rc`-based and sweep points may run on worker
+    // threads, so the base tier traces through the `Sync` sibling.
+    // Capture into a ring here and forward on the main thread after
+    // the sweep — purely observational, so captured and uncaptured
+    // runs produce identical tables.
     let ring = capture.then(|| Arc::new(Mutex::new(RingBuffer::new(1 << 14))));
     let tracer = ring
         .as_ref()
@@ -136,9 +137,6 @@ fn drive(
         } else {
             for w in windows {
                 let i = w.node.0 as usize;
-                if i >= REPLICAS {
-                    continue;
-                }
                 if w.at.0 / 1_000_000 == t && group.try_crash(i) {
                     crashes += 1;
                 }
@@ -345,5 +343,21 @@ mod tests {
         assert_eq!(row[1], "1", "exactly the scheduled crash: {row:?}");
         assert_ne!(row[2], "0", "the scheduled primary crash must elect");
         assert!(t.violations.is_empty(), "{:?}", t.violations);
+    }
+
+    #[test]
+    fn failover_ignores_a_window_for_a_replica_the_group_lacks() {
+        let plan = FaultPlan::parse("crash=base7:3..9", 41).unwrap();
+        let t = failover(&RunOpts {
+            faults: Some(plan),
+            ..quick()
+        });
+        let row = &t.rows[0];
+        assert_eq!(
+            (&*row[1], &*row[2]),
+            ("0", "0"),
+            "nothing to crash: {row:?}"
+        );
+        assert_eq!(row.last().unwrap(), "yes");
     }
 }

@@ -183,7 +183,7 @@ grep -q "CHECK_CASE" "$check_out" || {
 }
 echo "ok: injected bug caught, shrunk repro line emitted"
 
-say "failover smoke: fixed seed (determinism, metrics schema, zero violations)"
+say "failover smoke: fixed seed (determinism incl. trace order, metrics schema, zero violations)"
 fo_a="$tmp/fo_a"
 fo_b="$tmp/fo_b"
 fo_metrics_a="$tmp/fo_metrics_a"
@@ -196,6 +196,21 @@ cmp "$fo_a" "$fo_b" || {
 }
 cmp "$fo_metrics_a" "$fo_metrics_b" || {
     echo "failover --metrics export differs between serial and --jobs 2" >&2
+    exit 1
+}
+# The base tier is a sequential state machine: no replica thread races
+# another for the trace ring, so the event order is a function of the
+# seed, not only the event multiset.
+fo_trace_a="$tmp/fo_trace_a"
+fo_trace_b="$tmp/fo_trace_b"
+./target/release/harness --quick --json --seed 41 --trace "$fo_trace_a" failover >/dev/null
+./target/release/harness --quick --json --seed 41 --trace "$fo_trace_b" failover >/dev/null
+[ -s "$fo_trace_a" ] || {
+    echo "failover --trace wrote no events" >&2
+    exit 1
+}
+cmp "$fo_trace_a" "$fo_trace_b" || {
+    echo "failover --trace differs between two same-seed runs" >&2
     exit 1
 }
 /usr/bin/jq -e '

@@ -8,6 +8,7 @@ use dangers_of_replication::cluster::two_tier::{BaseGroup, MobileNode, RetryPoli
 use dangers_of_replication::core::{Criterion, Op, Operation, TxnSpec};
 use dangers_of_replication::sim::SimRng;
 use dangers_of_replication::storage::{NodeId, ObjectId, Value};
+use proptest::prelude::*;
 use std::time::Duration;
 
 fn debit(obj: u64, amount: i64) -> TxnSpec {
@@ -171,4 +172,183 @@ fn failover_experiment_matches_goldens() {
         want.len(),
         "failover.txt covers a different grid"
     );
+}
+
+/// One step of the model-based property below.
+#[derive(Debug, Clone)]
+enum Step {
+    Tentative {
+        mobile: usize,
+        obj: u64,
+        amount: i64,
+    },
+    Sync {
+        mobile: usize,
+        attempts: u32,
+    },
+    /// Replica ids run one past the group: the last is a replica the
+    /// group does not have.
+    Crash(usize),
+    Restart(usize),
+    CommitCrash,
+    Advance(u64),
+}
+
+const MODEL_REPLICAS: usize = 3;
+const MODEL_MOBILES: usize = 2;
+const MODEL_DB: u64 = 2;
+const MODEL_BALANCE: i64 = 1_000_000;
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let mobile = 0..MODEL_MOBILES;
+    let replica = 0..MODEL_REPLICAS + 1;
+    prop_oneof![
+        (mobile.clone(), 0..MODEL_DB, 1i64..10).prop_map(|(mobile, obj, amount)| {
+            Step::Tentative {
+                mobile,
+                obj,
+                amount,
+            }
+        }),
+        (mobile.clone(), 1u32..4).prop_map(|(mobile, attempts)| Step::Sync { mobile, attempts }),
+        // Arms are equally likely; a second sync arm keeps queues short.
+        (mobile, 1u32..4).prop_map(|(mobile, attempts)| Step::Sync { mobile, attempts }),
+        replica.clone().prop_map(Step::Crash),
+        replica.prop_map(Step::Restart),
+        Just(Step::CommitCrash),
+        (1u64..6).prop_map(Step::Advance),
+    ]
+}
+
+/// What the test predicts from the group's public observables alone:
+/// the master balances, and how many queued batches each restart must
+/// fence.
+struct Model {
+    balance: [i64; MODEL_DB as usize],
+    /// Per mobile: the debits of its pending queue, and how many of
+    /// them a primary has already decided.
+    pending: [Vec<(u64, i64)>; MODEL_MOBILES],
+    decided: [usize; MODEL_MOBILES],
+    /// Per replica: the epoch of every batch shipped while it was down.
+    queued: [Vec<u64>; MODEL_REPLICAS],
+    fenced: u64,
+}
+
+impl Model {
+    /// Whether the next request finds a primary: one is installed, or
+    /// a quorum is live to elect one.
+    fn reachable(group: &BaseGroup) -> bool {
+        group.primary().is_some() || group.has_quorum()
+    }
+
+    /// A sync is about to run. If its first attempt reaches a primary,
+    /// that primary executes what no primary decided before — exactly
+    /// once — and ships it under its epoch, which every replica that is
+    /// down queues. Further attempts (after a commit-crash) find
+    /// everything decided and ship nothing.
+    fn before_sync(&mut self, group: &BaseGroup, m: usize) {
+        if !Model::reachable(group) || self.decided[m] == self.pending[m].len() {
+            return;
+        }
+        for &(obj, amount) in &self.pending[m][self.decided[m]..] {
+            self.balance[obj as usize] -= amount;
+        }
+        self.decided[m] = self.pending[m].len();
+        let epoch = group.epoch() + u64::from(group.primary().is_none());
+        for (i, queue) in self.queued.iter_mut().enumerate() {
+            if group.is_crashed(i) {
+                queue.push(epoch);
+            }
+        }
+    }
+
+    /// Replica `i` is about to restart at the group's epoch: every
+    /// batch a deposed primary queued beneath it must be fenced.
+    fn before_restart(&mut self, group: &BaseGroup, i: usize) {
+        if group.is_crashed(i) {
+            let epoch = group.epoch();
+            self.fenced += self.queued[i].drain(..).filter(|e| *e < epoch).count() as u64;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Random interleavings of tentative work, retried syncs, crashes,
+    /// restarts, commit-crashes and clock advances, then heal and
+    /// drain: the oracles stay green, the epoch counts the elections,
+    /// every queue drains, stale batches are fenced exactly where the
+    /// model says, and each debit reaches the master exactly once.
+    #[test]
+    fn base_tier_matches_model_under_random_schedules(
+        steps in prop::collection::vec(arb_step(), 1..60),
+    ) {
+        let group = BaseGroup::spawn(MODEL_REPLICAS, MODEL_DB, MODEL_BALANCE);
+        let mut mobiles: Vec<MobileNode> = (0..MODEL_MOBILES)
+            .map(|i| {
+                MobileNode::new(NodeId(100 + i as u32), MODEL_DB, MODEL_BALANCE)
+                    .with_retry_policy(fast_retry(i as u64))
+            })
+            .collect();
+        let mut model = Model {
+            balance: [MODEL_BALANCE; MODEL_DB as usize],
+            pending: Default::default(),
+            decided: [0; MODEL_MOBILES],
+            queued: Default::default(),
+            fenced: 0,
+        };
+        let mut now = 0;
+        for step in steps {
+            match step {
+                Step::Tentative { mobile, obj, amount } => {
+                    mobiles[mobile].execute_tentative(debit(obj, amount));
+                    model.pending[mobile].push((obj, amount));
+                }
+                Step::Sync { mobile, attempts } => {
+                    model.before_sync(&group, mobile);
+                    if let Some(outcome) = mobiles[mobile].sync_with_retry(&group, attempts) {
+                        prop_assert_eq!(outcome.accepted, model.pending[mobile].len() as u64);
+                        model.pending[mobile].clear();
+                        model.decided[mobile] = 0;
+                    }
+                }
+                Step::Crash(i) => {
+                    let was_up = i < MODEL_REPLICAS && !group.is_crashed(i);
+                    prop_assert_eq!(group.try_crash(i), was_up);
+                }
+                Step::Restart(i) => {
+                    let was_down = group.is_crashed(i);
+                    if i < MODEL_REPLICAS {
+                        model.before_restart(&group, i);
+                    }
+                    prop_assert_eq!(group.try_restart(i).is_some(), was_down);
+                }
+                Step::CommitCrash => {
+                    let reachable = Model::reachable(&group);
+                    prop_assert_eq!(group.inject_commit_crash(), reachable);
+                }
+                Step::Advance(ticks) => {
+                    now += ticks;
+                    group.advance_to(now);
+                }
+            }
+        }
+        for i in 0..MODEL_REPLICAS {
+            model.before_restart(&group, i);
+            group.try_restart(i);
+        }
+        for (m, mobile) in mobiles.iter_mut().enumerate() {
+            model.before_sync(&group, m);
+            prop_assert!(mobile.sync_with_retry(&group, 4).is_some(), "drain sync failed");
+            prop_assert_eq!(mobile.pending_count(), 0);
+        }
+        prop_assert_eq!(group.verify(), vec![]);
+        prop_assert_eq!(group.epoch(), 1 + group.elections());
+        prop_assert_eq!(group.fenced(), model.fenced);
+        let master = group.snapshot().expect("healed group has a quorum");
+        for (obj, want) in model.balance.iter().enumerate() {
+            prop_assert_eq!(&master.get(ObjectId(obj as u64)).value, &Value::Int(*want));
+        }
+    }
 }
