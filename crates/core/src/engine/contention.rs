@@ -367,7 +367,7 @@ impl<S: Flavor> Sim<Contention<S>> {
             p.ensure_proto(&cfg);
         }
         Sim {
-            k: Kernel::new(cfg, "arrivals-", S::LABEL),
+            k: Kernel::new(cfg, profile.work_per_action, "arrivals-", S::LABEL),
             p,
         }
     }

@@ -208,13 +208,21 @@ pub struct Kernel<P: Protocol> {
 
 impl<P: Protocol> Kernel<P> {
     /// A world for `cfg` with every node's first arrival seeded from
-    /// the `arrival_stream` RNG family.
-    pub(super) fn new(cfg: SimConfig, arrival_stream: &str, run_label: &str) -> Self {
+    /// the `arrival_stream` RNG family. `step_delay` is the delay the
+    /// protocol schedules its step events with.
+    pub(super) fn new(
+        cfg: SimConfig,
+        step_delay: SimDuration,
+        arrival_stream: &str,
+        run_label: &str,
+    ) -> Self {
         let n = cfg.nodes as usize;
         let mut queue = EventQueue::new();
         // Step events — one fixed service time apart — dominate the
-        // event traffic; give them the queue's O(1) FIFO lane.
-        queue.set_fifo_lane(cfg.action_time);
+        // event traffic; give them the queue's O(1) FIFO lane. The
+        // delay is the protocol's to name: a serial eager step takes
+        // `action_time × rf`, not `action_time`.
+        queue.set_fifo_lane(step_delay);
         let mut arrival_rngs = Vec::with_capacity(n);
         for node in 0..cfg.nodes {
             let mut rng = SimRng::stream_node(cfg.seed, arrival_stream, u64::from(node));
@@ -599,6 +607,8 @@ impl<P: Protocol> Sim<P> {
         }
         k.tracer.run_end(horizon);
         k.tracer.flush();
+        k.profiler
+            .note_queue(k.queue.peak_len(), k.queue.retained_bytes());
         report
     }
 
@@ -786,7 +796,7 @@ mod tests {
         let p = Params::new(100.0, 2.0, 1.0, 4.0, 0.01);
         let cfg = SimConfig::from_params(&p, horizon, 7);
         Sim {
-            k: Kernel::new(cfg, "probe-arrivals-", "probe"),
+            k: Kernel::new(cfg, cfg.action_time, "probe-arrivals-", "probe"),
             p: Probe::default(),
         }
     }

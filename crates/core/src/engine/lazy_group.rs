@@ -223,7 +223,7 @@ impl LazyGroupSim {
     /// Build the simulator. With `Mobility::Cycling`, every node gets a
     /// staggered connect/disconnect schedule.
     pub fn new(cfg: SimConfig, mobility: Mobility) -> Self {
-        let mut k = Kernel::new(cfg, "lg-arrivals-", "lazy-group");
+        let mut k = Kernel::new(cfg, cfg.action_time, "lg-arrivals-", "lazy-group");
         if let Mobility::Cycling {
             connected,
             disconnected,

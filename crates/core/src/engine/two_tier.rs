@@ -238,7 +238,7 @@ impl TwoTierSim {
         );
         let sim = cfg.sim;
         let n = sim.nodes as usize;
-        let mut k = Kernel::new(sim, "tt-arrivals-", "two-tier");
+        let mut k = Kernel::new(sim, sim.action_time, "tt-arrivals-", "two-tier");
         // Mobile disconnect schedules (staggered exponential periods).
         k.schedule_connectivity(cfg.base_nodes..sim.nodes, cfg.connected, cfg.disconnected);
         let mut master = ObjectStore::new(sim.db_size);

@@ -31,6 +31,19 @@
 //! key everywhere, so pop order is bit-for-bit identical to the old
 //! binary heap: `(time, seq)` ascending.
 //!
+//! Memory follows the live events, not the history of bursts. A deque
+//! never gives capacity back, and a reconnecting node's parked backlog
+//! is delivered at one instant, into whichever slot `now` maps to; left
+//! alone, every slot ends up holding a buffer as large as the largest
+//! burst that ever hit it. So a slot that drains empty keeps its buffer
+//! only up to `SLOT_KEEP` entries (steady traffic, reused every
+//! rotation). A larger one is a burst's: it becomes the queue's single
+//! *spare*, and the next slot about to grow adopts the spare instead of
+//! allocating. The heap is then the live entries (times the deques'
+//! doubling slack), a small buffer per slot, and at most one burst's
+//! worth of spare. Overflow migration partitions its list in place, so
+//! it allocates nothing either.
+//!
 //! One extra fast path: an engine can register its dominant constant
 //! delay as a *FIFO lane* ([`EventQueue::set_fifo_lane`]). The clock is
 //! monotone and the delay constant, so events scheduled `delay` after
@@ -52,6 +65,10 @@ const NUM_BUCKETS: usize = 256;
 const BUCKET_WIDTH_SHIFT: u32 = 12;
 const SLOT_MASK: u64 = (NUM_BUCKETS as u64) - 1;
 const OCC_WORDS: usize = NUM_BUCKETS / 64;
+/// Bytes of buffer a drained slot may keep. Steady traffic stays under
+/// it, so a slot's buffer is reused every rotation; only a burst's
+/// buffer exceeds it.
+const SLOT_KEEP_BYTES: usize = 4096;
 
 #[derive(Debug)]
 struct Entry<E> {
@@ -93,8 +110,15 @@ pub struct EventQueue<E> {
     /// `(bucket_index, time, seq)` of the overflow minimum, or
     /// `(u64::MAX, ..)` when the overflow list is empty.
     overflow_min: (u64, SimTime, u64),
+    /// The one oversized buffer a drained slot left behind (always
+    /// empty; its capacity is the point). The next slot about to grow
+    /// adopts it, so a burst's memory moves to wherever the next burst
+    /// lands instead of staying with every slot a burst ever hit.
+    spare: VecDeque<Entry<E>>,
     /// Number of events waiting (wheel + overflow).
     len: usize,
+    /// Largest `len` ever reached.
+    peak_len: usize,
     now: SimTime,
     /// Tie-break sequence for same-instant events. Monotone, never
     /// recycled. Overflow note: a `u64` at 10⁹ events per wall-clock
@@ -140,6 +164,9 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// [`SLOT_KEEP_BYTES`] in entries.
+    const SLOT_KEEP: usize = SLOT_KEEP_BYTES / std::mem::size_of::<Entry<E>>();
+
     /// An empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
@@ -148,7 +175,9 @@ impl<E> EventQueue<E> {
             cursor: 0,
             overflow: Vec::new(),
             overflow_min: (u64::MAX, SimTime::ZERO, 0),
+            spare: VecDeque::new(),
             len: 0,
+            peak_len: 0,
             now: SimTime::ZERO,
             seq: 0,
             scheduled: 0,
@@ -189,6 +218,31 @@ impl<E> EventQueue<E> {
     /// Total number of events scheduled over the queue's lifetime.
     pub fn total_scheduled(&self) -> u64 {
         self.scheduled
+    }
+
+    /// The most events that ever waited at once.
+    pub fn peak_len(&self) -> usize {
+        self.peak_len
+    }
+
+    /// Heap bytes the queue holds right now, live entries and spare
+    /// capacity alike. Walks every slot: for tests and end-of-run
+    /// gauges, not for the event loop.
+    #[doc(hidden)]
+    pub fn retained_bytes(&self) -> usize {
+        let entries = self.buckets.iter().map(VecDeque::capacity).sum::<usize>()
+            + self.spare.capacity()
+            + self.lane.capacity()
+            + self.overflow.capacity();
+        entries * std::mem::size_of::<Entry<E>>()
+            + self.buckets.capacity() * std::mem::size_of::<VecDeque<Entry<E>>>()
+    }
+
+    /// Count a newly scheduled event.
+    #[inline]
+    fn count_one(&mut self) {
+        self.len += 1;
+        self.peak_len = self.peak_len.max(self.len);
     }
 
     /// First occupied slot in ring order starting at the cursor's
@@ -232,6 +286,13 @@ impl<E> EventQueue<E> {
         if idx - self.cursor < NUM_BUCKETS as u64 {
             let slot = (idx & SLOT_MASK) as usize;
             let bucket = &mut self.buckets[slot];
+            if bucket.len() == bucket.capacity() && self.spare.capacity() > bucket.capacity() {
+                // About to grow: move into the buffer the last burst
+                // left behind instead of allocating another.
+                let mut roomy = std::mem::take(&mut self.spare);
+                roomy.extend(bucket.drain(..));
+                *bucket = roomy;
+            }
             // Sorted insert with a push-back fast path: bursts and
             // monotone schedules (the overwhelmingly common case) never
             // search.
@@ -254,7 +315,7 @@ impl<E> EventQueue<E> {
             }
             self.overflow.push(entry);
         }
-        self.len += 1;
+        self.count_one();
         // A smaller key lowers the cached minimum; a dirty cache stays
         // dirty (the next peek rescans anyway). Migration re-places
         // overflow entries, whose keys are already accounted for, so
@@ -272,25 +333,25 @@ impl<E> EventQueue<E> {
     #[cold]
     fn migrate_overflow(&mut self) {
         let horizon = self.cursor + NUM_BUCKETS as u64;
-        let mut pending = std::mem::take(&mut self.overflow);
         self.overflow_min = (u64::MAX, SimTime::ZERO, 0);
-        for entry in pending.drain(..) {
-            if bucket_index(entry.time) < horizon {
+        // Partitioned in place: the events that stay never move to a
+        // second list, so migration allocates nothing. `swap_remove`
+        // reorders the remainder, which is unsorted anyway.
+        let mut i = 0;
+        while i < self.overflow.len() {
+            let entry = &self.overflow[i];
+            let idx = bucket_index(entry.time);
+            if idx < horizon {
+                let entry = self.overflow.swap_remove(i);
                 self.len -= 1; // `place` re-counts it
                 self.place(entry);
             } else {
-                let key = (bucket_index(entry.time), entry.time, entry.seq);
+                let key = (idx, entry.time, entry.seq);
                 if key < self.overflow_min {
                     self.overflow_min = key;
                 }
-                self.overflow.push(entry);
+                i += 1;
             }
-        }
-        // Hand the drained allocation back so steady-state migration
-        // never allocates.
-        if self.overflow.capacity() < pending.capacity() {
-            std::mem::swap(&mut self.overflow, &mut pending);
-            self.overflow.extend(pending);
         }
     }
 
@@ -334,7 +395,7 @@ impl<E> EventQueue<E> {
             );
             self.seq += 1;
             self.scheduled += 1;
-            self.len += 1;
+            self.count_one();
             self.lane.push_back(entry);
             return;
         }
@@ -430,6 +491,19 @@ impl<E> EventQueue<E> {
                 None => {
                     self.occupied[slot / 64] &= !(1u64 << (slot % 64));
                     self.wheel_min.set(WheelMin::DIRTY);
+                    if bucket.capacity() > Self::SLOT_KEEP {
+                        // A burst's buffer: the slot gives it up, and
+                        // the queue keeps the largest one for the next
+                        // slot that has to grow.
+                        let buffer = std::mem::take(bucket);
+                        if buffer.capacity() > self.spare.capacity() {
+                            self.spare = buffer;
+                        }
+                    } else {
+                        // Empty, so this only moves the ring's start
+                        // back to offset 0: the next fill is contiguous.
+                        bucket.clear();
+                    }
                 }
             }
             self.now = entry.time;
@@ -505,6 +579,8 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn pops_in_time_order() {
@@ -664,24 +740,53 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime(14), 2)));
     }
 
-    /// Randomized differential test against a sorted reference model:
-    /// a long interleaving of schedules (near, far, bursts), pops and
-    /// horizon cuts must replay the reference exactly. A FIFO lane is
-    /// registered and exercised by one schedule flavour, so lane/wheel
-    /// interleavings get the same coverage.
+    /// The reference model: a binary heap of `(time, seq, id)`, which is
+    /// the order the queue promises.
+    struct Model {
+        heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+        seq: u64,
+        next_id: u32,
+    }
+
+    impl Model {
+        /// Record one scheduled event; returns the id to schedule.
+        fn push(&mut self, at: SimTime) -> u32 {
+            let id = self.next_id;
+            self.heap.push(Reverse((at, self.seq, id)));
+            self.seq += 1;
+            self.next_id += 1;
+            id
+        }
+
+        /// Pop the queue once and require the model's next event.
+        fn check_pop(&mut self, q: &mut EventQueue<u32>, step: u32) {
+            let want = self.heap.pop().map(|Reverse((t, _, id))| (t, id));
+            assert_eq!(q.pop(), want, "step {step}");
+        }
+    }
+
+    /// Randomized differential test against the reference model: a long
+    /// interleaving of schedules (near, far, lane), bursts of up to
+    /// 4,096 events at one instant, descending-time runs that take the
+    /// sorted-insert path inside a burst-sized slot, pops, partial
+    /// drains and horizon cuts must replay the model exactly.
     #[test]
     fn matches_reference_model_on_random_workload() {
         let mut rng = SimRng::new(0xCA1E_0D1E);
         let mut q: EventQueue<u32> = EventQueue::new();
         q.set_fifo_lane(SimDuration(1_000));
-        let mut reference: Vec<(SimTime, u64, u32)> = Vec::new();
-        let mut next_id = 0u32;
-        let mut seq = 0u64;
+        let mut m = Model {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            next_id: 0,
+        };
+        // The instant of the latest burst, for the descending runs.
+        let mut burst_at = SimTime::ZERO;
         for step in 0..20_000u32 {
-            match rng.next_u64() % 10 {
+            match rng.next_u64() % 40 {
                 // Mostly schedules with a mix of spans: same-instant,
                 // sub-bucket, cross-bucket, cross-horizon.
-                0..=4 => {
+                0..=19 => {
                     let span = match rng.next_u64() % 5 {
                         0 => 0,
                         1 => rng.next_u64() % 1_000,
@@ -689,48 +794,61 @@ mod tests {
                         3 => rng.next_u64() % 30_000_000,
                         _ => {
                             // Through the registered FIFO lane.
-                            q.schedule_after(SimDuration(1_000), next_id);
-                            reference.push((q.now() + SimDuration(1_000), seq, next_id));
-                            seq += 1;
-                            next_id += 1;
+                            let id = m.push(q.now() + SimDuration(1_000));
+                            q.schedule_after(SimDuration(1_000), id);
                             continue;
                         }
                     };
                     let at = q.now() + SimDuration(span);
-                    q.schedule_at(at, next_id);
-                    reference.push((at, seq, next_id));
-                    seq += 1;
-                    next_id += 1;
+                    let id = m.push(at);
+                    q.schedule_at(at, id);
                 }
-                5 => {
+                20..=23 => {
                     let n = rng.next_u64() % 5;
                     let delay = SimDuration(rng.next_u64() % 2_000_000);
                     let at = q.now() + delay;
-                    let ids: Vec<u32> = (0..n).map(|i| next_id + i as u32).collect();
-                    q.schedule_batch_after(delay, ids.iter().copied());
-                    for id in ids {
-                        reference.push((at, seq, id));
-                        seq += 1;
-                        next_id += 1;
+                    let ids: Vec<u32> = (0..n).map(|_| m.push(at)).collect();
+                    q.schedule_batch_after(delay, ids);
+                }
+                // A reconnect-sized burst at one instant: now, inside
+                // the current slot, a few slots ahead, past the wheel.
+                24 => {
+                    let n = 1 + rng.next_u64() % (1 << (rng.next_u64() % 13));
+                    let delay = SimDuration(match rng.next_u64() % 4 {
+                        0 => 0,
+                        1 => rng.next_u64() % 4_000,
+                        2 => rng.next_u64() % 100_000,
+                        _ => rng.next_u64() % 3_000_000,
+                    });
+                    burst_at = q.now() + delay;
+                    let ids: Vec<u32> = (0..n).map(|_| m.push(burst_at)).collect();
+                    q.schedule_batch_after(delay, ids);
+                }
+                // A descending-time run beside the latest burst: every
+                // insert lands ahead of the one before, and the early
+                // ones ahead of the burst itself.
+                25 => {
+                    let n = 1 + rng.next_u64() % 200;
+                    for back in 0..n {
+                        let at = SimTime((burst_at.0 + n / 2).saturating_sub(back));
+                        let at = at.max(q.now());
+                        let id = m.push(at);
+                        q.schedule_at(at, id);
                     }
                 }
-                6..=8 => {
-                    reference.sort_by_key(|&(t, s, _)| (t, s));
-                    let got = q.pop();
-                    if reference.is_empty() {
-                        assert_eq!(got, None, "step {step}");
-                    } else {
-                        let (t, _, id) = reference.remove(0);
-                        assert_eq!(got, Some((t, id)), "step {step}");
+                // Drain part of whatever has piled up.
+                26..=27 => {
+                    for _ in 0..rng.next_u64() % 6_000 {
+                        m.check_pop(&mut q, step);
                     }
                 }
+                28..=35 => m.check_pop(&mut q, step),
                 _ => {
                     let limit = q.now() + SimDuration(rng.next_u64() % 1_000_000);
-                    reference.sort_by_key(|&(t, s, _)| (t, s));
                     let got = q.pop_until(limit);
-                    match reference.first().copied() {
-                        Some((t, _, id)) if t <= limit => {
-                            reference.remove(0);
+                    match m.heap.peek().copied() {
+                        Some(Reverse((t, _, id))) if t <= limit => {
+                            m.heap.pop();
                             assert_eq!(got, Some((t, id)), "step {step}");
                         }
                         _ => {
@@ -740,13 +858,47 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(q.len(), reference.len(), "step {step}");
+            assert_eq!(q.len(), m.heap.len(), "step {step}");
         }
+        assert!(q.peak_len() > 4_096, "no burst piled up");
         // Drain everything left and verify the tail order.
-        reference.sort_by_key(|&(t, s, _)| (t, s));
-        for (t, _, id) in reference {
-            assert_eq!(q.pop(), Some((t, id)));
+        while !m.heap.is_empty() {
+            m.check_pop(&mut q, u32::MAX);
         }
         assert!(q.pop().is_none());
+    }
+
+    /// A burst's memory moves with the bursts: once one has drained, an
+    /// equal burst into a different slot reuses what the first left
+    /// behind instead of growing the queue. (A buffer of at most
+    /// `SLOT_KEEP` entries is steady traffic's and stays with its slot.)
+    #[test]
+    fn second_burst_reuses_the_first_bursts_memory() {
+        let mut rng = SimRng::new(0xB0B5);
+        for case in 0..200 {
+            let mut q: EventQueue<u32> = EventQueue::new();
+            q.set_fifo_lane(SimDuration(1_000));
+            let n = 1 + rng.next_u64() % (1 << (rng.next_u64() % 13));
+            let n = usize::try_from(n).unwrap();
+            q.schedule_batch_after(SimDuration(rng.next_u64() % 4_000), 0..n as u32);
+            q.schedule_after(SimDuration(1_000), 0);
+            let first = q.retained_bytes();
+            assert!(first >= n * std::mem::size_of::<Entry<u32>>());
+            while q.pop().is_some() {}
+            // At least one slot further on, still on the wheel.
+            let delay = SimDuration(8_192 + rng.next_u64() % 900_000);
+            q.schedule_batch_after(delay, 0..n as u32);
+            let kept = if n > EventQueue::<u32>::SLOT_KEEP {
+                0
+            } else {
+                SLOT_KEEP_BYTES
+            };
+            assert!(
+                q.retained_bytes() <= first + kept,
+                "case {case}: {n} events retained {first} bytes, then {}",
+                q.retained_bytes()
+            );
+            assert_eq!(q.peak_len(), n + 1);
+        }
     }
 }

@@ -3,7 +3,9 @@
 //! Unlike the event stream — which lives in simulated time — the
 //! profiler measures *real* time spent in each engine phase, so it
 //! answers "where does a run's wall-clock go", not "what did the
-//! simulated system do".
+//! simulated system do". It also carries the one host-side gauge a run
+//! reports at its end: how deep its event queue got and how much heap
+//! the queue held.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -19,12 +21,23 @@ pub struct PhaseStat {
     pub total: Duration,
 }
 
+/// What an enabled profiler accumulates over the runs it is attached
+/// to.
+#[derive(Default, Debug)]
+struct Collected {
+    phases: HashMap<&'static str, PhaseStat>,
+    /// Largest event-queue depth any run reached.
+    queue_peak_len: usize,
+    /// Largest event-queue heap footprint any run ended with, in bytes.
+    queue_retained_bytes: usize,
+}
+
 /// A cheap, cloneable wall-clock profiler. Disabled (`off`) it holds
 /// no state and [`Profiler::start`] returns `None` without reading the
 /// clock.
 #[derive(Clone, Default, Debug)]
 pub struct Profiler {
-    phases: Option<Rc<RefCell<HashMap<&'static str, PhaseStat>>>>,
+    collected: Option<Rc<RefCell<Collected>>>,
 }
 
 impl Profiler {
@@ -36,27 +49,27 @@ impl Profiler {
     /// An enabled profiler.
     pub fn enabled() -> Self {
         Profiler {
-            phases: Some(Rc::new(RefCell::new(HashMap::new()))),
+            collected: Some(Rc::default()),
         }
     }
 
     /// True if timing is collected.
     pub fn is_enabled(&self) -> bool {
-        self.phases.is_some()
+        self.collected.is_some()
     }
 
     /// Start timing a phase; pass the token to [`Profiler::stop`].
     #[inline]
     pub fn start(&self) -> Option<Instant> {
-        self.phases.as_ref().map(|_| Instant::now())
+        self.collected.as_ref().map(|_| Instant::now())
     }
 
     /// Stop timing `phase` (no-op when disabled).
     #[inline]
     pub fn stop(&self, phase: &'static str, started: Option<Instant>) {
-        if let (Some(phases), Some(started)) = (&self.phases, started) {
-            let mut map = phases.borrow_mut();
-            let stat = map.entry(phase).or_default();
+        if let (Some(collected), Some(started)) = (&self.collected, started) {
+            let mut collected = collected.borrow_mut();
+            let stat = collected.phases.entry(phase).or_default();
             stat.calls += 1;
             stat.total += started.elapsed();
         }
@@ -71,19 +84,37 @@ impl Profiler {
         out
     }
 
+    /// A run ended having had at most `peak_len` events queued at once,
+    /// its event queue holding `retained_bytes` of heap (no-op when
+    /// disabled). The report keeps the largest of each.
+    pub fn note_queue(&self, peak_len: usize, retained_bytes: usize) {
+        if let Some(collected) = &self.collected {
+            let mut c = collected.borrow_mut();
+            c.queue_peak_len = c.queue_peak_len.max(peak_len);
+            c.queue_retained_bytes = c.queue_retained_bytes.max(retained_bytes);
+        }
+    }
+
     /// Snapshot of all phases, sorted by descending total time.
     pub fn stats(&self) -> Vec<(&'static str, PhaseStat)> {
-        let Some(phases) = &self.phases else {
+        let Some(collected) = &self.collected else {
             return Vec::new();
         };
-        let mut stats: Vec<_> = phases.borrow().iter().map(|(k, v)| (*k, *v)).collect();
+        let mut stats: Vec<_> = collected
+            .borrow()
+            .phases
+            .iter()
+            .map(|(k, v)| (*k, *v))
+            .collect();
         stats.sort_by(|a, b| b.1.total.cmp(&a.1.total).then(a.0.cmp(b.0)));
         stats
     }
 
-    /// Human-readable per-phase lines, sorted by descending total.
+    /// Human-readable per-phase lines, sorted by descending total, then
+    /// the event-queue gauge if any run reported one.
     pub fn report_lines(&self) -> Vec<String> {
-        self.stats()
+        let mut lines: Vec<String> = self
+            .stats()
             .into_iter()
             .map(|(phase, s)| {
                 let mean = if s.calls > 0 {
@@ -96,7 +127,18 @@ impl Profiler {
                     s.total, s.calls, mean
                 )
             })
-            .collect()
+            .collect();
+        if let Some(collected) = &self.collected {
+            let c = collected.borrow();
+            if c.queue_peak_len > 0 {
+                lines.push(format!(
+                    "queue: peak {} events, {} KB retained",
+                    c.queue_peak_len,
+                    c.queue_retained_bytes.div_ceil(1024)
+                ));
+            }
+        }
+        lines
     }
 }
 
@@ -125,5 +167,19 @@ mod tests {
         let a = stats.iter().find(|(n, _)| *n == "phase-a").unwrap();
         assert_eq!(a.1.calls, 3);
         assert_eq!(p.report_lines().len(), 2);
+    }
+
+    #[test]
+    fn queue_gauge_keeps_the_largest_run_and_adds_no_phase() {
+        let p = Profiler::enabled();
+        p.note_queue(120, 9_000);
+        p.note_queue(4_500, 700_000);
+        p.note_queue(80, 8_192);
+        assert!(p.stats().is_empty());
+        assert_eq!(
+            p.report_lines(),
+            ["queue: peak 4500 events, 684 KB retained"]
+        );
+        Profiler::off().note_queue(1, 1);
     }
 }

@@ -316,4 +316,9 @@ grep '^{' "$bench_out" | /usr/bin/jq -es '
 }
 echo "ok: benchmark smoke ran 4 workloads, ok_frac 1 on each"
 
+say "allocator gates: heap follows live events (queue_memory), allocations follow rf (fanout_allocations)"
+# Each file installs its own counting #[global_allocator]; release, so
+# the numbers are the ones the docs quote.
+cargo test -q --release --test queue_memory --test fanout_allocations
+
 say "all CI gates passed"

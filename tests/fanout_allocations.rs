@@ -2,12 +2,16 @@
 //! not `Nodes`: the base fans a commit out by walking each update's
 //! replica set and ships one shared payload, so four times the nodes at
 //! the same total load and replication factor must not cost more heap
-//! allocations per commit. (Filtering the refresh once per destination
-//! signature made one payload per distinct hosted set, which with
-//! round-robin placement is one per node: 88 allocations per commit at
-//! 64 nodes against 30 at 16. Now it is 6.4 against 5.3, and the rest of
-//! that slope is the event queue regrowing a bucket when far-future
-//! arrivals migrate in, which lower per-node rates make more common.)
+//! allocations per commit: 5.54 at 64 nodes against 5.26 at 16, the
+//! difference being per-node bookkeeping warming up (parked lists and
+//! tentative stores, four times as many of them). Two designs this
+//! rules out. Filtering the refresh once per destination signature
+//! makes one payload per distinct hosted set, which with round-robin
+//! placement is one per node: 88 against 30. And an event queue that
+//! rebuilds its overflow list in a fresh vector on every migration
+//! costs 0.79 allocations per commit at 64 nodes against 0.04 at 16,
+//! because lower per-node rates send more arrivals past the wheel
+//! horizon: 6.4 against 5.3.
 //!
 //! A counting `#[global_allocator]` is process-wide, so this file holds
 //! exactly one test.
@@ -74,7 +78,7 @@ fn allocations_per_commit(nodes: u32) -> f64 {
 fn two_tier_allocations_per_commit_follow_rf_not_nodes() {
     let (small, large) = (allocations_per_commit(16), allocations_per_commit(64));
     assert!(
-        large <= small * 1.25,
+        large <= small * 1.10,
         "{large:.1} allocations per commit at 64 nodes against {small:.1} at 16"
     );
 }
