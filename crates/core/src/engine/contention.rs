@@ -26,7 +26,7 @@ use crate::engine::commit::{CommitProto, CoordState, Coordinator, CrashKind, Dec
 use crate::engine::kernel::{self, Faulty, Kernel, Protocol, Sim};
 use crate::metrics::{M_ABORTS, M_INDOUBT_WAIT};
 use repl_check::{Scheme, TxnRecord};
-use repl_net::{FaultInjector, FaultPlan, Network, SendOutcome};
+use repl_net::FaultPlan;
 use repl_sim::{Sampler, SimDuration, SimRng, SimTime};
 use repl_storage::hash::FastMap;
 use repl_storage::{
@@ -211,8 +211,9 @@ struct PendingCoord {
 }
 
 /// Everything the cross-shard commit protocol adds on top of the base
-/// engine: a real message fabric, per-node durable decision logs, the
-/// volatile coordinator/in-doubt state, and the crash machinery.
+/// engine: real messages on the kernel's fabric, per-node durable
+/// decision logs, the volatile coordinator/in-doubt state, and the
+/// crash machinery.
 ///
 /// Built only when the run is sharded AND something can observe the
 /// protocol (a non-default `--commit-proto`, a crash point, or a fault
@@ -221,7 +222,6 @@ struct PendingCoord {
 #[derive(Debug)]
 struct ProtoCtx {
     proto: CommitProto,
-    net: Network<ProtoMsg>,
     /// Per-node durable decision log (survives crashes).
     logs: Vec<DecisionLog>,
     /// Volatile coordinator state by transaction.
@@ -241,7 +241,6 @@ impl ProtoCtx {
         let n = cfg.nodes as usize;
         ProtoCtx {
             proto: cfg.commit_proto,
-            net: Network::new(n, cfg.latency, cfg.seed),
             logs: (0..n).map(|_| DecisionLog::new()).collect(),
             pending: FastMap::default(),
             indoubt: FastMap::default(),
@@ -384,10 +383,7 @@ impl<S: Flavor> Faulty for Contention<S> {
         let Some(ctx) = &mut self.proto else {
             return;
         };
-        if plan.has_message_chaos() {
-            ctx.net = Network::new(k.cfg.nodes as usize, k.cfg.latency, k.cfg.seed)
-                .with_faults(FaultInjector::new(&plan));
-        }
+        k.install_injector(&plan);
         k.schedule_crash_windows(&plan);
         ctx.retransmit = plan.retransmit;
     }
@@ -441,17 +437,12 @@ impl<S: Flavor> Protocol for Contention<S> {
         }
     }
 
-    /// Deliver one protocol message. A crashed destination re-parks it
-    /// (it arrives with the node's recovery).
+    fn parked(msg: &mut ProtoMsg) -> NodeId {
+        msg.sender()
+    }
+
+    /// Deliver one protocol message.
     fn deliver(&mut self, k: &mut K<S>, to: NodeId, msg: ProtoMsg) {
-        if k.is_down(to) {
-            let ctx = self
-                .proto
-                .as_mut()
-                .expect("protocol message without context");
-            ctx.net.park(msg.sender(), to, msg);
-            return;
-        }
         k.tracer.emit(|| {
             Event::new(
                 k.now(),
@@ -482,7 +473,6 @@ impl<S: Flavor> Protocol for Contention<S> {
             if k.is_down(node) {
                 return;
             }
-            ctx.net.disconnect(node);
             // Volatile protocol state at the node evaporates.
             let mut lost: Vec<TxnId> = ctx
                 .pending
@@ -531,14 +521,11 @@ impl<S: Flavor> Protocol for Contention<S> {
     /// (precisely the anomaly the atomicity oracle catches).
     fn node_up(&mut self, k: &mut K<S>, node: NodeId) {
         let (parked, records, retransmit) = {
-            let Some(ctx) = &mut self.proto else { return };
-            if !k.is_down(node) {
-                return;
-            }
+            let Some(ctx) = &self.proto else { return };
             // Crash recovery is rare: collecting the drain here keeps
-            // the borrow on `ctx` short (the replay below re-enters
+            // the borrow on `k` short (the replay below re-enters
             // `self` methods per message).
-            let parked: Vec<ProtoMsg> = ctx.net.reconnect(node).collect();
+            let parked: Vec<ProtoMsg> = k.reconnect(node).collect();
             let mut records: Vec<(TxnId, DecisionState)> = ctx.logs[node.0 as usize]
                 .entries()
                 .map(|(t, st)| (t, st.clone()))
@@ -559,9 +546,8 @@ impl<S: Flavor> Protocol for Contention<S> {
                     let ctx = self.proto.as_mut().expect("checked above");
                     ctx.pending.insert(txn, PendingCoord { coord, node });
                     for p in participants {
-                        self.proto_send(
+                        Self::proto_send(
                             k,
-                            node,
                             p,
                             ProtoMsg::Decision {
                                 txn,
@@ -578,7 +564,7 @@ impl<S: Flavor> Protocol for Contention<S> {
                     let now = k.now();
                     let ctx = self.proto.as_mut().expect("checked above");
                     ctx.indoubt.entry(txn).or_default().push((node, now));
-                    self.proto_send(k, node, coord, ProtoMsg::DecisionReq { txn, node });
+                    Self::proto_send(k, coord, ProtoMsg::DecisionReq { txn, node });
                     k.schedule_after(retransmit, Ev::InDoubtTimer(txn, node));
                 }
                 _ => {}
@@ -590,19 +576,17 @@ impl<S: Flavor> Protocol for Contention<S> {
                 // lost for good under owner-order.
                 continue;
             }
-            self.deliver(k, node, msg);
+            // A crash point can take the node down again mid-replay.
+            if let Some(msg) = k.admit(node, msg) {
+                self.deliver(k, node, msg);
+            }
         }
     }
 
     /// Post-horizon protocol drain (nothing to settle without a
-    /// protocol context): clear fault injection, restart every crashed
-    /// node so recovery runs, then let the remaining protocol traffic
-    /// resolve.
+    /// protocol context): let the remaining protocol traffic resolve.
     fn begin_drain(&mut self, k: &mut K<S>) -> Option<SimTime> {
-        self.proto.as_mut()?.net.clear_faults();
-        for node in k.down_nodes() {
-            self.node_up(k, node);
-        }
+        self.proto.as_ref()?;
         Some(k.cfg.horizon + SimDuration::from_secs(300))
     }
 
@@ -936,31 +920,14 @@ impl<S: Flavor> Contention<S> {
         k.schedule_restart(SimDuration::from_secs(down), node);
     }
 
-    /// Put one protocol message on the wire and schedule its fate.
-    /// Drops are *not* retransmitted here — the round timers own
-    /// recovery (and owner-order `Apply` loss is the anomaly).
-    fn proto_send(&mut self, k: &mut K<S>, from: NodeId, to: NodeId, msg: ProtoMsg) {
-        let ctx = self
-            .proto
-            .as_mut()
-            .expect("proto_send without protocol context");
-        let outcome = ctx.net.send(from, to, msg);
-        if k.measuring() {
-            k.metrics.messages.incr();
-        }
+    /// Put one protocol message on the wire. Whatever its fate, nothing
+    /// is retransmitted here — the round timers own recovery (and
+    /// owner-order `Apply` loss is the anomaly).
+    fn proto_send(k: &mut K<S>, to: NodeId, msg: ProtoMsg) {
+        let from = msg.sender();
         k.tracer
             .emit(|| Event::new(k.now(), from, msg.txn(), EventKind::MsgSent { to }));
-        match outcome {
-            SendOutcome::Deliver { delay } => k.deliver_after(delay, to, msg),
-            SendOutcome::Duplicated { delays } => {
-                k.message_duplicated(from, msg.txn(), to);
-                for d in delays {
-                    k.deliver_after(d, to, msg);
-                }
-            }
-            SendOutcome::Dropped => k.message_dropped(from, msg.txn(), to),
-            SendOutcome::Held | SendOutcome::SenderOffline(_) => {}
-        }
+        k.send(from, to, msg.txn(), msg);
     }
 
     /// Owner-order commit: commit locally, then fire-and-forget one
@@ -991,9 +958,8 @@ impl<S: Flavor> Contention<S> {
         }
         for o in owners {
             if o != node {
-                self.proto_send(
+                Self::proto_send(
                     k,
-                    node,
                     o,
                     ProtoMsg::Apply {
                         txn: id,
@@ -1041,9 +1007,8 @@ impl<S: Flavor> Contention<S> {
             return;
         }
         for p in unvoted {
-            self.proto_send(
+            Self::proto_send(
                 k,
-                node,
                 p,
                 ProtoMsg::Prepare {
                     txn: id,
@@ -1087,9 +1052,8 @@ impl<S: Flavor> Contention<S> {
                     return;
                 }
                 for p in participants {
-                    self.proto_send(
+                    Self::proto_send(
                         k,
-                        node,
                         p,
                         ProtoMsg::Decision {
                             txn: id,
@@ -1118,9 +1082,8 @@ impl<S: Flavor> Contention<S> {
                     self.abort(k, id);
                 }
                 for p in participants {
-                    self.proto_send(
+                    Self::proto_send(
                         k,
-                        node,
                         p,
                         ProtoMsg::Decision {
                             txn: id,
@@ -1158,9 +1121,8 @@ impl<S: Flavor> Contention<S> {
             }
             (fresh, ctx.retransmit)
         };
-        self.proto_send(
+        Self::proto_send(
             k,
-            n,
             coord,
             ProtoMsg::Vote {
                 txn,
@@ -1234,7 +1196,7 @@ impl<S: Flavor> Contention<S> {
         if !dup && commit {
             k.recorder.shard_apply(txn, n);
         }
-        self.proto_send(k, n, coord, ProtoMsg::Ack { txn, node: n });
+        Self::proto_send(k, coord, ProtoMsg::Ack { txn, node: n });
     }
 
     /// Coordinator receives an ack; on the last one the entry is marked
@@ -1269,9 +1231,8 @@ impl<S: Flavor> Contention<S> {
             }
         };
         if let Some(commit) = durable {
-            self.proto_send(
+            Self::proto_send(
                 k,
-                n,
                 from,
                 ProtoMsg::Decision {
                     txn,
@@ -1289,9 +1250,8 @@ impl<S: Flavor> Contention<S> {
         if deciding {
             return;
         }
-        self.proto_send(
+        Self::proto_send(
             k,
-            n,
             from,
             ProtoMsg::Decision {
                 txn,
@@ -1334,18 +1294,16 @@ impl<S: Flavor> Contention<S> {
         };
         for t in targets {
             match round {
-                None => self.proto_send(
+                None => Self::proto_send(
                     k,
-                    node,
                     t,
                     ProtoMsg::Prepare {
                         txn: id,
                         coord: node,
                     },
                 ),
-                Some(commit) => self.proto_send(
+                Some(commit) => Self::proto_send(
                     k,
-                    node,
                     t,
                     ProtoMsg::Decision {
                         txn: id,
@@ -1378,7 +1336,7 @@ impl<S: Flavor> Contention<S> {
             };
             (*coord, ctx.retransmit)
         };
-        self.proto_send(k, n, coord, ProtoMsg::DecisionReq { txn, node: n });
+        Self::proto_send(k, coord, ProtoMsg::DecisionReq { txn, node: n });
         k.schedule_after(retransmit, Ev::InDoubtTimer(txn, n));
     }
 

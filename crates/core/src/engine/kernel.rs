@@ -8,13 +8,16 @@
 //! * the Poisson arrival process of every node;
 //! * connectivity schedules, fault-plan partition and crash windows,
 //!   and the per-node `crashed` flags;
+//! * the message fabric: the one [`Network`], the [`FaultInjector`] on
+//!   it, the active partition, and the mail parked for unreachable or
+//!   crashed nodes;
 //! * the run phases: `RunStart` → live loop to the horizon → report
 //!   freeze (with the `staleness_n<i>` gauges) → convergence drain with
 //!   arrivals and new faults suppressed → `run_end`/flush → final state;
 //! * the instrumentation bundle (tracer, profiler, recorder, metrics,
 //!   measuring window, run label) and its builders;
-//! * the shared helpers: lock-wait/deadlock accounting and same-delay
-//!   delivery batching.
+//! * the shared helpers: lock-wait/deadlock accounting and the send
+//!   path with its same-delay delivery batching.
 //!
 //! A scheme is a [`Protocol`]: its state plus the hooks the kernel
 //! calls. Dispatch is static — [`Sim`] is generic over the protocol,
@@ -22,10 +25,27 @@
 //! boxed events), so the loop monomorphises to what each engine's
 //! hand-written loop used to be.
 //!
-//! The `Network` stays with the protocol: the schemes' send semantics
-//! differ (per-transaction commit messages, watermark resend, refresh
-//! broadcast from a virtual base), and a kernel-owned fabric would have
-//! to branch on its caller.
+//! # The fabric
+//!
+//! The schemes' send semantics differ (per-transaction commit messages,
+//! watermark resend, refresh broadcast from a virtual base), but only
+//! in what a sender does *with* a fate, not in how a fate comes about.
+//! So `Kernel::send` takes a built message and does everything that is
+//! the same for every caller: counts it, draws its fate from the
+//! network, schedules the one or two deliveries, leaves a held message
+//! parked, counts and traces a duplicate or a drop. It then returns the
+//! payload-free [`Sent`], and the caller does only what is its own:
+//! lazy-group holds its watermark and arms a resend on a drop,
+//! contention lets its round timers recover, two-tier asserts the base
+//! never goes offline. The helper never asks who is calling. The
+//! "sent" trace stays with the caller because it differs in kind
+//! (`MsgSent` with a transaction, `ReplicaSend` with an LSN).
+//!
+//! Mail that reaches a crashed node never gets to [`Protocol::deliver`]:
+//! `Kernel::admit` parks it, and the protocol's `node_up` takes it back
+//! from `Kernel::reconnect`. The injector is installed by
+//! `Kernel::install_injector` and lifted, with any partition still
+//! active, when the drain begins.
 //!
 //! # Scheduling order
 //!
@@ -39,7 +59,7 @@
 use crate::config::{DeadlockPolicy, SimConfig};
 use crate::metrics::{Metrics, Report, M_PROPAGATION_LAG};
 use repl_check::{Recorder, Scheme};
-use repl_net::{DisconnectSchedule, FaultPlan, PeriodModel};
+use repl_net::{DisconnectSchedule, FaultInjector, FaultPlan, Network, PeriodModel, SendOutcome};
 use repl_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use repl_storage::{LockManager, NodeId, ObjectId, TxnId};
 use repl_telemetry::{AbortReason, Event as Trace, EventKind, Gauge, Profiler, TraceHandle};
@@ -65,6 +85,23 @@ pub(super) fn full_mask(len: usize) -> u64 {
     } else {
         (1u64 << len) - 1
     }
+}
+
+/// What became of a `Kernel::send`, payload-free: the kernel has done
+/// everything that is the same for every sender, and the rest is the
+/// caller's own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Sent {
+    /// One delivery is scheduled (two, if the injector duplicated it).
+    Scheduled,
+    /// Lost in flight by the injector, counted and traced. Recovery is
+    /// the sender's business.
+    Dropped,
+    /// The destination is unreachable; the message is parked until it
+    /// reconnects or the partition heals.
+    Held,
+    /// The sender itself is offline: nothing was parked.
+    SenderOffline,
 }
 
 /// One queued event: the world's vocabulary plus the scheme's own.
@@ -114,8 +151,9 @@ pub enum Event<P: Protocol> {
 pub trait Protocol: Sized {
     /// Scheme-private events.
     type Ev;
-    /// The wire message [`Event::Deliver`] carries.
-    type Msg;
+    /// The wire message [`Event::Deliver`] carries (cloned only when
+    /// the injector duplicates it).
+    type Msg: Clone;
     /// What a finished run hands back beside the [`Report`].
     type State;
     /// The oracle family that judges a recorded run of this scheme.
@@ -135,20 +173,20 @@ pub trait Protocol: Sized {
     fn arrive(&mut self, k: &mut Kernel<Self>, node: NodeId);
     /// A scheme-private event fires.
     fn on_event(&mut self, k: &mut Kernel<Self>, ev: Self::Ev);
-    /// A message reaches `to`. The network is the protocol's, so a dead
-    /// destination is its to handle (park for recovery).
+    /// `msg` goes into the mail for a node that cannot take it now, to
+    /// arrive afresh later: strip whatever described only this attempt
+    /// and name the node it was sent from. Parked mail is filed under
+    /// its sender: whether a partition still separates the two is
+    /// judged per message when the destination comes back.
+    fn parked(msg: &mut Self::Msg) -> NodeId;
+    /// A message reaches `to`, which is up: mail for a crashed node is
+    /// parked by the kernel and comes back through `Kernel::reconnect`.
     fn deliver(&mut self, k: &mut Kernel<Self>, to: NodeId, msg: Self::Msg);
-    /// `node`'s link changed (already traced).
+    /// `node`'s link changed (already traced; a node going offline is
+    /// already off the network, one coming back is the protocol's to
+    /// `Kernel::reconnect`).
     fn link_change(&mut self, _k: &mut Kernel<Self>, _node: NodeId, _connected: bool) {
         unreachable!("this protocol schedules no connectivity")
-    }
-    /// A bipartition begins (live phase only, already traced).
-    fn partition_start(&mut self, _k: &mut Kernel<Self>, _side_a: &[NodeId]) {
-        unreachable!("this protocol schedules no partitions")
-    }
-    /// The bipartition's heal time arrived (it may already be healed).
-    fn partition_heal(&mut self, _k: &mut Kernel<Self>) {
-        unreachable!("this protocol schedules no partitions")
     }
     /// `node` crashes (live phase only). Marks it down.
     fn node_down(&mut self, _k: &mut Kernel<Self>, _node: NodeId) {
@@ -161,8 +199,9 @@ pub trait Protocol: Sized {
     /// The measured window just closed; the report freezes next. Bank
     /// whatever the scheme counts outside [`Metrics`].
     fn window_closed(&mut self, _k: &mut Kernel<Self>) {}
-    /// Enter the drain: lift faults, restart and reconnect everyone.
-    /// Returns how far to drain (`None`: nothing to settle).
+    /// Enter the drain (the injector and any partition are gone, every
+    /// crashed node is back up): reconnect everyone. Returns how far to
+    /// drain (`None`: nothing to settle).
     fn begin_drain(&mut self, k: &mut Kernel<Self>) -> Option<SimTime>;
     /// The run is over: hand final state to the recorder and the caller.
     fn finish(self, k: &mut Kernel<Self>) -> Self::State;
@@ -171,9 +210,9 @@ pub trait Protocol: Sized {
 /// A [`Protocol`] that has filled the fault hooks, so a [`FaultPlan`]
 /// can be attached. [`Sim::with_faults`] exists only for these.
 pub trait Faulty: Protocol {
-    /// Install `plan`: message chaos on the protocol's network, and
-    /// whichever windows the scheme models through
-    /// `Kernel::schedule_partition_windows` /
+    /// Install `plan`, a few calls to kernel helpers: message chaos
+    /// through `Kernel::install_injector`, and whichever windows the
+    /// scheme models through `Kernel::schedule_partition_windows` /
     /// `Kernel::schedule_crash_windows`.
     fn attach_faults(&mut self, k: &mut Kernel<Self>, plan: FaultPlan);
 }
@@ -183,6 +222,10 @@ pub struct Kernel<P: Protocol> {
     /// The run's configuration.
     pub(super) cfg: SimConfig,
     queue: EventQueue<Event<P>>,
+    /// The message fabric: latency draws, connectivity, the active
+    /// partition, the injector, and the mail parked for unreachable or
+    /// crashed nodes.
+    net: Network<P::Msg>,
     arrival_rngs: Vec<SimRng>,
     /// Per-node crash flags: a crashed node accepts no arrivals until
     /// it restarts.
@@ -233,6 +276,7 @@ impl<P: Protocol> Kernel<P> {
         Kernel {
             cfg,
             queue,
+            net: Network::new(n, cfg.latency, cfg.seed),
             arrival_rngs,
             crashed: vec![false; n],
             live: true,
@@ -271,6 +315,17 @@ impl<P: Protocol> Kernel<P> {
                 self.queue
                     .schedule_at(ev.at, Event::Connectivity { node, connected });
             }
+        }
+    }
+
+    /// Put `plan`'s message chaos (drops, duplicates, delay spikes) on
+    /// the fabric. Call before the run: the network is rebuilt, so its
+    /// latency stream starts where a quiet run's does.
+    pub(super) fn install_injector(&mut self, plan: &FaultPlan) {
+        if plan.has_message_chaos() {
+            let n = self.cfg.nodes as usize;
+            self.net = Network::new(n, self.cfg.latency, self.cfg.seed)
+                .with_faults(FaultInjector::new(plan));
         }
     }
 
@@ -329,9 +384,11 @@ impl<P: Protocol> Kernel<P> {
         self.crashed[node.0 as usize]
     }
 
-    /// `node` fails: mark it down, count and trace the crash.
+    /// `node` fails: mark it down and off the network (traffic sent to
+    /// it from now on parks), count and trace the crash.
     pub(super) fn crash(&mut self, node: NodeId) {
         self.crashed[node.0 as usize] = true;
+        self.net.disconnect(node);
         if self.measuring() {
             self.metrics.node_crashes.incr();
         }
@@ -339,8 +396,8 @@ impl<P: Protocol> Kernel<P> {
             .emit(|| Trace::system(self.now(), node, EventKind::NodeCrash));
     }
 
-    /// `node` recovers, about to replay `messages` parked for it: mark
-    /// it up and trace the restart.
+    /// `node` recovers, about to replay the `messages` that
+    /// `Kernel::reconnect` released: mark it up and trace the restart.
     pub(super) fn restart(&mut self, node: NodeId, messages: u64) {
         self.crashed[node.0 as usize] = false;
         self.tracer
@@ -349,14 +406,6 @@ impl<P: Protocol> Kernel<P> {
             let kind = EventKind::RecoveryReplay { messages };
             Trace::system(self.now(), node, kind)
         });
-    }
-
-    /// Every crashed node, in node order.
-    pub(super) fn down_nodes(&self) -> Vec<NodeId> {
-        (0..self.cfg.nodes)
-            .map(NodeId)
-            .filter(|n| self.is_down(*n))
-            .collect()
     }
 
     /// Schedule a scheme-private event `delay` from now.
@@ -370,27 +419,115 @@ impl<P: Protocol> Kernel<P> {
         self.queue.schedule_after(delay, Event::Restart(node));
     }
 
-    /// Deliver `msg` to `to` after `delay`, as its own event.
-    pub(super) fn deliver_after(&mut self, delay: SimDuration, to: NodeId, msg: P::Msg) {
-        self.queue.schedule_after(delay, Event::Deliver { to, msg });
+    /// Whether `node`'s link is up.
+    #[inline]
+    pub(super) fn is_connected(&self, node: NodeId) -> bool {
+        self.net.is_connected(node)
     }
 
-    /// Deliver a burst of released messages at the current instant, in
-    /// iterator order.
-    pub(super) fn deliver_now(&mut self, msgs: impl IntoIterator<Item = (NodeId, P::Msg)>) {
-        self.queue.schedule_batch_after(
-            SimDuration::ZERO,
-            msgs.into_iter().map(|(to, msg)| Event::Deliver { to, msg }),
-        );
+    /// Draw one one-way latency without sending (a forward whose
+    /// arrival is a scheme-private event, not a [`Protocol::Msg`]).
+    pub(super) fn sample_delay(&mut self) -> SimDuration {
+        self.net.sample_delay()
+    }
+
+    /// Put `node` back on the network and take the mail parked for it
+    /// whose path is clear, in send order. What cannot cross an active
+    /// partition stays parked until the heal.
+    pub(super) fn reconnect(&mut self, node: NodeId) -> impl ExactSizeIterator<Item = P::Msg> + '_ {
+        self.net.reconnect(node)
+    }
+
+    /// [`Kernel::reconnect`], delivering the released mail at the
+    /// current instant as events. Returns how many messages that was.
+    pub(super) fn reconnect_delivering(&mut self, node: NodeId) -> u64 {
+        let released = self.net.reconnect(node);
+        let messages = released.len() as u64;
+        let deliveries = released.map(|msg| Event::Deliver { to: node, msg });
+        self.queue
+            .schedule_batch_after(SimDuration::ZERO, deliveries);
+        messages
+    }
+
+    /// Return `msg` to the mail for `to`: it is redelivered when `to`
+    /// is next reachable.
+    pub(super) fn park(&mut self, to: NodeId, mut msg: P::Msg) {
+        self.net.park(P::parked(&mut msg), to, msg);
+    }
+
+    /// `msg` is about to be handed to `to`: the one park-for-the-dead.
+    /// A crashed node receives nothing; its mail waits for recovery.
+    pub(super) fn admit(&mut self, to: NodeId, msg: P::Msg) -> Option<P::Msg> {
+        if self.is_down(to) {
+            self.park(to, msg);
+            return None;
+        }
+        Some(msg)
+    }
+
+    /// Send `msg` from `from` to `to` on behalf of `txn` (default: none)
+    /// as part of a run of sends on this channel: count it, draw its
+    /// fate, and act on everything that is the same for every sender.
+    /// Consecutive same-delay deliveries coalesce into one event of up
+    /// to `propagation_batch` messages; a delay change or any other
+    /// fate flushes first, so per-channel arrival order is the send
+    /// order. The sender must `Kernel::flush_deliveries` before it
+    /// schedules anything else for `to` and when the run ends.
+    pub(super) fn send_in_burst(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        txn: TxnId,
+        msg: P::Msg,
+    ) -> Sent {
+        if self.measuring() {
+            self.metrics.messages.incr();
+        }
+        match self.net.send(from, to, msg) {
+            SendOutcome::Deliver { delay, msg } => {
+                self.coalesce_delivery(to, delay, msg);
+                Sent::Scheduled
+            }
+            SendOutcome::Duplicated { delays, msg } => {
+                self.flush_deliveries(to);
+                if self.measuring() {
+                    self.metrics.messages_duplicated.incr();
+                }
+                self.tracer
+                    .emit(|| Trace::new(self.now(), from, txn, EventKind::MsgDuplicated { to }));
+                let [first, second] = delays;
+                self.deliver_after(first, to, msg.clone());
+                self.deliver_after(second, to, msg);
+                Sent::Scheduled
+            }
+            SendOutcome::Dropped => {
+                self.flush_deliveries(to);
+                if self.measuring() {
+                    self.metrics.messages_dropped.incr();
+                }
+                self.tracer
+                    .emit(|| Trace::new(self.now(), from, txn, EventKind::MsgDropped { to }));
+                Sent::Dropped
+            }
+            SendOutcome::Held => Sent::Held,
+            SendOutcome::SenderOffline(_) => {
+                self.flush_deliveries(to);
+                Sent::SenderOffline
+            }
+        }
+    }
+
+    /// Send one message: a burst of one.
+    pub(super) fn send(&mut self, from: NodeId, to: NodeId, txn: TxnId, msg: P::Msg) -> Sent {
+        let sent = self.send_in_burst(from, to, txn, msg);
+        self.flush_deliveries(to);
+        sent
     }
 
     /// Queue `msg` for `to` behind the deliveries already pending on
-    /// this channel. Consecutive same-delay deliveries coalesce into
-    /// one event of up to `propagation_batch` messages; a delay change
-    /// flushes first, so per-channel arrival order is the send order.
-    /// The sender must `Kernel::flush_deliveries` before it schedules
-    /// anything else for `to` and when it is done with the channel.
-    pub(super) fn coalesce_delivery(&mut self, to: NodeId, delay: SimDuration, msg: P::Msg) {
+    /// this channel, flushing first if its delay differs from theirs
+    /// and after if the batch is full.
+    fn coalesce_delivery(&mut self, to: NodeId, delay: SimDuration, msg: P::Msg) {
         if self.pending_delay != delay {
             self.flush_deliveries(to);
         }
@@ -420,24 +557,35 @@ impl<P: Protocol> Kernel<P> {
         }
     }
 
-    /// The fault injector duplicated a message `from` → `to` sent on
-    /// behalf of `txn` (default: none): count and trace it.
-    pub(super) fn message_duplicated(&mut self, from: NodeId, txn: TxnId, to: NodeId) {
-        if self.measuring() {
-            self.metrics.messages_duplicated.incr();
-        }
-        self.tracer
-            .emit(|| Trace::new(self.now(), from, txn, EventKind::MsgDuplicated { to }));
+    /// Hand `msg` to `to` after `delay` without touching the network: a
+    /// local redelivery, not a send.
+    pub(super) fn deliver_after(&mut self, delay: SimDuration, to: NodeId, msg: P::Msg) {
+        self.queue.schedule_after(delay, Event::Deliver { to, msg });
     }
 
-    /// The fault injector lost a message `from` → `to` in flight: count
-    /// and trace it. Recovery is the sender's business.
-    pub(super) fn message_dropped(&mut self, from: NodeId, txn: TxnId, to: NodeId) {
-        if self.measuring() {
-            self.metrics.messages_dropped.incr();
+    /// A window's start arrived: split the cluster into `side_a` and
+    /// everyone else. Cross-side sends park until the heal.
+    fn start_partition(&mut self, side_a: &[NodeId]) {
+        self.tracer.emit(|| {
+            let first = side_a.first().copied().unwrap_or_default();
+            let side_a = side_a.to_vec();
+            Trace::system(self.now(), first, EventKind::PartitionStart { side_a })
+        });
+        self.net.partition(side_a);
+    }
+
+    /// Heal the active bipartition (if any) and deliver everything that
+    /// was parked at the boundary, in send order per destination.
+    fn heal_partition(&mut self) {
+        if !self.net.has_partition() {
+            return;
         }
         self.tracer
-            .emit(|| Trace::new(self.now(), from, txn, EventKind::MsgDropped { to }));
+            .emit(|| Trace::system(self.now(), NodeId::default(), EventKind::PartitionHeal));
+        let released = self.net.heal_partition();
+        let deliveries = released.map(|(to, msg)| Event::Deliver { to, msg });
+        self.queue
+            .schedule_batch_after(SimDuration::ZERO, deliveries);
     }
 
     /// A lock request by `id` at `node` blocked on `obj`: count the
@@ -597,9 +745,19 @@ impl<P: Protocol> Sim<P> {
         p.window_closed(k);
         let report = k.freeze_report();
         // Drain phase: no new arrivals, no new faults, nothing measured
-        // — pending fault events left in the queue are ignored. The
-        // recorder stays live so the oracles judge the settled state.
+        // — pending fault events left in the queue are ignored, the
+        // injector and any active partition go before the protocol
+        // sends anything, and every crashed node restarts so recovery
+        // runs. The recorder stays live so the oracles judge the
+        // settled state.
         k.live = false;
+        k.net.clear_faults();
+        k.heal_partition();
+        for node in (0..k.cfg.nodes).map(NodeId) {
+            if k.is_down(node) {
+                p.node_up(k, node);
+            }
+        }
         if let Some(until) = p.begin_drain(k) {
             while let Some((_, ev)) = k.queue.pop_until(until) {
                 Self::dispatch(k, p, ev);
@@ -631,10 +789,16 @@ impl<P: Protocol> Sim<P> {
                 }
             }
             Event::Proto(ev) => p.on_event(k, ev),
-            Event::Deliver { to, msg } => p.deliver(k, to, msg),
+            Event::Deliver { to, msg } => {
+                if let Some(msg) = k.admit(to, msg) {
+                    p.deliver(k, to, msg);
+                }
+            }
             Event::DeliverBatch { to, msgs } => {
                 for msg in msgs.into_vec() {
-                    p.deliver(k, to, msg);
+                    if let Some(msg) = k.admit(to, msg) {
+                        p.deliver(k, to, msg);
+                    }
                 }
             }
             Event::Connectivity { node, connected } => {
@@ -646,19 +810,17 @@ impl<P: Protocol> Sim<P> {
                     };
                     Trace::system(k.now(), node, kind)
                 });
+                if !connected {
+                    k.net.disconnect(node);
+                }
                 p.link_change(k, node, connected);
             }
             Event::PartitionStart(side_a) => {
                 if live {
-                    k.tracer.emit(|| {
-                        let first = side_a.first().copied().unwrap_or_default();
-                        let side_a = side_a.to_vec();
-                        Trace::system(k.now(), first, EventKind::PartitionStart { side_a })
-                    });
-                    p.partition_start(k, &side_a);
+                    k.start_partition(&side_a);
                 }
             }
-            Event::PartitionHeal => p.partition_heal(k),
+            Event::PartitionHeal => k.heal_partition(),
             Event::Crash(node) => {
                 if live {
                     p.node_down(k, node);
@@ -712,6 +874,10 @@ mod tests {
     use super::*;
     use crate::engine::{contention::Contention, lazy_group::LazyGroup, two_tier::TwoTier};
     use repl_model::Params;
+    use repl_net::LatencyModel;
+    use repl_telemetry::RingBuffer;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Event size is the calendar queue's memory traffic. The first two
     /// are the sizes of the private `Ev` enums the kernel replaced;
@@ -724,23 +890,30 @@ mod tests {
         assert!(std::mem::size_of::<Event<TwoTier>>() <= 24);
     }
 
-    /// A protocol that does nothing but log which hooks ran, when.
+    /// A protocol that does nothing but log which hooks ran, when. Its
+    /// private event is a send order: `(from, to, payload)`.
     #[derive(Default)]
     struct Probe {
-        log: Vec<String>,
+        log: Vec<(SimTime, String)>,
     }
 
     impl Probe {
         fn note(&mut self, k: &Kernel<Self>, what: &str) {
             let phase = if k.is_live() { "live" } else { "drain" };
-            self.log.push(format!("{phase} {what}"));
+            self.log.push((k.now(), format!("{phase} {what}")));
+        }
+
+        fn send(&mut self, k: &mut Kernel<Self>, (from, to, payload): (u32, u32, u8)) {
+            let msg = (NodeId(from), payload);
+            let sent = k.send(NodeId(from), NodeId(to), TxnId::default(), msg);
+            self.note(k, &format!("send {payload} {sent:?}"));
         }
     }
 
     impl Protocol for Probe {
-        type Ev = &'static str;
-        type Msg = u8;
-        type State = Vec<String>;
+        type Ev = (u32, u32, u8);
+        type Msg = (NodeId, u8);
+        type State = Vec<(SimTime, String)>;
         const SCHEME: Scheme = Scheme::Contention;
 
         fn phase(_: &Event<Self>, _: bool) -> Option<&'static str> {
@@ -749,56 +922,103 @@ mod tests {
         fn arrive(&mut self, k: &mut Kernel<Self>, node: NodeId) {
             self.note(k, &format!("arrive n{}", node.0));
         }
-        fn on_event(&mut self, k: &mut Kernel<Self>, ev: &'static str) {
-            self.note(k, ev);
+        fn on_event(&mut self, k: &mut Kernel<Self>, order: (u32, u32, u8)) {
+            self.send(k, order);
         }
-        fn deliver(&mut self, k: &mut Kernel<Self>, to: NodeId, msg: u8) {
-            self.note(k, &format!("deliver {msg} to n{}", to.0));
+        fn parked(msg: &mut (NodeId, u8)) -> NodeId {
+            msg.0
         }
-        fn partition_start(&mut self, k: &mut Kernel<Self>, side_a: &[NodeId]) {
-            self.note(k, &format!("partition {side_a:?}"));
-        }
-        fn partition_heal(&mut self, k: &mut Kernel<Self>) {
-            self.note(k, "heal");
+        fn deliver(&mut self, k: &mut Kernel<Self>, to: NodeId, (_, payload): (NodeId, u8)) {
+            assert!(!k.is_down(to), "a dead node was handed mail");
+            self.note(k, &format!("deliver {payload} to n{}", to.0));
         }
         fn node_down(&mut self, k: &mut Kernel<Self>, node: NodeId) {
             k.crash(node);
             self.note(k, &format!("down n{}", node.0));
         }
         fn node_up(&mut self, k: &mut Kernel<Self>, node: NodeId) {
-            k.restart(node, 0);
-            self.note(k, &format!("up n{}", node.0));
+            let replayed = k.reconnect_delivering(node);
+            k.restart(node, replayed);
+            self.note(k, &format!("up n{} replaying {replayed}", node.0));
         }
         fn window_closed(&mut self, k: &mut Kernel<Self>) {
             self.note(k, "window closed");
         }
+        /// The first thing the protocol does in the drain is send
+        /// 0 → 1: whatever the plan had in force at the horizon must
+        /// already be gone.
         fn begin_drain(&mut self, k: &mut Kernel<Self>) -> Option<SimTime> {
             self.note(k, "begin drain");
-            for node in k.down_nodes() {
-                self.node_up(k, node);
-            }
+            self.send(k, (0, 1, 99));
             Some(SimTime(u64::MAX))
         }
-        fn finish(self, _: &mut Kernel<Self>) -> Vec<String> {
+        fn finish(self, _: &mut Kernel<Self>) -> Vec<(SimTime, String)> {
             self.log
         }
     }
 
     impl Faulty for Probe {
         fn attach_faults(&mut self, k: &mut Kernel<Self>, plan: FaultPlan) {
+            k.install_injector(&plan);
             k.schedule_partition_windows(&plan);
             k.schedule_crash_windows(&plan);
         }
     }
 
-    fn probe(horizon: u64) -> Sim<Probe> {
-        // 2 nodes, 1 TPS each: a handful of arrivals per run.
-        let p = Params::new(100.0, 2.0, 1.0, 4.0, 0.01);
-        let cfg = SimConfig::from_params(&p, horizon, 7);
+    /// `nodes` nodes at 1 TPS each (a handful of arrivals per run),
+    /// counters on from 2 s, `latency` on every link.
+    fn probe_on(nodes: u32, horizon: u64, latency: SimDuration) -> Sim<Probe> {
+        let p = Params::new(100.0, f64::from(nodes), 1.0, 4.0, 0.01);
+        let cfg = SimConfig::from_params(&p, horizon, 7)
+            .with_warmup(2)
+            .with_latency(LatencyModel::Fixed(latency));
         Sim {
             k: Kernel::new(cfg, cfg.action_time, "probe-arrivals-", "probe"),
             p: Probe::default(),
         }
+    }
+
+    fn probe(horizon: u64) -> Sim<Probe> {
+        probe_on(2, horizon, SimDuration::ZERO)
+    }
+
+    /// `sim` under `plan`, with `orders` = `(at_ms, from, to, payload)`
+    /// sends queued, run to the end: the report, the log, the trace.
+    fn run_probe(
+        sim: Sim<Probe>,
+        plan: &str,
+        orders: &[(u64, u32, u32, u8)],
+    ) -> (Report, Vec<(SimTime, String)>, Vec<Trace>) {
+        let ring = Rc::new(RefCell::new(RingBuffer::new(4096)));
+        let plan = FaultPlan::parse(plan, 7).unwrap();
+        let mut sim = sim
+            .with_faults(plan)
+            .with_tracer(TraceHandle::shared(&ring));
+        for &(at_ms, from, to, payload) in orders {
+            sim.k
+                .schedule_after(SimDuration::from_millis(at_ms), (from, to, payload));
+        }
+        let (report, log) = sim.run_to_state();
+        let trace = ring.borrow().to_vec();
+        (report, log, trace)
+    }
+
+    /// Where `what` sits in `log`.
+    fn at(log: &[(SimTime, String)], what: &str) -> usize {
+        log.iter()
+            .position(|(_, l)| l == what)
+            .unwrap_or_else(|| panic!("{what:?} missing from {log:#?}"))
+    }
+
+    /// When every `deliver {payload} …` line was logged.
+    fn delivered(log: &[(SimTime, String)], payload: u8) -> Vec<SimTime> {
+        let line = format!("deliver {payload} to");
+        let hits = log.iter().filter(|(_, l)| l.contains(&line));
+        hits.map(|(t, _)| *t).collect()
+    }
+
+    fn count(trace: &[Trace], pred: impl Fn(&EventKind) -> bool) -> usize {
+        trace.iter().filter(|e| pred(&e.kind)).count()
     }
 
     #[test]
@@ -806,52 +1026,59 @@ mod tests {
         // Node 0 crashes inside the horizon and would restart after it;
         // node 1's crash and the second partition lie past the horizon;
         // node 9 and an all-foreign partition do not exist in this run.
-        let plan = FaultPlan::parse(
-            "part=2..4:0; part=3..5:7,8; part=12..14:1; \
-             crash=0:6..15; crash=1:11..13; crash=9:1..2",
-            7,
-        )
-        .unwrap();
-        let mut sim = probe(10).with_faults(plan);
-        sim.k.schedule_after(SimDuration::from_secs(12), "timer");
+        let plan = "part=2..4:0; part=3..5:7,8; part=12..14:1; \
+                    crash=0:6..15; crash=1:11..13; crash=9:1..2";
+        // One send arrives in the drain (11 s link), one is made in it.
+        let mut sim = probe(10);
         sim.k
-            .coalesce_delivery(NodeId(1), SimDuration::from_secs(11), 42);
+            .coalesce_delivery(NodeId(1), SimDuration::from_secs(11), (NodeId(0), 42));
         sim.k.flush_deliveries(NodeId(1));
-        let (report, log) = sim.run_to_state();
+        let (report, log, trace) = run_probe(sim, plan, &[(12_000, 1, 0, 43)]);
         assert_eq!(report.node_crashes, 1);
 
-        let at = |what: &str| {
-            log.iter()
-                .position(|l| l == what)
-                .unwrap_or_else(|| panic!("{what:?} missing from {log:#?}"))
-        };
+        let at = |what: &str| at(&log, what);
         // Live: partition, heal, crash — in time order, arrivals around them.
-        assert!(at("live partition [NodeId(0)]") < at("live heal"));
-        assert!(at("live heal") < at("live down n0"));
-        assert!(log.iter().any(|l| l == "live arrive n1"));
+        let kinds: Vec<&EventKind> = trace.iter().map(|e| &e.kind).collect();
+        let world: Vec<&&EventKind> = kinds
+            .iter()
+            .filter(|k| !matches!(k, EventKind::RunStart { .. }))
+            .collect();
+        assert!(
+            matches!(
+                world[..],
+                [
+                    EventKind::PartitionStart { side_a },
+                    EventKind::PartitionHeal,
+                    EventKind::NodeCrash,
+                    EventKind::NodeRestart,
+                    EventKind::RecoveryReplay { messages: 0 },
+                    ..
+                ] if side_a[..] == [NodeId(0)]
+            ),
+            "{world:#?}"
+        );
+        assert!(log.iter().any(|(_, l)| l == "live arrive n1"));
         // No arrival reaches the crashed node while it is down.
         assert!(!log[at("live down n0")..]
             .iter()
-            .any(|l| l.ends_with("arrive n0")));
+            .any(|(_, l)| l.ends_with("arrive n0")));
         // The window closes before the drain begins; the drain restarts
         // the crashed node itself, then settles what was in flight.
         assert!(at("live down n0") < at("live window closed"));
-        assert!(at("live window closed") < at("drain begin drain"));
-        assert_eq!(at("drain begin drain") + 1, at("drain up n0"));
-        assert!(at("drain up n0") < at("drain deliver 42 to n1"));
-        assert!(at("drain deliver 42 to n1") < at("drain timer"));
+        assert_eq!(at("live window closed") + 1, at("drain up n0 replaying 0"));
+        assert_eq!(at("drain up n0 replaying 0") + 1, at("drain begin drain"));
+        assert!(at("drain begin drain") < at("drain deliver 42 to n1"));
+        assert!(at("drain deliver 42 to n1") < at("drain send 43 Scheduled"));
         // Suppressed in the drain: arrivals, new partitions, new
-        // crashes. The stale heal still fires (healing is always safe);
-        // the restart of an already-restarted node does not.
-        assert!(!log.iter().any(|l| l.starts_with("drain arrive")));
-        assert!(!log.iter().any(|l| l.starts_with("drain partition")));
-        assert!(!log.iter().any(|l| l.starts_with("drain down")));
-        assert_eq!(log.iter().filter(|l| l.ends_with("up n0")).count(), 1);
-        assert!(log.iter().any(|l| l == "drain heal"));
-        // Windows naming nodes this run does not have never fire.
-        assert!(!log
-            .iter()
-            .any(|l| l.contains("n9") || l.contains("NodeId(7)")));
+        // crashes, and the restart of an already-restarted node. The
+        // stale heals find nothing to heal.
+        assert!(!log.iter().any(|(_, l)| l.starts_with("drain arrive")));
+        assert!(!log.iter().any(|(_, l)| l.starts_with("drain down")));
+        assert_eq!(log.iter().filter(|(_, l)| l.contains("up n0")).count(), 1);
+        // Windows naming nodes this run does not have never fire, and
+        // nothing of the world's is traced in the drain.
+        assert!(!log.iter().any(|(_, l)| l.contains("n9")));
+        assert_eq!(world.len(), 5, "{world:#?}");
     }
 
     #[test]
@@ -860,18 +1087,22 @@ mod tests {
         sim.k.cfg.propagation_batch = 2;
         let d = SimDuration::from_millis(1);
         for msg in 0..3 {
-            sim.k.coalesce_delivery(NodeId(0), d, msg);
+            sim.k.coalesce_delivery(NodeId(0), d, (NodeId(1), msg));
         }
         // A different delay flushes what is pending first.
-        sim.k
-            .coalesce_delivery(NodeId(0), SimDuration::from_millis(2), 3);
+        let d = SimDuration::from_millis(2);
+        sim.k.coalesce_delivery(NodeId(0), d, (NodeId(1), 3));
         sim.k.flush_deliveries(NodeId(0));
         // [0, 1] as one batch, then 2 and 3 alone: three events.
         assert_eq!(sim.k.queue.len(), 2 + 3);
         let (_, log) = sim.run_to_state();
-        let delivered: Vec<&String> = log.iter().filter(|l| l.contains("deliver")).collect();
+        let order: Vec<&str> = log
+            .iter()
+            .filter(|(_, l)| l.starts_with("live deliver"))
+            .map(|(_, l)| l.as_str())
+            .collect();
         assert_eq!(
-            delivered,
+            order,
             [
                 "live deliver 0 to n0",
                 "live deliver 1 to n0",
@@ -879,5 +1110,105 @@ mod tests {
                 "live deliver 3 to n0"
             ]
         );
+    }
+
+    #[test]
+    fn mail_in_flight_to_a_crashing_node_is_parked_and_replayed_once() {
+        // 2 s links. Sent at 2 s, `7` lands at 4 s on a node that has
+        // been down since 3 s; `8` is sent at 5 s to a node already off
+        // the network. Both wait for the restart at 6 s.
+        let sim = probe_on(2, 10, SimDuration::from_secs(2));
+        let orders = [(2_000, 0, 1, 7), (5_000, 0, 1, 8)];
+        let (_, log, trace) = run_probe(sim, "crash=1:3..6", &orders);
+        assert!(at(&log, "live send 7 Scheduled") < at(&log, "live down n1"));
+        assert!(at(&log, "live down n1") < at(&log, "live send 8 Held"));
+        let up = at(&log, "live up n1 replaying 2");
+        assert_eq!(at(&log, "live deliver 7 to n1"), up + 1);
+        assert_eq!(at(&log, "live deliver 8 to n1"), up + 2);
+        assert_eq!(delivered(&log, 7), [SimTime::from_secs(6)]);
+        assert_eq!(delivered(&log, 8), [SimTime::from_secs(6)]);
+        let replay = |k: &EventKind| matches!(k, EventKind::RecoveryReplay { messages: 2 });
+        assert_eq!(count(&trace, replay), 1);
+    }
+
+    #[test]
+    fn a_partition_parks_cross_side_sends_and_the_heal_releases_them_in_send_order() {
+        let sim = probe_on(3, 10, SimDuration::ZERO);
+        let orders = [
+            (3_000, 0, 1, 1),
+            (3_200, 1, 2, 4),
+            (3_500, 0, 2, 2),
+            (4_000, 0, 1, 3),
+        ];
+        let (_, log, _) = run_probe(sim, "part=2..5:0", &orders);
+        for held in [1, 2, 3] {
+            at(&log, &format!("live send {held} Held"));
+            assert_eq!(delivered(&log, held), [SimTime::from_secs(5)]);
+        }
+        // Same side: straight through.
+        at(&log, "live send 4 Scheduled");
+        assert_eq!(
+            delivered(&log, 4),
+            [SimTime::ZERO + SimDuration::from_millis(3_200)]
+        );
+        // Per destination, the release order is the send order.
+        assert!(at(&log, "live deliver 1 to n1") < at(&log, "live deliver 3 to n1"));
+    }
+
+    #[test]
+    fn mail_for_a_node_both_partitioned_and_down_waits_for_the_later_of_the_two() {
+        // The restart comes first: the sender is still across the cut.
+        let sim = probe_on(2, 10, SimDuration::ZERO);
+        let (_, log, _) = run_probe(sim, "part=2..8:0; crash=1:3..5", &[(4_000, 0, 1, 1)]);
+        at(&log, "live up n1 replaying 0");
+        assert_eq!(delivered(&log, 1), [SimTime::from_secs(8)]);
+        // The heal comes first: the destination is still down.
+        let sim = probe_on(2, 10, SimDuration::ZERO);
+        let (_, log, _) = run_probe(sim, "part=2..4:0; crash=1:3..7", &[(3_500, 0, 1, 1)]);
+        at(&log, "live up n1 replaying 1");
+        assert_eq!(delivered(&log, 1), [SimTime::from_secs(7)]);
+    }
+
+    #[test]
+    fn the_drain_lifts_the_injector_and_the_partition_before_anything_is_sent() {
+        let sim = probe(10);
+        let plan = "drop=1; part=8..20:0";
+        let (_, log, trace) = run_probe(sim, plan, &[(5_000, 0, 1, 1), (9_000, 0, 1, 2)]);
+        at(&log, "live send 1 Dropped");
+        at(&log, "live send 2 Held");
+        // `begin_drain`'s own send is the first of the drain.
+        assert_eq!(
+            at(&log, "drain begin drain") + 1,
+            at(&log, "drain send 99 Scheduled")
+        );
+        assert!(delivered(&log, 1).is_empty());
+        assert_eq!(delivered(&log, 2), [SimTime::from_secs(10)]);
+        assert_eq!(delivered(&log, 99), [SimTime::from_secs(10)]);
+        let heal = |k: &EventKind| matches!(k, EventKind::PartitionHeal);
+        assert_eq!(count(&trace, heal), 1);
+    }
+
+    #[test]
+    fn duplicates_and_drops_are_scheduled_traced_and_counted_only_while_measuring() {
+        // One send inside the warm-up, one measured, one in the drain
+        // (where the injector is gone and nothing is counted).
+        let orders = [(1_000, 0, 1, 1), (3_000, 0, 1, 2), (12_000, 0, 1, 3)];
+        let (report, log, trace) = run_probe(probe(10), "dup=1", &orders);
+        assert_eq!(delivered(&log, 1).len(), 2);
+        assert_eq!(delivered(&log, 2).len(), 2);
+        assert_eq!(delivered(&log, 3).len(), 1);
+        let dup = |k: &EventKind| matches!(k, EventKind::MsgDuplicated { to: NodeId(1) });
+        assert_eq!(count(&trace, dup), 2);
+        assert_eq!((report.messages, report.messages_duplicated), (1, 1));
+        assert_eq!(report.messages_dropped, 0);
+
+        let (report, log, trace) = run_probe(probe(10), "drop=1", &orders);
+        at(&log, "live send 2 Dropped");
+        assert!(delivered(&log, 1).is_empty() && delivered(&log, 2).is_empty());
+        assert_eq!(delivered(&log, 3).len(), 1);
+        let drop = |k: &EventKind| matches!(k, EventKind::MsgDropped { to: NodeId(1) });
+        assert_eq!(count(&trace, drop), 2);
+        assert_eq!((report.messages, report.messages_dropped), (1, 1));
+        assert_eq!(report.messages_duplicated, 0);
     }
 }

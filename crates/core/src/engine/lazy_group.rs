@@ -17,10 +17,10 @@
 //! windows is the regime of equations (15)–(18).
 
 use crate::config::{DeadlockPolicy, SimConfig};
-use crate::engine::kernel::{self, applies, full_mask, Faulty, Kernel, Protocol, Sim};
+use crate::engine::kernel::{self, applies, full_mask, Faulty, Kernel, Protocol, Sent, Sim};
 use crate::metrics::{Report, M_ABORTS, M_RETRIES};
 use repl_check::{Scheme, TxnRecord};
-use repl_net::{FaultInjector, FaultPlan, Network, SendFate};
+use repl_net::FaultPlan;
 use repl_sim::{SimDuration, SimRng, SimTime};
 use repl_storage::{
     Acquire, ApplyOutcome, CommitLog, DeadlockMode, LamportClock, LockManager, Lsn, NodeId,
@@ -78,7 +78,8 @@ pub struct ReplicaMsg {
     from: NodeId,
     /// A local resubmission after a deadlock or timeout abort, not an
     /// arrival off the wire: delivered like any other copy, but no
-    /// `MsgDelivered` is traced for it. Cleared on delivery.
+    /// `MsgDelivered` is traced for it. Cleared on delivery, and when
+    /// the copy goes back into the mail instead.
     retry: bool,
     /// Send time at the origin — the replica commit measures
     /// propagation lag (send → apply) against it. Parked, retried, and
@@ -193,7 +194,6 @@ pub struct LazyGroup {
     /// dropped message (the fault plan's, once one is attached).
     retransmit: SimDuration,
     nodes: Vec<NodeState>,
-    network: Network<ReplicaMsg>,
     roots: TxnSlab<RootTxn>,
     replicas: TxnSlab<ReplicaTxn>,
     object_rng: SimRng,
@@ -261,7 +261,6 @@ impl LazyGroupSim {
             resolution: ResolutionMode::TimePriority,
             retransmit: SimDuration::from_millis(100),
             nodes,
-            network: Network::new(cfg.nodes as usize, cfg.latency, cfg.seed),
             roots: TxnSlab::new(ROOT_ARENA),
             replicas: TxnSlab::new(REPLICA_ARENA),
             object_rng: SimRng::stream(cfg.seed, "lg-objects"),
@@ -297,10 +296,7 @@ impl Faulty for LazyGroup {
     /// Message chaos perturbs every live link; partition and crash
     /// windows become scheduled events.
     fn attach_faults(&mut self, k: &mut K, plan: FaultPlan) {
-        if plan.has_message_chaos() {
-            self.network = Network::new(k.cfg.nodes as usize, k.cfg.latency, k.cfg.seed)
-                .with_faults(FaultInjector::new(&plan));
-        }
+        k.install_injector(&plan);
         k.schedule_partition_windows(&plan);
         k.schedule_crash_windows(&plan);
         self.retransmit = plan.retransmit;
@@ -370,15 +366,15 @@ impl Protocol for LazyGroup {
         }
     }
 
+    /// Mail released later is an arrival off the wire again, whatever
+    /// this copy was when it was parked.
+    fn parked(msg: &mut ReplicaMsg) -> NodeId {
+        msg.retry = false;
+        msg.from
+    }
+
     fn deliver(&mut self, k: &mut K, to: NodeId, mut msg: ReplicaMsg) {
-        let retry = std::mem::take(&mut msg.retry);
-        if k.is_down(to) {
-            // Arrived at a dead node: back into the mail, to be
-            // redelivered by recovery at restart.
-            self.network.park(msg.from, to, msg);
-            return;
-        }
-        if !retry {
+        if !std::mem::take(&mut msg.retry) {
             let from = msg.from;
             k.tracer
                 .emit(|| Event::system(k.now(), to, EventKind::MsgDelivered { from }));
@@ -389,24 +385,7 @@ impl Protocol for LazyGroup {
     fn link_change(&mut self, k: &mut K, node: NodeId, connected: bool) {
         if connected {
             self.reconnect(k, node);
-        } else {
-            self.network.disconnect(node);
         }
-    }
-
-    fn partition_start(&mut self, _k: &mut K, side_a: &[NodeId]) {
-        self.network.partition(side_a);
-    }
-
-    /// Heal the active bipartition (if any) and deliver everything that
-    /// was parked at the boundary.
-    fn partition_heal(&mut self, k: &mut K) {
-        if !self.network.has_partition() {
-            return;
-        }
-        k.tracer
-            .emit(|| Event::system(k.now(), NodeId::default(), EventKind::PartitionHeal));
-        k.deliver_now(self.network.heal_partition());
     }
 
     /// Crash `node`: volatile state (lock table, in-flight transactions,
@@ -416,7 +395,6 @@ impl Protocol for LazyGroup {
     /// timestamp test makes re-application idempotent.
     fn node_down(&mut self, k: &mut K, node: NodeId) {
         k.crash(node);
-        self.network.disconnect(node);
         // The lock table dies with the node; bank its search count
         // before it goes.
         let locks = std::mem::replace(
@@ -460,11 +438,11 @@ impl Protocol for LazyGroup {
             .collect();
         for id in dead_replicas {
             let txn = self.replicas.remove(id).expect("crashing replica txn");
-            self.network.park(txn.msg.from, node, txn.msg);
+            k.park(node, txn.msg);
         }
         let backlog = std::mem::take(&mut self.nodes[node.0 as usize].backlog);
         for msg in backlog {
-            self.network.park(msg.from, node, msg);
+            k.park(node, msg);
         }
         self.nodes[node.0 as usize].active_replicas = 0;
     }
@@ -472,9 +450,8 @@ impl Protocol for LazyGroup {
     /// Restart `node`: redeliver everything parked for it (the recovery
     /// replay) and resume propagation from its durable watermarks.
     fn node_up(&mut self, k: &mut K, node: NodeId) {
-        let inbound = self.network.reconnect(node);
-        k.restart(node, inbound.len() as u64);
-        k.deliver_now(inbound.map(|msg| (node, msg)));
+        let inbound = k.reconnect_delivering(node);
+        k.restart(node, inbound);
         self.propagate(k, node);
     }
 
@@ -491,16 +468,11 @@ impl Protocol for LazyGroup {
         }
     }
 
-    /// The injector is removed, the partition heals, crashed nodes
-    /// restart and recover, everyone reconnects, and every queued
-    /// replica update is delivered and applied — the replicas converge
-    /// whatever the fault plan still had scheduled.
+    /// With the injector and the partition gone and every crashed node
+    /// recovered, everyone reconnects, and every queued replica update
+    /// is delivered and applied — the replicas converge whatever the
+    /// fault plan still had scheduled.
     fn begin_drain(&mut self, k: &mut K) -> Option<SimTime> {
-        self.network.clear_faults();
-        self.partition_heal(k);
-        for node in k.down_nodes() {
-            self.node_up(k, node);
-        }
         for node in 0..k.cfg.nodes {
             self.reconnect(k, NodeId(node));
         }
@@ -653,7 +625,7 @@ impl LazyGroup {
             if k.measuring() {
                 k.metrics.messages.incr();
             }
-            let delay = self.network.sample_delay();
+            let delay = k.sample_delay();
             k.schedule_after(
                 delay,
                 Ev::ForwardRoot {
@@ -815,16 +787,15 @@ impl LazyGroup {
     /// and the watermarks catch up at reconnect ("when first connected,
     /// a mobile node sends … deferred replica updates").
     fn propagate(&mut self, k: &mut K, origin: NodeId) {
-        if !self.network.is_connected(origin) {
+        if !k.is_connected(origin) {
             return;
         }
-        // Consecutive same-delay deliveries on one channel coalesce in
-        // the kernel (up to `propagation_batch` records per event).
-        // Coalescing happens strictly at flush time — the network still
-        // sees one send per record (same fault fates, same latency
-        // draws, same message counters as batch=1), and a delay change
-        // or non-delivery outcome flushes first, so per-channel arrival
-        // order is exactly the per-txn order.
+        // Each peer is one channel run of `Kernel::send_in_burst`:
+        // consecutive same-delay deliveries coalesce (up to
+        // `propagation_batch` records per event) strictly at flush
+        // time, so the network still sees one send per record (same
+        // fault fates, same latency draws, same message counters as
+        // batch=1) and per-channel arrival order is the per-txn order.
         // Destinations usually share a watermark (they all drift only
         // under disconnects), so each record's payload is re-shipped to
         // every destination back to back — memoize the last one and
@@ -884,9 +855,6 @@ impl LazyGroup {
                         rc
                     }
                 };
-                if k.measuring() {
-                    k.metrics.messages.incr();
-                }
                 k.tracer.emit(|| {
                     Event::system(
                         k.now(),
@@ -897,55 +865,29 @@ impl LazyGroup {
                         },
                     )
                 });
-                // Fate first, message after: only the fates that keep a
-                // message pay its construction (and the payload's
-                // refcount bump).
-                let sent_at = k.now();
-                let msg = |updates| ReplicaMsg {
+                let msg = ReplicaMsg {
                     from: origin,
                     retry: false,
-                    sent_at,
+                    sent_at: k.now(),
                     updates,
                     mask,
                 };
-                match self.network.send_fate(origin, dest) {
-                    SendFate::Deliver { delay } => {
-                        let msg = msg(updates);
-                        k.coalesce_delivery(dest, delay, msg);
-                    }
-                    SendFate::Duplicated { delays } => {
-                        // Flush first: the duplicate's copies must land
-                        // behind everything already pending on this
-                        // channel, as they would with per-txn events.
-                        k.flush_deliveries(dest);
-                        k.message_duplicated(origin, TxnId::default(), dest);
-                        for delay in delays {
-                            let msg = msg(updates.clone());
-                            k.deliver_after(delay, dest, msg);
-                        }
-                    }
-                    SendFate::Dropped => {
+                match k.send_in_burst(origin, dest, TxnId::default(), msg) {
+                    // Shipped, or parked for an unreachable destination
+                    // (which still counts as shipped).
+                    Sent::Scheduled | Sent::Held => {}
+                    Sent::Dropped => {
                         // Lost in flight. The watermark does not
                         // advance; a retransmit timer re-runs
                         // propagation from the same record, so delivery
                         // is at-least-once and the timestamp test makes
                         // re-application idempotent.
-                        k.flush_deliveries(dest);
-                        k.message_dropped(origin, TxnId::default(), dest);
                         k.schedule_after(self.retransmit, Ev::Resend(origin));
                         break;
                     }
-                    SendFate::Held => {
-                        // Park it for the unreachable destination; it
-                        // still counts as shipped.
-                        self.network.park(origin, dest, msg(updates));
-                    }
-                    SendFate::SenderOffline => {
-                        // Raced a disconnect: retry from the same
-                        // watermark at the next reconnect.
-                        k.flush_deliveries(dest);
-                        return;
-                    }
+                    // Raced a disconnect: retry from the same watermark
+                    // at the next reconnect.
+                    Sent::SenderOffline => return,
                 }
                 self.nodes[origin.0 as usize].peers[peer].1 = Lsn(from.0 + 1);
             }
@@ -961,7 +903,7 @@ impl LazyGroup {
     }
 
     fn reconnect(&mut self, k: &mut K, node: NodeId) {
-        k.deliver_now(self.network.reconnect(node).map(|msg| (node, msg)));
+        k.reconnect_delivering(node);
         self.propagate(k, node);
     }
 

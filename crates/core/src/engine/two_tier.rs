@@ -16,12 +16,11 @@
 //!   reconciliation, and they are *zero when transactions commute*.
 
 use crate::config::SimConfig;
-use crate::engine::kernel::{self, applies, full_mask, Kernel, Protocol, Sim};
+use crate::engine::kernel::{self, applies, full_mask, Kernel, Protocol, Sent, Sim};
 use crate::metrics::{Report, M_RECONCILIATION_DELAY, M_RETRIES};
 use crate::op::{Op, Operation};
 use crate::txn::{Criterion, TxnSpec};
 use repl_check::{CriterionKind, Scheme, TxnRecord};
-use repl_net::{Network, SendOutcome};
 use repl_sim::{SimDuration, SimRng, SimTime};
 use repl_storage::{
     Acquire, ApplyOutcome, LamportClock, LockManager, NodeId, ObjectId, ObjectStore, ShardMap,
@@ -183,7 +182,6 @@ pub struct TwoTier {
     /// In-flight base transactions in a generational slab: every event
     /// dispatch indexes a dense slot instead of hashing a `TxnId`.
     base_txns: TxnSlab<BaseTxn>,
-    network: Network<RefreshMsg>,
     object_rng: SimRng,
     value_rng: SimRng,
     retry_rng: SimRng,
@@ -286,7 +284,6 @@ impl TwoTierSim {
             pending: (0..n).map(|_| VecDeque::new()).collect(),
             in_session: vec![false; n],
             base_txns: TxnSlab::new(0),
-            network: Network::new(n, sim.latency, sim.seed),
             object_rng: SimRng::stream(sim.seed, "tt-objects"),
             value_rng: SimRng::stream(sim.seed, "tt-values"),
             retry_rng: SimRng::stream(sim.seed, "tt-retry"),
@@ -336,7 +333,7 @@ impl Protocol for TwoTier {
 
     fn arrive(&mut self, k: &mut K, node: NodeId) {
         let spec = self.gen_spec(node);
-        if self.is_mobile(node) && !self.network.is_connected(node) {
+        if self.is_mobile(node) && !k.is_connected(node) {
             self.commit_tentative(k, node, spec);
         } else {
             // Connected node (base or mobile): run directly as a base
@@ -353,6 +350,11 @@ impl Protocol for TwoTier {
         }
     }
 
+    /// Every refresh comes from the virtual base sender.
+    fn parked(_: &mut RefreshMsg) -> NodeId {
+        NodeId(0)
+    }
+
     fn deliver(&mut self, k: &mut K, to: NodeId, msg: RefreshMsg) {
         let from = NodeId(0);
         k.tracer
@@ -363,8 +365,6 @@ impl Protocol for TwoTier {
     fn link_change(&mut self, k: &mut K, node: NodeId, connected: bool) {
         if connected {
             self.on_reconnect(k, node);
-        } else {
-            self.network.disconnect(node);
         }
     }
 
@@ -761,7 +761,7 @@ impl TwoTier {
             for dest in 0..self.cfg.sim.nodes {
                 let refresh = refresh.clone();
                 let msg = RefreshMsg { refresh, mask };
-                Self::send_refresh(&mut self.network, k, NodeId(dest), msg);
+                Self::send_refresh(k, NodeId(dest), msg);
             }
             return;
         };
@@ -785,36 +785,21 @@ impl TwoTier {
                 let refresh = refresh.clone();
                 RefreshMsg { refresh, mask }
             };
-            Self::send_refresh(&mut self.network, k, dest, msg);
+            Self::send_refresh(k, dest, msg);
         }
         self.dest_scratch = dests;
     }
 
     /// Send one refresh from the virtual base sender (base node 0,
-    /// always connected) to `dest`.
-    fn send_refresh(network: &mut Network<RefreshMsg>, k: &mut K, dest: NodeId, msg: RefreshMsg) {
-        if k.measuring() {
-            k.metrics.messages.incr();
-        }
+    /// always connected) to `dest`. Refreshes are last-writer-wins and
+    /// carry absolute values: a duplicate is absorbed by the timestamp
+    /// comparison and a drop would be covered by the next refresh, so
+    /// no fate needs an answer here.
+    fn send_refresh(k: &mut K, dest: NodeId, msg: RefreshMsg) {
         k.tracer
             .emit(|| Event::system(k.now(), NodeId(0), EventKind::MsgSent { to: dest }));
-        match network.send(NodeId(0), dest, msg.clone()) {
-            SendOutcome::Deliver { delay } => k.deliver_after(delay, dest, msg),
-            SendOutcome::Duplicated { delays } => {
-                // Refreshes are last-writer-wins; a duplicate is
-                // absorbed by the timestamp comparison.
-                for delay in delays {
-                    k.deliver_after(delay, dest, msg.clone());
-                }
-            }
-            SendOutcome::Dropped => {
-                // This engine attaches no fault injector; a dropped
-                // refresh would be resent by the next one anyway
-                // (LWW refreshes carry absolute values, not deltas).
-            }
-            SendOutcome::Held => {}
-            SendOutcome::SenderOffline(_) => unreachable!("base node 0 never disconnects"),
-        }
+        let sent = k.send(NodeId(0), dest, TxnId::default(), msg);
+        assert_ne!(sent, Sent::SenderOffline, "base node 0 never disconnects");
     }
 
     fn apply_refresh(&mut self, k: &mut K, to: NodeId, msg: RefreshMsg) {
@@ -860,11 +845,11 @@ impl TwoTier {
         // Step 1: discard tentative versions.
         self.replicas[node.0 as usize].discard_tentative();
         // Step 2/4: receive deferred replica refreshes. The drain
-        // borrows the network, and applying a refresh needs the whole
-        // sim — stage through the recycled chunk buffer (idle between
+        // borrows the kernel, and applying a refresh needs it too —
+        // stage through the recycled chunk buffer (idle between
         // broadcasts).
         let mut held = std::mem::take(&mut self.refresh_scratch);
-        held.extend(self.network.reconnect(node));
+        held.extend(k.reconnect(node));
         for msg in held.drain(..) {
             self.apply_refresh(k, node, msg);
         }

@@ -12,8 +12,9 @@
 //!   transport-free state machine with epoch-fenced failover
 //!   ([`base_tier`], [`election`]),
 //! * the §6 convergence machinery: commutative operation design
-//!   ([`op`]), reconciliation rules ([`reconcile`]) and the
-//!   Notes/Access-style convergent stores ([`convergent`]),
+//!   ([`op`]) and the Notes/Access-style convergent stores
+//!   ([`convergent`]); the reconciliation rules that actually run are
+//!   lazy-group's [`ResolutionMode`] and the convergent stores' own,
 //! * the §3 availability substrate: Gifford weighted-voting quorums
 //!   ([`quorum`]).
 //!
@@ -45,7 +46,6 @@ pub mod engine;
 pub mod metrics;
 pub mod op;
 pub mod quorum;
-pub mod reconcile;
 pub mod txn;
 
 pub use config::{DeadlockPolicy, SimConfig};

@@ -23,5 +23,5 @@ pub mod schedule;
 
 pub use faults::{CrashWindow, FaultInjector, FaultPlan, MessageFate, PartitionWindow};
 pub use latency::LatencyModel;
-pub use network::{Network, SendFate, SendOutcome};
+pub use network::{Network, SendOutcome};
 pub use schedule::{ConnectivityEvent, DisconnectSchedule, PeriodModel};

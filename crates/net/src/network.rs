@@ -14,16 +14,20 @@
 //!   unreachable — messages park at the boundary and drain in order
 //!   when [`Network::heal_partition`] runs;
 //! * a **fault injector** ([`Network::with_faults`]) perturbs
-//!   individual messages on live links: drops (counted by
-//!   [`Network::messages_dropped`] — never silent), duplicates, and
-//!   delay spikes.
+//!   individual messages on live links: drops (never silent: the
+//!   sender is told), duplicates, and delay spikes.
+//!
+//! The network keeps no tallies: every send reports its outcome, and
+//! the driver counts what it measures.
 
 use crate::faults::{FaultInjector, MessageFate};
 use crate::latency::LatencyModel;
 use repl_sim::{SimDuration, SimRng};
 use repl_storage::NodeId;
 
-/// What happened to a sent message.
+/// What happened to a sent message. The outcomes that still have a use
+/// for the message hand it back; the network keeps it only when it
+/// parks it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SendOutcome<M> {
     /// Deliver after this delay: the driver should schedule the
@@ -31,15 +35,19 @@ pub enum SendOutcome<M> {
     Deliver {
         /// One-way latency to apply.
         delay: SimDuration,
+        /// The message to deliver.
+        msg: M,
     },
     /// Fault injection duplicated the message: schedule one arrival
     /// per delay.
     Duplicated {
         /// Independent one-way latencies for the two copies.
         delays: [SimDuration; 2],
+        /// The message to deliver twice.
+        msg: M,
     },
-    /// Fault injection lost the message in flight. Counted by
-    /// [`Network::messages_dropped`]; the sender should retransmit.
+    /// Fault injection lost the message in flight; the sender should
+    /// retransmit.
     Dropped,
     /// The destination is unreachable (disconnected or across a
     /// partition); the network parked the message. It will be returned
@@ -48,33 +56,6 @@ pub enum SendOutcome<M> {
     /// The *sender* is disconnected; the message is refused outright
     /// (protocols queue their own outbound work while offline).
     SenderOffline(M),
-}
-
-/// What *would* happen to a send, decided without taking a message —
-/// the payload-free twin of [`SendOutcome`]. Hot senders use
-/// [`Network::send_fate`] to learn the fate first and only construct
-/// (and clone reference-counted payloads into) a message for the fates
-/// that keep one.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SendFate {
-    /// Deliver after this delay.
-    Deliver {
-        /// One-way latency to apply.
-        delay: SimDuration,
-    },
-    /// Fault injection duplicated the message.
-    Duplicated {
-        /// Independent one-way latencies for the two copies.
-        delays: [SimDuration; 2],
-    },
-    /// Fault injection lost the message in flight.
-    Dropped,
-    /// The destination is unreachable: the caller must hand the
-    /// message over with [`Network::park`] (which [`Network::send`]
-    /// does internally).
-    Held,
-    /// The sender is disconnected; nothing was counted or parked.
-    SenderOffline,
 }
 
 /// Point-to-point message fabric for `n` nodes.
@@ -98,10 +79,6 @@ pub struct Network<M> {
     /// allocation-free too.
     park_scratch: Vec<(NodeId, M)>,
     faults: Option<FaultInjector>,
-    sent: u64,
-    held_count: u64,
-    dropped: u64,
-    duplicated: u64,
 }
 
 impl<M> Network<M> {
@@ -117,10 +94,6 @@ impl<M> Network<M> {
             drain_scratch: Vec::new(),
             park_scratch: Vec::new(),
             faults: None,
-            sent: 0,
-            held_count: 0,
-            dropped: 0,
-            duplicated: 0,
         }
     }
 
@@ -137,42 +110,9 @@ impl<M> Network<M> {
         self.faults = None;
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.connected.len()
-    }
-
-    /// Whether the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.connected.is_empty()
-    }
-
     /// Whether `node` is currently connected.
     pub fn is_connected(&self, node: NodeId) -> bool {
         self.connected[node.0 as usize]
-    }
-
-    /// Total messages accepted for delivery (including held ones).
-    pub fn messages_sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Total messages that had to be parked for an unreachable
-    /// destination.
-    pub fn messages_held(&self) -> u64 {
-        self.held_count
-    }
-
-    /// Total messages lost in flight by fault injection. Loss is never
-    /// silent: every drop increments this counter and is reported to
-    /// the sender as [`SendOutcome::Dropped`].
-    pub fn messages_dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Total messages duplicated by fault injection.
-    pub fn messages_duplicated(&self) -> u64 {
-        self.duplicated
     }
 
     /// Whether any bipartition is currently active.
@@ -221,53 +161,33 @@ impl<M> Network<M> {
 
     /// Send `msg` from `from` to `to`.
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> SendOutcome<M> {
-        match self.send_fate(from, to) {
-            SendFate::SenderOffline => SendOutcome::SenderOffline(msg),
-            SendFate::Held => {
-                self.park(from, to, msg);
-                SendOutcome::Held
-            }
-            SendFate::Deliver { delay } => SendOutcome::Deliver { delay },
-            SendFate::Duplicated { delays } => SendOutcome::Duplicated { delays },
-            SendFate::Dropped => SendOutcome::Dropped,
-        }
-    }
-
-    /// Decide a send's fate without a message: same connectivity
-    /// checks, counters and randomness draws as [`Network::send`], in
-    /// the same order. On [`SendFate::Held`] the caller owes the
-    /// network a [`Network::park`] call for the message it kept.
-    pub fn send_fate(&mut self, from: NodeId, to: NodeId) -> SendFate {
         if !self.connected[from.0 as usize] {
-            return SendFate::SenderOffline;
+            return SendOutcome::SenderOffline(msg);
         }
-        self.sent += 1;
         if !self.connected[to.0 as usize] || self.is_partitioned(from, to) {
-            return SendFate::Held;
+            self.park(from, to, msg);
+            return SendOutcome::Held;
         }
         match self
             .faults
             .as_mut()
             .map_or(MessageFate::Deliver, |f| f.fate())
         {
-            MessageFate::Deliver => SendFate::Deliver {
+            MessageFate::Deliver => SendOutcome::Deliver {
                 delay: self.latency.sample(&mut self.rng),
+                msg,
             },
-            MessageFate::Drop => {
-                self.dropped += 1;
-                SendFate::Dropped
-            }
-            MessageFate::Duplicate => {
-                self.duplicated += 1;
-                SendFate::Duplicated {
-                    delays: [
-                        self.latency.sample(&mut self.rng),
-                        self.latency.sample(&mut self.rng),
-                    ],
-                }
-            }
-            MessageFate::Delay(spike) => SendFate::Deliver {
+            MessageFate::Drop => SendOutcome::Dropped,
+            MessageFate::Duplicate => SendOutcome::Duplicated {
+                delays: [
+                    self.latency.sample(&mut self.rng),
+                    self.latency.sample(&mut self.rng),
+                ],
+                msg,
+            },
+            MessageFate::Delay(spike) => SendOutcome::Deliver {
                 delay: self.latency.sample(&mut self.rng) + spike,
+                msg,
             },
         }
     }
@@ -277,7 +197,6 @@ impl<M> Network<M> {
     /// network when `to` crashes (they redeliver on restart).
     pub fn park(&mut self, from: NodeId, to: NodeId, msg: M) {
         self.held[to.0 as usize].push((from, msg));
-        self.held_count += 1;
     }
 
     /// Mark `node` disconnected. Messages sent to it afterwards are
@@ -342,10 +261,9 @@ mod tests {
     fn connected_delivery_has_latency() {
         let mut n = net(2);
         match n.send(N0, N1, "hello") {
-            SendOutcome::Deliver { delay } => assert_eq!(delay, SimDuration::from_millis(3)),
+            SendOutcome::Deliver { delay, .. } => assert_eq!(delay, SimDuration::from_millis(3)),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(n.messages_sent(), 1);
     }
 
     #[test]
@@ -354,7 +272,6 @@ mod tests {
         n.disconnect(N1);
         assert_eq!(n.send(N0, N1, "a"), SendOutcome::Held);
         assert_eq!(n.send(N0, N1, "b"), SendOutcome::Held);
-        assert_eq!(n.messages_held(), 2);
         let drained: Vec<_> = n.reconnect(N1).collect();
         assert_eq!(drained, vec!["a", "b"]);
         // Drained only once.
@@ -366,7 +283,9 @@ mod tests {
         let mut n = net(2);
         n.disconnect(N0);
         assert_eq!(n.send(N0, N1, "x"), SendOutcome::SenderOffline("x"));
-        assert_eq!(n.messages_sent(), 0);
+        // Refused, not parked: nothing waits for N1.
+        n.disconnect(N1);
+        assert_eq!(n.reconnect(N1).len(), 0);
     }
 
     #[test]
@@ -383,7 +302,7 @@ mod tests {
     fn zero_latency_model_for_paper_assumption() {
         let mut n: Network<u32> = Network::new(2, LatencyModel::ZERO, 1);
         match n.send(N0, N1, 5) {
-            SendOutcome::Deliver { delay } => assert_eq!(delay, SimDuration::ZERO),
+            SendOutcome::Deliver { delay, .. } => assert_eq!(delay, SimDuration::ZERO),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -445,15 +364,13 @@ mod tests {
     }
 
     #[test]
-    fn drops_are_counted_never_silent() {
+    fn drops_are_reported_never_silent() {
         let mut plan = FaultPlan::quiet(3);
         plan.drop_p = 1.0;
         let mut n = net(2).with_faults(FaultInjector::new(&plan));
         assert_eq!(n.send(N0, N1, "gone"), SendOutcome::Dropped);
-        assert_eq!(n.messages_dropped(), 1);
         n.clear_faults();
         assert!(matches!(n.send(N0, N1, "ok"), SendOutcome::Deliver { .. }));
-        assert_eq!(n.messages_dropped(), 1);
     }
 
     #[test]
@@ -462,13 +379,12 @@ mod tests {
         plan.dup_p = 1.0;
         let mut n = net(2).with_faults(FaultInjector::new(&plan));
         match n.send(N0, N1, "twice") {
-            SendOutcome::Duplicated { delays } => {
+            SendOutcome::Duplicated { delays, .. } => {
                 assert_eq!(delays[0], SimDuration::from_millis(3));
                 assert_eq!(delays[1], SimDuration::from_millis(3));
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(n.messages_duplicated(), 1);
     }
 
     #[test]
@@ -478,7 +394,7 @@ mod tests {
         plan.delay_spike = SimDuration::from_millis(500);
         let mut n = net(2).with_faults(FaultInjector::new(&plan));
         match n.send(N0, N1, "late") {
-            SendOutcome::Deliver { delay } => {
+            SendOutcome::Deliver { delay, .. } => {
                 assert_eq!(delay, SimDuration::from_millis(503));
             }
             other => panic!("unexpected {other:?}"),

@@ -14,27 +14,41 @@ cargo fmt --all -- --check
 say "cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# only_in_kernel PATTERN...: in non-test engine code (above each file's
+# `#[cfg(test)]`), every pattern occurs in kernel.rs, and nowhere else.
+only_in_kernel() {
+    local pat f hits
+    for pat in "$@"; do
+        for f in crates/core/src/engine/*.rs; do
+            hits="$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -c -- "$pat" || true)"
+            if [ "$(basename "$f")" = kernel.rs ]; then
+                [ "$hits" -ge 1 ] || {
+                    echo "engine/kernel.rs no longer has \`$pat\`" >&2
+                    exit 1
+                }
+            elif [ "$hits" -ne 0 ]; then
+                echo "$f has \`$pat\` ($hits); it belongs in engine/kernel.rs only" >&2
+                exit 1
+            fi
+        done
+    done
+}
+
 say "one loop: queue, event loop and instrumentation builders live in engine/kernel.rs only"
 # The five engines are protocols over one simulation kernel. A second
 # `EventQueue`, `pop_until` loop, FIFO-lane registration or builder set
-# in engine code means a loop has been forked off again. Test modules
-# (below each file's `#[cfg(test)]`) are exempt.
-for pat in 'EventQueue::new' '\.pop_until(' 'set_fifo_lane' \
-    'fn with_tracer' 'fn with_profiler' 'fn with_run_label' 'fn with_recorder'; do
-    for f in crates/core/src/engine/*.rs; do
-        hits="$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -c -- "$pat" || true)"
-        if [ "$(basename "$f")" = kernel.rs ]; then
-            [ "$hits" -ge 1 ] || {
-                echo "engine/kernel.rs no longer has \`$pat\`" >&2
-                exit 1
-            }
-        elif [ "$hits" -ne 0 ]; then
-            echo "$f has \`$pat\` ($hits); it belongs in engine/kernel.rs only" >&2
-            exit 1
-        fi
-    done
-done
+# in engine code means a loop has been forked off again.
+only_in_kernel 'EventQueue::new' '\.pop_until(' 'set_fifo_lane' \
+    'fn with_tracer' 'fn with_profiler' 'fn with_run_label' 'fn with_recorder'
 echo "ok: one EventQueue, one pop_until loop, one builder set"
+
+say "one fabric: network, injector and partition live in engine/kernel.rs only"
+# A protocol that builds a `Network`, installs or lifts a
+# `FaultInjector`, or starts or heals a partition has taken the fabric
+# back: a fault kind added to the kernel would no longer reach it.
+only_in_kernel 'Network::new' 'FaultInjector::new' 'clear_faults' \
+    '\.partition(' 'heal_partition'
+echo "ok: one Network, one fault install, one partition"
 
 say "cargo build --release"
 cargo build --release --workspace
