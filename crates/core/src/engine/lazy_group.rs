@@ -173,6 +173,11 @@ struct NodeState {
     backlog: std::collections::VecDeque<ReplicaMsg>,
     /// Replica transactions currently executing at this node.
     active_replicas: usize,
+    /// An [`Ev::Resend`] for this origin is already in the queue. One
+    /// is enough however many peers dropped: it re-runs propagation to
+    /// all of them, and one timer per dropped peer, each re-arming one
+    /// per peer when it fires, multiplies without bound.
+    resend_armed: bool,
 }
 
 /// A node applies its replica-update stream with a bounded pool of
@@ -255,6 +260,7 @@ impl LazyGroupSim {
                     .collect(),
                 backlog: std::collections::VecDeque::new(),
                 active_replicas: 0,
+                resend_armed: false,
             })
             .collect();
         let p = LazyGroup {
@@ -350,6 +356,7 @@ impl Protocol for LazyGroup {
             Ev::RootStep(txn) => self.on_root_step(k, txn),
             Ev::ReplicaStep(txn) => self.on_replica_step(k, txn),
             Ev::Resend(node) => {
+                self.nodes[node.0 as usize].resend_armed = false;
                 if !k.is_down(node) {
                     self.propagate(k, node);
                 }
@@ -882,7 +889,10 @@ impl LazyGroup {
                         // propagation from the same record, so delivery
                         // is at-least-once and the timestamp test makes
                         // re-application idempotent.
-                        k.schedule_after(self.retransmit, Ev::Resend(origin));
+                        let armed = &mut self.nodes[origin.0 as usize].resend_armed;
+                        if !std::mem::replace(armed, true) {
+                            k.schedule_after(self.retransmit, Ev::Resend(origin));
+                        }
                         break;
                     }
                     // Raced a disconnect: retry from the same watermark

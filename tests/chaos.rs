@@ -59,6 +59,35 @@ fn lazy_group_converges_after_heal_under_full_chaos() {
     }
 }
 
+/// Every message lost for the whole run: each origin keeps one
+/// retransmit timer, not one per dropped peer per firing (which grew by
+/// a factor of `peers` every `retransmit` and exhausted memory within
+/// two simulated seconds), and the drain still converges.
+#[test]
+fn total_message_loss_costs_linear_retransmits_and_still_converges() {
+    let (nodes, peers, horizon) = (4u32, 3u32, 20);
+    let p = Params::new(2000.0, f64::from(nodes), 10.0, 4.0, 0.01);
+    let mut plan = FaultPlan::quiet(5);
+    plan.drop_p = 1.0;
+    let timers = SimDuration::from_secs(horizon).0 / plan.retransmit.0;
+    let (report, stores) =
+        LazyGroupSim::new(SimConfig::from_params(&p, horizon, 5), Mobility::Connected)
+            .with_faults(plan)
+            .run_with_state();
+    assert!(report.committed > 0);
+    // A commit or a timer re-runs propagation once: one drop per peer.
+    let bound = u64::from(nodes * peers) * (timers + report.committed);
+    assert!(
+        (1..=bound).contains(&report.messages_dropped),
+        "{} drops, bound {bound}",
+        report.messages_dropped
+    );
+    let d0 = stores[0].digest();
+    for (i, s) in stores.iter().enumerate() {
+        assert_eq!(s.digest(), d0, "node {i} diverged after the drain");
+    }
+}
+
 #[test]
 fn same_seed_fault_plans_are_bit_identical() {
     let run = || {
