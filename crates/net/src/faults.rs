@@ -77,6 +77,13 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// The longest duration, and the latest window bound,
+    /// [`FaultPlan::parse`] accepts: 10⁹ s, some thirty years of
+    /// simulated time. The engines add these values to the clock and to
+    /// sampled latencies; at this size no such sum comes anywhere near
+    /// the clock's `u64` microseconds.
+    pub const MAX_DURATION: SimDuration = SimDuration(1_000_000_000 * 1_000_000);
+
     /// A plan that injects nothing (probabilities zero, no windows).
     pub fn quiet(seed: u64) -> Self {
         FaultPlan {
@@ -104,7 +111,7 @@ impl FaultPlan {
     /// drop=P               message drop probability
     /// dup=P                message duplication probability
     /// delay=P:SECS         delay-spike probability and spike length
-    /// retransmit=SECS      sender retransmit timeout after a drop
+    /// retransmit=SECS      sender retransmit timeout after a drop (> 0)
     /// part=S..E:0,1/2,3    partition from S to E seconds, side A / side B
     /// crash=N:S..E         node N down from S to E seconds
     /// crash=baseN:S..E     base replica N down from S to E seconds
@@ -112,65 +119,78 @@ impl FaultPlan {
     ///
     /// The side-B node list of `part` is informational (any node not on
     /// side A is on side B); it may be omitted: `part=10..20:0,1`.
-    /// `crash` and `part` clauses may repeat.
+    /// `crash` and `part` clauses may repeat. Durations and window
+    /// bounds are at most [`FaultPlan::MAX_DURATION`]; every error
+    /// names the clause it is about.
     pub fn parse(spec: &str, seed: u64) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::quiet(seed);
         for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
-            let (key, val) = clause
-                .split_once('=')
-                .ok_or_else(|| format!("fault clause `{clause}` is not KEY=VALUE"))?;
-            match key.trim() {
-                "drop" => plan.drop_p = parse_prob("drop", val)?,
-                "dup" => plan.dup_p = parse_prob("dup", val)?,
-                "delay" => {
-                    let (p, spike) = val
-                        .split_once(':')
-                        .ok_or_else(|| format!("delay needs P:SECS, got `{val}`"))?;
-                    plan.delay_p = parse_prob("delay", p)?;
-                    plan.delay_spike = parse_secs("delay spike", spike)?;
-                }
-                "retransmit" => plan.retransmit = parse_secs("retransmit", val)?,
-                "part" => {
-                    let (window, sides) = val
-                        .split_once(':')
-                        .ok_or_else(|| format!("part needs S..E:NODES, got `{val}`"))?;
-                    let (start, heal) = parse_window(window)?;
-                    let side_a = sides.split('/').next().unwrap_or("");
-                    let side_a = parse_nodes(side_a)?;
-                    if side_a.is_empty() {
-                        return Err(format!("part `{val}` has an empty side A"));
-                    }
-                    plan.partitions.push(PartitionWindow {
-                        start,
-                        heal,
-                        side_a,
-                    });
-                }
-                "crash" => {
-                    let (node, window) = val
-                        .split_once(':')
-                        .ok_or_else(|| format!("crash needs NODE:S..E, got `{val}`"))?;
-                    let node = node.trim();
-                    // `baseN` addresses replica N of the base group;
-                    // a bare integer addresses a client/replica node.
-                    let (target, id) = match node.strip_prefix("base") {
-                        Some(idx) => (&mut plan.base_crashes, idx),
-                        None => (&mut plan.crashes, node),
-                    };
-                    let id = id
-                        .parse::<u32>()
-                        .map_err(|_| format!("crash node `{node}` is not an integer or baseN"))?;
-                    let (at, restart) = parse_window(window)?;
-                    target.push(CrashWindow {
-                        node: NodeId(id),
-                        at,
-                        restart,
-                    });
-                }
-                other => return Err(format!("unknown fault key `{other}`")),
-            }
+            plan.apply_clause(clause)
+                .map_err(|e| format!("fault clause `{clause}`: {e}"))?;
         }
         Ok(plan)
+    }
+
+    fn apply_clause(&mut self, clause: &str) -> Result<(), String> {
+        let (key, val) = clause.split_once('=').ok_or("not KEY=VALUE")?;
+        match key.trim() {
+            "drop" => self.drop_p = parse_prob("drop", val)?,
+            "dup" => self.dup_p = parse_prob("dup", val)?,
+            "delay" => {
+                let (p, spike) = val
+                    .split_once(':')
+                    .ok_or_else(|| format!("delay needs P:SECS, got `{val}`"))?;
+                self.delay_p = parse_prob("delay", p)?;
+                self.delay_spike = parse_secs("delay spike", spike)?;
+            }
+            "retransmit" => {
+                self.retransmit = parse_secs("retransmit", val)?;
+                if self.retransmit == SimDuration::ZERO {
+                    // A zero timeout re-arms at the same instant and
+                    // the clock never advances.
+                    return Err(format!("retransmit `{val}` must be positive"));
+                }
+            }
+            "part" => {
+                let (window, sides) = val
+                    .split_once(':')
+                    .ok_or_else(|| format!("part needs S..E:NODES, got `{val}`"))?;
+                let (start, heal) = parse_window(window)?;
+                let side_a = sides.split('/').next().unwrap_or("");
+                let side_a = parse_nodes(side_a)?;
+                if side_a.is_empty() {
+                    return Err(format!("part `{val}` has an empty side A"));
+                }
+                self.partitions.push(PartitionWindow {
+                    start,
+                    heal,
+                    side_a,
+                });
+            }
+            "crash" => {
+                let (node, window) = val
+                    .split_once(':')
+                    .ok_or_else(|| format!("crash needs NODE:S..E, got `{val}`"))?;
+                let node = node.trim();
+                // `baseN` addresses replica N of the base group;
+                // a bare integer addresses a client/replica node.
+                let (target, id) = match node.strip_prefix("base") {
+                    Some(idx) => (&mut self.base_crashes, idx),
+                    None => (&mut self.crashes, node),
+                };
+                let id = id
+                    .parse::<u32>()
+                    .map_err(|_| format!("crash node `{node}` is not an integer or baseN"))?;
+                let (at, restart) = parse_window(window)?;
+                target.push(CrashWindow {
+                    node: NodeId(id),
+                    at,
+                    restart,
+                });
+            }
+            other => return Err(format!("unknown fault key `{other}`")),
+        }
+        Ok(())
     }
 
     /// Reject crash and partition clauses addressing nodes the run does
@@ -240,6 +260,13 @@ fn parse_secs(what: &str, s: &str) -> Result<SimDuration, String> {
         .map_err(|_| format!("{what} `{s}` is not a number of seconds"))?;
     if !v.is_finite() || v < 0.0 {
         return Err(format!("{what} {v} must be a non-negative number"));
+    }
+    let max = FaultPlan::MAX_DURATION.as_secs_f64();
+    if v > max {
+        let s = s.trim();
+        return Err(format!(
+            "{what} `{s}` does not fit the simulated clock (at most {max:e} s)"
+        ));
     }
     Ok(SimDuration::from_secs_f64(v))
 }
@@ -481,6 +508,37 @@ mod tests {
         assert!(FaultPlan::parse("part=1..2:", 1).is_err());
         assert!(FaultPlan::parse("crash=x:1..2", 1).is_err());
         assert!(FaultPlan::parse("delay=0.5", 1).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_what_would_hang_or_overflow_the_clock() {
+        // A zero retransmit re-arms at the same instant forever; one
+        // that rounds to zero microseconds is no better.
+        for spec in ["drop=1;retransmit=0", "retransmit=-0", "retransmit=1e-9"] {
+            let err = FaultPlan::parse(spec, 1).unwrap_err();
+            assert!(
+                err.contains("retransmit") && err.contains("positive"),
+                "{err}"
+            );
+        }
+        // Durations and window bounds past the clock saturated to
+        // `u64::MAX` µs, and the first sum with them overflowed.
+        for spec in [
+            "delay=1:1e300",
+            "retransmit=1e16",
+            "part=1..1e300:0",
+            "crash=1:1e19..1e20",
+            "crash=base0:5..2e9",
+        ] {
+            let err = FaultPlan::parse(spec, 1).unwrap_err();
+            assert!(err.contains(spec) && err.contains("clock"), "{err}");
+        }
+        let max = FaultPlan::parse("delay=1:1e9; crash=0:0..1e9", 1).unwrap();
+        assert_eq!(max.delay_spike, FaultPlan::MAX_DURATION);
+        assert_eq!(
+            max.crashes[0].restart,
+            SimTime::ZERO + FaultPlan::MAX_DURATION
+        );
     }
 
     #[test]
