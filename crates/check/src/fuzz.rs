@@ -14,6 +14,7 @@
 
 use crate::oracle::{Scheme, Violation};
 use repl_sim::SimRng;
+use std::str::FromStr;
 
 /// One fuzzable execution, fully determined by its fields (the
 /// simulators are deterministic given a seed).
@@ -86,7 +87,10 @@ impl FuzzCase {
         s
     }
 
-    /// Inverse of [`FuzzCase::encode`].
+    /// Inverse of [`FuzzCase::encode`]. A value that does not fit its
+    /// field, or a horizon past [`MAX_HORIZON_SECS`], is refused rather
+    /// than wrapped. `proto` and `xpoint` are kept as text: their
+    /// parsers live in the engine crate, which checks them.
     pub fn parse(s: &str) -> Result<FuzzCase, String> {
         let (head, faults) = match s.split_once('|') {
             Some((h, f)) => (h, Some(f.trim().to_owned())),
@@ -116,20 +120,15 @@ impl FuzzCase {
                 .trim()
                 .split_once('=')
                 .ok_or_else(|| format!("field `{field}` is not KEY=VALUE"))?;
-            let parse = |what: &str, v: &str| -> Result<u64, String> {
-                v.trim()
-                    .parse()
-                    .map_err(|_| format!("{what} `{v}` is not an integer"))
-            };
             match key.trim() {
-                "seed" => case.seed = parse("seed", val)?,
-                "nodes" => case.nodes = parse("nodes", val)? as u32,
-                "db" => case.db_size = parse("db", val)?,
-                "tps" => case.tps = parse("tps", val)? as u32,
-                "actions" => case.actions = parse("actions", val)? as u32,
-                "horizon" => case.horizon_secs = parse("horizon", val)?,
-                "shards" => case.shards = parse("shards", val)? as u32,
-                "rf" => case.rf = parse("rf", val)? as u32,
+                "seed" => case.seed = parse_uint("seed", val)?,
+                "nodes" => case.nodes = parse_uint("nodes", val)?,
+                "db" => case.db_size = parse_uint("db", val)?,
+                "tps" => case.tps = parse_uint("tps", val)?,
+                "actions" => case.actions = parse_uint("actions", val)?,
+                "horizon" => case.horizon_secs = parse_uint("horizon", val)?,
+                "shards" => case.shards = parse_uint("shards", val)?,
+                "rf" => case.rf = parse_uint("rf", val)?,
                 "proto" => case.proto = Some(val.trim().to_owned()),
                 "xpoint" => case.xpoint = Some(val.trim().to_owned()),
                 other => return Err(format!("unknown case field `{other}`")),
@@ -137,6 +136,12 @@ impl FuzzCase {
         }
         if case.nodes < 1 || case.db_size < 1 || case.tps < 1 || case.actions < 1 {
             return Err(format!("case `{s}` has a zero dimension"));
+        }
+        if case.horizon_secs > MAX_HORIZON_SECS {
+            return Err(format!(
+                "horizon {} s does not fit the simulated clock (at most {MAX_HORIZON_SECS} s)",
+                case.horizon_secs
+            ));
         }
         Ok(case)
     }
@@ -158,6 +163,22 @@ impl FuzzCase {
         }
         self
     }
+}
+
+/// The longest horizon a case may ask for, in seconds: 10⁹, the bound
+/// `repl_net::FaultPlan::MAX_DURATION` puts on every fault duration
+/// (this crate sits below `repl-net`). The engines add sampled
+/// latencies and windows to it; none of those sums nears the clock's
+/// `u64` microseconds.
+const MAX_HORIZON_SECS: u64 = 1_000_000_000;
+
+/// `v` as an unsigned integer of `T`'s width.
+fn parse_uint<T: FromStr>(what: &str, v: &str) -> Result<T, String> {
+    let v = v.trim();
+    v.parse().map_err(|_| {
+        let bits = 8 * std::mem::size_of::<T>();
+        format!("{what} `{v}` is not a {bits}-bit unsigned integer")
+    })
 }
 
 /// A failing case together with its shrunk minimal form.
@@ -408,6 +429,13 @@ mod tests {
         assert!(FuzzCase::parse("warp:seed=1,nodes=2,db=8,tps=1,actions=2,horizon=5").is_err());
         assert!(FuzzCase::parse("eager:seed=1,bogus=2").is_err());
         assert!(FuzzCase::parse("eager:seed=1,nodes=0,db=8,tps=1,actions=2,horizon=5").is_err());
+        // Out of range is refused, never wrapped: 2^32 + 1 nodes is not 1.
+        let wide = FuzzCase::parse("eager:seed=1,nodes=4294967297,db=8,tps=1,actions=2,horizon=5");
+        assert!(wide.unwrap_err().contains("nodes `4294967297`"));
+        assert!(FuzzCase::parse("eager:seed=1,nodes=2,db=8,tps=1,actions=2,horizon=-5").is_err());
+        let line = |h: u64| format!("eager:seed=1,nodes=2,db=8,tps=1,actions=2,horizon={h}");
+        assert!(FuzzCase::parse(&line(1_000_000_000)).is_ok());
+        assert!(FuzzCase::parse(&line(1_000_000_001)).is_err());
     }
 
     #[test]

@@ -64,9 +64,8 @@ pub struct SimConfig {
     /// and oracle verdicts are identical at any batch size.
     pub propagation_batch: usize,
     /// Skip all mergeable-distribution recording (`Report::dists` stays
-    /// empty, percentile columns fall back to the coarse legacy
-    /// histogram). Only the bench overhead guard turns this on, as the
-    /// baseline side of its "metrics cost <5%" comparison.
+    /// empty and the latency percentiles report 0). Only the
+    /// metrics-overhead comparisons turn this on, as their baseline.
     pub lean_metrics: bool,
     /// Number of keyspace shards (0 = unsharded, the default). With
     /// sharding on, object `o` belongs to shard `o mod shards` and each
@@ -166,7 +165,7 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style lean-metrics override (bench overhead baseline).
+    /// Builder-style lean-metrics override (metrics-overhead baseline).
     #[must_use]
     pub fn with_lean_metrics(mut self) -> Self {
         self.lean_metrics = true;

@@ -14,6 +14,7 @@
 //! for a transaction answers "abort". Only the commit decision is
 //! force-logged; aborts cost nothing durable.
 
+use repl_net::FaultPlan;
 use repl_storage::NodeId;
 
 /// Which cross-shard commit protocol the eager family runs
@@ -292,13 +293,18 @@ impl CrashPoint {
         format!("{}:{}:{}", self.kind.name(), self.nth, self.down_secs)
     }
 
-    /// Parse `encode()` output.
+    /// Parse `encode()` output. A down time past
+    /// [`FaultPlan::MAX_DURATION`] is refused: the engine adds it to
+    /// the clock.
     pub fn parse(s: &str) -> Option<CrashPoint> {
         let mut it = s.splitn(3, ':');
         let kind = it.next()?;
         let kind = CrashKind::ALL.into_iter().find(|k| k.name() == kind)?;
         let nth = it.next()?.parse().ok()?;
         let down_secs = it.next()?.parse().ok()?;
+        if down_secs > FaultPlan::MAX_DURATION.0 / 1_000_000 {
+            return None;
+        }
         Some(CrashPoint {
             kind,
             nth,
@@ -402,6 +408,9 @@ mod tests {
         }
         assert_eq!(CrashPoint::parse("coord-pre-prepare"), None);
         assert_eq!(CrashPoint::parse("nope:0:1"), None);
+        assert!(CrashPoint::parse("part-pre-vote:0:1000000000").is_some());
+        assert_eq!(CrashPoint::parse("part-pre-vote:0:1000000001"), None);
+        assert_eq!(CrashPoint::parse("part-pre-vote:4294967296:1"), None);
     }
 }
 

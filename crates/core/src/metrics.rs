@@ -1,7 +1,7 @@
 //! Measured quantities — the simulator-side counterparts of the model's
 //! predicted rates.
 
-use repl_sim::{Counter, Histogram, SimDuration, SimTime, Welford};
+use repl_sim::{Counter, SimDuration, SimTime, Welford};
 use repl_telemetry::RunMetrics;
 use serde::{Deserialize, Serialize};
 
@@ -66,17 +66,16 @@ pub struct Metrics {
     pub cycle_checks: Counter,
     /// User-transaction latency (start → commit), seconds.
     pub latency: Welford,
-    /// Latency distribution for percentile reporting.
-    pub latency_hist: Histogram,
     /// Lock wait durations, seconds.
     pub wait_time: Welford,
     /// Mergeable named distributions (log-linear histograms, gauges,
     /// counters) carried out through [`Report::dists`] — the parallel
     /// sweep merges them after the fact, in point order.
     pub dists: RunMetrics,
-    /// When true, skip all `dists` recording. Only the bench overhead
-    /// guard sets this — it is the A side of the "metrics cost <5%"
-    /// comparison, never a reporting mode.
+    /// When true, skip all `dists` recording (so the latency
+    /// percentiles report 0). The baseline side of the metrics-overhead
+    /// comparisons (`tests/telemetry_allocations.rs`, the benchmark's
+    /// `telemetry.metrics_overhead_ratio`), never a reporting mode.
     pub lean: bool,
 }
 
@@ -90,7 +89,6 @@ impl Metrics {
     /// tracking).
     pub fn record_latency(&mut self, d: SimDuration) {
         self.latency.record(d.as_secs_f64());
-        self.latency_hist.record(d);
         if !self.lean {
             self.dists.record(M_COMMIT_LATENCY, d);
         }
@@ -132,6 +130,7 @@ impl Metrics {
                 0.0
             }
         };
+        let latency = self.dists.histogram(M_COMMIT_LATENCY);
         Report {
             duration_secs: span,
             committed: self.committed.count(),
@@ -156,25 +155,12 @@ impl Metrics {
             reconciliation_rate: rate(&self.reconciliations),
             action_rate: rate(&self.actions),
             mean_latency_secs: self.latency.mean(),
-            p50_latency_secs: self.quantile_or_legacy(0.50, self.latency_hist.p50()),
-            p95_latency_secs: self.quantile_or_legacy(0.95, self.latency_hist.p95()),
-            p99_latency_secs: self.quantile_or_legacy(0.99, self.latency_hist.p99()),
-            max_latency_secs: self
-                .dists
-                .histogram(M_COMMIT_LATENCY)
-                .map_or(0.0, |h| h.max_secs()),
+            p50_latency_secs: latency.map_or(0.0, |h| h.quantile_secs(0.50)),
+            p95_latency_secs: latency.map_or(0.0, |h| h.quantile_secs(0.95)),
+            p99_latency_secs: latency.map_or(0.0, |h| h.quantile_secs(0.99)),
+            max_latency_secs: latency.map_or(0.0, |h| h.max_secs()),
             mean_wait_secs: self.wait_time.mean(),
             dists: self.dists.clone(),
-        }
-    }
-
-    /// Latency quantile from the log-linear distribution when samples
-    /// exist there; the coarser factor-of-two legacy histogram
-    /// otherwise (lean mode).
-    fn quantile_or_legacy(&self, q: f64, legacy: f64) -> f64 {
-        match self.dists.histogram(M_COMMIT_LATENCY) {
-            Some(h) if h.count() > 0 => h.quantile_secs(q),
-            _ => legacy,
         }
     }
 }
@@ -264,9 +250,10 @@ mod tests {
         assert!((r.commit_rate - 2.0).abs() < 1e-12);
         assert!((r.deadlock_rate - 0.5).abs() < 1e-12);
         assert!((r.mean_latency_secs - 0.25).abs() < 1e-12);
-        // Percentiles land in the right bucket (factor-of-two
-        // resolution).
-        assert!(r.p50_latency_secs > 0.1 && r.p50_latency_secs < 0.5);
+        // One sample: quantiles clamp to the observed range, so every
+        // percentile is that sample.
+        assert_eq!(r.p50_latency_secs, 0.25);
+        assert_eq!(r.p99_latency_secs, 0.25);
         assert!((r.duration_secs - 10.0).abs() < 1e-12);
     }
 

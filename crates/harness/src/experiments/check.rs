@@ -134,6 +134,26 @@ pub fn run_case_with_config(case: &FuzzCase, batch: usize, shards: u32, rf: u32)
     rec.check()
 }
 
+/// Parse a hand-typed `CHECK_CASE` line, refusing what [`run_case`]
+/// would panic on. `repl-check` cannot see the engine's `proto` and
+/// `xpoint` parsers, so they are applied here, with the fault plan's.
+pub fn parse_check_case(line: &str) -> Result<FuzzCase, String> {
+    let case = FuzzCase::parse(line)?;
+    if let Some(name) = &case.proto {
+        repl_core::CommitProto::parse(name)
+            .ok_or_else(|| format!("proto `{name}` is not owner-order, 2pc or o2pl"))?;
+    }
+    if let Some(spec) = &case.xpoint {
+        repl_core::CrashPoint::parse(spec).ok_or_else(|| {
+            format!("xpoint `{spec}` is not KIND:NTH:DOWN_SECS (down at most 1e9 s)")
+        })?;
+    }
+    if let Some(spec) = &case.faults {
+        repl_net::FaultPlan::parse(spec, case.seed)?;
+    }
+    Ok(case)
+}
+
 /// The per-scheme fuzz base case. Fresh cases are perturbations of
 /// this, so the whole campaign is determined by `opts.seed`.
 fn base_case(scheme: Scheme, opts: &RunOpts) -> FuzzCase {
@@ -207,7 +227,7 @@ pub fn check(opts: &RunOpts) -> Table {
     );
     // Single-case repro mode: replay exactly one encoded execution.
     if let Ok(spec) = std::env::var("CHECK_CASE") {
-        match FuzzCase::parse(spec.trim()) {
+        match parse_check_case(spec.trim()) {
             Ok(case) => {
                 let report = run_case(&case);
                 table.row(vec![

@@ -14,8 +14,8 @@
 //! submitting node's shards and are forwarded to the owning node, so
 //! the cross-shard coordination path is exercised at every scale.
 //!
-//! The table is fully deterministic (wall-clock lives in
-//! `BENCH_harness.json`, which times this experiment like any other),
+//! The table is fully deterministic (wall-clock lives in the repo
+//! benchmark, whose `sharded-scaleout` workload times its engines),
 //! so the CI determinism gate can compare runs byte-for-byte. The
 //! sweep ignores `--shards`/`--rf` overrides for the same reason: its
 //! layout is part of the experiment definition.

@@ -46,7 +46,7 @@ pub use sweep::{fit_exponent, sweep, Axis, Point};
 
 /// The replication strategies of the paper's Table 1, plus the two-tier
 /// scheme of §7. Shared vocabulary for the protocol crate, workload
-/// generators, harness and benches.
+/// generators and harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Scheme {
     /// Eager propagation, group ownership: one transaction, N object

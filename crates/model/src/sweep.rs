@@ -1,5 +1,5 @@
 //! Parameter sweeps: evaluate any model quantity over a range of one
-//! parameter, producing `(x, y)` series the harness and benches print.
+//! parameter, producing `(x, y)` series the harness prints.
 
 use crate::Params;
 use serde::{Deserialize, Serialize};

@@ -30,5 +30,5 @@ pub mod time;
 pub use dist::{AccessPattern, Sampler};
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, Welford};
+pub use stats::{Counter, Welford};
 pub use time::{SimDuration, SimTime};

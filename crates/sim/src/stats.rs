@@ -108,94 +108,6 @@ impl Welford {
     }
 }
 
-/// A log-scale histogram of duration samples, for percentile
-/// reporting. Buckets are powers of two in microseconds (64 buckets
-/// cover 1 µs .. ~584 000 years), so `record` is O(1) and quantiles are
-/// accurate to within a factor of two — plenty for latency reporting.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: [u64; 64],
-    count: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; 64],
-            count: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket_of(micros: u64) -> usize {
-        (64 - micros.leading_zeros() as usize).min(63)
-    }
-
-    /// Record a duration sample.
-    pub fn record(&mut self, d: SimDuration) {
-        self.buckets[Self::bucket_of(d.0)] += 1;
-        self.count += 1;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) in seconds, approximated by the
-    /// geometric midpoint of the containing bucket. Returns 0 for an
-    /// empty histogram.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                // Bucket i holds micros in [2^(i-1), 2^i); take the
-                // geometric midpoint.
-                let lo = if i == 0 {
-                    0.0
-                } else {
-                    (1u64 << (i - 1)) as f64
-                };
-                let hi = (1u64 << i.min(62)) as f64;
-                let mid = if lo == 0.0 {
-                    hi / 2.0
-                } else {
-                    (lo * hi).sqrt()
-                };
-                return mid / 1e6;
-            }
-        }
-        0.0
-    }
-
-    /// Median latency in seconds.
-    pub fn p50(&self) -> f64 {
-        self.quantile(0.50)
-    }
-
-    /// 95th percentile in seconds.
-    pub fn p95(&self) -> f64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th percentile in seconds.
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,52 +164,5 @@ mod tests {
         w.record_duration(SimDuration::from_millis(100));
         w.record_duration(SimDuration::from_millis(300));
         assert!((w.mean() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_empty_quantiles_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.p50(), 0.0);
-        assert_eq!(h.p99(), 0.0);
-        assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn histogram_quantiles_within_bucket_resolution() {
-        let mut h = Histogram::new();
-        // 99 samples at ~10 ms, 1 at ~1 s.
-        for _ in 0..99 {
-            h.record(SimDuration::from_millis(10));
-        }
-        h.record(SimDuration::from_secs(1));
-        assert_eq!(h.count(), 100);
-        let p50 = h.p50();
-        assert!(p50 > 0.005 && p50 < 0.02, "p50 {p50} should be near 10 ms");
-        let p99 = h.p99();
-        // The 99th sample is still the 10 ms bucket; p100 would be 1 s.
-        assert!(p99 < 0.02, "p99 {p99}");
-        let p100 = h.quantile(1.0);
-        assert!(p100 > 0.5 && p100 < 2.0, "max {p100} should be near 1 s");
-    }
-
-    #[test]
-    fn histogram_monotone_quantiles() {
-        let mut h = Histogram::new();
-        for i in 1..=1000u64 {
-            h.record(SimDuration::from_micros(i * 37));
-        }
-        let qs: Vec<f64> = [0.1, 0.5, 0.9, 0.99]
-            .iter()
-            .map(|&q| h.quantile(q))
-            .collect();
-        assert!(qs.windows(2).all(|w| w[0] <= w[1]), "{qs:?}");
-    }
-
-    #[test]
-    fn histogram_zero_duration_sample() {
-        let mut h = Histogram::new();
-        h.record(SimDuration::ZERO);
-        assert_eq!(h.count(), 1);
-        assert!(h.p50() >= 0.0);
     }
 }

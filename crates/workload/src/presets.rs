@@ -1,5 +1,5 @@
-//! Named parameter presets shared by the harness, benches, examples and
-//! tests — one source of truth for every experiment's configuration.
+//! Named parameter presets shared by the harness experiments — one
+//! source of truth for every experiment's configuration.
 //!
 //! The presets are scaled so the discrete-event runs finish in seconds
 //! of wall-clock time while staying inside the model's validity regime

@@ -114,9 +114,6 @@ cmp "$metrics_out" "$par_metrics" || {
 }
 echo "ok: $(/usr/bin/jq '.runs | length' "$metrics_out") metric runs, histograms populated, export --jobs invariant"
 
-say "bench smoke: scripts/bench.sh --smoke"
-scripts/bench.sh --smoke
-
 say "chaos smoke: fixed seed, twice (determinism + schema)"
 chaos_a="$tmp/chaos_a"
 chaos_b="$tmp/chaos_b"
@@ -330,9 +327,9 @@ grep '^{' "$bench_out" | /usr/bin/jq -es '
 }
 echo "ok: benchmark smoke ran 4 workloads, ok_frac 1 on each"
 
-say "allocator gates: heap follows live events (queue_memory), allocations follow rf (fanout_allocations)"
+say "allocator gates: heap follows live events (queue_memory), allocations follow rf (fanout_allocations), telemetry allocates nothing per event (telemetry_allocations)"
 # Each file installs its own counting #[global_allocator]; release, so
 # the numbers are the ones the docs quote.
-cargo test -q --release --test queue_memory --test fanout_allocations
+cargo test -q --release --test queue_memory --test fanout_allocations --test telemetry_allocations
 
 say "all CI gates passed"

@@ -60,8 +60,17 @@ fn registry_json_roundtrip_from_real_run() {
 fn lean_metrics_config_suppresses_distributions() {
     let report = LazyGroupSim::new(cfg(5).with_lean_metrics(), Mobility::Connected).run();
     assert!(report.dists.is_empty(), "lean run must collect nothing");
-    // The coarse legacy percentiles still work as the fallback.
-    assert!(report.p50_latency_secs > 0.0);
+    // Percentiles come from the commit-latency distribution alone, so a
+    // lean run reports none; the mean is not a distribution and stays.
+    assert!(report.committed > 0 && report.mean_latency_secs > 0.0);
+    for p in [
+        report.p50_latency_secs,
+        report.p95_latency_secs,
+        report.p99_latency_secs,
+        report.max_latency_secs,
+    ] {
+        assert_eq!(p, 0.0, "lean run reported a percentile: {report:?}");
+    }
 }
 
 /// The registry a `--metrics` run of the given experiment would export.
