@@ -1,17 +1,12 @@
-//! A threaded two-tier deployment (§7) — the paper's solution running
-//! on real OS threads and channels rather than the discrete-event
-//! simulator.
+//! A threaded two-tier base (§7) — the paper's solution running on a
+//! real OS thread and channel rather than the discrete-event simulator.
 //!
-//! * [`BaseServer`] — one thread owning the master database. It
-//!   executes base transactions under the lazy-master discipline,
-//!   applies acceptance criteria, and streams its commit log to
-//!   reconnecting clients. The protocol is [`repl_core::base_tier`]'s
-//!   `Replica`; this module adds the thread, the channel and the
-//!   timeouts.
-//! * [`MobileNode`] — a disconnected client holding (master, tentative)
-//!   dual versions. It executes tentative transactions locally, logs
-//!   their input parameters, and re-submits them in commit order on
-//!   [`MobileNode::sync`].
+//! [`BaseServer`] is one thread owning the master database. It executes
+//! base transactions under the lazy-master discipline, applies
+//! acceptance criteria, and streams its commit log to reconnecting
+//! clients. The protocol is [`repl_core::base_tier`]'s `Replica`, and
+//! the client is its `MobileNode`; this module adds the thread and the
+//! channel.
 //!
 //! ```
 //! use repl_cluster::two_tier::{BaseServer, MobileNode};
@@ -30,39 +25,17 @@
 //! assert_eq!(base.snapshot().get(ObjectId(0)).value, Value::Int(70));
 //! base.shutdown();
 //! ```
-//!
-//! A mobile syncs against the replicated [`BaseGroup`] the same way,
-//! and its retry loop rides out a failover:
-//!
-//! ```
-//! use repl_cluster::two_tier::{BaseGroup, MobileNode};
-//! use repl_core::{Criterion, Op, Operation, TxnSpec};
-//! use repl_storage::{NodeId, ObjectId, Value};
-//!
-//! let group = BaseGroup::spawn(3, 4, 100);
-//! let mut mobile = MobileNode::new(NodeId(100), 4, 100);
-//! mobile.execute_tentative(
-//!     TxnSpec::new(vec![Operation::new(ObjectId(0), Op::Debit(30))])
-//!         .with_criterion(Criterion::NonNegative),
-//! );
-//! group.try_crash(0); // kill the primary
-//! let outcome = mobile.sync_with_retry(&group, 8).expect("failover");
-//! assert_eq!(outcome.accepted, 1);
-//! assert_eq!(group.epoch(), 2); // a new leader took over
-//! group.shutdown();
-//! ```
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use repl_core::base_tier::Replica;
-pub use repl_core::base_tier::{BaseGroup, DedupId, Pending, SyncReply, SyncTarget, TxnOutcome};
+use crossbeam::channel::{unbounded, Sender};
+use repl_core::base_tier::{Pending, Replica, SyncReply, SyncTarget, TxnOutcome};
 use repl_core::TxnSpec;
-use repl_sim::{SimRng, SimTime};
-use repl_storage::{
-    LamportClock, Lsn, NodeId, ObjectId, ObjectStore, TentativeStore, Timestamp, Value,
-};
-use repl_telemetry::{Event, EventKind, SyncTraceHandle};
+use repl_storage::{Lsn, NodeId, ObjectStore};
+use repl_telemetry::SyncTraceHandle;
 use std::thread::JoinHandle;
-use std::time::Duration;
+
+// The frozen `benchmark/` still imports the mobile from here. ROADMAP
+// item 5 points it at `repl_core::base_tier` and deletes this crate.
+pub use repl_core::base_tier::MobileNode;
 
 enum BaseMsg {
     Execute {
@@ -77,90 +50,13 @@ enum BaseMsg {
     Snapshot {
         reply: Sender<ObjectStore>,
     },
-    /// Make the next `count` syncs commit durably but crash before the
-    /// reply leaves — the classic at-most-once hazard the dedup map
-    /// exists for.
-    InjectReplyCrashes {
-        count: u32,
-    },
-    /// Crash the base: the thread exits, volatile state (master, clock)
-    /// is lost, durable state (commit log, dedup map) survives.
-    Crash,
     Shutdown,
-}
-
-/// The base thread's state. A crash hands it back to the handle with
-/// the replica down; the inbox doubles as the durable request queue, so
-/// requests sent while crashed are served after the restart.
-struct BaseThread {
-    replica: Replica,
-    /// Pending injected reply-crashes (see
-    /// [`BaseMsg::InjectReplyCrashes`]).
-    drop_replies: u32,
-    inbox: Receiver<BaseMsg>,
-    tracer: SyncTraceHandle,
-}
-
-impl BaseThread {
-    fn spawn(self) -> JoinHandle<Option<BaseThread>> {
-        std::thread::Builder::new()
-            .name("two-tier-base".to_owned())
-            .spawn(move || self.run())
-            .expect("failed to spawn base thread")
-    }
-
-    fn run(mut self) -> Option<BaseThread> {
-        while let Ok(msg) = self.inbox.recv() {
-            match msg {
-                BaseMsg::Execute { spec, reply } => {
-                    let _ = reply.send(self.replica.execute(&spec, None));
-                }
-                BaseMsg::Sync {
-                    pendings,
-                    from,
-                    reply,
-                } => {
-                    let (outcomes, _) = self.replica.sync(&pendings);
-                    if self.drop_replies > 0 {
-                        // Crash after commit, before reply: the work is
-                        // durable but the client never hears back.
-                        self.drop_replies -= 1;
-                        self.replica.emit(EventKind::NodeCrash);
-                        continue;
-                    }
-                    let log = self.replica.log();
-                    let _ = reply.send(SyncReply {
-                        outcomes,
-                        refresh: log.since(from).to_vec(),
-                        head: log.head(),
-                        repl_seq: 0,
-                    });
-                }
-                BaseMsg::Snapshot { reply } => {
-                    let master = self.replica.master().expect("a running base is live");
-                    let _ = reply.send(master.clone());
-                }
-                BaseMsg::InjectReplyCrashes { count } => {
-                    self.drop_replies += count;
-                }
-                BaseMsg::Crash => {
-                    self.replica.crash();
-                    return Some(self);
-                }
-                BaseMsg::Shutdown => break,
-            }
-        }
-        self.tracer.flush();
-        None
-    }
 }
 
 /// Handle to the base-node thread.
 pub struct BaseServer {
     sender: Sender<BaseMsg>,
-    handle: Option<JoinHandle<Option<BaseThread>>>,
-    /// The crashed base's state, consumed by a restart.
-    remnant: Option<BaseThread>,
+    handle: Option<JoinHandle<()>>,
 }
 
 impl BaseServer {
@@ -173,407 +69,99 @@ impl BaseServer {
     /// Like [`BaseServer::spawn`], but the base thread emits telemetry
     /// events through `tracer` as it commits and rejects transactions.
     pub fn spawn_traced(db_size: u64, initial_value: i64, tracer: SyncTraceHandle) -> Self {
-        let (tx, rx) = unbounded();
-        let thread = BaseThread {
-            replica: Replica::new(NodeId(0), db_size, initial_value, tracer.clone()),
-            drop_replies: 0,
-            inbox: rx,
-            tracer,
+        let (tx, inbox) = unbounded();
+        let mut replica = Replica::new(NodeId(0), db_size, initial_value, tracer.clone());
+        let run = move || {
+            while let Ok(msg) = inbox.recv() {
+                match msg {
+                    BaseMsg::Execute { spec, reply } => {
+                        let _ = reply.send(replica.execute(&spec, None));
+                    }
+                    BaseMsg::Sync {
+                        pendings,
+                        from,
+                        reply,
+                    } => {
+                        let (outcomes, _) = replica.sync(&pendings);
+                        let log = replica.log();
+                        let _ = reply.send(SyncReply {
+                            outcomes,
+                            refresh: log.since(from).to_vec(),
+                            head: log.head(),
+                        });
+                    }
+                    BaseMsg::Snapshot { reply } => {
+                        let master = replica.master().expect("a running base is live");
+                        let _ = reply.send(master.clone());
+                    }
+                    BaseMsg::Shutdown => break,
+                }
+            }
+            tracer.flush();
         };
+        let handle = std::thread::Builder::new()
+            .name("two-tier-base".to_owned())
+            .spawn(run)
+            .expect("failed to spawn base thread");
         BaseServer {
             sender: tx,
-            handle: Some(thread.spawn()),
-            remnant: None,
+            handle: Some(handle),
         }
     }
 
-    /// Arrange for the next `count` syncs to commit durably but crash
-    /// before replying. Clients observe a dead connection and must
-    /// retry; the dedup map guarantees the retry does not re-execute.
-    pub fn inject_reply_crashes(&self, count: u32) {
-        self.sender
-            .send(BaseMsg::InjectReplyCrashes { count })
-            .expect("base thread gone");
-    }
-
-    /// Crash the base server: the thread exits, losing the master
-    /// store and clock; the commit log and dedup map survive. Requests
-    /// sent while crashed queue up and are served after
-    /// [`BaseServer::restart`].
-    ///
-    /// # Panics
-    /// If the base is already crashed.
-    pub fn crash(&mut self) {
-        assert!(self.try_crash(), "base already crashed");
-    }
-
-    /// Non-panicking [`BaseServer::crash`]: returns `false` (a no-op)
-    /// when the base is already down, so overlapping fault-plan crash
-    /// windows degrade to nothing instead of aborting the run.
-    pub fn try_crash(&mut self) -> bool {
-        let Some(handle) = self.handle.take() else {
-            return false;
-        };
-        self.sender.send(BaseMsg::Crash).expect("base thread gone");
-        let remnant = handle.join().expect("base thread panicked");
-        self.remnant = Some(remnant.expect("crash must yield a remnant"));
-        true
-    }
-
-    /// Restart a crashed base: rebuild the master database by replaying
-    /// the durable commit log over the initial state, restore the clock
-    /// from the replayed timestamps, and resume on the original inbox.
-    /// Returns the number of committed transactions replayed.
-    ///
-    /// # Panics
-    /// If the base is not crashed.
-    pub fn restart(&mut self) -> u64 {
-        self.try_restart().expect("restarting a live base")
-    }
-
-    /// Non-panicking [`BaseServer::restart`]: `None` (a no-op) when the
-    /// base is not crashed.
-    pub fn try_restart(&mut self) -> Option<u64> {
-        let mut thread = self.remnant.take()?;
-        let replayed = thread.replica.restart();
-        thread.drop_replies = 0;
-        self.handle = Some(thread.spawn());
-        replayed
-    }
-
-    /// Whether the base is currently crashed.
-    pub fn is_crashed(&self) -> bool {
-        self.remnant.is_some()
+    /// Send the request `msg` wraps around a reply channel and wait for
+    /// the answer. `None` when the base thread is gone.
+    fn ask<T>(&self, msg: impl FnOnce(Sender<T>) -> BaseMsg) -> Option<T> {
+        let (tx, rx) = unbounded();
+        self.sender.send(msg(tx)).ok()?;
+        rx.recv().ok()
     }
 
     /// Execute a transaction directly at the base (a connected client).
     pub fn execute(&self, spec: TxnSpec) -> TxnOutcome {
-        let (tx, rx) = unbounded();
-        self.sender
-            .send(BaseMsg::Execute { spec, reply: tx })
-            .expect("base thread gone");
-        rx.recv().expect("base thread dropped reply")
+        self.ask(|reply| BaseMsg::Execute { spec, reply })
+            .expect("base thread gone")
     }
 
     /// Snapshot the master database.
     pub fn snapshot(&self) -> ObjectStore {
-        let (tx, rx) = unbounded();
-        self.sender
-            .send(BaseMsg::Snapshot { reply: tx })
-            .expect("base thread gone");
-        rx.recv().expect("base thread dropped snapshot")
+        self.ask(|reply| BaseMsg::Snapshot { reply })
+            .expect("base thread gone")
     }
 
-    /// Shut the base thread down.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        let _ = self.sender.send(BaseMsg::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        self.remnant = None;
+    /// Shut the base thread down, joining it.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl SyncTarget for BaseServer {
-    /// One sync round-trip. `None` when the base crashed before the
-    /// reply arrived (or is down and did not answer within `timeout`) —
-    /// the caller should retry; the dedup ids make the retry safe.
-    fn try_sync(&self, pendings: Vec<Pending>, from: Lsn, timeout: Duration) -> Option<SyncReply> {
-        let (tx, rx) = unbounded();
-        self.sender
-            .send(BaseMsg::Sync {
-                pendings,
-                from,
-                reply: tx,
-            })
-            .expect("base thread gone");
-        rx.recv_timeout(timeout).ok()
+    /// One sync round-trip. The base answers every request, so `None`
+    /// means only that its thread is gone.
+    fn try_sync(&self, pendings: Vec<Pending>, from: Lsn) -> Option<SyncReply> {
+        self.ask(|reply| BaseMsg::Sync {
+            pendings,
+            from,
+            reply,
+        })
     }
 }
 
 impl Drop for BaseServer {
     fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-/// Backoff schedule for [`MobileNode::sync_with_retry`]: exponential
-/// doubling from `base` capped at `cap`, with an optional seeded jitter
-/// fraction so colliding retries decorrelate while tests stay
-/// deterministic (same seed ⇒ same delays).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// First-retry delay (doubles every attempt).
-    pub base: Duration,
-    /// Upper bound on any single delay.
-    pub cap: Duration,
-    /// Jitter fraction in `[0, 1]`: each delay is scaled by a factor
-    /// drawn uniformly from `[1 - jitter/2, 1 + jitter/2]`. Zero (the
-    /// default) draws nothing and reproduces the fixed schedule.
-    pub jitter: f64,
-    /// Seed for the jitter stream.
-    pub seed: u64,
-    /// Per-attempt reply timeout.
-    pub attempt_timeout: Duration,
-}
-
-impl Default for RetryPolicy {
-    /// The historical schedule: 1 ms → 64 ms doubling, no jitter,
-    /// 100 ms per-attempt timeout.
-    fn default() -> Self {
-        RetryPolicy {
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(64),
-            jitter: 0.0,
-            seed: 0,
-            attempt_timeout: Duration::from_millis(100),
+        let _ = self.sender.send(BaseMsg::Shutdown);
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
         }
-    }
-}
-
-impl RetryPolicy {
-    /// The delay before retry `attempt` (1-based). Draws from `rng`
-    /// only when `jitter > 0`, so a zero-jitter policy is RNG-free.
-    pub fn backoff(&self, attempt: u32, rng: &mut SimRng) -> Duration {
-        let doubled = self
-            .base
-            .saturating_mul(
-                1u32.checked_shl(attempt.saturating_sub(1))
-                    .unwrap_or(u32::MAX),
-            )
-            .min(self.cap);
-        if self.jitter <= 0.0 {
-            return doubled;
-        }
-        let scale = 1.0 - self.jitter / 2.0 + self.jitter * rng.next_f64();
-        doubled.mul_f64(scale.max(0.0))
-    }
-}
-
-/// Result summary of one [`MobileNode::sync`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SyncOutcome {
-    /// Tentative transactions the base accepted.
-    pub accepted: u64,
-    /// Tentative transactions the base rejected (with diagnostics in
-    /// [`MobileNode::last_rejections`]).
-    pub rejected: u64,
-    /// Replica commits applied to the local master versions.
-    pub refreshed: u64,
-}
-
-/// A mobile (usually disconnected) client node.
-pub struct MobileNode {
-    id: NodeId,
-    store: TentativeStore,
-    clock: LamportClock,
-    pending: Vec<Pending>,
-    watermark: Lsn,
-    /// Sequence counter feeding each tentative transaction's
-    /// [`DedupId`].
-    next_seq: u64,
-    last_rejections: Vec<String>,
-    tracer: SyncTraceHandle,
-    retry: RetryPolicy,
-    retry_rng: SimRng,
-    // Logical tick for event timestamps: one per tentative execution
-    // or sync, mirroring the base thread's convention.
-    tick: u64,
-}
-
-impl MobileNode {
-    /// A fresh mobile node over a `db_size`-object replica (sync before
-    /// first use to pull the real master versions).
-    pub fn new(id: NodeId, db_size: u64, initial_value: i64) -> Self {
-        let mut store = TentativeStore::new(db_size);
-        for i in 0..db_size {
-            store
-                .master_mut()
-                .set(ObjectId(i), Value::Int(initial_value), Timestamp::ZERO);
-        }
-        MobileNode {
-            id,
-            store,
-            clock: LamportClock::new(id),
-            pending: Vec::new(),
-            watermark: Lsn(0),
-            next_seq: 0,
-            last_rejections: Vec::new(),
-            tracer: SyncTraceHandle::off(),
-            retry: RetryPolicy::default(),
-            retry_rng: SimRng::stream(0, "mobile-retry"),
-            tick: 0,
-        }
-    }
-
-    /// Attach a tracer; the node emits tentative-commit, sync, and
-    /// refresh events through it.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: SyncTraceHandle) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Replace the retry backoff schedule (and reseed its jitter
-    /// stream; the node id decorrelates nodes sharing one policy).
-    #[must_use]
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry_rng = SimRng::stream(policy.seed ^ u64::from(self.id.0), "mobile-retry");
-        self.retry = policy;
-        self
-    }
-
-    /// The node id.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// Read through the tentative overlay ("if it updated documents …
-    /// those tentative updates are all visible at the mobile node").
-    pub fn read(&self, obj: ObjectId) -> &Value {
-        &self.store.read(obj).value
-    }
-
-    /// Number of tentative transactions awaiting re-execution.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Diagnostics from the most recent sync's rejections.
-    pub fn last_rejections(&self) -> &[String] {
-        &self.last_rejections
-    }
-
-    /// Execute a tentative transaction against local tentative
-    /// versions and log it for base re-execution.
-    pub fn execute_tentative(&mut self, spec: TxnSpec) -> Vec<(ObjectId, Value)> {
-        self.tick += 1;
-        let now = SimTime(self.tick);
-        let mut results = Vec::with_capacity(spec.ops.len());
-        for op in &spec.ops {
-            let current = self.store.read(op.object).value.clone();
-            let new = op.op.apply(&current);
-            let ts = self.clock.tick();
-            self.store.write_tentative(op.object, new.clone(), ts);
-            results.push((op.object, new));
-        }
-        self.next_seq += 1;
-        self.pending.push(Pending {
-            dedup: DedupId {
-                node: self.id,
-                seq: self.next_seq,
-            },
-            spec,
-            tentative_results: results.clone(),
-        });
-        let id = self.id;
-        self.tracer
-            .emit(|| Event::system(now, id, EventKind::TentativeCommit));
-        results
-    }
-
-    /// Reconnect: §7's five steps — discard tentative versions, ship
-    /// the tentative transactions in commit order, apply the deferred
-    /// replica refresh, learn each transaction's fate.
-    ///
-    /// # Panics
-    /// If the base crashes before replying; use
-    /// [`MobileNode::sync_with_retry`] against an unreliable base.
-    pub fn sync(&mut self, base: &impl SyncTarget) -> SyncOutcome {
-        self.try_sync(base, Duration::from_secs(10))
-            .expect("base crashed mid-sync")
-    }
-
-    /// Like [`MobileNode::sync`], retrying on the node's
-    /// [`RetryPolicy`] backoff schedule when the base crashes before
-    /// replying or does not answer. Re-submission is safe: each
-    /// tentative transaction carries a [`DedupId`], so a retry of a
-    /// sync the base already committed returns the recorded outcomes
-    /// instead of executing twice — including when a failover put a
-    /// *different* replica behind the same [`SyncTarget`] between
-    /// attempts. Returns `None` if every attempt failed (pending
-    /// transactions are retained for a later sync). Each re-attempt
-    /// emits a [`EventKind::SyncRetried`] event.
-    pub fn sync_with_retry(
-        &mut self,
-        base: &impl SyncTarget,
-        max_attempts: u32,
-    ) -> Option<SyncOutcome> {
-        for attempt in 0..max_attempts {
-            if attempt > 0 {
-                let delay = self.retry.backoff(attempt, &mut self.retry_rng);
-                let (id, now) = (self.id, SimTime(self.tick));
-                self.tracer
-                    .emit(|| Event::system(now, id, EventKind::SyncRetried { attempt }));
-                std::thread::sleep(delay);
-            }
-            if let Some(outcome) = self.try_sync(base, self.retry.attempt_timeout) {
-                return Some(outcome);
-            }
-        }
-        None
-    }
-
-    /// One sync attempt. On failure (`None`) the node keeps its
-    /// tentative versions and pending queue untouched, so the attempt
-    /// can be repeated verbatim.
-    fn try_sync(&mut self, base: &impl SyncTarget, timeout: Duration) -> Option<SyncOutcome> {
-        self.tick += 1;
-        let now = SimTime(self.tick);
-        let id = self.id;
-        self.tracer
-            .emit(|| Event::system(now, id, EventKind::Reconnect));
-        self.tracer
-            .emit(|| Event::system(now, id, EventKind::MsgSent { to: NodeId(0) }));
-        let reply = base.try_sync(self.pending.clone(), self.watermark, timeout)?;
-        self.store.discard_tentative();
-        self.pending.clear();
-        let mut outcome = SyncOutcome::default();
-        self.last_rejections.clear();
-        for o in reply.outcomes {
-            match o {
-                TxnOutcome::Accepted(_) => {
-                    outcome.accepted += 1;
-                    self.tracer
-                        .emit(|| Event::system(now, id, EventKind::TentativeAccepted));
-                }
-                TxnOutcome::Rejected { reason } => {
-                    outcome.rejected += 1;
-                    self.last_rejections.push(reason);
-                    self.tracer
-                        .emit(|| Event::system(now, id, EventKind::TentativeRejected));
-                    // A rejection is the two-tier scheme's analogue of
-                    // a reconciliation: the user must be re-involved.
-                    self.tracer
-                        .emit(|| Event::system(now, id, EventKind::Reconcile));
-                }
-            }
-        }
-        for record in reply.refresh {
-            outcome.refreshed += 1;
-            for u in record.updates {
-                self.store
-                    .master_mut()
-                    .apply_lww(u.object, u.new_ts, u.value);
-            }
-        }
-        if outcome.refreshed > 0 {
-            self.tracer
-                .emit(|| Event::system(now, id, EventKind::ReplicaApply));
-        }
-        self.watermark = reply.head;
-        Some(outcome)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repl_core::base_tier::DedupId;
     use repl_core::{Criterion, Op, Operation};
+    use repl_storage::{ObjectId, Value};
 
     fn debit(obj: u64, amount: i64) -> TxnSpec {
         TxnSpec::new(vec![Operation::new(ObjectId(obj), Op::Debit(amount))])
@@ -675,10 +263,12 @@ mod tests {
         assert_eq!(total_rejected, 0, "commutative ops must all clear");
         // Everyone syncs again to pull the others' refreshes; all
         // replicas converge to the master state.
-        let want = base.snapshot().digest();
+        let want = base.snapshot();
         for m in &mut nodes {
             m.sync(&base);
-            assert_eq!(m.store.master().digest(), want);
+            for i in 0..8 {
+                assert_eq!(m.read(ObjectId(i)), &want.get(ObjectId(i)).value);
+            }
         }
         base.shutdown();
     }
@@ -739,72 +329,23 @@ mod tests {
     }
 
     #[test]
-    fn reply_crash_retry_does_not_double_execute() {
-        let base = BaseServer::spawn(1, 100);
-        let mut mobile = MobileNode::new(NodeId(1), 1, 100);
-        mobile.execute_tentative(debit(0, 30));
-        // The next two syncs commit durably but the reply is eaten by a
-        // crash; the third attempt gets through.
-        base.inject_reply_crashes(2);
-        let outcome = mobile
-            .sync_with_retry(&base, 5)
-            .expect("retry must eventually reach the base");
-        assert_eq!(outcome.accepted, 1);
-        // Deduplication: the debit ran exactly once despite three
-        // submissions of the same pending transaction.
-        assert_eq!(base.snapshot().get(ObjectId(0)).value, Value::Int(70));
-        assert_eq!(mobile.read(ObjectId(0)), &Value::Int(70));
-        base.shutdown();
-    }
-
-    #[test]
-    fn base_crash_restart_recovers_master_from_log() {
-        let mut base = BaseServer::spawn(2, 100);
-        base.execute(debit(0, 25));
-        base.execute(credit(1, 40));
-        let before = base.snapshot().digest();
-        base.crash();
-        assert!(base.is_crashed());
-        let replayed = base.restart();
-        assert_eq!(replayed, 2, "both commits replay from the log");
-        assert_eq!(base.snapshot().digest(), before, "master diverged");
-        base.shutdown();
-    }
-
-    #[test]
-    fn sync_against_crashed_base_fails_then_recovers() {
-        let mut base = BaseServer::spawn(1, 100);
-        let mut mobile = MobileNode::new(NodeId(1), 1, 100);
-        mobile.execute_tentative(debit(0, 10));
-        base.crash();
-        // Every attempt times out against the dead base; the pending
-        // queue survives for later.
-        assert!(mobile.sync_with_retry(&base, 2).is_none());
-        assert_eq!(mobile.pending_count(), 1);
-        base.restart();
-        let outcome = mobile
-            .sync_with_retry(&base, 5)
-            .expect("restarted base must answer");
-        assert_eq!(outcome.accepted, 1);
-        // The stale syncs queued while the base was down re-submitted
-        // the same dedup id; the debit still ran exactly once.
-        assert_eq!(base.snapshot().get(ObjectId(0)).value, Value::Int(90));
-        base.shutdown();
-    }
-
-    #[test]
     fn duplicate_sync_delivery_is_idempotent() {
-        // Satellite: a duplicated sync (same pendings delivered twice —
-        // e.g. the message layer duplicated the request) must not apply
+        // A duplicated sync (same pendings delivered twice — e.g. the
+        // message layer duplicated the request) must not apply
         // tentative transactions twice.
         let base = BaseServer::spawn(1, 100);
-        let mut mobile = MobileNode::new(NodeId(1), 1, 100);
-        mobile.execute_tentative(debit(0, 30));
-        let pendings = mobile.pending.clone();
+        let pendings = vec![Pending {
+            dedup: DedupId {
+                node: NodeId(1),
+                seq: 1,
+            },
+            spec: debit(0, 30),
+            tentative_results: vec![(ObjectId(0), Value::Int(70))],
+        }];
         // Deliver the same sync payload twice, as a duplicating network
         // would.
-        let r1 = base.try_sync(pendings.clone(), Lsn(0), Duration::from_secs(10));
-        let r2 = base.try_sync(pendings, Lsn(0), Duration::from_secs(10));
+        let r1 = base.try_sync(pendings.clone(), Lsn(0));
+        let r2 = base.try_sync(pendings, Lsn(0));
         assert!(r1.is_some() && r2.is_some());
         assert_eq!(
             base.snapshot().get(ObjectId(0)).value,
@@ -833,207 +374,5 @@ mod tests {
         assert_eq!(mobile.pending_count(), 0);
         assert_eq!(base.snapshot().get(ObjectId(0)).value, Value::Int(1));
         base.shutdown();
-    }
-
-    #[test]
-    fn retry_policy_backoff_doubles_and_caps() {
-        let policy = RetryPolicy::default();
-        let mut rng = SimRng::stream(0, "test");
-        assert_eq!(policy.backoff(1, &mut rng), Duration::from_millis(1));
-        assert_eq!(policy.backoff(2, &mut rng), Duration::from_millis(2));
-        assert_eq!(policy.backoff(4, &mut rng), Duration::from_millis(8));
-        assert_eq!(policy.backoff(7, &mut rng), Duration::from_millis(64));
-        assert_eq!(policy.backoff(30, &mut rng), Duration::from_millis(64));
-    }
-
-    #[test]
-    fn retry_policy_jitter_is_seeded_and_bounded() {
-        let policy = RetryPolicy {
-            jitter: 0.5,
-            ..RetryPolicy::default()
-        };
-        let draw = |seed: u64| {
-            let mut rng = SimRng::stream(seed, "test");
-            (0..6)
-                .map(|a| policy.backoff(a + 1, &mut rng))
-                .collect::<Vec<_>>()
-        };
-        // Deterministic: same seed, same delays.
-        assert_eq!(draw(7), draw(7));
-        // Bounded: within ±jitter/2 of the fixed schedule.
-        for (i, d) in draw(7).iter().enumerate() {
-            let fixed = Duration::from_millis(1 << i).min(Duration::from_millis(64));
-            assert!(
-                *d >= fixed.mul_f64(0.75) && *d <= fixed.mul_f64(1.25),
-                "{d:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn group_serves_syncs_like_a_single_base() {
-        let group = BaseGroup::spawn(3, 4, 100);
-        let mut mobile = MobileNode::new(NodeId(100), 4, 100);
-        mobile.execute_tentative(debit(0, 30));
-        let outcome = mobile.sync(&group);
-        assert_eq!(outcome.accepted, 1);
-        assert_eq!(
-            group.snapshot().unwrap().get(ObjectId(0)).value,
-            Value::Int(70)
-        );
-        assert_eq!(group.epoch(), 1);
-        assert_eq!(group.primary(), Some(NodeId(0)));
-        assert!(group.verify().is_empty());
-        group.shutdown();
-    }
-
-    #[test]
-    fn primary_crash_elects_most_caught_up_backup() {
-        let group = BaseGroup::spawn(3, 4, 100);
-        let mut mobile = MobileNode::new(NodeId(100), 4, 100);
-        mobile.execute_tentative(debit(0, 30));
-        mobile.sync(&group);
-        group.advance_to(5);
-        group.crash(0);
-        group.advance_to(9);
-        // Next sync triggers the election; backups hold the full log,
-        // so the lowest-id backup (1) wins epoch 2.
-        mobile.execute_tentative(debit(0, 20));
-        let outcome = mobile.sync_with_retry(&group, 4).expect("failover sync");
-        assert_eq!(outcome.accepted, 1);
-        assert_eq!(group.primary(), Some(NodeId(1)));
-        assert_eq!(group.epoch(), 2);
-        assert_eq!(group.elections(), 1);
-        // The unavailability window is the 4 ticks between crash and
-        // the election-triggering sync.
-        let m = group.metrics();
-        let h = m.histogram("failover_unavailability").expect("recorded");
-        assert_eq!(h.count(), 1);
-        // No acknowledged commit lost: the new primary serves the full
-        // state.
-        assert_eq!(
-            group.snapshot().unwrap().get(ObjectId(0)).value,
-            Value::Int(50)
-        );
-        assert!(group.verify().is_empty());
-        group.shutdown();
-    }
-
-    #[test]
-    fn commit_crash_failover_replays_cached_outcome_not_double_debit() {
-        let group = BaseGroup::spawn(3, 1, 100);
-        let mut mobile = MobileNode::new(NodeId(100), 1, 100);
-        mobile.execute_tentative(debit(0, 40));
-        // The primary commits and replicates, then dies before the
-        // reply leaves. The retry lands on the *new* primary, whose
-        // replicated dedup map answers from cache — no double debit.
-        assert!(group.inject_commit_crash());
-        let outcome = mobile.sync_with_retry(&group, 6).expect("failover");
-        assert_eq!(outcome.accepted, 1);
-        assert!(group.elections() >= 1);
-        assert_eq!(
-            group.snapshot().unwrap().get(ObjectId(0)).value,
-            Value::Int(60),
-            "exactly one debit across the failover"
-        );
-        assert!(group.verify().is_empty());
-        group.shutdown();
-    }
-
-    #[test]
-    fn below_quorum_degrades_to_stale_reads_and_recovers() {
-        let group = BaseGroup::spawn(3, 2, 100);
-        let mut mobile = MobileNode::new(NodeId(100), 2, 100);
-        mobile.execute_tentative(debit(0, 10));
-        mobile.sync(&group);
-        group.crash(0);
-        group.crash(1);
-        // One survivor of three: no electable quorum. Syncs go
-        // unanswered (the mobile queues), but stale reads still serve.
-        mobile.execute_tentative(debit(0, 5));
-        assert!(mobile.sync_with_retry(&group, 2).is_none());
-        assert_eq!(mobile.pending_count(), 1, "tentative sync queued");
-        assert!(!group.has_quorum());
-        assert_eq!(group.stale_read(ObjectId(0)), Some(Value::Int(90)));
-        // A replica rejoins: quorum is back, the queued sync drains.
-        group.restart(1);
-        assert!(group.has_quorum());
-        let outcome = mobile.sync_with_retry(&group, 4).expect("recovered");
-        assert_eq!(outcome.accepted, 1);
-        assert_eq!(
-            group.snapshot().unwrap().get(ObjectId(0)).value,
-            Value::Int(85)
-        );
-        assert!(group.verify().is_empty());
-        group.shutdown();
-    }
-
-    #[test]
-    fn overlapping_crash_windows_are_noops() {
-        let group = BaseGroup::spawn(3, 1, 10);
-        assert!(group.try_crash(2));
-        assert!(!group.try_crash(2), "second crash of a dead replica");
-        assert!(group.try_restart(2).is_some());
-        assert!(group.try_restart(2).is_none(), "second restart is a no-op");
-        group.shutdown();
-    }
-
-    #[test]
-    fn deposed_primary_rejoins_fenced_and_catches_up() {
-        let group = BaseGroup::spawn(3, 2, 100);
-        let mut mobile = MobileNode::new(NodeId(100), 2, 100);
-        mobile.execute_tentative(debit(0, 10));
-        mobile.sync(&group);
-        group.crash(0);
-        // Epoch 2 under a new primary, with commits the old one missed.
-        mobile.execute_tentative(debit(0, 20));
-        mobile.sync_with_retry(&group, 4).expect("failover");
-        assert_eq!(group.epoch(), 2);
-        // The deposed primary rejoins as a backup and catches up.
-        group.restart(0);
-        assert_eq!(group.primary(), Some(NodeId(1)), "restart does not reclaim");
-        // Kill the current primary: replica 0 is electable again and
-        // must hold the epoch-2 commits it caught up on.
-        group.crash(1);
-        mobile.execute_tentative(debit(0, 30));
-        let outcome = mobile.sync_with_retry(&group, 4).expect("second failover");
-        assert_eq!(outcome.accepted, 1);
-        assert_eq!(group.primary(), Some(NodeId(0)));
-        assert_eq!(
-            group.snapshot().unwrap().get(ObjectId(0)).value,
-            Value::Int(40),
-            "all three debits survive two failovers"
-        );
-        assert!(group.verify().is_empty());
-        group.shutdown();
-    }
-
-    #[test]
-    fn traced_failover_emits_election_events() {
-        use repl_telemetry::RingBuffer;
-        use std::sync::{Arc, Mutex};
-        let ring = Arc::new(Mutex::new(RingBuffer::new(1024)));
-        let tracer = SyncTraceHandle::shared(&ring);
-        let group = BaseGroup::spawn_traced(3, 1, 100, tracer.clone());
-        let mut mobile = MobileNode::new(NodeId(100), 1, 100).with_tracer(tracer);
-        mobile.execute_tentative(debit(0, 10));
-        mobile.sync(&group);
-        // A commit-crash kills the primary mid-sync: the first attempt
-        // dies unanswered (forcing a SyncRetried), the retry elects.
-        group.inject_commit_crash();
-        mobile.execute_tentative(debit(0, 5));
-        mobile.sync_with_retry(&group, 4).expect("failover");
-        group.shutdown();
-        let ring = ring.lock().unwrap();
-        let count = |pred: fn(&EventKind) -> bool| ring.events().filter(|e| pred(&e.kind)).count();
-        assert_eq!(
-            count(|k| matches!(k, EventKind::LeaderElected { .. })),
-            2,
-            "initial leader + failover"
-        );
-        assert!(
-            count(|k| matches!(k, EventKind::SyncRetried { .. })) >= 1,
-            "the failed attempt against the dead primary must be retried"
-        );
     }
 }

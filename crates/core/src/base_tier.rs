@@ -1,4 +1,5 @@
-//! The two-tier base tier (§7) as a transport-free state machine.
+//! The two-tier protocol (§7) as transport-free state machines: the
+//! base tier and the mobile node that syncs against it.
 //!
 //! A [`Replica`] is one base node: durable state (commit log, dedup
 //! outcomes, epoch, appends queued while it was down) that survives a
@@ -13,24 +14,29 @@
 //! ([`crate::election`]) among the survivors and catches the laggards
 //! up before it accepts writes again.
 //!
+//! A [`MobileNode`] is a disconnected client holding (master,
+//! tentative) dual versions. It executes tentative transactions
+//! locally, logs their input parameters, and on [`MobileNode::sync`]
+//! re-submits them in commit order to any [`SyncTarget`].
+//!
 //! Every step is an ordinary method call and no outcome waits on a
 //! clock, so the same crash schedule produces the same leaders, the
-//! same metrics and the same trace, event for event. The transport
-//! lives with the driver: `repl_cluster::two_tier` puts one [`Replica`]
-//! behind a real channel with reply deadlines; a simulation can drive a
-//! [`BaseGroup`] from its own events.
+//! same metrics and the same trace, event for event. A failed sync is
+//! retried at once: there is nothing to wait for. The transport lives
+//! with the driver: `repl_cluster::two_tier` puts one [`Replica`]
+//! behind a channel; a simulation can drive a [`BaseGroup`] from its
+//! own events.
 
 use crate::election::{self, Candidate, ElectionOutcome, Epoch, Tally, VoteReply, VoteRequest};
 use crate::TxnSpec;
 use repl_sim::SimTime;
 use repl_storage::hash::FastMap;
 use repl_storage::{
-    CommitLog, CommitRecord, LamportClock, Lsn, NodeId, ObjectId, ObjectStore, Timestamp, TxnId,
-    UpdateRecord, Value,
+    CommitLog, CommitRecord, LamportClock, Lsn, NodeId, ObjectId, ObjectStore, TentativeStore,
+    Timestamp, TxnId, UpdateRecord, Value,
 };
 use repl_telemetry::{AbortReason, Event, EventKind, RunMetrics, SyncTraceHandle};
 use std::cell::RefCell;
-use std::time::Duration;
 
 /// Globally unique identity of one tentative transaction, assigned at
 /// its originating mobile node. The base remembers the outcome of every
@@ -86,20 +92,16 @@ pub struct SyncReply {
     /// The base commit-log head after this sync; the mobile's next
     /// watermark.
     pub head: Lsn,
-    /// Replication sequence number covering this sync's base commits
-    /// (0 when the target is an unreplicated base or the log is
-    /// empty). [`BaseGroup`] records it as an acknowledged write for
-    /// the lost-commit oracle.
-    pub repl_seq: u64,
 }
 
 /// Anything a mobile node can sync against: a single base server or
 /// the replicated [`BaseGroup`].
 pub trait SyncTarget {
-    /// One sync round-trip. `None` when the base tier did not answer
-    /// (crashed, down, or degraded below quorum) — the caller should
-    /// retry; [`DedupId`]s make the retry exactly-once.
-    fn try_sync(&self, pendings: Vec<Pending>, from: Lsn, timeout: Duration) -> Option<SyncReply>;
+    /// One sync round-trip. `None` when the base tier did not answer (a
+    /// primary died mid-sync, a group is below quorum, or a server's
+    /// thread is gone) — the caller should retry; [`DedupId`]s make the
+    /// retry exactly-once.
+    fn try_sync(&self, pendings: Vec<Pending>, from: Lsn) -> Option<SyncReply>;
 }
 
 /// One replication shipment, primary → backups: the commit records one
@@ -180,7 +182,7 @@ impl Replica {
     }
 
     /// Emit a system event from this replica at its current tick.
-    pub fn emit(&self, kind: EventKind) {
+    fn emit(&self, kind: EventKind) {
         self.tracer
             .emit(|| Event::system(SimTime(self.tick), self.node, kind));
     }
@@ -432,8 +434,8 @@ struct Group {
     /// Every `(epoch, leader)` installation, for the leader-safety
     /// oracle.
     leadership: Vec<(u64, NodeId)>,
-    /// Every `(repl_seq, epoch)` acknowledged to a client, for the
-    /// lost-commit oracle.
+    /// The primary's `(log head, epoch)` at every acknowledgement to a
+    /// client, for the lost-commit oracle.
     acked: Vec<(u64, u64)>,
     elections: u64,
     metrics: RunMetrics,
@@ -592,7 +594,7 @@ impl Group {
 /// use repl_core::{Criterion, Op, Operation, TxnSpec};
 /// use repl_storage::{NodeId, ObjectId, Value};
 ///
-/// let group = BaseGroup::spawn(3, 4, 100);
+/// let group = BaseGroup::new(3, 4, 100);
 /// let debit = TxnSpec::new(vec![Operation::new(ObjectId(0), Op::Debit(30))])
 ///     .with_criterion(Criterion::NonNegative);
 /// group.try_crash(0); // kill the primary
@@ -612,15 +614,15 @@ impl BaseGroup {
     ///
     /// # Panics
     /// If `replicas` is zero.
-    pub fn spawn(replicas: usize, db_size: u64, initial_value: i64) -> Self {
-        BaseGroup::spawn_traced(replicas, db_size, initial_value, SyncTraceHandle::off())
+    pub fn new(replicas: usize, db_size: u64, initial_value: i64) -> Self {
+        BaseGroup::new_traced(replicas, db_size, initial_value, SyncTraceHandle::off())
     }
 
-    /// Like [`BaseGroup::spawn`], with telemetry: replicas and the
-    /// group control plane emit commit, replication, election, fence,
-    /// and catch-up events through `tracer`. Replica `i` reports as
+    /// Like [`BaseGroup::new`], with telemetry: replicas and the group
+    /// control plane emit commit, replication, election, fence, and
+    /// catch-up events through `tracer`. Replica `i` reports as
     /// `NodeId(i)`; give mobiles ids outside `0..replicas`.
-    pub fn spawn_traced(
+    pub fn new_traced(
         replicas: usize,
         db_size: u64,
         initial_value: i64,
@@ -798,7 +800,7 @@ impl BaseGroup {
         self.inner.borrow().leadership.clone()
     }
 
-    /// Acknowledged writes so far, as `(repl_seq, epoch)` pairs.
+    /// Acknowledged writes so far, as `(log head, epoch)` pairs.
     pub fn acked(&self) -> Vec<(u64, u64)> {
         self.inner.borrow().acked.clone()
     }
@@ -842,9 +844,8 @@ impl SyncTarget for BaseGroup {
     /// first if the old primary is dead. `None` when the group is
     /// below quorum (degraded: the mobile keeps its tentative queue)
     /// or the primary died mid-sync — the retry is exactly-once by
-    /// [`DedupId`], even when a different replica answers it. There is
-    /// nothing to wait for, so `_timeout` is ignored.
-    fn try_sync(&self, pendings: Vec<Pending>, from: Lsn, _timeout: Duration) -> Option<SyncReply> {
+    /// [`DedupId`], even when a different replica answers it.
+    fn try_sync(&self, pendings: Vec<Pending>, from: Lsn) -> Option<SyncReply> {
         let mut inner = self.inner.borrow_mut();
         let p = inner.ensure_primary()?;
         let start = inner.replicas[p].log.head();
@@ -862,8 +863,226 @@ impl SyncTarget for BaseGroup {
             outcomes,
             refresh: log.since(from).to_vec(),
             head: log.head(),
-            repl_seq: log.head().0,
         })
+    }
+}
+
+/// Result summary of one [`MobileNode::sync`].
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct SyncOutcome {
+    /// Tentative transactions the base accepted.
+    pub accepted: u64,
+    /// Tentative transactions the base rejected (with diagnostics in
+    /// [`MobileNode::last_rejections`]).
+    pub rejected: u64,
+    /// Replica commits applied to the local master versions.
+    pub refreshed: u64,
+}
+
+/// A mobile (usually disconnected) client node.
+///
+/// It syncs against the replicated [`BaseGroup`] like against a single
+/// base, and its retry loop rides out a failover:
+///
+/// ```
+/// use repl_core::base_tier::{BaseGroup, MobileNode};
+/// use repl_core::{Criterion, Op, Operation, TxnSpec};
+/// use repl_storage::{NodeId, ObjectId};
+///
+/// let group = BaseGroup::new(3, 4, 100);
+/// let mut mobile = MobileNode::new(NodeId(100), 4, 100);
+/// mobile.execute_tentative(
+///     TxnSpec::new(vec![Operation::new(ObjectId(0), Op::Debit(30))])
+///         .with_criterion(Criterion::NonNegative),
+/// );
+/// group.try_crash(0); // kill the primary
+/// let outcome = mobile.sync_with_retry(&group, 8).expect("failover");
+/// assert_eq!(outcome.accepted, 1);
+/// assert_eq!(group.epoch(), 2); // a new leader took over
+/// ```
+pub struct MobileNode {
+    id: NodeId,
+    store: TentativeStore,
+    clock: LamportClock,
+    pending: Vec<Pending>,
+    watermark: Lsn,
+    /// Sequence counter feeding each tentative transaction's
+    /// [`DedupId`].
+    next_seq: u64,
+    last_rejections: Vec<String>,
+    tracer: SyncTraceHandle,
+    // Logical tick for event timestamps: one per tentative execution
+    // or sync, mirroring the replica's convention.
+    tick: u64,
+}
+
+impl MobileNode {
+    /// A fresh mobile node over a `db_size`-object replica (sync before
+    /// first use to pull the real master versions).
+    pub fn new(id: NodeId, db_size: u64, initial_value: i64) -> Self {
+        let mut store = TentativeStore::new(db_size);
+        for i in 0..db_size {
+            store
+                .master_mut()
+                .set(ObjectId(i), Value::Int(initial_value), Timestamp::ZERO);
+        }
+        MobileNode {
+            id,
+            store,
+            clock: LamportClock::new(id),
+            pending: Vec::new(),
+            watermark: Lsn(0),
+            next_seq: 0,
+            last_rejections: Vec::new(),
+            tracer: SyncTraceHandle::off(),
+            tick: 0,
+        }
+    }
+
+    /// Attach a tracer; the node emits tentative-commit, sync, and
+    /// refresh events through it.
+    #[must_use]
+    pub fn with_tracer(mut self, tracer: SyncTraceHandle) -> Self {
+        self.tracer = tracer;
+        self
+    }
+
+    /// The node id.
+    pub fn id(&self) -> NodeId {
+        self.id
+    }
+
+    /// Read through the tentative overlay ("if it updated documents …
+    /// those tentative updates are all visible at the mobile node").
+    pub fn read(&self, obj: ObjectId) -> &Value {
+        &self.store.read(obj).value
+    }
+
+    /// Number of tentative transactions awaiting re-execution.
+    pub fn pending_count(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Diagnostics from the most recent sync's rejections.
+    pub fn last_rejections(&self) -> &[String] {
+        &self.last_rejections
+    }
+
+    /// Execute a tentative transaction against local tentative
+    /// versions and log it for base re-execution.
+    pub fn execute_tentative(&mut self, spec: TxnSpec) -> Vec<(ObjectId, Value)> {
+        self.tick += 1;
+        let now = SimTime(self.tick);
+        let mut results = Vec::with_capacity(spec.ops.len());
+        for op in &spec.ops {
+            let current = self.store.read(op.object).value.clone();
+            let new = op.op.apply(&current);
+            let ts = self.clock.tick();
+            self.store.write_tentative(op.object, new.clone(), ts);
+            results.push((op.object, new));
+        }
+        self.next_seq += 1;
+        self.pending.push(Pending {
+            dedup: DedupId {
+                node: self.id,
+                seq: self.next_seq,
+            },
+            spec,
+            tentative_results: results.clone(),
+        });
+        let id = self.id;
+        self.tracer
+            .emit(|| Event::system(now, id, EventKind::TentativeCommit));
+        results
+    }
+
+    /// Reconnect: §7's five steps — discard tentative versions, ship
+    /// the tentative transactions in commit order, apply the deferred
+    /// replica refresh, learn each transaction's fate.
+    ///
+    /// # Panics
+    /// If the base tier does not answer; use
+    /// [`MobileNode::sync_with_retry`] against one that can fail.
+    pub fn sync(&mut self, base: &impl SyncTarget) -> SyncOutcome {
+        self.try_sync(base).expect("the base tier did not answer")
+    }
+
+    /// Like [`MobileNode::sync`], but an unanswered attempt is retried
+    /// at once, up to `max_attempts` attempts in all. Re-submission is
+    /// safe: each tentative transaction carries a [`DedupId`], so a
+    /// retry of a sync the base already committed returns the recorded
+    /// outcomes instead of executing twice — including when a failover
+    /// put a *different* replica behind the same [`SyncTarget`] between
+    /// attempts. Returns `None` if every attempt failed (pending
+    /// transactions are retained for a later sync). Each re-attempt
+    /// emits a [`EventKind::SyncRetried`] event.
+    pub fn sync_with_retry(
+        &mut self,
+        base: &impl SyncTarget,
+        max_attempts: u32,
+    ) -> Option<SyncOutcome> {
+        for attempt in 0..max_attempts {
+            if attempt > 0 {
+                let (id, now) = (self.id, SimTime(self.tick));
+                self.tracer
+                    .emit(|| Event::system(now, id, EventKind::SyncRetried { attempt }));
+            }
+            if let Some(outcome) = self.try_sync(base) {
+                return Some(outcome);
+            }
+        }
+        None
+    }
+
+    /// One sync attempt. On failure (`None`) the node keeps its
+    /// tentative versions and pending queue untouched, so the attempt
+    /// can be repeated verbatim.
+    fn try_sync(&mut self, base: &impl SyncTarget) -> Option<SyncOutcome> {
+        self.tick += 1;
+        let now = SimTime(self.tick);
+        let id = self.id;
+        self.tracer
+            .emit(|| Event::system(now, id, EventKind::Reconnect));
+        self.tracer
+            .emit(|| Event::system(now, id, EventKind::MsgSent { to: NodeId(0) }));
+        let reply = base.try_sync(self.pending.clone(), self.watermark)?;
+        self.store.discard_tentative();
+        self.pending.clear();
+        let mut outcome = SyncOutcome::default();
+        self.last_rejections.clear();
+        for o in reply.outcomes {
+            match o {
+                TxnOutcome::Accepted(_) => {
+                    outcome.accepted += 1;
+                    self.tracer
+                        .emit(|| Event::system(now, id, EventKind::TentativeAccepted));
+                }
+                TxnOutcome::Rejected { reason } => {
+                    outcome.rejected += 1;
+                    self.last_rejections.push(reason);
+                    self.tracer
+                        .emit(|| Event::system(now, id, EventKind::TentativeRejected));
+                    // A rejection is the two-tier scheme's analogue of
+                    // a reconciliation: the user must be re-involved.
+                    self.tracer
+                        .emit(|| Event::system(now, id, EventKind::Reconcile));
+                }
+            }
+        }
+        for record in reply.refresh {
+            outcome.refreshed += 1;
+            for u in record.updates {
+                self.store
+                    .master_mut()
+                    .apply_lww(u.object, u.new_ts, u.value);
+            }
+        }
+        if outcome.refreshed > 0 {
+            self.tracer
+                .emit(|| Event::system(now, id, EventKind::ReplicaApply));
+        }
+        self.watermark = reply.head;
+        Some(outcome)
     }
 }
 
@@ -872,25 +1091,30 @@ mod tests {
     use super::*;
     use crate::{Criterion, Op, Operation};
 
-    fn debit(node: u32, obj: u64, amount: i64) -> Vec<Pending> {
+    fn debit(obj: u64, amount: i64) -> TxnSpec {
+        TxnSpec::new(vec![Operation::new(ObjectId(obj), Op::Debit(amount))])
+            .with_criterion(Criterion::NonNegative)
+    }
+
+    /// Mobile `node`'s first tentative transaction, a debit from 100.
+    fn pending_debit(node: u32, obj: u64, amount: i64) -> Vec<Pending> {
         vec![Pending {
             dedup: DedupId {
                 node: NodeId(node),
                 seq: 1,
             },
-            spec: TxnSpec::new(vec![Operation::new(ObjectId(obj), Op::Debit(amount))])
-                .with_criterion(Criterion::NonNegative),
+            spec: debit(obj, amount),
             tentative_results: vec![(ObjectId(obj), Value::Int(100 - amount))],
         }]
     }
 
     fn sync(group: &BaseGroup, pendings: Vec<Pending>) -> Option<SyncReply> {
-        group.try_sync(pendings, Lsn(0), Duration::ZERO)
+        group.try_sync(pendings, Lsn(0))
     }
 
     #[test]
     fn a_replica_the_group_does_not_have_is_vacuous() {
-        let group = BaseGroup::spawn(3, 1, 100);
+        let group = BaseGroup::new(3, 1, 100);
         assert!(!group.try_crash(3), "nothing to crash");
         assert!(!group.is_crashed(3), "an absent replica is not down");
         assert_eq!(group.try_restart(3), None, "nothing to restart");
@@ -901,16 +1125,16 @@ mod tests {
 
     #[test]
     fn fenced_batch_leaves_no_gap_in_the_rejoining_log() {
-        let group = BaseGroup::spawn(3, 2, 100);
+        let group = BaseGroup::new(3, 2, 100);
         group.crash(0);
         // Replica 1 wins epoch 2, commits a debit, ships it (replica 0
         // queues it) and dies before replying.
         assert!(group.inject_commit_crash());
-        assert!(sync(&group, debit(100, 1, 8)).is_none());
+        assert!(sync(&group, pending_debit(100, 1, 8)).is_none());
         // Back up, it wins epoch 3 and commits a second debit, which
         // replica 0 queues behind the first.
         group.restart(1);
-        assert!(sync(&group, debit(101, 0, 3)).is_some());
+        assert!(sync(&group, pending_debit(101, 0, 3)).is_some());
         assert_eq!(group.epoch(), 3);
         // Replica 0 rejoins at epoch 3: the epoch-2 batch is fenced, so
         // the epoch-3 batch starts one record past its log head and
@@ -925,5 +1149,172 @@ mod tests {
         assert_eq!(master.get(ObjectId(1)).value, Value::Int(92));
         assert_eq!(master.get(ObjectId(0)).value, Value::Int(97));
         assert_eq!(group.verify(), vec![]);
+    }
+
+    #[test]
+    fn group_serves_syncs_like_a_single_base() {
+        let group = BaseGroup::new(3, 4, 100);
+        let mut mobile = MobileNode::new(NodeId(100), 4, 100);
+        mobile.execute_tentative(debit(0, 30));
+        let outcome = mobile.sync(&group);
+        assert_eq!(outcome.accepted, 1);
+        assert_eq!(
+            group.snapshot().unwrap().get(ObjectId(0)).value,
+            Value::Int(70)
+        );
+        assert_eq!(group.epoch(), 1);
+        assert_eq!(group.primary(), Some(NodeId(0)));
+        assert!(group.verify().is_empty());
+        group.shutdown();
+    }
+
+    #[test]
+    fn primary_crash_elects_most_caught_up_backup() {
+        let group = BaseGroup::new(3, 4, 100);
+        let mut mobile = MobileNode::new(NodeId(100), 4, 100);
+        mobile.execute_tentative(debit(0, 30));
+        mobile.sync(&group);
+        group.advance_to(5);
+        group.crash(0);
+        group.advance_to(9);
+        // Next sync triggers the election; backups hold the full log,
+        // so the lowest-id backup (1) wins epoch 2.
+        mobile.execute_tentative(debit(0, 20));
+        let outcome = mobile.sync_with_retry(&group, 4).expect("failover sync");
+        assert_eq!(outcome.accepted, 1);
+        assert_eq!(group.primary(), Some(NodeId(1)));
+        assert_eq!(group.epoch(), 2);
+        assert_eq!(group.elections(), 1);
+        // The unavailability window is the 4 ticks between crash and
+        // the election-triggering sync.
+        let m = group.metrics();
+        let h = m.histogram("failover_unavailability").expect("recorded");
+        assert_eq!(h.count(), 1);
+        // No acknowledged commit lost: the new primary serves the full
+        // state.
+        assert_eq!(
+            group.snapshot().unwrap().get(ObjectId(0)).value,
+            Value::Int(50)
+        );
+        assert!(group.verify().is_empty());
+        group.shutdown();
+    }
+
+    #[test]
+    fn commit_crash_failover_replays_cached_outcome_not_double_debit() {
+        let group = BaseGroup::new(3, 1, 100);
+        let mut mobile = MobileNode::new(NodeId(100), 1, 100);
+        mobile.execute_tentative(debit(0, 40));
+        // The primary commits and replicates, then dies before the
+        // reply leaves. The retry lands on the *new* primary, whose
+        // replicated dedup map answers from cache — no double debit.
+        assert!(group.inject_commit_crash());
+        let outcome = mobile.sync_with_retry(&group, 6).expect("failover");
+        assert_eq!(outcome.accepted, 1);
+        assert!(group.elections() >= 1);
+        assert_eq!(
+            group.snapshot().unwrap().get(ObjectId(0)).value,
+            Value::Int(60),
+            "exactly one debit across the failover"
+        );
+        assert!(group.verify().is_empty());
+        group.shutdown();
+    }
+
+    #[test]
+    fn below_quorum_degrades_to_stale_reads_and_recovers() {
+        let group = BaseGroup::new(3, 2, 100);
+        let mut mobile = MobileNode::new(NodeId(100), 2, 100);
+        mobile.execute_tentative(debit(0, 10));
+        mobile.sync(&group);
+        group.crash(0);
+        group.crash(1);
+        // One survivor of three: no electable quorum. Syncs go
+        // unanswered (the mobile queues), but stale reads still serve.
+        mobile.execute_tentative(debit(0, 5));
+        assert!(mobile.sync_with_retry(&group, 2).is_none());
+        assert_eq!(mobile.pending_count(), 1, "tentative sync queued");
+        assert!(!group.has_quorum());
+        assert_eq!(group.stale_read(ObjectId(0)), Some(Value::Int(90)));
+        // A replica rejoins: quorum is back, the queued sync drains.
+        group.restart(1);
+        assert!(group.has_quorum());
+        let outcome = mobile.sync_with_retry(&group, 4).expect("recovered");
+        assert_eq!(outcome.accepted, 1);
+        assert_eq!(
+            group.snapshot().unwrap().get(ObjectId(0)).value,
+            Value::Int(85)
+        );
+        assert!(group.verify().is_empty());
+        group.shutdown();
+    }
+
+    #[test]
+    fn overlapping_crash_windows_are_noops() {
+        let group = BaseGroup::new(3, 1, 10);
+        assert!(group.try_crash(2));
+        assert!(!group.try_crash(2), "second crash of a dead replica");
+        assert!(group.try_restart(2).is_some());
+        assert!(group.try_restart(2).is_none(), "second restart is a no-op");
+        group.shutdown();
+    }
+
+    #[test]
+    fn deposed_primary_rejoins_fenced_and_catches_up() {
+        let group = BaseGroup::new(3, 2, 100);
+        let mut mobile = MobileNode::new(NodeId(100), 2, 100);
+        mobile.execute_tentative(debit(0, 10));
+        mobile.sync(&group);
+        group.crash(0);
+        // Epoch 2 under a new primary, with commits the old one missed.
+        mobile.execute_tentative(debit(0, 20));
+        mobile.sync_with_retry(&group, 4).expect("failover");
+        assert_eq!(group.epoch(), 2);
+        // The deposed primary rejoins as a backup and catches up.
+        group.restart(0);
+        assert_eq!(group.primary(), Some(NodeId(1)), "restart does not reclaim");
+        // Kill the current primary: replica 0 is electable again and
+        // must hold the epoch-2 commits it caught up on.
+        group.crash(1);
+        mobile.execute_tentative(debit(0, 30));
+        let outcome = mobile.sync_with_retry(&group, 4).expect("second failover");
+        assert_eq!(outcome.accepted, 1);
+        assert_eq!(group.primary(), Some(NodeId(0)));
+        assert_eq!(
+            group.snapshot().unwrap().get(ObjectId(0)).value,
+            Value::Int(40),
+            "all three debits survive two failovers"
+        );
+        assert!(group.verify().is_empty());
+        group.shutdown();
+    }
+
+    #[test]
+    fn traced_failover_emits_election_events() {
+        use repl_telemetry::RingBuffer;
+        use std::sync::{Arc, Mutex};
+        let ring = Arc::new(Mutex::new(RingBuffer::new(1024)));
+        let tracer = SyncTraceHandle::shared(&ring);
+        let group = BaseGroup::new_traced(3, 1, 100, tracer.clone());
+        let mut mobile = MobileNode::new(NodeId(100), 1, 100).with_tracer(tracer);
+        mobile.execute_tentative(debit(0, 10));
+        mobile.sync(&group);
+        // A commit-crash kills the primary mid-sync: the first attempt
+        // dies unanswered (forcing a SyncRetried), the retry elects.
+        group.inject_commit_crash();
+        mobile.execute_tentative(debit(0, 5));
+        mobile.sync_with_retry(&group, 4).expect("failover");
+        group.shutdown();
+        let ring = ring.lock().unwrap();
+        let count = |pred: fn(&EventKind) -> bool| ring.events().filter(|e| pred(&e.kind)).count();
+        assert_eq!(
+            count(|k| matches!(k, EventKind::LeaderElected { .. })),
+            2,
+            "initial leader + failover"
+        );
+        assert!(
+            count(|k| matches!(k, EventKind::SyncRetried { .. })) >= 1,
+            "the failed attempt against the dead primary must be retried"
+        );
     }
 }

@@ -8,9 +8,9 @@
 //!   [`engine`],
 //! * the paper's proposed **two-tier replication** scheme
 //!   ([`engine::two_tier`]), with tentative transactions, acceptance
-//!   criteria and reconnect synchronization, and its base tier as a
-//!   transport-free state machine with epoch-fenced failover
-//!   ([`base_tier`], [`election`]),
+//!   criteria and reconnect synchronization, and its base tier and
+//!   mobile node as transport-free state machines with epoch-fenced
+//!   failover ([`base_tier`], [`election`]),
 //! * the §6 convergence machinery: commutative operation design
 //!   ([`op`]) and the Notes/Access-style convergent stores
 //!   ([`convergent`]); the reconciliation rules that actually run are

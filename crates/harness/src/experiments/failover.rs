@@ -19,14 +19,13 @@
 use crate::par::run_points;
 use crate::table::Table;
 use crate::RunOpts;
-use repl_cluster::two_tier::{BaseGroup, MobileNode, RetryPolicy};
+use repl_core::base_tier::{BaseGroup, MobileNode};
 use repl_core::{Criterion, Op, Operation, TxnSpec};
 use repl_net::CrashWindow;
 use repl_sim::SimRng;
 use repl_storage::{NodeId, ObjectId};
 use repl_telemetry::{Event, RingBuffer, RunMetrics, SyncTraceHandle};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Replicas in the base group. Three tolerates one failure. Public so
 /// the CLI can validate `crash=baseN` fault clauses against the group
@@ -82,22 +81,10 @@ fn drive(
         .as_ref()
         .map(SyncTraceHandle::shared)
         .unwrap_or_else(SyncTraceHandle::off);
-    let group = BaseGroup::spawn_traced(REPLICAS, DB_SIZE, BALANCE, tracer.clone());
+    let group = BaseGroup::new_traced(REPLICAS, DB_SIZE, BALANCE, tracer.clone());
     let mut mobiles: Vec<MobileNode> = (0..MOBILES)
-        .map(|i| {
-            // Mobile ids live outside the replica id space. Spinning
-            // retries burn real time, so keep backoff tiny; the
-            // measured windows are logical ticks, not wall clock.
-            MobileNode::new(NodeId(100 + i), DB_SIZE, BALANCE)
-                .with_tracer(tracer.clone())
-                .with_retry_policy(RetryPolicy {
-                    base: Duration::from_micros(50),
-                    cap: Duration::from_micros(400),
-                    jitter: 0.5,
-                    seed,
-                    attempt_timeout: Duration::from_secs(2),
-                })
-        })
+        // Mobile ids live outside the replica id space.
+        .map(|i| MobileNode::new(NodeId(100 + i), DB_SIZE, BALANCE).with_tracer(tracer.clone()))
         .collect();
     let mut rng = SimRng::stream(seed, "failover-schedule");
     let mut crashes = 0u64;

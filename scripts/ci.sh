@@ -50,6 +50,20 @@ only_in_kernel 'Network::new' 'FaultInjector::new' 'clear_faults' \
     '\.partition(' 'heal_partition'
 echo "ok: one Network, one fault install, one partition"
 
+say "state machines read no clock: non-test repl-core code names no std::time, std::thread or Instant"
+# Every protocol in repl-core is a state machine: time is the kernel's
+# simulated clock or a driver's tick. A wall clock, a sleep or a thread
+# there would make an outcome depend on the host.
+clock_hits="$(find crates/core/src -name '*.rs' | sort | while read -r f; do
+    awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f"
+done | grep -E 'std::time|std::thread|\bInstant\b' || true)"
+[ -z "$clock_hits" ] || {
+    echo "$clock_hits" >&2
+    echo "repl-core reads a clock or starts a thread; drive it from a tick instead" >&2
+    exit 1
+}
+echo "ok: no clock, sleep or thread in repl-core"
+
 say "cargo build --release"
 cargo build --release --workspace
 

@@ -1,14 +1,13 @@
 //! Fault-injection invariants across the stack: the simulated fabric
-//! (lazy-group under a full chaos plan) and the threaded runtime
-//! (cluster crash/recovery, two-tier base crashes).
+//! (lazy-group under a full chaos plan, crash recovery by replay) and
+//! the two-tier base tier's state machine (base crashes under a mobile).
 //!
 //! The paper's convergence property (§6) must hold no matter what the
 //! network did during the run: once traffic stops and everything heals,
 //! all replicas agree. These tests drive the worst plan the fault
 //! subsystem can express and check exactly that.
 
-use dangers_of_replication::cluster::two_tier::{BaseServer, MobileNode};
-use dangers_of_replication::cluster::Cluster;
+use dangers_of_replication::core::base_tier::{BaseGroup, MobileNode};
 use dangers_of_replication::core::engine::lazy_group::LazyGroupSim;
 use dangers_of_replication::core::{
     Criterion, DeadlockPolicy, Mobility, Op, Operation, SimConfig, TxnSpec,
@@ -17,6 +16,9 @@ use dangers_of_replication::model::Params;
 use dangers_of_replication::net::{CrashWindow, FaultPlan, PartitionWindow};
 use dangers_of_replication::sim::{SimDuration, SimTime};
 use dangers_of_replication::storage::{NodeId, ObjectId, Value};
+use dangers_of_replication::telemetry::{Event, EventKind, TraceHandle, Tracer};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Message chaos, one partition, one crash — everything at once.
 fn full_plan(seed: u64) -> FaultPlan {
@@ -128,36 +130,48 @@ fn deadlock_policies_use_disjoint_mechanisms_under_chaos() {
     assert!(t_stores.iter().all(|s| s.digest() == d0));
 }
 
-#[test]
-fn cluster_recovery_replay_is_lossless() {
-    let cluster = {
-        let mut c = Cluster::new(3, 8);
-        for round in 0..5i64 {
-            for node in 0..3u32 {
-                c.execute_one(
-                    NodeId(node),
-                    ObjectId((round as u64 + u64::from(node)) % 8),
-                    Op::Add(10 * round + i64::from(node)),
-                );
-            }
+/// Every `RecoveryReplay` a run traces, as `(node, messages)`.
+#[derive(Default)]
+struct Replays(Vec<(NodeId, u64)>);
+
+impl Tracer for Replays {
+    fn record(&mut self, e: &Event) {
+        if let EventKind::RecoveryReplay { messages } = e.kind {
+            self.0.push((e.node, messages));
         }
-        c.quiesce();
-        c.crash(NodeId(1));
-        // Peers keep writing while node 1 is down; their propagation to
-        // it queues as undelivered backlog.
-        c.execute_one(NodeId(0), ObjectId(3), Op::Set(Value::Int(777)));
-        c.execute_one(NodeId(2), ObjectId(5), Op::Set(Value::Int(888)));
-        let replayed = c.restart(NodeId(1));
-        assert!(replayed > 0, "recovery replayed nothing from the WAL");
-        c.quiesce();
-        c
-    };
-    let digests = cluster.digests();
+    }
+}
+
+/// A crashed lazy-group node misses the propagation its peers keep
+/// committing; the fabric parks that backlog, and the restart replays
+/// it. No update may be lost: after the drain every store agrees. The
+/// database is large and the window ends late, so later writes cannot
+/// paper over a backlog the restart failed to replay.
+#[test]
+fn lazy_group_recovery_replay_is_lossless() {
+    let mut plan = FaultPlan::quiet(3);
+    plan.crashes.push(CrashWindow {
+        node: NodeId(1),
+        at: SimTime::from_secs(20),
+        restart: SimTime::from_secs(50),
+    });
+    let p = Params::new(2000.0, 4.0, 10.0, 4.0, 0.01);
+    let cfg = SimConfig::from_params(&p, 60, 3);
+    let replays = Rc::new(RefCell::new(Replays::default()));
+    let (report, stores) = LazyGroupSim::new(cfg, Mobility::Connected)
+        .with_faults(plan)
+        .with_tracer(TraceHandle::shared(&replays))
+        .run_with_state();
+    assert_eq!(report.node_crashes, 1);
+    let replays = &replays.borrow().0;
     assert!(
-        digests.iter().all(|d| *d == digests[0]),
-        "replicas diverged after crash recovery: {digests:?}"
+        replays.iter().any(|&(n, m)| n == NodeId(1) && m > 0),
+        "node 1 replayed no parked propagation: {replays:?}"
     );
-    cluster.shutdown();
+    let d0 = stores[0].digest();
+    for (i, s) in stores.iter().enumerate() {
+        assert_eq!(s.digest(), d0, "node {i} diverged after recovery");
+    }
 }
 
 #[test]
@@ -167,43 +181,51 @@ fn two_tier_master_survives_base_crashes_without_divergence() {
             .with_criterion(Criterion::NonNegative)
     }
 
-    let mut base = BaseServer::spawn(4, 100);
+    // One replica: the group behaves as a single base server.
+    let group = BaseGroup::new(1, 4, 100);
     let mut mobile = MobileNode::new(NodeId(1), 4, 100);
 
-    // A sync whose reply is lost: the retry must not double-debit.
-    base.inject_reply_crashes(1);
+    // The base commits the sync durably and crashes before replying.
+    // The retry finds no quorum, so the mobile keeps its queue.
     mobile.execute_tentative(debit(0, 10));
-    let outcome = mobile
-        .sync_with_retry(&base, 8)
-        .expect("retry never reached the base");
-    assert_eq!(outcome.accepted, 1);
-    assert_eq!(base.snapshot().get(ObjectId(0)).value, Value::Int(90));
-
-    // A full base crash: restart recovers the master from its log and
-    // the next sync proceeds as if nothing happened.
-    base.crash();
-    assert!(base.is_crashed());
-    mobile.execute_tentative(debit(0, 15));
+    assert!(group.inject_commit_crash());
     assert!(
-        mobile.sync_with_retry(&base, 2).is_none(),
+        mobile.sync_with_retry(&group, 2).is_none(),
         "sync succeeded against a crashed base"
     );
-    let replayed = base.restart();
-    assert!(replayed > 0, "restart replayed no committed transactions");
-    // The two timed-out attempts left stale Sync requests queued at the
-    // base; the recovered thread executes them exactly once (their
-    // shared dedup id caches the first outcome), so the master already
-    // shows 90 - 15 = 75 — not 60, and not the pre-crash 90.
-    assert_eq!(
-        base.snapshot().get(ObjectId(0)).value,
-        Value::Int(75),
-        "stale queued syncs must apply exactly once after recovery"
-    );
+    assert_eq!(mobile.pending_count(), 1, "the tentative queue is kept");
+
+    // After the restart the retry is answered from the dedup map: the
+    // debit lands exactly once.
+    group.restart(0);
     let outcome = mobile
-        .sync_with_retry(&base, 8)
+        .sync_with_retry(&group, 2)
         .expect("sync failed after base recovery");
     assert_eq!(outcome.accepted, 1);
-    assert_eq!(base.snapshot().get(ObjectId(0)).value, Value::Int(75));
+    let balance = || {
+        group
+            .snapshot()
+            .expect("quorum")
+            .get(ObjectId(0))
+            .value
+            .clone()
+    };
+    assert_eq!(balance(), Value::Int(90));
+
+    // A full crash loses the master; restart replays it from the log
+    // and the next sync proceeds as if nothing happened.
+    group.crash(0);
+    mobile.execute_tentative(debit(0, 15));
+    assert!(mobile.sync_with_retry(&group, 2).is_none());
+    let replayed = group.restart(0);
+    assert!(replayed > 0, "restart replayed no committed transactions");
+    assert_eq!(balance(), Value::Int(90), "the log replays exactly");
+    let outcome = mobile
+        .sync_with_retry(&group, 2)
+        .expect("sync failed after base recovery");
+    assert_eq!(outcome.accepted, 1);
+    assert_eq!(balance(), Value::Int(75));
     assert_eq!(mobile.read(ObjectId(0)), &Value::Int(75));
-    base.shutdown();
+    assert_eq!(group.verify(), vec![], "failover oracles");
+    group.shutdown();
 }

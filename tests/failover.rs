@@ -4,28 +4,15 @@
 //! crash/elect/catch-up schedules must keep the failover oracles green
 //! (at most one primary per epoch, no acknowledged commit lost).
 
-use dangers_of_replication::cluster::two_tier::{BaseGroup, MobileNode, RetryPolicy};
+use dangers_of_replication::core::base_tier::{BaseGroup, MobileNode};
 use dangers_of_replication::core::{Criterion, Op, Operation, TxnSpec};
 use dangers_of_replication::sim::SimRng;
 use dangers_of_replication::storage::{NodeId, ObjectId, Value};
 use proptest::prelude::*;
-use std::time::Duration;
 
 fn debit(obj: u64, amount: i64) -> TxnSpec {
     TxnSpec::new(vec![Operation::new(ObjectId(obj), Op::Debit(amount))])
         .with_criterion(Criterion::NonNegative)
-}
-
-/// Retries in these tests are logical, not load tests: keep the
-/// backoff tiny so a failover costs microseconds of wall clock.
-fn fast_retry(seed: u64) -> RetryPolicy {
-    RetryPolicy {
-        base: Duration::from_micros(50),
-        cap: Duration::from_micros(400),
-        jitter: 0.5,
-        seed,
-        attempt_timeout: Duration::from_secs(2),
-    }
 }
 
 /// The paper's exactly-once guarantee must survive a change of
@@ -35,8 +22,8 @@ fn fast_retry(seed: u64) -> RetryPolicy {
 /// replicated dedup map answers from cache — one debit, not two.
 #[test]
 fn primary_killed_mid_sync_does_not_double_debit() {
-    let group = BaseGroup::spawn(3, 2, 100);
-    let mut mobile = MobileNode::new(NodeId(100), 2, 100).with_retry_policy(fast_retry(7));
+    let group = BaseGroup::new(3, 2, 100);
+    let mut mobile = MobileNode::new(NodeId(100), 2, 100);
     // A clean sync first, so the crash interrupts a warm session.
     mobile.execute_tentative(debit(0, 10));
     assert_eq!(
@@ -69,11 +56,9 @@ fn fuzz_crash_elect_catch_up_keeps_oracles_green() {
     const TICKS: u64 = 40;
     const DB: u64 = 4;
     for seed in 0..100u64 {
-        let group = BaseGroup::spawn(REPLICAS, DB, 1_000_000);
+        let group = BaseGroup::new(REPLICAS, DB, 1_000_000);
         let mut mobiles: Vec<MobileNode> = (0..2)
-            .map(|i| {
-                MobileNode::new(NodeId(200 + i), DB, 1_000_000).with_retry_policy(fast_retry(seed))
-            })
+            .map(|i| MobileNode::new(NodeId(200 + i), DB, 1_000_000))
             .collect();
         let mut rng = SimRng::stream(seed, "failover-fuzz");
         let mut down_until = [0u64; REPLICAS];
@@ -284,12 +269,9 @@ proptest! {
     fn base_tier_matches_model_under_random_schedules(
         steps in prop::collection::vec(arb_step(), 1..60),
     ) {
-        let group = BaseGroup::spawn(MODEL_REPLICAS, MODEL_DB, MODEL_BALANCE);
+        let group = BaseGroup::new(MODEL_REPLICAS, MODEL_DB, MODEL_BALANCE);
         let mut mobiles: Vec<MobileNode> = (0..MODEL_MOBILES)
-            .map(|i| {
-                MobileNode::new(NodeId(100 + i as u32), MODEL_DB, MODEL_BALANCE)
-                    .with_retry_policy(fast_retry(i as u64))
-            })
+            .map(|i| MobileNode::new(NodeId(100 + i as u32), MODEL_DB, MODEL_BALANCE))
             .collect();
         let mut model = Model {
             balance: [MODEL_BALANCE; MODEL_DB as usize],
