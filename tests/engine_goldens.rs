@@ -279,7 +279,8 @@ fn lazy_group_lines() -> Vec<String> {
     let mut seed = 100;
     for (mobility_name, mobility) in mobilities {
         for (policy_name, policy) in policies {
-            for batch in [1, 8] {
+            // Every cell runs under two seeds, one per round.
+            for _round in 0..2 {
                 for sharded in [false, true] {
                     for faults in [None, Some(LAZY_CHAOS)] {
                         seed += 1;
@@ -287,8 +288,7 @@ fn lazy_group_lines() -> Vec<String> {
                             let p = Params::new(250.0, 6.0, 15.0, 4.0, 0.01);
                             let mut cfg = SimConfig::from_params(&p, 30, seed)
                                 .with_warmup(2)
-                                .with_deadlock(policy)
-                                .with_propagation_batch(batch);
+                                .with_deadlock(policy);
                             if sharded {
                                 cfg = cfg.with_shards(8, 3).with_cross_shard(0.1);
                             }
@@ -299,7 +299,7 @@ fn lazy_group_lines() -> Vec<String> {
                             };
                             let chaos = if faults.is_some() { "chaos" } else { "quiet" };
                             let name = format!(
-                                "lazy_group/{mobility_name}/{policy_name}/batch={batch}/\
+                                "lazy_group/{mobility_name}/{policy_name}/\
                                  {layout}/{chaos}/rec={recorded}/seed={seed}"
                             );
                             let sink = trace_sink();
@@ -339,14 +339,13 @@ fn two_tier_lines() -> Vec<String> {
     let mut lines = Vec::new();
     let mut seed = 200;
     for (workload_name, workload) in workloads {
-        for batch in [1, 8] {
+        // Every cell runs under two seeds, one per round.
+        for _round in 0..2 {
             for sharded in [false, true] {
                 seed += 1;
                 for recorded in [false, true] {
                     let p = Params::new(120.0, 6.0, 12.0, 4.0, 0.01);
-                    let mut sim = SimConfig::from_params(&p, 40, seed)
-                        .with_warmup(2)
-                        .with_propagation_batch(batch);
+                    let mut sim = SimConfig::from_params(&p, 40, seed).with_warmup(2);
                     if sharded {
                         sim = sim.with_shards(8, 3).with_cross_shard(0.1);
                     }
@@ -364,9 +363,8 @@ fn two_tier_lines() -> Vec<String> {
                     } else {
                         "unsharded"
                     };
-                    let name = format!(
-                        "two_tier/{workload_name}/batch={batch}/{layout}/rec={recorded}/seed={seed}"
-                    );
+                    let name =
+                        format!("two_tier/{workload_name}/{layout}/rec={recorded}/seed={seed}");
                     let sink = trace_sink();
                     let recorder = recorder(Scheme::TwoTier, recorded);
                     let (report, master, replicas) = TwoTierSim::new(cfg)
