@@ -55,14 +55,6 @@ pub struct SimConfig {
     /// Deadlock resolution policy (honored by the lazy-group engine;
     /// the analytic engines assume [`DeadlockPolicy::Detection`]).
     pub deadlock: DeadlockPolicy,
-    /// How many pending replica/refresh updates a propagating node may
-    /// coalesce into one scheduled delivery per destination. At 1
-    /// (the default) every committed transaction ships as its own
-    /// event — the paper's per-transaction fan-out. Larger values chunk
-    /// a flush's records into fewer event-queue entries; delivery
-    /// *timing* and per-channel order are unchanged, so Report counters
-    /// and oracle verdicts are identical at any batch size.
-    pub propagation_batch: usize,
     /// Skip all mergeable-distribution recording (`Report::dists` stays
     /// empty and the latency percentiles report 0). Only the
     /// metrics-overhead comparisons turn this on, as their baseline.
@@ -106,7 +98,6 @@ impl SimConfig {
             seed,
             access: AccessPattern::Uniform,
             deadlock: DeadlockPolicy::Detection,
-            propagation_batch: 1,
             lean_metrics: false,
             shards: 0,
             rf: 0,
@@ -154,14 +145,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_deadlock(mut self, deadlock: DeadlockPolicy) -> Self {
         self.deadlock = deadlock;
-        self
-    }
-
-    /// Builder-style propagation batch override. `batch` is clamped to
-    /// at least 1 (0 would mean "never ship updates").
-    #[must_use]
-    pub fn with_propagation_batch(mut self, batch: usize) -> Self {
-        self.propagation_batch = batch.max(1);
         self
     }
 
@@ -268,15 +251,6 @@ mod tests {
             wait: SimDuration::from_secs(1),
         });
         assert!(matches!(c.deadlock, DeadlockPolicy::Timeout { .. }));
-    }
-
-    #[test]
-    fn propagation_batch_defaults_to_per_txn() {
-        let c = SimConfig::from_params(&Params::default(), 10, 1);
-        assert_eq!(c.propagation_batch, 1);
-        assert_eq!(c.with_propagation_batch(8).propagation_batch, 8);
-        // 0 is nonsensical; clamp to the per-txn behaviour.
-        assert_eq!(c.with_propagation_batch(0).propagation_batch, 1);
     }
 
     #[test]

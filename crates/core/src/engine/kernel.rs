@@ -17,7 +17,7 @@
 //! * the instrumentation bundle (tracer, profiler, recorder, metrics,
 //!   measuring window, run label) and its builders;
 //! * the shared helpers: lock-wait/deadlock accounting and the send
-//!   path with its same-delay delivery batching.
+//!   path.
 //!
 //! A scheme is a [`Protocol`]: its state plus the hooks the kernel
 //! calls. Dispatch is static — [`Sim`] is generic over the protocol,
@@ -130,15 +130,6 @@ pub enum Event<P: Protocol> {
         /// The message.
         msg: P::Msg,
     },
-    /// A coalesced burst of arrivals on one channel: sent at the same
-    /// instant with the same latency draw, so one event preserves both
-    /// timing and per-channel order.
-    DeliverBatch {
-        /// Destination node.
-        to: NodeId,
-        /// The messages, in send order.
-        msgs: Box<[P::Msg]>,
-    },
     /// A scheme-private event (step completion, retry, timer).
     Proto(P::Ev),
 }
@@ -244,9 +235,6 @@ pub struct Kernel<P: Protocol> {
     /// node applied, joined to the report as `staleness_n<i>` gauges
     /// when the window closes — drain-phase applies never pollute it.
     staleness: Vec<Gauge>,
-    /// Same-delay deliveries accumulating for one destination.
-    pending: Vec<P::Msg>,
-    pending_delay: SimDuration,
 }
 
 impl<P: Protocol> Kernel<P> {
@@ -289,8 +277,6 @@ impl<P: Protocol> Kernel<P> {
             recorder: Recorder::off(),
             run_label: run_label.to_owned(),
             staleness: vec![Gauge::default(); n],
-            pending: Vec::new(),
-            pending_delay: SimDuration::ZERO,
         }
     }
 
@@ -465,31 +451,19 @@ impl<P: Protocol> Kernel<P> {
         Some(msg)
     }
 
-    /// Send `msg` from `from` to `to` on behalf of `txn` (default: none)
-    /// as part of a run of sends on this channel: count it, draw its
-    /// fate, and act on everything that is the same for every sender.
-    /// Consecutive same-delay deliveries coalesce into one event of up
-    /// to `propagation_batch` messages; a delay change or any other
-    /// fate flushes first, so per-channel arrival order is the send
-    /// order. The sender must `Kernel::flush_deliveries` before it
-    /// schedules anything else for `to` and when the run ends.
-    pub(super) fn send_in_burst(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        txn: TxnId,
-        msg: P::Msg,
-    ) -> Sent {
+    /// Send `msg` from `from` to `to` on behalf of `txn` (default: none):
+    /// count it, draw its fate, and act on everything that is the same
+    /// for every sender. A delivered message is one [`Event::Deliver`].
+    pub(super) fn send(&mut self, from: NodeId, to: NodeId, txn: TxnId, msg: P::Msg) -> Sent {
         if self.measuring() {
             self.metrics.messages.incr();
         }
         match self.net.send(from, to, msg) {
             SendOutcome::Deliver { delay, msg } => {
-                self.coalesce_delivery(to, delay, msg);
+                self.deliver_after(delay, to, msg);
                 Sent::Scheduled
             }
             SendOutcome::Duplicated { delays, msg } => {
-                self.flush_deliveries(to);
                 if self.measuring() {
                     self.metrics.messages_duplicated.incr();
                 }
@@ -501,7 +475,6 @@ impl<P: Protocol> Kernel<P> {
                 Sent::Scheduled
             }
             SendOutcome::Dropped => {
-                self.flush_deliveries(to);
                 if self.measuring() {
                     self.metrics.messages_dropped.incr();
                 }
@@ -510,61 +483,13 @@ impl<P: Protocol> Kernel<P> {
                 Sent::Dropped
             }
             SendOutcome::Held => Sent::Held,
-            SendOutcome::SenderOffline(_) => {
-                self.flush_deliveries(to);
-                Sent::SenderOffline
-            }
+            SendOutcome::SenderOffline(_) => Sent::SenderOffline,
         }
     }
 
-    /// Send one message: a burst of one.
-    pub(super) fn send(&mut self, from: NodeId, to: NodeId, txn: TxnId, msg: P::Msg) -> Sent {
-        let sent = self.send_in_burst(from, to, txn, msg);
-        self.flush_deliveries(to);
-        sent
-    }
-
-    /// Queue `msg` for `to` behind the deliveries already pending on
-    /// this channel, flushing first if its delay differs from theirs
-    /// and after if the batch is full.
-    fn coalesce_delivery(&mut self, to: NodeId, delay: SimDuration, msg: P::Msg) {
-        if self.cfg.propagation_batch <= 1 {
-            // Nothing can accumulate, so skip the staging buffer: the
-            // round trip through it cost the commit protocols' sends
-            // (`chaos-oracle`) 4 % of wall-clock.
-            return self.deliver_after(delay, to, msg);
-        }
-        if self.pending_delay != delay {
-            self.flush_deliveries(to);
-        }
-        self.pending_delay = delay;
-        self.pending.push(msg);
-        if self.pending.len() >= self.cfg.propagation_batch {
-            self.flush_deliveries(to);
-        }
-    }
-
-    /// Schedule the accumulated same-delay deliveries for `to`: a lone
-    /// message as a plain [`Event::Deliver`] (the batch = 1 path stays
-    /// allocation-free), a chunk as one [`Event::DeliverBatch`].
-    pub(super) fn flush_deliveries(&mut self, to: NodeId) {
-        let delay = self.pending_delay;
-        match self.pending.len() {
-            0 => {}
-            1 => {
-                let msg = self.pending.pop().expect("non-empty pending");
-                self.deliver_after(delay, to, msg);
-            }
-            _ => {
-                let msgs = self.pending.drain(..).collect();
-                self.queue
-                    .schedule_after(delay, Event::DeliverBatch { to, msgs });
-            }
-        }
-    }
-
-    /// Hand `msg` to `to` after `delay` without touching the network: a
-    /// local redelivery, not a send.
+    /// Hand `msg` to `to` after `delay` without touching the network:
+    /// how `Kernel::send` schedules a fate it has drawn, and how a
+    /// protocol redelivers locally.
     pub(super) fn deliver_after(&mut self, delay: SimDuration, to: NodeId, msg: P::Msg) {
         self.queue.schedule_after(delay, Event::Deliver { to, msg });
     }
@@ -800,13 +725,6 @@ impl<P: Protocol> Sim<P> {
                     p.deliver(k, to, msg);
                 }
             }
-            Event::DeliverBatch { to, msgs } => {
-                for msg in msgs.into_vec() {
-                    if let Some(msg) = k.admit(to, msg) {
-                        p.deliver(k, to, msg);
-                    }
-                }
-            }
             Event::Connectivity { node, connected } => {
                 k.tracer.emit(|| {
                     let kind = if connected {
@@ -1037,8 +955,7 @@ mod tests {
         // One send arrives in the drain (11 s link), one is made in it.
         let mut sim = probe(10);
         sim.k
-            .coalesce_delivery(NodeId(1), SimDuration::from_secs(11), (NodeId(0), 42));
-        sim.k.flush_deliveries(NodeId(1));
+            .deliver_after(SimDuration::from_secs(11), NodeId(1), (NodeId(0), 42));
         let (report, log, trace) = run_probe(sim, plan, &[(12_000, 1, 0, 43)]);
         assert_eq!(report.node_crashes, 1);
 
@@ -1088,19 +1005,14 @@ mod tests {
     }
 
     #[test]
-    fn same_delay_deliveries_coalesce_up_to_the_batch_size() {
-        let mut sim = probe(5);
-        sim.k.cfg.propagation_batch = 2;
-        let d = SimDuration::from_millis(1);
-        for msg in 0..3 {
-            sim.k.coalesce_delivery(NodeId(0), d, (NodeId(1), msg));
+    fn same_instant_sends_on_one_channel_arrive_in_send_order() {
+        // Four sends 0 → 1 at 3 s over a fixed 1 ms link: four
+        // deliveries at one instant, which pop in scheduling order.
+        let mut sim = probe_on(2, 5, SimDuration::from_millis(1));
+        for payload in 0..4 {
+            sim.k
+                .schedule_after(SimDuration::from_secs(3), (0, 1, payload));
         }
-        // A different delay flushes what is pending first.
-        let d = SimDuration::from_millis(2);
-        sim.k.coalesce_delivery(NodeId(0), d, (NodeId(1), 3));
-        sim.k.flush_deliveries(NodeId(0));
-        // [0, 1] as one batch, then 2 and 3 alone: three events.
-        assert_eq!(sim.k.queue.len(), 2 + 3);
         let (_, log) = sim.run_to_state();
         let order: Vec<&str> = log
             .iter()
@@ -1110,12 +1022,16 @@ mod tests {
         assert_eq!(
             order,
             [
-                "live deliver 0 to n0",
-                "live deliver 1 to n0",
-                "live deliver 2 to n0",
-                "live deliver 3 to n0"
+                "live deliver 0 to n1",
+                "live deliver 1 to n1",
+                "live deliver 2 to n1",
+                "live deliver 3 to n1"
             ]
         );
+        let arrival = SimTime::ZERO + SimDuration::from_millis(3_001);
+        for payload in 0..4 {
+            assert_eq!(delivered(&log, payload), [arrival]);
+        }
     }
 
     #[test]

@@ -320,7 +320,7 @@ impl Protocol for LazyGroup {
         use kernel::Event as W;
         Some(match ev {
             W::Arrive(_) => "lazy-group/arrive",
-            W::Deliver { .. } | W::DeliverBatch { .. } => "lazy-group/deliver",
+            W::Deliver { .. } => "lazy-group/deliver",
             W::Connectivity { .. } => "lazy-group/connectivity",
             W::PartitionStart(_) | W::PartitionHeal => "lazy-group/partition",
             W::Crash(_) | W::Restart(_) => "lazy-group/crash",
@@ -797,12 +797,6 @@ impl LazyGroup {
         if !k.is_connected(origin) {
             return;
         }
-        // Each peer is one channel run of `Kernel::send_in_burst`:
-        // consecutive same-delay deliveries coalesce (up to
-        // `propagation_batch` records per event) strictly at flush
-        // time, so the network still sees one send per record (same
-        // fault fates, same latency draws, same message counters as
-        // batch=1) and per-channel arrival order is the per-txn order.
         // Destinations usually share a watermark (they all drift only
         // under disconnects), so each record's payload is re-shipped to
         // every destination back to back — memoize the last one and
@@ -879,7 +873,7 @@ impl LazyGroup {
                     updates,
                     mask,
                 };
-                match k.send_in_burst(origin, dest, TxnId::default(), msg) {
+                match k.send(origin, dest, TxnId::default(), msg) {
                     // Shipped, or parked for an unreachable destination
                     // (which still counts as shipped).
                     Sent::Scheduled | Sent::Held => {}
@@ -901,7 +895,6 @@ impl LazyGroup {
                 }
                 self.nodes[origin.0 as usize].peers[peer].1 = Lsn(from.0 + 1);
             }
-            k.flush_deliveries(dest);
         }
         // Garbage-collect the fully shipped prefix: records below every
         // peer's watermark will never be requested again.

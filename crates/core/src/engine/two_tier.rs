@@ -324,7 +324,7 @@ impl Protocol for TwoTier {
         match ev {
             W::Arrive(_) => Some("two-tier/arrive"),
             W::Proto(_) => Some("two-tier/base-step"),
-            W::Deliver { .. } | W::DeliverBatch { .. } => Some("two-tier/deliver"),
+            W::Deliver { .. } => Some("two-tier/deliver"),
             W::Connectivity { .. } => Some("two-tier/connectivity"),
             // No fault plan reaches this protocol.
             W::PartitionStart(_) | W::PartitionHeal | W::Crash(_) | W::Restart(_) => None,
@@ -751,9 +751,7 @@ impl TwoTier {
 
     fn broadcast_refresh(&mut self, k: &mut K, updates: Vec<(ObjectId, Value, Timestamp)>) {
         // Master commits originate "at the base"; model the fan-out
-        // from a virtual base sender that is always connected. One
-        // commit ships one refresh per destination, so there is nothing
-        // for `propagation_batch` to coalesce here.
+        // from a virtual base sender that is always connected.
         let sent_at = k.now();
         let refresh = std::rc::Rc::new(Refresh { sent_at, updates });
         let Some(map) = &self.shard else {

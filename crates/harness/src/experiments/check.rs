@@ -33,22 +33,15 @@ const CORPUS: &str = include_str!("../../../../tests/check_seeds.txt");
 /// return the oracle report. This is the single driver behind corpus
 /// replay, fuzzing, `CHECK_CASE` repro, and the integration tests.
 pub fn run_case(case: &FuzzCase) -> CheckReport {
-    run_case_with_batch(case, 1)
+    run_case_with_config(case, 0, 0)
 }
 
-/// [`run_case`] with an explicit replica-propagation batch size. Oracle
-/// verdicts are batch-size invariant — `tests/batch_determinism.rs`
-/// replays the committed corpus at several sizes to prove it.
-pub fn run_case_with_batch(case: &FuzzCase, batch: usize) -> CheckReport {
-    run_case_with_config(case, batch, 0, 0)
-}
-
-/// [`run_case`] with explicit batch and shard-layout overrides. Oracle
-/// verdicts must stay clean under any shard layout — the per-shard
-/// convergence and delusion oracles judge partial stores over the
-/// objects each node actually hosts (`tests/shard_determinism.rs`
-/// replays the committed corpus under several layouts to prove it).
-pub fn run_case_with_config(case: &FuzzCase, batch: usize, shards: u32, rf: u32) -> CheckReport {
+/// [`run_case`] with a shard-layout override. Oracle verdicts must stay
+/// clean under any shard layout — the per-shard convergence and
+/// delusion oracles judge partial stores over the objects each node
+/// actually hosts (`tests/shard_determinism.rs` replays the committed
+/// corpus under several layouts to prove it).
+pub fn run_case_with_config(case: &FuzzCase, shards: u32, rf: u32) -> CheckReport {
     let rec = Recorder::new(case.scheme);
     let p = Params::new(
         case.db_size as f64,
@@ -64,9 +57,7 @@ pub fn run_case_with_config(case: &FuzzCase, batch: usize, shards: u32, rf: u32)
     } else {
         (shards, rf)
     };
-    let mut cfg = SimConfig::from_params(&p, case.horizon_secs, case.seed)
-        .with_propagation_batch(batch)
-        .with_shards(shards, rf);
+    let mut cfg = SimConfig::from_params(&p, case.horizon_secs, case.seed).with_shards(shards, rf);
     if case.proto.is_some() || case.xpoint.is_some() {
         // Commit-protocol cases are cross-shard by construction:
         // without multi-owner transactions the protocol under test
@@ -255,7 +246,7 @@ pub fn check(opts: &RunOpts) -> Table {
         }
         match FuzzCase::parse(line) {
             Ok(case) => {
-                let report = run_case_with_config(&case, opts.batch, opts.shards, opts.rf);
+                let report = run_case_with_config(&case, opts.shards, opts.rf);
                 table.row(vec![
                     case.scheme.name().to_owned(),
                     "corpus".into(),

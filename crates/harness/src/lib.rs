@@ -157,12 +157,6 @@ pub struct RunOpts {
     /// every instrumented engine run records its execution and sweeps
     /// run serially (recorders are `Rc`-based, like tracers).
     pub check: CheckSession,
-    /// Replica-propagation batch size (`--batch N`); 1 preserves the
-    /// per-transaction fan-out. Only the lazy-group engine has bursts
-    /// to batch (two-tier ships one refresh per commit per
-    /// destination); all reports are batch-size invariant (see
-    /// `SimConfig::propagation_batch`).
-    pub batch: usize,
     /// Mergeable-metrics session (`--metrics FILE`); off by default.
     /// Unlike tracers and check recorders, metrics ride each worker's
     /// `Report` back to the main thread, so an enabled session does
@@ -191,7 +185,6 @@ impl Default for RunOpts {
             faults: None,
             jobs: 1,
             check: CheckSession::default(),
-            batch: 1,
             metrics: MetricsSession::default(),
             shards: 0,
             rf: 0,
@@ -229,16 +222,15 @@ impl<P: Protocol> Instrument for Sim<P> {
 
 impl RunOpts {
     /// The engine configuration for one sweep point: `params` over
-    /// `horizon_secs`, under this run's `--seed`, `--batch` and
-    /// `--shards/--rf`. Experiments that honour those flags start here
-    /// and add what is theirs (warm-up, deadlock policy, latency, …).
+    /// `horizon_secs`, under this run's `--seed` and `--shards/--rf`.
+    /// Experiments that honour those flags start here and add what is
+    /// theirs (warm-up, deadlock policy, latency, …).
     pub fn sim_config(
         &self,
         params: &repl_model::Params,
         horizon_secs: u64,
     ) -> repl_core::SimConfig {
         repl_core::SimConfig::from_params(params, horizon_secs, self.seed)
-            .with_propagation_batch(self.batch)
             .with_shards(self.shards, self.rf)
     }
 

@@ -35,9 +35,9 @@ use std::rc::Rc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: harness [--quick] [--json] [--seed N] [--jobs N] [--batch N] [--shards K] \
-         [--rf R] [--commit-proto P] [--trace FILE] [--series SECS] [--profile] \
-         [--faults SPEC] [--check] [--metrics FILE] <list|all|NAME...>"
+        "usage: harness [--quick] [--json] [--seed N] [--jobs N] [--shards K] [--rf R] \
+         [--commit-proto P] [--trace FILE] [--series SECS] [--profile] [--faults SPEC] \
+         [--check] [--metrics FILE] <list|all|NAME...>"
     );
     eprintln!("experiments:");
     for e in experiments::ALL {
@@ -149,13 +149,6 @@ fn run() -> std::io::Result<ExitCode> {
                     return Ok(usage());
                 };
                 fault_spec = Some(s);
-            }
-            "--batch" => {
-                let Some(v) = args.next().and_then(|s| s.parse().ok()).filter(|v| *v >= 1) else {
-                    eprintln!("--batch needs a positive integer");
-                    return Ok(usage());
-                };
-                opts.batch = v;
             }
             "--shards" => {
                 let Some(v) = args.next().and_then(|s| s.parse().ok()).filter(|v| *v >= 1) else {

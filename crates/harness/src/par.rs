@@ -42,7 +42,6 @@ struct WorkerOpts {
     quick: bool,
     seed: u64,
     faults: Option<repl_net::FaultPlan>,
-    batch: usize,
     shards: u32,
     rf: u32,
     commit_proto: repl_core::CommitProto,
@@ -61,7 +60,6 @@ impl WorkerOpts {
             faults,
             jobs: _,
             check: _,
-            batch,
             metrics: _,
             shards,
             rf,
@@ -71,7 +69,6 @@ impl WorkerOpts {
             quick: *quick,
             seed: *seed,
             faults: faults.clone(),
-            batch: *batch,
             shards: *shards,
             rf: *rf,
             commit_proto: *commit_proto,
@@ -83,7 +80,6 @@ impl WorkerOpts {
             quick: self.quick,
             seed: self.seed,
             faults: self.faults.clone(),
-            batch: self.batch,
             shards: self.shards,
             rf: self.rf,
             commit_proto: self.commit_proto,
@@ -100,7 +96,7 @@ impl WorkerOpts {
 /// worker threads, and return the results **in point order**.
 ///
 /// Each worker invokes `f` with a private `RunOpts` carrying the same
-/// `quick`/`seed`/`faults`/`batch`/`shards`/`rf`/`commit_proto` values
+/// `quick`/`seed`/`faults`/`shards`/`rf`/`commit_proto` values
 /// as `opts`, so a point's simulation is bit-identical whether it ran
 /// serially or on a worker. Falls back to the plain in-order serial
 /// loop (with `opts` itself, tracer and all) when `opts.jobs <= 1`,
@@ -210,7 +206,6 @@ mod tests {
         o.quick = true;
         o.seed = 99;
         o.faults = Some(repl_net::FaultPlan::quiet(99));
-        o.batch = 4;
         o.shards = 16;
         o.rf = 3;
         o.commit_proto = repl_core::CommitProto::TwoPc;
@@ -220,13 +215,12 @@ mod tests {
                 local.seed,
                 local.faults.is_some(),
                 local.jobs,
-                local.batch,
                 local.shards,
                 local.rf,
                 local.commit_proto,
             )
         });
-        let want = (true, 99, true, 1, 4, 16, 3, repl_core::CommitProto::TwoPc);
+        let want = (true, 99, true, 1, 16, 3, repl_core::CommitProto::TwoPc);
         assert!(got.iter().all(|&g| g == want));
     }
 

@@ -9,8 +9,7 @@
 //! refactor that lets the paper's Nodes³ sweeps run into the hundreds.
 //! With `rf == Nodes` every replica set is the full cluster in node
 //! order, so a full-replication run through the map is byte-identical
-//! to the unsharded code path (the established `--jobs`/`--batch`
-//! invariance pattern).
+//! to the unsharded code path (the same invariance `--jobs` keeps).
 
 use crate::div::FastDivMod;
 use crate::object::{NodeId, ObjectId};

@@ -26,8 +26,7 @@ pub struct Bucket {
     pub replica_commits: u64,
     /// Messages sent.
     pub messages: u64,
-    /// Messages delivered (batched deliveries count each contained
-    /// message, so the series agrees at any propagation batch size).
+    /// Messages delivered.
     pub deliveries: u64,
     /// Tentative commits at mobile nodes.
     pub tentative_commits: u64,

@@ -132,14 +132,14 @@ fn corpus_oracle_verdicts_stay_green_under_sharding() {
         let case = FuzzCase::parse(line).unwrap_or_else(|e| panic!("corpus line `{line}`: {e}"));
         let serial = run_case(&case);
         // rf >= any corpus node count: byte-identical verdicts.
-        let full = run_case_with_config(&case, 1, 64, 64);
+        let full = run_case_with_config(&case, 64, 64);
         assert_eq!(serial.commits, full.commits, "corpus case `{line}`");
         assert_eq!(
             serial.violations, full.violations,
             "corpus case `{line}` full-rf replay"
         );
         // Partial layout: different physics, same cleanliness.
-        let partial = run_case_with_config(&case, 1, 5, 2);
+        let partial = run_case_with_config(&case, 5, 2);
         assert!(
             partial.is_clean(),
             "corpus case `{line}` must stay clean under shards=5 rf=2: {:?}",

@@ -133,37 +133,6 @@ fn jsonl_export_round_trips_and_matches_report() {
 }
 
 #[test]
-fn series_deliveries_are_batch_size_invariant() {
-    // A batched delivery is one heap event but N messages; the series
-    // counts each contained message, so the per-bucket `deliveries`
-    // (and `messages`) columns must agree at any --batch size.
-    let run = |batch: usize| {
-        let series = Rc::new(RefCell::new(SeriesAggregator::new(SimDuration::from_secs(
-            10,
-        ))));
-        LazyGroupSim::new(cfg(47).with_propagation_batch(batch), Mobility::Connected)
-            .with_tracer(TraceHandle::shared(&series))
-            .run();
-        let series = series.borrow();
-        let buckets = series.runs()[0].buckets.clone();
-        (
-            buckets.iter().map(|b| b.deliveries).collect::<Vec<_>>(),
-            buckets.iter().map(|b| b.messages).collect::<Vec<_>>(),
-        )
-    };
-    let (deliveries_1, messages_1) = run(1);
-    assert!(
-        deliveries_1.iter().sum::<u64>() > 0,
-        "the run must deliver replica messages"
-    );
-    for batch in [2, 8, 64] {
-        let (deliveries_b, messages_b) = run(batch);
-        assert_eq!(deliveries_1, deliveries_b, "deliveries at batch {batch}");
-        assert_eq!(messages_1, messages_b, "messages at batch {batch}");
-    }
-}
-
-#[test]
 fn deadlock_events_carry_a_real_cycle() {
     // High contention so deadlocks actually occur.
     let p = Params::new(40.0, 1.0, 60.0, 6.0, 0.01);
