@@ -35,7 +35,6 @@
 pub mod eager;
 pub mod lazy;
 pub mod params;
-pub mod planning;
 pub mod regime;
 pub mod single;
 pub mod sweep;

@@ -127,9 +127,6 @@ pub struct EventQueue<E> {
     /// [`EventQueue::schedule_at`]) so a hypothetical wrap cannot
     /// silently corrupt event ordering.
     seq: u64,
-    /// Lifetime count of scheduled events (telemetry). Same overflow
-    /// bound and guard as `seq`.
-    scheduled: u64,
     /// The registered FIFO-lane delay, if any.
     lane_delay: Option<SimDuration>,
     /// Lane entries, ascending by `(time, seq)` by construction:
@@ -180,7 +177,6 @@ impl<E> EventQueue<E> {
             peak_len: 0,
             now: SimTime::ZERO,
             seq: 0,
-            scheduled: 0,
             lane_delay: None,
             lane: VecDeque::new(),
             wheel_min: Cell::new(WheelMin::EMPTY),
@@ -213,11 +209,6 @@ impl<E> EventQueue<E> {
     /// Whether no events are waiting.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total number of events scheduled over the queue's lifetime.
-    pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
     }
 
     /// The most events that ever waited at once.
@@ -376,7 +367,6 @@ impl<E> EventQueue<E> {
         let time = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.scheduled += 1;
         self.place(Entry { time, seq, event });
     }
 
@@ -394,7 +384,6 @@ impl<E> EventQueue<E> {
                 "lane order violated"
             );
             self.seq += 1;
-            self.scheduled += 1;
             self.count_one();
             self.lane.push_back(entry);
             return;
@@ -418,7 +407,6 @@ impl<E> EventQueue<E> {
             debug_assert!(self.seq != u64::MAX, "event sequence counter overflow");
             let seq = self.seq;
             self.seq += 1;
-            self.scheduled += 1;
             self.place(Entry { time, seq, event });
         }
     }
@@ -640,7 +628,7 @@ mod tests {
         q.schedule_at(SimTime(5), 100);
         q.schedule_batch_after(SimDuration(5), [101, 102, 103]);
         q.schedule_batch_after(SimDuration(5), [104]);
-        assert_eq!(q.total_scheduled(), 5);
+        assert_eq!(q.len(), 5);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         // Batched events interleave with singles by schedule order.
         assert_eq!(order, vec![100, 101, 102, 103, 104]);
@@ -651,7 +639,6 @@ mod tests {
         let mut q: EventQueue<u32> = EventQueue::new();
         q.schedule_batch_after(SimDuration(1), std::iter::empty());
         assert!(q.is_empty());
-        assert_eq!(q.total_scheduled(), 0);
     }
 
     #[test]
@@ -661,7 +648,6 @@ mod tests {
         q.schedule_at(SimTime(1), ());
         q.schedule_at(SimTime(2), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.total_scheduled(), 2);
     }
 
     // -- calendar-specific coverage: the wheel must behave exactly

@@ -45,7 +45,7 @@ pub struct CommitRecord {
 ///
 /// Supports truncation of fully replicated prefixes: once every
 /// destination's watermark has passed an LSN, the records below it can
-/// be discarded (`truncate_until`) while LSNs remain stable.
+/// be discarded (`truncate_until_recycling`) while LSNs remain stable.
 #[derive(Debug, Default)]
 pub struct CommitLog {
     /// Backing storage. Live records are `records[start..]`; the
@@ -124,22 +124,9 @@ impl CommitLog {
 
     /// Discard every record below `upto` (exclusive). Call with the
     /// minimum of all destination watermarks so no replica loses
-    /// history it still needs.
-    pub fn truncate_until(&mut self, upto: Lsn) {
-        let cut = (upto.0.saturating_sub(self.base) as usize).min(self.len());
-        if cut == 0 {
-            return;
-        }
-        for rec in &mut self.records[self.start..self.start + cut] {
-            // Free the payload now; the husk waits for compaction.
-            rec.updates = Vec::new();
-        }
-        self.advance(cut);
-    }
-
-    /// [`CommitLog::truncate_until`], but the discarded records' update
-    /// buffers are cleared and pushed onto `spare` instead of freed, so
-    /// the engine can hand the allocations to future commits. At steady
+    /// history it still needs. The discarded records' update buffers
+    /// are cleared and pushed onto `spare` instead of freed, so the
+    /// engine can hand the allocations to future commits. At steady
     /// state commits consume recycled buffers as fast as truncation
     /// produces them, so `spare` stays bounded by the log's own churn.
     pub fn truncate_until_recycling(&mut self, upto: Lsn, spare: &mut Vec<Vec<UpdateRecord>>) {
@@ -152,15 +139,10 @@ impl CommitLog {
             updates.clear();
             spare.push(updates);
         }
-        self.advance(cut);
-    }
-
-    /// Advance the truncation point past `cut` already-emptied records,
-    /// compacting the backing vector once the dead prefix outweighs the
-    /// live tail (amortized O(1) per truncated record).
-    fn advance(&mut self, cut: usize) {
         self.start += cut;
         self.base += cut as u64;
+        // Compact the backing vector once the dead prefix outweighs the
+        // live tail (amortized O(1) per truncated record).
         if self.start >= 32 && self.start >= self.records.len() - self.start {
             self.records.drain(..self.start);
             self.start = 0;
@@ -359,7 +341,7 @@ mod tests {
         for i in 0..10 {
             log.append(TxnId(i), vec![upd(i, i, i + 1)]);
         }
-        log.truncate_until(Lsn(4));
+        log.truncate_until_recycling(Lsn(4), &mut Vec::new());
         assert_eq!(log.tail(), Lsn(4));
         assert_eq!(log.head(), Lsn(10));
         assert_eq!(log.len(), 6);
@@ -376,7 +358,7 @@ mod tests {
         let mut log = CommitLog::new();
         log.append(TxnId(1), vec![]);
         log.append(TxnId(2), vec![]);
-        log.truncate_until(log.head());
+        log.truncate_until_recycling(log.head(), &mut Vec::new());
         assert!(log.is_empty());
         assert_eq!(log.head(), Lsn(2));
         let lsn = log.append(TxnId(3), vec![]);
@@ -388,25 +370,21 @@ mod tests {
     fn truncate_beyond_head_clamps() {
         let mut log = CommitLog::new();
         log.append(TxnId(1), vec![]);
-        log.truncate_until(Lsn(99));
+        log.truncate_until_recycling(Lsn(99), &mut Vec::new());
         assert!(log.is_empty());
         assert_eq!(log.tail(), Lsn(1));
     }
 
     #[test]
-    fn truncate_recycling_matches_plain_truncate() {
-        let mut a = CommitLog::new();
-        let mut b = CommitLog::new();
+    fn truncate_hands_back_the_emptied_buffers() {
+        let mut log = CommitLog::new();
         for i in 0..6 {
-            a.append(TxnId(i), vec![upd(i, i, i + 1)]);
-            b.append(TxnId(i), vec![upd(i, i, i + 1)]);
+            log.append(TxnId(i), vec![upd(i, i, i + 1)]);
         }
         let mut spare = Vec::new();
-        a.truncate_until(Lsn(4));
-        b.truncate_until_recycling(Lsn(4), &mut spare);
-        assert_eq!(a.tail(), b.tail());
-        assert_eq!(a.head(), b.head());
-        assert_eq!(a.since(Lsn(4)), b.since(Lsn(4)));
+        log.truncate_until_recycling(Lsn(4), &mut spare);
+        assert_eq!((log.tail(), log.head()), (Lsn(4), Lsn(6)));
+        assert_eq!(log.since(Lsn(4))[0].updates, [upd(4, 4, 5)]);
         // Four buffers came back, emptied but with capacity intact.
         assert_eq!(spare.len(), 4);
         assert!(spare.iter().all(|v| v.is_empty() && v.capacity() >= 1));
@@ -464,8 +442,8 @@ mod tests {
         for i in 0..5 {
             log.append(TxnId(i), vec![]);
         }
-        log.truncate_until(Lsn(3));
-        log.truncate_until(Lsn(2)); // already gone — must not panic
+        log.truncate_until_recycling(Lsn(3), &mut Vec::new());
+        log.truncate_until_recycling(Lsn(2), &mut Vec::new()); // already gone — must not panic
         assert_eq!(log.tail(), Lsn(3));
     }
 }

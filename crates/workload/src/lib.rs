@@ -7,15 +7,12 @@
 //!   operation mixes (blind writes / commutative / appends);
 //! * [`checkbook`] — the paper's joint-checking-account running
 //!   example, packaged as a two-tier configuration and as the §6
-//!   lost-update demonstration;
-//! * [`tpcb`] — a TPC-B-style scaled banking layout (the paper's
-//!   "database size grows with the number of nodes" benchmark shape).
+//!   lost-update demonstration.
 
 #![warn(missing_docs)]
 
 pub mod checkbook;
 pub mod generator;
 pub mod presets;
-pub mod tpcb;
 
 pub use generator::{OpMix, SpecGenerator};
