@@ -341,6 +341,9 @@ grep '^{' "$bench_out" | /usr/bin/jq -es '
 }
 echo "ok: benchmark smoke ran 4 workloads, ok_frac 1 on each"
 
+say "benchmark unit tests: statistics, workload cases, metric catalogue vs BENCHMARK.json"
+cargo test --manifest-path benchmark/Cargo.toml --offline -q
+
 say "allocator gates: heap follows live events (queue_memory), allocations follow rf (fanout_allocations), telemetry allocates nothing per event (telemetry_allocations)"
 # Each file installs its own counting #[global_allocator]; release, so
 # the numbers are the ones the docs quote.
