@@ -203,7 +203,7 @@ impl SimConfig {
     /// The shard layout for this run, or `None` when the configuration
     /// amounts to full replication (unsharded, or `rf >= nodes`) — the
     /// engines then keep their original code paths, which is what makes
-    /// `--shards K --rf Nodes` byte-identical to an unsharded run.
+    /// `with_shards(K, Nodes)` byte-identical to an unsharded run.
     pub fn shard_map(&self) -> Option<ShardMap> {
         if self.shards == 0 || self.effective_rf() >= self.nodes {
             return None;

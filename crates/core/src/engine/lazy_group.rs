@@ -1193,7 +1193,7 @@ mod tests {
 
     #[test]
     fn full_rf_sharded_identical_to_unsharded() {
-        // `--shards K --rf Nodes` must be byte-identical to no sharding
+        // `with_shards(K, Nodes)` must be byte-identical to no sharding
         // at all: the map is `None`, so every code path is the original.
         let c = cfg(4.0, 500.0, 10.0, 60, 7);
         let (plain_report, plain_stores) =

@@ -86,7 +86,7 @@ pub fn chaos(opts: &RunOpts) -> Table {
         ),
     ];
     let results = run_points(opts, policies, |opts, &(label, policy)| {
-        let cfg = opts.sim_config(&p, horizon).with_deadlock(policy);
+        let cfg = SimConfig::from_params(&p, horizon, opts.seed).with_deadlock(policy);
         let (r, stores) = LazyGroupSim::new(cfg, Mobility::Connected)
             .with_faults(plan.clone())
             .instrument(opts, format!("chaos policy={label}"))

@@ -32,16 +32,9 @@ const CORPUS: &str = include_str!("../../../../tests/check_seeds.txt");
 /// Execute one fuzz case on its scheme with a fresh recorder and
 /// return the oracle report. This is the single driver behind corpus
 /// replay, fuzzing, `CHECK_CASE` repro, and the integration tests.
+/// The case's own `shards`/`rf` fields set its layout, so an encoded
+/// repro line is self-contained.
 pub fn run_case(case: &FuzzCase) -> CheckReport {
-    run_case_with_config(case, 0, 0)
-}
-
-/// [`run_case`] with a shard-layout override. Oracle verdicts must stay
-/// clean under any shard layout — the per-shard convergence and
-/// delusion oracles judge partial stores over the objects each node
-/// actually hosts (`tests/shard_determinism.rs` replays the committed
-/// corpus under several layouts to prove it).
-pub fn run_case_with_config(case: &FuzzCase, shards: u32, rf: u32) -> CheckReport {
     let rec = Recorder::new(case.scheme);
     let p = Params::new(
         case.db_size as f64,
@@ -50,14 +43,8 @@ pub fn run_case_with_config(case: &FuzzCase, shards: u32, rf: u32) -> CheckRepor
         f64::from(case.actions),
         0.01,
     );
-    // A case's own shard layout beats the sweep override, so encoded
-    // commit-protocol repro lines stay self-contained.
-    let (shards, rf) = if case.shards > 0 {
-        (case.shards, case.rf)
-    } else {
-        (shards, rf)
-    };
-    let mut cfg = SimConfig::from_params(&p, case.horizon_secs, case.seed).with_shards(shards, rf);
+    let mut cfg =
+        SimConfig::from_params(&p, case.horizon_secs, case.seed).with_shards(case.shards, case.rf);
     if case.proto.is_some() || case.xpoint.is_some() {
         // Commit-protocol cases are cross-shard by construction:
         // without multi-owner transactions the protocol under test
@@ -246,7 +233,7 @@ pub fn check(opts: &RunOpts) -> Table {
         }
         match FuzzCase::parse(line) {
             Ok(case) => {
-                let report = run_case_with_config(&case, opts.shards, opts.rf);
+                let report = run_case(&case);
                 table.row(vec![
                     case.scheme.name().to_owned(),
                     "corpus".into(),

@@ -12,7 +12,7 @@
 use crate::par::run_points;
 use crate::table::Table;
 use crate::{Instrument, RunOpts};
-use repl_core::{LazyGroupSim, Mobility, ResolutionMode};
+use repl_core::{LazyGroupSim, Mobility, ResolutionMode, SimConfig};
 use repl_model::Params;
 use repl_storage::ObjectStore;
 
@@ -48,7 +48,7 @@ pub fn ablate_delusion(opts: &RunOpts) -> Table {
     let sweep = vec![50u64, 100, 200];
     let results = run_points(opts, sweep, |opts, &secs| {
         let horizon = opts.horizon(secs).max(20);
-        let cfg = opts.sim_config(&p, horizon).with_warmup(2);
+        let cfg = SimConfig::from_params(&p, horizon, opts.seed).with_warmup(2);
         let (auto_report, auto_stores) = LazyGroupSim::new(cfg, Mobility::Connected)
             .instrument(opts, format!("ablate-delusion auto secs={secs}"))
             .run_with_state();

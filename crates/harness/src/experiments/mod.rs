@@ -4,6 +4,7 @@
 pub mod chaos;
 pub mod check;
 pub mod convergent;
+pub mod curve;
 pub mod delusion;
 pub mod eager;
 pub mod failover;
@@ -29,18 +30,22 @@ pub struct Experiment {
     pub run: fn(&RunOpts) -> Table,
 }
 
+/// The registry entry of a [`curve::Curve`]: its runner builds the
+/// curve's table.
+macro_rules! curve {
+    ($curve:path, $about:literal) => {
+        Experiment {
+            name: $curve.name,
+            about: $about,
+            run: |o| $curve.table(o),
+        }
+    };
+}
+
 /// Every experiment, in presentation order.
 pub const ALL: &[Experiment] = &[
-    Experiment {
-        name: "e1",
-        about: "single-node wait rate vs eq. (2)/(10)",
-        run: single::e01,
-    },
-    Experiment {
-        name: "e2",
-        about: "single-node deadlock rate vs eqs. (3)-(5)",
-        run: single::e02,
-    },
+    curve!(single::E1, "single-node wait rate vs eq. (2)/(10)"),
+    curve!(single::E2, "single-node deadlock rate vs eqs. (3)-(5)"),
     Experiment {
         name: "e3",
         about: "Figure 1: work per user transaction",
@@ -51,46 +56,17 @@ pub const ALL: &[Experiment] = &[
         about: "Figure 3: scaleup vs partitioning vs replication",
         run: schemes::e04,
     },
-    Experiment {
-        name: "e5",
-        about: "eager wait rate vs Nodes (eq. 10)",
-        run: eager::e05,
-    },
-    Experiment {
-        name: "e6",
-        about: "eager deadlock rate vs Nodes (eq. 12)",
-        run: eager::e06,
-    },
-    Experiment {
-        name: "e6b",
-        about: "eager deadlock rate vs Actions (Actions^5)",
-        run: eager::e06_actions,
-    },
-    Experiment {
-        name: "e7",
-        about: "scaled-DB eager deadlocks (eq. 13)",
-        run: eager::e07,
-    },
-    Experiment {
-        name: "e8",
-        about: "lazy-group reconciliation vs Nodes (eq. 14)",
-        run: lazy::e08,
-    },
-    Experiment {
-        name: "e9",
-        about: "mobile reconciliation vs Disconnect_Time (eqs. 15-18)",
-        run: lazy::e09,
-    },
-    Experiment {
-        name: "e9b",
-        about: "mobile reconciliation vs Nodes (eq. 18)",
-        run: lazy::e09_nodes,
-    },
-    Experiment {
-        name: "e10",
-        about: "lazy-master deadlocks vs Nodes (eq. 19)",
-        run: lazy::e10,
-    },
+    curve!(eager::E5, "eager wait rate vs Nodes (eq. 10)"),
+    curve!(eager::E6, "eager deadlock rate vs Nodes (eq. 12)"),
+    curve!(eager::E6B, "eager deadlock rate vs Actions (Actions^5)"),
+    curve!(eager::E7, "scaled-DB eager deadlocks (eq. 13)"),
+    curve!(lazy::E8, "lazy-group reconciliation vs Nodes (eq. 14)"),
+    curve!(
+        lazy::E9,
+        "mobile reconciliation vs Disconnect_Time (eqs. 15-18)"
+    ),
+    curve!(lazy::E9B, "mobile reconciliation vs Nodes (eq. 18)"),
+    curve!(lazy::E10, "lazy-master deadlocks vs Nodes (eq. 19)"),
     Experiment {
         name: "e11",
         about: "Table 1 measured: all five schemes",
@@ -101,11 +77,7 @@ pub const ALL: &[Experiment] = &[
         about: "two-tier acceptance failures by workload (§7)",
         run: two_tier::e12,
     },
-    Experiment {
-        name: "e12b",
-        about: "two-tier base deadlocks vs Nodes (eq. 19)",
-        run: two_tier::e12_nodes,
-    },
+    curve!(two_tier::E12B, "two-tier base deadlocks vs Nodes (eq. 19)"),
     Experiment {
         name: "e13",
         about: "§6 convergence schemes and lost updates",

@@ -16,9 +16,7 @@
 //!
 //! The table is fully deterministic (wall-clock lives in the repo
 //! benchmark, whose `sharded-scaleout` workload times its engines),
-//! so the CI determinism gate can compare runs byte-for-byte. The
-//! sweep ignores `--shards`/`--rf` overrides for the same reason: its
-//! layout is part of the experiment definition.
+//! so the CI determinism gate can compare runs byte-for-byte.
 
 use crate::par::run_points;
 use crate::table::{fmt_ms, fmt_val, Table};
@@ -96,9 +94,7 @@ pub fn scaleout(opts: &RunOpts) -> Table {
             .with_db_size(f64::from(nodes * DB_PER_NODE))
             .with_nodes(f64::from(nodes))
             .with_tps(10.0);
-        // The sweep sets its own layout, whatever `--shards/--rf` say.
-        let cfg = opts
-            .sim_config(&p, horizon)
+        let cfg = SimConfig::from_params(&p, horizon, opts.seed)
             .with_warmup(5)
             .with_shards(nodes, rf)
             .with_cross_shard(CROSS_SHARD);
@@ -323,19 +319,5 @@ mod tests {
                 "owner-order has no in-doubt window"
             );
         }
-    }
-
-    #[test]
-    fn scaleout_ignores_shard_overrides() {
-        // The sweep defines its own layout; a global --shards/--rf
-        // override must not change the table (the CI determinism gate
-        // depends on this).
-        let base = scaleout(&quick_opts());
-        let overridden = scaleout(&RunOpts {
-            shards: 7,
-            rf: 2,
-            ..quick_opts()
-        });
-        assert_eq!(base.rows, overridden.rows);
     }
 }

@@ -30,7 +30,7 @@ pub fn e03(opts: &RunOpts) -> Table {
     let p = Params::new(100_000.0, 3.0, 5.0, 3.0, 0.01);
     let horizon = opts.horizon(200);
     let reports = run_points(opts, vec!["eager", "lazy"], |opts, &which| {
-        let cfg = opts.sim_config(&p, horizon).with_warmup(5);
+        let cfg = SimConfig::from_params(&p, horizon, opts.seed).with_warmup(5);
         match which {
             "eager" => EagerSim::new(cfg, ReplicaDiscipline::Serial, Ownership::Group)
                 .instrument(opts, "e3 eager")
@@ -176,7 +176,7 @@ pub fn e11(opts: &RunOpts) -> Table {
         Scheme::TwoTier,
     ];
     let reports = run_points(opts, schemes.clone(), |opts, &scheme| {
-        let mk = || opts.sim_config(&p, horizon).with_warmup(5);
+        let mk = || SimConfig::from_params(&p, horizon, opts.seed).with_warmup(5);
         match scheme {
             Scheme::EagerGroup => EagerSim::new(mk(), ReplicaDiscipline::Serial, Ownership::Group)
                 .instrument(opts, "e11 eager-group")

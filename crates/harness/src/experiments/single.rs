@@ -1,109 +1,69 @@
 //! E1 and E2 — the single-node baseline: measured wait and deadlock
 //! rates against equations (2)–(5).
 
-use crate::par::run_points;
-use crate::table::{fmt_ratio, fmt_val, Table};
+use super::curve::{Curve, Rate};
+use crate::table::fmt_val;
 use crate::{Instrument, RunOpts};
-use repl_core::{ContentionProfile, ContentionSim, SimConfig};
-use repl_model::{single, Params};
+use repl_core::{ContentionProfile, ContentionSim, Report, SimConfig};
+use repl_model::{single, Axis, Params};
+
+fn run_single_node(opts: &RunOpts, p: &Params, horizon: u64, label: String) -> Report {
+    let cfg = SimConfig::from_params(p, horizon, opts.seed).with_warmup(5);
+    ContentionSim::new(cfg, ContentionProfile::single_node(&cfg))
+        .instrument(opts, label)
+        .run()
+}
 
 /// E1: single-node wait rate vs the closed form, sweeping the
 /// transaction size (`Actions`). The model's wait rate is equation (2)
 /// divided by the transaction duration, times the concurrent
 /// population — the `Nodes = 1` case of equation (10).
-pub fn e01(opts: &RunOpts) -> Table {
-    let mut t = Table::new(
-        "E1",
-        "single-node wait rate vs model (eq. 2/10)",
-        &[
-            "Actions",
-            "PW (model)",
-            "waits/s model",
-            "waits/s measured",
-            "meas/model",
-        ],
-    );
-    let base = repl_workload::presets::single_node_base();
-    let sweep = vec![2.0, 3.0, 4.0, 5.0, 6.0, 8.0];
-    let reports = run_points(opts, sweep.clone(), |opts, &actions| {
-        let p = base.with_actions(actions);
-        let predicted = single::node_wait_rate(&p);
-        let horizon = opts.adaptive_horizon(predicted, 200.0, 200, 5_000);
-        let cfg = SimConfig::from_params(&p, horizon, opts.seed).with_warmup(5);
-        ContentionSim::new(cfg, ContentionProfile::single_node(&cfg))
-            .instrument(opts, format!("e1 actions={actions}"))
-            .run()
-    });
-    for (actions, r) in sweep.into_iter().zip(reports) {
-        opts.metrics
-            .absorb(&format!("e1/actions={actions}"), &r.dists);
-        let p = base.with_actions(actions);
-        let predicted = single::node_wait_rate(&p);
-        t.row(vec![
-            format!("{actions}"),
-            fmt_val(single::wait_probability(&p)),
-            fmt_val(predicted),
-            fmt_val(r.wait_rate),
-            fmt_ratio(r.wait_rate, predicted),
-        ]);
-    }
-    t.note("model regime: PW << 1; measured/model ratios near 1 validate eq. (2)");
-    t
-}
+pub const E1: Curve = Curve {
+    name: "e1",
+    title: "single-node wait rate vs model (eq. 2/10)",
+    axis: Axis::Actions,
+    points: || vec![2.0, 3.0, 4.0, 5.0, 6.0, 8.0],
+    base: repl_workload::presets::single_node_base,
+    model: single::node_wait_rate,
+    rate: Rate::Waits,
+    run: |opts, p, rate, label| {
+        let horizon = opts.adaptive_horizon(rate, 200.0, 200, 5_000);
+        run_single_node(opts, p, horizon, label)
+    },
+    lead: Some(("PW (model)", |p| fmt_val(single::wait_probability(p)))),
+    trail: None,
+    fit: None,
+    measured_note: None,
+    note: Some("model regime: PW << 1; measured/model ratios near 1 validate eq. (2)"),
+};
 
 /// E2: single-node deadlock rate vs equation (5), sweeping `Actions` —
 /// the fifth-power sensitivity.
-pub fn e02(opts: &RunOpts) -> Table {
-    let mut t = Table::new(
-        "E2",
-        "single-node deadlock rate vs model (eqs. 3-5), Actions^5 growth",
-        &[
-            "Actions",
-            "deadlocks/s model",
-            "deadlocks/s measured",
-            "meas/model",
-        ],
-    );
+pub const E2: Curve = Curve {
+    name: "e2",
+    title: "single-node deadlock rate vs model (eqs. 3-5), Actions^5 growth",
+    axis: Axis::Actions,
+    points: || vec![3.0, 4.0, 5.0, 6.0, 7.0],
     // Higher contention than E1 so deadlocks are observable in finite
     // runs while PW stays << 1.
-    let base = Params::new(500.0, 1.0, 100.0, 4.0, 0.01);
-    let sweep = vec![3.0, 4.0, 5.0, 6.0, 7.0];
-    let reports = run_points(opts, sweep.clone(), |opts, &actions| {
-        let p = base.with_actions(actions);
-        let predicted = single::node_deadlock_rate(&p);
-        let horizon = opts.adaptive_horizon(predicted, 40.0, 200, 20_000);
-        let cfg = SimConfig::from_params(&p, horizon, opts.seed).with_warmup(5);
-        ContentionSim::new(cfg, ContentionProfile::single_node(&cfg))
-            .instrument(opts, format!("e2 actions={actions}"))
-            .run()
-    });
-    let mut points = Vec::new();
-    for (actions, r) in sweep.into_iter().zip(reports) {
-        opts.metrics
-            .absorb(&format!("e2/actions={actions}"), &r.dists);
-        let predicted = single::node_deadlock_rate(&base.with_actions(actions));
-        points.push(repl_model::Point {
-            x: actions,
-            y: r.deadlock_rate,
-        });
-        t.row(vec![
-            format!("{actions}"),
-            fmt_val(predicted),
-            fmt_val(r.deadlock_rate),
-            fmt_ratio(r.deadlock_rate, predicted),
-        ]);
-    }
-    if let Some(k) = repl_model::fit_exponent(&points) {
-        t.note(format!(
-            "measured Actions-exponent {k:.2} (model predicts 5; eq. 5)"
-        ));
-    }
-    t
-}
+    base: || Params::new(500.0, 1.0, 100.0, 4.0, 0.01),
+    model: single::node_deadlock_rate,
+    rate: Rate::Deadlocks,
+    run: |opts, p, rate, label| {
+        let horizon = opts.adaptive_horizon(rate, 40.0, 200, 20_000);
+        run_single_node(opts, p, horizon, label)
+    },
+    lead: None,
+    trail: None,
+    fit: Some("model predicts 5; eq. 5"),
+    measured_note: None,
+    note: None,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::by_name;
 
     fn quick() -> RunOpts {
         RunOpts {
@@ -115,14 +75,14 @@ mod tests {
 
     #[test]
     fn e01_produces_full_table() {
-        let t = e01(&quick());
+        let t = (by_name("e1").unwrap().run)(&quick());
         assert_eq!(t.rows.len(), 6);
         assert!(!t.notes.is_empty());
     }
 
     #[test]
     fn e02_produces_full_table() {
-        let t = e02(&quick());
+        let t = (by_name("e2").unwrap().run)(&quick());
         assert_eq!(t.rows.len(), 5);
     }
 }

@@ -11,7 +11,8 @@ use crate::par::run_points;
 use crate::table::{fmt_ms, fmt_val, Table};
 use crate::{Instrument, RunOpts};
 use repl_core::{
-    EagerSim, LazyGroupSim, Mobility, Ownership, ReplicaDiscipline, M_LOCK_WAIT, M_PROPAGATION_LAG,
+    EagerSim, LazyGroupSim, Mobility, Ownership, ReplicaDiscipline, SimConfig, M_LOCK_WAIT,
+    M_PROPAGATION_LAG,
 };
 
 /// Distribution columns for one engine run: lock-wait percentiles plus
@@ -46,7 +47,7 @@ pub fn tails(opts: &RunOpts) -> Table {
     let horizon = opts.horizon(400);
     let reports = run_points(opts, cases.clone(), |opts, &(scheme, a)| {
         let p = base.with_actions(a);
-        let cfg = opts.sim_config(&p, horizon).with_warmup(5);
+        let cfg = SimConfig::from_params(&p, horizon, opts.seed).with_warmup(5);
         match scheme {
             "eager" => EagerSim::new(cfg, ReplicaDiscipline::Serial, Ownership::Group)
                 .instrument(opts, format!("tails eager actions={a}"))

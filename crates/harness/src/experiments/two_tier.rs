@@ -1,10 +1,11 @@
 //! E12 — the two-tier scheme (§7, Figures 5 and 6).
 
+use super::curve::{Curve, Rate};
 use crate::par::run_points;
-use crate::table::{fmt_ratio, fmt_val, Table};
+use crate::table::{fmt_val, Table};
 use crate::{Instrument, RunOpts};
-use repl_core::{TwoTierConfig, TwoTierSim, TwoTierWorkload};
-use repl_model::{lazy, Params};
+use repl_core::{SimConfig, TwoTierConfig, TwoTierSim, TwoTierWorkload};
+use repl_model::{lazy, Axis, Params};
 use repl_sim::SimDuration;
 
 fn config(
@@ -16,7 +17,7 @@ fn config(
     opts: &RunOpts,
 ) -> TwoTierConfig {
     TwoTierConfig {
-        sim: opts.sim_config(p, horizon).with_warmup(5),
+        sim: SimConfig::from_params(p, horizon, opts.seed).with_warmup(5),
         base_nodes,
         mobile_owned: 0,
         connected: SimDuration::from_secs(10),
@@ -109,57 +110,32 @@ pub fn e12(opts: &RunOpts) -> Table {
 /// E12b: two-tier base deadlock rate vs `Nodes` — must track the
 /// lazy-master curve (equation 19), since base transactions execute
 /// under the lazy-master discipline.
-pub fn e12_nodes(opts: &RunOpts) -> Table {
-    let mut t = Table::new(
-        "E12b",
-        "two-tier base deadlock rate vs Nodes (follows eq. 19)",
-        &[
-            "Nodes",
-            "deadlocks/s model",
-            "deadlocks/s measured",
-            "meas/model",
-        ],
-    );
-    let base = Params::new(600.0, 2.0, 15.0, 4.0, 0.01);
-    let sweep = vec![2.0, 3.0, 4.0, 6.0, 8.0];
-    let reports = run_points(opts, sweep.clone(), |opts, &n| {
-        let p = base.with_nodes(n);
-        let predicted = lazy::two_tier_base_deadlock_rate(&p);
-        let horizon = opts.adaptive_horizon(predicted, 40.0, 200, 5_000);
+pub const E12B: Curve = Curve {
+    name: "e12b",
+    title: "two-tier base deadlock rate vs Nodes (follows eq. 19)",
+    axis: Axis::Nodes,
+    points: || vec![2.0, 3.0, 4.0, 6.0, 8.0],
+    base: || Params::new(600.0, 2.0, 15.0, 4.0, 0.01),
+    model: lazy::two_tier_base_deadlock_rate,
+    rate: Rate::Deadlocks,
+    run: |opts, p, rate, label| {
+        let horizon = opts.adaptive_horizon(rate, 40.0, 200, 5_000);
         let cfg = config(
-            &p,
-            (n as u32 / 2).max(1),
+            p,
+            (p.nodes as u32 / 2).max(1),
             TwoTierWorkload::Commutative { max_amount: 10 },
             1_000_000,
             horizon,
             opts,
         );
-        TwoTierSim::new(cfg)
-            .instrument(opts, format!("e12b nodes={n}"))
-            .run()
-    });
-    let mut points = Vec::new();
-    for (n, r) in sweep.into_iter().zip(reports) {
-        opts.metrics.absorb(&format!("e12b/nodes={n}"), &r.dists);
-        let predicted = lazy::two_tier_base_deadlock_rate(&base.with_nodes(n));
-        points.push(repl_model::Point {
-            x: n,
-            y: r.deadlock_rate,
-        });
-        t.row(vec![
-            format!("{n}"),
-            fmt_val(predicted),
-            fmt_val(r.deadlock_rate),
-            fmt_ratio(r.deadlock_rate, predicted),
-        ]);
-    }
-    if let Some(k) = repl_model::fit_exponent(&points) {
-        t.note(format!(
-            "measured Nodes-exponent {k:.2} (model predicts 2; eq. 19)"
-        ));
-    }
-    t
-}
+        TwoTierSim::new(cfg).instrument(opts, label).run()
+    },
+    lead: None,
+    trail: None,
+    fit: Some("model predicts 2; eq. 19"),
+    measured_note: None,
+    note: None,
+};
 
 #[cfg(test)]
 mod tests {

@@ -14,7 +14,6 @@
 //! harness --faults SPEC chaos  # override the chaos fault plan
 //! harness --check --quick e11  # record every run, run the oracles
 //! harness --metrics m.json e1  # export merged latency/wait/lag dists
-//! harness --shards 64 --rf 3 scaleout  # partial replication layout
 //! ```
 //!
 //! `SPEC` is the fault mini-language of [`repl_net::FaultPlan::parse`]:
@@ -35,8 +34,8 @@ use std::rc::Rc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: harness [--quick] [--json] [--seed N] [--jobs N] [--shards K] [--rf R] \
-         [--commit-proto P] [--trace FILE] [--series SECS] [--profile] [--faults SPEC] \
+        "usage: harness [--quick] [--json] [--seed N] [--jobs N] [--commit-proto P] \
+         [--trace FILE] [--series SECS] [--profile] [--faults SPEC] \
          [--check] [--metrics FILE] <list|all|NAME...>"
     );
     eprintln!("experiments:");
@@ -149,20 +148,6 @@ fn run() -> std::io::Result<ExitCode> {
                     return Ok(usage());
                 };
                 fault_spec = Some(s);
-            }
-            "--shards" => {
-                let Some(v) = args.next().and_then(|s| s.parse().ok()).filter(|v| *v >= 1) else {
-                    eprintln!("--shards needs a positive integer");
-                    return Ok(usage());
-                };
-                opts.shards = v;
-            }
-            "--rf" => {
-                let Some(v) = args.next().and_then(|s| s.parse().ok()).filter(|v| *v >= 1) else {
-                    eprintln!("--rf needs a positive integer");
-                    return Ok(usage());
-                };
-                opts.rf = v;
             }
             "--commit-proto" => {
                 let Some(p) = args.next().and_then(|s| repl_core::CommitProto::parse(&s)) else {

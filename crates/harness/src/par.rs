@@ -42,8 +42,6 @@ struct WorkerOpts {
     quick: bool,
     seed: u64,
     faults: Option<repl_net::FaultPlan>,
-    shards: u32,
-    rf: u32,
     commit_proto: repl_core::CommitProto,
 }
 
@@ -61,16 +59,12 @@ impl WorkerOpts {
             jobs: _,
             check: _,
             metrics: _,
-            shards,
-            rf,
             commit_proto,
         } = opts;
         WorkerOpts {
             quick: *quick,
             seed: *seed,
             faults: faults.clone(),
-            shards: *shards,
-            rf: *rf,
             commit_proto: *commit_proto,
         }
     }
@@ -80,8 +74,6 @@ impl WorkerOpts {
             quick: self.quick,
             seed: self.seed,
             faults: self.faults.clone(),
-            shards: self.shards,
-            rf: self.rf,
             commit_proto: self.commit_proto,
             // Workers run exactly one point at a time; nested sweeps
             // (none exist today) would stay serial rather than
@@ -96,8 +88,7 @@ impl WorkerOpts {
 /// worker threads, and return the results **in point order**.
 ///
 /// Each worker invokes `f` with a private `RunOpts` carrying the same
-/// `quick`/`seed`/`faults`/`shards`/`rf`/`commit_proto` values
-/// as `opts`, so a point's simulation is bit-identical whether it ran
+/// `quick`/`seed`/`faults`/`commit_proto` values as `opts`, so a point's simulation is bit-identical whether it ran
 /// serially or on a worker. Falls back to the plain in-order serial
 /// loop (with `opts` itself, tracer and all) when `opts.jobs <= 1`,
 /// when a tracer, profiler, or check session is attached, or when there
@@ -206,8 +197,6 @@ mod tests {
         o.quick = true;
         o.seed = 99;
         o.faults = Some(repl_net::FaultPlan::quiet(99));
-        o.shards = 16;
-        o.rf = 3;
         o.commit_proto = repl_core::CommitProto::TwoPc;
         let got = run_points(&o, vec![(); 4], |local, ()| {
             (
@@ -215,12 +204,10 @@ mod tests {
                 local.seed,
                 local.faults.is_some(),
                 local.jobs,
-                local.shards,
-                local.rf,
                 local.commit_proto,
             )
         });
-        let want = (true, 99, true, 1, 16, 3, repl_core::CommitProto::TwoPc);
+        let want = (true, 99, true, 1, repl_core::CommitProto::TwoPc);
         assert!(got.iter().all(|&g| g == want));
     }
 

@@ -1,17 +1,14 @@
 //! Sharding must be byte-identical at full replication and
 //! deterministic at every partial layout.
 //!
-//! Three invariants, all load-bearing for `--shards`/`--rf`:
+//! Two engine-level invariants:
 //!
 //! 1. `rf >= Nodes` (or `rf = 0`) reproduces the unsharded run exactly
 //!    — report and final store digests alike — for every engine. The
 //!    sharded code paths are gated on the layout actually being
 //!    partial, so full replication never pays for them and never
 //!    diverges from the pre-sharding behavior.
-//! 2. Harness tables are invariant across `--shards` × `--jobs`: a
-//!    full-replication layout changes nothing at any worker count, and
-//!    a partial layout produces the same table serially or fanned out.
-//! 3. The committed `check_seeds.txt` corpus stays green through the
+//! 2. The committed `check_seeds.txt` corpus stays green through the
 //!    oracles under partial layouts: per-shard convergence and the
 //!    union-consensus divergence check judge partial stores over the
 //!    objects each node actually hosts.
@@ -21,9 +18,7 @@ use dangers_of_replication::core::{
     EagerSim, LazyGroupSim, LazyMasterSim, Mobility, Ownership, ReplicaDiscipline, Report,
     SimConfig, TwoTierConfig, TwoTierSim, TwoTierWorkload,
 };
-use dangers_of_replication::harness::experiments::check::{run_case, run_case_with_config};
-use dangers_of_replication::harness::experiments::lazy::e08;
-use dangers_of_replication::harness::RunOpts;
+use dangers_of_replication::harness::experiments::check::run_case;
 use dangers_of_replication::model::Params;
 use dangers_of_replication::sim::SimDuration;
 
@@ -53,7 +48,7 @@ fn two_tier_run(cfg: SimConfig) -> (Report, Vec<u64>) {
     (report, digests)
 }
 
-/// `--shards K --rf Nodes` (and `rf = 0`) must be byte-identical to an
+/// `with_shards(K, Nodes)` (and `rf = 0`) must be byte-identical to an
 /// unsharded run for every engine: same report, same final digests.
 #[test]
 fn full_rf_matches_unsharded_for_every_engine() {
@@ -84,42 +79,10 @@ fn full_rf_matches_unsharded_for_every_engine() {
     }
 }
 
-fn e08_table(shards: u32, rf: u32, jobs: usize) -> dangers_of_replication::harness::Table {
-    let opts = RunOpts {
-        quick: true,
-        seed: 42,
-        shards,
-        rf,
-        jobs,
-        ..RunOpts::default()
-    };
-    e08(&opts)
-}
-
-/// Harness tables must come out byte-identical across the
-/// `--shards` × `--jobs` grid: full-replication layouts change nothing,
-/// and partial layouts are jobs-count invariant.
-#[test]
-fn harness_tables_invariant_across_shards_and_jobs() {
-    let base = e08_table(0, 0, 1);
-    // Full replication: any shard count, any worker count.
-    for (shards, jobs) in [(16, 1), (16, 4), (0, 4)] {
-        assert_eq!(
-            base,
-            e08_table(shards, 0, jobs),
-            "shards {shards} jobs {jobs}"
-        );
-    }
-    // Partial replication changes the physics (fewer copies), but the
-    // table must still be identical at any fan-out.
-    let partial = e08_table(8, 2, 1);
-    assert_ne!(base, partial, "rf=2 must actually change the run");
-    assert_eq!(partial, e08_table(8, 2, 4), "partial layout, jobs 4");
-}
-
 /// Replay the committed corpus through the oracles under shard
-/// layouts: a full-rf layout must reproduce the serial verdicts
-/// exactly, and a partial layout must stay clean.
+/// layouts: on every case without a layout of its own, a full-rf
+/// layout must reproduce the unsharded verdicts exactly, and a partial
+/// layout must stay clean.
 #[test]
 fn corpus_oracle_verdicts_stay_green_under_sharding() {
     let corpus = include_str!("check_seeds.txt");
@@ -130,16 +93,26 @@ fn corpus_oracle_verdicts_stay_green_under_sharding() {
             continue;
         }
         let case = FuzzCase::parse(line).unwrap_or_else(|e| panic!("corpus line `{line}`: {e}"));
+        if case.shards > 0 {
+            continue;
+        }
+        let layout = |shards, rf| {
+            run_case(&FuzzCase {
+                shards,
+                rf,
+                ..case.clone()
+            })
+        };
         let serial = run_case(&case);
         // rf >= any corpus node count: byte-identical verdicts.
-        let full = run_case_with_config(&case, 64, 64);
+        let full = layout(64, 64);
         assert_eq!(serial.commits, full.commits, "corpus case `{line}`");
         assert_eq!(
             serial.violations, full.violations,
             "corpus case `{line}` full-rf replay"
         );
         // Partial layout: different physics, same cleanliness.
-        let partial = run_case_with_config(&case, 5, 2);
+        let partial = layout(5, 2);
         assert!(
             partial.is_clean(),
             "corpus case `{line}` must stay clean under shards=5 rf=2: {:?}",
