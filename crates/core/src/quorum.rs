@@ -7,13 +7,9 @@
 //! This module implements Gifford's weighted voting: each replica holds
 //! votes; reads need `r` votes, writes need `w` votes, with
 //! `r + w > total` so any read quorum intersects any write quorum, and
-//! `2w > total` so two writes cannot proceed disjointly. Rejoining
-//! nodes catch up from the freshest quorum member (version-based read
-//! repair).
+//! `2w > total` so two writes cannot proceed disjointly.
 
-use repl_sim::SimTime;
-use repl_storage::{Lsn, NodeId, ObjectId, ObjectStore, Timestamp, Value};
-use repl_telemetry::{Event, EventKind, TraceHandle};
+use repl_storage::NodeId;
 
 /// A weighted-voting configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,143 +104,6 @@ impl QuorumConfig {
     }
 }
 
-/// A quorum-replicated single-object register over per-node stores:
-/// the minimal Gifford machine used to test the catch-up rule.
-#[derive(Debug)]
-pub struct QuorumRegister {
-    config: QuorumConfig,
-    replicas: Vec<ObjectStore>,
-    object: ObjectId,
-    next_version: u64,
-    tracer: TraceHandle,
-    /// Logical operation counter — the register has no simulated clock,
-    /// so trace events are stamped with one tick per operation.
-    tick: u64,
-}
-
-/// Errors performing quorum operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QuorumOpError {
-    /// Not enough votes among the available nodes.
-    InsufficientVotes {
-        /// Votes present.
-        have: u32,
-        /// Votes required.
-        need: u32,
-    },
-}
-
-impl std::fmt::Display for QuorumOpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QuorumOpError::InsufficientVotes { have, need } => {
-                write!(f, "quorum not reached: {have} of {need} votes")
-            }
-        }
-    }
-}
-
-impl std::error::Error for QuorumOpError {}
-
-impl QuorumRegister {
-    /// A register replicated at `config.weights.len()` nodes.
-    pub fn new(config: QuorumConfig) -> Self {
-        let n = config.weights.len();
-        QuorumRegister {
-            config,
-            replicas: (0..n).map(|_| ObjectStore::new(1)).collect(),
-            object: ObjectId(0),
-            next_version: 0,
-            tracer: TraceHandle::off(),
-            tick: 0,
-        }
-    }
-
-    /// Attach a tracer; events carry a logical per-operation tick as
-    /// their timestamp.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: TraceHandle) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Write through the nodes in `available` (must form a write
-    /// quorum). The new version is stamped one above the freshest
-    /// version in the quorum — the Gifford version-number rule.
-    pub fn write(&mut self, available: &[NodeId], value: Value) -> Result<(), QuorumOpError> {
-        if !self.config.can_write(available) {
-            return Err(QuorumOpError::InsufficientVotes {
-                have: self.config.votes_of(available),
-                need: self.config.write_quorum,
-            });
-        }
-        let freshest = available
-            .iter()
-            .map(|n| self.replicas[n.0 as usize].get(self.object).ts.counter)
-            .max()
-            .unwrap_or(0);
-        self.next_version = self.next_version.max(freshest) + 1;
-        let ts = Timestamp::new(self.next_version, available[0]);
-        self.tick += 1;
-        for n in available {
-            self.replicas[n.0 as usize].set(self.object, value.clone(), ts);
-            self.tracer
-                .emit(|| Event::system(SimTime(self.tick), *n, EventKind::ReplicaApply));
-        }
-        Ok(())
-    }
-
-    /// Read from the nodes in `available` (must form a read quorum):
-    /// the value with the highest version wins. Any write quorum
-    /// intersects, so this is always the latest committed write.
-    pub fn read(&self, available: &[NodeId]) -> Result<Value, QuorumOpError> {
-        if !self.config.can_read(available) {
-            return Err(QuorumOpError::InsufficientVotes {
-                have: self.config.votes_of(available),
-                need: self.config.read_quorum,
-            });
-        }
-        let freshest = available
-            .iter()
-            .map(|n| self.replicas[n.0 as usize].get(self.object))
-            .max_by_key(|v| v.ts)
-            .expect("read quorum is non-empty");
-        Ok(freshest.value.clone())
-    }
-
-    /// Catch a rejoining node up from a read quorum ("the quorum sends
-    /// the new node all replica updates since the node was
-    /// disconnected").
-    pub fn rejoin(&mut self, node: NodeId, quorum: &[NodeId]) -> Result<(), QuorumOpError> {
-        let value = self.read(quorum)?;
-        let freshest_ts = quorum
-            .iter()
-            .map(|n| self.replicas[n.0 as usize].get(self.object).ts)
-            .max()
-            .expect("read quorum is non-empty");
-        self.tick += 1;
-        self.tracer.emit(|| {
-            Event::system(
-                SimTime(self.tick),
-                quorum[0],
-                EventKind::ReplicaSend {
-                    to: node,
-                    lsn: Lsn(freshest_ts.counter),
-                },
-            )
-        });
-        self.replicas[node.0 as usize].set(self.object, value, freshest_ts);
-        self.tracer
-            .emit(|| Event::system(SimTime(self.tick), node, EventKind::Reconcile));
-        Ok(())
-    }
-
-    /// The raw version a specific replica holds (for tests).
-    pub fn version_at(&self, node: NodeId) -> Timestamp {
-        self.replicas[node.0 as usize].get(self.object).ts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,63 +147,7 @@ mod tests {
     }
 
     #[test]
-    fn write_then_read_sees_value() {
-        let mut r = QuorumRegister::new(QuorumConfig::majority(5));
-        r.write(&nodes(&[0, 1, 2]), Value::Int(7)).unwrap();
-        let v = r.read(&nodes(&[2, 3, 4])).unwrap();
-        assert_eq!(v, Value::Int(7), "read quorum must intersect write quorum");
-    }
-
-    #[test]
-    fn stale_members_lose_to_fresh_version() {
-        let mut r = QuorumRegister::new(QuorumConfig::majority(5));
-        r.write(&nodes(&[0, 1, 2]), Value::Int(1)).unwrap();
-        // Second write through a different quorum (overlaps at node 2).
-        r.write(&nodes(&[2, 3, 4]), Value::Int(2)).unwrap();
-        // A read touching the stale nodes 0,1 plus fresh node 2 returns
-        // the newest version.
-        assert_eq!(r.read(&nodes(&[0, 1, 2])).unwrap(), Value::Int(2));
-    }
-
-    #[test]
-    fn below_quorum_writes_fail() {
-        let mut r = QuorumRegister::new(QuorumConfig::majority(5));
-        let err = r.write(&nodes(&[0, 1]), Value::Int(9)).unwrap_err();
-        assert_eq!(err, QuorumOpError::InsufficientVotes { have: 2, need: 3 });
-        // Nothing was written anywhere.
-        assert_eq!(r.version_at(NodeId(0)), Timestamp::ZERO);
-    }
-
-    #[test]
-    fn rejoin_catches_node_up() {
-        let mut r = QuorumRegister::new(QuorumConfig::majority(5));
-        // Node 4 is "disconnected" during two writes.
-        r.write(&nodes(&[0, 1, 2]), Value::Int(1)).unwrap();
-        r.write(&nodes(&[0, 1, 3]), Value::Int(2)).unwrap();
-        assert_eq!(r.version_at(NodeId(4)), Timestamp::ZERO);
-        r.rejoin(NodeId(4), &nodes(&[0, 1, 2])).unwrap();
-        assert_eq!(
-            r.read(&nodes(&[2, 3, 4])).unwrap(),
-            Value::Int(2),
-            "rejoined node carries the latest committed value"
-        );
-        assert!(r.version_at(NodeId(4)) > Timestamp::ZERO);
-    }
-
-    #[test]
-    fn version_numbers_strictly_increase() {
-        let mut r = QuorumRegister::new(QuorumConfig::majority(3));
-        r.write(&nodes(&[0, 1]), Value::Int(1)).unwrap();
-        let v1 = r.version_at(NodeId(0));
-        r.write(&nodes(&[1, 2]), Value::Int(2)).unwrap();
-        let v2 = r.version_at(NodeId(1));
-        assert!(v2 > v1);
-    }
-
-    #[test]
     fn error_display() {
-        let e = QuorumOpError::InsufficientVotes { have: 1, need: 3 };
-        assert!(e.to_string().contains("1 of 3"));
         assert!(QuorumError::ReadWriteOverlap.to_string().contains("read"));
     }
 }

@@ -42,4 +42,4 @@ pub use handle::{SyncTraceHandle, TraceHandle};
 pub use metrics::{Gauge, Histogram, MetricsRegistry, RunMetrics};
 pub use profile::{PhaseStat, Profiler};
 pub use series::{Bucket, BucketRates, RunSeries, SeriesAggregator};
-pub use sinks::{parse_jsonl, Fanout, JsonlSink, NullTracer, RingBuffer, Tracer};
+pub use sinks::{parse_jsonl, JsonlSink, NullTracer, RingBuffer, Tracer};

@@ -1,5 +1,6 @@
-//! Tracer sinks: the no-op default, a bounded post-mortem ring, a
-//! streaming JSONL exporter, and a fan-out combinator.
+//! Tracer sinks: the no-op default, a bounded post-mortem ring and a
+//! streaming JSONL exporter. `TraceHandle::attach` fans one stream out
+//! to several sinks.
 
 use crate::event::Event;
 use std::collections::VecDeque;
@@ -151,45 +152,6 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, serde_json::Error> {
         .filter(|l| !l.trim().is_empty())
         .map(serde_json::from_str)
         .collect()
-}
-
-/// Duplicates the stream into several sinks (e.g. `--trace` and
-/// `--series` together).
-#[derive(Default)]
-pub struct Fanout {
-    sinks: Vec<Box<dyn Tracer>>,
-}
-
-impl Fanout {
-    /// An empty fan-out.
-    pub fn new() -> Self {
-        Fanout::default()
-    }
-
-    /// Add a sink.
-    pub fn push(&mut self, sink: Box<dyn Tracer>) {
-        self.sinks.push(sink);
-    }
-}
-
-impl Tracer for Fanout {
-    fn record(&mut self, event: &Event) {
-        for s in &mut self.sinks {
-            s.record(event);
-        }
-    }
-
-    fn run_end(&mut self, at: repl_sim::SimTime) {
-        for s in &mut self.sinks {
-            s.run_end(at);
-        }
-    }
-
-    fn flush(&mut self) {
-        for s in &mut self.sinks {
-            s.flush();
-        }
-    }
 }
 
 #[cfg(test)]

@@ -6,12 +6,13 @@
 //!
 //! 1. Ask the analytic model what happens when you replicate.
 //! 2. Watch a simulated eager system actually do it.
-//! 3. Run a real threaded lazy-group cluster and watch it converge.
+//! 3. Run a simulated lazy-group system to quiescence and watch its
+//!    replicas converge.
 
-use dangers_of_replication::cluster::Cluster;
-use dangers_of_replication::core::{EagerSim, Op, Ownership, ReplicaDiscipline, SimConfig};
+use dangers_of_replication::core::{
+    EagerSim, LazyGroupSim, Mobility, Ownership, ReplicaDiscipline, SimConfig,
+};
 use dangers_of_replication::model::{eager, lazy, Params};
-use dangers_of_replication::storage::{NodeId, ObjectId, Value};
 
 fn main() {
     // ------------------------------------------------------------------
@@ -61,27 +62,19 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // 3. A real threaded lazy-group cluster.
+    // 3. A discrete-event lazy-group run at 4 nodes.
     // ------------------------------------------------------------------
-    println!("== threaded lazy-group cluster, 4 nodes ==");
-    let cluster = Cluster::new(4, 100);
-    for i in 0..100u32 {
-        // Every node updates the same small database concurrently.
-        let node = NodeId(i % 4);
-        cluster.execute_one(node, ObjectId(u64::from(i % 10)), Op::Add(1));
-        cluster.execute_one(
-            node,
-            ObjectId(u64::from(i % 7)),
-            Op::Set(Value::Int(i64::from(i))),
-        );
-    }
-    let stats = cluster.quiesce();
-    let digests = cluster.digests();
-    let converged = digests.iter().all(|&d| d == digests[0]);
-    let reconciliations: u64 = stats.iter().map(|s| s.reconciliations).sum();
-    println!("executed 200 transactions across 4 replicas");
-    println!("dangerous (reconciled) updates: {reconciliations}");
+    println!("== simulated lazy-group replication, 4 nodes ==");
+    // Every node updates the same small database: updates collide.
+    let p4 = base.with_nodes(4.0).with_db_size(100.0).with_tps(5.0);
+    let cfg = SimConfig::from_params(&p4, 60, 1);
+    let (report, stores) = LazyGroupSim::new(cfg, Mobility::Connected).run_with_state();
+    let converged = stores.iter().all(|s| s.digest() == stores[0].digest());
+    println!(
+        "executed {} transactions across 4 replicas",
+        report.committed
+    );
+    println!("dangerous (reconciled) updates: {}", report.reconciliations);
     println!("replicas converged: {converged}");
-    cluster.shutdown();
     println!("\nNext: `cargo run --release -p repl-harness -- all` regenerates every table.");
 }
