@@ -35,7 +35,9 @@ pub struct FuzzCase {
     /// Simulated horizon in seconds.
     pub horizon_secs: u64,
     /// Optional fault-plan spec (the `repl_net::FaultPlan::parse`
-    /// mini-language); lazy-group only.
+    /// mini-language). Every scheme but two-tier takes one: the fuzzer
+    /// generates them for lazy-group, and the commit-protocol campaign
+    /// sets them on eager and lazy-master cases.
     pub faults: Option<String>,
     /// Keyspace shard count; 0 leaves the run unsharded. Only the
     /// contention-family schemes consult a shard layout.

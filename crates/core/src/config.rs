@@ -210,11 +210,6 @@ impl SimConfig {
         }
         Some(ShardMap::new(self.shards, self.nodes, self.effective_rf()))
     }
-
-    /// Mean inter-arrival time of one node's Poisson process.
-    pub fn mean_interarrival_secs(&self) -> f64 {
-        1.0 / self.tps
-    }
 }
 
 #[cfg(test)]
@@ -292,12 +287,5 @@ mod tests {
             down_secs: 5,
         };
         assert_eq!(c.with_crash_point(cp).crash_point, Some(cp));
-    }
-
-    #[test]
-    fn interarrival_inverse_of_tps() {
-        let p = Params::default().with_tps(20.0);
-        let c = SimConfig::from_params(&p, 10, 1);
-        assert!((c.mean_interarrival_secs() - 0.05).abs() < 1e-12);
     }
 }

@@ -85,11 +85,6 @@ impl Document {
             (None, false) => Some(Value::Int(delta_sum)),
         }
     }
-
-    /// Number of commutative increments recorded.
-    pub fn delta_count(&self) -> usize {
-        self.deltas.len()
-    }
 }
 
 /// An update to a Notes replica — the two §6 forms plus commutative

@@ -429,9 +429,10 @@ impl<P: Protocol> Kernel<P> {
     pub(super) fn reconnect_delivering(&mut self, node: NodeId) -> u64 {
         let released = self.net.reconnect(node);
         let messages = released.len() as u64;
-        let deliveries = released.map(|msg| Event::Deliver { to: node, msg });
-        self.queue
-            .schedule_batch_after(SimDuration::ZERO, deliveries);
+        for msg in released {
+            self.queue
+                .schedule_after(SimDuration::ZERO, Event::Deliver { to: node, msg });
+        }
         messages
     }
 
@@ -513,10 +514,10 @@ impl<P: Protocol> Kernel<P> {
         }
         self.tracer
             .emit(|| Trace::system(self.now(), NodeId::default(), EventKind::PartitionHeal));
-        let released = self.net.heal_partition();
-        let deliveries = released.map(|(to, msg)| Event::Deliver { to, msg });
-        self.queue
-            .schedule_batch_after(SimDuration::ZERO, deliveries);
+        for (to, msg) in self.net.heal_partition() {
+            self.queue
+                .schedule_after(SimDuration::ZERO, Event::Deliver { to, msg });
+        }
     }
 
     /// A lock request by `id` at `node` blocked on `obj`: count the
@@ -803,7 +804,7 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    /// Event size is the calendar queue's memory traffic. The first two
+    /// Event size is the event heap's memory traffic. The first two
     /// are the sizes of the private `Ev` enums the kernel replaced;
     /// two-tier's refresh message is two words, which keeps its event
     /// as small as a step.

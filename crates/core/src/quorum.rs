@@ -79,11 +79,6 @@ impl QuorumConfig {
         QuorumConfig::new(vec![1; n as usize], q, q).expect("majority always valid")
     }
 
-    /// Total votes in the system.
-    pub fn total_votes(&self) -> u32 {
-        self.weights.iter().sum()
-    }
-
     /// Votes held by a set of available nodes.
     pub fn votes_of(&self, available: &[NodeId]) -> u32 {
         available
@@ -115,7 +110,6 @@ mod tests {
     #[test]
     fn majority_config_is_valid() {
         let q = QuorumConfig::majority(5);
-        assert_eq!(q.total_votes(), 5);
         assert_eq!(q.read_quorum, 3);
         assert_eq!(q.write_quorum, 3);
     }

@@ -112,9 +112,10 @@ pub fn run_case(case: &FuzzCase) -> CheckReport {
     rec.check()
 }
 
-/// Parse a hand-typed `CHECK_CASE` line, refusing what [`run_case`]
-/// would panic on. `repl-check` cannot see the engine's `proto` and
-/// `xpoint` parsers, so they are applied here, with the fault plan's.
+/// Parse a `CHECK_CASE` or corpus line, refusing what [`run_case`]
+/// would panic on or silently ignore. `repl-check` cannot see the
+/// engine's `proto` and `xpoint` parsers, so they are applied here,
+/// with the fault plan's.
 pub fn parse_check_case(line: &str) -> Result<FuzzCase, String> {
     let case = FuzzCase::parse(line)?;
     if let Some(name) = &case.proto {
@@ -127,6 +128,11 @@ pub fn parse_check_case(line: &str) -> Result<FuzzCase, String> {
         })?;
     }
     if let Some(spec) = &case.faults {
+        if case.scheme == Scheme::TwoTier {
+            // `run_case` has no fault hook for two-tier; running the
+            // line fault-free would report a fault case as clean.
+            return Err("two-tier takes no fault plan (ROADMAP item 1 adds one)".to_owned());
+        }
         repl_net::FaultPlan::parse(spec, case.seed)?;
     }
     Ok(case)
@@ -231,7 +237,7 @@ pub fn check(opts: &RunOpts) -> Table {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match FuzzCase::parse(line) {
+        match parse_check_case(line) {
             Ok(case) => {
                 let report = run_case(&case);
                 table.row(vec![

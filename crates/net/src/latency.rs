@@ -49,15 +49,6 @@ impl LatencyModel {
             }
         }
     }
-
-    /// The mean delay of the model, in seconds (for reporting).
-    pub fn mean_secs(&self) -> f64 {
-        match *self {
-            LatencyModel::Fixed(d) => d.as_secs_f64(),
-            LatencyModel::Uniform { min, max } => (min.as_secs_f64() + max.as_secs_f64()) / 2.0,
-            LatencyModel::Exponential { mean } => mean.as_secs_f64(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -77,7 +68,6 @@ mod tests {
     fn zero_model_is_zero() {
         let mut rng = SimRng::new(1);
         assert_eq!(LatencyModel::ZERO.sample(&mut rng), SimDuration::ZERO);
-        assert_eq!(LatencyModel::ZERO.mean_secs(), 0.0);
     }
 
     #[test]
@@ -113,14 +103,5 @@ mod tests {
         let total: f64 = (0..n).map(|_| m.sample(&mut rng).as_secs_f64()).sum();
         let mean = total / n as f64;
         assert!((mean - 0.010).abs() < 0.0005, "mean {mean}");
-    }
-
-    #[test]
-    fn mean_secs_reports_model_mean() {
-        let u = LatencyModel::Uniform {
-            min: SimDuration::from_millis(0),
-            max: SimDuration::from_millis(10),
-        };
-        assert!((u.mean_secs() - 0.005).abs() < 1e-12);
     }
 }

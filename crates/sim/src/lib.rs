@@ -11,7 +11,7 @@
 //!   order so runs are bit-for-bit reproducible,
 //! * [`SimRng`] — a self-contained xoshiro256++ generator with labelled
 //!   independent streams,
-//! * [`stats`] — streaming counters and Welford accumulators for the
+//! * [`stats`] — streaming counters and Welford mean accumulators for the
 //!   measured rates.
 //!
 //! The queue is *pulled*: the protocol driver pops `(time, event)` pairs

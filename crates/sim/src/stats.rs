@@ -1,5 +1,5 @@
 //! Streaming statistics used by the metrics layer: counters, rate
-//! meters, and a Welford mean/variance accumulator.
+//! meters, and a Welford running-mean accumulator.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -42,14 +42,12 @@ impl Counter {
     }
 }
 
-/// Welford's online mean/variance accumulator for duration samples
-/// (e.g. wait times, transaction latencies).
+/// Welford's online mean accumulator for duration samples (e.g. wait
+/// times, transaction latencies).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Welford {
     n: u64,
     mean: f64,
-    m2: f64,
-    max: f64,
 }
 
 impl Welford {
@@ -63,10 +61,6 @@ impl Welford {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        if x > self.max {
-            self.max = x;
-        }
     }
 
     /// Record a duration sample in seconds.
@@ -86,25 +80,6 @@ impl Welford {
         } else {
             self.mean
         }
-    }
-
-    /// Unbiased sample variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Largest sample seen (0 if empty).
-    pub fn max(&self) -> f64 {
-        self.max
     }
 }
 
@@ -130,24 +105,19 @@ mod tests {
     }
 
     #[test]
-    fn welford_mean_and_variance() {
+    fn welford_mean() {
         let mut w = Welford::new();
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             w.record(x);
         }
         assert_eq!(w.count(), 8);
         assert!((w.mean() - 5.0).abs() < 1e-12);
-        // Population variance is 4.0; unbiased sample variance = 32/7.
-        assert!((w.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert!((w.max() - 9.0).abs() < 1e-12);
     }
 
     #[test]
     fn welford_empty_is_zero() {
         let w = Welford::new();
         assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.std_dev(), 0.0);
     }
 
     #[test]
@@ -155,7 +125,6 @@ mod tests {
         let mut w = Welford::new();
         w.record(3.5);
         assert_eq!(w.mean(), 3.5);
-        assert_eq!(w.variance(), 0.0);
     }
 
     #[test]

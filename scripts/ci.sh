@@ -103,6 +103,18 @@ for t in tables:
 print(f"ok: {len(tables)} JSON tables, all titled and non-empty")
 EOF
 
+say "queue gauge: --profile reports the event queue's peak and retained memory"
+# No table, golden or test reads `EventQueue::retained_bytes` end to
+# end; this is the one run that does.
+profile_out="$tmp/profile_out"
+./target/release/harness --profile --quick e1 >"$profile_out"
+grep -Eq '^ *queue: peak [1-9][0-9]* events, [0-9]+ KB retained$' "$profile_out" || {
+    echo "--profile printed no 'queue: peak N events, M KB retained' line with N >= 1" >&2
+    grep -E 'queue' "$profile_out" >&2 || true
+    exit 1
+}
+echo "ok: $(grep -Eo 'queue: peak .*' "$profile_out")"
+
 say "parallel smoke: --jobs 2 must be byte-identical to serial"
 par_out="$tmp/par_out"
 par_metrics="$tmp/par_metrics"

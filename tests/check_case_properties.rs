@@ -4,9 +4,10 @@
 //! crash point they accept round-trips through `encode`; and what they
 //! accept is what was typed (no number wrapped to fit its field) and
 //! fits the simulated clock (horizon and crash-point down time at most
-//! [`FaultPlan::MAX_DURATION`]).
+//! [`FaultPlan::MAX_DURATION`]); and no accepted two-tier line carries a
+//! fault plan, which that engine would ignore.
 
-use dangers_of_replication::check::FuzzCase;
+use dangers_of_replication::check::{FuzzCase, Scheme};
 use dangers_of_replication::core::CrashPoint;
 use dangers_of_replication::harness::experiments::check::parse_check_case;
 use dangers_of_replication::net::FaultPlan;
@@ -34,8 +35,21 @@ fn check_line(line: &str) -> Result<(), TestCaseError> {
         if let Some(x) = &case.xpoint {
             prop_assert!(CrashPoint::parse(x).is_some(), "{line:?}");
         }
+        if case.scheme == Scheme::TwoTier {
+            prop_assert!(case.faults.is_none(), "{line:?}");
+        }
     }
     Ok(())
+}
+
+/// Two-tier has no fault hook, so a fault plan on a two-tier line is
+/// refused instead of running fault-free and reporting clean.
+#[test]
+fn a_two_tier_line_with_a_fault_plan_is_refused() {
+    let line = "two-tier:seed=1,nodes=4,db=300,tps=10,actions=4,horizon=10|drop=0.5";
+    let err = parse_check_case(line).expect_err("two-tier fault plan accepted");
+    assert!(err.contains("two-tier takes no fault plan"), "{err}");
+    assert!(parse_check_case(line.split('|').next().unwrap()).is_ok());
 }
 
 /// An accepted line keeps every number as typed: the last `KEY=N` of

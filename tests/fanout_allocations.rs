@@ -8,10 +8,11 @@
 //! rules out. Filtering the refresh once per destination signature
 //! makes one payload per distinct hosted set, which with round-robin
 //! placement is one per node: 88 against 30. And an event queue that
-//! rebuilds its overflow list in a fresh vector on every migration
-//! costs 0.79 allocations per commit at 64 nodes against 0.04 at 16,
-//! because lower per-node rates send more arrivals past the wheel
-//! horizon: 6.4 against 5.3.
+//! allocates for far-future events, as a bucketed queue that rebuilt
+//! its overflow list in a fresh vector on every migration did, costs
+//! 0.79 allocations per commit at 64 nodes against 0.04 at 16, because
+//! lower per-node rates schedule more arrivals far ahead: 6.4 against
+//! 5.3. The event heap allocates only when it grows past its peak.
 //!
 //! A counting `#[global_allocator]` is process-wide, so this file holds
 //! exactly one test.

@@ -1,10 +1,12 @@
 //! A mobile run's memory follows its live state, not its horizon. A
 //! reconnecting node's parked backlog lands in the event queue in one
-//! burst; the queue used to leave a burst-sized buffer behind in every
-//! wheel slot a reconnect ever hit, so four times the simulated time
-//! cost 2.4 times the heap (48.7 MB at 600 s for the run below). The
-//! live quantities — parked payloads, stores, commit logs — do not grow
-//! with the horizon, and now neither does the peak.
+//! burst. A queue that leaves a burst-sized buffer behind wherever a
+//! burst ever landed makes four times the simulated time cost 2.4 times
+//! the heap (48.7 MB at 600 s for the run below, measured on a bucketed
+//! queue that did so). The event heap keeps one buffer, sized by the
+//! most events ever pending at once, and the other live quantities —
+//! parked payloads, stores, commit logs — do not grow with the horizon,
+//! so neither does the peak.
 //!
 //! A byte-tracking `#[global_allocator]` is process-wide, so this file
 //! holds exactly one test.
