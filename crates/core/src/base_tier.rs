@@ -33,7 +33,7 @@ use repl_sim::SimTime;
 use repl_storage::hash::FastMap;
 use repl_storage::{
     CommitLog, CommitRecord, LamportClock, Lsn, NodeId, ObjectId, ObjectStore, TentativeStore,
-    Timestamp, TxnId, UpdateRecord, Value,
+    TxnId, UpdateRecord, Value,
 };
 use repl_telemetry::{AbortReason, Event, EventKind, RunMetrics, SyncTraceHandle};
 use std::cell::RefCell;
@@ -190,10 +190,7 @@ impl Replica {
     /// Replay the durable log over the initial state into a fresh
     /// master database and clock. Returns the records replayed.
     fn rebuild(&mut self) -> u64 {
-        let mut master = ObjectStore::new(self.db_size);
-        for o in 0..self.db_size {
-            master.set(ObjectId(o), Value::Int(self.initial_value), Timestamp::ZERO);
-        }
+        let mut master = ObjectStore::filled(self.db_size, None, Value::Int(self.initial_value));
         let mut clock = LamportClock::new(self.node);
         let records = self.log.since(Lsn(0));
         for u in records.iter().flat_map(|r| &r.updates) {
@@ -920,15 +917,10 @@ impl MobileNode {
     /// A fresh mobile node over a `db_size`-object replica (sync before
     /// first use to pull the real master versions).
     pub fn new(id: NodeId, db_size: u64, initial_value: i64) -> Self {
-        let mut store = TentativeStore::new(db_size);
-        for i in 0..db_size {
-            store
-                .master_mut()
-                .set(ObjectId(i), Value::Int(initial_value), Timestamp::ZERO);
-        }
+        let master = ObjectStore::filled(db_size, None, Value::Int(initial_value));
         MobileNode {
             id,
-            store,
+            store: TentativeStore::from_master(master),
             clock: LamportClock::new(id),
             pending: Vec::new(),
             watermark: Lsn(0),

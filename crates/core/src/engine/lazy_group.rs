@@ -252,12 +252,16 @@ impl LazyGroupSim {
                 locks: LazyGroup::lock_manager(&cfg, shard.as_ref(), NodeId(i)),
                 clock: LamportClock::new(NodeId(i)),
                 log: CommitLog::new(),
-                peers: (0..cfg.nodes)
-                    .map(NodeId)
-                    .filter(|&peer| peer != NodeId(i))
-                    .filter(|&peer| shard.as_ref().is_none_or(|m| m.shares_any(NodeId(i), peer)))
-                    .map(|peer| (peer, Lsn(0)))
-                    .collect(),
+                peers: match &shard {
+                    Some(map) => map.cohosts(NodeId(i)),
+                    None => (0..cfg.nodes)
+                        .map(NodeId)
+                        .filter(|&p| p != NodeId(i))
+                        .collect(),
+                }
+                .into_iter()
+                .map(|peer| (peer, Lsn(0)))
+                .collect(),
                 backlog: std::collections::VecDeque::new(),
                 active_replicas: 0,
                 resend_armed: false,
@@ -361,12 +365,15 @@ impl Protocol for LazyGroup {
                     self.propagate(k, node);
                 }
             }
-            Ev::ForwardRoot { to, objects } => {
+            Ev::ForwardRoot { to, mut objects } => {
                 // A forwarded sub-transaction dies if its shard owner is
                 // down (nothing committed yet, so nothing to undo), and
                 // no new roots start during the convergence drain.
                 if k.is_live() && !k.is_down(to) {
                     self.begin_root(k, to, objects);
+                } else {
+                    objects.clear();
+                    self.objects_pool.push(objects);
                 }
             }
             Ev::LockTimeout { txn, node, obj } => self.on_lock_timeout(k, txn, node, obj),
@@ -614,7 +621,12 @@ impl LazyGroup {
                     let owner = map.owner(map.shard_of(obj));
                     match forwards.iter_mut().find(|(o, _)| *o == owner) {
                         Some((_, group)) => group.push(obj),
-                        None => forwards.push((owner, vec![obj])),
+                        None => {
+                            let mut group = self.objects_pool.pop().unwrap_or_default();
+                            group.clear();
+                            group.push(obj);
+                            forwards.push((owner, group));
+                        }
                     }
                 }
             }
@@ -1292,6 +1304,62 @@ mod tests {
             .sum();
         assert!(holders > DB as usize, "tables barely used: {holders}");
         assert!(holders <= 3 * DB as usize, "{holders} holder entries");
+    }
+
+    #[test]
+    fn peers_are_the_nodes_sharing_a_shard() {
+        for (nodes, shards, rf) in [
+            (4, 4, 2),
+            (8, 8, 3),
+            (7, 5, 2),
+            (9, 3, 1),
+            (12, 30, 4),
+            (6, 6, 6),
+        ] {
+            let c = cfg(f64::from(nodes), 600.0, 1.0, 1, 29).with_shards(shards, rf);
+            let sim = LazyGroupSim::new(c, Mobility::Connected);
+            for i in (0..nodes).map(NodeId) {
+                let peers: Vec<NodeId> = sim.p.nodes[i.0 as usize]
+                    .peers
+                    .iter()
+                    .map(|p| p.0)
+                    .collect();
+                // Every other node with which `i` shares a shard (all of
+                // them under full replication).
+                let expect: Vec<NodeId> = (0..nodes)
+                    .map(NodeId)
+                    .filter(|&peer| peer != i)
+                    .filter(|&peer| {
+                        c.shard_map()
+                            .is_none_or(|m| m.hosted_shards(i).iter().any(|&s| m.hosts(peer, s)))
+                    })
+                    .collect();
+                assert_eq!(peers, expect, "{nodes}/{shards}/{rf} node {i:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn forwarded_groups_recycle_through_the_pool() {
+        // Half the transactions cross shards, and each forwards its
+        // remote groups to their owners. Those groups come from the
+        // objects pool and return to it, so the pool is as deep as the
+        // most object lists ever alive at once, not one list per
+        // forward ever sent.
+        let pool = |horizon: u64| {
+            let c = cfg(16.0, 4000.0, 10.0, horizon, 31)
+                .with_shards(16, 3)
+                .with_cross_shard(0.5);
+            let mut sim = LazyGroupSim::new(c, Mobility::Connected);
+            let report = sim.run_phases();
+            (report.committed, sim.p.objects_pool.len())
+        };
+        let (short_commits, short_pool) = pool(60);
+        let (long_commits, long_pool) = pool(240);
+        assert!(long_commits > 3 * short_commits);
+        // The widest live window creeps up a little with the run length
+        // (an extreme value); a pool of forwards would grow fourfold.
+        assert!(long_pool <= 2 * short_pool, "{short_pool} → {long_pool}");
     }
 
     #[test]

@@ -239,10 +239,8 @@ impl TwoTierSim {
         let mut k = Kernel::new(sim, sim.action_time, "tt-arrivals-", "two-tier");
         // Mobile disconnect schedules (staggered exponential periods).
         k.schedule_connectivity(cfg.base_nodes..sim.nodes, cfg.connected, cfg.disconnected);
-        let mut master = ObjectStore::new(sim.db_size);
-        for i in 0..sim.db_size {
-            master.set(ObjectId(i), Value::Int(cfg.initial_value), Timestamp::ZERO);
-        }
+        let initial = Value::Int(cfg.initial_value);
+        let master = ObjectStore::filled(sim.db_size, None, initial.clone());
         let shard = sim.shard_map();
         let hosted_counts: Vec<u64> = match &shard {
             Some(map) => (0..sim.nodes)
@@ -252,24 +250,12 @@ impl TwoTierSim {
         };
         let replicas = (0..n)
             .map(|node| {
-                let mut t = match &shard {
-                    Some(map) => TentativeStore::from_master(ObjectStore::sharded(
-                        sim.db_size,
-                        map,
-                        NodeId(node as u32),
-                    )),
-                    None => TentativeStore::new(sim.db_size),
-                };
-                for i in 0..sim.db_size {
-                    if t.master().hosts(ObjectId(i)) {
-                        t.master_mut().set(
-                            ObjectId(i),
-                            Value::Int(cfg.initial_value),
-                            Timestamp::ZERO,
-                        );
-                    }
-                }
-                t
+                let layout = shard.as_ref().and_then(|m| m.layout(NodeId(node as u32)));
+                TentativeStore::from_master(ObjectStore::filled(
+                    sim.db_size,
+                    layout,
+                    initial.clone(),
+                ))
             })
             .collect();
         let p = TwoTier {

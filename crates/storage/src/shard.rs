@@ -13,6 +13,8 @@
 
 use crate::div::FastDivMod;
 use crate::object::{NodeId, ObjectId};
+use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// One node's slice of a [`ShardMap`]: the closed-form mapping between
 /// the object ids the node hosts and the dense slots `0, 1, 2, …` its
@@ -82,7 +84,11 @@ impl ShardLayout {
 /// `s` is replicated at nodes `{(s + i) mod nodes : i < rf}` (sorted).
 /// Shard `s`'s *owner* — the coordinator for cross-shard work — is
 /// `s mod nodes`, always a member of its replica set.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Two maps are equal when their `(shards, nodes, rf)` are: those three
+/// determine every other field, whether or not the fan-out groups have
+/// been built yet.
+#[derive(Debug, Clone)]
 pub struct ShardMap {
     shards: u32,
     nodes: u32,
@@ -92,21 +98,66 @@ pub struct ShardMap {
     /// Per-node hosted shards and id↔slot packing.
     layouts: Vec<ShardLayout>,
     /// Per-node shard membership bitset (`shards` bits each), for O(1)
-    /// `hosts` and O(words) `shares_any`.
+    /// `hosts`.
     bits: Vec<Vec<u64>>,
-    /// Per-origin offsets into `fanout_sigs`, in *groups* (length
-    /// `nodes + 1`): origin `o` owns group signatures
-    /// `fanout_base[o]..fanout_base[o + 1]`.
-    fanout_base: Vec<u32>,
-    /// Fan-out signature bitsets (see [`ShardMap::fanout_groups`]),
-    /// `words_per_sig` words each: a distinct shard intersection some
-    /// destination shares with the origin.
-    fanout_sigs: Vec<u64>,
-    words_per_sig: usize,
+    /// Fan-out signature groups, built by the first
+    /// [`ShardMap::fanout_groups`] or [`ShardMap::fanout_group_hosts`]
+    /// call: no engine reads them, so construction never pays their
+    /// O(nodes² · words) pass.
+    fanout: OnceLock<FanoutGroups>,
     /// Strength-reduced divider for `shards` — `shard_of` runs on
     /// every filter test and sampler draw.
     shard_div: FastDivMod,
 }
+
+/// Every origin's distinct fan-out signatures (see
+/// [`ShardMap::fanout_groups`]).
+#[derive(Debug, Clone)]
+struct FanoutGroups {
+    /// Per-origin offsets into `sigs`, in *groups* (length `nodes + 1`):
+    /// origin `o` owns group signatures `base[o]..base[o + 1]`.
+    base: Vec<u32>,
+    /// Signature bitsets, `words` words each: a distinct shard
+    /// intersection some destination shares with the origin.
+    sigs: Vec<u64>,
+    words: usize,
+}
+
+impl FanoutGroups {
+    /// Each origin's distinct signatures over the per-node membership
+    /// bitsets, in ascending-destination discovery order, so group ids
+    /// are deterministic.
+    fn new(bits: &[Vec<u64>]) -> Self {
+        let words = bits[0].len();
+        let mut base = Vec::with_capacity(bits.len() + 1);
+        let mut sigs = Vec::new();
+        let mut sig_scratch = vec![0u64; words];
+        // Dedup keyed by a whole signature; never on an engine path.
+        let mut seen: HashSet<Vec<u64>> = HashSet::new();
+        base.push(0);
+        for (origin, own) in bits.iter().enumerate() {
+            seen.clear();
+            for (_, dest) in bits.iter().enumerate().filter(|&(d, _)| d != origin) {
+                for (w, (&x, &y)) in own.iter().zip(dest).enumerate() {
+                    sig_scratch[w] = x & y;
+                }
+                if sig_scratch.iter().any(|&w| w != 0) && seen.insert(sig_scratch.clone()) {
+                    sigs.extend_from_slice(&sig_scratch);
+                }
+            }
+            base.push((sigs.len() / words) as u32);
+        }
+        FanoutGroups { base, sigs, words }
+    }
+}
+
+impl PartialEq for ShardMap {
+    fn eq(&self, other: &Self) -> bool {
+        (self.shards, self.nodes, self.rf) == (other.shards, other.nodes, other.rf)
+    }
+}
+
+impl Eq for ShardMap {}
 
 impl ShardMap {
     /// Build the layout for `shards` shards over `nodes` nodes at
@@ -130,30 +181,6 @@ impl ShardMap {
             }
             replica_sets.push(set);
         }
-        // Precompute each origin's distinct fan-out signatures: the
-        // shard intersections it shares with its destinations, in
-        // ascending-destination discovery order, so group ids are
-        // deterministic. Membership never changes during a run, so
-        // this happens exactly once.
-        let mut fanout_base = Vec::with_capacity(nodes as usize + 1);
-        let mut fanout_sigs = Vec::new();
-        let mut sig_scratch = vec![0u64; words];
-        // Construction-time dedup keyed by a whole signature; never on
-        // an engine path.
-        let mut seen: std::collections::HashSet<Vec<u64>> = std::collections::HashSet::new();
-        fanout_base.push(0);
-        for origin in 0..nodes as usize {
-            seen.clear();
-            for dest in (0..nodes as usize).filter(|&d| d != origin) {
-                for (w, (&x, &y)) in bits[origin].iter().zip(&bits[dest]).enumerate() {
-                    sig_scratch[w] = x & y;
-                }
-                if sig_scratch.iter().any(|&w| w != 0) && seen.insert(sig_scratch.clone()) {
-                    fanout_sigs.extend_from_slice(&sig_scratch);
-                }
-            }
-            fanout_base.push((fanout_sigs.len() / words) as u32);
-        }
         ShardMap {
             shards,
             nodes,
@@ -164,9 +191,7 @@ impl ShardMap {
                 .map(|h| ShardLayout::new(shards, h))
                 .collect(),
             bits,
-            fanout_base,
-            fanout_sigs,
-            words_per_sig: words,
+            fanout: OnceLock::new(),
             shard_div: FastDivMod::new(u64::from(shards)),
         }
     }
@@ -235,14 +260,21 @@ impl ShardMap {
         (!self.is_full()).then(|| &self.layouts[node.0 as usize])
     }
 
-    /// Whether two nodes co-host at least one shard (i.e. `a` ever has
-    /// replica traffic for `b`). Propagation skips pairs that share
-    /// nothing.
-    pub fn shares_any(&self, a: NodeId, b: NodeId) -> bool {
-        self.bits[a.0 as usize]
+    /// The nodes other than `node` that host at least one of its
+    /// shards — the peers it ever has replica traffic for — sorted
+    /// ascending. The union of its hosted shards' replica sets, so the
+    /// work follows hosted shards × `rf`, not `nodes`.
+    pub fn cohosts(&self, node: NodeId) -> Vec<NodeId> {
+        let mut peers: Vec<NodeId> = self
+            .hosted_shards(node)
             .iter()
-            .zip(&self.bits[b.0 as usize])
-            .any(|(x, y)| x & y != 0)
+            .flat_map(|&s| self.replicas(s))
+            .copied()
+            .filter(|&peer| peer != node)
+            .collect();
+        peers.sort_unstable();
+        peers.dedup();
+        peers
     }
 
     /// The fan-out of one update list from a sender hosting every shard
@@ -275,11 +307,13 @@ impl ShardMap {
     /// (`0..fanout_groups(origin)`) and assigned in ascending
     /// destination order. Round-robin placement gives nearly every
     /// destination its own signature, so no engine filters by group;
-    /// the count and [`ShardMap::fanout_group_hosts`] remain as the
-    /// layout statistic the repo benchmark reports.
+    /// the count and [`ShardMap::fanout_group_hosts`] are the layout
+    /// statistic the repo benchmark reports, and the first call to
+    /// either builds the groups.
     #[inline]
     pub fn fanout_groups(&self, origin: NodeId) -> usize {
-        (self.fanout_base[origin.0 as usize + 1] - self.fanout_base[origin.0 as usize]) as usize
+        let base = &self.fanout().base;
+        (base[origin.0 as usize + 1] - base[origin.0 as usize]) as usize
     }
 
     /// Whether `origin`'s fan-out group `group` hosts `object` — the
@@ -289,8 +323,13 @@ impl ShardMap {
     #[inline]
     pub fn fanout_group_hosts(&self, origin: NodeId, group: u32, object: ObjectId) -> bool {
         let s = self.shard_of(object);
-        let base = (self.fanout_base[origin.0 as usize] + group) as usize * self.words_per_sig;
-        self.fanout_sigs[base + (s / 64) as usize] & (1u64 << (s % 64)) != 0
+        let f = self.fanout();
+        let base = (f.base[origin.0 as usize] + group) as usize * f.words;
+        f.sigs[base + (s / 64) as usize] & (1u64 << (s % 64)) != 0
+    }
+
+    fn fanout(&self) -> &FanoutGroups {
+        self.fanout.get_or_init(|| FanoutGroups::new(&self.bits))
     }
 
     /// How many of the `db_size` objects `node` hosts.
@@ -369,12 +408,55 @@ mod tests {
         assert_eq!(m.shard_of(ObjectId(7)), 3);
     }
 
+    /// The peers the old all-pairs filter kept: every other node whose
+    /// membership bitset meets `node`'s.
+    fn bitset_cohosts(m: &ShardMap, node: NodeId) -> Vec<NodeId> {
+        let own = &m.bits[node.0 as usize];
+        (0..m.nodes())
+            .map(NodeId)
+            .filter(|&peer| peer != node)
+            .filter(|&peer| {
+                own.iter()
+                    .zip(&m.bits[peer.0 as usize])
+                    .any(|(x, y)| x & y != 0)
+            })
+            .collect()
+    }
+
     #[test]
-    fn shares_any_detects_cohosting() {
+    fn cohosts_lists_the_nodes_sharing_a_shard() {
         let m = ShardMap::new(8, 8, 2);
-        // Shard s lives at {s, s+1}: adjacent nodes share, distant don't.
-        assert!(m.shares_any(NodeId(0), NodeId(1)));
-        assert!(!m.shares_any(NodeId(0), NodeId(4)));
+        // Shard s lives at {s, s+1}: node 0 hosts shards {0, 7}, so it
+        // shares with nodes 1 and 7 and with no distant node.
+        assert_eq!(m.cohosts(NodeId(0)), vec![NodeId(1), NodeId(7)]);
+        assert!(!m.cohosts(NodeId(0)).contains(&NodeId(4)));
+        for (shards, nodes, rf) in [(8, 8, 3), (5, 7, 2), (16, 4, 3), (3, 9, 1), (130, 70, 4)] {
+            let m = ShardMap::new(shards, nodes, rf);
+            for node in (0..nodes).map(NodeId) {
+                assert_eq!(
+                    m.cohosts(node),
+                    bitset_cohosts(&m, node),
+                    "{shards}/{nodes}/{rf}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn equality_ignores_whether_fanout_groups_are_built() {
+        let built = ShardMap::new(8, 8, 3);
+        let unbuilt = built.clone();
+        assert!(built.fanout_groups(NodeId(0)) > 0);
+        assert_eq!(built, built.clone());
+        assert_eq!(built, unbuilt);
+        assert_eq!(unbuilt, ShardMap::new(8, 8, 3));
+        assert_eq!(built, ShardMap::new(8, 8, 3));
+        assert_ne!(built, ShardMap::new(8, 8, 2));
+        // A clone of a built map answers as the original does.
+        let copy = built.clone();
+        for origin in (0..8).map(NodeId) {
+            assert_eq!(copy.fanout_groups(origin), built.fanout_groups(origin));
+        }
     }
 
     #[test]
@@ -412,7 +494,7 @@ mod tests {
                     .collect();
                 let mut reference: Vec<Vec<bool>> = Vec::new();
                 for dest in (0..nodes).map(NodeId) {
-                    if dest == origin || !m.shares_any(origin, dest) {
+                    if !m.cohosts(origin).contains(&dest) {
                         continue;
                     }
                     let filter = shipped.iter().map(|&o| m.hosts_object(dest, o)).collect();

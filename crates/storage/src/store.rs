@@ -102,12 +102,7 @@ fn slot_hash(idx: usize, v: &Versioned) -> u64 {
 impl ObjectStore {
     /// A full store of `db_size` objects, all at [`Versioned::initial`].
     pub fn new(db_size: u64) -> Self {
-        ObjectStore {
-            objects: vec![Versioned::initial(); db_size as usize],
-            digest: std::cell::Cell::new(0),
-            digest_dirty: std::cell::Cell::new(true),
-            layout: None,
-        }
+        ObjectStore::filled(db_size, None, Value::default())
     }
 
     /// A partial store holding only the objects of the shards `map`
@@ -116,14 +111,24 @@ impl ObjectStore {
     /// object identically and a full-replication sharded store digests
     /// exactly like [`ObjectStore::new`].
     pub fn sharded(db_size: u64, map: &ShardMap, node: crate::object::NodeId) -> Self {
-        let Some(layout) = map.layout(node) else {
-            return ObjectStore::new(db_size);
+        ObjectStore::filled(db_size, map.layout(node), Value::default())
+    }
+
+    /// A store over the ids `0..db_size` — all of them when `layout` is
+    /// `None`, else the ones `layout` packs — with every slot at
+    /// `initial` and [`Timestamp::ZERO`]. Each slot is written once, so
+    /// set-up costs the hosted width, not the database.
+    pub fn filled(db_size: u64, layout: Option<&ShardLayout>, initial: Value) -> Self {
+        let slots = layout.map_or(db_size, |l| l.slots(db_size));
+        let initial = Versioned {
+            value: initial,
+            ts: Timestamp::ZERO,
         };
         ObjectStore {
-            objects: vec![Versioned::initial(); layout.slots(db_size) as usize],
+            objects: vec![initial; slots as usize],
             digest: std::cell::Cell::new(0),
             digest_dirty: std::cell::Cell::new(true),
-            layout: Some(layout.clone()),
+            layout: layout.cloned(),
         }
     }
 
@@ -500,6 +505,47 @@ mod tests {
         let sharded = ObjectStore::sharded(20, &map, NodeId(1));
         assert_eq!(sharded.len(), full.len());
         assert_eq!(sharded.digest(), full.digest());
+    }
+
+    /// The store the engines built before [`ObjectStore::filled`]: an
+    /// initial store, then `set` on every hosted id of `0..db_size`.
+    fn set_loop(mut store: ObjectStore, db_size: u64, initial: &Value) -> ObjectStore {
+        for i in (0..db_size).map(ObjectId) {
+            if store.hosts(i) {
+                store.set(i, initial.clone(), Timestamp::ZERO);
+            }
+        }
+        store
+    }
+
+    fn assert_same_store(a: &ObjectStore, b: &ObjectStore) {
+        assert_eq!(a.len(), b.len());
+        assert!(a.iter().eq(b.iter()), "(id, version) sequences differ");
+        assert_eq!(a.digest(), b.digest());
+        assert_eq!(a.digest(), a.recompute_digest());
+    }
+
+    #[test]
+    fn filled_matches_the_set_loop() {
+        let db = 23u64; // deliberately not a multiple of shards
+        for initial in [Value::Int(100), Value::from("seed"), Value::default()] {
+            // Full store.
+            let filled = ObjectStore::filled(db, None, initial.clone());
+            assert_same_store(&filled, &set_loop(ObjectStore::new(db), db, &initial));
+            // Partial layout, every node.
+            let map = ShardMap::new(5, 4, 2);
+            for node in (0..4).map(NodeId) {
+                let filled = ObjectStore::filled(db, map.layout(node), initial.clone());
+                let looped = set_loop(ObjectStore::sharded(db, &map, node), db, &initial);
+                assert_same_store(&filled, &looped);
+            }
+            // A full-rf map has no layout: the full store again.
+            let full = ShardMap::new(5, 4, 0);
+            let filled = ObjectStore::filled(db, full.layout(NodeId(2)), initial.clone());
+            let looped = set_loop(ObjectStore::sharded(db, &full, NodeId(2)), db, &initial);
+            assert_same_store(&filled, &looped);
+            assert_eq!(filled.len(), db as usize);
+        }
     }
 
     #[test]

@@ -64,6 +64,20 @@ done | grep -E 'std::time|std::thread|\bInstant\b' || true)"
 }
 echo "ok: no clock, sleep or thread in repl-core"
 
+say "set-up follows hosted state: non-test repl-core code has no whole-keyspace loop"
+# A node pays for the objects it hosts: stores start filled
+# (`ObjectStore::filled`), and no constructor walks every object id to
+# find its own. A `for … in 0..….db_size` loop makes set-up nodes × DB.
+keyspace_hits="$(find crates/core/src -name '*.rs' | sort | while read -r f; do
+    awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f"
+done | grep -E '\bfor\b.* in 0\.\.[A-Za-z_.]*db_size' || true)"
+[ -z "$keyspace_hits" ] || {
+    echo "$keyspace_hits" >&2
+    echo "repl-core walks the whole keyspace; size the work by the hosted state instead" >&2
+    exit 1
+}
+echo "ok: no whole-keyspace loop in repl-core"
+
 say "cargo build --release"
 cargo build --release --workspace
 
