@@ -73,9 +73,11 @@ pub struct SimConfig {
     /// originating node's hosted subset — a genuine multi-shard
     /// transaction routed through the cross-shard coordinator path.
     pub cross_shard: f64,
-    /// Cross-shard atomic-commit protocol for the eager family
-    /// (`--commit-proto`). [`CommitProto::OwnerOrder`] is PR 8's
-    /// protocol-free baseline; only partial shard layouts consult it.
+    /// Cross-shard atomic-commit protocol for the contention family.
+    /// Only partial shard layouts consult it, and every one of them
+    /// sends its protocol's real messages through the kernel's fabric,
+    /// with or without a fault plan. [`CommitProto::OwnerOrder`] (the
+    /// default) sends one unfenced `Apply` per remote owner.
     pub commit_proto: CommitProto,
     /// Optional targeted crash at a 2PC state transition (the fuzz
     /// campaign's crash-point injection). `None` outside fuzz runs.

@@ -18,12 +18,15 @@ use repl_net::FaultPlan;
 use repl_storage::NodeId;
 
 /// Which cross-shard commit protocol the eager family runs
-/// (`--commit-proto`).
+/// ([`SimConfig::commit_proto`](crate::SimConfig::commit_proto)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommitProto {
-    /// PR 8's baseline: owner-ordered lock acquisition, no atomic
-    /// commit protocol. Correct on a perfect fabric, loses atomicity
-    /// under crashes (which is exactly what the oracle must catch).
+    /// Owner-ordered lock acquisition and no atomic commit: the
+    /// coordinator commits locally, then sends one fire-and-forget
+    /// `Apply` per remote owner through the kernel's fabric. No votes,
+    /// no durable decision, no acks. Correct on a perfect fabric, loses
+    /// atomicity to drops and crashes (which is exactly what the oracle
+    /// must catch).
     #[default]
     OwnerOrder,
     /// Classic presumed-abort two-phase commit: explicit
@@ -52,7 +55,7 @@ impl CommitProto {
         }
     }
 
-    /// Parse a `name()` back (the `--commit-proto` argument).
+    /// Parse a `name()` back (a fuzz case's `proto=` field).
     pub fn parse(s: &str) -> Option<CommitProto> {
         CommitProto::ALL.into_iter().find(|p| p.name() == s)
     }

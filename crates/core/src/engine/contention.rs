@@ -177,51 +177,32 @@ struct ActiveTxn {
     /// `(object, version seen)` per granted lock — captured at grant
     /// time (the oracle's read set). Empty unless a recorder is on.
     reads: Vec<(ObjectId, Timestamp)>,
-    /// Cross-shard coordinator messages this transaction owes at
-    /// commit (one prepare + one commit round per remote shard owner).
-    /// Always 0 outside sharded runs.
-    coord_msgs: u64,
-    /// Distinct shard owners the transaction writes at, in owner
-    /// order. Populated only when a commit protocol context is active;
-    /// the protocol engages iff there are ≥ 2 owners.
+    /// Distinct shard owners a cross-shard transaction writes at, in
+    /// owner order (empty for a local one). The commit protocol engages
+    /// iff there are ≥ 2 owners.
     owners: Vec<NodeId>,
     /// O2PL: owners whose prepare was piggybacked on their last lock
     /// grant (their yes-vote is already in hand at commit).
     piggy: Vec<NodeId>,
 }
 
-/// Sharded-workload state: the layout plus one sampler per node over
-/// that node's hosted-object index space, so access skew applies within
-/// the hosted subset. `None` for a node that hosts fewer objects than
-/// `Actions` — its transactions always sample the whole keyspace
-/// (i.e. run as cross-shard transactions).
+/// Sharded-workload state: the layout, one sampler per node, and the
+/// cross-shard commit protocol's state.
+///
+/// Each node's sampler draws over that node's hosted-object index
+/// space, so access skew applies within the hosted subset. It is `None`
+/// for a node that hosts fewer objects than `Actions`: its transactions
+/// always sample the whole keyspace (i.e. run as cross-shard
+/// transactions).
+///
+/// The protocol state is what [`SimConfig::commit_proto`] runs on, over
+/// real messages on the kernel's fabric: per-node durable decision
+/// logs, the volatile coordinator/in-doubt state, and the crash-point
+/// counters.
 #[derive(Debug)]
 struct ShardCtx {
     map: ShardMap,
     samplers: Vec<Option<Sampler>>,
-}
-
-/// One in-flight coordinator (volatile — lost on crash; a durably
-/// logged commit decision is re-hydrated on restart).
-#[derive(Debug)]
-struct PendingCoord {
-    coord: Coordinator,
-    /// Coordinator node.
-    node: NodeId,
-}
-
-/// Everything the cross-shard commit protocol adds on top of the base
-/// engine: real messages on the kernel's fabric, per-node durable
-/// decision logs, the volatile coordinator/in-doubt state, and the
-/// crash machinery.
-///
-/// Built only when the run is sharded AND something can observe the
-/// protocol (a non-default `--commit-proto`, a crash point, or a fault
-/// plan) — otherwise the engine runs the exact pre-protocol event
-/// sequence, byte for byte.
-#[derive(Debug)]
-struct ProtoCtx {
-    proto: CommitProto,
     /// Per-node durable decision log (survives crashes).
     logs: Vec<DecisionLog>,
     /// Volatile coordinator state by transaction.
@@ -231,24 +212,15 @@ struct ProtoCtx {
     /// Times each crash-point transition has been reached, by
     /// [`CrashKind`] index in `CrashKind::ALL` order.
     crash_counts: [u32; 6],
-    crash_point: Option<crate::engine::commit::CrashPoint>,
-    /// Retransmit period for the Prepare/Decision/DecisionReq timers.
-    retransmit: SimDuration,
 }
 
-impl ProtoCtx {
-    fn new(cfg: &SimConfig) -> Self {
-        let n = cfg.nodes as usize;
-        ProtoCtx {
-            proto: cfg.commit_proto,
-            logs: (0..n).map(|_| DecisionLog::new()).collect(),
-            pending: FastMap::default(),
-            indoubt: FastMap::default(),
-            crash_counts: [0; 6],
-            crash_point: cfg.crash_point,
-            retransmit: SimDuration::from_millis(250),
-        }
-    }
+/// One in-flight coordinator (volatile — lost on crash; a durably
+/// logged commit decision is re-hydrated on restart).
+#[derive(Debug)]
+struct PendingCoord {
+    coord: Coordinator,
+    /// Coordinator node.
+    node: NodeId,
 }
 
 fn kind_index(k: CrashKind) -> usize {
@@ -297,11 +269,9 @@ pub struct Contention<S = Plain> {
     object_rng: SimRng,
     sampler: Sampler,
     /// `Some` when the run uses a partial shard layout (`None` keeps
-    /// every draw on the original full-replication path).
+    /// every draw on the original full-replication path, with no
+    /// cross-shard commits to protect).
     shard: Option<ShardCtx>,
-    /// Cross-shard commit protocol state; `None` keeps the engine on
-    /// the pre-protocol fast path (see [`ProtoCtx`]).
-    proto: Option<ProtoCtx>,
     next_txn: u64,
     /// Recycled buffer for lock-release promotions (commit/abort path).
     granted_scratch: Vec<(TxnId, ObjectId)>,
@@ -340,9 +310,16 @@ impl<S: Flavor> Sim<Contention<S>> {
                         .then(|| Sampler::new(cfg.access, count))
                 })
                 .collect();
-            ShardCtx { map, samplers }
+            ShardCtx {
+                map,
+                samplers,
+                logs: (0..cfg.nodes).map(|_| DecisionLog::new()).collect(),
+                pending: FastMap::default(),
+                indoubt: FastMap::default(),
+                crash_counts: [0; 6],
+            }
         });
-        let mut p = Contention {
+        let p = Contention {
             profile,
             locks: {
                 let mut lm = LockManager::new();
@@ -353,7 +330,6 @@ impl<S: Flavor> Sim<Contention<S>> {
             object_rng: SimRng::stream(cfg.seed, "objects"),
             sampler: Sampler::new(cfg.access, cfg.db_size),
             shard,
-            proto: None,
             next_txn: 0,
             granted_scratch: Vec::new(),
             objects_pool: Vec::new(),
@@ -362,9 +338,6 @@ impl<S: Flavor> Sim<Contention<S>> {
             version_counter: 0,
             scheme: PhantomData,
         };
-        if cfg.commit_proto != CommitProto::OwnerOrder || cfg.crash_point.is_some() {
-            p.ensure_proto(&cfg);
-        }
         Sim {
             k: Kernel::new(cfg, profile.work_per_action, "arrivals-", S::LABEL),
             p,
@@ -379,13 +352,10 @@ impl<S: Flavor> Faulty for Contention<S> {
     /// windows are not modeled by this engine (the lazy-group engine
     /// owns that scenario).
     fn attach_faults(&mut self, k: &mut K<S>, plan: FaultPlan) {
-        self.ensure_proto(&k.cfg);
-        let Some(ctx) = &mut self.proto else {
-            return;
-        };
-        k.install_injector(&plan);
-        k.schedule_crash_windows(&plan);
-        ctx.retransmit = plan.retransmit;
+        if self.shard.is_some() {
+            k.install_injector(&plan);
+            k.schedule_crash_windows(&plan);
+        }
     }
 }
 
@@ -408,7 +378,7 @@ impl<S: Flavor> Protocol for Contention<S> {
     fn arrive(&mut self, k: &mut K<S>, node: NodeId) {
         let id = TxnId(self.next_txn);
         self.next_txn += 1;
-        let (objects, coord_msgs, owners) = self.sample_objects(&k.cfg, node);
+        let (objects, owners) = self.sample_objects(&k.cfg, node);
         let first = objects.first().copied();
         self.active.insert(
             id,
@@ -419,7 +389,6 @@ impl<S: Flavor> Protocol for Contention<S> {
                 started: k.now(),
                 wait_started: None,
                 reads: Vec::new(),
-                coord_msgs,
                 owners,
                 piggy: Vec::new(),
             },
@@ -469,7 +438,7 @@ impl<S: Flavor> Protocol for Contention<S> {
     /// survive.
     fn node_down(&mut self, k: &mut K<S>, node: NodeId) {
         {
-            let Some(ctx) = &mut self.proto else { return };
+            let Some(ctx) = &mut self.shard else { return };
             if k.is_down(node) {
                 return;
             }
@@ -520,8 +489,8 @@ impl<S: Flavor> Protocol for Contention<S> {
     /// replay — except owner-order `Apply`s, which have no durable redo
     /// (precisely the anomaly the atomicity oracle catches).
     fn node_up(&mut self, k: &mut K<S>, node: NodeId) {
-        let (parked, records, retransmit) = {
-            let Some(ctx) = &self.proto else { return };
+        let (parked, records) = {
+            let Some(ctx) = &self.shard else { return };
             // Crash recovery is rare: collecting the drain here keeps
             // the borrow on `k` short (the replay below re-enters
             // `self` methods per message).
@@ -531,7 +500,7 @@ impl<S: Flavor> Protocol for Contention<S> {
                 .map(|(t, st)| (t, st.clone()))
                 .collect();
             records.sort_unstable_by_key(|(t, _)| *t);
-            (parked, records, ctx.retransmit)
+            (parked, records)
         };
         k.restart(node, parked.len() as u64);
         for (txn, st) in records {
@@ -543,7 +512,7 @@ impl<S: Flavor> Protocol for Contention<S> {
                     // Durable coordinator commit record: finish the
                     // decision distribution the crash interrupted.
                     let coord = Coordinator::recovered(participants.clone(), Decision::Commit);
-                    let ctx = self.proto.as_mut().expect("checked above");
+                    let ctx = self.shard.as_mut().expect("checked above");
                     ctx.pending.insert(txn, PendingCoord { coord, node });
                     for p in participants {
                         Self::proto_send(
@@ -556,16 +525,16 @@ impl<S: Flavor> Protocol for Contention<S> {
                             },
                         );
                     }
-                    k.schedule_after(retransmit, Ev::ProtoTimer(txn));
+                    k.schedule_retransmit(Ev::ProtoTimer(txn));
                 }
                 DecisionState::Prepared { coord } => {
                     // Still in doubt: blocked until the coordinator
                     // answers (presumed abort if it knows nothing).
                     let now = k.now();
-                    let ctx = self.proto.as_mut().expect("checked above");
+                    let ctx = self.shard.as_mut().expect("checked above");
                     ctx.indoubt.entry(txn).or_default().push((node, now));
                     Self::proto_send(k, coord, ProtoMsg::DecisionReq { txn, node });
-                    k.schedule_after(retransmit, Ev::InDoubtTimer(txn, node));
+                    k.schedule_retransmit(Ev::InDoubtTimer(txn, node));
                 }
                 _ => {}
             }
@@ -583,10 +552,10 @@ impl<S: Flavor> Protocol for Contention<S> {
         }
     }
 
-    /// Post-horizon protocol drain (nothing to settle without a
-    /// protocol context): let the remaining protocol traffic resolve.
+    /// Post-horizon protocol drain (nothing to settle on an unsharded
+    /// run): let the remaining protocol traffic resolve.
     fn begin_drain(&mut self, k: &mut K<S>) -> Option<SimTime> {
-        self.proto.as_ref()?;
+        self.shard.as_ref()?;
         Some(k.cfg.horizon + SimDuration::from_secs(300))
     }
 
@@ -594,7 +563,7 @@ impl<S: Flavor> Protocol for Contention<S> {
     /// lost-decision oracle (sorted — `FastMap` iteration order must
     /// never drive observable behavior).
     fn finish(self, k: &mut K<S>) {
-        let Some(ctx) = self.proto.as_ref().filter(|_| k.recorder.is_on()) else {
+        let Some(ctx) = self.shard.as_ref().filter(|_| k.recorder.is_on()) else {
             return;
         };
         for (n, log) in ctx.logs.iter().enumerate() {
@@ -617,16 +586,8 @@ impl<S: Flavor> Protocol for Contention<S> {
 }
 
 impl<S: Flavor> Contention<S> {
-    /// Build the protocol context if the run is sharded (single-shard
-    /// keyspaces have no cross-shard commits to protect).
-    fn ensure_proto(&mut self, cfg: &SimConfig) {
-        if self.proto.is_none() && self.shard.is_some() {
-            self.proto = Some(ProtoCtx::new(cfg));
-        }
-    }
-
     /// Draw a transaction's object set at `node`, returning the objects
-    /// plus any cross-shard coordinator messages owed at commit.
+    /// plus, for a cross-shard transaction, its distinct shard owners.
     ///
     /// Unsharded runs sample the whole keyspace exactly as before. A
     /// sharded run samples the node's *hosted* subset (through the
@@ -637,19 +598,13 @@ impl<S: Flavor> Contention<S> {
     /// order** (sorted by each shard's owner node, then object id), the
     /// minimal distributed-coordinator discipline that keeps two
     /// cross-shard transactions from deadlocking on lock-order
-    /// inversion alone. Each remote owner costs a prepare and a commit
-    /// message.
-    fn sample_objects(
-        &mut self,
-        cfg: &SimConfig,
-        node: NodeId,
-    ) -> (Vec<ObjectId>, u64, Vec<NodeId>) {
+    /// inversion alone.
+    fn sample_objects(&mut self, cfg: &SimConfig, node: NodeId) -> (Vec<ObjectId>, Vec<NodeId>) {
         let mut scratch = std::mem::take(&mut self.sample_scratch);
         let mut objects = self.objects_pool.pop().unwrap_or_default();
         debug_assert!(objects.is_empty(), "pooled vectors are returned empty");
         let (k, rng) = (cfg.actions, &mut self.object_rng);
-        let mut coord_msgs = 0;
-        let mut owner_list = Vec::new();
+        let mut owners = Vec::new();
         match &self.shard {
             None => {
                 self.sampler.sample_distinct_into(rng, k, &mut scratch);
@@ -667,26 +622,18 @@ impl<S: Flavor> Contention<S> {
                         objects.extend(scratch.iter().copied().map(ObjectId));
                         objects
                             .sort_unstable_by_key(|o| (ctx.map.owner(ctx.map.shard_of(*o)).0, o.0));
-                        let mut owners = 0u64;
-                        let track_owners = self.proto.is_some();
-                        let mut prev = None;
                         for o in &objects {
                             let owner = ctx.map.owner(ctx.map.shard_of(*o));
-                            if prev != Some(owner) {
-                                owners += 1;
-                                if track_owners {
-                                    owner_list.push(owner);
-                                }
-                                prev = Some(owner);
+                            if owners.last() != Some(&owner) {
+                                owners.push(owner);
                             }
                         }
-                        coord_msgs = 2 * owners.saturating_sub(1);
                     }
                 }
             }
         }
         self.sample_scratch = scratch;
-        (objects, coord_msgs, owner_list)
+        (objects, owners)
     }
 
     /// Hand a finished transaction's object vector back to the pool.
@@ -748,43 +695,22 @@ impl<S: Flavor> Contention<S> {
     }
 
     fn commit(&mut self, k: &mut K<S>, id: TxnId) {
-        let engaged =
-            self.proto.is_some() && self.active.get(id).is_some_and(|t| t.owners.len() >= 2);
-        if !engaged {
-            // Single-owner (or unsharded) transactions skip the commit
-            // protocol entirely: no coordinator, no messages — the
-            // original commit path, byte for byte.
-            self.plain_commit(k, id);
+        if self.active.get(id).is_some_and(|t| t.owners.len() < 2) {
+            // Local and single-owner transactions skip the commit
+            // protocol entirely: no coordinator, no messages.
+            self.finish_commit_local(k, id, false);
             return;
         }
-        match self.proto.as_ref().expect("engaged implies proto").proto {
+        match k.cfg.commit_proto {
             CommitProto::OwnerOrder => self.commit_owner_order(k, id),
             CommitProto::TwoPc | CommitProto::O2pl => self.begin_commit_protocol(k, id),
         }
     }
 
-    /// The pre-protocol commit path (also used for protocol runs'
-    /// single-owner transactions, which provably skip the protocol).
-    fn plain_commit(&mut self, k: &mut K<S>, id: TxnId) {
-        let txn = self.active.remove(id).expect("committing unknown txn");
-        if k.measuring() {
-            k.metrics.committed.incr();
-            k.metrics.messages.add(txn.coord_msgs);
-            k.metrics.record_latency(k.now().since(txn.started));
-        }
-        k.tracer
-            .emit(|| Event::new(k.now(), txn.node, id, EventKind::TxnCommit));
-        if k.recorder.is_on() {
-            self.record_commit(k, id, txn.node, txn.reads);
-        }
-        self.recycle_objects(txn.objects);
-        self.release_and_resume(k, id);
-    }
-
-    /// The client-visible local commit of a protocol-engaged
-    /// transaction: metrics, trace, oracle records (including the
-    /// cross-shard commit obligation), lock release. Messages are
-    /// counted at send time, not here.
+    /// The client-visible local commit: metrics, trace, oracle records
+    /// (for a protocol-engaged transaction, the cross-shard commit
+    /// obligation too), lock release. Messages are counted at send
+    /// time, not here.
     fn finish_commit_local(&mut self, k: &mut K<S>, id: TxnId, fenced: bool) {
         let txn = self
             .active
@@ -798,10 +724,12 @@ impl<S: Flavor> Contention<S> {
             .emit(|| Event::new(k.now(), txn.node, id, EventKind::TxnCommit));
         if k.recorder.is_on() {
             self.record_commit(k, id, txn.node, txn.reads);
-            k.recorder
-                .cross_commit(id, txn.node, txn.owners.clone(), fenced);
-            if txn.owners.contains(&txn.node) {
-                k.recorder.shard_apply(id, txn.node);
+            if txn.owners.len() >= 2 {
+                k.recorder
+                    .cross_commit(id, txn.node, txn.owners.clone(), fenced);
+                if txn.owners.contains(&txn.node) {
+                    k.recorder.shard_apply(id, txn.node);
+                }
             }
         }
         self.recycle_objects(txn.objects);
@@ -891,13 +819,13 @@ impl<S: Flavor> Contention<S> {
     /// reach (the fuzz campaign aims `nth` at any occurrence); never
     /// fires during the post-horizon drain.
     fn crash_fires(&mut self, k: &mut K<S>, kind: CrashKind) -> bool {
-        let Some(ctx) = &mut self.proto else {
+        let Some(ctx) = &mut self.shard else {
             return false;
         };
         if !k.is_live() {
             return false;
         }
-        let Some(cp) = ctx.crash_point else {
+        let Some(cp) = k.cfg.crash_point else {
             return false;
         };
         if cp.kind != kind {
@@ -911,11 +839,7 @@ impl<S: Flavor> Contention<S> {
 
     /// Crash `node` at an injected crash point and schedule its restart.
     fn crash_at_point(&mut self, k: &mut K<S>, node: NodeId) {
-        let down = self
-            .proto
-            .as_ref()
-            .and_then(|c| c.crash_point)
-            .map_or(5, |cp| cp.down_secs);
+        let down = k.cfg.crash_point.map_or(5, |cp| cp.down_secs);
         self.node_down(k, node);
         k.schedule_restart(SimDuration::from_secs(down), node);
     }
@@ -994,13 +918,10 @@ impl<S: Flavor> Contention<S> {
             }
         }
         let unvoted = coord.unvoted();
-        let retransmit = {
-            let ctx = self.proto.as_mut().expect("engaged implies proto");
-            ctx.pending.insert(id, PendingCoord { coord, node });
-            ctx.retransmit
-        };
+        let ctx = self.shard.as_mut().expect("engaged implies sharded");
+        ctx.pending.insert(id, PendingCoord { coord, node });
         // Exactly one timer chain per coordinator, armed here.
-        k.schedule_after(retransmit, Ev::ProtoTimer(id));
+        k.schedule_retransmit(Ev::ProtoTimer(id));
         if let Some(d) = decision {
             // O2PL with every vote piggybacked: no Prepare round at all.
             self.on_decision(k, id, d);
@@ -1026,7 +947,7 @@ impl<S: Flavor> Contention<S> {
     /// distribute it.
     fn on_decision(&mut self, k: &mut K<S>, id: TxnId, d: Decision) {
         let (node, participants) = {
-            let ctx = self.proto.as_mut().expect("decision without context");
+            let ctx = self.shard.as_mut().expect("decision without context");
             let Some(p) = ctx.pending.get(&id) else {
                 return;
             };
@@ -1042,7 +963,7 @@ impl<S: Flavor> Contention<S> {
                     return;
                 }
                 {
-                    let ctx = self.proto.as_mut().expect("decision without context");
+                    let ctx = self.shard.as_mut().expect("decision without context");
                     ctx.logs[node.0 as usize].log_decision(id, true, participants.clone());
                 }
                 self.finish_commit_local(k, id, true);
@@ -1104,8 +1025,8 @@ impl<S: Flavor> Contention<S> {
             return;
         }
         let now = k.now();
-        let (fresh, retransmit) = {
-            let ctx = self.proto.as_mut().expect("prepare without context");
+        let fresh = {
+            let ctx = self.shard.as_mut().expect("prepare without context");
             if matches!(
                 ctx.logs[n.0 as usize].state(txn),
                 Some(DecisionState::Decided { .. } | DecisionState::Done)
@@ -1119,7 +1040,7 @@ impl<S: Flavor> Contention<S> {
             if fresh {
                 list.push((n, now));
             }
-            (fresh, ctx.retransmit)
+            fresh
         };
         Self::proto_send(
             k,
@@ -1131,7 +1052,7 @@ impl<S: Flavor> Contention<S> {
             },
         );
         if fresh {
-            k.schedule_after(retransmit, Ev::InDoubtTimer(txn, n));
+            k.schedule_retransmit(Ev::InDoubtTimer(txn, n));
         }
         if self.crash_fires(k, CrashKind::PartPostVote) {
             self.crash_at_point(k, n);
@@ -1141,7 +1062,7 @@ impl<S: Flavor> Contention<S> {
     /// Coordinator receives a vote.
     fn on_vote(&mut self, k: &mut K<S>, n: NodeId, txn: TxnId, from: NodeId, yes: bool) {
         let decision = {
-            let Some(ctx) = &mut self.proto else { return };
+            let Some(ctx) = &mut self.shard else { return };
             let Some(p) = ctx.pending.get_mut(&txn) else {
                 return;
             };
@@ -1168,7 +1089,7 @@ impl<S: Flavor> Contention<S> {
     ) {
         let now = k.now();
         let (dup, wait) = {
-            let ctx = self.proto.as_mut().expect("decision without context");
+            let ctx = self.shard.as_mut().expect("decision without context");
             let dup = matches!(
                 ctx.logs[n.0 as usize].state(txn),
                 Some(DecisionState::Decided { .. } | DecisionState::Done)
@@ -1202,7 +1123,7 @@ impl<S: Flavor> Contention<S> {
     /// Coordinator receives an ack; on the last one the entry is marked
     /// done and forgotten.
     fn on_ack(&mut self, n: NodeId, txn: TxnId, from: NodeId) {
-        let Some(ctx) = &mut self.proto else { return };
+        let Some(ctx) = &mut self.shard else { return };
         let Some(p) = ctx.pending.get_mut(&txn) else {
             return;
         };
@@ -1223,7 +1144,7 @@ impl<S: Flavor> Contention<S> {
     /// participant re-asks).
     fn on_decision_req(&mut self, k: &mut K<S>, n: NodeId, txn: TxnId, from: NodeId) {
         let durable = {
-            let Some(ctx) = &self.proto else { return };
+            let Some(ctx) = &self.shard else { return };
             match ctx.logs[n.0 as usize].state(txn) {
                 Some(DecisionState::Decided { commit, .. }) => Some(*commit),
                 Some(DecisionState::Done) => Some(true),
@@ -1244,7 +1165,7 @@ impl<S: Flavor> Contention<S> {
         }
         let deciding = self.active.contains(txn)
             || self
-                .proto
+                .shard
                 .as_ref()
                 .is_some_and(|c| c.pending.contains_key(&txn));
         if deciding {
@@ -1277,8 +1198,8 @@ impl<S: Flavor> Contention<S> {
 
     /// Coordinator retransmit tick: resend whatever round is stalled.
     fn on_proto_timer(&mut self, k: &mut K<S>, id: TxnId) {
-        let (node, retransmit, targets, round) = {
-            let Some(ctx) = &self.proto else { return };
+        let (node, targets, round) = {
+            let Some(ctx) = &self.shard else { return };
             let Some(p) = ctx.pending.get(&id) else {
                 return;
             };
@@ -1290,7 +1211,7 @@ impl<S: Flavor> Contention<S> {
                 CoordState::Decided(d) => (p.coord.unacked(), Some(d == Decision::Commit)),
                 _ => return,
             };
-            (p.node, ctx.retransmit, targets, round)
+            (p.node, targets, round)
         };
         for t in targets {
             match round {
@@ -1313,13 +1234,13 @@ impl<S: Flavor> Contention<S> {
                 ),
             }
         }
-        k.schedule_after(retransmit, Ev::ProtoTimer(id));
+        k.schedule_retransmit(Ev::ProtoTimer(id));
     }
 
     /// In-doubt participant tick: still no decision — ask again.
     fn on_indoubt_timer(&mut self, k: &mut K<S>, txn: TxnId, n: NodeId) {
-        let (coord, retransmit) = {
-            let Some(ctx) = &self.proto else { return };
+        let coord = {
+            let Some(ctx) = &self.shard else { return };
             if k.is_down(n) {
                 // Recovery re-arms its own timer.
                 return;
@@ -1334,10 +1255,10 @@ impl<S: Flavor> Contention<S> {
             let Some(DecisionState::Prepared { coord }) = ctx.logs[n.0 as usize].state(txn) else {
                 return;
             };
-            (*coord, ctx.retransmit)
+            *coord
         };
         Self::proto_send(k, coord, ProtoMsg::DecisionReq { txn, node: n });
-        k.schedule_after(retransmit, Ev::InDoubtTimer(txn, n));
+        k.schedule_retransmit(Ev::InDoubtTimer(txn, n));
     }
 
     /// O2PL: when a lock grant is the transaction's *last* action at a
@@ -1345,11 +1266,7 @@ impl<S: Flavor> Contention<S> {
     /// and its yes-vote is in hand before commit, shrinking the
     /// prepare round to the owners that still owe one (usually none).
     fn o2pl_piggy(&mut self, k: &mut K<S>, id: TxnId) {
-        if !self
-            .proto
-            .as_ref()
-            .is_some_and(|c| c.proto == CommitProto::O2pl)
-        {
+        if k.cfg.commit_proto != CommitProto::O2pl {
             return;
         }
         let Some(shard) = &self.shard else { return };
@@ -1376,18 +1293,15 @@ impl<S: Flavor> Contention<S> {
             return;
         }
         let now = k.now();
-        let retransmit = {
-            let ctx = self.proto.as_mut().expect("checked above");
-            ctx.logs[owner.0 as usize].log_prepared(id, node);
-            ctx.indoubt.entry(id).or_default().push((owner, now));
-            ctx.retransmit
-        };
+        let ctx = self.shard.as_mut().expect("checked above");
+        ctx.logs[owner.0 as usize].log_prepared(id, node);
+        ctx.indoubt.entry(id).or_default().push((owner, now));
         self.active
             .get_mut(id)
             .expect("checked above")
             .piggy
             .push(owner);
-        k.schedule_after(retransmit, Ev::InDoubtTimer(id, owner));
+        k.schedule_retransmit(Ev::InDoubtTimer(id, owner));
         if self.crash_fires(k, CrashKind::PartPostVote) {
             self.crash_at_point(k, owner);
         }
@@ -1503,8 +1417,8 @@ mod tests {
         assert_eq!(profile.work_per_action, cfg.action_time.saturating_mul(2));
         let r = ContentionSim::new(cfg, profile).run();
         assert!(r.committed > 0);
-        // Cross-shard transactions owe coordinator messages on top of
-        // the per-action fan-out, so messages exceed actions × (rf−1).
+        // Cross-shard transactions send commit messages on top of the
+        // per-action fan-out, so messages exceed actions × (rf−1).
         assert!(r.messages > 0);
     }
 
@@ -1600,8 +1514,8 @@ mod tests {
     #[test]
     fn single_shard_txns_skip_the_protocol() {
         // With no cross-shard transactions the protocol never engages:
-        // a 2PC run is byte-identical to the owner-order baseline —
-        // same commits, same message count, same everything.
+        // a 2PC run is byte-identical to the owner-order one — same
+        // commits, same message count, same everything.
         let p = Params::new(400.0, 6.0, 15.0, 4.0, 0.01);
         let base = SimConfig::from_params(&p, 50, 25)
             .with_shards(6, 2)
@@ -1615,9 +1529,8 @@ mod tests {
 
     #[test]
     fn two_pc_costs_more_messages_than_owner_order() {
-        // Owner-order bills 2·(owners−1) abstract coordinator messages
-        // per cross-shard commit; 2PC puts Prepare/Vote/Decision/Ack
-        // on a real wire — four per participant.
+        // Owner-order sends one Apply per remote owner; 2PC sends
+        // Prepare/Vote/Decision/Ack — four per participant.
         let base = sharded_cfg(22);
         let oo = ContentionSim::new(base, ContentionProfile::lazy_master(&base)).run();
         let two_pc = base.with_commit_proto(CommitProto::TwoPc);

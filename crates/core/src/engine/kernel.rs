@@ -8,6 +8,8 @@
 //! * the Poisson arrival process of every node;
 //! * connectivity schedules, fault-plan partition and crash windows,
 //!   and the per-node `crashed` flags;
+//! * the retransmit period every protocol timer waits: the attached
+//!   plan's, else a quiet plan's;
 //! * the message fabric: the one [`Network`], the [`FaultInjector`] on
 //!   it, the active partition, and the mail parked for unreachable or
 //!   crashed nodes;
@@ -221,6 +223,10 @@ pub struct Kernel<P: Protocol> {
     /// Per-node crash flags: a crashed node accepts no arrivals until
     /// it restarts.
     crashed: Vec<bool>,
+    /// How long a sender waits before resending what a drop or an
+    /// unanswered round left behind: the attached plan's, else a quiet
+    /// plan's, so a plan that injects nothing changes nothing.
+    retransmit: SimDuration,
     /// False once the post-horizon drain has begun.
     live: bool,
     /// The run's counters, frozen into the [`Report`] at the horizon.
@@ -267,6 +273,7 @@ impl<P: Protocol> Kernel<P> {
             net: Network::new(n, cfg.latency, cfg.seed),
             arrival_rngs,
             crashed: vec![false; n],
+            retransmit: FaultPlan::quiet(cfg.seed).retransmit,
             live: true,
             metrics: Metrics {
                 lean: cfg.lean_metrics,
@@ -398,6 +405,12 @@ impl<P: Protocol> Kernel<P> {
     #[inline]
     pub(super) fn schedule_after(&mut self, delay: SimDuration, ev: P::Ev) {
         self.queue.schedule_after(delay, Event::Proto(ev));
+    }
+
+    /// Schedule a scheme-private retransmit timer one retransmit period
+    /// from now.
+    pub(super) fn schedule_retransmit(&mut self, ev: P::Ev) {
+        self.schedule_after(self.retransmit, ev);
     }
 
     /// Schedule `node`'s restart `delay` from now (crash points).
@@ -789,6 +802,7 @@ impl<P: Faulty> Sim<P> {
     /// ```
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.k.retransmit = plan.retransmit;
         self.p.attach_faults(&mut self.k, plan);
         self
     }

@@ -195,9 +195,6 @@ type K = Kernel<LazyGroup>;
 /// The lazy-group protocol's state.
 pub struct LazyGroup {
     resolution: ResolutionMode,
-    /// How long a sender waits before re-running propagation after a
-    /// dropped message (the fault plan's, once one is attached).
-    retransmit: SimDuration,
     nodes: Vec<NodeState>,
     roots: TxnSlab<RootTxn>,
     replicas: TxnSlab<ReplicaTxn>,
@@ -269,7 +266,6 @@ impl LazyGroupSim {
             .collect();
         let p = LazyGroup {
             resolution: ResolutionMode::TimePriority,
-            retransmit: SimDuration::from_millis(100),
             nodes,
             roots: TxnSlab::new(ROOT_ARENA),
             replicas: TxnSlab::new(REPLICA_ARENA),
@@ -309,7 +305,6 @@ impl Faulty for LazyGroup {
         k.install_injector(&plan);
         k.schedule_partition_windows(&plan);
         k.schedule_crash_windows(&plan);
-        self.retransmit = plan.retransmit;
     }
 }
 
@@ -897,7 +892,7 @@ impl LazyGroup {
                         // re-application idempotent.
                         let armed = &mut self.nodes[origin.0 as usize].resend_armed;
                         if !std::mem::replace(armed, true) {
-                            k.schedule_after(self.retransmit, Ev::Resend(origin));
+                            k.schedule_retransmit(Ev::Resend(origin));
                         }
                         break;
                     }

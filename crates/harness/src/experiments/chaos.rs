@@ -7,13 +7,16 @@
 //! cycle detection; the two rows let the reader compare the rates those
 //! policies produce under identical faults, and the `converged` column
 //! certifies the robustness claim: after the post-horizon drain every
-//! replica is bit-identical no matter what the fabric did.
+//! replica is bit-identical no matter what the fabric did. Three more
+//! rows run the sharded eager family under the same plan, one per
+//! cross-shard commit protocol.
 
 use crate::par::run_points;
 use crate::table::{fmt_val, Table};
 use crate::{Instrument, RunOpts};
 use repl_core::{
-    DeadlockPolicy, EagerSim, LazyGroupSim, Mobility, Ownership, ReplicaDiscipline, SimConfig,
+    CommitProto, DeadlockPolicy, EagerSim, LazyGroupSim, Mobility, Ownership, ReplicaDiscipline,
+    Report, SimConfig,
 };
 use repl_net::{CrashWindow, FaultPlan, PartitionWindow};
 use repl_sim::{SimDuration, SimTime};
@@ -45,6 +48,22 @@ fn default_plan(seed: u64, horizon: u64) -> FaultPlan {
         restart: SimTime::from_secs(horizon * 7 / 10),
     });
     plan
+}
+
+/// One CHAOS row: `label`, `r`'s rates and fault counts, `converged`.
+fn row(label: String, r: &Report, converged: &str) -> Vec<String> {
+    vec![
+        label,
+        fmt_val(r.commit_rate),
+        fmt_val(r.deadlock_rate),
+        fmt_val(r.reconciliation_rate),
+        format!("{}", r.lock_timeouts),
+        format!("{}", r.cycle_checks),
+        format!("{}", r.messages_dropped),
+        format!("{}", r.messages_duplicated),
+        format!("{}", r.node_crashes),
+        converged.to_owned(),
+    ]
 }
 
 /// CHAOS: lazy-group under the full fault plan, detection vs timeout.
@@ -96,52 +115,37 @@ pub fn chaos(opts: &RunOpts) -> Table {
         (label, r, converged)
     });
     for (label, r, converged) in results {
-        t.row(vec![
+        t.row(row(
             label.to_string(),
-            fmt_val(r.commit_rate),
-            fmt_val(r.deadlock_rate),
-            fmt_val(r.reconciliation_rate),
-            format!("{}", r.lock_timeouts),
-            format!("{}", r.cycle_checks),
-            format!("{}", r.messages_dropped),
-            format!("{}", r.messages_duplicated),
-            format!("{}", r.node_crashes),
-            (if converged { "yes" } else { "NO" }).to_string(),
-        ]);
+            &r,
+            if converged { "yes" } else { "NO" },
+        ));
     }
-    // Third row: the eager family under the same plan, running the
-    // `--commit-proto`-selected cross-shard commit protocol on a
-    // sharded layout. Partition windows don't exist in this engine's
-    // fabric model and are ignored; drops, duplicates, and crash
-    // windows all apply. Under `--check` the atomicity and
-    // decision-durability oracles judge every cross-shard commit this
-    // row makes.
-    let proto = opts.commit_proto;
-    let cfg = SimConfig::from_params(&p, horizon, opts.seed)
-        .with_shards(CHAOS_NODES, 2)
-        .with_cross_shard(0.2)
-        .with_commit_proto(proto);
-    let r = EagerSim::new(cfg, ReplicaDiscipline::Serial, Ownership::Group)
-        .with_faults(plan)
-        .instrument(opts, format!("chaos proto={}", proto.name()))
-        .run();
-    t.row(vec![
-        format!("eager/{}", proto.name()),
-        fmt_val(r.commit_rate),
-        fmt_val(r.deadlock_rate),
-        fmt_val(r.reconciliation_rate),
-        format!("{}", r.lock_timeouts),
-        format!("{}", r.cycle_checks),
-        format!("{}", r.messages_dropped),
-        format!("{}", r.messages_duplicated),
-        format!("{}", r.node_crashes),
-        "—".to_owned(),
-    ]);
+    // One row per cross-shard commit protocol: the eager family under
+    // the same plan on a sharded layout. Partition windows don't exist
+    // in this engine's fabric model and are ignored; drops, duplicates,
+    // and crash windows all apply. Under `--check` the atomicity and
+    // decision-durability oracles judge every cross-shard commit these
+    // rows make.
+    let results = run_points(opts, CommitProto::ALL.to_vec(), |opts, &proto| {
+        let cfg = SimConfig::from_params(&p, horizon, opts.seed)
+            .with_shards(CHAOS_NODES, 2)
+            .with_cross_shard(0.2)
+            .with_commit_proto(proto);
+        let r = EagerSim::new(cfg, ReplicaDiscipline::Serial, Ownership::Group)
+            .with_faults(plan.clone())
+            .instrument(opts, format!("chaos proto={}", proto.name()))
+            .run();
+        (proto, r)
+    });
+    for (proto, r) in results {
+        t.row(row(format!("eager/{}", proto.name()), &r, "—"));
+    }
     t.note("timeout row resolves every deadlock with zero cycle-detection work");
     t.note("converged = all replicas bit-identical after the post-horizon drain");
     t.note(
-        "eager/PROTO row: sharded eager family under the same plan (partition \
-         clauses don't apply); oracles judge it under --check",
+        "eager/PROTO rows: sharded eager family under the same plan, one per commit \
+         protocol (partition clauses don't apply); oracles judge them under --check",
     );
     t
 }
@@ -161,26 +165,21 @@ mod tests {
     #[test]
     fn chaos_converges_under_both_policies() {
         let t = chaos(&quick());
-        assert_eq!(t.rows.len(), 3);
+        assert_eq!(t.rows.len(), 2 + CommitProto::ALL.len());
         for row in &t.rows[..2] {
             assert_eq!(row.last().unwrap(), "yes", "row diverged: {row:?}");
         }
-        // The commit-protocol row defaults to the unfenced baseline
-        // and has no store-digest convergence column.
-        assert_eq!(t.rows[2][0], "eager/owner-order");
-        assert_eq!(t.rows[2].last().unwrap(), "—");
     }
 
     #[test]
-    fn chaos_honors_commit_proto() {
-        let opts = RunOpts {
-            commit_proto: repl_core::CommitProto::TwoPc,
-            ..quick()
-        };
-        let t = chaos(&opts);
-        let row = &t.rows[2];
-        assert_eq!(row[0], "eager/2pc");
-        assert_ne!(row[1], "0.000", "2pc chaos row must commit transactions");
+    fn chaos_prints_one_row_per_commit_protocol() {
+        let t = chaos(&quick());
+        for (row, proto) in t.rows[2..].iter().zip(CommitProto::ALL) {
+            // No store-digest convergence column for these rows.
+            assert_eq!(row[0], format!("eager/{}", proto.name()));
+            assert_eq!(row.last().unwrap(), "—");
+            assert_ne!(row[1], "0.000", "{row:?} committed nothing");
+        }
     }
 
     #[test]
@@ -203,29 +202,48 @@ mod tests {
     }
 
     #[test]
-    fn chaos_proto_row_survives_the_oracles() {
-        // The fixed-seed 2PC chaos row must make cross-shard commits
-        // and come through the atomicity/durability oracles clean —
-        // the same gate CI runs via `--check --commit-proto 2pc chaos`.
+    fn every_run_but_owner_order_survives_the_oracles() {
+        // Every fixed-seed chaos run — both lazy-group policies and the
+        // 2PC and O2PL rows — must come through the oracles clean, the
+        // same gate CI runs via `--check chaos`; the fenced rows must
+        // also make cross-shard commits. The owner-order row is the
+        // oracles' teeth: its fire-and-forget applies tear under the
+        // plan's drops and crashes.
         let opts = RunOpts {
-            commit_proto: repl_core::CommitProto::TwoPc,
             check: crate::CheckSession::enabled(),
             ..quick()
         };
-        let t = chaos(&opts);
-        assert_eq!(t.rows.len(), 3);
-        let mut proto_commits = 0usize;
-        for (label, report) in opts.check.drain() {
+        chaos(&opts);
+        let reports = opts.check.drain();
+        for label in [
+            "chaos policy=detection",
+            "chaos policy=timeout",
+            "chaos proto=2pc",
+            "chaos proto=o2pl",
+            "chaos proto=owner-order",
+        ] {
+            assert!(
+                reports.iter().any(|(l, _)| l == label),
+                "no {label} run was recorded"
+            );
+        }
+        for (label, report) in &reports {
+            if label == "chaos proto=owner-order" {
+                assert!(
+                    !report.violations.is_empty(),
+                    "owner-order tore nothing under the chaos plan"
+                );
+                continue;
+            }
+            if label.starts_with("chaos proto=") {
+                assert!(report.commits > 0, "{label} recorded no commits");
+            }
             assert!(
                 report.violations.is_empty(),
                 "{label}: {:?}",
                 report.violations
             );
-            if label.contains("proto=2pc") {
-                proto_commits = report.commits;
-            }
         }
-        assert!(proto_commits > 0, "2pc chaos row recorded no commits");
     }
 
     #[test]

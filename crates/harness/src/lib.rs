@@ -164,10 +164,6 @@ pub struct RunOpts {
     /// `Report` back to the main thread, so an enabled session does
     /// *not* force a serial sweep.
     pub metrics: MetricsSession,
-    /// Cross-shard commit protocol (`--commit-proto
-    /// {owner-order,2pc,o2pl}`). `OwnerOrder` is the pre-protocol
-    /// unfenced baseline; runs without a shard layout ignore it.
-    pub commit_proto: repl_core::CommitProto,
 }
 
 impl Default for RunOpts {
@@ -181,7 +177,6 @@ impl Default for RunOpts {
             jobs: 1,
             check: CheckSession::default(),
             metrics: MetricsSession::default(),
-            commit_proto: repl_core::CommitProto::OwnerOrder,
         }
     }
 }

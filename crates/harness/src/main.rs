@@ -34,7 +34,7 @@ use std::rc::Rc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: harness [--quick] [--json] [--seed N] [--jobs N] [--commit-proto P] \
+        "usage: harness [--quick] [--json] [--seed N] [--jobs N] \
          [--trace FILE] [--series SECS] [--profile] [--faults SPEC] \
          [--check] [--metrics FILE] <list|all|NAME...>"
     );
@@ -148,13 +148,6 @@ fn run() -> std::io::Result<ExitCode> {
                     return Ok(usage());
                 };
                 fault_spec = Some(s);
-            }
-            "--commit-proto" => {
-                let Some(p) = args.next().and_then(|s| repl_core::CommitProto::parse(&s)) else {
-                    eprintln!("--commit-proto needs one of: owner-order, 2pc, o2pl");
-                    return Ok(usage());
-                };
-                opts.commit_proto = p;
             }
             "--profile" => opts.profiler = Profiler::enabled(),
             "--check" => opts.check = repl_harness::CheckSession::enabled(),

@@ -42,7 +42,6 @@ struct WorkerOpts {
     quick: bool,
     seed: u64,
     faults: Option<repl_net::FaultPlan>,
-    commit_proto: repl_core::CommitProto,
 }
 
 impl WorkerOpts {
@@ -59,13 +58,11 @@ impl WorkerOpts {
             jobs: _,
             check: _,
             metrics: _,
-            commit_proto,
         } = opts;
         WorkerOpts {
             quick: *quick,
             seed: *seed,
             faults: faults.clone(),
-            commit_proto: *commit_proto,
         }
     }
 
@@ -74,7 +71,6 @@ impl WorkerOpts {
             quick: self.quick,
             seed: self.seed,
             faults: self.faults.clone(),
-            commit_proto: self.commit_proto,
             // Workers run exactly one point at a time; nested sweeps
             // (none exist today) would stay serial rather than
             // oversubscribe.
@@ -88,8 +84,8 @@ impl WorkerOpts {
 /// worker threads, and return the results **in point order**.
 ///
 /// Each worker invokes `f` with a private `RunOpts` carrying the same
-/// `quick`/`seed`/`faults`/`commit_proto` values as `opts`, so a point's simulation is bit-identical whether it ran
-/// serially or on a worker. Falls back to the plain in-order serial
+/// `quick`/`seed`/`faults` values as `opts`, so a point's simulation is
+/// bit-identical whether it ran serially or on a worker. Falls back to the plain in-order serial
 /// loop (with `opts` itself, tracer and all) when `opts.jobs <= 1`,
 /// when a tracer, profiler, or check session is attached, or when there
 /// is at most one point.
@@ -105,7 +101,7 @@ where
     }
     let template = WorkerOpts::snapshot(opts);
     let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, R)>();
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
     let mut results: Vec<Option<R>> = Vec::with_capacity(points.len());
     results.resize_with(points.len(), || None);
     std::thread::scope(|scope| {
@@ -197,17 +193,10 @@ mod tests {
         o.quick = true;
         o.seed = 99;
         o.faults = Some(repl_net::FaultPlan::quiet(99));
-        o.commit_proto = repl_core::CommitProto::TwoPc;
         let got = run_points(&o, vec![(); 4], |local, ()| {
-            (
-                local.quick,
-                local.seed,
-                local.faults.is_some(),
-                local.jobs,
-                local.commit_proto,
-            )
+            (local.quick, local.seed, local.faults.is_some(), local.jobs)
         });
-        let want = (true, 99, true, 1, repl_core::CommitProto::TwoPc);
+        let want = (true, 99, true, 1);
         assert!(got.iter().all(|&g| g == want));
     }
 

@@ -50,6 +50,14 @@ only_in_kernel 'Network::new' 'FaultInjector::new' 'clear_faults' \
     '\.partition(' 'heal_partition'
 echo "ok: one Network, one fault install, one partition"
 
+say "one retransmit period: every protocol timer waits the kernel's"
+# The kernel holds the period: the attached plan's, else a quiet
+# plan's, so a plan that injects nothing changes nothing. An engine
+# that keeps a period of its own or reads one off a plan runs
+# differently once any plan is attached.
+only_in_kernel '\.retransmit\b' 'retransmit: SimDuration' 'FaultPlan::quiet'
+echo "ok: one retransmit period, held by the kernel"
+
 say "state machines read no clock: non-test repl-core code names no std::time, std::thread or Instant"
 # Every protocol in repl-core is a state machine: time is the kernel's
 # simulated clock or a driver's tick. A wall clock, a sleep or a thread
@@ -182,7 +190,8 @@ table = json.loads(open(sys.argv[1]).read())
 assert table["id"] == "CHAOS", f"unexpected table id {table['id']!r}"
 cols = table["headers"]
 rows = {r[cols.index("policy")]: dict(zip(cols, r)) for r in table["rows"]}
-assert set(rows) == {"detection", "timeout", "eager/owner-order"}, f"policies: {sorted(rows)}"
+assert set(rows) == {"detection", "timeout", "eager/owner-order", "eager/2pc", "eager/o2pl"}, \
+    f"policies: {sorted(rows)}"
 for name, row in rows.items():
     assert int(row["dropped"]) > 0, f"{name} run injected no drops: {row}"
     assert int(row["crashes"]) > 0, f"{name} run injected no crashes: {row}"
@@ -194,27 +203,28 @@ assert int(rows["detection"]["cycle checks"]) > 0, "detection mode never searche
 print("ok: chaos smoke deterministic, converged, policies use disjoint mechanisms")
 EOF
 
-say "commit-proto gates: owner-order identity, 2PC chaos clean through the oracles"
+say "chaos oracle gates: every run clean through the oracles but owner-order, which tears"
 proto_out="$tmp/proto_out"
-# owner-order is the default: selecting it explicitly must change nothing.
-./target/release/harness --quick --json --seed 41 --commit-proto owner-order chaos >"$proto_out"
-cmp "$chaos_a" "$proto_out" || {
-    echo "--commit-proto owner-order changed the default chaos output" >&2
+# Both lazy-group policies and every commit protocol run under the full
+# chaos plan (drops, duplicates, a crash window). Every run but
+# owner-order must come through the oracles with zero violations; 2PC
+# and O2PL face the atomicity and decision-durability oracles too.
+# Owner-order's partial commits are the oracles' teeth, so the run
+# exits 1.
+if ./target/release/harness --quick --json --seed 41 --check chaos >"$proto_out"; then
+    echo "the owner-order chaos run tore no commit: the oracles have no teeth" >&2
     exit 1
-}
-# The fenced protocol under the full chaos plan (drops, duplicates, a
-# crash window) must come through the atomicity and decision-durability
-# oracles with zero violations.
-./target/release/harness --quick --json --seed 41 --check --commit-proto 2pc chaos >"$proto_out"
+fi
 /usr/bin/jq -e '
-    .violations == []
-    and ([.rows[] | select(.[0] == "eager/2pc")] | length == 1)
+    ([.violations[] | select(startswith("chaos proto=owner-order:") | not)] | length == 0)
+    and ([.violations[] | select(startswith("chaos proto=owner-order:"))] | length > 0)
+    and ([.rows[] | select(.[0] == "eager/2pc" or .[0] == "eager/o2pl")] | length == 2)
 ' "$proto_out" >/dev/null || {
-    echo "2PC chaos run failed the commit-protocol oracles" >&2
+    echo "a chaos run other than owner-order failed the oracles, or owner-order tore nothing" >&2
     /usr/bin/jq '.violations' "$proto_out" >&2
     exit 1
 }
-echo "ok: owner-order byte-identical to default, 2PC chaos run violation-free"
+echo "ok: lazy-group, 2PC and O2PL chaos runs violation-free, owner-order tears $(/usr/bin/jq '.violations | length' "$proto_out") commits"
 
 say "oracle smoke: --check on a real experiment must stay clean"
 check_out="$tmp/check_out"

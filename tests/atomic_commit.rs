@@ -1,10 +1,14 @@
-//! Integration surface of the cross-shard atomic-commit layer (PR 9).
+//! Integration surface of the cross-shard atomic-commit layer.
 //!
-//! Four invariants, all load-bearing for `--commit-proto`:
+//! Four invariants, all load-bearing for `SimConfig::commit_proto`:
 //!
-//! 1. `owner-order` is the default and reproduces the pre-protocol
-//!    (PR 8) sharded runs byte-for-byte — the protocol machinery only
-//!    exists when a fenced protocol or a crash point asks for it.
+//! 1. A fault plan that injects nothing changes nothing. Every partial
+//!    layout runs its commit protocol on the kernel's fabric, owner-order
+//!    included (one `Apply` per remote owner, sent through
+//!    `Kernel::send`), and every protocol timer waits the kernel's one
+//!    retransmit period. So a run with `FaultPlan::quiet` attached is
+//!    byte-identical to the same run without a plan, for each protocol
+//!    and for lazy-group. Owner-order is the default protocol.
 //! 2. With no cross-shard transactions the fenced protocols change
 //!    nothing: single-shard commits never enter the protocol, so
 //!    reports (message counts included) are byte-identical.
@@ -16,12 +20,14 @@
 
 use dangers_of_replication::check::{Recorder, Scheme};
 use dangers_of_replication::core::{
-    CommitProto, CrashKind, CrashPoint, EagerSim, LazyMasterSim, Ownership, ReplicaDiscipline,
-    SimConfig,
+    CommitProto, CrashKind, CrashPoint, EagerSim, LazyGroupSim, LazyMasterSim, Mobility, Ownership,
+    ReplicaDiscipline, SimConfig,
 };
 use dangers_of_replication::harness::experiments::scaleout::scaleout;
 use dangers_of_replication::harness::RunOpts;
 use dangers_of_replication::model::Params;
+use dangers_of_replication::net::FaultPlan;
+use dangers_of_replication::storage::ObjectStore;
 
 /// A sharded, cross-shard-heavy base config for the eager family.
 fn sharded_cfg(seed: u64) -> SimConfig {
@@ -32,7 +38,40 @@ fn sharded_cfg(seed: u64) -> SimConfig {
 }
 
 #[test]
-fn owner_order_is_byte_identical_to_the_pr8_baseline() {
+fn a_quiet_fault_plan_changes_nothing() {
+    for seed in [5, 42] {
+        for proto in CommitProto::ALL {
+            let cfg = sharded_cfg(seed).with_commit_proto(proto);
+            let eager = || EagerSim::new(cfg, ReplicaDiscipline::Serial, Ownership::Group);
+            assert_eq!(
+                eager().run(),
+                eager().with_faults(FaultPlan::quiet(seed)).run(),
+                "eager {}, seed {seed}",
+                proto.name()
+            );
+            assert_eq!(
+                LazyMasterSim::new(cfg).run(),
+                LazyMasterSim::new(cfg)
+                    .with_faults(FaultPlan::quiet(seed))
+                    .run(),
+                "lazy-master {}, seed {seed}",
+                proto.name()
+            );
+        }
+        let cfg = sharded_cfg(seed);
+        let (plain, plain_stores) = LazyGroupSim::new(cfg, Mobility::Connected).run_with_state();
+        let (quiet, quiet_stores) = LazyGroupSim::new(cfg, Mobility::Connected)
+            .with_faults(FaultPlan::quiet(seed))
+            .run_with_state();
+        assert_eq!(plain, quiet, "lazy-group, seed {seed}");
+        let digests =
+            |stores: &[ObjectStore]| stores.iter().map(ObjectStore::digest).collect::<Vec<_>>();
+        assert_eq!(digests(&plain_stores), digests(&quiet_stores));
+    }
+}
+
+#[test]
+fn owner_order_is_the_default_protocol() {
     for seed in [5, 41] {
         let base = EagerSim::new(
             sharded_cfg(seed),

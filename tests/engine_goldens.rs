@@ -15,7 +15,13 @@
 //!   serial/parallel, lazy-master (every profile of `ContentionSim`);
 //!   generated before the engine's per-transaction state moved off
 //!   `HashMap` (`REGEN_CONTENTION_GOLDENS=1 cargo test -q --test
-//!   engine_goldens`).
+//!   engine_goldens`), and regenerated once when owner-order's
+//!   abstract commit path was deleted and the retransmit period moved
+//!   into the kernel. Only partial-layout rows without a fault plan
+//!   moved: owner-order now sends one real `Apply` per remote owner
+//!   and drains like 2PC and O2PL, and the fenced protocols' timers
+//!   wait the kernel's 100 ms instead of the engine's private 250 ms.
+//!   Commits, deadlocks and crashes stayed put in every row.
 //! * `goldens/lazy_group_two_tier.txt` — lazy-group and two-tier;
 //!   generated while each engine still had its own event loop, before
 //!   the simulation kernel (`REGEN_KERNEL_GOLDENS=1 cargo test -q
@@ -150,7 +156,7 @@ fn golden_lines() -> Vec<String> {
     let mut lines = Vec::new();
     for (i, engine) in ENGINES.iter().enumerate() {
         let seed = 42 + i as u64;
-        // Unsharded: the pre-protocol fast path, with and without the
+        // Unsharded: no commit protocol, with and without the
         // recorder's read capture.
         for recorded in [false, true] {
             lines.push(scenario(

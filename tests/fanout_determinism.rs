@@ -10,7 +10,20 @@
 //!    (`REGEN_FANOUT_GOLDENS=1 cargo test -q --test
 //!    fanout_determinism`), before any fan-out optimisation, so any
 //!    run that diverges from it changed observable behavior, not just
-//!    speed.
+//!    speed. The `eager` and `lazy_master` rows were regenerated once,
+//!    when owner-order's cross-shard commits moved onto the kernel's
+//!    fabric: their message count changed (one real `Apply` per remote
+//!    owner instead of two abstract messages per remote owner), and
+//!    every other `Report` field stayed the same. `messages` before →
+//!    after:
+//!
+//!    | row | eager | lazy_master |
+//!    |---|---|---|
+//!    | seed=7/shards=8/rf=3 | 9,178 → 9,018 | 9,166 → 9,010 |
+//!    | seed=42/shards=8/rf=3 | 9,844 → 9,678 | 9,852 → 9,686 |
+//!    | seed=42/shards=5/rf=2 | 5,113 → 4,960 | 5,112 → 4,959 |
+//!
+//!    The lazy-group and two-tier rows were not regenerated.
 //! 2. **Property test** (below, `replica_set_walk_matches_reference`):
 //!    for random `ShardMap`s, the shard→replica-set fan-out walk must
 //!    equal the per-destination reference filter.
