@@ -45,8 +45,6 @@ pub struct ContentionProfile {
     /// serial: one per replica ⇒ `nodes`); feeds the measured
     /// action rate compared against equation (8).
     pub updates_per_action: u64,
-    /// Network messages generated per action (replica update fan-out).
-    pub messages_per_action: u64,
 }
 
 impl ContentionProfile {
@@ -55,7 +53,6 @@ impl ContentionProfile {
         ContentionProfile {
             work_per_action: cfg.action_time,
             updates_per_action: 1,
-            messages_per_action: 0,
         }
     }
 
@@ -63,13 +60,14 @@ impl ContentionProfile {
     /// model): each action is applied at every replica of its shard in
     /// turn. With full replication `effective_rf() == nodes` and this
     /// is exactly the paper's `Action_Time × Nodes`; a partial shard
-    /// map shrinks the fan-out to the replication factor.
+    /// map shrinks the fan-out to the replication factor. The replica
+    /// updates are this work, not messages: none is sent, so none is
+    /// counted.
     pub fn eager_serial(cfg: &SimConfig) -> Self {
         let rf = u64::from(cfg.effective_rf());
         ContentionProfile {
             work_per_action: cfg.action_time.saturating_mul(rf),
             updates_per_action: rf,
-            messages_per_action: rf.saturating_sub(1),
         }
     }
 
@@ -81,20 +79,19 @@ impl ContentionProfile {
         ContentionProfile {
             work_per_action: cfg.action_time,
             updates_per_action: rf,
-            messages_per_action: rf.saturating_sub(1),
         }
     }
 
     /// Lazy-master master-copy execution: master transactions take
-    /// `Action_Time` per action; each commit fans out one lazy replica
-    /// update per action per slave of the shard (background, does not
-    /// contend).
+    /// `Action_Time` per action. The refresh of every slave of the
+    /// shard counts as an update (background, does not contend), but
+    /// the engine has no slaves yet, so no refresh is sent or counted
+    /// as a message.
     pub fn lazy_master(cfg: &SimConfig) -> Self {
         let rf = u64::from(cfg.effective_rf());
         ContentionProfile {
             work_per_action: cfg.action_time,
             updates_per_action: rf,
-            messages_per_action: rf.saturating_sub(1),
         }
     }
 }
@@ -669,14 +666,12 @@ impl<S: Flavor> Contention<S> {
     }
 
     /// `id` holds the lock on `obj`: the action's service time starts
-    /// now. The action/message counters model an abstract replica
-    /// fan-out with no per-destination identity, so no per-message
-    /// events here; the concrete engines (lazy-group, two-tier) emit
-    /// MsgSent with real targets.
+    /// now. The profile's replica fan-out is modelled as work (the
+    /// service time, and `updates_per_action` object updates), not as
+    /// messages: only the commit protocol sends, through the kernel.
     fn start_action(&mut self, k: &mut K<S>, id: TxnId, obj: ObjectId) {
         if k.measuring() {
             k.metrics.actions.add(self.profile.updates_per_action);
-            k.metrics.messages.add(self.profile.messages_per_action);
         }
         self.record_read(k, id, obj);
         k.schedule_after(self.profile.work_per_action, Ev::StepDone(id));
@@ -1413,12 +1408,11 @@ mod tests {
             .with_cross_shard(0.1);
         let profile = ContentionProfile::eager_serial(&cfg);
         assert_eq!(profile.updates_per_action, 2);
-        assert_eq!(profile.messages_per_action, 1);
         assert_eq!(profile.work_per_action, cfg.action_time.saturating_mul(2));
         let r = ContentionSim::new(cfg, profile).run();
         assert!(r.committed > 0);
-        // Cross-shard transactions send commit messages on top of the
-        // per-action fan-out, so messages exceed actions × (rf−1).
+        // The fan-out is work; the messages are the cross-shard
+        // commits' `Apply`s.
         assert!(r.messages > 0);
     }
 

@@ -6,10 +6,10 @@
 //! replicas exist, but the *work* of an action is multiplied by the
 //! replica count (serial replica updates, the paper's primary model).
 //! These engines are thin parameterizations of the shared
-//! [`Contention`] protocol; ownership (group vs. master) changes the message
-//! pattern but not the contention behaviour — exactly the simplification
-//! equation (12) makes ("it does not distinguish between Master and
-//! Group").
+//! [`Contention`] protocol. Replica updates are modelled as that work,
+//! not sent as messages, so ownership (group vs. master) changes
+//! nothing — exactly the simplification equation (12) makes ("it does
+//! not distinguish between Master and Group").
 
 use crate::config::SimConfig;
 use crate::engine::contention::{Contention, ContentionProfile, Flavor};
@@ -28,16 +28,17 @@ pub enum ReplicaDiscipline {
     Parallel,
 }
 
-/// Ownership regime — changes message accounting only.
+/// Ownership regime. It has no effect: eager replica updates are
+/// modelled as work, not sent, so the master's extra hop has nothing to
+/// travel on, and equation (12) does not distinguish the two either.
+/// It is kept only because the repo benchmark's frozen workload list
+/// builds `Ownership::Master`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Ownership {
-    /// Update anywhere: the originating node broadcasts each update to
-    /// every other replica.
+    /// Update anywhere: the originating node updates every replica.
     #[default]
     Group,
-    /// Each object has a master: the originator sends the update to the
-    /// owner, which forwards it to the remaining replicas (one extra
-    /// hop per action).
+    /// Each object has a master that updates the remaining replicas.
     Master,
 }
 
@@ -54,18 +55,13 @@ impl Flavor for Eager {
 pub type EagerSim = Sim<Contention<Eager>>;
 
 impl EagerSim {
-    /// Build an eager run.
-    pub fn new(cfg: SimConfig, discipline: ReplicaDiscipline, ownership: Ownership) -> Self {
-        let mut profile = match discipline {
+    /// Build an eager run. `_ownership` has no effect (see
+    /// [`Ownership`]).
+    pub fn new(cfg: SimConfig, discipline: ReplicaDiscipline, _ownership: Ownership) -> Self {
+        let profile = match discipline {
             ReplicaDiscipline::Serial => ContentionProfile::eager_serial(&cfg),
             ReplicaDiscipline::Parallel => ContentionProfile::eager_parallel(&cfg),
         };
-        if ownership == Ownership::Master && cfg.effective_rf() > 1 {
-            // Originator → owner, then owner → the other replicas of
-            // the shard (one of which is the originator's own copy
-            // refresh). Full replication: exactly the paper's N.
-            profile.messages_per_action = u64::from(cfg.effective_rf());
-        }
         Self::with_profile(cfg, profile)
     }
 }
@@ -136,18 +132,13 @@ mod tests {
     }
 
     #[test]
-    fn master_sends_more_messages_than_group() {
+    fn master_equals_group() {
+        // Replica updates are work, not messages: the master's extra
+        // hop sends nothing, so the two regimes are one run.
         let c = cfg(4.0, 100_000.0, 5.0, 60, 4);
         let group = EagerSim::new(c, ReplicaDiscipline::Serial, Ownership::Group).run();
         let master = EagerSim::new(c, ReplicaDiscipline::Serial, Ownership::Master).run();
-        assert!(master.messages > group.messages);
-    }
-
-    #[test]
-    fn single_node_master_equals_group() {
-        let c = cfg(1.0, 10_000.0, 10.0, 30, 5);
-        let group = EagerSim::new(c, ReplicaDiscipline::Serial, Ownership::Group).run();
-        let master = EagerSim::new(c, ReplicaDiscipline::Serial, Ownership::Master).run();
+        assert!(group.committed > 0);
         assert_eq!(group, master);
     }
 }

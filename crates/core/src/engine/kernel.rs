@@ -37,11 +37,17 @@
 //! network, schedules the one or two deliveries, leaves a held message
 //! parked, counts and traces a duplicate or a drop. It then returns the
 //! payload-free [`Sent`], and the caller does only what is its own:
-//! lazy-group holds its watermark and arms a resend on a drop,
-//! contention lets its round timers recover, two-tier asserts the base
-//! never goes offline. The helper never asks who is calling. The
-//! "sent" trace stays with the caller because it differs in kind
-//! (`MsgSent` with a transaction, `ReplicaSend` with an LSN).
+//! lazy-group holds its watermark, or keeps a forward in its outbox,
+//! and arms a resend on a drop; contention lets its round timers
+//! recover; two-tier asserts the base never goes offline. The helper
+//! never asks who is calling. The "sent" trace stays with the caller
+//! because it differs in kind (`MsgSent` with a transaction,
+//! `ReplicaSend` with an LSN).
+//!
+//! `Kernel::send` is the one place a message is counted, and the only
+//! way a protocol puts one on the wire: no protocol draws a latency or
+//! times a message itself, so every counted message is a sent message
+//! and every fault reaches every message.
 //!
 //! Mail that reaches a crashed node never gets to [`Protocol::deliver`]:
 //! `Kernel::admit` parks it, and the protocol's `node_up` takes it back
@@ -422,12 +428,6 @@ impl<P: Protocol> Kernel<P> {
     #[inline]
     pub(super) fn is_connected(&self, node: NodeId) -> bool {
         self.net.is_connected(node)
-    }
-
-    /// Draw one one-way latency without sending (a forward whose
-    /// arrival is a scheme-private event, not a [`Protocol::Msg`]).
-    pub(super) fn sample_delay(&mut self) -> SimDuration {
-        self.net.sample_delay()
     }
 
     /// Put `node` back on the network and take the mail parked for it

@@ -33,6 +33,9 @@ use repl_telemetry::{AbortReason, Event, EventKind};
 /// to the arena that minted it.
 const ROOT_ARENA: u8 = 0;
 const REPLICA_ARENA: u8 = 1;
+/// Forwards in flight get ids too: a message names its entry in
+/// [`LazyGroup::forwards`].
+const FORWARD_ARENA: u8 = 2;
 
 /// How dangerous updates are disposed of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -96,9 +99,32 @@ pub struct ReplicaMsg {
     mask: u64,
 }
 
-/// The lazy-group protocol's private events. (Replica updates —
-/// first deliveries and resubmissions alike — travel as the kernel's
-/// `Deliver`.)
+/// What lazy-group puts on the wire.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub enum Msg {
+    /// A committed root's updates for one replica.
+    Replica(ReplicaMsg),
+    /// A cross-shard transaction's sub-transaction for one remote
+    /// shard group, forwarded to that shard's owner — the per-shard
+    /// root/replica split: the owner runs it as an ordinary root and
+    /// propagates it to the shard's replica set. Sharded runs only.
+    /// The objects stay in the protocol's `Forward` entry `id`.
+    Forward { from: NodeId, id: TxnId },
+}
+
+/// A forwarded sub-transaction in flight: sent, or waiting in its
+/// origin's outbox, and not yet begun at `to`. The first copy to arrive
+/// removes the entry, so a duplicate finds nothing and begins nothing.
+#[derive(Debug)]
+struct Forward {
+    to: NodeId,
+    objects: Vec<ObjectId>,
+}
+
+/// The lazy-group protocol's private events. (Replica updates and
+/// forwards — first deliveries and resubmissions alike — travel as the
+/// kernel's `Deliver`.)
 #[doc(hidden)]
 #[derive(Debug)]
 pub enum Ev {
@@ -108,11 +134,6 @@ pub enum Ev {
     ReplicaStep(TxnId),
     /// Retry propagation from a node after a dropped message.
     Resend(NodeId),
-    /// A cross-shard transaction's sub-transaction for one remote
-    /// shard group, forwarded to that shard's owner — the per-shard
-    /// root/replica split: the owner runs it as an ordinary root and
-    /// propagates it to the shard's replica set. Sharded runs only.
-    ForwardRoot { to: NodeId, objects: Vec<ObjectId> },
     /// A blocked transaction's lock-wait timer expired
     /// ([`DeadlockPolicy::Timeout`]).
     LockTimeout {
@@ -178,6 +199,9 @@ struct NodeState {
     /// all of them, and one timer per dropped peer, each re-arming one
     /// per peer when it fires, multiplies without bound.
     resend_armed: bool,
+    /// Forwards from this node that were dropped, or made while it was
+    /// offline: propagation sends them again. Durable, like the log.
+    outbox: Vec<TxnId>,
 }
 
 /// A node applies its replica-update stream with a bounded pool of
@@ -198,6 +222,9 @@ pub struct LazyGroup {
     nodes: Vec<NodeState>,
     roots: TxnSlab<RootTxn>,
     replicas: TxnSlab<ReplicaTxn>,
+    /// Forwards in flight, and only those: the duplicate check's state
+    /// follows the traffic, not the run length.
+    forwards: TxnSlab<Forward>,
     object_rng: SimRng,
     value_rng: SimRng,
     retry_rng: SimRng,
@@ -262,6 +289,7 @@ impl LazyGroupSim {
                 backlog: std::collections::VecDeque::new(),
                 active_replicas: 0,
                 resend_armed: false,
+                outbox: Vec::new(),
             })
             .collect();
         let p = LazyGroup {
@@ -269,6 +297,7 @@ impl LazyGroupSim {
             nodes,
             roots: TxnSlab::new(ROOT_ARENA),
             replicas: TxnSlab::new(REPLICA_ARENA),
+            forwards: TxnSlab::new(FORWARD_ARENA),
             object_rng: SimRng::stream(cfg.seed, "lg-objects"),
             value_rng: SimRng::stream(cfg.seed, "lg-values"),
             retry_rng: SimRng::stream(cfg.seed, "lg-retry"),
@@ -310,7 +339,7 @@ impl Faulty for LazyGroup {
 
 impl Protocol for LazyGroup {
     type Ev = Ev;
-    type Msg = ReplicaMsg;
+    type Msg = Msg;
     /// The final per-node stores, after the convergence drain.
     type State = Vec<ObjectStore>;
     const SCHEME: Scheme = Scheme::LazyGroup;
@@ -326,7 +355,6 @@ impl Protocol for LazyGroup {
             W::Proto(Ev::RootStep(_)) => "lazy-group/root-step",
             W::Proto(Ev::ReplicaStep(_)) => "lazy-group/replica-step",
             W::Proto(Ev::Resend(_)) => "lazy-group/resend",
-            W::Proto(Ev::ForwardRoot { .. }) => "lazy-group/forward-root",
             W::Proto(Ev::LockTimeout { .. }) => "lazy-group/lock-timeout",
         })
     }
@@ -360,35 +388,48 @@ impl Protocol for LazyGroup {
                     self.propagate(k, node);
                 }
             }
-            Ev::ForwardRoot { to, mut objects } => {
-                // A forwarded sub-transaction dies if its shard owner is
-                // down (nothing committed yet, so nothing to undo), and
-                // no new roots start during the convergence drain.
-                if k.is_live() && !k.is_down(to) {
-                    self.begin_root(k, to, objects);
-                } else {
-                    objects.clear();
-                    self.objects_pool.push(objects);
-                }
-            }
             Ev::LockTimeout { txn, node, obj } => self.on_lock_timeout(k, txn, node, obj),
         }
     }
 
     /// Mail released later is an arrival off the wire again, whatever
     /// this copy was when it was parked.
-    fn parked(msg: &mut ReplicaMsg) -> NodeId {
-        msg.retry = false;
-        msg.from
+    fn parked(msg: &mut Msg) -> NodeId {
+        match msg {
+            Msg::Replica(msg) => {
+                msg.retry = false;
+                msg.from
+            }
+            Msg::Forward { from, .. } => *from,
+        }
     }
 
-    fn deliver(&mut self, k: &mut K, to: NodeId, mut msg: ReplicaMsg) {
-        if !std::mem::take(&mut msg.retry) {
-            let from = msg.from;
-            k.tracer
-                .emit(|| Event::system(k.now(), to, EventKind::MsgDelivered { from }));
+    fn deliver(&mut self, k: &mut K, to: NodeId, msg: Msg) {
+        match msg {
+            Msg::Replica(mut msg) => {
+                if !std::mem::take(&mut msg.retry) {
+                    let from = msg.from;
+                    k.tracer
+                        .emit(|| Event::system(k.now(), to, EventKind::MsgDelivered { from }));
+                }
+                self.start_replica_txn(k, to, msg);
+            }
+            Msg::Forward { from, id } => {
+                k.tracer
+                    .emit(|| Event::new(k.now(), to, id, EventKind::MsgDelivered { from }));
+                // A duplicate finds the entry gone. No new roots start
+                // during the convergence drain.
+                let Some(Forward { mut objects, .. }) = self.forwards.remove(id) else {
+                    return;
+                };
+                if k.is_live() {
+                    self.begin_root(k, to, objects);
+                } else {
+                    objects.clear();
+                    self.objects_pool.push(objects);
+                }
+            }
         }
-        self.start_replica_txn(k, to, msg);
     }
 
     fn link_change(&mut self, k: &mut K, node: NodeId, connected: bool) {
@@ -447,11 +488,11 @@ impl Protocol for LazyGroup {
             .collect();
         for id in dead_replicas {
             let txn = self.replicas.remove(id).expect("crashing replica txn");
-            k.park(node, txn.msg);
+            k.park(node, Msg::Replica(txn.msg));
         }
         let backlog = std::mem::take(&mut self.nodes[node.0 as usize].backlog);
         for msg in backlog {
-            k.park(node, msg);
+            k.park(node, Msg::Replica(msg));
         }
         self.nodes[node.0 as usize].active_replicas = 0;
     }
@@ -572,7 +613,7 @@ impl LazyGroup {
             retry: true,
             ..txn.msg
         };
-        k.deliver_after(backoff, node, msg);
+        k.deliver_after(backoff, node, Msg::Replica(msg));
         self.drain_backlog(k, node);
     }
 
@@ -581,7 +622,7 @@ impl LazyGroup {
     /// probability `cross_shard` a transaction draws from the whole
     /// keyspace instead and splits per shard owner — the locally hosted
     /// objects become a root here, and each remote group is forwarded to
-    /// its shard's owner ([`Ev::ForwardRoot`]), which runs it as an
+    /// its shard's owner ([`Msg::Forward`]), which runs it as an
     /// ordinary root and propagates it to that shard's replica set. The
     /// split sub-transactions commit independently (no distributed
     /// atomic commit) — exactly the paper's lazy "anytime, anyhow"
@@ -596,7 +637,7 @@ impl LazyGroup {
         // Forwarded groups, keyed by shard owner. Cross-shard txns are
         // rare and small (`actions` objects total), so a linear-scan
         // Vec beats a hash map here.
-        let mut forwards: Vec<(NodeId, Vec<ObjectId>)> = Vec::new();
+        let mut groups: Vec<(NodeId, Vec<ObjectId>)> = Vec::new();
         if !cross && hosted >= k.cfg.actions as u64 {
             // Single-shard-group txn: sample distinct positions in the
             // hosted index space and map them to object ids.
@@ -614,13 +655,13 @@ impl LazyGroup {
                     objects.push(obj);
                 } else {
                     let owner = map.owner(map.shard_of(obj));
-                    match forwards.iter_mut().find(|(o, _)| *o == owner) {
+                    match groups.iter_mut().find(|(o, _)| *o == owner) {
                         Some((_, group)) => group.push(obj),
                         None => {
                             let mut group = self.objects_pool.pop().unwrap_or_default();
                             group.clear();
                             group.push(obj);
-                            forwards.push((owner, group));
+                            groups.push((owner, group));
                         }
                     }
                 }
@@ -633,20 +674,39 @@ impl LazyGroup {
         } else {
             self.begin_root(k, node, objects);
         }
-        for (owner, group) in forwards {
+        for (to, objects) in groups {
             // Forwarding is one message to the shard owner; the root it
             // spawns there does the usual replica fan-out on commit.
-            if k.measuring() {
-                k.metrics.messages.incr();
+            let id = self.forwards.insert(Forward { to, objects });
+            self.send_forward(k, node, id);
+        }
+    }
+
+    /// Send forward `id` from `from`. Dropped, or made while `from` is
+    /// offline, it waits in `from`'s outbox for the next resend or
+    /// reconnect; held, the kernel parks it like any other mail.
+    fn send_forward(&mut self, k: &mut K, from: NodeId, id: TxnId) {
+        if !k.is_connected(from) {
+            self.nodes[from.0 as usize].outbox.push(id);
+            return;
+        }
+        let to = self.forwards.get(id).expect("forward in flight").to;
+        k.tracer
+            .emit(|| Event::new(k.now(), from, id, EventKind::MsgSent { to }));
+        match k.send(from, to, id, Msg::Forward { from, id }) {
+            Sent::Scheduled | Sent::Held => {}
+            Sent::Dropped | Sent::SenderOffline => {
+                self.nodes[from.0 as usize].outbox.push(id);
+                self.arm_resend(k, from);
             }
-            let delay = k.sample_delay();
-            k.schedule_after(
-                delay,
-                Ev::ForwardRoot {
-                    to: owner,
-                    objects: group,
-                },
-            );
+        }
+    }
+
+    /// Arm `origin`'s one retransmit timer, unless it is armed already.
+    fn arm_resend(&mut self, k: &mut K, origin: NodeId) {
+        let armed = &mut self.nodes[origin.0 as usize].resend_armed;
+        if !std::mem::replace(armed, true) {
+            k.schedule_retransmit(Ev::Resend(origin));
         }
     }
 
@@ -796,13 +856,17 @@ impl LazyGroup {
         self.propagate(k, node);
     }
 
-    /// Ship every commit past each destination's watermark. A
-    /// disconnected origin ships nothing — its log keeps accumulating
-    /// and the watermarks catch up at reconnect ("when first connected,
-    /// a mobile node sends … deferred replica updates").
+    /// Resend the outbox's forwards, then ship every commit past each
+    /// destination's watermark. A disconnected origin ships nothing —
+    /// its log keeps accumulating and the watermarks catch up at
+    /// reconnect ("when first connected, a mobile node sends … deferred
+    /// replica updates").
     fn propagate(&mut self, k: &mut K, origin: NodeId) {
         if !k.is_connected(origin) {
             return;
+        }
+        for id in std::mem::take(&mut self.nodes[origin.0 as usize].outbox) {
+            self.send_forward(k, origin, id);
         }
         // Destinations usually share a watermark (they all drift only
         // under disconnects), so each record's payload is re-shipped to
@@ -873,13 +937,13 @@ impl LazyGroup {
                         },
                     )
                 });
-                let msg = ReplicaMsg {
+                let msg = Msg::Replica(ReplicaMsg {
                     from: origin,
                     retry: false,
                     sent_at: k.now(),
                     updates,
                     mask,
-                };
+                });
                 match k.send(origin, dest, TxnId::default(), msg) {
                     // Shipped, or parked for an unreachable destination
                     // (which still counts as shipped).
@@ -890,10 +954,7 @@ impl LazyGroup {
                         // propagation from the same record, so delivery
                         // is at-least-once and the timestamp test makes
                         // re-application idempotent.
-                        let armed = &mut self.nodes[origin.0 as usize].resend_armed;
-                        if !std::mem::replace(armed, true) {
-                            k.schedule_retransmit(Ev::Resend(origin));
-                        }
+                        self.arm_resend(k, origin);
                         break;
                     }
                     // Raced a disconnect: retry from the same watermark
@@ -1355,6 +1416,22 @@ mod tests {
         // The widest live window creeps up a little with the run length
         // (an extreme value); a pool of forwards would grow fourfold.
         assert!(long_pool <= 2 * short_pool, "{short_pool} → {long_pool}");
+    }
+
+    #[test]
+    fn the_drain_settles_every_forward() {
+        // Drops fill outboxes and a partition parks forwards; once the
+        // drain is over, no forward is in flight or waiting, so the
+        // duplicate check's state is empty again.
+        let c = cfg(6.0, 2000.0, 10.0, 36, 5)
+            .with_shards(6, 2)
+            .with_cross_shard(0.3);
+        let plan = FaultPlan::parse("drop=0.1; dup=0.05; part=10..20:0,1,2", 5).unwrap();
+        let mut sim = LazyGroupSim::new(c, Mobility::Connected).with_faults(plan);
+        let report = sim.run_phases();
+        assert!(report.messages_dropped > 0);
+        assert!(sim.p.forwards.is_empty());
+        assert!(sim.p.nodes.iter().all(|n| n.outbox.is_empty()));
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! the deadlock behaviour is a single-node system at N-fold rate —
 //! equation (19). The replica-refresh transactions are "background
 //! housekeeping" (the paper's words): they time-stamp-filter stale
-//! values and never contend with user transactions, so the engine
-//! accounts for their messages without simulating their locks.
+//! values and never contend with user transactions. The engine has no
+//! slaves yet: a refresh is counted as an object update, but nothing
+//! is sent, so a run on a full layout reports no messages. A partial
+//! layout reports exactly its cross-shard commit protocol's sends.
 
 use crate::config::SimConfig;
 use crate::engine::contention::{Contention, ContentionProfile, Flavor};
@@ -29,8 +31,7 @@ pub type LazyMasterSim = Sim<Contention<LazyMaster>>;
 impl LazyMasterSim {
     /// Build a lazy-master run: master transactions take `Action_Time`
     /// per action (shorter than eager — the reason §5 finds it less
-    /// deadlock-prone), and each commit fans out `Nodes − 1` replica
-    /// refresh messages per action.
+    /// deadlock-prone).
     pub fn new(cfg: SimConfig) -> Self {
         let profile = ContentionProfile::lazy_master(&cfg);
         Self::with_profile(cfg, profile)
@@ -90,12 +91,10 @@ mod tests {
 
     #[test]
     fn replica_refresh_messages_accounted() {
+        // No refresh is sent (there are no slaves yet), so none is
+        // counted: every counted message is a sent message.
         let r = LazyMasterSim::new(cfg(5.0, 100_000.0, 5.0, 60, 5)).run();
-        // ~4 messages per action: messages ≈ actions-performed × (N−1)/N
-        // of the counted updates… just check they are present and scale.
-        assert!(r.messages > 0);
-        let per_commit = r.messages as f64 / r.committed as f64;
-        // 4 actions × 4 remote replicas = 16 messages per commit.
-        assert!((per_commit - 16.0).abs() < 2.0, "{per_commit}");
+        assert!(r.committed > 0);
+        assert_eq!(r.messages, 0);
     }
 }

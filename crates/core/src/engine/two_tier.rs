@@ -10,7 +10,8 @@
 //!   tentative versions and log `(input parameters, tentative results)`.
 //!   On reconnect they (1) discard tentative versions, (2) receive the
 //!   deferred replica refreshes, (3) re-submit their tentative
-//!   transactions in commit order; the host base node re-executes each
+//!   transactions in commit order, one sync message to base node 0
+//!   carrying the whole queue; the host base node re-executes each
 //!   as a base transaction and judges it with its **acceptance
 //!   criterion** — failures are the two-tier analogue of
 //!   reconciliation, and they are *zero when transactions commute*.
@@ -113,6 +114,17 @@ pub struct RefreshMsg {
     mask: u64,
 }
 
+/// What two-tier puts on the wire.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub enum Msg {
+    /// Base → replica: a base commit's refresh.
+    Refresh(RefreshMsg),
+    /// Mobile → base node 0, once per reconnect: the mobile ships its
+    /// queued tentative transactions for re-execution (§7 step 3).
+    Sync(NodeId),
+}
+
 /// A tentative transaction awaiting base re-execution.
 #[derive(Debug, Clone)]
 struct Pending {
@@ -189,7 +201,7 @@ pub struct TwoTier {
     /// Recycled buffer for lock-release promotions (commit/abort path).
     granted_scratch: Vec<(TxnId, ObjectId)>,
     /// Recycled staging buffer for the refreshes a reconnect releases.
-    refresh_scratch: Vec<RefreshMsg>,
+    refresh_scratch: Vec<Msg>,
     /// Recycled `(destination, update mask)` list of the sharded
     /// refresh fan-out.
     dest_scratch: Vec<(NodeId, u64)>,
@@ -299,7 +311,7 @@ impl TwoTierSim {
 
 impl Protocol for TwoTier {
     type Ev = Ev;
-    type Msg = RefreshMsg;
+    type Msg = Msg;
     /// `(master, replicas)`: the base state and every node's replica,
     /// converged to it.
     type State = (ObjectStore, Vec<ObjectStore>);
@@ -336,16 +348,30 @@ impl Protocol for TwoTier {
         }
     }
 
-    /// Every refresh comes from the virtual base sender.
-    fn parked(_: &mut RefreshMsg) -> NodeId {
-        NodeId(0)
+    /// Refreshes come from the virtual base sender, syncs from their
+    /// mobile.
+    fn parked(msg: &mut Msg) -> NodeId {
+        match msg {
+            Msg::Refresh(_) => NodeId(0),
+            Msg::Sync(mobile) => *mobile,
+        }
     }
 
-    fn deliver(&mut self, k: &mut K, to: NodeId, msg: RefreshMsg) {
-        let from = NodeId(0);
+    fn deliver(&mut self, k: &mut K, to: NodeId, mut msg: Msg) {
+        let from = Self::parked(&mut msg);
         k.tracer
             .emit(|| Event::system(k.now(), to, EventKind::MsgDelivered { from }));
-        self.apply_refresh(k, to, msg);
+        match msg {
+            Msg::Refresh(msg) => self.apply_refresh(k, to, msg),
+            // Step 3/5 at the base: re-execute the mobile's tentative
+            // transactions in commit order, one at a time, unless a
+            // session is already draining its queue.
+            Msg::Sync(mobile) => {
+                if !self.in_session[mobile.0 as usize] {
+                    self.advance_session(k, mobile);
+                }
+            }
+        }
     }
 
     fn link_change(&mut self, k: &mut K, node: NodeId, connected: bool) {
@@ -745,7 +771,7 @@ impl TwoTier {
             for dest in 0..self.cfg.sim.nodes {
                 let refresh = refresh.clone();
                 let msg = RefreshMsg { refresh, mask };
-                Self::send_refresh(k, NodeId(dest), msg);
+                Self::send(k, NodeId(0), NodeId(dest), Msg::Refresh(msg));
             }
             return;
         };
@@ -769,21 +795,22 @@ impl TwoTier {
                 let refresh = refresh.clone();
                 RefreshMsg { refresh, mask }
             };
-            Self::send_refresh(k, dest, msg);
+            Self::send(k, NodeId(0), dest, Msg::Refresh(msg));
         }
         self.dest_scratch = dests;
     }
 
-    /// Send one refresh from the virtual base sender (base node 0,
-    /// always connected) to `dest`. Refreshes are last-writer-wins and
+    /// Send `msg` from `from` to `to`: a refresh from the virtual base
+    /// sender (base node 0, always connected), or a sync from a mobile
+    /// that has just reconnected. Refreshes are last-writer-wins and
     /// carry absolute values: a duplicate is absorbed by the timestamp
     /// comparison and a drop would be covered by the next refresh, so
     /// no fate needs an answer here.
-    fn send_refresh(k: &mut K, dest: NodeId, msg: RefreshMsg) {
+    fn send(k: &mut K, from: NodeId, to: NodeId, msg: Msg) {
         k.tracer
-            .emit(|| Event::system(k.now(), NodeId(0), EventKind::MsgSent { to: dest }));
-        let sent = k.send(NodeId(0), dest, TxnId::default(), msg);
-        assert_ne!(sent, Sent::SenderOffline, "base node 0 never disconnects");
+            .emit(|| Event::system(k.now(), from, EventKind::MsgSent { to }));
+        let sent = k.send(from, to, TxnId::default(), msg);
+        assert_ne!(sent, Sent::SenderOffline, "the sender is connected");
     }
 
     fn apply_refresh(&mut self, k: &mut K, to: NodeId, msg: RefreshMsg) {
@@ -828,31 +855,24 @@ impl TwoTier {
     fn on_reconnect(&mut self, k: &mut K, node: NodeId) {
         // Step 1: discard tentative versions.
         self.replicas[node.0 as usize].discard_tentative();
-        // Step 2/4: receive deferred replica refreshes. The drain
-        // borrows the kernel, and applying a refresh needs it too —
+        // Step 2/4: receive deferred replica refreshes, on the spot.
+        // The drain borrows the kernel, and delivering needs it too —
         // stage through the recycled chunk buffer (idle between
         // broadcasts).
         let mut held = std::mem::take(&mut self.refresh_scratch);
         held.extend(k.reconnect(node));
         for msg in held.drain(..) {
-            self.apply_refresh(k, node, msg);
+            self.deliver(k, node, msg);
         }
         self.refresh_scratch = held;
-        // Step 3/5: re-execute tentative transactions in commit order.
-        self.maybe_start_session(k, node);
-    }
-
-    /// Begin a sync session for `node` unless one is already draining
-    /// its queue — tentative transactions must be re-executed strictly
-    /// in commit order, one at a time.
-    fn maybe_start_session(&mut self, k: &mut K, node: NodeId) {
-        if !self.in_session[node.0 as usize] {
-            self.advance_session(k, node);
-        }
+        // Step 3: ship the queued tentative transactions to the base,
+        // one message for the whole queue.
+        Self::send(k, node, NodeId(0), Msg::Sync(node));
     }
 
     /// Start the next queued tentative re-execution for `node`, or mark
-    /// the session finished if the queue is empty.
+    /// the session finished if the queue is empty. The queue reached
+    /// the base with the session's sync message, so this sends nothing.
     fn advance_session(&mut self, k: &mut K, node: NodeId) {
         let idx = node.0 as usize;
         let Some(pending) = self.pending[idx].pop_front() else {
@@ -860,13 +880,6 @@ impl TwoTier {
             return;
         };
         self.in_session[idx] = true;
-        if k.measuring() {
-            // The tentative transaction and its inputs travel to the
-            // host base node.
-            k.metrics.messages.incr();
-        }
-        k.tracer
-            .emit(|| Event::system(k.now(), node, EventKind::MsgSent { to: NodeId(0) }));
         self.start_base_txn(
             k,
             node,

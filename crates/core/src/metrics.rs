@@ -40,7 +40,8 @@ pub struct Metrics {
     pub replica_commits: Counter,
     /// Replica-update transactions skipped as stale.
     pub stale_updates: Counter,
-    /// Network messages sent.
+    /// Network messages sent. Only the kernel's send path counts them,
+    /// so what is modelled as work (eager replica updates) is not here.
     pub messages: Counter,
     /// Tentative transactions committed locally at mobile nodes.
     pub tentative_commits: Counter,
@@ -183,7 +184,7 @@ pub struct Report {
     pub replica_commits: u64,
     /// Stale replica updates skipped.
     pub stale_updates: u64,
-    /// Network messages.
+    /// Network messages sent (see [`Metrics::messages`]).
     pub messages: u64,
     /// Tentative commits at mobile nodes.
     pub tentative_commits: u64,

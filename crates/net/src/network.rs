@@ -236,12 +236,6 @@ impl<M> Network<M> {
         self.park_scratch = parked;
         self.drain_scratch.drain(..)
     }
-
-    /// Sample a delivery delay without sending (for broadcast fan-out
-    /// where the caller builds per-destination messages itself).
-    pub fn sample_delay(&mut self) -> SimDuration {
-        self.latency.sample(&mut self.rng)
-    }
 }
 
 #[cfg(test)]

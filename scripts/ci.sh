@@ -50,6 +50,13 @@ only_in_kernel 'Network::new' 'FaultInjector::new' 'clear_faults' \
     '\.partition(' 'heal_partition'
 echo "ok: one Network, one fault install, one partition"
 
+say "one message counter: only the kernel's send path counts a message"
+# `Kernel::send` counts every message it puts on the wire, and nothing
+# else may: a protocol that bumps the counter itself counts a message
+# no fault can reach, or one that was never sent.
+only_in_kernel 'metrics\.messages\b'
+echo "ok: every counted message is a sent message"
+
 say "one retransmit period: every protocol timer waits the kernel's"
 # The kernel holds the period: the attached plan's, else a quiet
 # plan's, so a plan that injects nothing changes nothing. An engine

@@ -7,6 +7,7 @@
 //! all replicas agree. These tests drive the worst plan the fault
 //! subsystem can express and check exactly that.
 
+use dangers_of_replication::check::{check_store_convergence, Recorder, Scheme};
 use dangers_of_replication::core::base_tier::{BaseGroup, MobileNode};
 use dangers_of_replication::core::engine::lazy_group::LazyGroupSim;
 use dangers_of_replication::core::{
@@ -15,9 +16,10 @@ use dangers_of_replication::core::{
 use dangers_of_replication::model::Params;
 use dangers_of_replication::net::{CrashWindow, FaultPlan, PartitionWindow};
 use dangers_of_replication::sim::{SimDuration, SimTime};
-use dangers_of_replication::storage::{NodeId, ObjectId, Value};
+use dangers_of_replication::storage::{NodeId, ObjectId, TxnId, Value};
 use dangers_of_replication::telemetry::{Event, EventKind, TraceHandle, Tracer};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Message chaos, one partition, one crash — everything at once.
@@ -228,4 +230,167 @@ fn two_tier_master_survives_base_crashes_without_divergence() {
     assert_eq!(mobile.read(ObjectId(0)), &Value::Int(75));
     assert_eq!(group.verify(), vec![], "failover oracles");
     group.shutdown();
+}
+
+/// The parts of a sharded lazy-group trace that show what became of
+/// each forward, in trace order. Forwards are the only lazy-group
+/// messages traced as `MsgSent`, and they carry their id as the
+/// transaction.
+#[derive(Default)]
+struct Forwards(Vec<Event>);
+
+impl Tracer for Forwards {
+    fn record(&mut self, e: &Event) {
+        let keep = matches!(
+            e.kind,
+            EventKind::MsgSent { .. }
+                | EventKind::MsgDropped { .. }
+                | EventKind::MsgDuplicated { .. }
+                | EventKind::PartitionStart { .. }
+                | EventKind::PartitionHeal
+                | EventKind::TxnBegin
+        ) || matches!(e.kind, EventKind::MsgDelivered { .. })
+            && e.txn != TxnId::default();
+        if keep {
+            self.0.push(e.clone());
+        }
+    }
+}
+
+/// One forward's history: `(time, from, to)` per send, arrival times
+/// of every copy, sub-roots begun, drops, duplications.
+#[derive(Default, Debug)]
+struct Fate {
+    sends: Vec<(SimTime, NodeId, NodeId)>,
+    arrivals: Vec<SimTime>,
+    begun: u32,
+    drops: Vec<SimTime>,
+    dups: u32,
+}
+
+/// A partition window: `(start, heal, side A)`.
+type Window = (SimTime, SimTime, Vec<NodeId>);
+
+/// Replay a [`Forwards`] trace into per-forward fates, plus the
+/// partition windows.
+fn fates(trace: &[Event]) -> (BTreeMap<TxnId, Fate>, Vec<Window>) {
+    let mut fates: BTreeMap<TxnId, Fate> = BTreeMap::new();
+    let mut windows = Vec::new();
+    for (i, e) in trace.iter().enumerate() {
+        match &e.kind {
+            EventKind::MsgSent { to } => {
+                let f = fates.entry(e.txn).or_default();
+                f.sends.push((e.at, e.node, *to));
+            }
+            EventKind::MsgDelivered { .. } => {
+                let f = fates.get_mut(&e.txn).expect("a forward arrived unsent");
+                f.arrivals.push(e.at);
+                // The sub-root's begin is traced right after the copy
+                // that starts it, at the same node and instant.
+                let next = trace.get(i + 1);
+                if next.is_some_and(|n| {
+                    matches!(n.kind, EventKind::TxnBegin) && n.node == e.node && n.at == e.at
+                }) {
+                    f.begun += 1;
+                }
+            }
+            // Replica messages drop and duplicate too, with no id.
+            EventKind::MsgDropped { .. } => {
+                if let Some(f) = fates.get_mut(&e.txn) {
+                    f.drops.push(e.at);
+                }
+            }
+            EventKind::MsgDuplicated { .. } => {
+                if let Some(f) = fates.get_mut(&e.txn) {
+                    f.dups += 1;
+                }
+            }
+            EventKind::PartitionStart { side_a } => {
+                windows.push((e.at, SimTime(u64::MAX), side_a.clone()));
+            }
+            EventKind::PartitionHeal => windows.last_mut().unwrap().1 = e.at,
+            _ => {}
+        }
+    }
+    (fates, windows)
+}
+
+/// A sharded lazy-group run under `plan`: every forward begins at most
+/// one sub-root, never crosses an active partition, and is sent again
+/// after a drop; every one arrives in the end; and the oracles stay
+/// clean. Returns the fates, for the caller to check the plan bit.
+fn forwards_under(plan: &str, seed: u64) -> BTreeMap<TxnId, Fate> {
+    let p = Params::new(2_000.0, 6.0, 10.0, 4.0, 0.01);
+    let cfg = SimConfig::from_params(&p, 36, seed)
+        .with_shards(6, 2)
+        .with_cross_shard(0.3);
+    let trace = Rc::new(RefCell::new(Forwards::default()));
+    let rec = Recorder::new(Scheme::LazyGroup);
+    let (report, stores) = LazyGroupSim::new(cfg, Mobility::Connected)
+        .with_faults(FaultPlan::parse(plan, seed).unwrap())
+        .with_tracer(TraceHandle::shared(&trace))
+        .with_recorder(rec.clone())
+        .run_with_state();
+    assert!(report.committed > 0);
+    let check = rec.check();
+    assert!(
+        check.is_clean(),
+        "{plan} seed {seed}: {:?}",
+        check.violations
+    );
+    let stores: Vec<(NodeId, _)> = stores
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| (NodeId(i as u32), s))
+        .collect();
+    assert_eq!(check_store_convergence(&stores), None, "{plan} seed {seed}");
+
+    let (fates, windows) = fates(&trace.borrow().0);
+    assert!(!fates.is_empty(), "nothing was forwarded");
+    for (id, f) in &fates {
+        let at = format!("{plan} seed {seed}, forward {id:?}: {f:?}");
+        assert!(f.begun <= 1, "two sub-roots: {at}");
+        assert!(!f.arrivals.is_empty(), "never arrived: {at}");
+        for drop in &f.drops {
+            assert!(f.sends.iter().any(|s| s.0 > *drop), "not resent: {at}");
+        }
+        // The copy that arrived left with the latest send before it; if
+        // a partition separated its ends then, it waited for the heal.
+        for arrival in &f.arrivals {
+            let &(sent, from, to) = f.sends.iter().rev().find(|s| s.0 <= *arrival).unwrap();
+            for (start, heal, side_a) in &windows {
+                let cut = side_a.contains(&from) != side_a.contains(&to);
+                if cut && *start <= sent && sent < *heal {
+                    assert!(arrival >= heal, "crossed a partition: {at}");
+                }
+            }
+        }
+    }
+    fates
+}
+
+#[test]
+fn sharded_forwards_survive_message_chaos_exactly_once() {
+    for seed in [5, 42, 7] {
+        let fates = forwards_under("drop=0.1; dup=0.05; retransmit=0.25", seed);
+        assert!(
+            fates.values().any(|f| !f.drops.is_empty()),
+            "no forward dropped"
+        );
+        assert!(fates.values().any(|f| f.dups > 0), "no forward duplicated");
+    }
+}
+
+#[test]
+fn sharded_forwards_wait_for_the_heal() {
+    for seed in [5, 42, 7] {
+        let fates = forwards_under("part=10..20:0,1,2", seed);
+        let held = fates.values().filter(|f| {
+            f.sends
+                .iter()
+                .any(|s| s.0 >= SimTime::from_secs(10) && s.0 < SimTime::from_secs(20))
+                && f.arrivals.iter().any(|a| *a == SimTime::from_secs(20))
+        });
+        assert!(held.count() > 0, "no forward waited for the heal");
+    }
 }

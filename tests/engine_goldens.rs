@@ -26,6 +26,48 @@
 //!   generated while each engine still had its own event loop, before
 //!   the simulation kernel (`REGEN_KERNEL_GOLDENS=1 cargo test -q
 //!   --test engine_goldens`).
+//!
+//! Both files were regenerated once more when `Kernel::send` became the
+//! one place a message is counted. Each class of moved row, with
+//! before → after samples:
+//!
+//! * *Eager serial, eager parallel and lazy-master, unsharded* (9 rows,
+//!   quiet and chaos): `messages` only, to 0. The `rf − 1` replica
+//!   updates per action were counted but never sent; they stay
+//!   modelled as work. `eager_serial` seed 43: 22,690 → 0;
+//!   `eager_parallel` seed 44: 67,190 → 0; `lazy_master` seed 45:
+//!   68,945 → 0.
+//! * *The same three on the partial layout* (81 rows): `messages` only,
+//!   down to exactly the commit protocol's sends. `eager_serial`
+//!   owner-order quiet seed 43: 17,235 → 3,448; `eager_serial` 2pc
+//!   chaos seed 43: 12,730 → 7,678; `lazy_master` owner-order quiet
+//!   seed 45: 17,369 → 3,580.
+//!
+//!   In both classes the trace, commits, deadlocks, waits, crashes
+//!   and oracle verdicts are unchanged, and no `single_node` row moved.
+//! * *Lazy-group, partial layout, connected, quiet* (8 rows): the trace
+//!   only. A forward is now a message, traced `MsgSent` and
+//!   `MsgDelivered`; the report and every store are unchanged. Seed
+//!   103: 49,299 → 50,049 trace lines.
+//! * *Lazy-group, partial layout, connected, chaos* (8 rows): the whole
+//!   run. Forwards now meet the plan's drops, duplicates, delay spikes,
+//!   partition and crashes, and each draws a fate from the injector's
+//!   stream. Seed 104: committed 2,754 → 2,766, messages
+//!   10,353 → 10,402. The oracles stay clean.
+//! * *Lazy-group, partial layout, cycling, quiet and chaos* (16 rows):
+//!   the whole run. A forward made while its sender is disconnected
+//!   now waits in the sender's outbox, and one to a disconnected node
+//!   is parked until it reconnects. Seed 119 (quiet): committed
+//!   2,798 → 2,801, messages 9,581 → 9,584; seed 120 (chaos):
+//!   committed 2,791 → 2,718. The oracles stay clean.
+//! * *Two-tier* (16 rows, every one): `messages` and the trace. A
+//!   reconnect sends one sync message to the base instead of counting
+//!   one message per re-executed tentative transaction, and the
+//!   refreshes it releases are traced `MsgDelivered` like any other
+//!   delivery. Commits and stores are unchanged. Commutative seed 201: 15,136 → 14,601;
+//!   exact-match seed 205: 10,690 → 10,092.
+//!
+//! No unsharded lazy-group row moved.
 
 use dangers_of_replication::check::{Recorder, Scheme};
 use dangers_of_replication::core::{

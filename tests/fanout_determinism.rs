@@ -23,7 +23,22 @@
 //!    | seed=42/shards=8/rf=3 | 9,844 → 9,678 | 9,852 → 9,686 |
 //!    | seed=42/shards=5/rf=2 | 5,113 → 4,960 | 5,112 → 4,959 |
 //!
-//!    The lazy-group and two-tier rows were not regenerated.
+//!    The lazy-group and two-tier rows were not regenerated then.
+//!
+//!    The file was regenerated a second time when `Kernel::send` became
+//!    the one message counter. The eager and lazy-master rows lost the
+//!    `rf − 1` replica updates per action they counted but never sent
+//!    (replica updates are modelled as work), leaving exactly the
+//!    owner-order `Apply`s. The two-tier rows count one sync message
+//!    per reconnect instead of one message per re-executed tentative
+//!    transaction. Every other `Report` field stayed the same, and the
+//!    lazy-group rows did not move. `messages` before → after:
+//!
+//!    | row | eager | lazy_master | two_tier |
+//!    |---|---|---|---|
+//!    | seed=7/shards=8/rf=3 | 9,018 → 226 | 9,010 → 222 | 4,228 → 4,020 |
+//!    | seed=42/shards=8/rf=3 | 9,678 → 254 | 9,686 → 254 | 4,048 → 3,877 |
+//!    | seed=42/shards=5/rf=2 | 4,960 → 243 | 4,959 → 243 | 2,929 → 2,758 |
 //! 2. **Property test** (below, `replica_set_walk_matches_reference`):
 //!    for random `ShardMap`s, the shard→replica-set fan-out walk must
 //!    equal the per-destination reference filter.

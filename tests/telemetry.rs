@@ -2,6 +2,7 @@
 //! any sink leaves a same-seed run's `Report` bit-identical), and the
 //! JSONL export round-trips losslessly through serde.
 
+use dangers_of_replication::core::Report;
 use dangers_of_replication::core::{
     ContentionProfile, ContentionSim, EagerSim, LazyGroupSim, LazyMasterSim, Mobility, Ownership,
     ReplicaDiscipline, SimConfig, TwoTierConfig, TwoTierSim, TwoTierWorkload,
@@ -9,7 +10,8 @@ use dangers_of_replication::core::{
 use dangers_of_replication::model::Params;
 use dangers_of_replication::sim::{SimDuration, SimTime};
 use dangers_of_replication::telemetry::{
-    parse_jsonl, EventKind, JsonlSink, Profiler, RingBuffer, SeriesAggregator, TraceHandle,
+    parse_jsonl, Event, EventKind, JsonlSink, Profiler, RingBuffer, SeriesAggregator, TraceHandle,
+    Tracer,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -160,5 +162,101 @@ fn deadlock_events_carry_a_real_cycle() {
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), cycle.len(), "cycle lists each txn once");
+    }
+}
+
+/// The sends a run traces (`MsgSent` and `ReplicaSend`) while the kernel
+/// measures: from the warm-up to the horizon, before the drain (whose
+/// first sends happen at the horizon itself).
+struct Sends {
+    from: SimTime,
+    until: SimTime,
+    n: u64,
+}
+
+impl Tracer for Sends {
+    fn record(&mut self, e: &Event) {
+        let send = matches!(
+            e.kind,
+            EventKind::MsgSent { .. } | EventKind::ReplicaSend { .. }
+        );
+        if send && e.at >= self.from && e.at < self.until {
+            self.n += 1;
+        }
+    }
+}
+
+/// `Report::messages` counts exactly the sends the trace records, for
+/// every engine on a full and on a partial layout: a message is counted
+/// where it is sent, and nowhere else.
+#[test]
+fn every_counted_message_is_a_traced_send() {
+    let p = Params::new(600.0, 6.0, 10.0, 4.0, 0.01);
+    let full = SimConfig::from_params(&p, 30, 17).with_warmup(2);
+    let partial = full.with_shards(6, 2).with_cross_shard(0.3);
+    type Run = Box<dyn Fn(SimConfig, TraceHandle) -> Report>;
+    let engines: [(&str, Run); 5] = [
+        (
+            "single-node",
+            Box::new(|c, h| {
+                ContentionSim::new(c, ContentionProfile::single_node(&c))
+                    .with_tracer(h)
+                    .run()
+            }),
+        ),
+        (
+            "eager",
+            Box::new(|c, h| {
+                EagerSim::new(c, ReplicaDiscipline::Serial, Ownership::Group)
+                    .with_tracer(h)
+                    .run()
+            }),
+        ),
+        (
+            "lazy-master",
+            Box::new(|c, h| LazyMasterSim::new(c).with_tracer(h).run()),
+        ),
+        (
+            "lazy-group",
+            Box::new(|c, h| {
+                LazyGroupSim::new(c, Mobility::Connected)
+                    .with_tracer(h)
+                    .run()
+            }),
+        ),
+        (
+            "two-tier",
+            Box::new(|c, h| {
+                let tt = TwoTierConfig {
+                    sim: c,
+                    base_nodes: 2,
+                    mobile_owned: 0,
+                    connected: SimDuration::from_secs(4),
+                    disconnected: SimDuration::from_secs(4),
+                    workload: TwoTierWorkload::Commutative { max_amount: 10 },
+                    initial_value: 1_000,
+                };
+                TwoTierSim::new(tt).with_tracer(h).run()
+            }),
+        ),
+    ];
+    for (name, run) in &engines {
+        for (layout, c) in [("full", full), ("partial", partial)] {
+            let sends = Rc::new(RefCell::new(Sends {
+                from: c.warmup,
+                until: c.horizon,
+                n: 0,
+            }));
+            let report = run(c, TraceHandle::shared(&sends));
+            assert!(report.committed > 0, "{name} {layout}: nothing committed");
+            if layout == "partial" {
+                assert!(report.messages > 0, "{name} {layout}: nothing sent");
+            }
+            assert_eq!(
+                report.messages,
+                sends.borrow().n,
+                "{name} {layout}: counted vs sent"
+            );
+        }
     }
 }
