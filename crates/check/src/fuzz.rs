@@ -2,11 +2,12 @@
 //!
 //! The fuzzer perturbs transaction interleavings indirectly: each
 //! generated [`FuzzCase`] re-seeds the simulator's deterministic RNG
-//! and varies load, node count, transaction size, and (for lazy-group)
-//! fault timings around a base case. Every generated execution runs
-//! through the scheme's oracles; a failing case is greedily shrunk to
-//! a minimal reproducer that round-trips through [`FuzzCase::encode`],
-//! so the harness can print it as a re-runnable command line.
+//! and varies load, node count, transaction size, and (for lazy-group
+//! and two-tier) fault timings around a base case. Every generated
+//! execution runs through the scheme's oracles; a failing case is
+//! greedily shrunk to a minimal reproducer that round-trips through
+//! [`FuzzCase::encode`], so the harness can print it as a re-runnable
+//! command line.
 //!
 //! The module is engine-agnostic: callers supply `run(case) ->
 //! violations`, so the same machinery drives harness experiments,
@@ -35,9 +36,9 @@ pub struct FuzzCase {
     /// Simulated horizon in seconds.
     pub horizon_secs: u64,
     /// Optional fault-plan spec (the `repl_net::FaultPlan::parse`
-    /// mini-language). Every scheme but two-tier takes one: the fuzzer
-    /// generates them for lazy-group, and the commit-protocol campaign
-    /// sets them on eager and lazy-master cases.
+    /// mini-language). Every scheme takes one: the fuzzer generates
+    /// them for lazy-group and two-tier, and the commit-protocol
+    /// campaign sets them on eager and lazy-master cases.
     pub faults: Option<String>,
     /// Keyspace shard count; 0 leaves the run unsharded. Only the
     /// contention-family schemes consult a shard layout.
@@ -245,7 +246,8 @@ fn perturb(base: &FuzzCase, i: usize) -> FuzzCase {
     let db_size = (base.db_size / 2 + rng.gen_range(base.db_size.max(1))).max(8);
     let tps = 1 + rng.gen_range(u64::from(base.tps) * 2) as u32;
     let actions = 2 + rng.gen_range(4) as u32;
-    let faults = if base.scheme == Scheme::LazyGroup && rng.chance(0.5) {
+    let chaotic = matches!(base.scheme, Scheme::LazyGroup | Scheme::TwoTier);
+    let faults = if chaotic && rng.chance(0.5) {
         Some(gen_faults(&mut rng, nodes, base.horizon_secs))
     } else {
         None

@@ -201,6 +201,14 @@ struct OracleState {
     finals: Vec<(NodeId, Snapshot)>,
     master_final: Option<Snapshot>,
     expect_divergence: bool,
+    /// Replicated base tier: every `(epoch, leader, head)` installation,
+    /// `head` being the log the winner took over with.
+    leaders: Vec<(u64, NodeId, u64)>,
+    /// The highest acknowledged `(lsn, epoch)` of each epoch, in epoch
+    /// order.
+    acked: Vec<(u64, u64)>,
+    /// The final primary's log head.
+    final_head: Option<u64>,
 }
 
 /// A cheap, optional execution recorder. `Recorder::off()` (the
@@ -229,6 +237,9 @@ impl Recorder {
                 finals: Vec::new(),
                 master_final: None,
                 expect_divergence: false,
+                leaders: Vec::new(),
+                acked: Vec::new(),
+                final_head: None,
             }))),
         }
     }
@@ -378,6 +389,31 @@ impl Recorder {
         inner.borrow_mut().master_final = Some(snapshot(store));
     }
 
+    /// Record a leader installation in a replicated base tier: `leader`
+    /// won `epoch` holding the log up to `head`.
+    pub fn leader_elected(&self, epoch: u64, leader: NodeId, head: u64) {
+        let Some(inner) = &self.inner else { return };
+        inner.borrow_mut().leaders.push((epoch, leader, head));
+    }
+
+    /// Record a commit acknowledged at log position `lsn` of `epoch`.
+    /// Epochs never decrease, so only the highest position per epoch is
+    /// kept: the state grows with the elections, not the commits.
+    pub fn acked(&self, lsn: u64, epoch: u64) {
+        let Some(inner) = &self.inner else { return };
+        let mut state = inner.borrow_mut();
+        match state.acked.last_mut() {
+            Some(last) if last.1 == epoch => last.0 = last.0.max(lsn),
+            _ => state.acked.push((lsn, epoch)),
+        }
+    }
+
+    /// The final primary's log head (call once, at run end).
+    pub fn final_head(&self, head: u64) {
+        let Some(inner) = &self.inner else { return };
+        inner.borrow_mut().final_head = Some(head);
+    }
+
     /// Declare that this execution is *expected* to diverge (e.g.
     /// lazy-group with reconciliation disabled — the paper's §1.2
     /// ablation). Convergence and delusion oracles are suppressed and
@@ -453,6 +489,18 @@ impl Recorder {
                 violations.extend(find_delusion(&state.origin, &state.finals, &state.nodes));
             }
         }
+
+        // Failover oracles: at most one leader per epoch, and every
+        // acknowledged commit in the log each later leader took over
+        // with, and in the final primary's.
+        let history: Vec<(u64, NodeId)> = state.leaders.iter().map(|&(e, l, _)| (e, l)).collect();
+        violations.extend(check_leader_safety(&history));
+        let lost = state.leaders.iter().find_map(|&(epoch, _, head)| {
+            let before = state.acked.partition_point(|&(_, e)| e < epoch);
+            check_acked_durability(&state.acked[..before], head)
+        });
+        let lost = lost.or_else(|| check_acked_durability(&state.acked, state.final_head?));
+        violations.extend(lost);
 
         // Cross-shard commit oracles are scheme-agnostic: they apply
         // whenever the engine recorded cross-shard commits (no records

@@ -91,8 +91,7 @@ impl BaseServer {
                         });
                     }
                     BaseMsg::Snapshot { reply } => {
-                        let master = replica.master().expect("a running base is live");
-                        let _ = reply.send(master.clone());
+                        let _ = reply.send(replica.master().clone());
                     }
                     BaseMsg::Shutdown => break,
                 }

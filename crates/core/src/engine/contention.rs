@@ -23,7 +23,7 @@
 
 use crate::config::SimConfig;
 use crate::engine::commit::{CommitProto, CoordState, Coordinator, CrashKind, Decision};
-use crate::engine::kernel::{self, Faulty, Kernel, Protocol, Sim};
+use crate::engine::kernel::{self, Kernel, Protocol, Sim};
 use crate::metrics::{M_ABORTS, M_INDOUBT_WAIT};
 use repl_check::{Scheme, TxnRecord};
 use repl_net::FaultPlan;
@@ -342,20 +342,6 @@ impl<S: Flavor> Sim<Contention<S>> {
     }
 }
 
-impl<S: Flavor> Faulty for Contention<S> {
-    /// Message chaos perturbs the commit protocol's fabric; crash
-    /// windows become scheduled events. On an unsharded run there is no
-    /// cross-shard traffic to perturb and the plan is a no-op. Partition
-    /// windows are not modeled by this engine (the lazy-group engine
-    /// owns that scenario).
-    fn attach_faults(&mut self, k: &mut K<S>, plan: FaultPlan) {
-        if self.shard.is_some() {
-            k.install_injector(&plan);
-            k.schedule_crash_windows(&plan);
-        }
-    }
-}
-
 impl<S: Flavor> Protocol for Contention<S> {
     type Ev = Ev;
     type Msg = ProtoMsg;
@@ -369,6 +355,18 @@ impl<S: Flavor> Protocol for Contention<S> {
             kernel::Event::Arrive(_) if live => Some("contention/arrive"),
             kernel::Event::Proto(Ev::StepDone(_)) if live => Some("contention/step"),
             _ => None,
+        }
+    }
+
+    /// Message chaos perturbs the commit protocol's fabric; crash
+    /// windows become scheduled events. On an unsharded run there is no
+    /// cross-shard traffic to perturb and the plan is a no-op. Partition
+    /// windows are not modeled by this engine (the lazy-group engine
+    /// owns that scenario).
+    fn attach_faults(&mut self, k: &mut K<S>, plan: FaultPlan) {
+        if self.shard.is_some() {
+            k.install_injector(&plan);
+            k.schedule_crash_windows(&plan);
         }
     }
 

@@ -30,7 +30,7 @@
 //! # The fabric
 //!
 //! The schemes' send semantics differ (per-transaction commit messages,
-//! watermark resend, refresh broadcast from a virtual base), but only
+//! watermark resend, refresh broadcast from the primary), but only
 //! in what a sender does *with* a fate, not in how a fate comes about.
 //! So `Kernel::send` takes a built message and does everything that is
 //! the same for every caller: counts it, draws its fate from the
@@ -39,10 +39,10 @@
 //! payload-free [`Sent`], and the caller does only what is its own:
 //! lazy-group holds its watermark, or keeps a forward in its outbox,
 //! and arms a resend on a drop; contention lets its round timers
-//! recover; two-tier asserts the base never goes offline. The helper
-//! never asks who is calling. The "sent" trace stays with the caller
-//! because it differs in kind (`MsgSent` with a transaction,
-//! `ReplicaSend` with an LSN).
+//! recover; two-tier keeps a dropped refresh or sync in its sender's
+//! outbox and arms a resend. The helper never asks who is calling. The
+//! "sent" trace stays with the caller because it differs in kind
+//! (`MsgSent` with a transaction, `ReplicaSend` with an LSN).
 //!
 //! `Kernel::send` is the one place a message is counted, and the only
 //! way a protocol puts one on the wire: no protocol draws a latency or
@@ -144,9 +144,9 @@ pub enum Event<P: Protocol> {
 
 /// A replication scheme: its state, and the hooks the kernel calls.
 ///
-/// Hooks with a default body belong to world events a scheme may never
-/// schedule (it has no mobility, models no partitions, takes no fault
-/// plan); reaching one is a bug, so the defaults panic.
+/// `link_change`'s default body belongs to connectivity a scheme may
+/// never schedule (it has no mobility); reaching it is a bug, so it
+/// panics.
 pub trait Protocol: Sized {
     /// Scheme-private events.
     type Ev;
@@ -168,6 +168,11 @@ pub trait Protocol: Sized {
         None
     }
 
+    /// Install `plan`, a few calls to kernel helpers: message chaos
+    /// through `Kernel::install_injector`, and whichever windows the
+    /// scheme models through `Kernel::schedule_partition_windows` /
+    /// `Kernel::schedule_crash_windows`.
+    fn attach_faults(&mut self, k: &mut Kernel<Self>, plan: FaultPlan);
     /// A user transaction arrives at `node` (live phase, node up).
     fn arrive(&mut self, k: &mut Kernel<Self>, node: NodeId);
     /// A scheme-private event fires.
@@ -188,13 +193,9 @@ pub trait Protocol: Sized {
         unreachable!("this protocol schedules no connectivity")
     }
     /// `node` crashes (live phase only). Marks it down.
-    fn node_down(&mut self, _k: &mut Kernel<Self>, _node: NodeId) {
-        unreachable!("this protocol schedules no crashes")
-    }
+    fn node_down(&mut self, k: &mut Kernel<Self>, node: NodeId);
     /// `node`, currently down, restarts. Marks it up.
-    fn node_up(&mut self, _k: &mut Kernel<Self>, _node: NodeId) {
-        unreachable!("this protocol schedules no crashes")
-    }
+    fn node_up(&mut self, k: &mut Kernel<Self>, node: NodeId);
     /// The measured window just closed; the report freezes next. Bank
     /// whatever the scheme counts outside [`Metrics`].
     fn window_closed(&mut self, _k: &mut Kernel<Self>) {}
@@ -204,16 +205,6 @@ pub trait Protocol: Sized {
     fn begin_drain(&mut self, k: &mut Kernel<Self>) -> Option<SimTime>;
     /// The run is over: hand final state to the recorder and the caller.
     fn finish(self, k: &mut Kernel<Self>) -> Self::State;
-}
-
-/// A [`Protocol`] that has filled the fault hooks, so a [`FaultPlan`]
-/// can be attached. [`Sim::with_faults`] exists only for these.
-pub trait Faulty: Protocol {
-    /// Install `plan`, a few calls to kernel helpers: message chaos
-    /// through `Kernel::install_injector`, and whichever windows the
-    /// scheme models through `Kernel::schedule_partition_windows` /
-    /// `Kernel::schedule_crash_windows`.
-    fn attach_faults(&mut self, k: &mut Kernel<Self>, plan: FaultPlan);
 }
 
 /// The world a protocol runs in. Hooks receive it by `&mut`.
@@ -428,6 +419,12 @@ impl<P: Protocol> Kernel<P> {
     #[inline]
     pub(super) fn is_connected(&self, node: NodeId) -> bool {
         self.net.is_connected(node)
+    }
+
+    /// Whether the active partition separates `a` from `b`.
+    #[inline]
+    pub(super) fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
+        self.net.is_partitioned(a, b)
     }
 
     /// Put `node` back on the network and take the mail parked for it
@@ -667,6 +664,16 @@ impl<P: Protocol> Sim<P> {
         self.run_to_state().0
     }
 
+    /// Attach a fault plan (call before [`Sim::run`]). Faults never fire
+    /// during the post-horizon drain, so whatever a protocol guarantees
+    /// about its settled state survives arbitrary plans.
+    #[must_use]
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.k.retransmit = plan.retransmit;
+        self.p.attach_faults(&mut self.k, plan);
+        self
+    }
+
     /// Like [`Sim::run`], returning the protocol's final state (after
     /// the convergence drain) alongside the report. The engines that
     /// have state worth inspecting publish it as `run_with_state`.
@@ -776,38 +783,6 @@ impl<P: Protocol> Sim<P> {
     }
 }
 
-impl<P: Faulty> Sim<P> {
-    /// Attach a fault plan (call before [`Sim::run`]). Faults never fire
-    /// during the post-horizon drain, so whatever a protocol guarantees
-    /// about its settled state survives arbitrary plans.
-    ///
-    /// Only for protocols that have filled the fault hooks:
-    ///
-    /// ```
-    /// # use repl_core::LazyGroupSim;
-    /// # use repl_net::FaultPlan;
-    /// fn chaos(sim: LazyGroupSim, plan: FaultPlan) -> LazyGroupSim {
-    ///     sim.with_faults(plan)
-    /// }
-    /// ```
-    ///
-    /// The two-tier protocol has not, so this does not compile:
-    ///
-    /// ```compile_fail
-    /// # use repl_core::TwoTierSim;
-    /// # use repl_net::FaultPlan;
-    /// fn chaos(sim: TwoTierSim, plan: FaultPlan) -> TwoTierSim {
-    ///     sim.with_faults(plan)
-    /// }
-    /// ```
-    #[must_use]
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.k.retransmit = plan.retransmit;
-        self.p.attach_faults(&mut self.k, plan);
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -858,6 +833,11 @@ mod tests {
         fn phase(_: &Event<Self>, _: bool) -> Option<&'static str> {
             Some("probe/event")
         }
+        fn attach_faults(&mut self, k: &mut Kernel<Self>, plan: FaultPlan) {
+            k.install_injector(&plan);
+            k.schedule_partition_windows(&plan);
+            k.schedule_crash_windows(&plan);
+        }
         fn arrive(&mut self, k: &mut Kernel<Self>, node: NodeId) {
             self.note(k, &format!("arrive n{}", node.0));
         }
@@ -893,14 +873,6 @@ mod tests {
         }
         fn finish(self, _: &mut Kernel<Self>) -> Vec<(SimTime, String)> {
             self.log
-        }
-    }
-
-    impl Faulty for Probe {
-        fn attach_faults(&mut self, k: &mut Kernel<Self>, plan: FaultPlan) {
-            k.install_injector(&plan);
-            k.schedule_partition_windows(&plan);
-            k.schedule_crash_windows(&plan);
         }
     }
 

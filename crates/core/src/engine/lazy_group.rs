@@ -17,7 +17,7 @@
 //! windows is the regime of equations (15)–(18).
 
 use crate::config::{DeadlockPolicy, SimConfig};
-use crate::engine::kernel::{self, applies, full_mask, Faulty, Kernel, Protocol, Sent, Sim};
+use crate::engine::kernel::{self, applies, full_mask, Kernel, Protocol, Sent, Sim};
 use crate::metrics::{Report, M_ABORTS, M_RETRIES};
 use repl_check::{Scheme, TxnRecord};
 use repl_net::FaultPlan;
@@ -327,16 +327,6 @@ impl LazyGroupSim {
     }
 }
 
-impl Faulty for LazyGroup {
-    /// Message chaos perturbs every live link; partition and crash
-    /// windows become scheduled events.
-    fn attach_faults(&mut self, k: &mut K, plan: FaultPlan) {
-        k.install_injector(&plan);
-        k.schedule_partition_windows(&plan);
-        k.schedule_crash_windows(&plan);
-    }
-}
-
 impl Protocol for LazyGroup {
     type Ev = Ev;
     type Msg = Msg;
@@ -361,6 +351,14 @@ impl Protocol for LazyGroup {
 
     fn lock_timeout(txn: TxnId, node: NodeId, obj: ObjectId) -> Option<Ev> {
         Some(Ev::LockTimeout { txn, node, obj })
+    }
+
+    /// Message chaos perturbs every live link; partition and crash
+    /// windows become scheduled events.
+    fn attach_faults(&mut self, k: &mut K, plan: FaultPlan) {
+        k.install_injector(&plan);
+        k.schedule_partition_windows(&plan);
+        k.schedule_crash_windows(&plan);
     }
 
     fn arrive(&mut self, k: &mut K, node: NodeId) {

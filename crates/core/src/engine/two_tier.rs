@@ -10,25 +10,59 @@
 //!   tentative versions and log `(input parameters, tentative results)`.
 //!   On reconnect they (1) discard tentative versions, (2) receive the
 //!   deferred replica refreshes, (3) re-submit their tentative
-//!   transactions in commit order, one sync message to base node 0
-//!   carrying the whole queue; the host base node re-executes each
-//!   as a base transaction and judges it with its **acceptance
-//!   criterion** — failures are the two-tier analogue of
-//!   reconciliation, and they are *zero when transactions commute*.
+//!   transactions in commit order, one sync message to the primary
+//!   carrying the whole queue; the base re-executes each as a base
+//!   transaction and judges it with its **acceptance criterion** —
+//!   failures are the two-tier analogue of reconciliation, and they are
+//!   *zero when transactions commute*.
+//!
+//! # The replicated base tier
+//!
+//! The base nodes are one primary and its backups. Base node 0 is the
+//! primary of epoch 1. Every commit at the primary takes the next log
+//! sequence number (LSN) and its refresh carries `(epoch, lsn)`; on a
+//! full layout every backup applies every refresh, so that stream is
+//! the replication log. A backup fences a refresh from an older epoch
+//! and tracks its head: the highest LSN below which every refresh has
+//! been applied. Mobiles never fence.
+//!
+//! When the primary crashes, the base transactions in flight abort (a
+//! tentative re-execution goes back to the front of its mobile's queue)
+//! and the next base-bound request — an arrival at a base node or a
+//! connected mobile, or a sync — elects a successor among the live base
+//! nodes ([`crate::election`]: a quorum of the base, longest head
+//! wins). The winner's replica becomes the master, the other live base
+//! nodes copy it, and the sessions the crash cut short resume. Below a
+//! quorum, or cut off from the primary by a partition, a base node
+//! aborts what arrives and a mobile runs it tentatively. A restarted
+//! base node rejoins as a backup: it adopts the current epoch, replays
+//! its parked mail (fencing what a deposed primary sent) and catches
+//! up.
+//!
+//! A commit is acknowledged once it is sent, not once a majority holds
+//! it, so a primary that is cut off or loses refreshes and then crashes
+//! takes acknowledged commits with it; the recorder's durability oracle
+//! reports them.
 
 use crate::config::SimConfig;
+use crate::election::{self, Candidate};
 use crate::engine::kernel::{self, applies, full_mask, Kernel, Protocol, Sent, Sim};
-use crate::metrics::{Report, M_RECONCILIATION_DELAY, M_RETRIES};
+use crate::metrics::{
+    Report, M_ABORTS, M_ELECTION_ROUNDS, M_EPOCH_FENCED, M_FAILOVER_UNAVAILABILITY,
+    M_RECONCILIATION_DELAY, M_RETRIES,
+};
 use crate::op::{Op, Operation};
 use crate::txn::{Criterion, TxnSpec};
 use repl_check::{CriterionKind, Scheme, TxnRecord};
+use repl_net::FaultPlan;
 use repl_sim::{SimDuration, SimRng, SimTime};
 use repl_storage::{
     Acquire, ApplyOutcome, LamportClock, LockManager, NodeId, ObjectId, ObjectStore, ShardMap,
     TentativeStore, Timestamp, TxnId, TxnSlab, Value,
 };
-use repl_telemetry::{Event, EventKind};
-use std::collections::VecDeque;
+use repl_telemetry::{AbortReason, Event, EventKind};
+use std::collections::{BTreeSet, VecDeque};
+use std::rc::Rc;
 
 /// Transaction-design regimes for the two-tier workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +127,12 @@ impl TwoTierConfig {
 /// single-threaded — `Rc` is deliberate.
 #[derive(Debug)]
 struct Refresh {
+    /// The primary that committed it.
+    from: NodeId,
+    /// The epoch it was committed in, and its place in that primary's
+    /// log.
+    epoch: u64,
+    lsn: u64,
     /// When the base broadcast this refresh. Held and duplicated copies
     /// share the original stamp, so apply-time lag includes the time a
     /// mobile spent disconnected — the staleness the paper's two-tier
@@ -107,7 +147,7 @@ struct Refresh {
 #[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct RefreshMsg {
-    refresh: std::rc::Rc<Refresh>,
+    refresh: Rc<Refresh>,
     /// Which of the refresh's updates this destination applies (see
     /// [`applies`]): the ones it hosts under a partial layout, every
     /// one otherwise.
@@ -118,9 +158,9 @@ pub struct RefreshMsg {
 #[doc(hidden)]
 #[derive(Debug, Clone)]
 pub enum Msg {
-    /// Base → replica: a base commit's refresh.
+    /// Primary → every replica: a base commit's refresh.
     Refresh(RefreshMsg),
-    /// Mobile → base node 0, once per reconnect: the mobile ships its
+    /// Mobile → primary, once per reconnect: the mobile ships its
     /// queued tentative transactions for re-execution (§7 step 3).
     Sync(NodeId),
 }
@@ -162,6 +202,58 @@ struct BaseTxn {
     session: Option<NodeId>,
 }
 
+/// A base node's place in the replication log. Its replica (in
+/// `TwoTier::replicas`) is what the refresh stream built.
+#[derive(Debug, Clone, Default)]
+struct BaseNode {
+    /// The highest LSN such that every LSN up to it has been applied.
+    head: u64,
+    /// LSNs applied out of order, above `head` (a dropped refresh is
+    /// resent after those sent behind it).
+    above: BTreeSet<u64>,
+}
+
+impl BaseNode {
+    /// The refresh at `lsn` was applied.
+    fn applied(&mut self, lsn: u64) {
+        if lsn == self.head + 1 {
+            self.head = lsn;
+            while self.above.remove(&(self.head + 1)) {
+                self.head += 1;
+            }
+        } else if lsn > self.head {
+            self.above.insert(lsn);
+        }
+    }
+
+    /// The node now holds exactly the log up to `head`.
+    fn reset(&mut self, head: u64) {
+        self.head = head;
+        self.above.clear();
+    }
+}
+
+/// What a node has yet to get onto the wire. Durable, like the log.
+#[derive(Debug, Default)]
+struct Outbox {
+    /// Refreshes the injector dropped, with their destinations.
+    refreshes: Vec<(NodeId, RefreshMsg)>,
+    /// A mobile's sync that was dropped, or found no primary.
+    sync: bool,
+    /// An [`Ev::Resend`] for this node is in the queue. One is enough
+    /// however many messages wait: it resends them all.
+    armed: bool,
+}
+
+impl Outbox {
+    /// Arm `node`'s one retransmit timer, unless it is armed already.
+    fn arm(&mut self, k: &mut K, node: NodeId) {
+        if !std::mem::replace(&mut self.armed, true) {
+            k.schedule_retransmit(Ev::Resend(node));
+        }
+    }
+}
+
 /// The two-tier protocol's private events.
 #[doc(hidden)]
 #[derive(Debug)]
@@ -170,6 +262,8 @@ pub enum Ev {
     BaseStep(TxnId),
     /// A deadlocked base transaction re-runs from scratch.
     BaseRetry(TxnId),
+    /// A node's retransmit timer: resend its outbox.
+    Resend(NodeId),
 }
 
 /// The two-tier simulator.
@@ -180,17 +274,36 @@ type K = Kernel<TwoTier>;
 /// The two-tier protocol's state.
 pub struct TwoTier {
     cfg: TwoTierConfig,
-    /// The base system state: union of all master copies.
+    /// The base system state: union of all master copies, as the
+    /// primary holds it.
     master: ObjectStore,
     master_locks: LockManager,
     master_clock: LamportClock,
+    /// The primary, `None` from its crash until the next election.
+    primary: Option<NodeId>,
+    /// The current epoch, and the primary's log head in it.
+    epoch: u64,
+    lsn: u64,
+    /// Per base node: its log head.
+    base: Vec<BaseNode>,
+    /// When the primary crashed, while no successor is elected.
+    down_since: Option<SimTime>,
+    /// Mobiles whose sync session a primary crash cut short; the next
+    /// election resumes them.
+    cut: Vec<NodeId>,
     /// Per-node replicas; mobile nodes use the tentative overlay.
     replicas: Vec<TentativeStore>,
-    /// Per-mobile queue of tentative transactions not yet re-executed.
+    /// Per-mobile queue of tentative transactions not yet re-executed:
+    /// the durable tentative log.
     pending: Vec<VecDeque<Pending>>,
     /// Active reconnect sync sessions (mobile → remaining queue drains
     /// through one base transaction at a time).
     in_session: Vec<bool>,
+    /// Per node: whether its link is up by the mobility schedule, which
+    /// a crash does not change.
+    linked: Vec<bool>,
+    /// Per node: what waits to be resent.
+    outbox: Vec<Outbox>,
     /// In-flight base transactions in a generational slab: every event
     /// dispatch indexes a dense slot instead of hashing a `TxnId`.
     base_txns: TxnSlab<BaseTxn>,
@@ -200,7 +313,7 @@ pub struct TwoTier {
     clocks: Vec<LamportClock>,
     /// Recycled buffer for lock-release promotions (commit/abort path).
     granted_scratch: Vec<(TxnId, ObjectId)>,
-    /// Recycled staging buffer for the refreshes a reconnect releases.
+    /// Recycled staging buffer for the mail a reconnect releases.
     refresh_scratch: Vec<Msg>,
     /// Recycled `(destination, update mask)` list of the sharded
     /// refresh fan-out.
@@ -228,6 +341,13 @@ fn criterion_kind(c: &Criterion) -> CriterionKind {
         Criterion::AtMost(b) => CriterionKind::AtMost(*b),
         Criterion::ExactMatch => CriterionKind::ExactMatch,
     }
+}
+
+/// The master lock manager, sized for `db_size` objects.
+fn master_locks(db_size: u64) -> LockManager {
+    let mut lm = LockManager::new();
+    lm.reserve_objects(db_size as usize);
+    lm
 }
 
 impl TwoTierSim {
@@ -272,15 +392,19 @@ impl TwoTierSim {
             .collect();
         let p = TwoTier {
             master,
-            master_locks: {
-                let mut lm = LockManager::new();
-                lm.reserve_objects(sim.db_size as usize);
-                lm
-            },
+            master_locks: master_locks(sim.db_size),
             master_clock: LamportClock::new(NodeId(u32::MAX)),
+            primary: Some(NodeId(0)),
+            epoch: 1,
+            lsn: 0,
+            base: vec![BaseNode::default(); cfg.base_nodes as usize],
+            down_since: None,
+            cut: Vec::new(),
             replicas,
             pending: (0..n).map(|_| VecDeque::new()).collect(),
             in_session: vec![false; n],
+            linked: vec![true; n],
+            outbox: (0..n).map(|_| Outbox::default()).collect(),
             base_txns: TxnSlab::new(0),
             object_rng: SimRng::stream(sim.seed, "tt-objects"),
             value_rng: SimRng::stream(sim.seed, "tt-values"),
@@ -319,25 +443,60 @@ impl Protocol for TwoTier {
 
     fn phase(ev: &kernel::Event<Self>, _live: bool) -> Option<&'static str> {
         use kernel::Event as W;
-        match ev {
-            W::Arrive(_) => Some("two-tier/arrive"),
-            W::Proto(_) => Some("two-tier/base-step"),
-            W::Deliver { .. } => Some("two-tier/deliver"),
-            W::Connectivity { .. } => Some("two-tier/connectivity"),
-            // No fault plan reaches this protocol.
-            W::PartitionStart(_) | W::PartitionHeal | W::Crash(_) | W::Restart(_) => None,
+        Some(match ev {
+            W::Arrive(_) => "two-tier/arrive",
+            W::Proto(Ev::Resend(_)) => "two-tier/resend",
+            W::Proto(_) => "two-tier/base-step",
+            W::Deliver { .. } => "two-tier/deliver",
+            W::Connectivity { .. } => "two-tier/connectivity",
+            W::PartitionStart(_) | W::PartitionHeal => "two-tier/partition",
+            W::Crash(_) | W::Restart(_) => "two-tier/crash",
+        })
+    }
+
+    /// Message chaos on every link, partition windows, and crash
+    /// windows for mobiles and — on a full layout — base nodes.
+    ///
+    /// # Panics
+    /// If a crash window names a base node on a partial layout: a base
+    /// replica there holds only its shards, so it cannot take over the
+    /// master.
+    fn attach_faults(&mut self, k: &mut K, plan: FaultPlan) {
+        if self.shard.is_some() {
+            if let Some(c) = plan.crashes.iter().find(|c| c.node.0 < self.cfg.base_nodes) {
+                panic!(
+                    "two-tier cannot crash base node {} on a partial layout: its replica \
+                     holds only its shards, so it cannot take over the master",
+                    c.node.0
+                );
+            }
         }
+        k.install_injector(&plan);
+        k.schedule_partition_windows(&plan);
+        k.schedule_crash_windows(&plan);
     }
 
     fn arrive(&mut self, k: &mut K, node: NodeId) {
         let spec = self.gen_spec(node);
-        if self.is_mobile(node) && !k.is_connected(node) {
+        let mobile = self.is_mobile(node);
+        if mobile && !k.is_connected(node) {
             self.commit_tentative(k, node, spec);
-        } else {
+        } else if self.reaches_primary(k, node) {
             // Connected node (base or mobile): run directly as a base
             // transaction — connected two-tier "operates much like a
             // lazy-master system".
             self.start_base_txn(k, node, spec, None, None, None);
+        } else if mobile {
+            // Connected, but no primary to run it: tentatively, as
+            // when disconnected.
+            self.commit_tentative(k, node, spec);
+        } else {
+            if k.measuring() {
+                k.metrics.incr_dist(M_ABORTS);
+            }
+            let reason = AbortReason::Disconnect;
+            k.tracer
+                .emit(|| Event::system(k.now(), node, EventKind::TxnAbort { reason }));
         }
     }
 
@@ -345,14 +504,22 @@ impl Protocol for TwoTier {
         match ev {
             Ev::BaseStep(id) => self.on_base_step(k, id),
             Ev::BaseRetry(id) => self.try_base_step(k, id),
+            // An offline node's outbox waits for its restart or
+            // reconnect.
+            Ev::Resend(node) => {
+                self.outbox[node.0 as usize].armed = false;
+                if k.is_connected(node) {
+                    self.flush(k, node);
+                }
+            }
         }
     }
 
-    /// Refreshes come from the virtual base sender, syncs from their
-    /// mobile.
+    /// Refreshes come from the primary that committed them, syncs from
+    /// their mobile.
     fn parked(msg: &mut Msg) -> NodeId {
         match msg {
-            Msg::Refresh(_) => NodeId(0),
+            Msg::Refresh(msg) => msg.refresh.from,
             Msg::Sync(mobile) => *mobile,
         }
     }
@@ -362,12 +529,21 @@ impl Protocol for TwoTier {
         k.tracer
             .emit(|| Event::system(k.now(), to, EventKind::MsgDelivered { from }));
         match msg {
-            Msg::Refresh(msg) => self.apply_refresh(k, to, msg),
+            Msg::Refresh(msg) => {
+                if self.is_mobile(to) || self.admit_refresh(k, to, &msg.refresh) {
+                    self.apply_refresh(k, to, msg);
+                }
+            }
             // Step 3/5 at the base: re-execute the mobile's tentative
             // transactions in commit order, one at a time, unless a
             // session is already draining its queue.
             Msg::Sync(mobile) => {
-                if !self.in_session[mobile.0 as usize] {
+                let m = mobile.0 as usize;
+                if self.ensure_primary(k).is_none() {
+                    // Below quorum: the sync waits for its retransmit.
+                    self.outbox[m].sync = true;
+                    self.outbox[m].arm(k, mobile);
+                } else if !self.in_session[m] {
                     self.advance_session(k, mobile);
                 }
             }
@@ -375,17 +551,55 @@ impl Protocol for TwoTier {
     }
 
     fn link_change(&mut self, k: &mut K, node: NodeId, connected: bool) {
-        if connected {
-            self.on_reconnect(k, node);
+        self.linked[node.0 as usize] = connected;
+        if connected && !k.is_down(node) {
+            self.on_reconnect(k, node, false);
         }
+    }
+
+    /// A mobile loses its tentative overlay; its `pending` queue is the
+    /// durable tentative log and survives. A primary is deposed.
+    fn node_down(&mut self, k: &mut K, node: NodeId) {
+        if k.is_down(node) {
+            return;
+        }
+        k.crash(node);
+        if self.is_mobile(node) {
+            self.replicas[node.0 as usize].discard_tentative();
+        } else if self.primary == Some(node) {
+            self.depose(k, node);
+        }
+    }
+
+    /// A mobile restarts and, if its link is up, reconnects. A base
+    /// node rejoins as a backup: it adopts the current epoch, replays
+    /// its parked mail (stale epochs are fenced), catches up with the
+    /// primary and resends its outbox.
+    fn node_up(&mut self, k: &mut K, node: NodeId) {
+        let idx = node.0 as usize;
+        if self.is_mobile(node) {
+            if self.linked[idx] {
+                self.on_reconnect(k, node, true);
+            } else {
+                k.restart(node, 0);
+            }
+            return;
+        }
+        self.deliver_parked(k, node, true);
+        if self.primary.is_some() {
+            self.catch_up(k, node);
+        }
+        self.flush(k, node);
     }
 
     /// Reconnect every mobile node, finish every sync session, and
     /// deliver all refreshes so the whole system converges to the base
-    /// state.
+    /// state. Every base node is up again, so a primary is elected
+    /// first if there is none.
     fn begin_drain(&mut self, k: &mut K) -> Option<SimTime> {
+        self.ensure_primary(k);
         for node in self.cfg.base_nodes..self.cfg.sim.nodes {
-            self.on_reconnect(k, NodeId(node));
+            self.on_reconnect(k, NodeId(node), false);
         }
         Some(SimTime(u64::MAX))
     }
@@ -400,6 +614,7 @@ impl Protocol for TwoTier {
             })
             .collect();
         if k.recorder.is_on() {
+            k.recorder.final_head(self.lsn);
             k.recorder.final_master(&self.master);
             for (i, store) in replicas.iter().enumerate() {
                 k.recorder.final_store(NodeId(i as u32), store);
@@ -583,7 +798,11 @@ impl TwoTier {
     }
 
     fn try_base_step(&mut self, k: &mut K, id: TxnId) {
-        let txn = self.base_txns.get(id).expect("stepping unknown base txn");
+        // A primary crash aborts its base transactions and leaves their
+        // steps and retries in the queue.
+        let Some(txn) = self.base_txns.get(id) else {
+            return;
+        };
         if txn.next >= txn.spec.ops.len() {
             self.finish_base(k, id);
             return;
@@ -626,7 +845,9 @@ impl TwoTier {
     }
 
     fn on_base_step(&mut self, k: &mut K, id: TxnId) {
-        let txn = self.base_txns.get_mut(id).expect("base step for dead txn");
+        let Some(txn) = self.base_txns.get_mut(id) else {
+            return;
+        };
         let op = &txn.spec.ops[txn.next];
         // Read own buffered write if present, else the master copy.
         let current = match txn.buffered.iter().rev().find(|(o, _)| *o == op.object) {
@@ -705,6 +926,10 @@ impl TwoTier {
                     },
                 );
             }
+            // The commit takes the primary's next LSN and is
+            // acknowledged as it is sent.
+            self.lsn += 1;
+            k.recorder.acked(self.lsn, self.epoch);
             if k.measuring() {
                 k.metrics.committed.incr();
                 k.metrics.record_latency(k.now().since(txn.started));
@@ -762,16 +987,24 @@ impl TwoTier {
     // ------------------------------------------------------------------
 
     fn broadcast_refresh(&mut self, k: &mut K, updates: Vec<(ObjectId, Value, Timestamp)>) {
-        // Master commits originate "at the base"; model the fan-out
-        // from a virtual base sender that is always connected.
-        let sent_at = k.now();
-        let refresh = std::rc::Rc::new(Refresh { sent_at, updates });
+        let from = self.primary.expect("a base commit has a primary");
+        let (epoch, lsn, sent_at) = (self.epoch, self.lsn, k.now());
+        let refresh = |updates| {
+            Rc::new(Refresh {
+                from,
+                epoch,
+                lsn,
+                sent_at,
+                updates,
+            })
+        };
+        let full = refresh(updates);
         let Some(map) = &self.shard else {
-            let mask = full_mask(refresh.updates.len());
+            let mask = full_mask(full.updates.len());
             for dest in 0..self.cfg.sim.nodes {
-                let refresh = refresh.clone();
+                let refresh = full.clone();
                 let msg = RefreshMsg { refresh, mask };
-                Self::send(k, NodeId(0), NodeId(dest), Msg::Refresh(msg));
+                Self::send(k, &mut self.outbox, from, NodeId(dest), Msg::Refresh(msg));
             }
             return;
         };
@@ -780,37 +1013,85 @@ impl TwoTier {
         // sends it nothing at all. Destinations ascend: the latency
         // stream is drawn per send.
         let mut dests = std::mem::take(&mut self.dest_scratch);
-        map.fanout_masks(refresh.updates.iter().map(|&(obj, _, _)| obj), &mut dests);
+        map.fanout_masks(full.updates.iter().map(|&(obj, _, _)| obj), &mut dests);
         for (dest, mask) in dests.drain(..) {
-            let msg = if refresh.updates.len() > 64 {
+            let msg = if full.updates.len() > 64 {
                 // Wider than the mask: send a pre-filtered copy.
-                let hosted = refresh.updates.iter();
+                let hosted = full.updates.iter();
                 let hosted = hosted.filter(|(obj, _, _)| map.hosts_object(dest, *obj));
-                let updates = hosted.cloned().collect();
                 RefreshMsg {
-                    refresh: std::rc::Rc::new(Refresh { sent_at, updates }),
+                    refresh: refresh(hosted.cloned().collect()),
                     mask: u64::MAX,
                 }
             } else {
-                let refresh = refresh.clone();
+                let refresh = full.clone();
                 RefreshMsg { refresh, mask }
             };
-            Self::send(k, NodeId(0), dest, Msg::Refresh(msg));
+            Self::send(k, &mut self.outbox, from, dest, Msg::Refresh(msg));
         }
         self.dest_scratch = dests;
     }
 
-    /// Send `msg` from `from` to `to`: a refresh from the virtual base
-    /// sender (base node 0, always connected), or a sync from a mobile
-    /// that has just reconnected. Refreshes are last-writer-wins and
-    /// carry absolute values: a duplicate is absorbed by the timestamp
-    /// comparison and a drop would be covered by the next refresh, so
-    /// no fate needs an answer here.
-    fn send(k: &mut K, from: NodeId, to: NodeId, msg: Msg) {
+    /// Send `msg` from `from` to `to`: a refresh from the primary, or a
+    /// sync from a mobile that has just reconnected. Refreshes are
+    /// last-writer-wins and carry absolute values, so a duplicate is
+    /// absorbed by the timestamp comparison. A dropped message waits in
+    /// its sender's outbox for the sender's one retransmit timer, and a
+    /// held one is parked by the kernel. Nothing is sent from a node
+    /// that is offline: a primary is up, a restarted node and a
+    /// reconnected mobile are back on the network first, and a resend
+    /// waits for its sender to be.
+    fn send(k: &mut K, outbox: &mut [Outbox], from: NodeId, to: NodeId, msg: Msg) {
         k.tracer
             .emit(|| Event::system(k.now(), from, EventKind::MsgSent { to }));
+        let kept = msg.clone();
         let sent = k.send(from, to, TxnId::default(), msg);
-        assert_ne!(sent, Sent::SenderOffline, "the sender is connected");
+        debug_assert_ne!(sent, Sent::SenderOffline, "senders send only online");
+        if sent == Sent::Dropped {
+            let out = &mut outbox[from.0 as usize];
+            match kept {
+                Msg::Refresh(msg) => out.refreshes.push((to, msg)),
+                Msg::Sync(_) => out.sync = true,
+            }
+            out.arm(k, from);
+        }
+    }
+
+    /// Resend what `node`'s outbox holds: its dropped refreshes and a
+    /// mobile's sync.
+    fn flush(&mut self, k: &mut K, node: NodeId) {
+        let out = &mut self.outbox[node.0 as usize];
+        let refreshes = std::mem::take(&mut out.refreshes);
+        let sync = std::mem::take(&mut out.sync);
+        for (to, msg) in refreshes {
+            Self::send(k, &mut self.outbox, node, to, Msg::Refresh(msg));
+        }
+        if sync {
+            self.send_sync(k, node);
+        }
+    }
+
+    /// A base node takes a refresh only from the current epoch, fencing
+    /// a deposed primary's. (Every base node that can take mail is in
+    /// the current epoch: the live ones joined it at the election, the
+    /// crashed ones join it at their restart.) Returns whether to apply
+    /// the refresh, having advanced the node's head.
+    fn admit_refresh(&mut self, k: &mut K, node: NodeId, refresh: &Refresh) -> bool {
+        if refresh.epoch < self.epoch {
+            if k.measuring() {
+                k.metrics.incr_dist(M_EPOCH_FENCED);
+            }
+            let (stale, current) = (refresh.epoch, self.epoch);
+            k.tracer
+                .emit(|| Event::system(k.now(), node, EventKind::EpochFenced { stale, current }));
+            return false;
+        }
+        // A partial replica sees only the commits it hosts: it has no
+        // contiguous log, and never takes over.
+        if self.shard.is_none() {
+            self.base[node.0 as usize].applied(refresh.lsn);
+        }
+        true
     }
 
     fn apply_refresh(&mut self, k: &mut K, to: NodeId, msg: RefreshMsg) {
@@ -852,22 +1133,45 @@ impl TwoTier {
     // Mobile reconnect synchronization (§7's five steps)
     // ------------------------------------------------------------------
 
-    fn on_reconnect(&mut self, k: &mut K, node: NodeId) {
+    /// `node` reconnects; `restart` when it is recovering from a crash.
+    fn on_reconnect(&mut self, k: &mut K, node: NodeId, restart: bool) {
         // Step 1: discard tentative versions.
         self.replicas[node.0 as usize].discard_tentative();
         // Step 2/4: receive deferred replica refreshes, on the spot.
-        // The drain borrows the kernel, and delivering needs it too —
-        // stage through the recycled chunk buffer (idle between
-        // broadcasts).
+        self.deliver_parked(k, node, restart);
+        // Step 3: ship the queued tentative transactions to the base,
+        // one message for the whole queue.
+        self.outbox[node.0 as usize].sync = false;
+        self.send_sync(k, node);
+    }
+
+    /// Put `node` back on the network and deliver the mail parked for
+    /// it on the spot; `restart` when it is recovering from a crash.
+    /// The drain borrows the kernel, and delivering needs it too — stage
+    /// through the recycled buffer.
+    fn deliver_parked(&mut self, k: &mut K, node: NodeId, restart: bool) {
         let mut held = std::mem::take(&mut self.refresh_scratch);
         held.extend(k.reconnect(node));
+        if restart {
+            k.restart(node, held.len() as u64);
+        }
         for msg in held.drain(..) {
             self.deliver(k, node, msg);
         }
         self.refresh_scratch = held;
-        // Step 3: ship the queued tentative transactions to the base,
-        // one message for the whole queue.
-        Self::send(k, node, NodeId(0), Msg::Sync(node));
+    }
+
+    /// Send `mobile`'s sync to the primary, electing one if the last
+    /// died. Below quorum it waits for the mobile's retransmit.
+    fn send_sync(&mut self, k: &mut K, mobile: NodeId) {
+        match self.ensure_primary(k) {
+            Some(primary) => Self::send(k, &mut self.outbox, mobile, primary, Msg::Sync(mobile)),
+            None => {
+                let out = &mut self.outbox[mobile.0 as usize];
+                out.sync = true;
+                out.arm(k, mobile);
+            }
+        }
     }
 
     /// Start the next queued tentative re-execution for `node`, or mark
@@ -888,6 +1192,120 @@ impl TwoTier {
             Some(pending.committed_at),
             Some(node),
         );
+    }
+
+    // ------------------------------------------------------------------
+    // Failover
+    // ------------------------------------------------------------------
+
+    /// Whether work arriving at `node` reaches a primary, electing one
+    /// if the last died.
+    fn reaches_primary(&mut self, k: &mut K, node: NodeId) -> bool {
+        self.ensure_primary(k)
+            .is_some_and(|primary| !k.is_partitioned(node, primary))
+    }
+
+    /// The primary, electing one first if the last died; `None` below
+    /// quorum.
+    fn ensure_primary(&mut self, k: &mut K) -> Option<NodeId> {
+        if self.primary.is_none() {
+            self.elect(k);
+        }
+        self.primary
+    }
+
+    /// The primary crashed. Its log is the master, so that is what its
+    /// replica keeps. Every base transaction in flight aborts, and a
+    /// tentative re-execution goes back to the front of its mobile's
+    /// queue, its session cut short until the next election.
+    fn depose(&mut self, k: &mut K, node: NodeId) {
+        let idx = node.0 as usize;
+        self.primary = None;
+        self.down_since = Some(k.now());
+        self.base[idx].reset(self.lsn);
+        self.replicas[idx].master_mut().clone_from(&self.master);
+        let in_flight: Vec<TxnId> = self.base_txns.iter().map(|(id, _)| id).collect();
+        for id in in_flight {
+            let txn = self.base_txns.remove(id).expect("listed base txn");
+            let reason = AbortReason::Crash;
+            k.tracer
+                .emit(|| Event::new(k.now(), txn.origin, id, EventKind::TxnAbort { reason }));
+            if let (Some(mobile), Some(tentative_results), Some(committed_at)) =
+                (txn.session, txn.tentative_results, txn.tentative_at)
+            {
+                let m = mobile.0 as usize;
+                self.pending[m].push_front(Pending {
+                    spec: txn.spec,
+                    tentative_results,
+                    committed_at,
+                });
+                self.in_session[m] = false;
+                self.cut.push(mobile);
+            }
+        }
+        self.master_locks = master_locks(self.cfg.sim.db_size);
+    }
+
+    /// Elect a primary among the live base nodes: a quorum of the base
+    /// must be up, and the longest head wins (lowest id on a tie). The
+    /// winner's replica becomes the master, every other live base node
+    /// copies it, and the sessions the crash cut short resume.
+    fn elect(&mut self, k: &mut K) {
+        let base_nodes = self.cfg.base_nodes;
+        let live: Vec<Candidate> = (0..base_nodes)
+            .map(NodeId)
+            .filter(|&node| !k.is_down(node))
+            .map(|node| Candidate {
+                node,
+                head: self.base[node.0 as usize].head,
+            })
+            .collect();
+        if live.len() < election::quorum(base_nodes as usize) {
+            return;
+        }
+        let winner = election::pick_candidate(&live).expect("a quorum is never empty");
+        let leader = winner.node;
+        self.epoch += 1;
+        let epoch = self.epoch;
+        self.primary = Some(leader);
+        self.lsn = winner.head;
+        self.master
+            .clone_from(self.replicas[leader.0 as usize].master());
+        if let Some(newest) = self.master.iter().map(|(_, v)| v.ts).max() {
+            self.master_clock.observe(newest);
+        }
+        k.tracer
+            .emit(|| Event::system(k.now(), leader, EventKind::LeaderElected { epoch, leader }));
+        k.recorder.leader_elected(epoch, leader, winner.head);
+        self.base[leader.0 as usize].reset(winner.head);
+        for c in live.iter().filter(|c| c.node != leader) {
+            self.catch_up(k, c.node);
+        }
+        let down = self.down_since.take().unwrap_or(k.now());
+        if k.measuring() {
+            k.metrics
+                .record_dist(M_FAILOVER_UNAVAILABILITY, k.now().since(down));
+            if !k.metrics.lean {
+                k.metrics.dists.record_value(M_ELECTION_ROUNDS, 1);
+            }
+        }
+        for mobile in std::mem::take(&mut self.cut) {
+            if !self.in_session[mobile.0 as usize] {
+                self.advance_session(k, mobile);
+            }
+        }
+    }
+
+    /// Bring base node `node` up to the primary: copy the master and
+    /// its log head, as an anti-entropy log transfer would.
+    fn catch_up(&mut self, k: &mut K, node: NodeId) {
+        let idx = node.0 as usize;
+        let records = self.lsn.saturating_sub(self.base[idx].head);
+        self.base[idx].reset(self.lsn);
+        self.replicas[idx].master_mut().clone_from(&self.master);
+        let epoch = self.epoch;
+        k.tracer
+            .emit(|| Event::system(k.now(), node, EventKind::CatchUpComplete { epoch, records }));
     }
 }
 

@@ -8,9 +8,10 @@
 //!   [`engine`],
 //! * the paper's proposed **two-tier replication** scheme
 //!   ([`engine::two_tier`]), with tentative transactions, acceptance
-//!   criteria and reconnect synchronization, and its base tier and
-//!   mobile node as transport-free state machines with epoch-fenced
-//!   failover ([`base_tier`], [`election`]),
+//!   criteria, reconnect synchronization and a replicated base tier
+//!   that fails over under the kernel's fault plan ([`election`]), and
+//!   one base node and the mobile node as transport-free state
+//!   machines ([`base_tier`]),
 //! * the §6 convergence machinery: commutative operation design
 //!   ([`op`]) and the Notes/Access-style convergent stores
 //!   ([`convergent`]); the reconciliation rules that actually run are
@@ -55,7 +56,8 @@ pub use engine::{
     ResolutionMode, TwoTierConfig, TwoTierSim, TwoTierWorkload,
 };
 pub use metrics::{
-    Metrics, Report, M_ABORTS, M_COMMIT_LATENCY, M_INDOUBT_WAIT, M_LOCK_WAIT, M_PROPAGATION_LAG,
+    Metrics, Report, M_ABORTS, M_COMMIT_LATENCY, M_ELECTION_ROUNDS, M_EPOCH_FENCED,
+    M_FAILOVER_UNAVAILABILITY, M_INDOUBT_WAIT, M_LOCK_WAIT, M_PROPAGATION_LAG,
     M_RECONCILIATION_DELAY, M_RETRIES,
 };
 pub use op::{Op, Operation};

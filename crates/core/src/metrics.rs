@@ -18,6 +18,14 @@ pub const M_RECONCILIATION_DELAY: &str = "reconciliation_delay";
 pub const M_ABORTS: &str = "aborts";
 /// Counter of scheduled retries (replica redo, base re-execution).
 pub const M_RETRIES: &str = "retries";
+/// Histogram of two-tier failover unavailability: simulated time from
+/// a primary's crash to the election of its successor.
+pub const M_FAILOVER_UNAVAILABILITY: &str = "failover_unavailability";
+/// Histogram of vote rounds per two-tier election.
+pub const M_ELECTION_ROUNDS: &str = "election_rounds";
+/// Counter of refreshes two-tier backups fenced: sent by a primary an
+/// election has since deposed.
+pub const M_EPOCH_FENCED: &str = "epoch_fenced";
 /// Histogram of in-doubt blocking time: how long a 2PC participant
 /// holds locks between voting yes and learning the decision (the
 /// blocking cost of the coordinated commit path).

@@ -9,14 +9,16 @@
 //! certifies the robustness claim: after the post-horizon drain every
 //! replica is bit-identical no matter what the fabric did. Three more
 //! rows run the sharded eager family under the same plan, one per
-//! cross-shard commit protocol.
+//! cross-shard commit protocol, and a last one runs two-tier with nodes
+//! 0 and 1 as its base: the default plan's partition then cuts the
+//! mobiles off from the base, and its crash is a mobile's.
 
 use crate::par::run_points;
 use crate::table::{fmt_val, Table};
 use crate::{Instrument, RunOpts};
 use repl_core::{
     CommitProto, DeadlockPolicy, EagerSim, LazyGroupSim, Mobility, Ownership, ReplicaDiscipline,
-    Report, SimConfig,
+    Report, SimConfig, TwoTierConfig, TwoTierSim, TwoTierWorkload,
 };
 use repl_net::{CrashWindow, FaultPlan, PartitionWindow};
 use repl_sim::{SimDuration, SimTime};
@@ -141,8 +143,29 @@ pub fn chaos(opts: &RunOpts) -> Table {
     for (proto, r) in results {
         t.row(row(format!("eager/{}", proto.name()), &r, "—"));
     }
+    // Two-tier under the same plan: two base nodes, two mobiles.
+    // Converged means every replica equals the master.
+    let cfg = TwoTierConfig {
+        sim: SimConfig::from_params(&p, horizon, opts.seed),
+        base_nodes: 2,
+        mobile_owned: 0,
+        connected: SimDuration::from_secs(10),
+        disconnected: SimDuration::from_secs(10),
+        workload: TwoTierWorkload::Commutative { max_amount: 10 },
+        initial_value: 10_000,
+    };
+    let (r, master, replicas) = TwoTierSim::new(cfg)
+        .with_faults(plan)
+        .instrument(opts, "chaos two-tier")
+        .run_with_state();
+    let converged = replicas.iter().all(|s| s.digest() == master.digest());
+    t.row(row(
+        "two-tier".to_owned(),
+        &r,
+        if converged { "yes" } else { "NO" },
+    ));
     t.note("timeout row resolves every deadlock with zero cycle-detection work");
-    t.note("converged = all replicas bit-identical after the post-horizon drain");
+    t.note("converged = all replicas bit-identical after the post-horizon drain (two-tier: to the master)");
     t.note(
         "eager/PROTO rows: sharded eager family under the same plan, one per commit \
          protocol (partition clauses don't apply); oracles judge them under --check",
@@ -165,10 +188,11 @@ mod tests {
     #[test]
     fn chaos_converges_under_both_policies() {
         let t = chaos(&quick());
-        assert_eq!(t.rows.len(), 2 + CommitProto::ALL.len());
-        for row in &t.rows[..2] {
+        assert_eq!(t.rows.len(), 3 + CommitProto::ALL.len());
+        for row in t.rows[..2].iter().chain(t.rows.last()) {
             assert_eq!(row.last().unwrap(), "yes", "row diverged: {row:?}");
         }
+        assert_eq!(t.rows.last().unwrap()[0], "two-tier");
     }
 
     #[test]
@@ -203,12 +227,12 @@ mod tests {
 
     #[test]
     fn every_run_but_owner_order_survives_the_oracles() {
-        // Every fixed-seed chaos run — both lazy-group policies and the
-        // 2PC and O2PL rows — must come through the oracles clean, the
-        // same gate CI runs via `--check chaos`; the fenced rows must
-        // also make cross-shard commits. The owner-order row is the
-        // oracles' teeth: its fire-and-forget applies tear under the
-        // plan's drops and crashes.
+        // Every fixed-seed chaos run — both lazy-group policies, the
+        // 2PC and O2PL rows and two-tier — must come through the
+        // oracles clean, the same gate CI runs via `--check chaos`; the
+        // fenced rows must also make cross-shard commits. The
+        // owner-order row is the oracles' teeth: its fire-and-forget
+        // applies tear under the plan's drops and crashes.
         let opts = RunOpts {
             check: crate::CheckSession::enabled(),
             ..quick()
@@ -221,6 +245,7 @@ mod tests {
             "chaos proto=2pc",
             "chaos proto=o2pl",
             "chaos proto=owner-order",
+            "chaos two-tier",
         ] {
             assert!(
                 reports.iter().any(|(l, _)| l == label),

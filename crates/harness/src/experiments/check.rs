@@ -18,11 +18,13 @@ use repl_check::{
     fuzz, CheckReport, CriterionKind, Detailed, FuzzCase, History, Recorder, Scheme, TxnRecord,
     Violation, DEFAULT_HISTORY_CAP,
 };
+use repl_core::engine::kernel::{Protocol, Sim};
 use repl_core::{
     ContentionProfile, ContentionSim, EagerSim, LazyGroupSim, LazyMasterSim, Mobility, Ownership,
     ReplicaDiscipline, SimConfig, TwoTierConfig, TwoTierSim, TwoTierWorkload,
 };
 use repl_model::Params;
+use repl_net::FaultPlan;
 use repl_sim::SimDuration;
 use repl_storage::{ApplyOutcome, NodeId, ObjectId, ObjectStore, Timestamp, TxnId, Value};
 
@@ -61,55 +63,52 @@ pub fn run_case(case: &FuzzCase) -> CheckReport {
             .unwrap_or_else(|| panic!("fuzz case xpoint `{spec}` must parse as kind:nth:down"));
         cfg = cfg.with_crash_point(point);
     }
-    let fault_plan = case.faults.as_ref().map(|spec| {
-        repl_net::FaultPlan::parse(spec, case.seed)
+    let plan = case.faults.as_ref().map(|spec| {
+        FaultPlan::parse(spec, case.seed)
             .unwrap_or_else(|e| panic!("fuzz case fault spec `{spec}` must parse: {e}"))
     });
     match case.scheme {
         Scheme::Contention => {
             let profile = ContentionProfile::single_node(&cfg);
-            let mut sim = ContentionSim::new(cfg, profile).with_recorder(rec.clone());
-            if let Some(plan) = fault_plan {
-                sim = sim.with_faults(plan);
-            }
-            sim.run();
+            run_recorded(ContentionSim::new(cfg, profile), &rec, plan);
         }
         Scheme::Eager => {
-            let mut sim = EagerSim::new(cfg, ReplicaDiscipline::Serial, Ownership::Group)
-                .with_recorder(rec.clone());
-            if let Some(plan) = fault_plan {
-                sim = sim.with_faults(plan);
-            }
-            sim.run();
+            let sim = EagerSim::new(cfg, ReplicaDiscipline::Serial, Ownership::Group);
+            run_recorded(sim, &rec, plan);
         }
-        Scheme::LazyMaster => {
-            let mut sim = LazyMasterSim::new(cfg).with_recorder(rec.clone());
-            if let Some(plan) = fault_plan {
-                sim = sim.with_faults(plan);
-            }
-            sim.run();
-        }
-        Scheme::LazyGroup => {
-            let mut sim = LazyGroupSim::new(cfg, Mobility::Connected).with_recorder(rec.clone());
-            if let Some(plan) = fault_plan {
-                sim = sim.with_faults(plan);
-            }
-            sim.run();
-        }
-        Scheme::TwoTier => {
-            let tt = TwoTierConfig {
-                sim: cfg,
-                base_nodes: (case.nodes / 2).max(1),
-                mobile_owned: 0,
-                connected: SimDuration::from_secs(15),
-                disconnected: SimDuration::from_secs(15),
-                workload: TwoTierWorkload::Commutative { max_amount: 5 },
-                initial_value: 1_000,
-            };
-            TwoTierSim::new(tt).with_recorder(rec.clone()).run();
-        }
+        Scheme::LazyMaster => run_recorded(LazyMasterSim::new(cfg), &rec, plan),
+        Scheme::LazyGroup => run_recorded(LazyGroupSim::new(cfg, Mobility::Connected), &rec, plan),
+        Scheme::TwoTier => run_recorded(TwoTierSim::new(two_tier_config(case, cfg)), &rec, plan),
     }
     rec.check()
+}
+
+/// Run `sim` with `rec` attached, under `plan` if there is one.
+fn run_recorded<P: Protocol>(sim: Sim<P>, rec: &Recorder, plan: Option<FaultPlan>) {
+    let sim = sim.with_recorder(rec.clone());
+    match plan {
+        Some(plan) => sim.with_faults(plan).run(),
+        None => sim.run(),
+    };
+}
+
+/// A two-tier case's base nodes: the first half of its nodes, at
+/// least one.
+fn base_nodes(case: &FuzzCase) -> u32 {
+    (case.nodes / 2).max(1)
+}
+
+/// A two-tier case's configuration.
+fn two_tier_config(case: &FuzzCase, sim: SimConfig) -> TwoTierConfig {
+    TwoTierConfig {
+        sim,
+        base_nodes: base_nodes(case),
+        mobile_owned: 0,
+        connected: SimDuration::from_secs(15),
+        disconnected: SimDuration::from_secs(15),
+        workload: TwoTierWorkload::Commutative { max_amount: 5 },
+        initial_value: 1_000,
+    }
 }
 
 /// Parse a `CHECK_CASE` or corpus line, refusing what [`run_case`]
@@ -128,12 +127,18 @@ pub fn parse_check_case(line: &str) -> Result<FuzzCase, String> {
         })?;
     }
     if let Some(spec) = &case.faults {
-        if case.scheme == Scheme::TwoTier {
-            // `run_case` has no fault hook for two-tier; running the
-            // line fault-free would report a fault case as clean.
-            return Err("two-tier takes no fault plan (ROADMAP item 1 adds one)".to_owned());
+        let plan = FaultPlan::parse(spec, case.seed)?;
+        // A base replica of a partial layout (`SimConfig::shard_map`'s
+        // rule) holds only its shards: two-tier refuses to fail over
+        // to it.
+        let partial = case.shards > 0 && case.rf > 0 && case.rf < case.nodes;
+        let base_crash = plan.crashes.iter().find(|c| c.node.0 < base_nodes(&case));
+        if let (Scheme::TwoTier, true, Some(c)) = (case.scheme, partial, base_crash) {
+            return Err(format!(
+                "two-tier cannot crash base node {} on a partial layout",
+                c.node.0
+            ));
         }
-        repl_net::FaultPlan::parse(spec, case.seed)?;
     }
     Ok(case)
 }

@@ -3,43 +3,48 @@
 //!
 //! The paper's two-tier scheme (§7) hangs everything on the base
 //! node's availability: while the base is down, mobiles can only queue
-//! tentative work. This experiment runs the *replicated* base tier
-//! ([`BaseGroup`]) under a sweep of per-tick crash probabilities and
-//! measures what replication buys: every primary crash triggers an
-//! epoch-fenced election among the survivors, and the table reports
-//! the unavailability-window percentiles (ticks from primary death to
-//! the next elected leader), election counts, fence activity, and —
-//! via the failover oracles — that no epoch ever had two leaders and
-//! no acknowledged commit was lost.
+//! tentative work. This experiment runs the two-tier simulator with
+//! three base nodes (a primary and two backups) and four mobiles under
+//! a sweep of crash probabilities, and measures what replication buys:
+//! every primary crash deposes it, and the next base-bound request
+//! elects a successor among the survivors. The table reports the
+//! unavailability percentiles (simulated ms from the primary's crash
+//! to the election), election counts, fence activity, and — via the
+//! recorder's oracles — that no epoch ever had two leaders, no
+//! acknowledged commit was lost, and everything else the two-tier
+//! oracles promise.
 //!
-//! The whole run is driven on a logical tick clock with seeded
-//! schedules, so every number in the table is byte-identical across
-//! runs and `--jobs` counts.
+//! The crash schedule is a function of the seed and the crash
+//! probability alone, so every number in the table is byte-identical
+//! across runs and `--jobs` counts.
 
 use crate::par::run_points;
 use crate::table::Table;
-use crate::RunOpts;
-use repl_core::base_tier::{BaseGroup, MobileNode};
-use repl_core::{Criterion, Op, Operation, TxnSpec};
-use repl_net::CrashWindow;
-use repl_sim::SimRng;
-use repl_storage::{NodeId, ObjectId};
-use repl_telemetry::{Event, RingBuffer, RunMetrics, SyncTraceHandle};
-use std::sync::{Arc, Mutex};
+use crate::{Instrument, RunOpts};
+use repl_check::{Recorder, Scheme};
+use repl_core::{
+    SimConfig, TwoTierConfig, TwoTierSim, TwoTierWorkload, M_ELECTION_ROUNDS, M_EPOCH_FENCED,
+    M_FAILOVER_UNAVAILABILITY,
+};
+use repl_model::Params;
+use repl_net::{CrashWindow, FaultPlan};
+use repl_sim::{SimDuration, SimRng, SimTime};
+use repl_storage::NodeId;
+use repl_telemetry::RunMetrics;
 
-/// Replicas in the base group. Three tolerates one failure. Public so
-/// the CLI can validate `crash=baseN` fault clauses against the group
-/// size before a misaddressed window silently never fires.
-pub const BASE_REPLICAS: usize = 3;
-const REPLICAS: usize = BASE_REPLICAS;
-/// Mobiles syncing against the group.
+/// Base nodes: a primary and two backups tolerate one failure.
+const BASE_NODES: u32 = 3;
+/// Mobiles syncing against the base.
 const MOBILES: u32 = 4;
+/// Every node of a failover run: `--faults` windows are validated
+/// against this before any engine runs.
+pub const NODES: u32 = BASE_NODES + MOBILES;
 /// Accounts in the master database.
 const DB_SIZE: u64 = 8;
 /// Initial balance per account (large enough that NonNegative rarely
 /// rejects; rejections are not what this experiment measures).
 const BALANCE: i64 = 1_000_000;
-/// Ticks a probabilistically crashed replica stays down.
+/// Seconds a probabilistically crashed base node stays down.
 const DOWNTIME: u64 = 12;
 
 /// Everything one sweep point measures.
@@ -54,141 +59,85 @@ struct PointResult {
     synced: u64,
     violations: Vec<String>,
     metrics: RunMetrics,
-    events: Vec<Event>,
 }
 
-/// Drive one base group for `ticks` logical ticks under a crash
-/// schedule: either the seeded probabilistic one (`crash_p` per tick
-/// against the primary, a third of that against a backup) or, when
-/// `windows` is non-empty, exactly those `--faults` windows (tick =
-/// second). Mobiles execute tentative debits continuously and sync
-/// every few ticks; a degraded group (below quorum) leaves their
-/// queues intact, which is the measured behavior, not an error.
-fn drive(
-    seed: u64,
-    ticks: u64,
-    crash_p: f64,
-    windows: &[CrashWindow],
-    capture: bool,
-) -> PointResult {
-    // The CLI tracer is `Rc`-based and sweep points may run on worker
-    // threads, so the base tier traces through the `Sync` sibling.
-    // Capture into a ring here and forward on the main thread after
-    // the sweep — purely observational, so captured and uncaptured
-    // runs produce identical tables.
-    let ring = capture.then(|| Arc::new(Mutex::new(RingBuffer::new(1 << 14))));
-    let tracer = ring
-        .as_ref()
-        .map(SyncTraceHandle::shared)
-        .unwrap_or_else(SyncTraceHandle::off);
-    let group = BaseGroup::new_traced(REPLICAS, DB_SIZE, BALANCE, tracer.clone());
-    let mut mobiles: Vec<MobileNode> = (0..MOBILES)
-        // Mobile ids live outside the replica id space.
-        .map(|i| MobileNode::new(NodeId(100 + i), DB_SIZE, BALANCE).with_tracer(tracer.clone()))
-        .collect();
+/// The seeded crash schedule over `horizon` seconds: each second, base
+/// node 0 (the first primary) crashes with probability `crash_p` and
+/// each backup with a third of that, for [`DOWNTIME`] seconds. Node 0
+/// also crashes at a third of the horizon, so even a quick run
+/// measures a failover.
+fn crash_plan(seed: u64, crash_p: f64, horizon: u64) -> FaultPlan {
+    let mut plan = FaultPlan::quiet(seed);
     let mut rng = SimRng::stream(seed, "failover-schedule");
-    let mut crashes = 0u64;
-    let mut synced = 0u64;
-    // Restart schedule for probabilistic crashes: restarts[i] = tick at
-    // which replica i rejoins.
-    let mut restarts: Vec<Option<u64>> = vec![None; REPLICAS];
-    for t in 0..ticks {
-        group.advance_to(t);
-        // Scheduled rejoins first, then new crashes.
-        for (i, due) in restarts.iter_mut().enumerate() {
-            if due.is_some_and(|r| r <= t) {
-                group.try_restart(i);
-                *due = None;
+    let mut up_at = [0u64; BASE_NODES as usize];
+    for t in 0..horizon {
+        for (node, up_at) in up_at.iter_mut().enumerate() {
+            let p = if node == 0 { crash_p } else { crash_p / 3.0 };
+            let forced = node == 0 && t == horizon / 3;
+            if (forced || rng.chance(p)) && t >= *up_at {
+                *up_at = t + DOWNTIME;
+                plan.crashes.push(CrashWindow {
+                    node: NodeId(node as u32),
+                    at: SimTime::from_secs(t),
+                    restart: SimTime::from_secs(t + DOWNTIME),
+                });
             }
         }
-        if windows.is_empty() {
-            // Probabilistic schedule: the primary is the interesting
-            // target; backups crash at a third of the rate to exercise
-            // catch-up and degraded (below-quorum) intervals. One
-            // primary crash at a third of the horizon is scheduled
-            // unconditionally so even short (quick-mode) runs measure
-            // at least one failover.
-            let primary = group.primary().map(|n| n.0 as usize);
-            for (i, due) in restarts.iter_mut().enumerate() {
-                let p = if Some(i) == primary {
-                    crash_p
-                } else {
-                    crash_p / 3.0
-                };
-                let scheduled = t == ticks / 3 && Some(i) == primary;
-                if (scheduled || rng.chance(p)) && group.try_crash(i) {
-                    crashes += 1;
-                    *due = Some(t + DOWNTIME);
-                }
-            }
-        } else {
-            for w in windows {
-                let i = w.node.0 as usize;
-                if w.at.0 / 1_000_000 == t && group.try_crash(i) {
-                    crashes += 1;
-                }
-                if w.restart.0 / 1_000_000 == t {
-                    group.try_restart(i);
-                }
-            }
-        }
-        // One tentative transaction per tick, round-robin; a sync
-        // every 5th tick per mobile, offset so they interleave.
-        let m = (t % u64::from(MOBILES)) as usize;
-        let obj = ObjectId(rng.gen_range(DB_SIZE));
-        let amount = 1 + rng.gen_range(9) as i64;
-        mobiles[m].execute_tentative(
-            TxnSpec::new(vec![Operation::new(obj, Op::Debit(amount))])
-                .with_criterion(Criterion::NonNegative),
-        );
-        if (t + m as u64).is_multiple_of(5) && mobiles[m].sync_with_retry(&group, 3).is_some() {
-            synced += 1;
-        }
     }
-    // Drain: restore every replica, then give each mobile a final
-    // sync so queued tentative work lands before the oracles run.
-    group.advance_to(ticks);
-    for i in 0..REPLICAS {
-        group.try_restart(i);
-    }
-    for mobile in &mut mobiles {
-        if mobile.sync_with_retry(&group, 5).is_some() {
-            synced += 1;
-        }
-    }
-    let metrics = group.metrics();
-    let (p50, p95, p99) = metrics
-        .histogram("failover_unavailability")
-        .map(|h| {
-            (
-                h.value_at_quantile(0.50),
-                h.value_at_quantile(0.95),
-                h.value_at_quantile(0.99),
-            )
-        })
-        .unwrap_or((0, 0, 0));
-    let rounds_max = metrics
-        .histogram("election_rounds")
-        .map(|h| h.max())
-        .unwrap_or(0);
-    let violations = group.verify().iter().map(|v| v.to_string()).collect();
-    let result = PointResult {
-        label: String::new(),
-        crashes,
-        elections: group.elections(),
-        unavail: (p50, p95, p99),
-        rounds_max,
-        fenced: group.fenced(),
-        acked: group.acked().len() as u64,
-        synced,
-        violations,
-        metrics,
-        events: ring
-            .map(|r| r.lock().expect("ring poisoned").to_vec())
-            .unwrap_or_default(),
+    plan
+}
+
+/// Run the base tier for `horizon` seconds under `plan`. Every node
+/// works at one transaction per second, and mobiles reconnect every
+/// few seconds; below quorum they keep their queues, which is the
+/// measured behavior, not an error.
+fn drive(opts: &RunOpts, label: &str, seed: u64, horizon: u64, plan: FaultPlan) -> PointResult {
+    let p = Params::new(DB_SIZE as f64, f64::from(NODES), 1.0, 2.0, 0.01);
+    let cfg = TwoTierConfig {
+        sim: SimConfig::from_params(&p, horizon, seed).with_warmup(0),
+        base_nodes: BASE_NODES,
+        mobile_owned: 0,
+        connected: SimDuration::from_secs(5),
+        disconnected: SimDuration::from_secs(5),
+        workload: TwoTierWorkload::Commutative { max_amount: 9 },
+        initial_value: BALANCE,
     };
-    group.shutdown();
-    result
+    // The oracles judge every run, not only under `--check`: this
+    // recorder replaces the one a `--check` session attaches.
+    let recorder = Recorder::new(Scheme::TwoTier);
+    let report = TwoTierSim::new(cfg)
+        .with_faults(plan)
+        .instrument(opts, format!("failover {label}"))
+        .with_recorder(recorder.clone())
+        .run();
+    // The export keeps what this experiment is about.
+    let mut dists = report.dists.clone();
+    dists.gauges.clear();
+    dists.counters.retain(|name, _| name == M_EPOCH_FENCED);
+    let failover = [M_FAILOVER_UNAVAILABILITY, M_ELECTION_ROUNDS];
+    dists
+        .histograms
+        .retain(|name, _| failover.contains(&name.as_str()));
+    let unavail = dists.histogram(M_FAILOVER_UNAVAILABILITY);
+    let ms = |q: f64| unavail.map_or(0, |h| h.value_at_quantile(q) / 1_000);
+    let rounds = dists.histogram(M_ELECTION_ROUNDS);
+    PointResult {
+        label: label.to_owned(),
+        crashes: report.node_crashes,
+        elections: rounds.map_or(0, |h| h.count()),
+        unavail: (ms(0.50), ms(0.95), ms(0.99)),
+        rounds_max: rounds.map_or(0, |h| h.max()),
+        fenced: dists.counter(M_EPOCH_FENCED),
+        acked: report.committed,
+        synced: report.tentative_accepted + report.tentative_rejected,
+        violations: recorder
+            .check()
+            .violations
+            .iter()
+            .map(|v| v.to_string())
+            .collect(),
+        metrics: dists,
+    }
 }
 
 /// FAILOVER: crash rate vs availability of the replicated base tier.
@@ -210,37 +159,25 @@ pub fn failover(opts: &RunOpts) -> Table {
             "safe",
         ],
     );
-    let ticks = opts.horizon(400);
-    let fault_windows: Vec<CrashWindow> = opts
-        .faults
-        .as_ref()
-        .map(|f| f.base_crashes.clone())
-        .unwrap_or_default();
-    // With explicit --faults windows the sweep collapses to one point:
+    let horizon = opts.horizon(400);
+    // With an explicit --faults plan the sweep collapses to one point:
     // the schedule, not the probability, is the subject.
-    let points: Vec<f64> = if fault_windows.is_empty() {
+    let points: Vec<f64> = if opts.faults.is_none() {
         vec![0.002, 0.005, 0.01, 0.02]
     } else {
         vec![0.0]
     };
-    let capture = opts.tracer.is_active();
-    let results = run_points(opts, points, |opts, &crash_p| {
-        let label = if fault_windows.is_empty() {
-            format!("crash={crash_p}")
-        } else {
-            "faults".to_owned()
-        };
-        let seed = opts.seed ^ (crash_p * 1e6) as u64;
-        let mut r = drive(seed, ticks, crash_p, &fault_windows, capture);
-        r.label = label;
-        r
+    let results = run_points(opts, points, |opts, &crash_p| match &opts.faults {
+        Some(plan) => drive(opts, "faults", opts.seed, horizon, plan.clone()),
+        None => {
+            let seed = opts.seed ^ (crash_p * 1e6) as u64;
+            let plan = crash_plan(seed, crash_p, horizon);
+            drive(opts, &format!("crash={crash_p}"), seed, horizon, plan)
+        }
     });
     for r in results {
         opts.metrics
             .absorb(&format!("failover/{}", r.label), &r.metrics);
-        for e in &r.events {
-            opts.tracer.emit(|| e.clone());
-        }
         let safe = if r.violations.is_empty() { "yes" } else { "NO" };
         t.row(vec![
             r.label.clone(),
@@ -259,15 +196,15 @@ pub fn failover(opts: &RunOpts) -> Table {
             t.violation(format!("failover {}: {v}", r.label));
         }
     }
-    t.note("unavailability percentiles are in driver ticks from primary death to the next elected leader");
-    t.note("safe = at-most-one-primary-per-epoch and no acknowledged commit lost");
+    t.note("unavailability percentiles are in simulated ms from the primary's crash to the next election");
+    t.note("acked = base commits; syncs = tentative transactions the base re-executed");
+    t.note("safe = every two-tier oracle clean, among them at-most-one-primary-per-epoch and no acknowledged commit lost");
     t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repl_net::FaultPlan;
 
     fn quick() -> RunOpts {
         RunOpts {
@@ -279,15 +216,32 @@ mod tests {
 
     #[test]
     fn failover_sweep_is_safe_and_elects() {
-        let t = failover(&quick());
-        assert_eq!(t.rows.len(), 4);
-        assert!(t.violations.is_empty(), "{:?}", t.violations);
-        for row in &t.rows {
-            assert_eq!(row.last().unwrap(), "yes", "unsafe row: {row:?}");
+        for seed in [41, 42, 7] {
+            let t = failover(&RunOpts { seed, ..quick() });
+            assert_eq!(t.rows.len(), 4);
+            assert!(t.violations.is_empty(), "seed {seed}: {:?}", t.violations);
+            for row in &t.rows {
+                assert_eq!(row.last().unwrap(), "yes", "unsafe row: {row:?}");
+            }
+            // The hottest crash rate must actually exercise failover.
+            let hottest = t.rows.last().unwrap();
+            assert_ne!(hottest[2], "0", "no elections at crash_p=0.02: {hottest:?}");
         }
-        // The hottest crash rate must actually exercise failover.
-        let hottest = t.rows.last().unwrap();
-        assert_ne!(hottest[2], "0", "no elections at crash_p=0.02: {hottest:?}");
+    }
+
+    #[test]
+    fn the_crash_schedule_depends_on_seed_and_rate_only() {
+        let plan = crash_plan(41, 0.02, 40);
+        assert_eq!(plan, crash_plan(41, 0.02, 40));
+        // The forced crash of node 0 at a third of the horizon.
+        assert!(plan
+            .crashes
+            .iter()
+            .any(|c| c.node == NodeId(0) && c.at == SimTime::from_secs(13)));
+        for c in &plan.crashes {
+            assert!(c.node.0 < BASE_NODES, "{c:?}");
+            assert_eq!(c.restart.since(c.at), SimDuration::from_secs(DOWNTIME));
+        }
     }
 
     #[test]
@@ -299,7 +253,7 @@ mod tests {
 
     #[test]
     fn failover_forwards_events_to_the_cli_tracer() {
-        use repl_telemetry::EventKind;
+        use repl_telemetry::{EventKind, RingBuffer};
         use std::cell::RefCell;
         use std::rc::Rc;
         let sink = Rc::new(RefCell::new(RingBuffer::new(1 << 14)));
@@ -319,7 +273,7 @@ mod tests {
 
     #[test]
     fn failover_honors_base_crash_faults() {
-        let plan = FaultPlan::parse("crash=base0:3..9", 41).unwrap();
+        let plan = FaultPlan::parse("crash=0:3..9", 41).unwrap();
         let t = failover(&RunOpts {
             faults: Some(plan),
             ..quick()
@@ -333,8 +287,8 @@ mod tests {
     }
 
     #[test]
-    fn failover_ignores_a_window_for_a_replica_the_group_lacks() {
-        let plan = FaultPlan::parse("crash=base7:3..9", 41).unwrap();
+    fn failover_ignores_a_window_for_a_node_the_run_lacks() {
+        let plan = FaultPlan::parse("crash=9:3..9", 41).unwrap();
         let t = failover(&RunOpts {
             faults: Some(plan),
             ..quick()

@@ -144,10 +144,10 @@ pub struct RunOpts {
     pub tracer: repl_telemetry::TraceHandle,
     /// Wall-clock phase profiler (`--profile`); off by default.
     pub profiler: repl_telemetry::Profiler,
-    /// Fault plan override (`--faults SPEC`); when set, the chaos
-    /// experiment injects exactly this plan instead of its built-in
-    /// one. Other experiments ignore it (their claims assume a clean
-    /// fabric).
+    /// Fault plan override (`--faults SPEC`); when set, the chaos and
+    /// failover experiments inject exactly this plan instead of their
+    /// built-in ones. Other experiments ignore it (their claims assume
+    /// a clean fabric).
     pub faults: Option<repl_net::FaultPlan>,
     /// Sweep fan-out: how many worker threads [`par::run_points`] may
     /// use. The library default is 1 (serial — unit tests and embedders

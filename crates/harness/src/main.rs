@@ -11,7 +11,7 @@
 //! harness --trace out.jsonl e6 # stream every engine event as JSONL
 //! harness --series 10 e6       # bucketed per-10s rate tables per run
 //! harness --profile e6         # wall-clock phase timing report
-//! harness --faults SPEC chaos  # override the chaos fault plan
+//! harness --faults SPEC chaos  # override the chaos (or failover) fault plan
 //! harness --check --quick e11  # record every run, run the oracles
 //! harness --metrics m.json e1  # export merged latency/wait/lag dists
 //! ```
@@ -174,19 +174,17 @@ fn run() -> std::io::Result<ExitCode> {
     if let Some(spec) = &fault_spec {
         match repl_net::FaultPlan::parse(spec, opts.seed) {
             Ok(plan) => {
-                // Only the chaos experiment consumes `--faults`, and it
-                // always runs at a fixed node count — reject clauses
-                // addressing nodes that will never exist, rather than
-                // letting them silently never fire.
-                if let Err(e) = plan.validate_nodes(experiments::chaos::CHAOS_NODES) {
-                    eprintln!("--faults: {e}");
-                    return Ok(ExitCode::FAILURE);
-                }
-                // `crash=baseN` windows index the failover experiment's
-                // base replica group, a separate (and smaller) id space.
-                if let Err(e) =
-                    plan.validate_base_nodes(experiments::failover::BASE_REPLICAS as u32)
-                {
+                // `chaos` and `failover` consume `--faults`, each at a
+                // fixed node count: reject clauses addressing nodes no
+                // named experiment's run has, rather than letting them
+                // silently never fire.
+                let failover = names.iter().any(|n| n == "failover" || n == "all");
+                let nodes = if failover {
+                    experiments::failover::NODES
+                } else {
+                    experiments::chaos::CHAOS_NODES
+                };
+                if let Err(e) = plan.validate_nodes(nodes) {
                     eprintln!("--faults: {e}");
                     return Ok(ExitCode::FAILURE);
                 }

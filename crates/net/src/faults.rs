@@ -70,10 +70,6 @@ pub struct FaultPlan {
     pub partitions: Vec<PartitionWindow>,
     /// Scheduled crash/restart windows.
     pub crashes: Vec<CrashWindow>,
-    /// Scheduled crash/restart windows addressed at *base replicas*
-    /// (`crash=baseN:S..E`) rather than client/replica nodes — the
-    /// two-tier failover experiments route these at the base group.
-    pub base_crashes: Vec<CrashWindow>,
 }
 
 impl FaultPlan {
@@ -95,7 +91,6 @@ impl FaultPlan {
             retransmit: SimDuration::from_millis(100),
             partitions: Vec::new(),
             crashes: Vec::new(),
-            base_crashes: Vec::new(),
         }
     }
 
@@ -114,7 +109,6 @@ impl FaultPlan {
     /// retransmit=SECS      sender retransmit timeout after a drop (> 0)
     /// part=S..E:0,1/2,3    partition from S to E seconds, side A / side B
     /// crash=N:S..E         node N down from S to E seconds
-    /// crash=baseN:S..E     base replica N down from S to E seconds
     /// ```
     ///
     /// The side-B node list of `part` is informational (any node not on
@@ -172,17 +166,11 @@ impl FaultPlan {
                     .split_once(':')
                     .ok_or_else(|| format!("crash needs NODE:S..E, got `{val}`"))?;
                 let node = node.trim();
-                // `baseN` addresses replica N of the base group;
-                // a bare integer addresses a client/replica node.
-                let (target, id) = match node.strip_prefix("base") {
-                    Some(idx) => (&mut self.base_crashes, idx),
-                    None => (&mut self.crashes, node),
-                };
-                let id = id
+                let id = node
                     .parse::<u32>()
-                    .map_err(|_| format!("crash node `{node}` is not an integer or baseN"))?;
+                    .map_err(|_| format!("crash node `{node}` is not an integer"))?;
                 let (at, restart) = parse_window(window)?;
-                target.push(CrashWindow {
+                self.crashes.push(CrashWindow {
                     node: NodeId(id),
                     at,
                     restart,
@@ -196,8 +184,7 @@ impl FaultPlan {
     /// Reject crash and partition clauses addressing nodes the run does
     /// not have. `parse` cannot do this — it does not know the cluster
     /// size — so callers validate against their `--nodes` before the
-    /// run silently no-ops a misaddressed window. (`base_crashes` are
-    /// exempt: they index the base replica group, a separate id space.)
+    /// run silently no-ops a misaddressed window.
     pub fn validate_nodes(&self, nodes: u32) -> Result<(), String> {
         for c in &self.crashes {
             if c.node.0 >= nodes {
@@ -217,25 +204,6 @@ impl FaultPlan {
                         nodes.saturating_sub(1)
                     ));
                 }
-            }
-        }
-        Ok(())
-    }
-
-    /// Reject `crash=baseN:S..E` clauses addressing base replicas the
-    /// run does not have. The base group is a separate id space from
-    /// client/replica nodes, so [`FaultPlan::validate_nodes`] cannot
-    /// catch these; callers with a replicated base validate against its
-    /// group size before a misaddressed window silently no-ops.
-    pub fn validate_base_nodes(&self, base_size: u32) -> Result<(), String> {
-        for c in &self.base_crashes {
-            if c.node.0 >= base_size {
-                return Err(format!(
-                    "crash clause addresses base replica {} but the base group has only \
-                     {base_size} replicas (ids 0..{})",
-                    c.node.0,
-                    base_size.saturating_sub(1)
-                ));
             }
         }
         Ok(())
@@ -447,56 +415,6 @@ mod tests {
         let plan = FaultPlan::parse("part=1..2:0,9", 1).unwrap();
         let err = plan.validate_nodes(4).unwrap_err();
         assert!(err.contains("node 9"), "{err}");
-
-        // Base-replica crash windows index a different group; they are
-        // not bounded by the client/replica node count.
-        let plan = FaultPlan::parse("crash=base5:1..2", 1).unwrap();
-        assert!(plan.validate_nodes(2).is_ok());
-    }
-
-    #[test]
-    fn validate_base_nodes_rejects_out_of_range_ids() {
-        let plan = FaultPlan::parse("crash=base5:1..2", 1).unwrap();
-        assert!(plan.validate_base_nodes(6).is_ok());
-        let err = plan.validate_base_nodes(3).unwrap_err();
-        assert!(err.contains("base replica 5"), "{err}");
-        assert!(err.contains("3 replicas"), "{err}");
-
-        // Plain crash windows address the other id space; a plan with
-        // only those passes any base-group size.
-        let plan = FaultPlan::parse("crash=9:1..2", 1).unwrap();
-        assert!(plan.validate_base_nodes(1).is_ok());
-    }
-
-    #[test]
-    fn parse_base_crash_windows() {
-        let plan =
-            FaultPlan::parse("crash=base0:5..9; crash=1:2..3; crash=base2:10..12", 1).unwrap();
-        assert_eq!(
-            plan.base_crashes,
-            vec![
-                CrashWindow {
-                    node: NodeId(0),
-                    at: SimTime::from_secs(5),
-                    restart: SimTime::from_secs(9),
-                },
-                CrashWindow {
-                    node: NodeId(2),
-                    at: SimTime::from_secs(10),
-                    restart: SimTime::from_secs(12),
-                },
-            ]
-        );
-        // Plain node crashes still land in `crashes`.
-        assert_eq!(
-            plan.crashes,
-            vec![CrashWindow {
-                node: NodeId(1),
-                at: SimTime::from_secs(2),
-                restart: SimTime::from_secs(3),
-            }]
-        );
-        assert!(FaultPlan::parse("crash=basex:1..2", 1).is_err());
     }
 
     #[test]
@@ -507,6 +425,7 @@ mod tests {
         assert!(FaultPlan::parse("part=10..5:0", 1).is_err());
         assert!(FaultPlan::parse("part=1..2:", 1).is_err());
         assert!(FaultPlan::parse("crash=x:1..2", 1).is_err());
+        assert!(FaultPlan::parse("crash=base0:1..2", 1).is_err());
         assert!(FaultPlan::parse("delay=0.5", 1).is_err());
     }
 
@@ -528,7 +447,6 @@ mod tests {
             "retransmit=1e16",
             "part=1..1e300:0",
             "crash=1:1e19..1e20",
-            "crash=base0:5..2e9",
         ] {
             let err = FaultPlan::parse(spec, 1).unwrap_err();
             assert!(err.contains(spec) && err.contains("clock"), "{err}");

@@ -21,7 +21,7 @@ fn check_accepted(plan: &FaultPlan) -> Result<(), TestCaseError> {
         prop_assert!(w.start < w.heal && w.heal <= latest, "{w:?}");
         prop_assert!(!w.side_a.is_empty(), "{w:?}");
     }
-    for &CrashWindow { at, restart, .. } in plan.crashes.iter().chain(&plan.base_crashes) {
+    for &CrashWindow { at, restart, .. } in &plan.crashes {
         prop_assert!(at < restart && restart <= latest, "{at} .. {restart}");
     }
     Ok(())
@@ -85,7 +85,6 @@ fn arb_clause() -> impl Strategy<Value = String> {
         (arb_window(), arb_node_list(), arb_node_list())
             .prop_map(|(w, a, b)| format!("part={w}:{a}/{b}")),
         (0u32..12, arb_window()).prop_map(|(n, w)| format!("crash={n}:{w}")),
-        (0u32..4, arb_window()).prop_map(|(n, w)| format!("crash=base{n}:{w}")),
     ]
 }
 

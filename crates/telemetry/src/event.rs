@@ -150,11 +150,6 @@ pub enum EventKind {
         /// The object the victim was waiting for.
         object: ObjectId,
     },
-    /// A mobile sync attempt failed and is being retried after backoff.
-    SyncRetried {
-        /// Which retry this is (1 = first re-attempt).
-        attempt: u32,
-    },
     /// A base-tier election concluded: `leader` is the primary for
     /// `epoch` (at most one per epoch — the leader-safety invariant).
     LeaderElected {

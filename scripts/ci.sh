@@ -197,12 +197,12 @@ table = json.loads(open(sys.argv[1]).read())
 assert table["id"] == "CHAOS", f"unexpected table id {table['id']!r}"
 cols = table["headers"]
 rows = {r[cols.index("policy")]: dict(zip(cols, r)) for r in table["rows"]}
-assert set(rows) == {"detection", "timeout", "eager/owner-order", "eager/2pc", "eager/o2pl"}, \
-    f"policies: {sorted(rows)}"
+assert set(rows) == {"detection", "timeout", "eager/owner-order", "eager/2pc", "eager/o2pl",
+                     "two-tier"}, f"policies: {sorted(rows)}"
 for name, row in rows.items():
     assert int(row["dropped"]) > 0, f"{name} run injected no drops: {row}"
     assert int(row["crashes"]) > 0, f"{name} run injected no crashes: {row}"
-for name in ("detection", "timeout"):
+for name in ("detection", "timeout", "two-tier"):
     assert rows[name]["converged"] == "yes", f"{name} run diverged: {rows[name]}"
 assert int(rows["timeout"]["cycle checks"]) == 0, "timeout mode searched the graph"
 assert int(rows["timeout"]["timeouts"]) > 0, "timeout mode resolved nothing"
@@ -212,12 +212,12 @@ EOF
 
 say "chaos oracle gates: every run clean through the oracles but owner-order, which tears"
 proto_out="$tmp/proto_out"
-# Both lazy-group policies and every commit protocol run under the full
-# chaos plan (drops, duplicates, a crash window). Every run but
+# Both lazy-group policies, every commit protocol and two-tier run under
+# the full chaos plan (drops, duplicates, a crash window). Every run but
 # owner-order must come through the oracles with zero violations; 2PC
-# and O2PL face the atomicity and decision-durability oracles too.
-# Owner-order's partial commits are the oracles' teeth, so the run
-# exits 1.
+# and O2PL face the atomicity and decision-durability oracles too, and
+# two-tier the failover ones. Owner-order's partial commits are the
+# oracles' teeth, so the run exits 1.
 if ./target/release/harness --quick --json --seed 41 --check chaos >"$proto_out"; then
     echo "the owner-order chaos run tore no commit: the oracles have no teeth" >&2
     exit 1
@@ -226,12 +226,14 @@ fi
     ([.violations[] | select(startswith("chaos proto=owner-order:") | not)] | length == 0)
     and ([.violations[] | select(startswith("chaos proto=owner-order:"))] | length > 0)
     and ([.rows[] | select(.[0] == "eager/2pc" or .[0] == "eager/o2pl")] | length == 2)
+    and ([.rows[] | select(.[0] == "two-tier" and .[-1] == "yes")] | length == 1)
+    and ([.violations[] | select(startswith("chaos two-tier:"))] | length == 0)
 ' "$proto_out" >/dev/null || {
     echo "a chaos run other than owner-order failed the oracles, or owner-order tore nothing" >&2
     /usr/bin/jq '.violations' "$proto_out" >&2
     exit 1
 }
-echo "ok: lazy-group, 2PC and O2PL chaos runs violation-free, owner-order tears $(/usr/bin/jq '.violations | length' "$proto_out") commits"
+echo "ok: lazy-group, 2PC, O2PL and two-tier chaos runs violation-free, owner-order tears $(/usr/bin/jq '.violations | length' "$proto_out") commits"
 
 say "oracle smoke: --check on a real experiment must stay clean"
 check_out="$tmp/check_out"

@@ -7,8 +7,9 @@
 //!    included (one `Apply` per remote owner, sent through
 //!    `Kernel::send`), and every protocol timer waits the kernel's one
 //!    retransmit period. So a run with `FaultPlan::quiet` attached is
-//!    byte-identical to the same run without a plan, for each protocol
-//!    and for lazy-group. Owner-order is the default protocol.
+//!    byte-identical to the same run without a plan, for each protocol,
+//!    for lazy-group and for two-tier. Owner-order is the default
+//!    protocol.
 //! 2. With no cross-shard transactions the fenced protocols change
 //!    nothing: single-shard commits never enter the protocol, so
 //!    reports (message counts included) are byte-identical.
@@ -21,12 +22,13 @@
 use dangers_of_replication::check::{Recorder, Scheme};
 use dangers_of_replication::core::{
     CommitProto, CrashKind, CrashPoint, EagerSim, LazyGroupSim, LazyMasterSim, Mobility, Ownership,
-    ReplicaDiscipline, SimConfig,
+    ReplicaDiscipline, SimConfig, TwoTierConfig, TwoTierSim, TwoTierWorkload,
 };
 use dangers_of_replication::harness::experiments::scaleout::scaleout;
 use dangers_of_replication::harness::RunOpts;
 use dangers_of_replication::model::Params;
 use dangers_of_replication::net::FaultPlan;
+use dangers_of_replication::sim::SimDuration;
 use dangers_of_replication::storage::ObjectStore;
 
 /// A sharded, cross-shard-heavy base config for the eager family.
@@ -67,6 +69,25 @@ fn a_quiet_fault_plan_changes_nothing() {
         let digests =
             |stores: &[ObjectStore]| stores.iter().map(ObjectStore::digest).collect::<Vec<_>>();
         assert_eq!(digests(&plain_stores), digests(&quiet_stores));
+        let full = SimConfig::from_params(&Params::new(400.0, 6.0, 15.0, 4.0, 0.01), 50, seed);
+        for sim in [sharded_cfg(seed), full] {
+            let cfg = TwoTierConfig {
+                sim,
+                base_nodes: 2,
+                mobile_owned: 0,
+                connected: SimDuration::from_secs(5),
+                disconnected: SimDuration::from_secs(5),
+                workload: TwoTierWorkload::Commutative { max_amount: 10 },
+                initial_value: 1_000,
+            };
+            let (plain, plain_master, plain_stores) = TwoTierSim::new(cfg).run_with_state();
+            let (quiet, quiet_master, quiet_stores) = TwoTierSim::new(cfg)
+                .with_faults(FaultPlan::quiet(seed))
+                .run_with_state();
+            assert_eq!(plain, quiet, "two-tier, seed {seed}");
+            assert_eq!(plain_master.digest(), quiet_master.digest());
+            assert_eq!(digests(&plain_stores), digests(&quiet_stores));
+        }
     }
 }
 

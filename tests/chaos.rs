@@ -1,6 +1,6 @@
-//! Fault-injection invariants across the stack: the simulated fabric
-//! (lazy-group under a full chaos plan, crash recovery by replay) and
-//! the two-tier base tier's state machine (base crashes under a mobile).
+//! Fault-injection invariants across the stack: lazy-group under a full
+//! chaos plan and crash recovery by replay, and two-tier under message
+//! chaos, partitions, and mobile and base crashes.
 //!
 //! The paper's convergence property (§6) must hold no matter what the
 //! network did during the run: once traffic stops and everything heals,
@@ -8,15 +8,14 @@
 //! subsystem can express and check exactly that.
 
 use dangers_of_replication::check::{check_store_convergence, Recorder, Scheme};
-use dangers_of_replication::core::base_tier::{BaseGroup, MobileNode};
 use dangers_of_replication::core::engine::lazy_group::LazyGroupSim;
 use dangers_of_replication::core::{
-    Criterion, DeadlockPolicy, Mobility, Op, Operation, SimConfig, TxnSpec,
+    DeadlockPolicy, Mobility, SimConfig, TwoTierConfig, TwoTierSim, TwoTierWorkload,
 };
 use dangers_of_replication::model::Params;
 use dangers_of_replication::net::{CrashWindow, FaultPlan, PartitionWindow};
 use dangers_of_replication::sim::{SimDuration, SimTime};
-use dangers_of_replication::storage::{NodeId, ObjectId, TxnId, Value};
+use dangers_of_replication::storage::{NodeId, TxnId};
 use dangers_of_replication::telemetry::{Event, EventKind, TraceHandle, Tracer};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -176,60 +175,123 @@ fn lazy_group_recovery_replay_is_lossless() {
     }
 }
 
-#[test]
-fn two_tier_master_survives_base_crashes_without_divergence() {
-    fn debit(obj: u64, amount: i64) -> TxnSpec {
-        TxnSpec::new(vec![Operation::new(ObjectId(obj), Op::Debit(amount))])
-            .with_criterion(Criterion::NonNegative)
+/// A two-tier run's tentative transactions, per mobile: when each
+/// was committed, when each verdict came, and when the mobile crashed.
+#[derive(Default)]
+struct Tentative {
+    commits: BTreeMap<NodeId, Vec<SimTime>>,
+    verdicts: BTreeMap<NodeId, Vec<SimTime>>,
+    crashes: Vec<(NodeId, SimTime)>,
+    elections: u32,
+}
+
+impl Tracer for Tentative {
+    fn record(&mut self, e: &Event) {
+        match e.kind {
+            EventKind::TentativeCommit => self.commits.entry(e.node).or_default().push(e.at),
+            EventKind::TentativeAccepted | EventKind::TentativeRejected => {
+                self.verdicts.entry(e.node).or_default().push(e.at);
+            }
+            EventKind::NodeCrash => self.crashes.push((e.node, e.at)),
+            EventKind::LeaderElected { .. } => self.elections += 1,
+            _ => {}
+        }
+    }
+}
+
+impl Tentative {
+    /// Every tentative transaction got exactly one verdict.
+    fn assert_one_verdict_each(&self) {
+        for (node, commits) in &self.commits {
+            let verdicts = self.verdicts.get(node).map_or(0, Vec::len);
+            assert_eq!(
+                commits.len(),
+                verdicts,
+                "mobile {node}: commits vs verdicts"
+            );
+        }
     }
 
-    // One replica: the group behaves as a single base server.
-    let group = BaseGroup::new(1, 4, 100);
-    let mut mobile = MobileNode::new(NodeId(1), 4, 100);
+    /// Tentative transactions `node` held unjudged when it crashed at
+    /// `at`.
+    fn pending_at(&self, node: NodeId, at: SimTime) -> usize {
+        let before = |times: Option<&Vec<SimTime>>| {
+            times.map_or(0, |t| t.iter().filter(|&&t| t < at).count())
+        };
+        before(self.commits.get(&node)) - before(self.verdicts.get(&node))
+    }
+}
 
-    // The base commits the sync durably and crashes before replying.
-    // The retry finds no quorum, so the mobile keeps its queue.
-    mobile.execute_tentative(debit(0, 10));
-    assert!(group.inject_commit_crash());
-    assert!(
-        mobile.sync_with_retry(&group, 2).is_none(),
-        "sync succeeded against a crashed base"
-    );
-    assert_eq!(mobile.pending_count(), 1, "the tentative queue is kept");
-
-    // After the restart the retry is answered from the dedup map: the
-    // debit lands exactly once.
-    group.restart(0);
-    let outcome = mobile
-        .sync_with_retry(&group, 2)
-        .expect("sync failed after base recovery");
-    assert_eq!(outcome.accepted, 1);
-    let balance = || {
-        group
-            .snapshot()
-            .expect("quorum")
-            .get(ObjectId(0))
-            .value
-            .clone()
+/// A two-tier run of `base_nodes` base nodes and mobiles under `plan`,
+/// recorded and traced: the report, the tentative log, and whether
+/// every replica converged to the master with the oracles clean.
+fn two_tier_under(
+    plan: &str,
+    seed: u64,
+    base_nodes: u32,
+) -> (dangers_of_replication::core::Report, Tentative) {
+    let p = Params::new(300.0, 6.0, 5.0, 4.0, 0.01);
+    let cfg = TwoTierConfig {
+        sim: SimConfig::from_params(&p, 60, seed),
+        base_nodes,
+        mobile_owned: 0,
+        connected: SimDuration::from_secs(4),
+        disconnected: SimDuration::from_secs(8),
+        workload: TwoTierWorkload::Commutative { max_amount: 10 },
+        initial_value: 10_000,
     };
-    assert_eq!(balance(), Value::Int(90));
+    let log = Rc::new(RefCell::new(Tentative::default()));
+    let rec = Recorder::new(Scheme::TwoTier);
+    let (report, master, replicas) = TwoTierSim::new(cfg)
+        .with_faults(FaultPlan::parse(plan, seed).unwrap())
+        .with_tracer(TraceHandle::shared(&log))
+        .with_recorder(rec.clone())
+        .run_with_state();
+    let check = rec.check();
+    assert!(check.is_clean(), "seed {seed}: {:?}", check.violations);
+    for (i, replica) in replicas.iter().enumerate() {
+        assert_eq!(
+            replica.digest(),
+            master.digest(),
+            "seed {seed}: node {i} diverged"
+        );
+    }
+    let log = Rc::try_unwrap(log).ok().expect("run over").into_inner();
+    log.assert_one_verdict_each();
+    (report, log)
+}
 
-    // A full crash loses the master; restart replays it from the log
-    // and the next sync proceeds as if nothing happened.
-    group.crash(0);
-    mobile.execute_tentative(debit(0, 15));
-    assert!(mobile.sync_with_retry(&group, 2).is_none());
-    let replayed = group.restart(0);
-    assert!(replayed > 0, "restart replayed no committed transactions");
-    assert_eq!(balance(), Value::Int(90), "the log replays exactly");
-    let outcome = mobile
-        .sync_with_retry(&group, 2)
-        .expect("sync failed after base recovery");
-    assert_eq!(outcome.accepted, 1);
-    assert_eq!(balance(), Value::Int(75));
-    assert_eq!(mobile.read(ObjectId(0)), &Value::Int(75));
-    assert_eq!(group.verify(), vec![], "failover oracles");
-    group.shutdown();
+/// Message chaos, a partition between the base and the mobiles, and a
+/// mobile crash: faults reach two-tier, every tentative transaction is
+/// judged once, the crashed mobile's queue survives its crash, and the
+/// replicas converge to the master.
+#[test]
+fn two_tier_converges_under_message_chaos_a_partition_and_a_mobile_crash() {
+    let plan = "drop=0.1; dup=0.05; part=15..30:0,1; crash=4:35..45";
+    for seed in [5, 42, 7] {
+        let (report, log) = two_tier_under(plan, seed, 2);
+        assert!(report.messages_dropped > 0, "seed {seed}: no drops");
+        assert!(report.messages_duplicated > 0, "seed {seed}: no duplicates");
+        assert_eq!(report.node_crashes, 1);
+        assert_eq!(log.crashes, [(NodeId(4), SimTime::from_secs(35))]);
+        assert!(
+            log.pending_at(NodeId(4), SimTime::from_secs(35)) > 0,
+            "seed {seed}: the mobile crashed with nothing queued"
+        );
+    }
+}
+
+/// A lone base node is its own quorum. While it is down nothing can
+/// elect: base arrivals abort, mobiles keep their queues and retry
+/// their syncs. Each restart re-elects it, and the master, rebuilt from
+/// its log, neither loses a commit nor diverges from a replica.
+#[test]
+fn two_tier_master_survives_base_crashes_without_divergence() {
+    let plan = "dup=0.05; crash=0:10..20; crash=0:30..38";
+    let (report, log) = two_tier_under(plan, 3, 1);
+    assert_eq!(report.node_crashes, 2);
+    assert_eq!(log.elections, 2, "each restart re-elects the lone base");
+    assert!(report.committed > 0);
 }
 
 /// The parts of a sharded lazy-group trace that show what became of

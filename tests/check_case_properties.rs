@@ -4,8 +4,8 @@
 //! crash point they accept round-trips through `encode`; and what they
 //! accept is what was typed (no number wrapped to fit its field) and
 //! fits the simulated clock (horizon and crash-point down time at most
-//! [`FaultPlan::MAX_DURATION`]); and no accepted two-tier line carries a
-//! fault plan, which that engine would ignore.
+//! [`FaultPlan::MAX_DURATION`]); and no accepted two-tier line crashes
+//! a base node on a partial layout, which that engine refuses.
 
 use dangers_of_replication::check::{FuzzCase, Scheme};
 use dangers_of_replication::core::CrashPoint;
@@ -35,21 +35,38 @@ fn check_line(line: &str) -> Result<(), TestCaseError> {
         if let Some(x) = &case.xpoint {
             prop_assert!(CrashPoint::parse(x).is_some(), "{line:?}");
         }
-        if case.scheme == Scheme::TwoTier {
-            prop_assert!(case.faults.is_none(), "{line:?}");
+        if case.scheme == Scheme::TwoTier && partial(&case) {
+            let plan = FaultPlan::parse(case.faults.as_deref().unwrap_or(""), case.seed).unwrap();
+            let base_nodes = (case.nodes / 2).max(1);
+            prop_assert!(
+                plan.crashes.iter().all(|c| c.node.0 >= base_nodes),
+                "{line:?}"
+            );
         }
     }
     Ok(())
 }
 
-/// Two-tier has no fault hook, so a fault plan on a two-tier line is
-/// refused instead of running fault-free and reporting clean.
+/// Whether `case` runs on a partial layout (`SimConfig::shard_map`).
+fn partial(case: &FuzzCase) -> bool {
+    case.shards > 0 && case.rf > 0 && case.rf < case.nodes
+}
+
+/// A two-tier line takes any fault plan but one that crashes a base
+/// node (the first half of the nodes) on a partial layout: a base
+/// replica there holds only its shards and cannot take over the master.
 #[test]
-fn a_two_tier_line_with_a_fault_plan_is_refused() {
-    let line = "two-tier:seed=1,nodes=4,db=300,tps=10,actions=4,horizon=10|drop=0.5";
-    let err = parse_check_case(line).expect_err("two-tier fault plan accepted");
-    assert!(err.contains("two-tier takes no fault plan"), "{err}");
-    assert!(parse_check_case(line.split('|').next().unwrap()).is_ok());
+fn a_two_tier_line_refuses_only_a_base_crash_on_a_partial_layout() {
+    let full = "two-tier:seed=1,nodes=4,db=300,tps=10,actions=4,horizon=10";
+    let partial = format!("{full},shards=4,rf=2");
+    for line in [
+        format!("{full}|drop=0.5; crash=0:3..9"),
+        format!("{partial}|drop=0.5; part=2..5:0,1; crash=2:3..9"),
+    ] {
+        assert!(parse_check_case(&line).is_ok(), "{line}");
+    }
+    let err = parse_check_case(&format!("{partial}|crash=1:3..9")).expect_err("base crash");
+    assert!(err.contains("base node 1 on a partial layout"), "{err}");
 }
 
 /// An accepted line keeps every number as typed: the last `KEY=N` of
@@ -154,6 +171,7 @@ fn arb_line() -> impl Strategy<Value = String> {
         "|drop=0.05; retransmit=0.25",
         "|drop=2",
         "|crash=1:3..9",
+        "|crash=2:3..9",
         "|",
     ];
     let required = "seed=1,nodes=4,db=300,tps=10,actions=4,horizon=20";

@@ -68,6 +68,9 @@
 //!   exact-match seed 205: 10,690 → 10,092.
 //!
 //! No unsharded lazy-group row moved.
+//!
+//! When two-tier took fault plans, `lazy_group_two_tier.txt` gained its
+//! two-tier chaos rows at the end; no existing row moved.
 
 use dangers_of_replication::check::{Recorder, Scheme};
 use dangers_of_replication::core::{
@@ -373,7 +376,18 @@ fn lazy_group_lines() -> Vec<String> {
     lines
 }
 
-fn two_tier_lines() -> Vec<String> {
+/// [`LAZY_CHAOS`] with nodes 0 and 1 as the base: the partition cuts
+/// the mobiles off from it, and both crashes are mobiles'. On the full
+/// layout the primary crashes too, and comes back to be re-elected.
+const TWO_TIER_CHAOS: [&str; 2] = [
+    "drop=0.10; dup=0.05; delay=0.05:0.5; retransmit=0.25; \
+     part=6..10:0,1; crash=2:12..17; crash=4:20..23; crash=0:26..31",
+    LAZY_CHAOS,
+];
+
+/// The two-tier scenarios: quiet, or under [`TWO_TIER_CHAOS`] (whose
+/// rows follow every quiet one, seeds continuing after theirs).
+fn two_tier_lines(chaos: bool) -> Vec<String> {
     let workloads = [
         (
             "commutative",
@@ -385,7 +399,7 @@ fn two_tier_lines() -> Vec<String> {
         ),
     ];
     let mut lines = Vec::new();
-    let mut seed = 200;
+    let mut seed = if chaos { 208 } else { 200 };
     for (workload_name, workload) in workloads {
         // Every cell runs under two seeds, one per round.
         for _round in 0..2 {
@@ -411,15 +425,22 @@ fn two_tier_lines() -> Vec<String> {
                     } else {
                         "unsharded"
                     };
-                    let name =
-                        format!("two_tier/{workload_name}/{layout}/rec={recorded}/seed={seed}");
+                    let plan = if chaos { "/chaos" } else { "" };
+                    let name = format!(
+                        "two_tier/{workload_name}/{layout}{plan}/rec={recorded}/seed={seed}"
+                    );
                     let sink = trace_sink();
                     let recorder = recorder(Scheme::TwoTier, recorded);
-                    let (report, master, replicas) = TwoTierSim::new(cfg)
+                    let mut sim = TwoTierSim::new(cfg)
                         .with_run_label("two_tier")
                         .with_tracer(TraceHandle::shared(&sink))
-                        .with_recorder(recorder.clone())
-                        .run_with_state();
+                        .with_recorder(recorder.clone());
+                    if chaos {
+                        let spec = TWO_TIER_CHAOS[usize::from(sharded)];
+                        sim = sim
+                            .with_faults(FaultPlan::parse(spec, seed).expect("fault spec parses"));
+                    }
+                    let (report, master, replicas) = sim.run_with_state();
                     let mut digests = vec![master.digest()];
                     digests.extend(replicas.iter().map(|s| s.digest()));
                     lines.push(golden_line(&name, &report, sink, &digests, &recorder));
@@ -433,6 +454,7 @@ fn two_tier_lines() -> Vec<String> {
 #[test]
 fn lazy_group_and_two_tier_match_goldens() {
     let mut lines = lazy_group_lines();
-    lines.extend(two_tier_lines());
+    lines.extend(two_tier_lines(false));
+    lines.extend(two_tier_lines(true));
     check_goldens("lazy_group_two_tier.txt", "REGEN_KERNEL_GOLDENS", &lines);
 }

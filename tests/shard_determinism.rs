@@ -11,14 +11,16 @@
 //! 2. The committed `check_seeds.txt` corpus stays green through the
 //!    oracles under partial layouts: per-shard convergence and the
 //!    union-consensus divergence check judge partial stores over the
-//!    objects each node actually hosts.
+//!    objects each node actually hosts. A two-tier case that crashes a
+//!    base node has no partial replay: a partial base replica cannot
+//!    take over the master, so `parse_check_case` refuses that case.
 
 use dangers_of_replication::check::FuzzCase;
 use dangers_of_replication::core::{
     EagerSim, LazyGroupSim, LazyMasterSim, Mobility, Ownership, ReplicaDiscipline, Report,
     SimConfig, TwoTierConfig, TwoTierSim, TwoTierWorkload,
 };
-use dangers_of_replication::harness::experiments::check::run_case;
+use dangers_of_replication::harness::experiments::check::{parse_check_case, run_case};
 use dangers_of_replication::model::Params;
 use dangers_of_replication::sim::SimDuration;
 
@@ -112,6 +114,22 @@ fn corpus_oracle_verdicts_stay_green_under_sharding() {
             "corpus case `{line}` full-rf replay"
         );
         // Partial layout: different physics, same cleanliness.
+        let refused = parse_check_case(
+            &FuzzCase {
+                shards: 5,
+                rf: 2,
+                ..case.clone()
+            }
+            .encode(),
+        );
+        if let Err(e) = refused {
+            assert!(
+                e.contains("on a partial layout"),
+                "corpus case `{line}`: {e}"
+            );
+            cases += 1;
+            continue;
+        }
         let partial = layout(5, 2);
         assert!(
             partial.is_clean(),
