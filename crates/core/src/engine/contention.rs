@@ -257,11 +257,11 @@ type K<S> = Kernel<Contention<S>>;
 pub struct Contention<S = Plain> {
     profile: ContentionProfile,
     locks: LockManager,
-    /// In-flight transactions. Ids are minted monotonically and never
-    /// reused — `TxnId` order is observable here (crash aborts, recovery
-    /// replay and the durability audit sort by it, traces print it) —
-    /// so the live ids form a sliding window and the table is a ring as
-    /// wide as that window.
+    /// In-flight transactions, keyed by the kernel's monotone ids:
+    /// `TxnId` order is observable here (crash aborts, recovery replay
+    /// and the durability audit sort by it, traces print it), and the
+    /// live ids form a sliding window, so the table is a ring as wide
+    /// as that window.
     active: TxnTable<ActiveTxn>,
     object_rng: SimRng,
     sampler: Sampler,
@@ -269,7 +269,6 @@ pub struct Contention<S = Plain> {
     /// every draw on the original full-replication path, with no
     /// cross-shard commits to protect).
     shard: Option<ShardCtx>,
-    next_txn: u64,
     /// Recycled buffer for lock-release promotions (commit/abort path).
     granted_scratch: Vec<(TxnId, ObjectId)>,
     /// Recycled `ActiveTxn::objects` vectors: transactions start and
@@ -327,7 +326,6 @@ impl<S: Flavor> Sim<Contention<S>> {
             object_rng: SimRng::stream(cfg.seed, "objects"),
             sampler: Sampler::new(cfg.access, cfg.db_size),
             shard,
-            next_txn: 0,
             granted_scratch: Vec::new(),
             objects_pool: Vec::new(),
             sample_scratch: Vec::new(),
@@ -371,8 +369,7 @@ impl<S: Flavor> Protocol for Contention<S> {
     }
 
     fn arrive(&mut self, k: &mut K<S>, node: NodeId) {
-        let id = TxnId(self.next_txn);
-        self.next_txn += 1;
+        let id = k.mint_txn();
         let (objects, owners) = self.sample_objects(&k.cfg, node);
         let first = objects.first().copied();
         self.active.insert(

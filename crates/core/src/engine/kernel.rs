@@ -18,6 +18,9 @@
 //!   arrivals and new faults suppressed → `run_end`/flush → final state;
 //! * the instrumentation bundle (tracer, profiler, recorder, metrics,
 //!   measuring window, run label) and its builders;
+//! * the run's one transaction-id counter (`Kernel::mint_txn`): every
+//!   protocol's roots, replicas, forwards and base transactions draw
+//!   from it, so an id names one thing and id order is begin order;
 //! * the shared helpers: lock-wait/deadlock accounting and the send
 //!   path.
 //!
@@ -226,6 +229,8 @@ pub struct Kernel<P: Protocol> {
     retransmit: SimDuration,
     /// False once the post-horizon drain has begun.
     live: bool,
+    /// The next transaction id `Kernel::mint_txn` hands out.
+    next_txn: u64,
     /// The run's counters, frozen into the [`Report`] at the horizon.
     pub(super) metrics: Metrics,
     /// Trace sink; events flow from simulated time zero.
@@ -272,6 +277,8 @@ impl<P: Protocol> Kernel<P> {
             crashed: vec![false; n],
             retransmit: FaultPlan::quiet(cfg.seed).retransmit,
             live: true,
+            // 0 is the "no transaction" that system events stamp.
+            next_txn: 1,
             metrics: Metrics {
                 lean: cfg.lean_metrics,
                 ..Metrics::new()
@@ -366,6 +373,17 @@ impl<P: Protocol> Kernel<P> {
     /// False once the post-horizon drain has begun.
     pub(super) fn is_live(&self) -> bool {
         self.live
+    }
+
+    /// A fresh transaction id: the run's one counter, from 1 and never
+    /// reused, so every id in a trace names one transaction (or
+    /// forward), none is the `TxnId::default()` of system events, and
+    /// id order is begin order.
+    #[inline]
+    pub(super) fn mint_txn(&mut self) -> TxnId {
+        let id = TxnId(self.next_txn);
+        self.next_txn += 1;
+        id
     }
 
     /// Whether `node` is crashed.

@@ -24,18 +24,9 @@ use repl_net::FaultPlan;
 use repl_sim::{SimDuration, SimRng, SimTime};
 use repl_storage::{
     Acquire, ApplyOutcome, CommitLog, DeadlockMode, LamportClock, LockManager, Lsn, NodeId,
-    ObjectId, ObjectStore, ShardMap, Timestamp, TxnId, TxnSlab, UpdateRecord, Value,
+    ObjectId, ObjectStore, ShardMap, Timestamp, TxnId, TxnTable, UpdateRecord, Value,
 };
 use repl_telemetry::{AbortReason, Event, EventKind};
-
-/// Arena tags: root and replica transactions live in separate slabs
-/// sharing one id space, so a granted lock's [`TxnId`] routes straight
-/// to the arena that minted it.
-const ROOT_ARENA: u8 = 0;
-const REPLICA_ARENA: u8 = 1;
-/// Forwards in flight get ids too: a message names its entry in
-/// [`LazyGroup::forwards`].
-const FORWARD_ARENA: u8 = 2;
 
 /// How dangerous updates are disposed of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,7 +66,7 @@ pub enum Mobility {
 /// the payload is reference-counted instead of deep-cloned per message.
 /// The engine is single-threaded — `Rc` is deliberate.
 #[doc(hidden)]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplicaMsg {
     /// Originating node (stamps `MsgDelivered` trace events).
     from: NodeId,
@@ -116,7 +107,7 @@ pub enum Msg {
 /// A forwarded sub-transaction in flight: sent, or waiting in its
 /// origin's outbox, and not yet begun at `to`. The first copy to arrive
 /// removes the entry, so a duplicate finds nothing and begins nothing.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Forward {
     to: NodeId,
     objects: Vec<ObjectId>,
@@ -143,7 +134,7 @@ pub enum Ev {
     },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct RootTxn {
     node: NodeId,
     objects: Vec<ObjectId>,
@@ -163,7 +154,7 @@ struct RootTxn {
     undo: Vec<(ObjectId, Value, Timestamp)>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ReplicaTxn {
     node: NodeId,
     msg: ReplicaMsg,
@@ -220,11 +211,14 @@ type K = Kernel<LazyGroup>;
 pub struct LazyGroup {
     resolution: ResolutionMode,
     nodes: Vec<NodeState>,
-    roots: TxnSlab<RootTxn>,
-    replicas: TxnSlab<ReplicaTxn>,
+    /// Roots, replicas and forwards in flight, each keyed by the id the
+    /// kernel minted when it began, so a granted lock's [`TxnId`] is in
+    /// exactly one of them.
+    roots: TxnTable<RootTxn>,
+    replicas: TxnTable<ReplicaTxn>,
     /// Forwards in flight, and only those: the duplicate check's state
     /// follows the traffic, not the run length.
-    forwards: TxnSlab<Forward>,
+    forwards: TxnTable<Forward>,
     object_rng: SimRng,
     value_rng: SimRng,
     retry_rng: SimRng,
@@ -295,9 +289,9 @@ impl LazyGroupSim {
         let p = LazyGroup {
             resolution: ResolutionMode::TimePriority,
             nodes,
-            roots: TxnSlab::new(ROOT_ARENA),
-            replicas: TxnSlab::new(REPLICA_ARENA),
-            forwards: TxnSlab::new(FORWARD_ARENA),
+            roots: TxnTable::new(),
+            replicas: TxnTable::new(),
+            forwards: TxnTable::new(),
             object_rng: SimRng::stream(cfg.seed, "lg-objects"),
             value_rng: SimRng::stream(cfg.seed, "lg-values"),
             retry_rng: SimRng::stream(cfg.seed, "lg-retry"),
@@ -457,13 +451,15 @@ impl Protocol for LazyGroup {
         // propagation, so no replica ever hears of them, and
         // newest-timestamp-wins only absorbs them if a *newer
         // committed* write happens to follow. The oracle fuzzer caught
-        // exactly that divergence.
-        let dead_roots: Vec<TxnId> = self
+        // exactly that divergence. Victims go in id order, which is
+        // begin order: table order depends on the table's capacity.
+        let mut dead_roots: Vec<TxnId> = self
             .roots
             .iter()
             .filter(|(_, t)| t.node == node)
             .map(|(id, _)| id)
             .collect();
+        dead_roots.sort_unstable();
         for id in dead_roots {
             k.tracer.emit(|| {
                 Event::new(
@@ -478,12 +474,13 @@ impl Protocol for LazyGroup {
             self.abort_root(id);
         }
         // In-flight and backlogged replica updates return to the mail.
-        let dead_replicas: Vec<TxnId> = self
+        let mut dead_replicas: Vec<TxnId> = self
             .replicas
             .iter()
             .filter(|(_, t)| t.node == node)
             .map(|(id, _)| id)
             .collect();
+        dead_replicas.sort_unstable();
         for id in dead_replicas {
             let txn = self.replicas.remove(id).expect("crashing replica txn");
             k.park(node, Msg::Replica(txn.msg));
@@ -675,7 +672,8 @@ impl LazyGroup {
         for (to, objects) in groups {
             // Forwarding is one message to the shard owner; the root it
             // spawns there does the usual replica fan-out on commit.
-            let id = self.forwards.insert(Forward { to, objects });
+            let id = k.mint_txn();
+            self.forwards.insert(id, Forward { to, objects });
             self.send_forward(k, node, id);
         }
     }
@@ -710,7 +708,8 @@ impl LazyGroup {
 
     /// Insert and start a root transaction over `objects` at `node`.
     fn begin_root(&mut self, k: &mut K, node: NodeId, objects: Vec<ObjectId>) {
-        let id = self.roots.insert(RootTxn {
+        let id = k.mint_txn();
+        let root = RootTxn {
             node,
             objects,
             next: 0,
@@ -724,7 +723,8 @@ impl LazyGroup {
                 .undo_pool
                 .pop()
                 .unwrap_or_else(|| Vec::with_capacity(k.cfg.actions)),
-        });
+        };
+        self.roots.insert(id, root);
         k.tracer
             .emit(|| Event::new(k.now(), node, id, EventKind::TxnBegin));
         self.try_root_step(k, id);
@@ -985,13 +985,15 @@ impl LazyGroup {
             }
             state.active_replicas += 1;
         }
-        let id = self.replicas.insert(ReplicaTxn {
+        let id = k.mint_txn();
+        let replica = ReplicaTxn {
             node: to,
             msg,
             next: 0,
             wait_started: None,
             conflicted: false,
-        });
+        };
+        self.replicas.insert(id, replica);
         k.tracer
             .emit(|| Event::new(k.now(), to, id, EventKind::TxnBegin));
         self.try_replica_step(k, id);
@@ -1148,15 +1150,14 @@ impl LazyGroup {
         self.granted_scratch = granted;
     }
 
-    /// Resume transactions whose lock was just granted. The arena tag
-    /// in each id routes it without probing both slabs.
+    /// Resume transactions whose lock was just granted. Roots and
+    /// replicas share the kernel's one id space, so each waiter is in
+    /// exactly one table.
     fn resume_waiters(&mut self, k: &mut K, granted: &[(TxnId, ObjectId)]) {
         for &(waiter, _obj) in granted {
-            if self.roots.owns(waiter) {
-                if let Some(txn) = self.roots.get_mut(waiter) {
-                    k.lock_granted(&mut txn.wait_started);
-                    k.schedule_after(k.cfg.action_time, Ev::RootStep(waiter));
-                }
+            if let Some(txn) = self.roots.get_mut(waiter) {
+                k.lock_granted(&mut txn.wait_started);
+                k.schedule_after(k.cfg.action_time, Ev::RootStep(waiter));
             } else if let Some(txn) = self.replicas.get_mut(waiter) {
                 k.lock_granted(&mut txn.wait_started);
                 k.schedule_after(k.cfg.action_time, Ev::ReplicaStep(waiter));
@@ -1414,6 +1415,57 @@ mod tests {
         // The widest live window creeps up a little with the run length
         // (an extreme value); a pool of forwards would grow fourfold.
         assert!(long_pool <= 2 * short_pool, "{short_pool} → {long_pool}");
+    }
+
+    #[test]
+    fn footprint_follows_the_live_window_not_the_horizon() {
+        // Roots, replicas and forwards are keyed by the kernel's
+        // monotone ids, so each table is a ring as wide as its live
+        // window. A leaked entry (a forward nobody removes) would widen
+        // it with every id minted after it. Eight times the horizon,
+        // the same tables: the widest live window creeps up a little
+        // with the run length (an extreme value), which is worth at
+        // most one doubling.
+        let connected: fn(u64) -> SimConfig = |h| cfg(4.0, 1000.0, 10.0, h, 7);
+        let sharded: fn(u64) -> SimConfig = |h| {
+            cfg(8.0, 2000.0, 10.0, h, 11)
+                .with_shards(8, 3)
+                .with_cross_shard(0.2)
+        };
+        let cycling = Mobility::Cycling {
+            connected: SimDuration::from_secs(20),
+            disconnected: SimDuration::from_secs(10),
+        };
+        let runs = [
+            ("connected", connected, Mobility::Connected),
+            ("cycling", connected, cycling),
+            ("sharded", sharded, Mobility::Connected),
+        ];
+        for (name, at, mobility) in runs {
+            let footprint = |horizon: u64| {
+                let mut sim = LazyGroupSim::new(at(horizon), mobility);
+                let report = sim.run_phases();
+                let locks = sim.p.nodes.iter().map(|n| n.locks.txn_table_capacity());
+                let tables = [
+                    sim.p.roots.capacity(),
+                    sim.p.replicas.capacity(),
+                    sim.p.forwards.capacity(),
+                    locks.max().unwrap_or(0),
+                ];
+                (report.committed, tables)
+            };
+            let (short_commits, short) = footprint(60);
+            let (long_commits, long) = footprint(480);
+            assert!(long_commits > 7 * short_commits, "{name}");
+            assert_eq!(
+                short[2] > 0,
+                name == "sharded",
+                "{name}: forwards {short:?}"
+            );
+            for (s, l) in short.into_iter().zip(long) {
+                assert!(l <= 2 * s, "{name}: {short:?} → {long:?}");
+            }
+        }
     }
 
     #[test]

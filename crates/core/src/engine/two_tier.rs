@@ -48,8 +48,7 @@ use crate::config::SimConfig;
 use crate::election::{self, Candidate};
 use crate::engine::kernel::{self, applies, full_mask, Kernel, Protocol, Sent, Sim};
 use crate::metrics::{
-    Report, M_ABORTS, M_ELECTION_ROUNDS, M_EPOCH_FENCED, M_FAILOVER_UNAVAILABILITY,
-    M_RECONCILIATION_DELAY, M_RETRIES,
+    Report, M_ABORTS, M_EPOCH_FENCED, M_FAILOVER_UNAVAILABILITY, M_RECONCILIATION_DELAY, M_RETRIES,
 };
 use crate::op::{Op, Operation};
 use crate::txn::{Criterion, TxnSpec};
@@ -58,7 +57,7 @@ use repl_net::FaultPlan;
 use repl_sim::{SimDuration, SimRng, SimTime};
 use repl_storage::{
     Acquire, ApplyOutcome, LamportClock, LockManager, NodeId, ObjectId, ObjectStore, ShardMap,
-    TentativeStore, Timestamp, TxnId, TxnSlab, Value,
+    TentativeStore, Timestamp, TxnId, TxnTable, Value,
 };
 use repl_telemetry::{AbortReason, Event, EventKind};
 use std::collections::{BTreeSet, VecDeque};
@@ -176,7 +175,7 @@ struct Pending {
 }
 
 /// A base transaction in flight.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct BaseTxn {
     /// The node the work originated at (stamps trace events): the
     /// arrival node for direct executions, the mobile for tentative
@@ -304,9 +303,10 @@ pub struct TwoTier {
     linked: Vec<bool>,
     /// Per node: what waits to be resent.
     outbox: Vec<Outbox>,
-    /// In-flight base transactions in a generational slab: every event
-    /// dispatch indexes a dense slot instead of hashing a `TxnId`.
-    base_txns: TxnSlab<BaseTxn>,
+    /// In-flight base transactions, keyed by the kernel's ids: every
+    /// event dispatch indexes a live-bounded ring instead of hashing a
+    /// `TxnId`. A retry keeps its id.
+    base_txns: TxnTable<BaseTxn>,
     object_rng: SimRng,
     value_rng: SimRng,
     retry_rng: SimRng,
@@ -405,7 +405,7 @@ impl TwoTierSim {
             in_session: vec![false; n],
             linked: vec![true; n],
             outbox: (0..n).map(|_| Outbox::default()).collect(),
-            base_txns: TxnSlab::new(0),
+            base_txns: TxnTable::new(),
             object_rng: SimRng::stream(sim.seed, "tt-objects"),
             value_rng: SimRng::stream(sim.seed, "tt-values"),
             retry_rng: SimRng::stream(sim.seed, "tt-retry"),
@@ -780,7 +780,8 @@ impl TwoTier {
         tentative_at: Option<SimTime>,
         session: Option<NodeId>,
     ) {
-        let id = self.base_txns.insert(BaseTxn {
+        let id = k.mint_txn();
+        let txn = BaseTxn {
             origin,
             buffered: Vec::with_capacity(spec.ops.len()),
             spec,
@@ -791,7 +792,8 @@ impl TwoTier {
             started: k.now(),
             wait_started: None,
             session,
-        });
+        };
+        self.base_txns.insert(id, txn);
         k.tracer
             .emit(|| Event::new(k.now(), origin, id, EventKind::TxnBegin));
         self.try_base_step(k, id);
@@ -1217,14 +1219,17 @@ impl TwoTier {
     /// The primary crashed. Its log is the master, so that is what its
     /// replica keeps. Every base transaction in flight aborts, and a
     /// tentative re-execution goes back to the front of its mobile's
-    /// queue, its session cut short until the next election.
+    /// queue, its session cut short until the next election. Victims go
+    /// in id order, which is begin order: table order depends on the
+    /// table's capacity.
     fn depose(&mut self, k: &mut K, node: NodeId) {
         let idx = node.0 as usize;
         self.primary = None;
         self.down_since = Some(k.now());
         self.base[idx].reset(self.lsn);
         self.replicas[idx].master_mut().clone_from(&self.master);
-        let in_flight: Vec<TxnId> = self.base_txns.iter().map(|(id, _)| id).collect();
+        let mut in_flight: Vec<TxnId> = self.base_txns.iter().map(|(id, _)| id).collect();
+        in_flight.sort_unstable();
         for id in in_flight {
             let txn = self.base_txns.remove(id).expect("listed base txn");
             let reason = AbortReason::Crash;
@@ -1285,9 +1290,6 @@ impl TwoTier {
         if k.measuring() {
             k.metrics
                 .record_dist(M_FAILOVER_UNAVAILABILITY, k.now().since(down));
-            if !k.metrics.lean {
-                k.metrics.dists.record_value(M_ELECTION_ROUNDS, 1);
-            }
         }
         for mobile in std::mem::take(&mut self.cut) {
             if !self.in_session[mobile.0 as usize] {
@@ -1574,6 +1576,45 @@ mod tests {
             partial.messages,
             full.messages
         );
+    }
+
+    #[test]
+    fn footprint_follows_the_live_window_not_the_horizon() {
+        // Base transactions are keyed by the kernel's monotone ids, and
+        // a retry keeps its id, so the table is a ring as wide as the
+        // live window. A leaked entry (a retry that never ends, a
+        // victim the crash forgot) would widen it with every id minted
+        // after it. Mobiles sync, and the primary crashes at half the
+        // horizon: eight times the horizon, the same tables (the widest
+        // live window creeps up a little with the run length, which is
+        // worth at most one doubling).
+        let footprint = |horizon: u64| {
+            let cfg = base_cfg(
+                6.0,
+                3,
+                300.0,
+                5.0,
+                horizon,
+                21,
+                TwoTierWorkload::ExactMatch { max_amount: 20 },
+            );
+            let down = horizon / 2;
+            let plan = format!("crash=0:{down}..{}", down + 10);
+            let mut sim = TwoTierSim::new(cfg).with_faults(FaultPlan::parse(&plan, 21).unwrap());
+            let report = sim.run_phases();
+            assert!(report.tentative_commits > 0 && report.node_crashes == 1);
+            let tables = [
+                sim.p.base_txns.capacity(),
+                sim.p.master_locks.txn_table_capacity(),
+            ];
+            (report.committed, tables)
+        };
+        let (short_commits, short) = footprint(60);
+        let (long_commits, long) = footprint(480);
+        assert!(long_commits > 7 * short_commits);
+        for (s, l) in short.into_iter().zip(long) {
+            assert!(l <= 2 * s, "{short:?} → {long:?}");
+        }
     }
 
     #[test]

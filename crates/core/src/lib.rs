@@ -56,9 +56,8 @@ pub use engine::{
     ResolutionMode, TwoTierConfig, TwoTierSim, TwoTierWorkload,
 };
 pub use metrics::{
-    Metrics, Report, M_ABORTS, M_COMMIT_LATENCY, M_ELECTION_ROUNDS, M_EPOCH_FENCED,
-    M_FAILOVER_UNAVAILABILITY, M_INDOUBT_WAIT, M_LOCK_WAIT, M_PROPAGATION_LAG,
-    M_RECONCILIATION_DELAY, M_RETRIES,
+    Metrics, Report, M_ABORTS, M_COMMIT_LATENCY, M_EPOCH_FENCED, M_FAILOVER_UNAVAILABILITY,
+    M_INDOUBT_WAIT, M_LOCK_WAIT, M_PROPAGATION_LAG, M_RECONCILIATION_DELAY, M_RETRIES,
 };
 pub use op::{Op, Operation};
 pub use txn::{Criterion, TxnSpec};

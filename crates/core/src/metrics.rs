@@ -21,8 +21,6 @@ pub const M_RETRIES: &str = "retries";
 /// Histogram of two-tier failover unavailability: simulated time from
 /// a primary's crash to the election of its successor.
 pub const M_FAILOVER_UNAVAILABILITY: &str = "failover_unavailability";
-/// Histogram of vote rounds per two-tier election.
-pub const M_ELECTION_ROUNDS: &str = "election_rounds";
 /// Counter of refreshes two-tier backups fenced: sent by a primary an
 /// election has since deposed.
 pub const M_EPOCH_FENCED: &str = "epoch_fenced";

@@ -15,10 +15,11 @@ use serde::{Deserialize, Serialize};
 /// acceptable". The paper's examples: the bank balance must not go
 /// negative; the price quote cannot exceed the tentative quote; the
 /// seats must be aisle seats.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub enum Criterion {
     /// Accept whatever the base execution produces (pure convergence,
     /// no semantic guard).
+    #[default]
     AlwaysAccept,
     /// Every written object's final integer value must be ≥ 0 — the
     /// checking-account rule.
@@ -54,7 +55,7 @@ impl Criterion {
 /// A transaction's full specification: its operations in execution
 /// order plus the acceptance criterion used if it is re-executed as a
 /// base transaction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TxnSpec {
     /// The updates, in order. The model's `Actions` is `ops.len()`.
     pub ops: Vec<Operation>,

@@ -23,7 +23,7 @@ use crate::table::Table;
 use crate::{Instrument, RunOpts};
 use repl_check::{Recorder, Scheme};
 use repl_core::{
-    SimConfig, TwoTierConfig, TwoTierSim, TwoTierWorkload, M_ELECTION_ROUNDS, M_EPOCH_FENCED,
+    SimConfig, TwoTierConfig, TwoTierSim, TwoTierWorkload, M_EPOCH_FENCED,
     M_FAILOVER_UNAVAILABILITY,
 };
 use repl_model::Params;
@@ -53,7 +53,6 @@ struct PointResult {
     crashes: u64,
     elections: u64,
     unavail: (u64, u64, u64),
-    rounds_max: u64,
     fenced: u64,
     acked: u64,
     synced: u64,
@@ -114,19 +113,17 @@ fn drive(opts: &RunOpts, label: &str, seed: u64, horizon: u64, plan: FaultPlan) 
     let mut dists = report.dists.clone();
     dists.gauges.clear();
     dists.counters.retain(|name, _| name == M_EPOCH_FENCED);
-    let failover = [M_FAILOVER_UNAVAILABILITY, M_ELECTION_ROUNDS];
     dists
         .histograms
-        .retain(|name, _| failover.contains(&name.as_str()));
+        .retain(|name, _| name == M_FAILOVER_UNAVAILABILITY);
+    // One unavailability sample per election.
     let unavail = dists.histogram(M_FAILOVER_UNAVAILABILITY);
     let ms = |q: f64| unavail.map_or(0, |h| h.value_at_quantile(q) / 1_000);
-    let rounds = dists.histogram(M_ELECTION_ROUNDS);
     PointResult {
         label: label.to_owned(),
         crashes: report.node_crashes,
-        elections: rounds.map_or(0, |h| h.count()),
+        elections: unavail.map_or(0, |h| h.count()),
         unavail: (ms(0.50), ms(0.95), ms(0.99)),
-        rounds_max: rounds.map_or(0, |h| h.max()),
         fenced: dists.counter(M_EPOCH_FENCED),
         acked: report.committed,
         synced: report.tentative_accepted + report.tentative_rejected,
@@ -152,7 +149,6 @@ pub fn failover(opts: &RunOpts) -> Table {
             "unavail p50",
             "p95",
             "p99",
-            "max rounds",
             "fenced",
             "acked",
             "syncs",
@@ -186,7 +182,6 @@ pub fn failover(opts: &RunOpts) -> Table {
             format!("{}", r.unavail.0),
             format!("{}", r.unavail.1),
             format!("{}", r.unavail.2),
-            format!("{}", r.rounds_max),
             format!("{}", r.fenced),
             format!("{}", r.acked),
             format!("{}", r.synced),

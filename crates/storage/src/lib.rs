@@ -14,11 +14,10 @@
 //! * [`shard`] — the sharded-keyspace layout ([`ShardMap`]): object→
 //!   shard assignment and shard→replica-set placement for partial
 //!   replication,
-//! * [`slab`] — generational slab arenas that mint dense [`TxnId`]s, so
-//!   engines index in-flight transactions instead of hashing them,
-//! * [`table`] — the direct-mapped, live-bounded [`TxnTable`] for
-//!   per-transaction state under *any* id scheme (the lock manager's
-//!   tables, the contention engine's in-flight set),
+//! * [`table`] — the direct-mapped, live-bounded [`TxnTable`] keyed by
+//!   a run's monotone [`TxnId`]s: every engine's in-flight
+//!   transactions and the lock manager's per-transaction tables, so
+//!   engines index them instead of hashing them,
 //! * [`wal`] — the per-node commit log replayed "in sequential commit
 //!   order" by lazy replication (§5),
 //! * [`tentative`] — the mobile node's dual master/tentative versions
@@ -32,7 +31,6 @@ pub mod hash;
 pub mod lock;
 pub mod object;
 pub mod shard;
-pub mod slab;
 pub mod store;
 pub mod table;
 pub mod tentative;
@@ -43,7 +41,6 @@ pub use div::FastDivMod;
 pub use lock::{Acquire, DeadlockMode, LockManager, Mutation, TxnId};
 pub use object::{LamportClock, NodeId, ObjectId, Timestamp, Value, Versioned};
 pub use shard::{ShardLayout, ShardMap};
-pub use slab::TxnSlab;
 pub use store::{ApplyOutcome, ObjectStore};
 pub use table::TxnTable;
 pub use tentative::TentativeStore;

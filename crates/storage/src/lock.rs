@@ -122,11 +122,9 @@ impl Mutation {
     }
 }
 
-/// Sentinel for "no holder" in the dense holder table. No slab ever
-/// mints it: it would need tag 255 *and* the maximal generation *and*
-/// the maximal slot simultaneously (see `slab`'s id layout), and the
-/// engines' hand-rolled ids in tests are tiny. A debug assertion in
-/// [`LockManager::acquire`] guards the invariant anyway.
+/// Sentinel for "no holder" in the dense holder table. No counter ever
+/// mints it: that would take 2⁶⁴ − 1 transactions. A debug assertion
+/// in [`LockManager::acquire`] guards the invariant anyway.
 const FREE: TxnId = TxnId(u64::MAX);
 
 /// Reusable buffers for the waits-for walk. The walk runs on every
@@ -139,32 +137,6 @@ struct WalkScratch {
     /// (node, the transaction that waits for it) — first edge wins,
     /// so the recorded chain is always a real waits-for path.
     parent: Vec<(TxnId, TxnId)>,
-}
-
-/// Per-transaction state for one arena tag.
-///
-/// Both tables are [`TxnTable`]s: direct-mapped by the id's low bits,
-/// so a per-transaction lookup (held locks, blocked-on object) is one
-/// indexed load and an owner compare instead of a hash — the
-/// second-hottest map traffic in a run after the holder table itself —
-/// and as wide as the live population whatever the id scheme (slab
-/// slots, a monotone counter, hand-rolled test ids). The owner compare
-/// covers the full [`TxnId`], generation included: a stale id whose
-/// entry was recycled reads as absent, exactly like a hash map miss,
-/// which the timeout drivers rely on when validating that a scheduled
-/// lock timeout still refers to the same wait.
-///
-/// One pair per tag because arenas with different tags reuse the same
-/// slot numbers (lazy-group's roots and replicas), and two live ids
-/// equal in their low 32 bits cannot share a table.
-#[derive(Debug, Default)]
-struct TagTable {
-    /// The locks each live lock-holding transaction holds. A release
-    /// leaves the emptied `Vec` in its entry, so whichever transaction
-    /// claims the entry next inherits the capacity.
-    held: TxnTable<Vec<ObjectId>>,
-    /// The single object each blocked transaction is blocked on.
-    waiting: TxnTable<ObjectId>,
 }
 
 /// Strict exclusive locking with FIFO wait queues and pluggable
@@ -197,9 +169,22 @@ pub struct LockManager {
     queues: FastMap<ObjectId, VecDeque<TxnId>>,
     /// Number of currently held locks (telemetry).
     locked: usize,
-    /// Per-transaction state (held locks, blocked-on object), one
-    /// [`TagTable`] per arena tag.
-    txns: Vec<TagTable>,
+    /// The locks each live lock-holding transaction holds. A release
+    /// leaves the emptied `Vec` in its entry, so whichever transaction
+    /// claims the entry next inherits the capacity.
+    ///
+    /// Both per-transaction tables are [`TxnTable`]s: direct-mapped by
+    /// the id's low bits, so a lookup (held locks, blocked-on object) is
+    /// one indexed load and an owner compare instead of a hash — the
+    /// second-hottest map traffic in a run after the holder table — and
+    /// as wide as the live window of the run's monotone ids. The owner
+    /// compare covers the full [`TxnId`]: an id that is no longer live
+    /// reads as absent, exactly like a hash map miss, which the timeout
+    /// drivers rely on when validating that a scheduled lock timeout
+    /// still refers to the same wait.
+    held: TxnTable<Vec<ObjectId>>,
+    /// The single object each blocked transaction is blocked on.
+    waiting: TxnTable<ObjectId>,
     /// An empty buffer between releases. [`Self::release_all_into`]
     /// trades it for the releasing transaction's held list, so the
     /// entry keeps a buffer for its next owner while the loop is free
@@ -277,39 +262,16 @@ impl LockManager {
         self.blocked
     }
 
-    /// The arena tag of `txn` (high 8 bits of the id).
-    #[inline]
-    fn tag_of(txn: TxnId) -> usize {
-        (txn.0 >> 56) as usize
-    }
-
-    /// The tables of `txn`'s arena tag, created on first use.
-    #[inline]
-    fn tag_table(&mut self, txn: TxnId) -> &mut TagTable {
-        let tag = Self::tag_of(txn);
-        if tag >= self.txns.len() {
-            self.txns.resize_with(tag + 1, TagTable::default);
-        }
-        &mut self.txns[tag]
-    }
-
-    /// The object `txn` is blocked on, or `None` — including when the
-    /// entry was recycled by a newer generation (owner id mismatch).
-    #[inline]
-    fn wait_entry(&self, txn: TxnId) -> Option<ObjectId> {
-        self.txns.get(Self::tag_of(txn))?.waiting.get(txn).copied()
-    }
-
     /// Record that `txn` is blocked on `obj`.
     fn set_waiting(&mut self, txn: TxnId, obj: ObjectId) {
-        self.tag_table(txn).waiting.insert(txn, obj);
+        self.waiting.insert(txn, obj);
         self.blocked += 1;
     }
 
     /// Clear `txn`'s blocked-on record, returning the object it was
     /// waiting on (no-op `None` if it was not blocked).
     fn clear_waiting(&mut self, txn: TxnId) -> Option<ObjectId> {
-        let obj = self.txns.get_mut(Self::tag_of(txn))?.waiting.remove(txn)?;
+        let obj = self.waiting.remove(txn)?;
         self.blocked -= 1;
         Some(obj)
     }
@@ -365,14 +327,14 @@ impl LockManager {
 
     /// Whether `txn` is blocked.
     pub fn is_waiting(&self, txn: TxnId) -> bool {
-        self.wait_entry(txn).is_some()
+        self.waiting.contains(txn)
     }
 
     /// The object `txn` is currently blocked on, if any. Lets a
     /// timeout-mode driver check that a scheduled timeout still refers
     /// to the same wait before aborting the victim.
     pub fn waiting_on(&self, txn: TxnId) -> Option<ObjectId> {
-        self.wait_entry(txn)
+        self.waiting.get(txn).copied()
     }
 
     /// Request an exclusive lock on `obj` for `txn`.
@@ -427,7 +389,7 @@ impl LockManager {
     /// acquisition. The entry's previous owner left its (emptied) list
     /// behind, so the new owner inherits the capacity.
     fn record_held(&mut self, txn: TxnId, obj: ObjectId) {
-        let (list, fresh) = self.tag_table(txn).held.claim(txn);
+        let (list, fresh) = self.held.claim(txn);
         debug_assert!(
             !fresh || list.is_empty(),
             "a release empties the list it leaves"
@@ -493,7 +455,7 @@ impl LockManager {
                 continue;
             }
             s.visited.push(current);
-            if let Some(next_obj) = self.wait_entry(current) {
+            if let Some(next_obj) = self.waiting_on(current) {
                 // `current` waits for the holder and only the waiters
                 // *ahead of it* in the FIFO queue — including later
                 // waiters would manufacture false cycles.
@@ -540,11 +502,7 @@ impl LockManager {
     /// it next.
     pub fn release_all_into(&mut self, txn: TxnId, granted: &mut Vec<(TxnId, ObjectId)>) {
         granted.clear();
-        let Some(list) = self
-            .txns
-            .get_mut(Self::tag_of(txn))
-            .and_then(|t| t.held.vacate(txn))
-        else {
+        let Some(list) = self.held.vacate(txn) else {
             return;
         };
         // Promoting a waiter records its new lock, which may grow and
@@ -596,10 +554,7 @@ impl LockManager {
 
     /// The locks `txn` currently holds (empty slice if none).
     pub fn held_by(&self, txn: TxnId) -> &[ObjectId] {
-        self.txns
-            .get(Self::tag_of(txn))
-            .and_then(|t| t.held.get(txn))
-            .map_or(&[], Vec::as_slice)
+        self.held.get(txn).map_or(&[], Vec::as_slice)
     }
 
     /// Length of the holder table: the footprint that must follow the
@@ -615,10 +570,7 @@ impl LockManager {
     /// ever seen (regression tests only).
     #[doc(hidden)]
     pub fn txn_table_capacity(&self) -> usize {
-        self.txns
-            .iter()
-            .map(|t| t.held.capacity() + t.waiting.capacity())
-            .sum()
+        self.held.capacity() + self.waiting.capacity()
     }
 }
 
@@ -890,13 +842,13 @@ mod tests {
     }
 
     #[test]
-    fn held_slot_reuse_across_generations() {
-        // Same slot (low 32 bits), bumped generation (bits 32..56):
-        // the recycled slot must serve the new id and reject the old.
+    fn held_entry_serves_only_its_owner() {
+        // Ids equal in their low 32 bits share a table entry: each
+        // must find only its own locks there, never a dead one's.
         let mut lm = LockManager::new();
-        let slot = 7u64;
-        for generation in 0..10u64 {
-            let t = TxnId((generation << 32) | slot);
+        let low = 7u64;
+        for high in 0..10u64 {
+            let t = TxnId((high << 32) | low);
             lm.acquire(t, O1);
             lm.acquire(t, O2);
             assert_eq!(lm.held_by(t), &[O1, O2]);
@@ -904,19 +856,19 @@ mod tests {
             assert_eq!(lm.locked_objects(), 0);
             assert!(lm.held_by(t).is_empty());
         }
-        // A stale id from an earlier generation reads as holding
-        // nothing even while the current generation holds locks.
-        let current = TxnId((10 << 32) | slot);
-        let stale = TxnId(slot);
+        // A dead id reads as holding nothing even while the id that
+        // now owns its entry holds locks.
+        let current = TxnId((10 << 32) | low);
+        let stale = TxnId(low);
         lm.acquire(current, O1);
         assert!(lm.held_by(stale).is_empty());
         assert!(!lm.holds(stale, O1));
     }
 
     #[test]
-    fn stale_generation_wait_queries_read_absent() {
-        // A recycled slot's wait entry must not answer for the previous
-        // generation — the timeout drivers validate a scheduled timeout
+    fn dead_id_wait_queries_read_absent() {
+        // A wait entry must not answer for the dead id that owned it
+        // before — the timeout drivers validate a scheduled timeout
         // against `waiting_on` before aborting the victim.
         let mut lm = LockManager::new();
         let old = TxnId(5);

@@ -1,30 +1,27 @@
 //! A direct-mapped per-transaction table keyed by the full [`TxnId`].
 //!
-//! [`TxnSlab`](crate::TxnSlab) gives an engine dense, recycled ids, so a
-//! flat array indexed by slot is all its side tables need. Not every id
-//! scheme is like that: the contention engine mints `TxnId(0), TxnId(1),
-//! …` and never reuses one, because `TxnId` order is observable there
-//! (crash aborts, recovery replay and the durability audit all sort by
-//! id). An array indexed by such an id grows with every transaction ever
-//! started. This table serves both schemes with one rule:
+//! A run mints `TxnId`s from one counter and never reuses one, because
+//! `TxnId` order is observable (crash aborts, recovery replay and the
+//! durability audit all sort by id, and traces print it). An array
+//! indexed by such an id would grow with every transaction ever
+//! started. This table keeps the indexing and drops the growth:
 //!
 //! * **Direct-mapped.** An id lives at entry `low 32 bits & (capacity −
 //!   1)`; capacity is a power of two. A lookup is one mask, one load and
 //!   one compare — no hashing.
 //! * **Owner-checked.** Every entry records the full id of its owner, so
-//!   a stale generation or a foreign id that lands on the entry compares
-//!   unequal and reads as absent, exactly like a map miss.
+//!   an id that is no longer live, or one that lands on another's
+//!   entry, compares unequal and reads as absent, exactly like a map
+//!   miss.
 //! * **Live-bounded.** Only when two *live* ids land on one entry does
 //!   the table double (until they separate) and re-home its live
-//!   entries. Slab ids (dense slots) therefore see a flat slot array
-//!   that stops growing at peak concurrency; monotone ids see a ring as
-//!   wide as the span between the oldest and the newest live id. Memory
-//!   follows the live population, never the number of ids ever seen.
+//!   entries. Monotone ids therefore see a ring as wide as the span
+//!   between the oldest and the newest live id. Memory follows the live
+//!   population, never the number of ids ever seen.
 //!
 //! Two live ids equal in all 32 low bits cannot be separated by
-//! doubling; claiming the second one panics. Keep arenas whose slot
-//! numbers overlap (different slab tags) in separate tables, as
-//! [`LockManager`](crate::LockManager) does.
+//! doubling; claiming the second one panics. One counter per run never
+//! keeps two such ids alive at once: they are 2³² transactions apart.
 //!
 //! An entry's value outlives its owner: [`TxnTable::vacate`] leaves it
 //! in place and [`TxnTable::claim`] hands it to the next owner, so
@@ -32,9 +29,8 @@
 
 use crate::lock::TxnId;
 
-/// Owner of an entry nobody has claimed. Never a real id: a slab would
-/// need tag 255, the maximal generation and the maximal slot at once,
-/// and a counter would need 2⁶⁴ − 1 transactions.
+/// Owner of an entry nobody has claimed. Never a real id: a counter
+/// would need 2⁶⁴ − 1 transactions.
 const VACANT: TxnId = TxnId(u64::MAX);
 
 #[derive(Debug)]
@@ -194,7 +190,7 @@ impl<T: Default> TxnTable<T> {
                 assert!(
                     differ != 0,
                     "TxnTable: live ids {other} and {id} agree in all 32 low bits; \
-                     no capacity separates them (keep overlapping arenas in separate tables)"
+                     no capacity separates them"
                 );
                 // Bit `k` is the lowest that differs: any mask covering
                 // bits `0..=k` separates the two.

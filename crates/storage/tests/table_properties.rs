@@ -1,11 +1,13 @@
 //! Property tests for [`TxnTable`]: under random insert / claim / get /
 //! get_mut / remove / vacate / contains / iterate it must behave like a
-//! `BTreeMap<TxnId, _>`, for every id family an engine can throw at it:
+//! `BTreeMap<TxnId, _>`, for the ids a run mints and for the id
+//! families that stress its owner check and its growth:
 //!
-//! * **monotone** — a counter that never reuses an id (the contention
-//!   engine); the live ids form a sliding window,
-//! * **slab-shaped** — `tag | generation | slot` with slot reuse
-//!   (`TxnSlab`); a stale generation must read absent,
+//! * **monotone** — a counter that never reuses an id (every engine's
+//!   ids); the live ids form a sliding window,
+//! * **reused low bits** — `tag | generation | slot` with slot reuse;
+//!   a dead id that shares its low 32 bits with a live one must read
+//!   absent,
 //! * **straggler + bursts** — monotone, but one id outlives bursts of
 //!   short-lived ones: the table must grow while the straggler lives
 //!   and keep answering correctly once the window narrows again,
@@ -17,7 +19,7 @@ use repl_storage::{TxnId, TxnTable};
 use std::collections::BTreeMap;
 
 /// The table under test beside its model, plus the ids that used to be
-/// live (probing those is how a stale generation gets exercised).
+/// live (probing those is how the owner check gets exercised).
 #[derive(Default)]
 struct Checker {
     table: TxnTable<u64>,
@@ -175,9 +177,9 @@ proptest! {
     }
 
     #[test]
-    fn slab_shaped_ids_match_the_model(ops in arb_ops(), tag in 0u64..256) {
+    fn reused_low_bit_ids_match_the_model(ops in arb_ops(), tag in 0u64..256) {
         let mut c = Checker::default();
-        // Per-slot generation and the LIFO free list, as `TxnSlab`.
+        // Per-slot generation and a LIFO free list of slots.
         let mut gens: Vec<u64> = Vec::new();
         let mut free: Vec<u64> = Vec::new();
         let id_of = |slot: u64, gen: u64| TxnId((tag << 56) | ((gen & 0xff_ffff) << 32) | slot);

@@ -71,6 +71,37 @@
 //!
 //! When two-tier took fault plans, `lazy_group_two_tier.txt` gained its
 //! two-tier chaos rows at the end; no existing row moved.
+//!
+//! Both files were regenerated once more when the kernel began minting
+//! every `TxnId` from one counter per run, starting at 1. Each class
+//! of moved row:
+//!
+//! * *Every row* (216): `trace` moved. Ids now start at 1, so
+//!   `TxnId(0)` is only the "no transaction" of system events, and
+//!   lazy-group's replicas and forwards and two-tier's base
+//!   transactions take counter ids instead of packed `(tag,
+//!   generation, slot)` slab ids (lazy-group's first replica was
+//!   `t72057594037927936`). With ids from 0, every contention row and
+//!   every row without a fault plan was byte-identical to the parent
+//!   after renaming each id to its rank of first appearance (contention
+//!   rows were identical outright), and mapping each id k ≥ 1 to k − 1
+//!   gives that trace back for all 216 rows.
+//! * *Lazy-group under the chaos plan* (32 rows): the victims of a
+//!   crash now go in id order, which is begin order, instead of slab
+//!   slot order: roots abort and in-flight replica updates return to
+//!   the mail in that order. Connected rows moved in `trace` only
+//!   (seed 104 also in `trace_lines`, 58,280 → 58,278); the cycling,
+//!   unsharded rows moved by a wait or a few (seed 118: waits
+//!   2,978 → 2,979; seed 130: waits 3,244 → 3,250 and its converged
+//!   store digest), and seed 128 (cycling, timeout, partial) moved
+//!   most: deadlocks 62 → 49, waits 2,768 → 2,675, messages
+//!   9,815 → 9,816, 2,911 → 2,912 commits checked. Commits stayed put
+//!   and every oracle stayed clean.
+//! * *Two-tier under the chaos plan, full layout* (8 rows): `report`,
+//!   because the constant `election_rounds` histogram is gone (the
+//!   report without it is unchanged), and `trace` for seeds 209, 211
+//!   and 215, because a deposed primary aborts its base transactions
+//!   in id order.
 
 use dangers_of_replication::check::{Recorder, Scheme};
 use dangers_of_replication::core::{

@@ -33,6 +33,12 @@
 //! The metrics export keeps its two histograms, `failover_unavailability`
 //! now in µs of simulated time instead of ticks, and gains the
 //! `epoch_fenced` counter on a run that fences.
+//!
+//! It was regenerated once more when the constant `election_rounds`
+//! histogram (every election takes one round) was deleted: the `max
+//! rounds` column and the exported `election_rounds` histograms are
+//! gone, `elections` now counts `failover_unavailability` samples (one
+//! per election), and no other number moved.
 
 use dangers_of_replication::check::{Recorder, Scheme, Violation};
 use dangers_of_replication::core::{SimConfig, TwoTierConfig, TwoTierSim, TwoTierWorkload};

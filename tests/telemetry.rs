@@ -9,11 +9,13 @@ use dangers_of_replication::core::{
 };
 use dangers_of_replication::model::Params;
 use dangers_of_replication::sim::{SimDuration, SimTime};
+use dangers_of_replication::storage::TxnId;
 use dangers_of_replication::telemetry::{
     parse_jsonl, Event, EventKind, JsonlSink, Profiler, RingBuffer, SeriesAggregator, TraceHandle,
     Tracer,
 };
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 fn cfg(seed: u64) -> SimConfig {
@@ -186,16 +188,21 @@ impl Tracer for Sends {
     }
 }
 
-/// `Report::messages` counts exactly the sends the trace records, for
-/// every engine on a full and on a partial layout: a message is counted
-/// where it is sent, and nowhere else.
-#[test]
-fn every_counted_message_is_a_traced_send() {
+/// One engine, run on a configuration with a tracer attached.
+type Run = Box<dyn Fn(SimConfig, TraceHandle) -> Report>;
+
+/// A full layout and a partial one with cross-shard transactions (so
+/// lazy-group forwards and the commit protocols run).
+fn layouts() -> [(&'static str, SimConfig); 2] {
     let p = Params::new(600.0, 6.0, 10.0, 4.0, 0.01);
     let full = SimConfig::from_params(&p, 30, 17).with_warmup(2);
     let partial = full.with_shards(6, 2).with_cross_shard(0.3);
-    type Run = Box<dyn Fn(SimConfig, TraceHandle) -> Report>;
-    let engines: [(&str, Run); 5] = [
+    [("full", full), ("partial", partial)]
+}
+
+/// The five engines.
+fn engines() -> [(&'static str, Run); 5] {
+    [
         (
             "single-node",
             Box::new(|c, h| {
@@ -239,9 +246,16 @@ fn every_counted_message_is_a_traced_send() {
                 TwoTierSim::new(tt).with_tracer(h).run()
             }),
         ),
-    ];
-    for (name, run) in &engines {
-        for (layout, c) in [("full", full), ("partial", partial)] {
+    ]
+}
+
+/// `Report::messages` counts exactly the sends the trace records, for
+/// every engine on a full and on a partial layout: a message is counted
+/// where it is sent, and nowhere else.
+#[test]
+fn every_counted_message_is_a_traced_send() {
+    for (name, run) in &engines() {
+        for (layout, c) in layouts() {
             let sends = Rc::new(RefCell::new(Sends {
                 from: c.warmup,
                 until: c.horizon,
@@ -257,6 +271,64 @@ fn every_counted_message_is_a_traced_send() {
                 sends.borrow().n,
                 "{name} {layout}: counted vs sent"
             );
+        }
+    }
+}
+
+/// The ids a trace begins transactions with, and the ids its `MsgSent`
+/// events name, in trace order.
+#[derive(Default)]
+struct Ids {
+    begun: Vec<TxnId>,
+    sent: Vec<TxnId>,
+}
+
+impl Tracer for Ids {
+    fn record(&mut self, e: &Event) {
+        match e.kind {
+            EventKind::TxnBegin => self.begun.push(e.txn),
+            EventKind::MsgSent { .. } => self.sent.push(e.txn),
+            _ => {}
+        }
+    }
+}
+
+/// Every engine takes its ids from the kernel's one counter, so on a
+/// full and on a partial layout the ids the trace begins transactions
+/// with are nonzero (0 is what system events stamp) and strictly
+/// increase: id order is begin order. Lazy-group's forwards draw from
+/// the same counter, so no forward shares an id with a transaction.
+#[test]
+fn transaction_ids_are_nonzero_and_in_begin_order() {
+    for (name, run) in &engines() {
+        for (layout, c) in layouts() {
+            let ids = Rc::new(RefCell::new(Ids::default()));
+            run(c, TraceHandle::shared(&ids));
+            let ids = ids.borrow();
+            let first = ids.begun.first().copied();
+            assert!(first.is_some(), "{name} {layout}: nothing began");
+            assert_ne!(first, Some(TxnId::default()), "{name} {layout}");
+            for w in ids.begun.windows(2) {
+                assert!(
+                    w[0] < w[1],
+                    "{name} {layout}: {} began after {}",
+                    w[1],
+                    w[0]
+                );
+            }
+            if *name == "lazy-group" {
+                // Lazy-group's only `MsgSent`s are its forwards.
+                if layout == "partial" {
+                    assert!(!ids.sent.is_empty(), "{name} {layout}: no forwards");
+                }
+                let begun: BTreeSet<TxnId> = ids.begun.iter().copied().collect();
+                for forward in &ids.sent {
+                    assert!(
+                        !begun.contains(forward),
+                        "{name} {layout}: {forward} names a forward and a transaction"
+                    );
+                }
+            }
         }
     }
 }
