@@ -578,7 +578,7 @@ impl LazyGroup {
                 },
             )
         });
-        // Leave the wait queue first: `release_all` only frees *held*
+        // Leave the wait queue first: `release_all_into` only frees *held*
         // locks, and a queued ghost would be granted the contested
         // object later and hold it forever.
         self.nodes[node.0 as usize].locks.cancel_wait(id);
@@ -1425,7 +1425,8 @@ mod tests {
         // it with every id minted after it. Eight times the horizon,
         // the same tables: the widest live window creeps up a little
         // with the run length (an extreme value), which is worth at
-        // most one doubling.
+        // most one doubling. A node's lock tables hold only its own
+        // transactions: at most 21 entries in any of these runs.
         let connected: fn(u64) -> SimConfig = |h| cfg(4.0, 1000.0, 10.0, h, 7);
         let sharded: fn(u64) -> SimConfig = |h| {
             cfg(8.0, 2000.0, 10.0, h, 11)
@@ -1465,6 +1466,7 @@ mod tests {
             for (s, l) in short.into_iter().zip(long) {
                 assert!(l <= 2 * s, "{name}: {short:?} → {long:?}");
             }
+            assert!(short[3].max(long[3]) <= 48, "{name}: {short:?} → {long:?}");
         }
     }
 

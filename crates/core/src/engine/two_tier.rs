@@ -1615,6 +1615,8 @@ mod tests {
         for (s, l) in short.into_iter().zip(long) {
             assert!(l <= 2 * s, "{short:?} → {long:?}");
         }
+        // The master's lock tables hold 17 and 10 entries.
+        assert!(short[1].max(long[1]) <= 48, "{short:?} → {long:?}");
     }
 
     #[test]

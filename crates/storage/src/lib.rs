@@ -15,9 +15,9 @@
 //!   shard assignment and shard→replica-set placement for partial
 //!   replication,
 //! * [`table`] — the direct-mapped, live-bounded [`TxnTable`] keyed by
-//!   a run's monotone [`TxnId`]s: every engine's in-flight
-//!   transactions and the lock manager's per-transaction tables, so
-//!   engines index them instead of hashing them,
+//!   a run's monotone [`TxnId`]s: every engine's run-wide table of
+//!   in-flight transactions, indexed instead of hashed (a node's lock
+//!   tables, which see only its own transactions, are hash maps),
 //! * [`wal`] — the per-node commit log replayed "in sequential commit
 //!   order" by lazy replication (§5),
 //! * [`tentative`] — the mobile node's dual master/tentative versions

@@ -11,7 +11,6 @@
 use crate::hash::FastMap;
 use crate::object::ObjectId;
 use crate::shard::ShardLayout;
-use crate::table::TxnTable;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
@@ -34,7 +33,7 @@ pub enum Acquire {
     /// The lock was granted immediately (or was already held).
     Granted,
     /// Another transaction holds the lock; the requester was queued and
-    /// must suspend until [`LockManager::release_all`] grants it.
+    /// must suspend until [`LockManager::release_all_into`] grants it.
     Waiting,
     /// Queueing the requester would close a waits-for cycle. The
     /// request was **not** queued; the caller must abort the requester
@@ -169,27 +168,20 @@ pub struct LockManager {
     queues: FastMap<ObjectId, VecDeque<TxnId>>,
     /// Number of currently held locks (telemetry).
     locked: usize,
-    /// The locks each live lock-holding transaction holds. A release
-    /// leaves the emptied `Vec` in its entry, so whichever transaction
-    /// claims the entry next inherits the capacity.
-    ///
-    /// Both per-transaction tables are [`TxnTable`]s: direct-mapped by
-    /// the id's low bits, so a lookup (held locks, blocked-on object) is
-    /// one indexed load and an owner compare instead of a hash — the
-    /// second-hottest map traffic in a run after the holder table — and
-    /// as wide as the live window of the run's monotone ids. The owner
-    /// compare covers the full [`TxnId`]: an id that is no longer live
-    /// reads as absent, exactly like a hash map miss, which the timeout
-    /// drivers rely on when validating that a scheduled lock timeout
-    /// still refers to the same wait.
-    held: TxnTable<Vec<ObjectId>>,
+    /// The locks each live lock-holding transaction holds. Like
+    /// `waiting`, a hash map keyed by the full [`TxnId`]: it holds
+    /// exactly the transactions that touch this node, however many ids
+    /// the run mints elsewhere meanwhile, and an id that is no longer
+    /// live reads as absent, which the timeout drivers rely on when
+    /// validating that a scheduled lock timeout still refers to the
+    /// same wait. Neither map is iterated.
+    held: FastMap<TxnId, Vec<ObjectId>>,
     /// The single object each blocked transaction is blocked on.
-    waiting: TxnTable<ObjectId>,
-    /// An empty buffer between releases. [`Self::release_all_into`]
-    /// trades it for the releasing transaction's held list, so the
-    /// entry keeps a buffer for its next owner while the loop is free
-    /// to grow and re-home the table under it.
-    release_scratch: Vec<ObjectId>,
+    waiting: FastMap<TxnId, ObjectId>,
+    /// Emptied held lists. A transaction's first grant takes one and
+    /// its release returns it, so the acquire/release cycle allocates
+    /// nothing after warm-up.
+    held_pool: Vec<Vec<ObjectId>>,
     /// Number of currently blocked transactions.
     blocked: usize,
     /// The waits-for cycle behind the most recent [`Acquire::Deadlock`]
@@ -271,7 +263,7 @@ impl LockManager {
     /// Clear `txn`'s blocked-on record, returning the object it was
     /// waiting on (no-op `None` if it was not blocked).
     fn clear_waiting(&mut self, txn: TxnId) -> Option<ObjectId> {
-        let obj = self.waiting.remove(txn)?;
+        let obj = self.waiting.remove(&txn)?;
         self.blocked -= 1;
         Some(obj)
     }
@@ -327,14 +319,14 @@ impl LockManager {
 
     /// Whether `txn` is blocked.
     pub fn is_waiting(&self, txn: TxnId) -> bool {
-        self.waiting.contains(txn)
+        self.waiting.contains_key(&txn)
     }
 
     /// The object `txn` is currently blocked on, if any. Lets a
     /// timeout-mode driver check that a scheduled timeout still refers
     /// to the same wait before aborting the victim.
     pub fn waiting_on(&self, txn: TxnId) -> Option<ObjectId> {
-        self.waiting.get(txn).copied()
+        self.waiting.get(&txn).copied()
     }
 
     /// Request an exclusive lock on `obj` for `txn`.
@@ -385,16 +377,14 @@ impl LockManager {
         Acquire::Waiting
     }
 
-    /// Append `obj` to `txn`'s held list, claiming an entry on first
-    /// acquisition. The entry's previous owner left its (emptied) list
-    /// behind, so the new owner inherits the capacity.
+    /// Append `obj` to `txn`'s held list, taking a pooled list on its
+    /// first grant.
     fn record_held(&mut self, txn: TxnId, obj: ObjectId) {
-        let (list, fresh) = self.held.claim(txn);
-        debug_assert!(
-            !fresh || list.is_empty(),
-            "a release empties the list it leaves"
-        );
-        list.push(obj);
+        let pool = &mut self.held_pool;
+        self.held
+            .entry(txn)
+            .or_insert_with(|| pool.pop().unwrap_or_default())
+            .push(obj);
     }
 
     /// Would suspending `txn` behind `obj` close a waits-for cycle?
@@ -485,31 +475,16 @@ impl LockManager {
     }
 
     /// Release every lock `txn` holds (commit or abort), promoting the
-    /// next FIFO waiter on each object. Returns the `(transaction,
-    /// object)` pairs that just acquired their lock so the driver can
-    /// resume them.
-    pub fn release_all(&mut self, txn: TxnId) -> Vec<(TxnId, ObjectId)> {
-        let mut granted = Vec::new();
-        self.release_all_into(txn, &mut granted);
-        granted
-    }
-
-    /// Allocation-free variant of [`Self::release_all`]: clears
-    /// `granted` and fills it with the promoted `(transaction, object)`
-    /// pairs. Engines pass a recycled scratch buffer so the
-    /// commit/abort path allocates nothing; the released transaction's
-    /// entry keeps a held-lock buffer for whichever transaction claims
-    /// it next.
+    /// next FIFO waiter on each object. Clears `granted` and fills it
+    /// with the `(transaction, object)` pairs that just acquired their
+    /// lock so the driver can resume them. Engines pass a recycled
+    /// buffer and the held list goes back to the pool, so the
+    /// commit/abort path allocates nothing.
     pub fn release_all_into(&mut self, txn: TxnId, granted: &mut Vec<(TxnId, ObjectId)>) {
         granted.clear();
-        let Some(list) = self.held.vacate(txn) else {
+        let Some(mut objs) = self.held.remove(&txn) else {
             return;
         };
-        // Promoting a waiter records its new lock, which may grow and
-        // re-home the table: leave the entry the (empty) scratch buffer
-        // now and walk the detached list, so nothing has to be handed
-        // back to an entry that may have moved.
-        let mut objs = std::mem::replace(list, std::mem::take(&mut self.release_scratch));
         for obj in objs.drain(..) {
             let o = self.slot(obj);
             // A ghost grant (mutation) records a held lock the ghost
@@ -534,7 +509,7 @@ impl LockManager {
             self.record_held(next, obj);
             granted.push((next, obj));
         }
-        self.release_scratch = objs;
+        self.held_pool.push(objs);
     }
 
     /// Remove `txn` from the wait queue it sits in (used when an
@@ -554,7 +529,7 @@ impl LockManager {
 
     /// The locks `txn` currently holds (empty slice if none).
     pub fn held_by(&self, txn: TxnId) -> &[ObjectId] {
-        self.held.get(txn).map_or(&[], Vec::as_slice)
+        self.held.get(&txn).map_or(&[], Vec::as_slice)
     }
 
     /// Length of the holder table: the footprint that must follow the
@@ -565,9 +540,12 @@ impl LockManager {
         self.holders.len()
     }
 
-    /// Entries allocated across every per-transaction table: the
-    /// footprint that must follow the live population, not the ids
-    /// ever seen (regression tests only).
+    /// Capacity of both per-transaction maps: the footprint that must
+    /// follow this node's own live population, not the ids the run
+    /// mints (regression tests only). A map's capacity is the entries
+    /// it holds without growing; the slots removals leave behind count
+    /// against it until the map next rehashes, so it can dip below the
+    /// allocation, never below the live population.
     #[doc(hidden)]
     pub fn txn_table_capacity(&self) -> usize {
         self.held.capacity() + self.waiting.capacity()
@@ -584,6 +562,13 @@ mod tests {
     const O1: ObjectId = ObjectId(1);
     const O2: ObjectId = ObjectId(2);
     const O3: ObjectId = ObjectId(3);
+
+    /// Release `txn`'s locks and return the promoted waiters.
+    fn release(lm: &mut LockManager, txn: TxnId) -> Vec<(TxnId, ObjectId)> {
+        let mut granted = Vec::new();
+        lm.release_all_into(txn, &mut granted);
+        granted
+    }
 
     #[test]
     fn grant_free_lock() {
@@ -617,12 +602,12 @@ mod tests {
         lm.acquire(A, O1);
         lm.acquire(B, O1);
         lm.acquire(C, O1);
-        let granted = lm.release_all(A);
+        let granted = release(&mut lm, A);
         assert_eq!(granted, vec![(B, O1)]);
         assert!(lm.holds(B, O1));
         assert!(!lm.is_waiting(B));
         assert!(lm.is_waiting(C));
-        let granted = lm.release_all(B);
+        let granted = release(&mut lm, B);
         assert_eq!(granted, vec![(C, O1)]);
     }
 
@@ -630,7 +615,7 @@ mod tests {
     fn release_frees_uncontended_lock() {
         let mut lm = LockManager::new();
         lm.acquire(A, O1);
-        assert!(lm.release_all(A).is_empty());
+        assert!(release(&mut lm, A).is_empty());
         assert_eq!(lm.locked_objects(), 0);
         assert_eq!(lm.acquire(B, O1), Acquire::Granted);
     }
@@ -675,7 +660,7 @@ mod tests {
         lm.acquire(A, O2);
         assert_eq!(lm.acquire(B, O1), Acquire::Deadlock);
         // B aborts: releases O2, which unblocks A.
-        let granted = lm.release_all(B);
+        let granted = release(&mut lm, B);
         assert_eq!(granted, vec![(A, O2)]);
         assert!(lm.holds(A, O2));
         assert!(!lm.is_waiting(A));
@@ -689,14 +674,14 @@ mod tests {
         lm.acquire(C, O1);
         lm.cancel_wait(B);
         assert!(!lm.is_waiting(B));
-        let granted = lm.release_all(A);
+        let granted = release(&mut lm, A);
         assert_eq!(granted, vec![(C, O1)]);
     }
 
     #[test]
     fn release_all_unknown_txn_is_noop() {
         let mut lm = LockManager::new();
-        assert!(lm.release_all(TxnId(99)).is_empty());
+        assert!(release(&mut lm, TxnId(99)).is_empty());
     }
 
     #[test]
@@ -711,7 +696,7 @@ mod tests {
         // C queues behind B on O1: C waits for A and B.
         assert_eq!(lm.acquire(C, O1), Acquire::Waiting);
         // A commits; B now holds O1, C still queued behind B.
-        lm.release_all(A);
+        release(&mut lm, A);
         assert!(lm.holds(B, O1));
         // B requests O2 (held by C, who waits for B) → cycle.
         assert_eq!(lm.acquire(B, O2), Acquire::Deadlock);
@@ -741,9 +726,9 @@ mod tests {
         lm.acquire(A, O1);
         lm.acquire(B, O1);
         assert_eq!(lm.holder_of(O1), Some(A));
-        lm.release_all(A);
+        release(&mut lm, A);
         assert_eq!(lm.holder_of(O1), Some(B));
-        lm.release_all(B);
+        release(&mut lm, B);
         assert_eq!(lm.holder_of(O1), None);
     }
 
@@ -781,7 +766,7 @@ mod tests {
         lm.acquire(C, O2);
         lm.acquire(B, O1);
         lm.acquire(C, O1);
-        lm.release_all(A);
+        release(&mut lm, A);
         assert_eq!(lm.acquire(B, O2), Acquire::Deadlock);
         assert_eq!(lm.last_deadlock_cycle(), &[B, C]);
     }
@@ -801,7 +786,7 @@ mod tests {
         // The caller picks B as the timeout victim: cancel its wait and
         // release its locks; A unblocks and the cycle dissolves.
         lm.cancel_wait(B);
-        let granted = lm.release_all(B);
+        let granted = release(&mut lm, B);
         assert_eq!(granted, vec![(A, O2)]);
         assert!(!lm.is_waiting(A));
     }
@@ -825,7 +810,7 @@ mod tests {
         assert_eq!(lm.waiting_on(A), None);
         lm.acquire(B, O1);
         assert_eq!(lm.waiting_on(B), Some(O1));
-        lm.release_all(A);
+        release(&mut lm, A);
         assert_eq!(lm.waiting_on(B), None);
     }
 
@@ -843,8 +828,8 @@ mod tests {
 
     #[test]
     fn held_entry_serves_only_its_owner() {
-        // Ids equal in their low 32 bits share a table entry: each
-        // must find only its own locks there, never a dead one's.
+        // Ids equal in their low 32 bits are still distinct keys: each
+        // must find only its own locks, never a dead one's.
         let mut lm = LockManager::new();
         let low = 7u64;
         for high in 0..10u64 {
@@ -852,12 +837,12 @@ mod tests {
             lm.acquire(t, O1);
             lm.acquire(t, O2);
             assert_eq!(lm.held_by(t), &[O1, O2]);
-            assert!(lm.release_all(t).is_empty());
+            assert!(release(&mut lm, t).is_empty());
             assert_eq!(lm.locked_objects(), 0);
             assert!(lm.held_by(t).is_empty());
         }
-        // A dead id reads as holding nothing even while the id that
-        // now owns its entry holds locks.
+        // A dead id reads as holding nothing even while an id with the
+        // same low bits holds locks.
         let current = TxnId((10 << 32) | low);
         let stale = TxnId(low);
         lm.acquire(current, O1);
@@ -894,9 +879,9 @@ mod tests {
         assert_eq!(lm.acquire(B, O1), Acquire::Granted);
         // The real holder is unchanged and releases normally…
         assert_eq!(lm.holder_of(O1), Some(A));
-        assert!(lm.release_all(A).is_empty());
+        assert!(release(&mut lm, A).is_empty());
         // …and the ghost's release skips the lock it never truly held.
-        assert!(lm.release_all(B).is_empty());
+        assert!(release(&mut lm, B).is_empty());
         assert_eq!(lm.locked_objects(), 0);
     }
 

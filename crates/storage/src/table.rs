@@ -1,4 +1,7 @@
-//! A direct-mapped per-transaction table keyed by the full [`TxnId`].
+//! A direct-mapped per-transaction table keyed by the full [`TxnId`]:
+//! the engine-wide tables of in-flight transactions (contention's
+//! `active`, lazy-group's `roots`, `replicas` and `forwards`, two-tier's
+//! `base_txns`).
 //!
 //! A run mints `TxnId`s from one counter and never reuses one, because
 //! `TxnId` order is observable (crash aborts, recovery replay and the
@@ -17,19 +20,19 @@
 //!   the table double (until they separate) and re-home its live
 //!   entries. Monotone ids therefore see a ring as wide as the span
 //!   between the oldest and the newest live id. Memory follows the live
-//!   population, never the number of ids ever seen.
+//!   window, never the number of ids ever seen.
+//!
+//! The window is run-wide: a table that sees only some of a run's ids,
+//! such as one node's, still spans every id minted while its oldest
+//! entry lives. Such tables are hash maps instead (the lock manager's).
 //!
 //! Two live ids equal in all 32 low bits cannot be separated by
-//! doubling; claiming the second one panics. One counter per run never
+//! doubling; inserting the second one panics. One counter per run never
 //! keeps two such ids alive at once: they are 2³² transactions apart.
-//!
-//! An entry's value outlives its owner: [`TxnTable::vacate`] leaves it
-//! in place and [`TxnTable::claim`] hands it to the next owner, so
-//! heap buffers inside `T` are recycled without a free list.
 
 use crate::lock::TxnId;
 
-/// Owner of an entry nobody has claimed. Never a real id: a counter
+/// Owner of an entry no live id holds. Never a real id: a counter
 /// would need 2⁶⁴ − 1 transactions.
 const VACANT: TxnId = TxnId(u64::MAX);
 
@@ -58,7 +61,7 @@ impl<T> Default for TxnTable<T> {
 }
 
 impl<T: Default> TxnTable<T> {
-    /// An empty table; allocates nothing until the first claim.
+    /// An empty table; allocates nothing until the first insert.
     pub fn new() -> Self {
         Self::default()
     }
@@ -74,7 +77,7 @@ impl<T: Default> TxnTable<T> {
     }
 
     /// Number of entries allocated — the table's footprint. Tracks the
-    /// widest live population seen, not the ids ever claimed.
+    /// widest live window seen, not the ids ever inserted.
     pub fn capacity(&self) -> usize {
         self.entries.len()
     }
@@ -107,47 +110,32 @@ impl<T: Default> TxnTable<T> {
         (e.owner == id).then_some(&mut e.val)
     }
 
-    /// The value of `id`, making `id` live if it is not. The flag is
-    /// `true` when this call made it live; the value is then whatever
-    /// the entry's previous owner left behind (`T::default()` on a
-    /// never-used entry) and the caller resets it, keeping its buffers.
+    /// Make `id` live with value `val`, returning the value it replaces
+    /// if `id` was live already.
     ///
     /// # Panics
     /// If another live id agrees with `id` in all 32 low bits.
-    #[inline]
-    pub fn claim(&mut self, id: TxnId) -> (&mut T, bool) {
+    pub fn insert(&mut self, id: TxnId, val: T) -> Option<T> {
         debug_assert!(id != VACANT, "the vacant sentinel cannot own an entry");
         let mut i = self.index(id);
-        let fresh = match self.entries.get(i) {
-            Some(e) if e.owner == id => false,
-            Some(e) if e.owner == VACANT => true,
+        match self.entries.get(i) {
+            Some(e) if e.owner == id => {
+                return Some(std::mem::replace(&mut self.entries[i].val, val));
+            }
+            Some(e) if e.owner == VACANT => {}
             resident => {
                 self.grow(id, resident.map(|e| e.owner));
                 i = self.index(id);
-                true
             }
-        };
-        let e = &mut self.entries[i];
-        if fresh {
-            e.owner = id;
-            self.live += 1;
         }
-        (&mut e.val, fresh)
+        self.entries[i] = Entry { owner: id, val };
+        self.live += 1;
+        None
     }
 
-    /// Make `id` live with value `val`, returning the value it replaces
-    /// if `id` was live already.
-    pub fn insert(&mut self, id: TxnId, val: T) -> Option<T> {
-        let (slot, fresh) = self.claim(id);
-        let old = std::mem::replace(slot, val);
-        (!fresh).then_some(old)
-    }
-
-    /// End `id`'s life but leave its value in the entry for the next
-    /// owner to recycle; returns it so the caller can drain or empty
-    /// it. `None`, and nothing changes, if `id` was not live.
+    /// End `id`'s life and move its value out.
     #[inline]
-    pub fn vacate(&mut self, id: TxnId) -> Option<&mut T> {
+    pub fn remove(&mut self, id: TxnId) -> Option<T> {
         let i = self.index(id);
         let e = self.entries.get_mut(i)?;
         if e.owner != id {
@@ -155,13 +143,7 @@ impl<T: Default> TxnTable<T> {
         }
         e.owner = VACANT;
         self.live -= 1;
-        Some(&mut e.val)
-    }
-
-    /// End `id`'s life and move its value out.
-    #[inline]
-    pub fn remove(&mut self, id: TxnId) -> Option<T> {
-        self.vacate(id).map(std::mem::take)
+        Some(std::mem::take(&mut e.val))
     }
 
     /// The live `(id, value)` pairs in entry order. That order depends
@@ -255,7 +237,7 @@ mod tests {
         assert_eq!(t.remove(old), Some(1));
         t.insert(new, 2);
         assert_eq!(t.get(old), None);
-        assert_eq!(t.vacate(old), None);
+        assert_eq!(t.remove(old), None);
         assert_eq!(t.get(new), Some(&2));
         assert_eq!(t.capacity(), 8, "a recycled slot needs no growth");
     }
@@ -270,22 +252,6 @@ mod tests {
         assert_eq!(t.get(TxnId(1)), Some(&"straggler"));
         assert_eq!(t.get(TxnId(65)), Some(&"newcomer"));
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn vacated_value_is_recycled_by_the_next_claimant() {
-        let mut t: TxnTable<Vec<u32>> = TxnTable::new();
-        let (v, fresh) = t.claim(TxnId(2));
-        assert!(fresh && v.is_empty());
-        v.extend([1, 2, 3]);
-        let ptr = v.as_ptr();
-        assert!(!t.claim(TxnId(2)).1, "claiming a live id is a lookup");
-        t.vacate(TxnId(2)).unwrap().clear();
-        // Id 10 maps to the same entry of the 8-wide table.
-        let (v, fresh) = t.claim(TxnId(10));
-        assert!(fresh);
-        assert!(v.is_empty() && v.capacity() >= 3);
-        assert_eq!(v.as_ptr(), ptr, "the buffer stayed with the entry");
     }
 
     #[test]

@@ -6,6 +6,13 @@ use proptest::prelude::*;
 use repl_storage::{Acquire, DeadlockMode, LockManager, NodeId, ObjectId, ShardMap, TxnId};
 use std::collections::{BTreeMap, HashSet};
 
+/// Release `txn`'s locks and return the promoted waiters.
+fn release(lm: &mut LockManager, txn: TxnId) -> Vec<(TxnId, ObjectId)> {
+    let mut granted = Vec::new();
+    lm.release_all_into(txn, &mut granted);
+    granted
+}
+
 /// How the walk's sixteen logical transactions get their `TxnId`s.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum IdFamily {
@@ -15,8 +22,7 @@ enum IdFamily {
     /// contention engine's scheme).
     Monotone,
     /// Monotone, and logical transaction 0 never commits: its id stays
-    /// live while the others churn, so the live window — and the lock
-    /// manager's tables — keep widening.
+    /// live while the others churn, so the live window keeps widening.
     Straggler,
 }
 
@@ -135,7 +141,7 @@ proptest! {
                         }
                         Acquire::Deadlock => {
                             // Victim aborts immediately.
-                            let grants = lm.release_all(TxnId(t));
+                            let grants = release(&mut lm, TxnId(t));
                             m.held.remove(&t);
                             m.process_grants(grants);
                         }
@@ -145,7 +151,7 @@ proptest! {
                     if m.blocked.contains_key(&t) {
                         continue;
                     }
-                    let grants = lm.release_all(TxnId(t));
+                    let grants = release(&mut lm, TxnId(t));
                     m.held.remove(&t);
                     m.process_grants(grants);
                 }
@@ -183,29 +189,12 @@ proptest! {
                 );
                 break;
             };
-            let grants = lm.release_all(TxnId(t));
+            let grants = release(&mut lm, TxnId(t));
             m.held.remove(&t);
             m.process_grants(grants);
         }
         prop_assert_eq!(lm.locked_objects(), 0);
         prop_assert_eq!(lm.blocked_transactions(), 0);
-    }
-
-    /// Equivalence of the two release paths: `release_all` (fresh Vec
-    /// per call) and `release_all_into` (caller-owned buffer) must
-    /// produce identical acquire outcomes, identical grant *orders*,
-    /// and identical counters on every interleaving, in both deadlock
-    /// modes and for every id family — reused ids, monotone ids, and
-    /// monotone ids behind a long-lived straggler, where promotions
-    /// keep growing and re-homing the per-transaction tables. Guards
-    /// the allocation pass against any behavioral drift.
-    #[test]
-    fn release_paths_are_equivalent(
-        steps in prop::collection::vec(arb_step(), 1..300),
-        timeout_mode in (0u8..2).prop_map(|v| v == 1),
-        family in arb_family(),
-    ) {
-        equivalence_walk(steps, timeout_mode, family, None)?;
     }
 
     /// A manager packed to one node's hosted subset is the identity
@@ -222,20 +211,20 @@ proptest! {
         let (shards, nodes, rf_raw, shard_raw) = layout;
         let map = ShardMap::new(shards, nodes, 1 + rf_raw % (nodes - 1));
         let node = map.replicas(shard_raw % shards)[0];
-        equivalence_walk(steps, timeout_mode, family, Some((&map, node)))?;
+        equivalence_walk(steps, timeout_mode, family, &map, node)?;
     }
 }
 
-/// Drive two managers through the same walk — `a` the identity table
-/// released with `release_all`, `b` released with `release_all_into`
-/// and, given `packed`, built with that node's layout, the walk's eight
-/// objects then being spread over the ids the node hosts — and check
-/// they are indistinguishable through every public method.
+/// Drive two managers through the same walk — `a` the identity table,
+/// `b` built with `node`'s layout, the walk's eight objects being
+/// spread over the ids the node hosts — and check they are
+/// indistinguishable through every public method.
 fn equivalence_walk(
     steps: Vec<Step>,
     timeout_mode: bool,
     family: IdFamily,
-    packed: Option<(&ShardMap, NodeId)>,
+    map: &ShardMap,
+    node: NodeId,
 ) -> Result<(), TestCaseError> {
     const DB: u64 = 1000;
     let mode = if timeout_mode {
@@ -243,27 +232,23 @@ fn equivalence_walk(
     } else {
         DeadlockMode::Detect
     };
-    let hosted = packed.map_or(DB, |(map, node)| map.hosted_objects(node, DB));
-    let object = |o: u64| match packed {
-        None => ObjectId(o),
-        Some((map, node)) => map.nth_hosted(node, o * 131 % hosted),
-    };
+    let hosted = map.hosted_objects(node, DB);
+    let object = |o: u64| map.nth_hosted(node, o * 131 % hosted);
     let mut a = LockManager::with_mode(mode);
-    let mut b =
-        LockManager::with_mode(mode).with_layout(packed.and_then(|(map, node)| map.layout(node)));
+    let mut b = LockManager::with_mode(mode).with_layout(map.layout(node));
     b.reserve_objects(DB as usize);
-    let mut buf = Vec::new();
+    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
     let mut ids = Ids::new(family);
     // Blocked *logical* transactions.
     let mut blocked: HashSet<u64> = HashSet::new();
 
     let mut drive =
         |a: &mut LockManager, b: &mut LockManager, t: TxnId| -> Vec<(TxnId, ObjectId)> {
-            let grants = a.release_all(t);
-            b.release_all_into(t, &mut buf);
-            assert_eq!(grants, buf, "grant order diverged releasing {t}");
+            a.release_all_into(t, &mut buf_a);
+            b.release_all_into(t, &mut buf_b);
+            assert_eq!(buf_a, buf_b, "grant order diverged releasing {t}");
             assert!(a.held_by(t).is_empty() && b.held_by(t).is_empty());
-            grants
+            buf_a.clone()
         };
 
     for step in steps {
@@ -344,122 +329,98 @@ fn packed_table_panics_on_an_unhosted_id() {
     lm.acquire(TxnId(1), ObjectId(1));
 }
 
-/// A promotion inside `release_all_into` records the waiter's new lock,
-/// and that can widen and re-home the held table while the releasing
-/// transaction's list is detached. Ids are chosen against the table's
-/// initial width of 8: waiter 10 lands on live holder 2's entry (forcing
-/// the resize mid-loop) and waiter 9 on the releasing transaction's own,
-/// just-vacated one.
+/// A promotion inside `release_all_into` records the waiter's new lock
+/// while the releasing transaction's list is detached: one waiter is
+/// promoted on each released object, in release order, and each ends up
+/// holding exactly its lock. Ids 10 and 9 equal holder 2 and the
+/// releasing transaction 1 modulo 8, and a later incarnation takes a
+/// lock the releaser held.
 #[test]
-fn promotion_that_grows_the_table_mid_release() {
+fn promotion_during_a_release_grants_each_waiter_its_lock() {
     let (releasing, bystander, clashing, reusing) = (TxnId(1), TxnId(2), TxnId(10), TxnId(9));
     let (o1, o2, o3) = (ObjectId(1), ObjectId(2), ObjectId(3));
-    let run = |into: bool| {
-        let mut lm = LockManager::new();
-        assert_eq!(lm.acquire(releasing, o1), Acquire::Granted);
-        assert_eq!(lm.acquire(releasing, o2), Acquire::Granted);
-        assert_eq!(lm.acquire(bystander, o3), Acquire::Granted);
-        assert_eq!(lm.acquire(clashing, o1), Acquire::Waiting);
-        assert_eq!(lm.acquire(reusing, o2), Acquire::Waiting);
-        let before = lm.txn_table_capacity();
-        let granted = if into {
-            let mut buf = vec![(TxnId(77), ObjectId(77))];
-            lm.release_all_into(releasing, &mut buf);
-            buf
-        } else {
-            lm.release_all(releasing)
-        };
-        assert_eq!(granted, vec![(clashing, o1), (reusing, o2)]);
-        assert!(
-            lm.txn_table_capacity() > before,
-            "the fixture no longer forces a resize inside the release loop"
-        );
-        assert!(lm.held_by(releasing).is_empty());
-        assert_eq!(lm.held_by(clashing), &[o1]);
-        assert_eq!(lm.held_by(reusing), &[o2]);
-        assert_eq!(lm.held_by(bystander), &[o3], "re-homed entry lost its list");
-        assert_eq!(lm.blocked_transactions(), 0);
-        // The tables still work after the move: a further incarnation
-        // on the releasing transaction's old entry takes and frees locks.
-        let again = TxnId(17);
-        assert_eq!(lm.acquire(again, o2), Acquire::Waiting);
-        assert_eq!(lm.release_all(reusing), vec![(again, o2)]);
-        for t in [clashing, bystander, again] {
-            assert!(lm.release_all(t).is_empty());
-        }
-        assert_eq!(lm.locked_objects(), 0);
-        lm.txn_table_capacity()
-    };
-    assert_eq!(run(false), run(true));
+    let mut lm = LockManager::new();
+    assert_eq!(lm.acquire(releasing, o1), Acquire::Granted);
+    assert_eq!(lm.acquire(releasing, o2), Acquire::Granted);
+    assert_eq!(lm.acquire(bystander, o3), Acquire::Granted);
+    assert_eq!(lm.acquire(clashing, o1), Acquire::Waiting);
+    assert_eq!(lm.acquire(reusing, o2), Acquire::Waiting);
+    let mut granted = vec![(TxnId(77), ObjectId(77))];
+    lm.release_all_into(releasing, &mut granted);
+    assert_eq!(granted, vec![(clashing, o1), (reusing, o2)]);
+    assert!(lm.held_by(releasing).is_empty());
+    assert_eq!(lm.held_by(clashing), &[o1]);
+    assert_eq!(lm.held_by(reusing), &[o2]);
+    assert_eq!(lm.held_by(bystander), &[o3]);
+    assert_eq!(lm.blocked_transactions(), 0);
+    // A further incarnation takes and frees a lock the releaser held.
+    let again = TxnId(17);
+    assert_eq!(lm.acquire(again, o2), Acquire::Waiting);
+    assert_eq!(release(&mut lm, reusing), vec![(again, o2)]);
+    for t in [clashing, bystander, again] {
+        assert!(release(&mut lm, t).is_empty());
+    }
+    assert_eq!(lm.locked_objects(), 0);
 }
 
 /// The per-transaction tables follow the live population, not the ids
 /// ever seen: a million monotone ids, four locks each, at most 64 alive
-/// at once, must fit in a few hundred entries. (Indexed by the id, as
-/// the tables once were, this is two million-entry arrays.)
+/// at once, must fit in a few hundred entries — whether the node sees
+/// every id the run mints or, like one node of a 256-node run, every
+/// 256th. (Indexed by the id, as the tables once were, this is two
+/// million-entry arrays; direct-mapped by its low bits, a ring as wide
+/// as the 64 × 256 ids the run mints while the oldest lives.)
 #[test]
 fn monotone_ids_leave_a_footprint_bounded_by_the_live_population() {
     const LIVE: u64 = 64;
     const TXNS: u64 = 1_000_000;
-    let mut lm = LockManager::new();
-    let objects = |t: u64| (0..4).map(move |k| ObjectId((t % LIVE) * 4 + k));
-    let mut granted = Vec::new();
-    for t in 0..TXNS {
-        if t >= LIVE {
-            let old = TxnId(t - LIVE);
-            assert_eq!(lm.held_by(old).len(), 4);
-            lm.release_all_into(old, &mut granted);
-            assert!(granted.is_empty() && lm.held_by(old).is_empty());
+    for stride in [1, 256] {
+        let mut lm = LockManager::new();
+        let objects = |t: u64| (0..4).map(move |k| ObjectId((t % LIVE) * 4 + k));
+        let id = |t: u64| TxnId(t * stride);
+        let mut granted = Vec::new();
+        for t in 0..TXNS {
+            if t >= LIVE {
+                let old = id(t - LIVE);
+                assert_eq!(lm.held_by(old).len(), 4);
+                lm.release_all_into(old, &mut granted);
+                assert!(granted.is_empty() && lm.held_by(old).is_empty());
+            }
+            for o in objects(t) {
+                assert_eq!(lm.acquire(id(t), o), Acquire::Granted);
+            }
         }
-        for o in objects(t) {
-            assert_eq!(lm.acquire(TxnId(t), o), Acquire::Granted);
-        }
+        assert_eq!(lm.locked_objects(), (LIVE * 4) as usize);
+        // One held table and (never touched here) one waiting table.
+        assert!(
+            lm.txn_table_capacity() <= 4 * LIVE as usize,
+            "stride {stride}: {} table entries for {LIVE} live transactions",
+            lm.txn_table_capacity()
+        );
     }
-    assert_eq!(lm.locked_objects(), (LIVE * 4) as usize);
-    // One held table and (never touched here) one waiting table.
-    assert!(
-        lm.txn_table_capacity() <= 4 * LIVE as usize,
-        "{} table entries for {LIVE} live transactions",
-        lm.txn_table_capacity()
-    );
 }
 
-/// The PR 2 ghost-lock regression as a fixed equivalence fixture: in
-/// timeout mode a victim whose wait is cancelled must not be granted
-/// the contested lock posthumously — and both release paths must agree
-/// on the survivor hand-off, including grant order.
+/// The ghost-lock regression as a fixed fixture: in timeout mode a
+/// victim whose wait is cancelled must not be granted the contested
+/// lock posthumously; the survivor queued behind it inherits it.
 #[test]
-fn ghost_lock_fixture_identical_across_release_paths() {
-    let run = |into: bool| {
-        let mut lm = LockManager::with_mode(DeadlockMode::TimeoutOnly);
-        let mut log: Vec<Vec<(TxnId, ObjectId)>> = Vec::new();
-        let mut buf = Vec::new();
-        let mut release = |lm: &mut LockManager, t: TxnId| {
-            if into {
-                lm.release_all_into(t, &mut buf);
-                log.push(buf.clone());
-            } else {
-                log.push(lm.release_all(t));
-            }
-        };
-        // A<->B cycle on O1/O2, with C queued behind the contested O1.
-        assert_eq!(lm.acquire(TxnId(1), ObjectId(1)), Acquire::Granted);
-        assert_eq!(lm.acquire(TxnId(2), ObjectId(2)), Acquire::Granted);
-        assert_eq!(lm.acquire(TxnId(2), ObjectId(1)), Acquire::Waiting);
-        assert_eq!(lm.acquire(TxnId(1), ObjectId(2)), Acquire::Waiting);
-        assert_eq!(lm.acquire(TxnId(3), ObjectId(1)), Acquire::Waiting);
-        // B times out: cancel its wait, then release its held locks.
-        lm.cancel_wait(TxnId(2));
-        release(&mut lm, TxnId(2));
-        // A commits; C must inherit O1 (no ghost grant to B).
-        release(&mut lm, TxnId(1));
-        assert!(
-            lm.holds(TxnId(3), ObjectId(1)),
-            "survivor never got the lock"
-        );
-        release(&mut lm, TxnId(3));
-        assert_eq!(lm.locked_objects(), 0);
-        (log, lm.cycle_checks())
-    };
-    assert_eq!(run(false), run(true));
+fn ghost_lock_fixture_hands_the_contested_lock_to_the_survivor() {
+    let (a, b, c) = (TxnId(1), TxnId(2), TxnId(3));
+    let (o1, o2) = (ObjectId(1), ObjectId(2));
+    let mut lm = LockManager::with_mode(DeadlockMode::TimeoutOnly);
+    // A<->B cycle on O1/O2, with C queued behind the contested O1.
+    assert_eq!(lm.acquire(a, o1), Acquire::Granted);
+    assert_eq!(lm.acquire(b, o2), Acquire::Granted);
+    assert_eq!(lm.acquire(b, o1), Acquire::Waiting);
+    assert_eq!(lm.acquire(a, o2), Acquire::Waiting);
+    assert_eq!(lm.acquire(c, o1), Acquire::Waiting);
+    // B times out: cancel its wait, then release its held locks.
+    lm.cancel_wait(b);
+    assert_eq!(release(&mut lm, b), vec![(a, o2)]);
+    // A commits; C must inherit O1 (no ghost grant to B).
+    assert_eq!(release(&mut lm, a), vec![(c, o1)]);
+    assert!(lm.holds(c, o1), "survivor never got the lock");
+    assert!(release(&mut lm, c).is_empty());
+    assert_eq!(lm.locked_objects(), 0);
+    assert_eq!(lm.cycle_checks(), 0);
 }

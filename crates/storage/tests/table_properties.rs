@@ -1,5 +1,5 @@
-//! Property tests for [`TxnTable`]: under random insert / claim / get /
-//! get_mut / remove / vacate / contains / iterate it must behave like a
+//! Property tests for [`TxnTable`]: under random insert / get / get_mut
+//! / remove / contains / iterate it must behave like a
 //! `BTreeMap<TxnId, _>`, for the ids a run mints and for the id
 //! families that stress its owner check and its growth:
 //!
@@ -38,24 +38,6 @@ impl Checker {
         self.after_birth(id);
     }
 
-    /// `claim` is get-or-insert: the flag says which, and a fresh
-    /// claim's residual value is the caller's to overwrite.
-    fn claim(&mut self, id: TxnId, val: u64) {
-        let (slot, fresh) = self.table.claim(id);
-        assert_eq!(
-            fresh,
-            !self.model.contains_key(&id),
-            "claim({id}) freshness"
-        );
-        if fresh {
-            *slot = val;
-            self.model.insert(id, val);
-        } else {
-            assert_eq!(*slot, self.model[&id]);
-        }
-        self.after_birth(id);
-    }
-
     fn after_birth(&mut self, id: TxnId) {
         self.dead.retain(|d| *d != id);
         let (lo, hi) = (
@@ -69,13 +51,6 @@ impl Checker {
     fn remove(&mut self, id: TxnId) {
         let want = self.model.remove(&id);
         assert_eq!(self.table.remove(id), want, "remove({id})");
-        self.after_death(id, want.is_some());
-    }
-
-    /// `vacate` is `remove` that leaves the value behind.
-    fn vacate(&mut self, id: TxnId) {
-        let want = self.model.remove(&id);
-        assert_eq!(self.table.vacate(id).map(|v| *v), want, "vacate({id})");
         self.after_death(id, want.is_some());
     }
 
@@ -161,13 +136,11 @@ proptest! {
         let mut next = start;
         for (kind, pick, val) in ops {
             match kind {
-                0..=3 => { c.insert(TxnId(next), val); next += 1; }
-                4 => { c.claim(TxnId(next), val); next += 1; }
+                0..=4 => { c.insert(TxnId(next), val); next += 1; }
                 // Mostly retire the oldest, as a sliding window does.
-                5 | 6 => if let Some(id) = c.oldest(None) { c.remove(id) },
-                7 => if let Some(id) = c.oldest(None) { c.vacate(id) },
+                5..=7 => if let Some(id) = c.oldest(None) { c.remove(id) },
                 8 => { let id = c.some_id(pick); c.remove(id); }
-                9 => { let id = c.some_id(pick); c.claim(id, val); }
+                9 => { let id = c.some_id(pick); c.insert(id, val); }
                 _ => { let id = c.some_id(pick); c.probe(id, val); }
             }
             prop_assert_eq!(c.table.len(), c.model.len());
@@ -191,16 +164,12 @@ proptest! {
                         gens.len() as u64 - 1
                     });
                     let gen = gens[slot as usize];
-                    if kind == 4 {
-                        c.claim(id_of(slot, gen), val);
-                    } else {
-                        c.insert(id_of(slot, gen), val);
-                    }
+                    c.insert(id_of(slot, gen), val);
                     // Every earlier generation of the slot is stale.
                     if gen > 0 {
                         let stale = id_of(slot, gen - 1);
                         prop_assert_eq!(c.table.get(stale), None);
-                        prop_assert!(c.table.vacate(stale).is_none());
+                        prop_assert!(c.table.remove(stale).is_none());
                         prop_assert!(c.table.contains(id_of(slot, gen)));
                     }
                 }
@@ -208,7 +177,7 @@ proptest! {
                     let live = c.model.len() as u64;
                     if live > 0 {
                         let id = *c.model.keys().nth((pick % live) as usize).unwrap();
-                        if kind == 8 { c.vacate(id) } else { c.remove(id) }
+                        c.remove(id);
                         let slot = id.0 & 0xffff_ffff;
                         gens[slot as usize] += 1;
                         free.push(slot);
@@ -240,7 +209,7 @@ proptest! {
                 3..=5 => for _ in 0..=pick % 40 {
                     if let Some(id) = c.oldest(straggler) { c.remove(id) }
                 },
-                6 if pick % 8 == 0 => if let Some(id) = straggler.take() { c.vacate(id) },
+                6 if pick % 8 == 0 => if let Some(id) = straggler.take() { c.remove(id) },
                 6 | 7 => { let id = c.some_id(pick); c.remove(id); straggler = straggler.filter(|s| *s != id); }
                 _ => { let id = c.some_id(pick); c.probe(id, val); }
             }
@@ -265,10 +234,8 @@ proptest! {
         let id_of = |pick: u64| TxnId((residue % (1 << shift)) + ((pick % 96) << shift));
         for (kind, pick, val) in ops {
             match kind {
-                0..=3 => c.insert(id_of(pick), val),
-                4 => c.claim(id_of(pick), val),
-                5 | 6 => c.remove(id_of(pick)),
-                7 => c.vacate(id_of(pick)),
+                0..=4 => c.insert(id_of(pick), val),
+                5..=7 => c.remove(id_of(pick)),
                 8 => { let id = c.some_id(pick); c.remove(id); }
                 _ => { let id = c.some_id(pick); c.probe(id, val); c.probe(id_of(pick), val); }
             }

@@ -388,9 +388,13 @@ echo "ok: benchmark smoke ran 4 workloads, ok_frac 1 on each"
 say "benchmark unit tests: statistics, workload cases, metric catalogue vs BENCHMARK.json"
 cargo test --manifest-path benchmark/Cargo.toml --offline -q
 
-say "allocator gates: heap follows live events (queue_memory), allocations follow rf (fanout_allocations), telemetry allocates nothing per event (telemetry_allocations)"
+say "allocator gates: heap follows live events (queue_memory), allocations follow rf (fanout_allocations), telemetry allocates nothing per event (telemetry_allocations), a warm lock cycle allocates nothing (lock_allocations)"
 # Each file installs its own counting #[global_allocator]; release, so
 # the numbers are the ones the docs quote.
 cargo test -q --release --test queue_memory --test fanout_allocations --test telemetry_allocations
+cargo test -q --release -p repl-storage --test lock_allocations
+
+say "non-test lines (informational, not a gate)"
+scripts/loc.sh
 
 say "all CI gates passed"
