@@ -228,7 +228,7 @@ pub(crate) fn find_divergence(
     let mut states: Vec<(NodeId, Timestamp, Value)> = Vec::new();
     for (node, snap) in finals {
         if let Some((_, v)) = snap.iter().find(|(o, _)| *o == obj) {
-            states.push((*node, v.ts, v.value.clone()));
+            states.push((*node, v.ts, v.value));
         }
     }
     Some(Violation::Divergence {

@@ -137,13 +137,13 @@ impl NodeThread {
             let current = self.store.get(op.object).clone();
             let new_value = op.op.apply(&current.value);
             let new_ts = self.clock.tick();
-            self.store.set(op.object, new_value.clone(), new_ts);
+            self.store.set(op.object, new_value, new_ts);
             updates.push(UpdateRecord {
                 txn: repl_storage::TxnId(0),
                 object: op.object,
                 old_ts: current.ts,
                 new_ts,
-                value: new_value.clone(),
+                value: new_value,
             });
             results.push((op.object, new_value));
         }
@@ -499,12 +499,7 @@ mod tests {
         // the true 30.
         let digests = c.digests();
         assert!(digests.iter().all(|&d| d == digests[0]));
-        let total = c
-            .snapshot(NodeId(0))
-            .get(ObjectId(0))
-            .value
-            .as_int()
-            .unwrap();
+        let total = c.snapshot(NodeId(0)).get(ObjectId(0)).value.as_int();
         assert!(total <= 30, "cannot exceed the true total");
         assert!(total >= 10, "own increments are locally sequential");
     }

@@ -153,8 +153,8 @@ impl Replica {
                 .iter()
                 .rev()
                 .find(|(o, _)| *o == op.object)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| self.master.get(op.object).value.clone());
+                .map(|(_, v)| *v)
+                .unwrap_or_else(|| self.master.get(op.object).value);
             buffered.push((op.object, op.op.apply(&current)));
         }
         if !spec
@@ -182,13 +182,13 @@ impl Replica {
         for (obj, value) in &buffered {
             let old_ts = self.master.get(*obj).ts;
             let new_ts = self.clock.tick();
-            self.master.set(*obj, value.clone(), new_ts);
+            self.master.set(*obj, *value, new_ts);
             updates.push(UpdateRecord {
                 txn,
                 object: *obj,
                 old_ts,
                 new_ts,
-                value: value.clone(),
+                value: *value,
             });
         }
         self.log.append(txn, updates);
@@ -328,10 +328,10 @@ impl MobileNode {
         let now = SimTime(self.tick);
         let mut results = Vec::with_capacity(spec.ops.len());
         for op in &spec.ops {
-            let current = self.store.read(op.object).value.clone();
+            let current = self.store.read(op.object).value;
             let new = op.op.apply(&current);
             let ts = self.clock.tick();
-            self.store.write_tentative(op.object, new.clone(), ts);
+            self.store.write_tentative(op.object, new, ts);
             results.push((op.object, new));
         }
         self.next_seq += 1;

@@ -52,8 +52,9 @@ pub struct SimConfig {
     /// ("there are no hotspots"); the Zipf variant is the hotspot
     /// ablation.
     pub access: AccessPattern,
-    /// Deadlock resolution policy (honored by the lazy-group engine;
-    /// the analytic engines assume [`DeadlockPolicy::Detection`]).
+    /// Deadlock resolution policy. Only the lazy-group engine honours
+    /// [`DeadlockPolicy::Timeout`]; every other engine refuses it at
+    /// construction rather than silently run detection.
     pub deadlock: DeadlockPolicy,
     /// Skip all mergeable-distribution recording (`Report::dists` stays
     /// empty and the latency percentiles report 0). Only the
@@ -85,6 +86,15 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
+    /// Panic if `engine`, which only detects deadlocks, is asked to
+    /// resolve them by timeout.
+    pub(crate) fn refuse_timeout(&self, engine: &str) {
+        assert!(
+            self.deadlock == DeadlockPolicy::Detection,
+            "{engine} refuses DeadlockPolicy::Timeout: only the lazy-group engine honours it"
+        );
+    }
+
     /// Build a config from model parameters, a run horizon, and a seed.
     /// Fractional `nodes`/`actions` in `params` are rounded.
     pub fn from_params(params: &Params, horizon_secs: u64, seed: u64) -> Self {

@@ -73,17 +73,14 @@ impl Document {
     }
 
     /// The document's current value: the last-writer-wins replace
-    /// field plus the sum of all commutative deltas. A pure text
-    /// document (no deltas) reads as its text; once any increment has
-    /// been applied the value is numeric.
+    /// field (0 if never written) plus the sum of all commutative
+    /// deltas; `None` while neither has been written.
     pub fn value(&self) -> Option<Value> {
-        let delta_sum: i64 = self.deltas.values().sum();
-        match (&self.replace, self.deltas.is_empty()) {
-            (Some((_, v)), true) => Some(v.clone()),
-            (Some((_, v)), false) => Some(Value::Int(v.as_int().unwrap_or(0) + delta_sum)),
-            (None, true) => None,
-            (None, false) => Some(Value::Int(delta_sum)),
+        if self.replace.is_none() && self.deltas.is_empty() {
+            return None;
         }
+        let base = self.replace.map_or(0, |(_, Value::Int(v))| v);
+        Some(Value::Int(base + self.deltas.values().sum::<i64>()))
     }
 }
 
@@ -189,7 +186,7 @@ impl NotesStore {
                         NotesOutcome::Discarded
                     }
                     _ => {
-                        d.replace = Some((*ts, value.clone()));
+                        d.replace = Some((*ts, *value));
                         NotesOutcome::Applied
                     }
                 }
@@ -219,7 +216,7 @@ impl NotesStore {
             if let Some((ts, v)) = &d.replace {
                 match &mine.replace {
                     Some((cur, _)) if cur >= ts => {}
-                    _ => mine.replace = Some((*ts, v.clone())),
+                    _ => mine.replace = Some((*ts, *v)),
                 }
             }
             for (ts, delta) in &d.deltas {
@@ -248,14 +245,8 @@ impl NotesStore {
             if let Some((ts, v)) = &d.replace {
                 mix(ts.counter);
                 mix(u64::from(ts.node.0));
-                match v {
-                    Value::Int(i) => mix(*i as u64),
-                    Value::Text(s) => {
-                        for &b in s.as_bytes() {
-                            mix(u64::from(b));
-                        }
-                    }
-                }
+                let Value::Int(i) = *v;
+                mix(i as u64);
             }
             for (ts, delta) in &d.deltas {
                 mix(ts.counter);
@@ -362,9 +353,9 @@ impl AccessStore {
                     }
                     Causality::Concurrent => {
                         let (winner_is_theirs, loser_value, loser_ts) = if theirs.ts > mine.ts {
-                            (true, mine.value.clone(), mine.ts)
+                            (true, mine.value, mine.ts)
                         } else {
-                            (false, theirs.value.clone(), theirs.ts)
+                            (false, theirs.value, theirs.ts)
                         };
                         self.rejected.push(RejectedUpdate {
                             doc: *doc,
@@ -374,7 +365,7 @@ impl AccessStore {
                         let mut merged = mine.vv.clone();
                         merged.merge(&theirs.vv);
                         if winner_is_theirs {
-                            mine.value = theirs.value.clone();
+                            mine.value = theirs.value;
                             mine.ts = theirs.ts;
                         }
                         mine.vv = merged;
@@ -399,14 +390,8 @@ impl AccessStore {
         };
         for (doc, r) in &self.records {
             mix(doc.0);
-            match &r.value {
-                Value::Int(i) => mix(*i as u64),
-                Value::Text(s) => {
-                    for &b in s.as_bytes() {
-                        mix(u64::from(b));
-                    }
-                }
-            }
+            let Value::Int(i) = r.value;
+            mix(i as u64);
             mix(r.ts.counter);
             mix(u64::from(r.ts.node.0));
         }

@@ -298,6 +298,7 @@ impl ContentionSim {
 impl<S: Flavor> Sim<Contention<S>> {
     /// Build the contention protocol under `profile`.
     pub(super) fn with_profile(cfg: SimConfig, profile: ContentionProfile) -> Self {
+        cfg.refuse_timeout(S::LABEL);
         let shard = cfg.shard_map().map(|map| {
             let samplers = (0..cfg.nodes)
                 .map(|n| {

@@ -104,6 +104,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "eager refuses DeadlockPolicy::Timeout")]
+    fn timeout_policy_is_refused() {
+        use crate::config::DeadlockPolicy;
+        use repl_sim::SimDuration;
+        let c = cfg(4.0, 1_000.0, 2.0, 10, 1).with_deadlock(DeadlockPolicy::Timeout {
+            wait: SimDuration::from_millis(500),
+        });
+        let _ = EagerSim::new(c, ReplicaDiscipline::Serial, Ownership::Group);
+    }
+
+    #[test]
     fn parallel_latency_flat_in_nodes() {
         let r4 = EagerSim::new(
             cfg(4.0, 1_000_000.0, 2.0, 100, 2),

@@ -795,7 +795,7 @@ impl LazyGroup {
         let obj = txn.objects[txn.next];
         let state = &mut self.nodes[node.0 as usize];
         let new_ts = state.clock.tick();
-        let old = state.store.replace(obj, value.clone(), new_ts);
+        let old = state.store.replace(obj, value, new_ts);
         let old_ts = old.ts;
         txn.undo.push((obj, old.value, old_ts));
         txn.updates.push(UpdateRecord {
@@ -1049,7 +1049,7 @@ impl LazyGroup {
         // (the record itself stays in the shared message).
         let u = &txn.msg.updates[txn.next];
         let (object, old_ts, new_ts) = (u.object, u.old_ts, u.new_ts);
-        let value = u.value.clone();
+        let value = u.value;
         txn.next += 1;
         let state = &mut self.nodes[node.0 as usize];
         state.clock.observe(new_ts);
@@ -1287,7 +1287,7 @@ mod tests {
             for (obj, v) in store.iter() {
                 match seen.entry(obj) {
                     std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert((i, v.ts, v.value.clone()));
+                        e.insert((i, v.ts, v.value));
                     }
                     std::collections::hash_map::Entry::Occupied(e) => {
                         let (j, ts, val) = e.get();

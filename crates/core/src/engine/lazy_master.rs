@@ -58,6 +58,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "lazy-master refuses DeadlockPolicy::Timeout")]
+    fn timeout_policy_is_refused() {
+        use crate::config::DeadlockPolicy;
+        use repl_sim::SimDuration;
+        let c = cfg(4.0, 1_000.0, 2.0, 10, 1).with_deadlock(DeadlockPolicy::Timeout {
+            wait: SimDuration::from_millis(500),
+        });
+        let _ = LazyMasterSim::new(c);
+    }
+
+    #[test]
     fn no_reconciliations_ever() {
         let r = LazyMasterSim::new(cfg(8.0, 100.0, 10.0, 60, 2)).run();
         assert_eq!(r.reconciliations, 0);

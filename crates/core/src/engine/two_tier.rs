@@ -367,12 +367,13 @@ impl TwoTierSim {
             "mobile-owned slices must leave base-mastered objects"
         );
         let sim = cfg.sim;
+        sim.refuse_timeout("two-tier");
         let n = sim.nodes as usize;
         let mut k = Kernel::new(sim, sim.action_time, "tt-arrivals-", "two-tier");
         // Mobile disconnect schedules (staggered exponential periods).
         k.schedule_connectivity(cfg.base_nodes..sim.nodes, cfg.connected, cfg.disconnected);
         let initial = Value::Int(cfg.initial_value);
-        let master = ObjectStore::filled(sim.db_size, None, initial.clone());
+        let master = ObjectStore::filled(sim.db_size, None, initial);
         let shard = sim.shard_map();
         let hosted_counts: Vec<u64> = match &shard {
             Some(map) => (0..sim.nodes)
@@ -383,11 +384,7 @@ impl TwoTierSim {
         let replicas = (0..n)
             .map(|node| {
                 let layout = shard.as_ref().and_then(|m| m.layout(NodeId(node as u32)));
-                TentativeStore::from_master(ObjectStore::filled(
-                    sim.db_size,
-                    layout,
-                    initial.clone(),
-                ))
+                TentativeStore::from_master(ObjectStore::filled(sim.db_size, layout, initial))
             })
             .collect();
         let p = TwoTier {
@@ -720,8 +717,7 @@ impl TwoTier {
                         self.master.get(o)
                     }
                     .value
-                    .as_int()
-                    .unwrap_or(0);
+                    .as_int();
                     let credit = self.value_rng.chance(0.5);
                     if credit || view <= 0 {
                         let amt = 1 + self.value_rng.gen_range(max_amount.max(1) as u64) as i64;
@@ -748,10 +744,10 @@ impl TwoTier {
         let idx = node.0 as usize;
         let mut results = Vec::with_capacity(spec.ops.len());
         for op in &spec.ops {
-            let current = self.replicas[idx].read(op.object).value.clone();
+            let current = self.replicas[idx].read(op.object).value;
             let new = op.op.apply(&current);
             let ts = self.clocks[idx].tick();
-            self.replicas[idx].write_tentative(op.object, new.clone(), ts);
+            self.replicas[idx].write_tentative(op.object, new, ts);
             results.push((op.object, new));
         }
         if k.measuring() {
@@ -853,13 +849,13 @@ impl TwoTier {
         let op = &txn.spec.ops[txn.next];
         // Read own buffered write if present, else the master copy.
         let current = match txn.buffered.iter().rev().find(|(o, _)| *o == op.object) {
-            Some((_, v)) => v.clone(),
+            Some((_, v)) => *v,
             None => {
                 let versioned = self.master.get(op.object);
                 if k.recorder.is_on() {
                     txn.reads.push((op.object, versioned.ts));
                 }
-                versioned.value.clone()
+                versioned.value
             }
         };
         let new = op.op.apply(&current);
@@ -912,8 +908,8 @@ impl TwoTier {
             let mut writes = Vec::with_capacity(if recording { txn.buffered.len() } else { 0 });
             for (obj, value) in &txn.buffered {
                 let ts = self.master_clock.tick();
-                let old = self.master.replace(*obj, value.clone(), ts);
-                updates.push((*obj, value.clone(), ts));
+                let old = self.master.replace(*obj, *value, ts);
+                updates.push((*obj, *value, ts));
                 if recording {
                     writes.push((*obj, old.ts, ts));
                 }
@@ -1103,7 +1099,7 @@ impl TwoTier {
             if !applies(msg.mask, i) {
                 continue;
             }
-            let fresh = store.apply_lww(obj, ts, value.clone());
+            let fresh = store.apply_lww(obj, ts, *value);
             applied |= fresh;
             let outcome = if fresh {
                 ApplyOutcome::Applied
@@ -1314,6 +1310,7 @@ impl TwoTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DeadlockPolicy;
     use repl_model::Params;
 
     fn base_cfg(
@@ -1416,7 +1413,7 @@ mod tests {
         let (report, master, _) = TwoTierSim::new(cfg).run_with_state();
         assert!(report.committed > 0);
         for (id, v) in master.iter() {
-            let balance = v.value.as_int().unwrap();
+            let balance = v.value.as_int();
             assert!(balance >= 0, "{id} went negative: {balance}");
         }
     }
@@ -1632,6 +1629,23 @@ mod tests {
             TwoTierWorkload::ExactMatch { max_amount: 5 },
         );
         cfg.base_nodes = 0;
+        let _ = TwoTierSim::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "two-tier refuses DeadlockPolicy::Timeout")]
+    fn timeout_policy_is_refused() {
+        let mut cfg = base_cfg(
+            3.0,
+            1,
+            100.0,
+            5.0,
+            10,
+            1,
+            TwoTierWorkload::Commutative { max_amount: 5 },
+        );
+        let wait = SimDuration::from_millis(500);
+        cfg.sim = cfg.sim.with_deadlock(DeadlockPolicy::Timeout { wait });
         let _ = TwoTierSim::new(cfg);
     }
 }

@@ -23,42 +23,25 @@ pub enum Op {
     /// as a transformation; whether the *result* is acceptable (e.g.
     /// non-negative balance) is the acceptance criterion's job.
     Debit(i64),
-    /// Append a line of text — §6's "timestamped append" (Lotus Notes
-    /// note). Appends commute up to ordering; the convergent store
-    /// orders them by timestamp, so any arrival order yields the same
-    /// state.
-    Append(String),
 }
 
 impl Op {
     /// Apply the transformation to a current value, yielding the new
-    /// value. Type mismatches fall back to treating the old value as
-    /// the identity for the operation (`Int` ops start from 0, text ops
-    /// from the empty string) — the workload generators never mix types
-    /// on one object, but the store must stay total.
+    /// value.
     pub fn apply(&self, current: &Value) -> Value {
-        match self {
-            Op::Set(v) => v.clone(),
-            Op::Add(d) => Value::Int(current.as_int().unwrap_or(0).wrapping_add(*d)),
-            Op::Debit(d) => Value::Int(current.as_int().unwrap_or(0).wrapping_sub(*d)),
-            Op::Append(s) => {
-                let mut text = current.as_text().unwrap_or("").to_owned();
-                if !text.is_empty() {
-                    text.push('\n');
-                }
-                text.push_str(s);
-                Value::Text(text)
-            }
+        let current = current.as_int();
+        match *self {
+            Op::Set(v) => v,
+            Op::Add(d) => Value::Int(current.wrapping_add(d)),
+            Op::Debit(d) => Value::Int(current.wrapping_sub(d)),
         }
     }
 
     /// Whether this operation commutes with `other` — i.e. applying
     /// them in either order yields the same value on every start state.
     ///
-    /// `Add`/`Debit` commute among themselves. `Append`s commute in the
-    /// convergent store (which orders by timestamp), but **not** as raw
-    /// string concatenation, so they are conservatively non-commutative
-    /// here. `Set` commutes with nothing.
+    /// `Add`/`Debit` commute among themselves. `Set` commutes with
+    /// nothing.
     pub fn commutes_with(&self, other: &Op) -> bool {
         matches!(
             (self, other),
@@ -106,31 +89,13 @@ mod tests {
     }
 
     #[test]
-    fn add_on_text_starts_from_zero() {
-        assert_eq!(Op::Add(5).apply(&Value::from("x")), Value::Int(5));
-    }
-
-    #[test]
-    fn append_builds_lines() {
-        let v = Op::Append("first".into()).apply(&Value::Text(String::new()));
-        let v = Op::Append("second".into()).apply(&v);
-        assert_eq!(v, Value::Text("first\nsecond".into()));
-    }
-
-    #[test]
-    fn append_on_int_starts_empty() {
-        let v = Op::Append("a".into()).apply(&Value::Int(3));
-        assert_eq!(v, Value::Text("a".into()));
-    }
-
-    #[test]
     fn commutativity_table() {
         assert!(Op::Add(1).commutes_with(&Op::Add(2)));
         assert!(Op::Add(1).commutes_with(&Op::Debit(2)));
         assert!(Op::Debit(1).commutes_with(&Op::Debit(2)));
         assert!(!Op::Set(Value::Int(0)).commutes_with(&Op::Add(1)));
         assert!(!Op::Add(1).commutes_with(&Op::Set(Value::Int(0))));
-        assert!(!Op::Append("a".into()).commutes_with(&Op::Append("b".into())));
+        assert!(!Op::Set(Value::Int(0)).commutes_with(&Op::Set(Value::Int(1))));
     }
 
     #[test]
@@ -155,6 +120,5 @@ mod tests {
         assert!(Op::Add(1).is_commutative());
         assert!(Op::Debit(1).is_commutative());
         assert!(!Op::Set(Value::Int(1)).is_commutative());
-        assert!(!Op::Append("x".into()).is_commutative());
     }
 }

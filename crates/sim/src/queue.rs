@@ -3,20 +3,22 @@
 //! Events are ordered by `(time, sequence)`: ties at the same instant are
 //! delivered in scheduling order, which keeps runs deterministic.
 //!
-//! Internally the queue is a binary heap beside a *FIFO lane*. An engine
-//! registers its dominant constant delay as the lane
-//! ([`EventQueue::set_fifo_lane`]). The clock is monotone and the delay
-//! constant, so events scheduled `delay` after `now` are already in
-//! `(time, seq)` order: they go into a plain deque with O(1) push and
-//! pop. Step events (one fixed service time after each other) are the
-//! bulk of simulation traffic, so most events never touch the heap.
-//! Everything else (network deliveries, timers, bursts) goes into the
-//! heap, and a pop takes whichever of the two fronts has the smaller key.
+//! Internally the queue is a binary heap beside two *FIFO lanes*. An
+//! event scheduled a constant delay after `now` is already in
+//! `(time, seq)` order, because the clock is monotone: such events go
+//! into a plain deque with O(1) push and pop. The *zero lane* takes
+//! every event scheduled at `now` itself (zero-latency deliveries, the
+//! mail a reconnect or a heal releases, crash replays). The *step lane*
+//! takes the engine's dominant constant delay, registered with
+//! [`EventQueue::set_fifo_lane`]: step events, one fixed service time
+//! after each other. Together they are the bulk of simulation traffic,
+//! so most events never touch the heap. Everything else (timed network
+//! deliveries, timers, arrivals) goes into the heap, and a pop takes
+//! whichever of the three fronts has the smallest key.
 //!
-//! Memory follows the live events. The heap is one buffer, sized by the
-//! most events ever pending outside the lane at once, and the lane is one
-//! deque sized the same way; a drained burst leaves its buffer for the
-//! next one to reuse.
+//! Memory follows the live events. The heap and each lane is one
+//! buffer, sized by the most events ever pending in it at once; a
+//! drained burst leaves its buffer for the next one to reuse.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -60,6 +62,14 @@ impl<E> PartialEq for Entry<E> {
 
 impl<E> Eq for Entry<E> {}
 
+/// Which of the queue's three fronts holds the next event.
+#[derive(Clone, Copy)]
+enum Front {
+    Heap,
+    Zero,
+    Step,
+}
+
 /// A deterministic future-event list with a monotone clock.
 ///
 /// `EventQueue` is *pulled*: the simulation driver pops events and
@@ -67,14 +77,17 @@ impl<E> Eq for Entry<E> {}
 /// lifetimes. Popping advances the clock to the event's timestamp.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Events outside the lane; the top is their minimum.
+    /// Events outside the lanes; the top is their minimum.
     heap: BinaryHeap<Entry<E>>,
-    /// The registered FIFO-lane delay, if any.
-    lane_delay: Option<SimDuration>,
-    /// Lane entries, ascending by `(time, seq)` by construction:
-    /// `now` is monotone and every entry was scheduled `lane_delay`
+    /// Zero-lane entries, scheduled at `now`: ascending by
+    /// `(time, seq)` by construction, because `now` is monotone.
+    zero: VecDeque<Entry<E>>,
+    /// The registered step-lane delay, if any.
+    step_delay: Option<SimDuration>,
+    /// Step-lane entries, ascending by `(time, seq)` by construction:
+    /// `now` is monotone and every entry was scheduled `step_delay`
     /// after it.
-    lane: VecDeque<Entry<E>>,
+    step: VecDeque<Entry<E>>,
     /// Largest `len` ever reached.
     peak_len: usize,
     now: SimTime,
@@ -98,23 +111,25 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            lane_delay: None,
-            lane: VecDeque::new(),
+            zero: VecDeque::new(),
+            step_delay: None,
+            step: VecDeque::new(),
             peak_len: 0,
             now: SimTime::ZERO,
             seq: 0,
         }
     }
 
-    /// Register `delay` as the FIFO lane: every subsequent
+    /// Register `delay` as the step lane: every subsequent
     /// [`EventQueue::schedule_after`] call with exactly this delay is
     /// appended to a dedicated deque instead of the heap. Because the
     /// clock never goes backwards and the delay is constant, the lane
     /// is sorted by construction: O(1) push and pop, no sift. Engines
     /// register their per-action service time, which dominates event
-    /// traffic. Safe to call at any point; pop order is unaffected.
+    /// traffic. A zero delay needs no registering: it always takes the
+    /// zero lane. Safe to call at any point; pop order is unaffected.
     pub fn set_fifo_lane(&mut self, delay: SimDuration) {
-        self.lane_delay = Some(delay);
+        self.step_delay = Some(delay);
     }
 
     /// The current simulated time — the timestamp of the last event
@@ -125,12 +140,12 @@ impl<E> EventQueue<E> {
 
     /// Number of events waiting.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.heap.len() + self.zero.len() + self.step.len()
     }
 
     /// Whether no events are waiting.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lane.is_empty()
+        self.heap.is_empty() && self.zero.is_empty() && self.step.is_empty()
     }
 
     /// The most events that ever waited at once.
@@ -142,7 +157,8 @@ impl<E> EventQueue<E> {
     /// spare capacity alike.
     #[doc(hidden)]
     pub fn retained_bytes(&self) -> usize {
-        (self.heap.capacity() + self.lane.capacity()) * std::mem::size_of::<Entry<E>>()
+        (self.heap.capacity() + self.zero.capacity() + self.step.capacity())
+            * std::mem::size_of::<Entry<E>>()
     }
 
     /// The next tie-break sequence number; also counts the event.
@@ -169,38 +185,45 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { time, seq, event });
     }
 
-    /// Schedule `event` after `delay` from the current time.
+    /// Schedule `event` after `delay` from the current time: into the
+    /// zero lane if `delay` is zero, the step lane if it is the
+    /// registered delay, and the heap otherwise.
     pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
         let time = self.now + delay;
-        if self.lane_delay != Some(delay) {
+        let zero = delay == SimDuration::ZERO;
+        if !zero && self.step_delay != Some(delay) {
             return self.schedule_at(time, event);
         }
         let seq = self.next_seq();
+        let lane = if zero { &mut self.zero } else { &mut self.step };
         debug_assert!(
-            self.lane.back().is_none_or(|b| b.key() < (time, seq)),
+            lane.back().is_none_or(|b| b.key() < (time, seq)),
             "lane order violated"
         );
-        self.lane.push_back(Entry { time, seq, event });
+        lane.push_back(Entry { time, seq, event });
     }
 
-    /// Timestamp of the next event, and whether it is the lane's front.
+    /// Timestamp of the next event, and which front holds it.
     #[inline]
-    fn peek(&self) -> Option<(SimTime, bool)> {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) if h.key() < l.key() => Some((h.time, false)),
-            (Some(l), _) => Some((l.time, true)),
-            (None, Some(h)) => Some((h.time, false)),
-            (None, None) => None,
+    fn peek(&self) -> Option<(SimTime, Front)> {
+        let mut next = self.heap.peek().map(|h| (h.key(), Front::Heap));
+        for (lane, front) in [(&self.zero, Front::Zero), (&self.step, Front::Step)] {
+            if let Some(l) = lane.front() {
+                if next.is_none_or(|(key, _)| l.key() < key) {
+                    next = Some((l.key(), front));
+                }
+            }
         }
+        next.map(|((time, _), front)| (time, front))
     }
 
     /// Pop the front `peek` chose, advancing the clock to it.
     #[inline]
-    fn take(&mut self, from_lane: bool) -> (SimTime, E) {
-        let entry = if from_lane {
-            self.lane.pop_front()
-        } else {
-            self.heap.pop()
+    fn take(&mut self, front: Front) -> (SimTime, E) {
+        let entry = match front {
+            Front::Heap => self.heap.pop(),
+            Front::Zero => self.zero.pop_front(),
+            Front::Step => self.step.pop_front(),
         }
         .expect("peeked front");
         self.now = entry.time;
@@ -209,8 +232,8 @@ impl<E> EventQueue<E> {
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (_, from_lane) = self.peek()?;
-        Some(self.take(from_lane))
+        let (_, front) = self.peek()?;
+        Some(self.take(front))
     }
 
     /// Pop the next event only if it occurs at or before `limit`.
@@ -218,7 +241,7 @@ impl<E> EventQueue<E> {
     /// `None` is returned — used to cut a run off at a horizon.
     pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         match self.peek() {
-            Some((time, from_lane)) if time <= limit => Some(self.take(from_lane)),
+            Some((time, front)) if time <= limit => Some(self.take(front)),
             _ => {
                 self.now = self.now.max(limit);
                 None
@@ -291,7 +314,10 @@ mod tests {
         assert!(q.is_empty());
         q.schedule_at(SimTime(1), ());
         q.schedule_at(SimTime(2), ());
-        assert_eq!(q.len(), 2);
+        q.schedule_after(SimDuration::ZERO, ());
+        assert_eq!(q.len(), 3);
+        q.pop();
+        assert_eq!((q.len(), q.peak_len()), (2, 3));
     }
 
     /// Far-future events still pop in global `(time, seq)` order,
@@ -348,6 +374,40 @@ mod tests {
         assert!(q.pop().is_none());
     }
 
+    /// A zero-lane event, a `schedule_at(now)` heap tie and a step-lane
+    /// event at one instant pop in scheduling order, also across
+    /// `pop_until` horizon cuts at that instant and past it.
+    #[test]
+    fn three_fronts_at_one_instant_pop_in_schedule_order() {
+        let mut q = EventQueue::new();
+        q.set_fifo_lane(SimDuration(10));
+        q.schedule_at(SimTime(10), "heap-0");
+        q.schedule_after(SimDuration(10), "step-1");
+        assert_eq!(q.pop(), Some((SimTime(10), "heap-0")));
+        q.schedule_after(SimDuration::ZERO, "zero-2");
+        q.schedule_at(SimTime(10), "heap-3");
+        q.schedule_after(SimDuration::ZERO, "zero-4");
+        q.schedule_after(SimDuration(10), "step-5"); // t=20
+        let cut = |q: &mut EventQueue<_>, limit| {
+            std::iter::from_fn(|| q.pop_until(SimTime(limit)))
+                .map(|(_, e)| e)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(cut(&mut q, 10), ["step-1", "zero-2", "heap-3", "zero-4"]);
+        assert_eq!(q.now(), SimTime(10));
+        q.schedule_after(SimDuration::ZERO, "zero-6");
+        q.schedule_at(SimTime(10), "heap-7");
+        q.schedule_after(SimDuration::ZERO, "zero-8");
+        assert_eq!(cut(&mut q, 10), ["zero-6", "heap-7", "zero-8"]);
+        assert!(cut(&mut q, 15).is_empty());
+        assert_eq!(q.now(), SimTime(15));
+        q.schedule_at(SimTime(15), "heap-9");
+        q.schedule_after(SimDuration::ZERO, "zero-10");
+        q.schedule_after(SimDuration(5), "heap-11"); // t=20, after step-5
+        assert_eq!(cut(&mut q, 20), ["heap-9", "zero-10", "step-5", "heap-11"]);
+        assert!(q.is_empty());
+    }
+
     /// A lane-only queue still honours `pop_until` horizons, and
     /// near-`now` schedules afterwards start from the cut.
     #[test]
@@ -390,7 +450,8 @@ mod tests {
     }
 
     /// Randomized differential test against the reference model: a long
-    /// interleaving of schedules (near, far, lane), bursts of up to
+    /// interleaving of schedules (same-instant, near, far, both lanes),
+    /// bursts of up to
     /// 4,096 events at one instant, descending-time runs beside a
     /// burst, pops, partial drains and horizon cuts must replay the
     /// model exactly.
@@ -411,15 +472,16 @@ mod tests {
                 // Mostly schedules with a mix of spans: same-instant,
                 // sub-millisecond, sub-second, tens of seconds.
                 0..=19 => {
-                    let span = match rng.next_u64() % 5 {
+                    let span = match rng.next_u64() % 6 {
                         0 => 0,
                         1 => rng.next_u64() % 1_000,
                         2 => rng.next_u64() % 500_000,
                         3 => rng.next_u64() % 30_000_000,
-                        _ => {
-                            // Through the registered FIFO lane.
-                            let id = m.push(q.now() + SimDuration(1_000));
-                            q.schedule_after(SimDuration(1_000), id);
+                        lane => {
+                            // Through the zero lane or the step lane.
+                            let delay = SimDuration(if lane == 4 { 0 } else { 1_000 });
+                            let id = m.push(q.now() + delay);
+                            q.schedule_after(delay, id);
                             continue;
                         }
                     };
@@ -496,6 +558,8 @@ mod tests {
 
     /// A burst's memory is reused by the next: once one has drained, an
     /// equal burst leaves `retained_bytes` where the first one left it.
+    /// Each burst lands in all three fronts: `n` events at a random
+    /// delay, `n` at zero delay and one in the step lane.
     #[test]
     fn second_burst_reuses_the_first_bursts_memory() {
         let mut rng = SimRng::new(0xB0B5);
@@ -508,12 +572,13 @@ mod tests {
             let burst = |q: &mut EventQueue<u32>| {
                 for i in 0..n as u32 {
                     q.schedule_after(delay, i);
+                    q.schedule_after(SimDuration::ZERO, i);
                 }
                 q.schedule_after(SimDuration(1_000), 0);
             };
             burst(&mut q);
             let first = q.retained_bytes();
-            assert!(first >= (n + 1) * std::mem::size_of::<Entry<u32>>());
+            assert!(first >= (2 * n + 1) * std::mem::size_of::<Entry<u32>>());
             while q.pop().is_some() {}
             burst(&mut q);
             assert_eq!(
@@ -522,7 +587,7 @@ mod tests {
                 "case {case}: {n} events retained {first} bytes, then {}",
                 q.retained_bytes()
             );
-            assert_eq!(q.peak_len(), n + 1);
+            assert_eq!(q.peak_len(), 2 * n + 1);
         }
     }
 }

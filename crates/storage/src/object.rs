@@ -97,31 +97,18 @@ impl LamportClock {
 
 /// An object value. The paper's workloads are numeric (account balances,
 /// stock levels, quotes); `Int` covers them and keeps commutativity
-/// checkable. `Text` supports document-style payloads in the §6
-/// convergent stores and the order-entry example.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// checkable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Value {
     /// A 64-bit integer (account balance, stock count, …).
     Int(i64),
-    /// An opaque text payload (document, note, address, …).
-    Text(String),
 }
 
 impl Value {
-    /// The integer inside, if this is an `Int`.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            Value::Text(_) => None,
-        }
-    }
-
-    /// The text inside, if this is a `Text`.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            Value::Int(_) => None,
-        }
+    /// The integer inside.
+    pub fn as_int(&self) -> i64 {
+        let Value::Int(v) = *self;
+        v
     }
 }
 
@@ -137,18 +124,10 @@ impl From<i64> for Value {
     }
 }
 
-impl From<&str> for Value {
-    fn from(s: &str) -> Self {
-        Value::Text(s.to_owned())
-    }
-}
-
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Int(v) => write!(f, "{v}"),
-            Value::Text(s) => write!(f, "{s:?}"),
-        }
+        let Value::Int(v) = self;
+        write!(f, "{v}")
     }
 }
 
@@ -226,10 +205,15 @@ mod tests {
 
     #[test]
     fn value_accessors() {
-        assert_eq!(Value::Int(7).as_int(), Some(7));
-        assert_eq!(Value::Int(7).as_text(), None);
-        assert_eq!(Value::from("hi").as_text(), Some("hi"));
-        assert_eq!(Value::from("hi").as_int(), None);
+        assert_eq!(Value::Int(7).as_int(), 7);
+        assert_eq!(Value::from(-7).as_int(), -7);
+    }
+
+    /// A store slot is a value and a timestamp, nothing else: 8 + 16 B.
+    #[test]
+    fn versioned_slot_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 8);
+        assert_eq!(std::mem::size_of::<Versioned>(), 24);
     }
 
     #[test]

@@ -81,19 +81,10 @@ fn slot_hash(idx: usize, v: &Versioned) -> u64 {
         h = (h.rotate_left(5) ^ x).wrapping_mul(MUL);
     };
     mix(idx as u64);
-    match &v.value {
-        Value::Int(i) => {
-            mix(1);
-            mix(*i as u64);
-        }
-        Value::Text(s) => {
-            mix(2);
-            mix(s.len() as u64);
-            for &b in s.as_bytes() {
-                mix(u64::from(b));
-            }
-        }
-    }
+    // The tag of the `Int` variant, kept so that digests stay stable.
+    let Value::Int(i) = v.value;
+    mix(1);
+    mix(i as u64);
     mix(v.ts.counter);
     mix(u64::from(v.ts.node.0));
     h
@@ -281,12 +272,9 @@ impl ObjectStore {
     }
 
     /// Sum of all integer values — workload invariants (e.g. "transfers
-    /// preserve total money") check this. Text objects count as zero.
+    /// preserve total money") check this.
     pub fn total_int(&self) -> i64 {
-        self.objects
-            .iter()
-            .map(|v| v.value.as_int().unwrap_or(0))
-            .sum()
+        self.objects.iter().map(|v| v.value.as_int()).sum()
     }
 }
 
@@ -411,7 +399,7 @@ mod tests {
         // Exercise every write path: set, safe apply, conflict apply,
         // ignored conflict, duplicate, lww win, lww loss.
         s.set(ObjectId(0), Value::Int(7), ts(1, 1));
-        s.set(ObjectId(0), Value::from("text"), ts(2, 1));
+        s.set(ObjectId(0), Value::Int(-3), ts(2, 1));
         s.apply_versioned(ObjectId(1), Timestamp::ZERO, ts(1, 2), Value::Int(9));
         s.apply_versioned(ObjectId(1), Timestamp::ZERO, ts(3, 1), Value::Int(4));
         s.apply_versioned(ObjectId(1), Timestamp::ZERO, ts(2, 2), Value::Int(5));
@@ -437,7 +425,7 @@ mod tests {
         let mut s = ObjectStore::new(3);
         s.set(ObjectId(0), Value::Int(10), ts(1, 1));
         s.set(ObjectId(1), Value::Int(-4), ts(2, 1));
-        s.set(ObjectId(2), Value::from("text"), ts(3, 1));
+        s.set(ObjectId(2), Value::Int(0), ts(3, 1));
         assert_eq!(s.total_int(), 6);
     }
 
@@ -509,10 +497,10 @@ mod tests {
 
     /// The store the engines built before [`ObjectStore::filled`]: an
     /// initial store, then `set` on every hosted id of `0..db_size`.
-    fn set_loop(mut store: ObjectStore, db_size: u64, initial: &Value) -> ObjectStore {
+    fn set_loop(mut store: ObjectStore, db_size: u64, initial: Value) -> ObjectStore {
         for i in (0..db_size).map(ObjectId) {
             if store.hosts(i) {
-                store.set(i, initial.clone(), Timestamp::ZERO);
+                store.set(i, initial, Timestamp::ZERO);
             }
         }
         store
@@ -528,21 +516,21 @@ mod tests {
     #[test]
     fn filled_matches_the_set_loop() {
         let db = 23u64; // deliberately not a multiple of shards
-        for initial in [Value::Int(100), Value::from("seed"), Value::default()] {
+        for initial in [Value::Int(100), Value::Int(-7), Value::default()] {
             // Full store.
-            let filled = ObjectStore::filled(db, None, initial.clone());
-            assert_same_store(&filled, &set_loop(ObjectStore::new(db), db, &initial));
+            let filled = ObjectStore::filled(db, None, initial);
+            assert_same_store(&filled, &set_loop(ObjectStore::new(db), db, initial));
             // Partial layout, every node.
             let map = ShardMap::new(5, 4, 2);
             for node in (0..4).map(NodeId) {
-                let filled = ObjectStore::filled(db, map.layout(node), initial.clone());
-                let looped = set_loop(ObjectStore::sharded(db, &map, node), db, &initial);
+                let filled = ObjectStore::filled(db, map.layout(node), initial);
+                let looped = set_loop(ObjectStore::sharded(db, &map, node), db, initial);
                 assert_same_store(&filled, &looped);
             }
             // A full-rf map has no layout: the full store again.
             let full = ShardMap::new(5, 4, 0);
-            let filled = ObjectStore::filled(db, full.layout(NodeId(2)), initial.clone());
-            let looped = set_loop(ObjectStore::sharded(db, &full, NodeId(2)), db, &initial);
+            let filled = ObjectStore::filled(db, full.layout(NodeId(2)), initial);
+            let looped = set_loop(ObjectStore::sharded(db, &full, NodeId(2)), db, initial);
             assert_same_store(&filled, &looped);
             assert_eq!(filled.len(), db as usize);
         }

@@ -283,6 +283,12 @@ mod tests {
         }
     }
 
+    /// Transaction id, object id, two timestamps and an 8-byte value.
+    #[test]
+    fn update_record_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<UpdateRecord>(), 56);
+    }
+
     #[test]
     fn append_assigns_sequential_lsns() {
         let mut log = CommitLog::new();

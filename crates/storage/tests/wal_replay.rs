@@ -24,7 +24,7 @@ proptest! {
             let old_ts = primary.get(id).ts;
             let new_ts = clock.tick();
             let value = Value::Int(*val);
-            primary.set(id, value.clone(), new_ts);
+            primary.set(id, value, new_ts);
             log.append(
                 TxnId(i as u64),
                 vec![UpdateRecord {
@@ -42,7 +42,7 @@ proptest! {
         let mut replica = ObjectStore::new(db);
         for record in log.since(repl_storage::Lsn(0)) {
             for u in &record.updates {
-                let outcome = replica.apply_versioned(u.object, u.old_ts, u.new_ts, u.value.clone());
+                let outcome = replica.apply_versioned(u.object, u.old_ts, u.new_ts, u.value);
                 prop_assert_eq!(
                     outcome,
                     repl_storage::ApplyOutcome::Applied,
@@ -67,7 +67,7 @@ proptest! {
             let old_ts = primary.get(id).ts;
             let new_ts = clock.tick();
             let value = Value::Int(*val);
-            primary.set(id, value.clone(), new_ts);
+            primary.set(id, value, new_ts);
             log.append(TxnId(i as u64), vec![UpdateRecord {
                 txn: TxnId(i as u64), object: id, old_ts, new_ts, value,
             }]);
@@ -80,12 +80,12 @@ proptest! {
         let watermark = repl_storage::Lsn(cut as u64);
         for record in &log.since(repl_storage::Lsn(0))[..cut] {
             for u in &record.updates {
-                replica.apply_versioned(u.object, u.old_ts, u.new_ts, u.value.clone());
+                replica.apply_versioned(u.object, u.old_ts, u.new_ts, u.value);
             }
         }
         for record in log.since(watermark) {
             for u in &record.updates {
-                replica.apply_versioned(u.object, u.old_ts, u.new_ts, u.value.clone());
+                replica.apply_versioned(u.object, u.old_ts, u.new_ts, u.value);
             }
         }
         prop_assert_eq!(replica.digest(), primary.digest());

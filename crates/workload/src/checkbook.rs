@@ -98,8 +98,7 @@ pub fn lost_update_demo() -> LostUpdateDemo {
     let replace_balance = ledger
         .get(account)
         .and_then(|d| d.value())
-        .and_then(|v| v.as_int())
-        .unwrap_or(0);
+        .map_or(0, |v| v.as_int());
 
     // --- Commutative increments (the transformation pattern). ---
     let mut ledger2 = NotesStore::new();
@@ -121,8 +120,7 @@ pub fn lost_update_demo() -> LostUpdateDemo {
     let increment_balance = ledger2
         .get(account)
         .and_then(|d| d.value())
-        .and_then(|v| v.as_int())
-        .unwrap_or(0);
+        .map_or(0, |v| v.as_int());
 
     LostUpdateDemo {
         replace_balance,
@@ -151,10 +149,7 @@ mod tests {
         let (report, master, _) = TwoTierSim::new(cfg).run_with_state();
         assert!(report.tentative_commits > 0, "spouses wrote no checks");
         for (id, v) in master.iter() {
-            assert!(
-                v.value.as_int().unwrap() >= 0,
-                "account {id} overdrawn at the bank"
-            );
+            assert!(v.value.as_int() >= 0, "account {id} overdrawn at the bank");
         }
     }
 

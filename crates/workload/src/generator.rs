@@ -18,8 +18,6 @@ pub enum OpMix {
         /// Largest single amount.
         max_amount: i64,
     },
-    /// Document appends (Notes-style timestamped append payloads).
-    Appends,
 }
 
 /// A deterministic stream of [`TxnSpec`]s.
@@ -30,7 +28,6 @@ pub struct SpecGenerator {
     actions: usize,
     mix: OpMix,
     criterion: Criterion,
-    counter: u64,
 }
 
 impl SpecGenerator {
@@ -50,13 +47,11 @@ impl SpecGenerator {
             actions,
             mix,
             criterion,
-            counter: 0,
         }
     }
 
     /// Produce the next transaction specification.
     pub fn next_spec(&mut self) -> TxnSpec {
-        self.counter += 1;
         let objects = self.sampler.sample_distinct(&mut self.rng, self.actions);
         let ops = objects
             .into_iter()
@@ -72,7 +67,6 @@ impl SpecGenerator {
                             Op::Debit(amount)
                         }
                     }
-                    OpMix::Appends => Op::Append(format!("entry-{}", self.counter)),
                 };
                 Operation::new(obj, op)
             })
@@ -125,13 +119,6 @@ mod tests {
     fn blind_writes_are_not_commutative() {
         let mut g = generator(OpMix::BlindWrites);
         assert!(!g.next_spec().is_commutative());
-    }
-
-    #[test]
-    fn append_mix_produces_appends() {
-        let mut g = generator(OpMix::Appends);
-        let s = g.next_spec();
-        assert!(s.ops.iter().all(|o| matches!(o.op, Op::Append(_))));
     }
 
     #[test]

@@ -60,10 +60,7 @@ fn main() {
     println!("bank-side deadlock aborts/retries: {}", report.deadlocks);
 
     // The §7 guarantees, checked live:
-    let overdrawn = master
-        .iter()
-        .filter(|(_, v)| v.value.as_int().unwrap_or(0) < 0)
-        .count();
+    let overdrawn = master.iter().filter(|(_, v)| v.value.as_int() < 0).count();
     println!("accounts overdrawn at the bank   : {overdrawn} (criterion enforces 0)");
     let want = master.digest();
     let converged = replicas.iter().all(|r| r.digest() == want);

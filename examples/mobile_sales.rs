@@ -46,7 +46,7 @@ fn main() {
     // refresh), then goes offline.
     let mut laptop = TentativeStore::new(2 * ITEMS);
     for (id, v) in hq.iter() {
-        laptop.master_mut().set(id, v.value.clone(), v.ts);
+        laptop.master_mut().set(id, v.value, v.ts);
     }
     let mut laptop_clock = LamportClock::new(laptop_node);
     println!("== salesman disconnects with a fresh copy of stock & prices ==\n");
@@ -85,17 +85,13 @@ fn main() {
     let mut tentative: Vec<Logged> = Vec::new();
     for o in &orders {
         let stock_obj = ObjectId(STOCK + o.item);
-        let quote = laptop
-            .read(ObjectId(PRICE + o.item))
-            .value
-            .as_int()
-            .unwrap();
+        let quote = laptop.read(ObjectId(PRICE + o.item)).value.as_int();
         let spec = TxnSpec::new(vec![Operation::new(stock_obj, Op::Debit(o.qty))])
             .with_criterion(Criterion::NonNegative);
         // Tentative execution against local tentative versions.
-        let current = laptop.read(stock_obj).value.clone();
+        let current = laptop.read(stock_obj).value;
         let new = spec.ops[0].op.apply(&current);
-        laptop.write_tentative(stock_obj, new.clone(), laptop_clock.tick());
+        laptop.write_tentative(stock_obj, new, laptop_clock.tick());
         println!(
             "tentative: {} orders {} {} @ ${} each (laptop stock now {})",
             o.customer,
@@ -111,7 +107,7 @@ fn main() {
     // and the widget price rises to $130.
     println!("\n== meanwhile at head office ==");
     let w_stock = ObjectId(STOCK);
-    let left = hq.get(w_stock).value.as_int().unwrap() - 5;
+    let left = hq.get(w_stock).value.as_int() - 5;
     hq.set(w_stock, Value::Int(left), hq_clock.tick());
     hq.set(ObjectId(PRICE), Value::Int(130), hq_clock.tick());
     println!("a walk-in buys 5 widgets (stock now {left}); widget price raised to $130\n");
@@ -122,7 +118,7 @@ fn main() {
     // Step 2: refresh master versions (lazy-master stream; here a
     // snapshot for brevity).
     for (id, v) in hq.iter() {
-        laptop.master_mut().apply_lww(id, v.ts, v.value.clone());
+        laptop.master_mut().apply_lww(id, v.ts, v.value);
     }
     // Step 3: the host base node re-runs each tentative transaction in
     // commit order against the master copies and applies the
@@ -130,15 +126,15 @@ fn main() {
     for (spec, tentative_results, customer, quote, qty) in &tentative {
         let stock_obj = spec.ops[0].object;
         let item = stock_obj.0 - STOCK;
-        let current = hq.get(stock_obj).value.clone();
+        let current = hq.get(stock_obj).value;
         let base_result = spec.ops[0].op.apply(&current);
-        let base_outputs = vec![(stock_obj, base_result.clone())];
+        let base_outputs = vec![(stock_obj, base_result)];
         let stock_ok = spec.criterion.accepts(&base_outputs, tentative_results);
-        let price_now = hq.get(ObjectId(PRICE + item)).value.as_int().unwrap();
+        let price_now = hq.get(ObjectId(PRICE + item)).value.as_int();
         let price_ok = Criterion::AtMost(*quote)
             .accepts(&[(ObjectId(PRICE + item), Value::Int(price_now))], &[]);
         if stock_ok && price_ok {
-            hq.set(stock_obj, base_result.clone(), hq_clock.tick());
+            hq.set(stock_obj, base_result, hq_clock.tick());
             println!(
                 "ACCEPTED  {customer}: {qty} {} shipped at ${price_now} (stock left {base_result})",
                 item_name(item),
@@ -163,7 +159,7 @@ fn main() {
             hq.get(ObjectId(PRICE + i)).value
         );
     }
-    let any_negative = hq.iter().any(|(_, v)| v.value.as_int().unwrap_or(0) < 0);
+    let any_negative = hq.iter().any(|(_, v)| v.value.as_int() < 0);
     assert!(
         !any_negative,
         "acceptance criteria guarantee non-negative stock"

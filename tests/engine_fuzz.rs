@@ -140,7 +140,7 @@ proptest! {
         prop_assert!(r.reconciliations >= r.tentative_rejected);
         // The bank invariant.
         for (id, v) in master.iter() {
-            prop_assert!(v.value.as_int().unwrap() >= 0, "{id} negative");
+            prop_assert!(v.value.as_int() >= 0, "{id} negative");
         }
         // Convergence.
         let want = master.digest();

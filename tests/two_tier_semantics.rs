@@ -123,7 +123,7 @@ fn master_invariant_holds_under_scarcity() {
     assert!(r.committed > 0);
     for (id, v) in master.iter() {
         assert!(
-            v.value.as_int().unwrap() >= 0,
+            v.value.as_int() >= 0,
             "{id} negative — acceptance criterion failed"
         );
     }
